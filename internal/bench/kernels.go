@@ -17,7 +17,9 @@ import (
 // bipartite block at d=64 and d=128:
 //
 //   - scalar-fp32: materialize the |frontier|×d gathered matrix, then
-//     AggregateGCN — the pre-fusion pipeline, and the traffic ceiling.
+//     AggregateGCN — the pre-fusion pipeline, and the traffic ceiling. The
+//     name predates the SIMD gather row-sum both fp32 arms now run; it
+//     stays because the committed envelopes key on it.
 //   - fused-fp32: GatherAggGCNSum streams rows straight out of the fp32
 //     store (bit-identical math, no gathered matrix).
 //   - fused-bf16: same kernel over the 16-bit slab — half the feature-read

@@ -114,13 +114,7 @@ func AggregateGCN(b *Block, x *tensor.Matrix, dstNorm []float32) *tensor.Matrix 
 	out := tensor.New(b.NumDst, d)
 	for i := 0; i < b.NumDst; i++ {
 		dst := out.Row(i)
-		lo, hi := b.Indptr[i], b.Indptr[i+1]
-		for p := lo; p < hi; p++ {
-			src := x.Row(int(b.Indices[p]))
-			for j := range dst {
-				dst[j] += src[j]
-			}
-		}
+		tensor.GatherSum(dst, x.Data, b.Indices[b.Indptr[i]:b.Indptr[i+1]], d)
 		self := x.Row(int(b.SelfIdx[i]))
 		norm := dstNorm[i]
 		for j := range dst {

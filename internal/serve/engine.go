@@ -17,7 +17,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -544,7 +543,7 @@ func edgeAttention(blk *minibatch.Block, sProj, tProj []float32, slope float32) 
 		}
 		var sum float64
 		for p := lo; p < hi; p++ {
-			ex := expf(float64(alpha[p] - maxV))
+			ex := spmm.Expf(float64(alpha[p] - maxV))
 			alpha[p] = float32(ex)
 			sum += ex
 		}
@@ -575,12 +574,4 @@ func aggregateWeightedBlock(blk *minibatch.Block, z *tensor.Matrix, alpha []floa
 			}
 		}
 	}
-}
-
-// expf mirrors spmm's overflow-guarded exponent helper bit for bit.
-func expf(x float64) float64 {
-	if x < -80 {
-		return 0
-	}
-	return math.Exp(x)
 }

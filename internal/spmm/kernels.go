@@ -1,5 +1,7 @@
 package spmm
 
+import "distgnn/internal/tensor"
+
 // rowKernel reduces one source row (and optionally one edge-feature row)
 // into one destination row: dst[j] = dst[j] ⊕ (src[j] ⊗ edge[j]) for all j.
 // The optimized kernels select a monomorphic rowKernel once per aggregation
@@ -43,22 +45,11 @@ func kernelFor(op Op, red Reduce) rowKernel {
 	panic("spmm: no kernel for " + op.String() + "/" + red.String())
 }
 
-// rowCopyLHSSum is the hot path of GNN training: dst += src. Unrolled 4-way
-// so the compiler keeps accumulators in registers (the scalar stand-in for
-// the SIMD body of Alg. 3).
+// rowCopyLHSSum is the hot path of GNN training: dst += src, as a one-row
+// tensor.GatherSum so it runs the same SIMD body as Alg. 3 (a no-op at
+// width 0).
 func rowCopyLHSSum(dst, src, _ []float32) {
-	n := len(dst)
-	_ = src[n-1]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += src[i]
-		dst[i+1] += src[i+1]
-		dst[i+2] += src[i+2]
-		dst[i+3] += src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += src[i]
-	}
+	tensor.GatherSum(dst, src, []int32{0}, 0)
 }
 
 // rowMulSum is the weighted-aggregation hot path: dst += src*edge.

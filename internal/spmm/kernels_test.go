@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"distgnn/internal/tensor"
 )
 
 // TestKernelForMatchesScalarReference drives every (⊗, ⊕) pair through its
@@ -94,5 +96,42 @@ func TestKernelForInvalidEnumsPanic(t *testing.T) {
 			buf := make([]float32, 4)
 			kern(buf, buf, buf)
 		})
+	}
+}
+
+// TestCopyLHSSumBitIdenticalAcrossKernels pins the copylhs/sum hot path
+// through tensor.GatherSum: the Alg. 1 baseline, the per-edge row-kernel
+// plan and the reordered plan sum each destination's neighbors in CSR order,
+// so they must agree bit for bit at every width — including 0, where every
+// kernel is a no-op — and at the widths that end each SIMD column block.
+func TestCopyLHSSumBitIdenticalAcrossKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := randomGraph(rng, 40, 400)
+	plans := []*Plan{
+		NewPlan(g, Options{NumBlocks: 1}),
+		NewPlan(g, Options{NumBlocks: 1, Schedule: ScheduleDynamic, Reordered: true, ChunkSize: 5}),
+	}
+	for _, d := range []int{0, 1, 7, 8, 9, 41, 63, 64, 65, 128, 200} {
+		a := randomArgs(rng, g, d, OpCopyLHS, ReduceSum)
+		if err := Baseline(a); err != nil {
+			t.Fatalf("d=%d baseline: %v", d, err)
+		}
+		want := a.FO.Clone()
+		for pi, p := range plans {
+			a.FO.Fill(-1)
+			if err := p.Run(a); err != nil {
+				t.Fatalf("d=%d plan %d: %v", d, pi, err)
+			}
+			for i := range want.Data {
+				if math.Float32bits(a.FO.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("d=%d plan %+v: element %d = %v, baseline %v", d, p.Opt, i, a.FO.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	// The fused block kernel is a no-op over zero-width features too.
+	frontier, indptr, indices, selfIdx := randomBipartite(rng, 6, 10, 4, 20)
+	if err := GatherAggGCNSum(tensor.New(6, 0), RowsOf(tensor.New(20, 0)), frontier, indptr, indices, selfIdx, make([]float32, 6)); err != nil {
+		t.Fatal(err)
 	}
 }

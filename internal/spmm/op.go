@@ -11,9 +11,11 @@
 //     interpreted operator dispatch, static scheduling (the DGL baseline).
 //   - +Dynamic scheduling — chunked work queue over destination vertices.
 //   - +Cache blocking — Alg. 2: source-range blocks processed outermost.
-//   - +Loop reordering — Alg. 3: feature-dimension tiles held in a register
-//     buffer with monomorphic specialized kernels standing in for LIBXSMM's
-//     JITed SIMD code.
+//   - +Loop reordering — Alg. 3: feature-dimension tiles held in registers
+//     across a vertex's neighbors, with monomorphic specialized kernels.
+//     LIBXSMM JITs the SIMD body; here the copylhs/sum hot path runs the
+//     AVX assembly of tensor.GatherSum (pure Go off amd64 or under -tags
+//     purego) and the other reordered kernels a Go stack tile.
 package spmm
 
 import "fmt"

@@ -1,11 +1,16 @@
 package spmm
 
-import "distgnn/internal/graph"
+import (
+	"distgnn/internal/graph"
+	"distgnn/internal/tensor"
+)
 
-// tileW is the feature-dimension tile width W of Alg. 3. A fixed-size stack
-// buffer of tileW floats plays the role of the SIMD register block LIBXSMM
-// JITs: each output tile f_O[v][j:j+W] is loaded once, accumulated across
-// all of v's neighbors in the block, and stored once.
+// tileW is the feature-dimension tile width W of Alg. 3 for the reordered
+// kernels written in Go: a fixed-size stack buffer of tileW floats stands
+// in for a register block, so each output tile f_O[v][j:j+W] is loaded
+// once, accumulated across all of v's neighbors in the block, and stored
+// once. The copylhs/sum hot path uses tensor.GatherSum instead, which
+// keeps the tile in real SIMD registers on amd64.
 const tileW = 16
 
 // reorderedBody returns a monomorphic Alg. 3 loop body for the hot (⊗, ⊕)
@@ -27,38 +32,13 @@ func reorderedBody(a *Args, blk *graph.CSR) func(v0, v1 int) {
 }
 
 // reorderedCopyLHSSum: f_O[v] += Σ_u f_V[u] — the GNN training hot path.
+// tensor.GatherSum holds each output row in SIMD registers across all of
+// v's neighbors in the block, loading and storing it once.
 func reorderedCopyLHSSum(a *Args, blk *graph.CSR, v0, v1 int) {
 	d := a.FO.Cols
-	fv := a.FV.Data
-	fo := a.FO.Data
 	for v := v0; v < v1; v++ {
-		lo, hi := int(blk.Indptr[v]), int(blk.Indptr[v+1])
-		if lo == hi {
-			continue
-		}
-		nbr := blk.Indices[lo:hi]
-		base := v * d
-		var j int
-		for ; j+tileW <= d; j += tileW {
-			var t [tileW]float32
-			copy(t[:], fo[base+j:base+j+tileW])
-			for _, u := range nbr {
-				s := int(u)*d + j
-				src := fv[s : s+tileW : s+tileW]
-				for k := 0; k < tileW; k++ {
-					t[k] += src[k]
-				}
-			}
-			copy(fo[base+j:base+j+tileW], t[:])
-		}
-		// Remainder columns.
-		for ; j < d; j++ {
-			t := fo[base+j]
-			for _, u := range nbr {
-				t += fv[int(u)*d+j]
-			}
-			fo[base+j] = t
-		}
+		lo, hi := blk.Indptr[v], blk.Indptr[v+1]
+		tensor.GatherSum(a.FO.Row(v), a.FV.Data, blk.Indices[lo:hi], d)
 	}
 }
 

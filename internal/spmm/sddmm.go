@@ -160,7 +160,7 @@ func EdgeSoftmax(g *graph.CSR, scores *tensor.Matrix) error {
 			var sum float64
 			for _, e := range ids {
 				x := float64(scores.Data[e] - maxV)
-				ex := expf(x)
+				ex := Expf(x)
 				scores.Data[e] = float32(ex)
 				sum += ex
 			}
@@ -204,9 +204,10 @@ func AggregateWeighted(g *graph.CSR, x *tensor.Matrix, w []float32, out *tensor.
 	return nil
 }
 
-// expf is math.Exp specialized through float64 (kept as a helper so the
-// softmax loop body stays small enough to inline the common path).
-func expf(x float64) float64 {
+// Expf is the overflow-guarded exponent of the edge softmax: math.Exp, but
+// 0 below −80. The serving engine's GAT replay calls it too, so both
+// softmaxes take the same bits.
+func Expf(x float64) float64 {
 	// Guard against overflow for pathological score spreads.
 	if x < -80 {
 		return 0

@@ -35,6 +35,8 @@ func MatMulAcc(c, a, b *Matrix) {
 	gemmAcc(c, a, b)
 }
 
+// gemmAcc adds A × B into C: each row of C takes one axpyRows per kc-strip
+// of B, which holds the row in SIMD registers across the whole strip.
 func gemmAcc(c, a, b *Matrix) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if m == 0 || k == 0 || n == 0 {
@@ -43,38 +45,12 @@ func gemmAcc(c, a, b *Matrix) {
 	parallelRows(m, func(i0, i1 int) {
 		for kk := 0; kk < k; kk += matmulKC {
 			kEnd := min(kk+matmulKC, k)
+			bStrip := b.Data[kk*n : kEnd*n]
 			for i := i0; i < i1; i++ {
-				aRow := a.Data[i*k : (i+1)*k]
-				cRow := c.Data[i*n : (i+1)*n]
-				for p := kk; p < kEnd; p++ {
-					av := aRow[p]
-					if av == 0 {
-						continue
-					}
-					bRow := b.Data[p*n : (p+1)*n]
-					saxpyRow(cRow, bRow, av)
-				}
+				axpyRows(c.Data[i*n:(i+1)*n], a.Data[i*k+kk:i*k+kEnd], bStrip, n)
 			}
 		}
 	})
-}
-
-// saxpyRow computes dst += alpha*src with 4-way unrolling so the compiler
-// keeps the accumulators in registers. This is the scalar stand-in for the
-// SIMD body LIBXSMM would JIT (Alg. 3 in the paper).
-func saxpyRow(dst, src []float32, alpha float32) {
-	n := len(src)
-	_ = dst[n-1]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += alpha * src[i]
-		dst[i+1] += alpha * src[i+1]
-		dst[i+2] += alpha * src[i+2]
-		dst[i+3] += alpha * src[i+3]
-	}
-	for ; i < n; i++ {
-		dst[i] += alpha * src[i]
-	}
 }
 
 // MatMulTransA computes C = Aᵀ × B where A is k×m, B is k×n, C is m×n.
@@ -90,20 +66,30 @@ func MatMulTransA(c, a, b *Matrix) {
 		return
 	}
 	// Parallelize over rows of C (columns of A) to avoid write conflicts.
+	// Each kc-strip of A's columns i0..i1 is transposed into scratch so row
+	// i of C is one axpyRows over a contiguous coefficient run.
 	parallelRows(m, func(i0, i1 int) {
-		for p := 0; p < k; p++ {
-			aRow := a.Data[p*m : (p+1)*m]
-			bRow := b.Data[p*n : (p+1)*n]
-			for i := i0; i < i1; i++ {
-				av := aRow[i]
-				if av == 0 {
-					continue
+		at := transAScratch.Get((i1 - i0) * matmulKC)
+		defer transAScratch.Put(at)
+		for kk := 0; kk < k; kk += matmulKC {
+			kEnd := min(kk+matmulKC, k)
+			kc := kEnd - kk
+			for p := kk; p < kEnd; p++ {
+				for ii, v := range a.Data[p*m+i0 : p*m+i1] {
+					at[ii*kc+p-kk] = v
 				}
-				saxpyRow(c.Data[i*n:(i+1)*n], bRow, av)
+			}
+			bStrip := b.Data[kk*n : kEnd*n]
+			for i := i0; i < i1; i++ {
+				ii := i - i0
+				axpyRows(c.Data[i*n:(i+1)*n], at[ii*kc:(ii+1)*kc], bStrip, n)
 			}
 		}
 	})
 }
+
+// transAScratch pools MatMulTransA's transposed coefficient strips.
+var transAScratch parallel.Scratch[float32]
 
 // MatMulTransB computes C = A × Bᵀ where A is m×k, B is n×k, C is m×n.
 // This is the shape needed for input gradients (dY·Wᵀ) during backprop.
@@ -115,32 +101,9 @@ func MatMulTransB(c, a, b *Matrix) {
 	m, n, k := c.Rows, c.Cols, a.Cols
 	parallelRows(m, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			aRow := a.Data[i*k : (i+1)*k]
-			cRow := c.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bRow := b.Data[j*k : (j+1)*k]
-				cRow[j] = dot(aRow, bRow)
-			}
+			dotRows(c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k)
 		}
 	})
-}
-
-func dot(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a)
-	_ = b[n-1]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 // parallelRows splits [0, rows) into contiguous chunks of at least
