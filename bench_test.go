@@ -363,19 +363,6 @@ func BenchmarkRuntimeMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeAutoTune prices the one-shot kernel sweep so its
-// amortization argument stays checkable.
-func BenchmarkRuntimeAutoTune(b *testing.B) {
-	ds := benchDataset(b, "reddit-sim")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := spmm.AutoTune(ds.G, ds.Features.Cols)
-		if opt.NumBlocks < 1 {
-			b.Fatal("bad autotune result")
-		}
-	}
-}
-
 // --- Cross-cutting: parameter AllReduce (the per-epoch sync) ----------------
 
 func BenchmarkParamAllReduce(b *testing.B) {

@@ -48,7 +48,6 @@ import (
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
-	"distgnn/internal/quant"
 	"distgnn/internal/train"
 )
 
@@ -72,12 +71,6 @@ func main() {
 	save := flag.String("save", "", "write trained model parameters to this file (single-socket mode)")
 	workers := flag.Int("workers", 0,
 		"kernel worker-pool size, the OMP_NUM_THREADS analogue (0 = GOMAXPROCS)")
-	autotune := flag.Bool("autotune", false,
-		"benchmark aggregation-kernel variants on the dataset and use the fastest (replaces the built-in heuristic)")
-	tuneCache := flag.String("tune-cache", "",
-		"with -autotune: directory of persisted tuning profiles keyed by (dataset, width, workers, machine); a valid profile skips the sweep")
-	featPrec := flag.String("feat-precision", "fp32",
-		"input-feature storage: fp32, or bf16 (features rounded once into a 16-bit slab the aggregation kernels decode on load; single-socket only)")
 	transport := flag.String("transport", "inproc",
 		"comm fabric for -sockets >1: inproc (every rank a goroutine in this process) or tcp (this process is one rank of a multi-process fleet)")
 	rank := flag.Int("rank", 0, "tcp: this process's rank")
@@ -176,10 +169,6 @@ func main() {
 			ds.Features.Cols, ds.NumClasses)
 	}
 
-	prec, err := parseFeatPrecision(*featPrec)
-	if err != nil {
-		fatal(err)
-	}
 	if *mb {
 		fo, err := parseFanouts(*fanouts)
 		if err != nil {
@@ -188,19 +177,16 @@ func main() {
 		cfg := minibatch.Config{
 			Hidden: *hidden, NumLayers: len(fo), Fanouts: fo,
 			BatchSize: *batch, Epochs: *epochs, LR: *lr, UseAdam: *adam,
-			Seed: *seed, Workers: *workers, FeatPrecision: prec,
+			Seed: *seed, Workers: *workers,
 		}
 		runMinibatch(ds, cfg, tr, children, *shards, *sockets, *haloCache, *seed, verbose, tel, stopProf)
 		return
 	}
-	mc := model.Config{
-		Hidden: *hidden, NumLayers: *layers, Seed: *seed,
-		AutoTuneAgg: *autotune, TuneCacheDir: *tuneCache,
-	}
+	mc := model.Config{Hidden: *hidden, NumLayers: *layers, Seed: *seed}
 	if *sockets <= 1 {
 		res, err := train.SingleSocket(ds, train.SingleConfig{
 			Model: mc, Epochs: *epochs, LR: *lr, WeightDecay: *wd, UseAdam: *adam,
-			Workers: *workers, FeatPrecision: prec,
+			Workers: *workers,
 		})
 		if err != nil {
 			fatal(err)
@@ -251,11 +237,6 @@ func main() {
 		return
 	}
 
-	if prec != quant.FP32 {
-		// The distributed partial-aggregate exchange and its conformance
-		// pins are defined over fp32 inputs.
-		fatal(fmt.Errorf("-feat-precision %s requires -sockets 1 (distributed training is fp32-only)", *featPrec))
-	}
 	start := time.Now()
 	res, err := train.Distributed(ds, train.DistConfig{
 		Model: mc, NumPartitions: *sockets, Algo: train.Algorithm(*algo),
@@ -473,20 +454,6 @@ func waitChildren(children []*exec.Cmd) {
 func checkFiniteLoss(loss float64) {
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		fatal(fmt.Errorf("training diverged: final loss %v is not finite", loss))
-	}
-}
-
-// parseFeatPrecision maps the -feat-precision flag to a storage format.
-// Only fp32 and bf16 are feature formats (fp16 is a wire format for
-// gradients and partial aggregates, not a kernel input).
-func parseFeatPrecision(s string) (quant.Precision, error) {
-	switch s {
-	case "fp32":
-		return quant.FP32, nil
-	case "bf16":
-		return quant.BF16, nil
-	default:
-		return 0, fmt.Errorf("unknown -feat-precision %q (fp32 or bf16)", s)
 	}
 }
 

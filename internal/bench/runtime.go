@@ -12,9 +12,7 @@ import (
 
 // AblationWorkers sweeps the parallel runtime's worker-pool size over the
 // two hot kernels — the aggregation primitive and the dense matmul — the
-// in-process analogue of the paper's OMP_NUM_THREADS scaling runs. It also
-// prints the configuration AutoTune picks at each pool size, since the
-// static/dynamic crossover moves with the worker count.
+// in-process analogue of the paper's OMP_NUM_THREADS scaling runs.
 func AblationWorkers(opt Options) error {
 	ds, err := loadDataset("reddit-sim", opt.scale())
 	if err != nil {
@@ -35,7 +33,7 @@ func AblationWorkers(opt Options) error {
 	bm := tensor.New(d, 64)
 	c := tensor.New(2048, 64)
 
-	t := &table{header: []string{"workers", "AP time", "matmul time", "autotuned options"}}
+	t := &table{header: []string{"workers", "AP time", "matmul time"}}
 	prev := parallel.Workers()
 	defer parallel.Configure(parallel.Config{Workers: prev}) // restore the caller's pool
 	for _, w := range sweep {
@@ -49,9 +47,7 @@ func AblationWorkers(opt Options) error {
 			tensor.MatMul(c, a, bm)
 		}
 		mm := time.Since(start) / time.Duration(4*iters)
-		tuned := spmm.AutoTune(ds.G, d)
-		t.add(fmt.Sprint(w), ap.String(), mm.String(),
-			fmt.Sprintf("nB=%d %s reordered=%v", tuned.NumBlocks, tuned.Schedule, tuned.Reordered))
+		t.add(fmt.Sprint(w), ap.String(), mm.String())
 	}
 	t.write(opt.Out)
 	return nil

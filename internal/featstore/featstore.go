@@ -4,8 +4,8 @@
 // (internal/serve) and the sampled mini-batch trainers (internal/minibatch)
 // read features through the same three building blocks:
 //
-//   - a resident slab (Local): the in-process feature store, fp32 matrix or
-//     once-rounded bf16, optionally fronted by a byte-budgeted LRU;
+//   - a resident matrix (Local): the in-process fp32 feature store,
+//     optionally fronted by a byte-budgeted LRU;
 //   - an owner-split sharded store (Sharded): each rank materializes only
 //     the feature rows of the vertices it owns, frontier positions owned by
 //     peers become one batched halo fetch per owner rank over the

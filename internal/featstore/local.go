@@ -6,13 +6,13 @@ import (
 )
 
 // Local is the single-process Source: every feature row is resident in this
-// process (an fp32 matrix or a once-rounded bf16 slab behind spmm.FeatRows),
-// optionally fronted by a byte-budgeted LRU. With the whole store resident
-// the cache cannot beat a direct row copy — it is the stand-in for the
-// remote/out-of-core feature fetch a deployment at real scale pays per miss
-// (the paper's feature-locality cost; Sharded pays it for real over the
-// comm fabric), and its hit/miss counters measure exactly the reuse such a
-// tier would capture.
+// process (an fp32 matrix behind spmm.FeatRows), optionally fronted by a
+// byte-budgeted LRU. With the whole store resident the cache cannot beat a
+// direct row copy — it is the stand-in for the remote/out-of-core feature
+// fetch a deployment at real scale pays per miss (the paper's
+// feature-locality cost; Sharded pays it for real over the comm fabric),
+// and its hit/miss counters measure exactly the reuse such a tier would
+// capture.
 type Local struct {
 	feats spmm.FeatRows
 	cache *Cache[int32, []float32]
@@ -31,9 +31,8 @@ func (lf *Local) Cols() int { return lf.feats.Cols() }
 func (lf *Local) CacheStats() CacheStats { return lf.cache.Stats() }
 
 // Gather materializes the frontier's feature rows, serving rows from the
-// cache when resident. bf16-backed stores decode on load (decode is exact),
-// so the gathered fp32 bits equal the rounded slab's regardless of cache
-// state.
+// cache when resident; the gathered bits equal the store's regardless of
+// cache state.
 func (lf *Local) Gather(frontier []int32) (*tensor.Matrix, error) {
 	x := tensor.New(len(frontier), lf.feats.Cols())
 	for i, gv := range frontier {

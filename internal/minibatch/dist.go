@@ -9,6 +9,7 @@ import (
 	"distgnn/internal/datasets"
 	"distgnn/internal/featstore"
 	"distgnn/internal/nn"
+	"distgnn/internal/spmm"
 )
 
 // DistConfig configures distributed mini-batch training — the paper's §7
@@ -62,12 +63,8 @@ func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error)
 	if cfg.BatchSize < 1 || cfg.Epochs < 1 {
 		return nil, fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
 	}
-	// One read-only feature store shared by all ranks; with bf16 every rank
-	// reads the same rounded slab, so replicas stay bit-identical.
-	feats, err := featRowsFor(ds, cfg.FeatPrecision)
-	if err != nil {
-		return nil, err
-	}
+	// One read-only feature store shared by all ranks.
+	feats := spmm.RowsOf(ds.Features)
 
 	// Shard training vertices round-robin after one seeded shuffle.
 	shuffled := append([]int32(nil), ds.TrainIdx...)

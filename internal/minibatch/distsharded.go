@@ -11,7 +11,6 @@ import (
 	"distgnn/internal/featstore"
 	"distgnn/internal/nn"
 	"distgnn/internal/partition"
-	"distgnn/internal/quant"
 	"distgnn/internal/tensor"
 )
 
@@ -68,11 +67,6 @@ func TrainSharded(ds *datasets.Dataset, cfg ShardedTrainConfig) (*DistResult, er
 	}
 	if cfg.BatchSize < 1 || cfg.Epochs < 1 {
 		return nil, fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
-	}
-	if cfg.FeatPrecision != quant.FP32 {
-		// Halo rows cross the fabric as fp32; the conformance pin is defined
-		// over that format (mirroring serve's shard mode).
-		return nil, fmt.Errorf("minibatch: sharded training is fp32-only (drop FeatPrecision)")
 	}
 	if cfg.Transport != nil && cfg.Transport.Size() != cfg.NumRanks {
 		return nil, fmt.Errorf("minibatch: transport spans %d ranks, NumRanks is %d",

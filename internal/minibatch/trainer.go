@@ -8,7 +8,6 @@ import (
 	"distgnn/internal/datasets"
 	"distgnn/internal/nn"
 	"distgnn/internal/parallel"
-	"distgnn/internal/quant"
 	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
@@ -26,12 +25,6 @@ type Config struct {
 	// Workers sizes the process-wide kernel worker pool for this run — the
 	// OMP_NUM_THREADS knob. 0 keeps the current pool.
 	Workers int
-	// FeatPrecision selects the input-feature storage format. quant.FP32
-	// (the zero value) reads the dataset's float32 matrix; quant.BF16
-	// rounds the features once into a 16-bit slab that the fused layer-0
-	// kernel decodes on load — half the feature-read traffic, float32
-	// accumulation, model math otherwise unchanged.
-	FeatPrecision quant.Precision
 }
 
 // EpochStat is one mini-batch epoch: loss averaged over batches, wall time,
@@ -148,11 +141,10 @@ func aggregateBlockBackward(b *Block, dAgg *tensor.Matrix, numSrc int) *tensor.M
 }
 
 // AggregateGCNFrom is AggregateGCN fused with the frontier gather: it
-// streams rows straight out of the global feature store (fp32 or bf16) via
+// streams rows straight out of the global feature store via
 // spmm.GatherAggGCNSum instead of first materializing the |frontier|×d
-// gathered matrix. For fp32 sources the float-op order is exactly
-// gather-then-AggregateGCN, so results are bit-identical to the unfused
-// path; bf16 sources decode on load and accumulate in float32.
+// gathered matrix. The float-op order is exactly gather-then-AggregateGCN,
+// so results are bit-identical to the unfused path.
 func AggregateGCNFrom(b *Block, feats spmm.FeatRows, frontier []int32) *tensor.Matrix {
 	out := tensor.New(b.NumDst, feats.Cols())
 	if err := spmm.GatherAggGCNSum(out, feats, frontier, b.Indptr, b.Indices, b.SelfIdx, b.Norms()); err != nil {
@@ -240,10 +232,7 @@ func Train(ds *datasets.Dataset, cfg Config) (*Result, error) {
 	if cfg.Workers > 0 {
 		parallel.Configure(parallel.Config{Workers: cfg.Workers})
 	}
-	feats, err := featRowsFor(ds, cfg.FeatPrecision)
-	if err != nil {
-		return nil, err
-	}
+	feats := spmm.RowsOf(ds.Features)
 	sampler, err := NewSampler(ds.G, cfg.Fanouts, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -297,19 +286,6 @@ func Train(ds *datasets.Dataset, cfg Config) (*Result, error) {
 
 	res.TestAcc = evaluate(ds, sampler, m, cfg.BatchSize, feats)
 	return res, nil
-}
-
-// featRowsFor builds the feature row store Train and TrainDistributed read
-// from: the dataset matrix as-is for fp32, or a one-time rounded bf16 slab.
-func featRowsFor(ds *datasets.Dataset, p quant.Precision) (spmm.FeatRows, error) {
-	switch p {
-	case quant.FP32:
-		return spmm.RowsOf(ds.Features), nil
-	case quant.BF16:
-		return spmm.RowsOfBF16(tensor.BF16FromMatrix(ds.Features)), nil
-	default:
-		return spmm.FeatRows{}, fmt.Errorf("minibatch: unsupported feature precision %v (fp32 or bf16)", p)
-	}
 }
 
 // sampledWork counts aggregation element updates per hop: sampled edges ×

@@ -63,18 +63,9 @@ type Config struct {
 	// GINEps is ε of the GIN combine (used when Aggregator == AggGIN).
 	GINEps float64
 	// AggOpt configures the aggregation-primitive kernel; the zero value
-	// (defaulted in New) is the fully optimized configuration.
+	// (defaulted in New) is the fully optimized configuration with the
+	// block count pickNumBlocks chooses.
 	AggOpt spmm.Options
-	// AutoTuneAgg benchmarks kernel variants on g at construction and uses
-	// the fastest instead of the DefaultOptions heuristic (ignored when
-	// AggOpt is set explicitly or UseBaselineAgg is on). The one-shot sweep
-	// costs a few aggregation passes, amortized over the training epochs.
-	AutoTuneAgg bool
-	// TuneCacheDir, when AutoTuneAgg is on, persists the sweep winner as a
-	// JSON profile keyed by (dataset fingerprint, width, workers, machine)
-	// under this directory, so later runs skip the sweep entirely. Empty
-	// re-sweeps every construction.
-	TuneCacheDir string
 	// UseBaselineAgg forces the Alg. 1 baseline kernel — the "DGL 0.5.3
 	// baseline" arm of Fig. 2.
 	UseBaselineAgg bool
@@ -103,34 +94,6 @@ type GraphSAGE struct {
 	// (forward and backward); the Fig. 2 "AP" measurement. Reset with
 	// ResetAggTime.
 	AggTime time.Duration
-
-	// featB, when set, is the bf16 copy of the input features the layer-0
-	// forward aggregation reads instead of the fp32 matrix (see
-	// SetBF16Features).
-	featB *tensor.BF16Matrix
-}
-
-// SetBF16Features installs a bf16 slab as the layer-0 aggregation source:
-// the first layer's forward spmm streams 2-byte rows (half the feature-read
-// traffic of fp32) and decodes on load. Callers must pass b.ToMatrix() — the
-// decoded fp32 copy — as Forward's x so the self-add path observes exactly
-// the values the kernel decodes; under that convention the result is
-// bit-identical to fp32 training over the rounded features. Pass nil to
-// return to fp32 reads. Rejected under UseBaselineAgg (the Alg. 1 baseline
-// kernel is fp32-only by contract).
-func (m *GraphSAGE) SetBF16Features(b *tensor.BF16Matrix) error {
-	if b == nil {
-		m.featB = nil
-		return nil
-	}
-	if m.Cfg.UseBaselineAgg {
-		return fmt.Errorf("model: bf16 features require the planned kernels (UseBaselineAgg is on)")
-	}
-	if b.Rows != m.G.NumVertices || b.Cols != m.Cfg.InDim {
-		return fmt.Errorf("model: bf16 slab %dx%d, want %dx%d", b.Rows, b.Cols, m.G.NumVertices, m.Cfg.InDim)
-	}
-	m.featB = b
-	return nil
 }
 
 // ResetAggTime clears the aggregation-primitive time accumulator.
@@ -164,15 +127,7 @@ func New(g *graph.CSR, cfg Config, norm []float32) (*GraphSAGE, error) {
 		return nil, fmt.Errorf("model: norm length %d != vertices %d", len(norm), g.NumVertices)
 	}
 	if cfg.AggOpt == (spmm.Options{}) {
-		if cfg.AutoTuneAgg && !cfg.UseBaselineAgg {
-			width := cfg.Hidden
-			if width <= 0 {
-				width = cfg.InDim
-			}
-			cfg.AggOpt = spmm.AutoTuneCached(g, width, cfg.TuneCacheDir)
-		} else {
-			cfg.AggOpt = spmm.DefaultOptions(pickNumBlocks(g))
-		}
+		cfg.AggOpt = spmm.DefaultOptions(pickNumBlocks(g))
 	}
 	m := &GraphSAGE{Cfg: cfg, G: g, Norm: norm}
 	if !cfg.UseBaselineAgg {
@@ -231,18 +186,11 @@ func pickNumBlocks(g *graph.CSR) int {
 	return nB
 }
 
-// aggregate runs the forward aggregation primitive into a fresh matrix. On
-// layer 0 with a bf16 slab installed, the kernel reads the slab (decoding
-// on load) instead of x — bit-identical output, half the source traffic.
-func (m *GraphSAGE) aggregate(x *tensor.Matrix, layer0 bool) *tensor.Matrix {
+// aggregate runs the forward aggregation primitive into a fresh matrix.
+func (m *GraphSAGE) aggregate(x *tensor.Matrix) *tensor.Matrix {
 	start := time.Now()
 	out := tensor.New(x.Rows, x.Cols)
-	args := &spmm.Args{G: m.G, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
-	if layer0 && m.featB != nil && x.Rows == m.featB.Rows && x.Cols == m.featB.Cols {
-		args.FVB = m.featB
-	} else {
-		args.FV = x
-	}
+	args := &spmm.Args{G: m.G, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
 	var err error
 	if m.Cfg.UseBaselineAgg {
 		err = spmm.Baseline(args)
@@ -290,7 +238,7 @@ func (m *GraphSAGE) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 			}
 			continue
 		}
-		agg := m.aggregate(h, l == 0)
+		agg := m.aggregate(h)
 		if m.FwdHook != nil {
 			m.FwdHook(l, agg)
 		}

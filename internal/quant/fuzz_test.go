@@ -176,9 +176,9 @@ func TestPackAppendsToDst(t *testing.T) {
 // FuzzBF16CodeIdempotent: every bf16 code is a fixed point of
 // encode∘decode — decoding a 16-bit word and re-encoding it must hand back
 // the same word (NaN codes may renormalize but must stay NaN). This is the
-// property that makes bf16 feature storage stable: re-rounding an
-// already-rounded matrix is the identity, so a slab can be rebuilt from
-// its own decoded values without drift.
+// property that keeps the bf16 wire codec stable: re-rounding an
+// already-rounded buffer is the identity, so a value that crosses the wire
+// twice is rounded only once.
 func FuzzBF16CodeIdempotent(f *testing.F) {
 	for _, h := range []uint16{
 		0, 0x8000, // ±0

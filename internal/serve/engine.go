@@ -27,7 +27,6 @@ import (
 	"distgnn/internal/minibatch"
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
-	"distgnn/internal/quant"
 	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
@@ -56,14 +55,6 @@ type ModelSpec struct {
 	// LeakySlope is GAT's LeakyReLU negative slope; defaults to 0.2 to
 	// match model.NewGAT.
 	LeakySlope float64
-	// FeatPrecision selects how the engine stores input features:
-	// quant.FP32 (zero value) reads the dataset matrix; quant.BF16 rounds
-	// it once at engine construction into a 16-bit slab, halving resident
-	// feature bytes and read traffic. Inference then runs over the rounded
-	// values (decode is exact), so exact-mode results are bit-identical to
-	// a model evaluated on the rounded matrix. Single-process engines only;
-	// the sharded engine exchanges fp32 rows.
-	FeatPrecision quant.Precision
 }
 
 func (s ModelSpec) String() string {
@@ -135,9 +126,9 @@ type Engine struct {
 	gat     []*gatServeLayer
 	feat    *Cache[int32, []float32]
 	src     featureSource
-	// feats is the resident feature store (fp32 matrix or bf16 slab). The
-	// exact-mode GraphSAGE path aggregates straight from it through the
-	// fused gather kernel when the feature cache is disabled.
+	// feats is the resident feature store. The exact-mode GraphSAGE path
+	// aggregates straight from it through the fused gather kernel when the
+	// feature cache is disabled.
 	feats spmm.FeatRows
 	// mut, when non-nil, is the graph mutation layer (Config.EnableUpdates):
 	// each request loads one epoch-versioned Snapshot and extracts its
@@ -176,18 +167,10 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 			spec.InDim, spec.Hidden, spec.OutDim)
 	}
 	e := &Engine{
-		ds:   ds,
-		spec: spec,
-		feat: NewCache[int32, []float32](featureCacheBytes, 0),
-	}
-	switch spec.FeatPrecision {
-	case quant.FP32:
-		e.feats = spmm.RowsOf(ds.Features)
-	case quant.BF16:
-		// One-time rounding at construction; every request reads the slab.
-		e.feats = spmm.RowsOfBF16(tensor.BF16FromMatrix(ds.Features))
-	default:
-		return nil, fmt.Errorf("serve: unsupported feature precision %v (fp32 or bf16)", spec.FeatPrecision)
+		ds:    ds,
+		spec:  spec,
+		feat:  NewCache[int32, []float32](featureCacheBytes, 0),
+		feats: spmm.RowsOf(ds.Features),
 	}
 	e.src = featstore.NewLocal(e.feats, e.feat)
 	switch spec.Arch {
@@ -362,8 +345,8 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 	case e.fusedExact():
 		// GraphSAGE exact mode over the resident store with no feature
 		// cache: skip the gather entirely — the fused kernel streams
-		// frontier rows straight from e.feats (fp32 bit-identical to the
-		// gathered path, bf16 decoded on load).
+		// frontier rows straight from e.feats, bit-identical to the
+		// gathered path.
 		stop := tc.StartSpan("sample")
 		s = minibatch.FullSample(topo, seeds, e.spec.NumLayers)
 		stop()

@@ -19,7 +19,6 @@ import (
 	"distgnn/internal/datasets"
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
-	"distgnn/internal/quant"
 	"distgnn/internal/tensor"
 )
 
@@ -67,9 +66,6 @@ type Config struct {
 	// disables the respective cache.
 	FeatureCacheBytes int64
 	EmbedCacheBytes   int64
-	// FeatPrecision selects feature storage (see ModelSpec.FeatPrecision):
-	// quant.FP32 (default) or quant.BF16. Single-process serving only.
-	FeatPrecision quant.Precision
 	// Metrics, when set, registers the serving metrics on the registry and
 	// enables GET /metrics (Prometheus text exposition). Nil runs
 	// metrics-free — the obs plane's disabled-is-free contract.
@@ -132,7 +128,6 @@ func New(ds *datasets.Dataset, checkpoint io.Reader, cfg Config) (*Server, error
 	eng, err := NewEngine(ds, ModelSpec{
 		Arch: cfg.Arch, Hidden: cfg.Hidden, OutDim: cfg.OutDim,
 		NumLayers: cfg.NumLayers, NumHeads: cfg.NumHeads,
-		FeatPrecision: cfg.FeatPrecision,
 	}, cfg.Fanouts, cfg.FeatureCacheBytes)
 	if err != nil {
 		return nil, err
@@ -276,16 +271,12 @@ func (s *Server) Reload(checkpoint io.Reader) error {
 	defer s.reloadMu.Unlock()
 	old := s.engine.Load()
 	spec := old.Spec()
-	// Build against fp32 and adopt the old engine's resident feature store
-	// afterwards — re-rounding a bf16 slab that already exists is pure
-	// waste, and sharing keeps the swap allocation-light.
-	buildSpec := spec
-	buildSpec.FeatPrecision = quant.FP32
-	eng, err := NewEngine(old.ds, buildSpec, s.cfg.Fanouts, 0)
+	// Adopt the old engine's resident feature store: sharing keeps the
+	// swap allocation-light.
+	eng, err := NewEngine(old.ds, spec, s.cfg.Fanouts, 0)
 	if err != nil {
 		return fmt.Errorf("serve: reload: %w", err)
 	}
-	eng.spec = spec
 	eng.feats = old.feats
 	eng.feat = old.feat
 	eng.src = old.src

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -243,9 +244,14 @@ func affectedVertices(rev *graph.Snapshot, touched []int32, hops int) []int32 {
 	return out
 }
 
+// maxUpdateBody caps the POST /update request body. 1 MiB holds a batch of
+// tens of thousands of edges — far above the 16-edge batches the stream
+// clients send — while keeping one request from buffering unbounded memory.
+const maxUpdateBody = 1 << 20
+
 // handleUpdate is POST /update: decode, validate, apply locally, fan out
 // to the fleet (shard mode), reply with per-rank receipts. Gated by
-// Config.EnableUpdates.
+// Config.EnableUpdates; bodies over maxUpdateBody get 413.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.upd == nil {
 		httpError(w, http.StatusForbidden, fmt.Errorf("updates disabled (start with -updates)"))
@@ -256,7 +262,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("update payload exceeds %d bytes", maxUpdateBody))
+			return
+		}
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad update payload: %v", err))
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -252,8 +253,8 @@ func TestUpdateSchemaGolden(t *testing.T) {
 	}
 }
 
-// TestUpdateGating pins the endpoint's refusal paths and the constructor's
-// exact-mode-only constraint.
+// TestUpdateGating pins the endpoint's refusal paths (including the body
+// size cap) and the constructor's exact-mode-only constraint.
 func TestUpdateGating(t *testing.T) {
 	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
 
@@ -298,6 +299,10 @@ func TestUpdateGating(t *testing.T) {
 		{"empty", http.MethodPost, `{"edges":[]}`, http.StatusBadRequest},
 		{"negative", http.MethodPost, `{"edges":[[-1,0]]}`, http.StatusBadRequest},
 		{"out-of-range", http.MethodPost, fmt.Sprintf(`{"edges":[[0,%d]]}`, n), http.StatusBadRequest},
+		// Well-formed, in-range edges, but a body past maxUpdateBody.
+		{"oversized", http.MethodPost,
+			`{"edges":[` + strings.Repeat("[0,1],", maxUpdateBody/6) + `[0,1]]}`,
+			http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+"/update", bytes.NewReader([]byte(tc.body)))

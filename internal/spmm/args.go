@@ -13,25 +13,12 @@ import (
 // (|E|×d, nil when ⊗ is unary on vertex features), the output f_O (|V|×d),
 // and the (⊗, ⊕) operator pair.
 type Args struct {
-	G  *graph.CSR
-	FV *tensor.Matrix // fp32 vertex features, |V|×d; may be nil for OpCopyRHS
-	// FVB is the bf16 form of the vertex-feature operand — the SrcBF16 rung
-	// of the source-precision axis. Exactly one of FV/FVB may be set for ops
-	// that read vertex features; kernels decode FVB rows on load and
-	// accumulate in float32.
-	FVB *tensor.BF16Matrix
+	G   *graph.CSR
+	FV  *tensor.Matrix // vertex features, |V|×d; may be nil for OpCopyRHS
 	FE  *tensor.Matrix // edge features, |E|×d; may be nil for OpCopyLHS
 	FO  *tensor.Matrix // output, |V|×d
 	Op  Op
 	Red Reduce
-}
-
-// SrcPrec reports which storage format the vertex-feature operand uses.
-func (a *Args) SrcPrec() SrcPrecision {
-	if a.FVB != nil {
-		return SrcBF16
-	}
-	return SrcFP32
 }
 
 // Validate checks operand shapes against the graph and operator form.
@@ -45,22 +32,14 @@ func (a *Args) Validate() error {
 	}
 	needsFV := a.Op != OpCopyRHS
 	needsFE := a.Op != OpCopyLHS
-	if a.FV != nil && a.FVB != nil {
-		return fmt.Errorf("spmm: FV and FVB are mutually exclusive (one source precision per call)")
-	}
 	if needsFV {
-		switch {
-		case a.FV == nil && a.FVB == nil:
+		if a.FV == nil {
 			return fmt.Errorf("spmm: op %v requires vertex features", a.Op)
-		case a.FV != nil && (a.FV.Rows != a.G.NumVertices || a.FV.Cols != d):
+		}
+		if a.FV.Rows != a.G.NumVertices || a.FV.Cols != d {
 			return fmt.Errorf("spmm: vertex features %dx%d, want %dx%d",
 				a.FV.Rows, a.FV.Cols, a.G.NumVertices, d)
-		case a.FVB != nil && (a.FVB.Rows != a.G.NumVertices || a.FVB.Cols != d):
-			return fmt.Errorf("spmm: bf16 vertex features %dx%d, want %dx%d",
-				a.FVB.Rows, a.FVB.Cols, a.G.NumVertices, d)
 		}
-	} else if a.FVB != nil {
-		return fmt.Errorf("spmm: op %v does not read vertex features; FVB must be nil", a.Op)
 	}
 	if needsFE {
 		if a.FE == nil {

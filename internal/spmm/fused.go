@@ -4,59 +4,28 @@ import (
 	"fmt"
 
 	"distgnn/internal/parallel"
-	"distgnn/internal/quant"
 	"distgnn/internal/tensor"
 )
 
-// FeatRows is a read-only vertex-feature row store in one of the two source
-// precisions. Exactly one backing is non-nil; the zero value is invalid.
-// It is the operand handed to the fused gather→aggregate kernel, which
-// switches once on the backing and runs a monomorphic loop — no per-row
-// interface dispatch on the hot path.
+// FeatRows is a read-only vertex-feature row store: the operand handed to
+// the fused gather→aggregate kernel and the feature stores built on it.
+// The zero value is invalid.
 type FeatRows struct {
 	F32 *tensor.Matrix
-	B16 *tensor.BF16Matrix
 }
 
 // RowsOf wraps a float32 matrix as a FeatRows.
 func RowsOf(m *tensor.Matrix) FeatRows { return FeatRows{F32: m} }
 
-// RowsOfBF16 wraps a bf16 matrix as a FeatRows.
-func RowsOfBF16(b *tensor.BF16Matrix) FeatRows { return FeatRows{B16: b} }
-
-// Valid reports whether exactly one backing is set.
-func (r FeatRows) Valid() bool { return (r.F32 != nil) != (r.B16 != nil) }
+// Valid reports whether the backing matrix is set.
+func (r FeatRows) Valid() bool { return r.F32 != nil }
 
 // Cols returns the feature width.
-func (r FeatRows) Cols() int {
-	if r.B16 != nil {
-		return r.B16.Cols
-	}
-	return r.F32.Cols
-}
+func (r FeatRows) Cols() int { return r.F32.Cols }
 
-// NumRows returns the row count.
-func (r FeatRows) NumRows() int {
-	if r.B16 != nil {
-		return r.B16.Rows
-	}
-	return r.F32.Rows
-}
-
-// Precision reports the storage format.
-func (r FeatRows) Precision() quant.Precision {
-	if r.B16 != nil {
-		return quant.BF16
-	}
-	return quant.FP32
-}
-
-// CopyRow materializes row i into dst (len ≥ Cols), decoding bf16 rows on
-// load, and returns dst[:Cols]. The unfused gather path and caches use it.
+// CopyRow copies row i into dst (len ≥ Cols) and returns dst[:Cols]. The
+// unfused gather path and caches use it.
 func (r FeatRows) CopyRow(dst []float32, i int) []float32 {
-	if r.B16 != nil {
-		return r.B16.DecodeRow(i, dst)
-	}
 	dst = dst[:r.F32.Cols]
 	copy(dst, r.F32.Row(i))
 	return dst
@@ -70,11 +39,10 @@ func (r FeatRows) CopyRow(dst []float32, i int) []float32 {
 // summing block neighbors in index order. It streams source rows straight
 // out of the global feature store — no materialized |frontier|×d gathered
 // matrix is ever built, removing the gather's write+read traffic and its
-// allocation from the per-frontier pass. For fp32 sources the float-op
-// order per output element is exactly the gather-then-aggregate order, so
-// results are bit-identical to the unfused path (the property the serving
-// bit-identity pins rely on); bf16 sources decode rows on load and
-// accumulate in float32.
+// allocation from the per-frontier pass. The float-op order per output
+// element is exactly the gather-then-aggregate order, so results are
+// bit-identical to the unfused path (the property the serving bit-identity
+// pins rely on).
 //
 // indptr/indices/selfIdx are the bipartite block arrays (minibatch.Block's
 // layout): indices and selfIdx hold frontier-local IDs, frontier maps them
@@ -83,7 +51,7 @@ func (r FeatRows) CopyRow(dst []float32, i int) []float32 {
 func GatherAggGCNSum(out *tensor.Matrix, feats FeatRows, frontier []int32,
 	indptr, indices, selfIdx []int32, norm []float32) error {
 	if !feats.Valid() {
-		return fmt.Errorf("spmm: FeatRows must have exactly one backing")
+		return fmt.Errorf("spmm: FeatRows has no backing matrix")
 	}
 	d := feats.Cols()
 	numDst := len(indptr) - 1
@@ -107,12 +75,7 @@ func GatherAggGCNSum(out *tensor.Matrix, feats FeatRows, frontier []int32,
 		gSelf[i] = frontier[u]
 	}
 	body := func(v0, v1 int) {
-		fusedGatherSumFP32(out, feats.F32, gIdx, gSelf, indptr, norm, v0, v1)
-	}
-	if feats.B16 != nil {
-		body = func(v0, v1 int) {
-			fusedGatherSumBF16(out, feats.B16, gIdx, gSelf, indptr, norm, v0, v1)
-		}
+		fusedGatherSum(out, feats.F32, gIdx, gSelf, indptr, norm, v0, v1)
 	}
 	// Output rows are independent and each is computed by exactly one
 	// worker in the same sequential per-row order, so the result is
@@ -139,7 +102,7 @@ const (
 // fusedIdxScratch pools the per-call translated index buffer.
 var fusedIdxScratch parallel.Scratch[int32]
 
-// fusedGatherSumFP32 sums each destination's scattered source rows with
+// fusedGatherSum sums each destination's scattered source rows with
 // tensor.GatherSum, which holds the output row in SIMD registers across
 // every neighbor and stores it once. A register tile revisits each
 // scattered row once per 64-float block, but that does not defeat the
@@ -149,7 +112,7 @@ var fusedIdxScratch parallel.Scratch[int32]
 // pre-translated global rows. The per-element op order — neighbors in
 // index order, then self, then scale — is exactly gather-then-AggregateGCN,
 // so results are bit-identical to the unfused path.
-func fusedGatherSumFP32(out, feats *tensor.Matrix,
+func fusedGatherSum(out, feats *tensor.Matrix,
 	gIdx, gSelf, indptr []int32, norm []float32, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		dst := out.Row(i)
@@ -159,32 +122,6 @@ func fusedGatherSumFP32(out, feats *tensor.Matrix,
 		n := norm[i]
 		for j := range dst {
 			dst[j] = (dst[j] + self[j]) * n
-		}
-	}
-}
-
-// fusedGatherSumBF16 is fusedGatherSumFP32 over the 16-bit slab: the
-// uint16 load + shift decode replaces the float32 load, halving the bytes
-// read per scattered row.
-func fusedGatherSumBF16(out *tensor.Matrix, feats *tensor.BF16Matrix,
-	gIdx, gSelf, indptr []int32, norm []float32, i0, i1 int) {
-	d := out.Cols
-	for i := i0; i < i1; i++ {
-		dst := out.Row(i)
-		for j := range dst {
-			dst[j] = 0
-		}
-		lo, hi := indptr[i], indptr[i+1]
-		for p := lo; p < hi; p++ {
-			src := feats.Row(int(gIdx[p]))[:d]
-			for j := range dst {
-				dst[j] += bf16Decode(src[j])
-			}
-		}
-		self := feats.Row(int(gSelf[i]))[:d]
-		n := norm[i]
-		for j := range dst {
-			dst[j] = (dst[j] + bf16Decode(self[j])) * n
 		}
 	}
 }

@@ -114,9 +114,6 @@ func (p *Plan) forEachDst(blk *graph.CSR, fn func(v0, v1 int)) {
 // vertexBody returns the per-vertex-range aggregation body: either the
 // specialized row-kernel loop, or the Alg. 3 reordered loop.
 func (p *Plan) vertexBody(a *Args, blk *graph.CSR) func(v0, v1 int) {
-	if a.SrcPrec() == SrcBF16 {
-		return p.bf16Body(a, blk)
-	}
 	if p.Opt.Reordered {
 		if body := reorderedBody(a, blk); body != nil {
 			return body

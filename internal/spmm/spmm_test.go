@@ -90,13 +90,15 @@ func TestBaselineMatchesReferenceAllOperators(t *testing.T) {
 func TestOptimizedMatchesReferenceAllConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomGraph(rng, 60, 500)
-	configs := []Options{
-		{NumBlocks: 1, Schedule: ScheduleStatic},
-		{NumBlocks: 1, Schedule: ScheduleDynamic},
-		{NumBlocks: 4, Schedule: ScheduleDynamic},
-		{NumBlocks: 4, Schedule: ScheduleDynamic, Reordered: true},
-		{NumBlocks: 16, Schedule: ScheduleStatic, Reordered: true},
-		{NumBlocks: 1, Schedule: ScheduleDynamic, Reordered: true, ChunkSize: 3},
+	// The full Fig. 4 lattice — block count × schedule × loop reordering —
+	// plus one small dynamic chunk that forces many work-queue grabs.
+	configs := []Options{{NumBlocks: 1, Schedule: ScheduleDynamic, Reordered: true, ChunkSize: 3}}
+	for _, nB := range []int{1, 4, 8, 16} {
+		for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic} {
+			for _, reordered := range []bool{false, true} {
+				configs = append(configs, Options{NumBlocks: nB, Schedule: sched, Reordered: reordered})
+			}
+		}
 	}
 	for _, opt := range configs {
 		plan := NewPlan(g, opt)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"distgnn/internal/quant"
-	"distgnn/internal/tensor"
 )
 
 func TestBF16CommAccuracyNearFP32(t *testing.T) {
@@ -72,55 +71,5 @@ func TestLowPrecisionRoundingActuallyApplied(t *testing.T) {
 	}
 	if run(quant.FP32) == run(quant.BF16) {
 		t.Fatal("bf16 rounding had no effect on training trajectory")
-	}
-}
-
-// TestSingleSocketBF16FeaturesBitIdenticalToRoundedFP32 pins the feature-
-// precision contract: a bf16 run is exactly an fp32 run over the once-
-// rounded feature matrix — same losses, bit for bit — because bf16 decode
-// is exact and the layer-0 kernel accumulates in float32 in the same order.
-func TestSingleSocketBF16FeaturesBitIdenticalToRoundedFP32(t *testing.T) {
-	ds := testDataset(t)
-	bf16, err := SingleSocket(ds, SingleConfig{
-		Model: smallModel(), Epochs: 5, LR: 0.05, UseAdam: true,
-		FeatPrecision: quant.BF16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference: round the features in place, train fp32.
-	rounded := tensor.BF16FromMatrix(ds.Features).ToMatrix()
-	copy(ds.Features.Data, rounded.Data)
-	fp32, err := SingleSocket(ds, SingleConfig{
-		Model: smallModel(), Epochs: 5, LR: 0.05, UseAdam: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := range bf16.Epochs {
-		if bf16.Epochs[e].Loss != fp32.Epochs[e].Loss {
-			t.Fatalf("epoch %d: bf16 loss %v != rounded-fp32 loss %v",
-				e, bf16.Epochs[e].Loss, fp32.Epochs[e].Loss)
-		}
-	}
-	if bf16.TestAcc != fp32.TestAcc {
-		t.Fatalf("bf16 test acc %v != rounded-fp32 %v", bf16.TestAcc, fp32.TestAcc)
-	}
-}
-
-func TestSingleSocketBF16RejectsBaselineKernel(t *testing.T) {
-	ds := testDataset(t)
-	mc := smallModel()
-	mc.UseBaselineAgg = true
-	if _, err := SingleSocket(ds, SingleConfig{
-		Model: mc, Epochs: 1, LR: 0.05, FeatPrecision: quant.BF16,
-	}); err == nil {
-		t.Fatal("bf16 + baseline kernel must be rejected")
-	}
-	if _, err := SingleSocket(ds, SingleConfig{
-		Model: smallModel(), Epochs: 1, LR: 0.05, FeatPrecision: quant.FP16,
-	}); err == nil {
-		t.Fatal("fp16 feature precision must be rejected")
 	}
 }
