@@ -287,9 +287,12 @@ func BenchmarkTable9MiniBatchEpoch(b *testing.B) {
 	ds := benchDataset(b, "ogbn-products-sim")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := minibatch.Train(ds, minibatch.Config{
-			Hidden: 32, NumLayers: 2, Fanouts: []int{10, 5},
-			BatchSize: 256, Epochs: 1, LR: 0.01, Seed: 1,
+		res, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
+			Config: minibatch.Config{
+				Hidden: 32, NumLayers: 2, Fanouts: []int{10, 5},
+				BatchSize: 256, Epochs: 1, LR: 0.01, Seed: 1,
+			},
+			NumRanks: 1,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -61,6 +61,7 @@ import (
 	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
 	"distgnn/internal/graphio"
+	"distgnn/internal/minibatch"
 	"distgnn/internal/obs"
 	"distgnn/internal/parallel"
 	"distgnn/internal/serve"
@@ -147,7 +148,7 @@ func main() {
 	cfg.EnableUpdates = *updatesOn
 	cfg.CompactThreshold = *compactThreshold
 	var err error
-	cfg.Fanouts, err = parseFanouts(*fanouts)
+	cfg.Fanouts, err = minibatch.ParseFanouts(*fanouts)
 	if err != nil {
 		fatal(err)
 	}
@@ -598,22 +599,6 @@ func setupTCP(shards, rank int, commPeers, commListen string, httpAddrs []string
 		return nil, nil, err
 	}
 	return tr, children, nil
-}
-
-func parseFanouts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -fanouts %q: each entry must be a positive integer", s)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -37,7 +37,6 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 	"time"
 
@@ -170,7 +169,10 @@ func main() {
 	}
 
 	if *mb {
-		fo, err := parseFanouts(*fanouts)
+		fo, err := minibatch.ParseFanouts(*fanouts)
+		if err == nil && len(fo) == 0 {
+			err = fmt.Errorf("-minibatch needs a non-empty -fanouts list")
+		}
 		if err != nil {
 			fatal(err)
 		}
@@ -380,20 +382,6 @@ func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
 		tr.Close()
 	}
 	waitChildren(children)
-}
-
-// parseFanouts parses the -fanouts comma list ("10,5" → [10 5]).
-func parseFanouts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	fo := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -fanouts %q: entries must be positive integers", s)
-		}
-		fo = append(fo, v)
-	}
-	return fo, nil
 }
 
 // setupTCP builds this process's TCP endpoint and, under -spawn-local,

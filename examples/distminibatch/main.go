@@ -8,10 +8,12 @@
 // real thing) and as the replicated-feature single-process reference
 // (minibatch.TrainDistributed, every rank reading one shared slab).
 //
-// Sharding the features and moving them over a wire is a substrate change,
-// never an arithmetic one: with the same seed and rank count, the final
-// model parameters must match bit for bit — which this example verifies
-// and prints, alongside the halo traffic the featstore plane absorbed.
+// Both runs go through the same rank loop; only the layer-0 feature
+// source differs (a sharded gather vs the resident slab). Sharding the
+// features and moving them over a wire is a substrate change, never an
+// arithmetic one: with the same seed and rank count, the final model
+// parameters must match bit for bit — which this example verifies and
+// prints, alongside the halo traffic the featstore plane absorbed.
 // -scale and -epochs shrink the run for smoke testing.
 package main
 

@@ -136,10 +136,13 @@ func Table9(opt Options) error {
 	}
 	epochs := opt.epochs(3)
 
-	mb, err := minibatch.Train(ds, minibatch.Config{
-		Hidden: fig5ModelFor("ogbn-products-sim").Hidden, NumLayers: 3,
-		Fanouts: table7Fanouts, BatchSize: table7Batch,
-		Epochs: epochs, LR: 0.01, Seed: 1,
+	mb, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
+		Config: minibatch.Config{
+			Hidden: fig5ModelFor("ogbn-products-sim").Hidden, NumLayers: 3,
+			Fanouts: table7Fanouts, BatchSize: table7Batch,
+			Epochs: epochs, LR: 0.01, Seed: 1,
+		},
+		NumRanks: 1,
 	})
 	if err != nil {
 		return err

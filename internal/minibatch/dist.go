@@ -2,6 +2,7 @@ package minibatch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"distgnn/internal/datasets"
 	"distgnn/internal/featstore"
 	"distgnn/internal/nn"
+	"distgnn/internal/parallel"
 	"distgnn/internal/spmm"
 )
 
@@ -30,9 +32,9 @@ type DistEpochStat struct {
 	SampledWork int64 // summed across ranks
 	Steps       int   // synchronized optimizer steps
 	// AllReduce is the wall time spent inside the per-step gradient
-	// AllReduce this epoch: the max across ranks for the in-process
-	// trainer, this rank's own time on a TCP endpoint. Pure timing —
-	// recording it never changes a reduction's float order.
+	// AllReduce this epoch, the max across ranks; every rank reports the
+	// same value on every fabric. Pure timing — recording it never changes
+	// a reduction's float order.
 	AllReduce time.Duration
 }
 
@@ -51,153 +53,246 @@ type DistResult struct {
 	HaloStats []featstore.ShardedStats
 }
 
-// TrainDistributed runs data-parallel mini-batch training over NumRanks
-// in-process ranks.
-func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
+// AvgEpochTime averages epoch wall time over all epochs.
+func (r *DistResult) AvgEpochTime() time.Duration {
+	if len(r.Epochs) == 0 {
+		return 0
+	}
+	var total time.Duration
+	for _, e := range r.Epochs {
+		total += e.Time
+	}
+	return total / time.Duration(len(r.Epochs))
+}
+
+func (cfg *DistConfig) validate() error {
 	if cfg.NumRanks < 1 {
-		return nil, fmt.Errorf("minibatch: NumRanks must be ≥1, got %d", cfg.NumRanks)
+		return fmt.Errorf("minibatch: NumRanks must be ≥1, got %d", cfg.NumRanks)
 	}
 	if cfg.NumLayers != len(cfg.Fanouts) {
-		return nil, fmt.Errorf("minibatch: NumLayers %d != len(Fanouts) %d", cfg.NumLayers, len(cfg.Fanouts))
+		return fmt.Errorf("minibatch: NumLayers %d != len(Fanouts) %d", cfg.NumLayers, len(cfg.Fanouts))
 	}
 	if cfg.BatchSize < 1 || cfg.Epochs < 1 {
-		return nil, fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
+		return fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
 	}
-	// One read-only feature store shared by all ranks.
+	return nil
+}
+
+// featureSource yields a sampled batch's layer-0 input in AggregateGCN's
+// form: feature rows, and the frontier that indexes them (nil when the rows
+// are already block-local). It is one rank's only view of the features.
+type featureSource func(s *Sample) (spmm.FeatRows, []int32, error)
+
+// TrainDistributed runs data-parallel mini-batch training over NumRanks
+// in-process ranks, every rank reading one shared resident feature matrix
+// through the fused gather→aggregate kernel.
+func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	feats := spmm.RowsOf(ds.Features)
-
-	// Shard training vertices round-robin after one seeded shuffle.
-	shuffled := append([]int32(nil), ds.TrainIdx...)
-	rand.New(rand.NewSource(cfg.Seed)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	resident := func(s *Sample) (spmm.FeatRows, []int32, error) { return feats, s.InputFrontier(), nil }
+	return runRanks(cfg, nil, func(world *comm.World, rank int) (*DistResult, error) {
+		return trainRank(ds, cfg, world, rank, resident)
 	})
-	shards := make([][]int32, cfg.NumRanks)
-	for i, v := range shuffled {
-		shards[i%cfg.NumRanks] = append(shards[i%cfg.NumRanks], v)
-	}
+}
 
+// runRanks sizes the kernel pool from cfg.Workers, then runs rank on every
+// rank this process hosts: all NumRanks of a fresh in-process world when tr
+// is nil, else the single rank of the endpoint tr. It returns rank 0's
+// result (or the endpoint's own), with every in-process rank's HaloStats
+// entry folded in.
+func runRanks(cfg DistConfig, tr comm.Transport, rank func(world *comm.World, rank int) (*DistResult, error)) (*DistResult, error) {
+	if cfg.Workers > 0 {
+		parallel.Configure(parallel.Config{Workers: cfg.Workers})
+	}
+	if tr != nil {
+		world := comm.NewWorldTransport(tr)
+		return rank(world, world.Self())
+	}
 	world := comm.NewWorld(cfg.NumRanks)
-	type rank struct {
-		model   *mbModel
-		sampler *Sampler
-		opt     nn.Optimizer
-		rng     *rand.Rand
-		shard   []int32
-	}
-	ranks := make([]*rank, cfg.NumRanks)
-	for rID := range ranks {
-		// Identical model seed on every rank; per-rank sampler seeds.
-		mrng := rand.New(rand.NewSource(cfg.Seed + 100))
-		m := newMBModel(ds.Features.Cols, cfg.Hidden, ds.NumClasses, cfg.NumLayers, mrng)
-		sampler, err := NewSampler(ds.G, cfg.Fanouts, cfg.Seed+int64(rID))
+	results := make([]*DistResult, cfg.NumRanks)
+	errs := make([]error, cfg.NumRanks)
+	world.Run(func(r int) { results[r], errs[r] = rank(world, r) })
+	for r, err := range errs {
 		if err != nil {
-			return nil, err
-		}
-		var opt nn.Optimizer
-		if cfg.UseAdam {
-			opt = nn.NewAdam(cfg.LR, 0)
-		} else {
-			opt = &nn.SGD{LR: cfg.LR}
-		}
-		ranks[rID] = &rank{
-			model: m, sampler: sampler, opt: opt,
-			rng:   rand.New(rand.NewSource(cfg.Seed + 1000 + int64(rID))),
-			shard: append([]int32(nil), shards[rID]...),
+			return nil, fmt.Errorf("minibatch: rank %d: %w", r, err)
 		}
 	}
+	res := results[0]
+	if res.HaloStats != nil {
+		for r := 1; r < cfg.NumRanks; r++ {
+			res.HaloStats[r] = results[r].HaloStats[r]
+		}
+	}
+	return res, nil
+}
 
+// sampledBatch is one step's prefetched work: the sampled blocks and their
+// layer-0 input (nil Sample for an idle step on a rank that ran out of
+// local batches).
+type sampledBatch struct {
+	seeds    []int32
+	s        *Sample
+	rows     spmm.FeatRows
+	frontier []int32
+	err      error
+}
+
+// trainRank runs one rank of data-parallel sampled training. Every rank
+// derives the same training-vertex shards and builds the same model (seed
+// cfg.Seed+100), samples with its own sampler (cfg.Seed+rank) and epoch
+// shuffle (cfg.Seed+1000+rank), and AllReduces gradients in rank order
+// every step, so the replicas stay identical and the result does not depend
+// on where src reads features from: a sharded gather returns the resident
+// matrix's exact bits, and AggregateGCN gives the same bits over a gathered
+// matrix as over the store through the frontier.
+func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, rank int, src featureSource) (*DistResult, error) {
+	shards := shardTrainIdx(ds.TrainIdx, cfg.Seed, cfg.NumRanks)
 	// All ranks must execute the same number of synchronized steps per
 	// epoch; ranks that run out of local batches contribute zero gradients.
 	maxBatches := 0
-	for _, r := range ranks {
-		b := (len(r.shard) + cfg.BatchSize - 1) / cfg.BatchSize
-		if b > maxBatches {
-			maxBatches = b
-		}
+	for _, shard := range shards {
+		maxBatches = max(maxBatches, (len(shard)+cfg.BatchSize-1)/cfg.BatchSize)
 	}
 	if maxBatches == 0 {
 		return nil, fmt.Errorf("minibatch: no training vertices")
 	}
 
+	mrng := rand.New(rand.NewSource(cfg.Seed + 100))
+	m := newMBModel(ds.Features.Cols, cfg.Hidden, ds.NumClasses, cfg.NumLayers, mrng)
+	sampler, err := NewSampler(ds.G, cfg.Fanouts, cfg.Seed+int64(rank))
+	if err != nil {
+		return nil, err
+	}
+	var opt nn.Optimizer
+	if cfg.UseAdam {
+		opt = nn.NewAdam(cfg.LR, 0)
+	} else {
+		opt = &nn.SGD{LR: cfg.LR}
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(rank)))
+	shard := shards[rank]
+	params := m.params()
+
 	res := &DistResult{}
-	lossParts := make([]float64, cfg.NumRanks)
-	workParts := make([]int64, cfg.NumRanks)
-	arParts := make([]time.Duration, cfg.NumRanks)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
-		for i := range lossParts {
-			lossParts[i], workParts[i], arParts[i] = 0, 0, 0
-		}
-		world.Run(func(rID int) {
-			r := ranks[rID]
-			r.rng.Shuffle(len(r.shard), func(i, j int) {
-				r.shard[i], r.shard[j] = r.shard[j], r.shard[i]
-			})
-			params := r.model.params()
+		rng.Shuffle(len(shard), func(i, j int) { shard[i], shard[j] = shard[j], shard[i] })
+
+		// The producer samples batches in step order (the sampler's RNG
+		// stream is consumed sequentially — Sampler is not safe for
+		// concurrent use) and reads each batch's layer-0 input; the channel
+		// holds one ready batch, so a halo fetch for step t+1 overlaps the
+		// compute of step t.
+		batches := make(chan sampledBatch, 1)
+		go func() {
+			defer close(batches)
 			for step := 0; step < maxBatches; step++ {
-				nn.ZeroGrads(params)
-				var seeds []int32
-				if off := step * cfg.BatchSize; off < len(r.shard) {
-					end := off + cfg.BatchSize
-					if end > len(r.shard) {
-						end = len(r.shard)
-					}
-					seeds = r.shard[off:end]
+				var bw sampledBatch
+				if off := step * cfg.BatchSize; off < len(shard) {
+					bw.seeds = shard[off:min(off+cfg.BatchSize, len(shard))]
+					bw.s = sampler.Sample(bw.seeds)
+					bw.rows, bw.frontier, bw.err = src(bw.s)
 				}
-				var batchN int
-				if len(seeds) > 0 {
-					s := r.sampler.Sample(seeds)
-					logits := r.model.forward(s, feats, true)
-					localLabels := make([]int32, len(seeds))
-					mask := make([]int32, len(seeds))
-					for i, g := range seeds {
-						localLabels[i] = ds.Labels[g]
-						mask[i] = int32(i)
-					}
-					loss, dlogits := nn.MaskedCrossEntropy(logits, localLabels, mask)
-					r.model.backward(dlogits)
-					lossParts[rID] += loss * float64(len(seeds))
-					workParts[rID] += sampledWork(s, r.model.dims)
-					batchN = len(seeds)
+				batches <- bw
+				if bw.err != nil {
+					return
 				}
-				// Scale the local gradient to its share of the global batch,
-				// then AllReduce. Idle ranks contribute zeros.
-				global := globalBatchSize(shards, step, cfg.BatchSize)
-				scale := float32(0)
-				if global > 0 {
-					scale = float32(batchN) / float32(global)
-				}
-				for _, p := range params {
-					p.Grad.Scale(scale)
-				}
-				gbuf := nn.FlattenParams(params, true)
-				arStart := time.Now()
-				world.AllReduceSum(rID, gbuf)
-				arParts[rID] += time.Since(arStart)
-				nn.UnflattenParams(params, gbuf, true)
-				r.opt.Step(params)
 			}
-		})
+		}()
+
+		var localLoss float64
+		var localWork int64
+		var arTime time.Duration
+		step := 0
+		for bw := range batches {
+			if bw.err != nil {
+				return nil, bw.err
+			}
+			nn.ZeroGrads(params)
+			var batchN int
+			if bw.s != nil {
+				logits := m.forward(bw.s, bw.rows, bw.frontier, true)
+				localLabels := make([]int32, len(bw.seeds))
+				mask := make([]int32, len(bw.seeds))
+				for i, g := range bw.seeds {
+					localLabels[i] = ds.Labels[g]
+					mask[i] = int32(i)
+				}
+				loss, dlogits := nn.MaskedCrossEntropy(logits, localLabels, mask)
+				m.backward(dlogits)
+				localLoss += loss * float64(len(bw.seeds))
+				localWork += sampledWork(bw.s, m.dims)
+				batchN = len(bw.seeds)
+			}
+			// Scale the local gradient to its share of the global batch,
+			// then AllReduce. Idle ranks contribute zeros.
+			global := globalBatchSize(shards, step, cfg.BatchSize)
+			scale := float32(0)
+			if global > 0 {
+				scale = float32(batchN) / float32(global)
+			}
+			for _, p := range params {
+				p.Grad.Scale(scale)
+			}
+			gbuf := nn.FlattenParams(params, true)
+			arStart := time.Now()
+			world.AllReduceSum(rank, gbuf)
+			arTime += time.Since(arStart)
+			nn.UnflattenParams(params, gbuf, true)
+			opt.Step(params)
+			step++
+		}
+
+		// Exchange every rank's loss part, sampled work and AllReduce time
+		// as exact bit patterns; fold the loss in rank order so every rank
+		// reports the same float64 sum.
+		local := comm.AppendF64(nil, localLoss)
+		local = comm.AppendF64(local, math.Float64frombits(uint64(localWork)))
+		local = comm.AppendF64(local, math.Float64frombits(uint64(arTime)))
+		parts := world.AllGather(rank, local)
 		st := DistEpochStat{Time: time.Since(start), Steps: maxBatches}
 		var lsum float64
-		for rID := range ranks {
-			lsum += lossParts[rID]
-			st.SampledWork += workParts[rID]
-			if arParts[rID] > st.AllReduce {
-				st.AllReduce = arParts[rID]
-			}
+		for r := 0; r < cfg.NumRanks; r++ {
+			w := parts[6*r : 6*r+6]
+			lsum += comm.F64(w)
+			st.SampledWork += int64(math.Float64bits(comm.F64(w[2:])))
+			st.AllReduce = max(st.AllReduce, time.Duration(math.Float64bits(comm.F64(w[4:]))))
 		}
 		if len(ds.TrainIdx) > 0 {
 			st.Loss = lsum / float64(len(ds.TrainIdx))
 		}
 		res.Epochs = append(res.Epochs, st)
 	}
+	res.Params = nn.FlattenParams(params, false)
 
-	res.Params = nn.FlattenParams(ranks[0].model.params(), false)
-
-	// Replicas are identical; evaluate with rank 0's model and sampler.
-	res.TestAcc = evaluate(ds, ranks[0].sampler, ranks[0].model, cfg.BatchSize, feats)
+	// Rank 0 evaluates (in a sharded run its peers keep serving halo fetches
+	// while blocked in the broadcast) and shares the accuracy.
+	var acc float64
+	if rank == 0 {
+		if acc, err = evaluate(ds, sampler, m, cfg.BatchSize, src); err != nil {
+			return nil, err
+		}
+	}
+	accBits := comm.AppendF64(nil, acc)
+	world.Broadcast(rank, 0, accBits)
+	res.TestAcc = comm.F64(accBits)
 	return res, nil
+}
+
+// shardTrainIdx shards training vertices round-robin after one seeded
+// shuffle; every rank derives the same shards.
+func shardTrainIdx(trainIdx []int32, seed int64, ranks int) [][]int32 {
+	shuffled := append([]int32(nil), trainIdx...)
+	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	shards := make([][]int32, ranks)
+	for i, v := range shuffled {
+		shards[i%ranks] = append(shards[i%ranks], v)
+	}
+	return shards
 }
 
 // globalBatchSize sums the batch sizes all ranks process at a given step.

@@ -89,7 +89,7 @@ func TestAggregateGCNFullBlockMatchesKernelBitwise(t *testing.T) {
 	for i, gv := range s.Frontiers[1] {
 		copy(x2.Row(i), x.Row(int(gv)))
 	}
-	got := AggregateGCN(blk, x2, blk.Norms())
+	got := AggregateGCN(blk, spmm.RowsOf(x2), nil)
 
 	for i := range seeds {
 		rRow, gRow := ref.Row(i), got.Row(i)

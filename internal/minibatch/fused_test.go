@@ -9,11 +9,38 @@ import (
 	"distgnn/internal/tensor"
 )
 
+// gatherFeatures materializes the frontier's feature rows as an fp32
+// matrix — the unfused gather the fused kernel is pinned against.
+func gatherFeatures(feats spmm.FeatRows, frontier []int32) *tensor.Matrix {
+	x := tensor.New(len(frontier), feats.Cols())
+	for i, g := range frontier {
+		feats.CopyRow(x.Row(i), int(g))
+	}
+	return x
+}
+
+// aggregateGCNSerial is the serial reference block aggregate over a
+// gathered matrix: out[i] = (Σ_p x[Indices[p]] + x[SelfIdx[i]]) · norm[i],
+// neighbors in index order, then self, then scale.
+func aggregateGCNSerial(b *Block, x *tensor.Matrix, dstNorm []float32) *tensor.Matrix {
+	d := x.Cols
+	out := tensor.New(b.NumDst, d)
+	for i := 0; i < b.NumDst; i++ {
+		dst := out.Row(i)
+		tensor.GatherSum(dst, x.Data, b.Indices[b.Indptr[i]:b.Indptr[i+1]], d)
+		self := x.Row(int(b.SelfIdx[i]))
+		norm := dstNorm[i]
+		for j := range dst {
+			dst[j] = (dst[j] + self[j]) * norm
+		}
+	}
+	return out
+}
+
 // TestForwardFusedMatchesUnfusedGather pins the trainer-level fusion
 // contract: a forward pass through the fused layer-0 kernel must produce
 // byte-for-byte the logits of gathering the input frontier into a matrix
-// and aggregating with AggregateGCN — the reference path gatherFeatures
-// still implements.
+// and aggregating with the serial reference aggregateGCNSerial.
 func TestForwardFusedMatchesUnfusedGather(t *testing.T) {
 	ds := testDS(t)
 	sampler, err := NewSampler(ds.G, []int{6, 4}, 3)
@@ -33,7 +60,7 @@ func TestForwardFusedMatchesUnfusedGather(t *testing.T) {
 		for l := len(s.Blocks) - 1; l >= 0; l-- {
 			layer := len(s.Blocks) - 1 - l
 			blk := s.Blocks[l]
-			agg := AggregateGCN(blk, h, blk.Norms())
+			agg := aggregateGCNSerial(blk, h, blk.Norms())
 			h = m.layers[layer].Forward(agg, false)
 			if m.relus[layer] != nil {
 				h = m.relus[layer].Forward(h, false)
@@ -42,7 +69,7 @@ func TestForwardFusedMatchesUnfusedGather(t *testing.T) {
 		want = h
 	}
 
-	got := m.forward(s, feats, false)
+	got := m.forward(s, feats, s.InputFrontier(), false)
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("shape %dx%d vs %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
 	}

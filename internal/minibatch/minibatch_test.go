@@ -3,6 +3,7 @@ package minibatch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distgnn/internal/datasets"
@@ -147,9 +148,12 @@ func TestSamplePickProperties(t *testing.T) {
 
 func TestTrainLearns(t *testing.T) {
 	ds := testDS(t)
-	res, err := Train(ds, Config{
-		Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
-		BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
+	res, err := TrainDistributed(ds, DistConfig{
+		Config: Config{
+			Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
+			BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
+		},
+		NumRanks: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +166,7 @@ func TestTrainLearns(t *testing.T) {
 		t.Fatalf("mini-batch test accuracy %v < 0.5", res.TestAcc)
 	}
 	for _, e := range res.Epochs {
-		if e.SampledWork <= 0 || e.NumBatches <= 0 || e.Time <= 0 {
+		if e.SampledWork <= 0 || e.Steps <= 0 || e.Time <= 0 {
 			t.Fatalf("bad epoch stat %+v", e)
 		}
 	}
@@ -179,7 +183,7 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 		{Hidden: 8, NumLayers: 1, Fanouts: []int{5}, BatchSize: 10, Epochs: 0, LR: 0.1},
 	}
 	for i, cfg := range bad {
-		if _, err := Train(ds, cfg); err == nil {
+		if _, err := TrainDistributed(ds, DistConfig{Config: cfg, NumRanks: 1}); err == nil {
 			t.Errorf("config %d: expected error", i)
 		}
 	}
@@ -189,9 +193,12 @@ func TestSampledWorkBelowFullBatchWork(t *testing.T) {
 	// The comparison behind Tables 7/8: sampled aggregation work per epoch
 	// is far below full-neighborhood work.
 	ds := testDS(t)
-	res, err := Train(ds, Config{
-		Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
-		BatchSize: 64, Epochs: 1, LR: 0.05, Seed: 6,
+	res, err := TrainDistributed(ds, DistConfig{
+		Config: Config{
+			Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
+			BatchSize: 64, Epochs: 1, LR: 0.05, Seed: 6,
+		},
+		NumRanks: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,6 +260,36 @@ func TestSamplePickFloydDistinct(t *testing.T) {
 				t.Fatalf("n=%d k=%d: duplicate pick %d", n, k, p)
 			}
 			seen[p] = true
+		}
+	}
+}
+
+func TestParseFanouts(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []int
+		bad  bool
+	}{
+		{in: "", want: nil},
+		{in: "10", want: []int{10}},
+		{in: "10,5", want: []int{10, 5}},
+		{in: " 15 , 10,5 ", want: []int{15, 10, 5}},
+		{in: "10,,5", bad: true},
+		{in: "10,0", bad: true},
+		{in: "-3", bad: true},
+		{in: "ten", bad: true},
+		{in: ",", bad: true},
+	}
+	for _, c := range cases {
+		got, err := ParseFanouts(c.in)
+		if c.bad {
+			if err == nil {
+				t.Errorf("ParseFanouts(%q) = %v, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Errorf("ParseFanouts(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
 }

@@ -9,6 +9,8 @@ package minibatch
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"distgnn/internal/graph"
 )
@@ -64,6 +66,26 @@ type Sampler struct {
 	// expands the seeds). Table 7 uses (15, 10, 5).
 	Fanouts []int
 	Rng     *rand.Rand
+}
+
+// ParseFanouts parses a comma-separated fan-out list ("10,5" → [10 5]),
+// the form the -fanouts flags take. The empty string yields nil, which
+// callers that sample read as exact full-neighborhood mode; any entry that
+// is not a positive integer is an error.
+func ParseFanouts(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	out := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad fanouts %q: each entry must be a positive integer", s)
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // NewSampler validates and constructs a sampler.

@@ -24,9 +24,15 @@ func NewLinear(name string, in, out int, bias bool, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes y = x·W (+ b).
+// Forward computes y = x·W (+ b) and keeps x for Backward.
 func (l *Linear) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	l.x = x
+	return l.Apply(x)
+}
+
+// Apply computes y = x·W (+ b) without keeping x: the forward-only form of
+// Forward, safe to call concurrently on a shared layer.
+func (l *Linear) Apply(x *tensor.Matrix) *tensor.Matrix {
 	y := tensor.New(x.Rows, l.Weight.W.Cols)
 	tensor.MatMul(y, x, l.Weight.W)
 	if l.Bias != nil {

@@ -66,12 +66,6 @@ func (s ModelSpec) String() string {
 		s.InDim, s.Hidden, s.OutDim, s.NumLayers)
 }
 
-// sageServeLayer is one forward-only GraphSAGE layer: y = agg·W + b.
-type sageServeLayer struct {
-	w, b *tensor.Matrix
-	last bool
-}
-
 // gatServeHead is one forward-only attention head.
 type gatServeHead struct {
 	w, attL, attR *tensor.Matrix
@@ -122,7 +116,7 @@ type Engine struct {
 	spec    ModelSpec
 	fanouts []int // nil → exact full-neighborhood mode
 	params  []*nn.Param
-	sage    []*sageServeLayer
+	sage    []*nn.Linear // run forward-only through Apply
 	gat     []*gatServeLayer
 	feat    *Cache[int32, []float32]
 	src     featureSource
@@ -215,10 +209,12 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 func (e *Engine) buildSage() {
 	for l := 0; l < e.spec.NumLayers; l++ {
 		in, out := e.layerDims(l)
-		w := nn.NewParam(fmt.Sprintf("sage%d.weight", l), in, out)
-		b := nn.NewParam(fmt.Sprintf("sage%d.bias", l), 1, out)
-		e.params = append(e.params, w, b)
-		e.sage = append(e.sage, &sageServeLayer{w: w.W, b: b.W, last: l == e.spec.NumLayers-1})
+		lin := &nn.Linear{
+			Weight: nn.NewParam(fmt.Sprintf("sage%d.weight", l), in, out),
+			Bias:   nn.NewParam(fmt.Sprintf("sage%d.bias", l), 1, out),
+		}
+		e.params = append(e.params, lin.Params()...)
+		e.sage = append(e.sage, lin)
 	}
 }
 
@@ -343,21 +339,10 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 		x, err = e.src.Gather(s.InputFrontier())
 		stop()
 	case e.fusedExact():
-		// GraphSAGE exact mode over the resident store with no feature
-		// cache: skip the gather entirely — the fused kernel streams
-		// frontier rows straight from e.feats, bit-identical to the
-		// gathered path.
+		// No gather: layer 0 reads frontier rows straight from e.feats.
 		stop := tc.StartSpan("sample")
 		s = minibatch.FullSample(topo, seeds, e.spec.NumLayers)
 		stop()
-		frontier := s.InputFrontier()
-		e.inferences.Add(1)
-		e.seedVertices.Add(int64(len(seeds)))
-		e.frontierIn.Add(int64(len(frontier)))
-		stop = tc.StartSpan("forward")
-		out := e.forwardSageFused(s, frontier)
-		stop()
-		return out, nil
 	default:
 		if es, ok := e.src.(exactSampler); ok {
 			s, x, err = es.sampleExact(topo, seeds, e.spec.NumLayers, tc)
@@ -374,16 +359,22 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 		return nil, err
 	}
 
+	// Layer 0 reads the gathered matrix, or on the fused path the resident
+	// store through the input frontier.
+	rows, frontier := e.feats, s.InputFrontier()
+	if x != nil {
+		rows, frontier = spmm.RowsOf(x), nil
+	}
 	e.inferences.Add(1)
 	e.seedVertices.Add(int64(len(seeds)))
-	e.frontierIn.Add(int64(x.Rows))
+	e.frontierIn.Add(int64(len(s.InputFrontier())))
 
 	stop := tc.StartSpan("forward")
 	var out *tensor.Matrix
 	if e.spec.Arch == ArchGAT {
 		out = e.forwardGAT(s, x)
 	} else {
-		out = e.forwardSage(s, x)
+		out = minibatch.SageForward(s, rows, frontier, e.sageLayer)
 	}
 	stop()
 	return out, nil
@@ -393,7 +384,8 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 // gather→aggregate path: exact GraphSAGE over the in-process store, with
 // the feature cache disabled (a populated cache changes nothing bitwise,
 // but serving its hits requires materializing the gather, so the fused
-// path only engages when there is no cache to consult).
+// path only engages when there is no cache to consult). The fused path
+// gives the gathered path's bits.
 func (e *Engine) fusedExact() bool {
 	if e.spec.Arch != ArchGraphSAGE || e.feat != nil {
 		return false
@@ -402,48 +394,13 @@ func (e *Engine) fusedExact() bool {
 	return !sharded
 }
 
-// forwardSage runs the GCN-aggregator GraphSAGE layers over the sampled or
-// exact blocks. The float-op order per output row matches the full-batch
-// model's Forward exactly (see package comment).
-func (e *Engine) forwardSage(s *minibatch.Sample, x *tensor.Matrix) *tensor.Matrix {
-	h := x
-	for l := len(s.Blocks) - 1; l >= 0; l-- {
-		layer := len(s.Blocks) - 1 - l
-		blk := s.Blocks[l]
-		agg := minibatch.AggregateGCN(blk, h, blk.Norms())
-		h = e.sageApply(layer, agg)
-	}
-	return h
-}
-
-// forwardSageFused is forwardSage with the outermost layer's gather and
-// aggregation fused: layer 0 reads frontier rows directly from the resident
-// feature store; inner layers are identical. fp32 results are bit-identical
-// to forwardSage over the gathered matrix.
-func (e *Engine) forwardSageFused(s *minibatch.Sample, frontier []int32) *tensor.Matrix {
-	var h *tensor.Matrix
-	for l := len(s.Blocks) - 1; l >= 0; l-- {
-		layer := len(s.Blocks) - 1 - l
-		blk := s.Blocks[l]
-		var agg *tensor.Matrix
-		if layer == 0 {
-			agg = minibatch.AggregateGCNFrom(blk, e.feats, frontier)
-		} else {
-			agg = minibatch.AggregateGCN(blk, h, blk.Norms())
-		}
-		h = e.sageApply(layer, agg)
-	}
-	return h
-}
-
-// sageApply runs one dense GraphSAGE layer: y = agg·W + b, ReLU between
-// layers (nn.ReLU semantics: keep v when v > 0, else exactly +0).
-func (e *Engine) sageApply(layer int, agg *tensor.Matrix) *tensor.Matrix {
-	sl := e.sage[layer]
-	y := tensor.New(agg.Rows, sl.w.Cols)
-	tensor.MatMul(y, agg, sl.w)
-	y.AddRowVector(sl.b.Data)
-	if !sl.last {
+// sageLayer is the dense half of one GraphSAGE layer for
+// minibatch.SageForward: y = agg·W + b, then ReLU between layers (nn.ReLU
+// semantics: keep v when v > 0, else exactly +0). The per-row float-op
+// order matches the full-batch model's Forward (see package comment).
+func (e *Engine) sageLayer(layer int, agg *tensor.Matrix) *tensor.Matrix {
+	y := e.sage[layer].Apply(agg)
+	if layer < len(e.sage)-1 {
 		for i, v := range y.Data {
 			if !(v > 0) {
 				y.Data[i] = 0

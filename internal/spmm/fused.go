@@ -46,8 +46,10 @@ func (r FeatRows) CopyRow(dst []float32, i int) []float32 {
 //
 // indptr/indices/selfIdx are the bipartite block arrays (minibatch.Block's
 // layout): indices and selfIdx hold frontier-local IDs, frontier maps them
-// to rows of feats. out must be NumDst×feats.Cols(), zeroed or not — rows
-// are overwritten.
+// to rows of feats. A nil frontier means feats is already block-local (a
+// gathered matrix, or the previous layer's output): the IDs address its
+// rows directly. out must be NumDst×feats.Cols(), zeroed or not — rows are
+// overwritten.
 func GatherAggGCNSum(out *tensor.Matrix, feats FeatRows, frontier []int32,
 	indptr, indices, selfIdx []int32, norm []float32) error {
 	if !feats.Valid() {
@@ -61,18 +63,21 @@ func GatherAggGCNSum(out *tensor.Matrix, feats FeatRows, frontier []int32,
 	if len(norm) != numDst || len(selfIdx) != numDst {
 		return fmt.Errorf("spmm: fused norm/self length %d/%d, want %d", len(norm), len(selfIdx), numDst)
 	}
-	// Translate block-local IDs to global feature rows once, up front: the
-	// inner loops then pay one indirection per edge (the same addressing as
-	// an aggregate over a gathered matrix) instead of two. Same rows in the
-	// same order — no float op moves.
-	gIdx := fusedIdxScratch.Get(len(indices) + numDst)
-	defer fusedIdxScratch.Put(gIdx)
-	gSelf := gIdx[len(indices):]
-	for p, u := range indices {
-		gIdx[p] = frontier[u]
-	}
-	for i, u := range selfIdx {
-		gSelf[i] = frontier[u]
+	gIdx, gSelf := indices, selfIdx
+	if frontier != nil {
+		// Translate block-local IDs to global feature rows once, up front:
+		// the inner loops then pay one indirection per edge (the same
+		// addressing as an aggregate over a gathered matrix) instead of
+		// two. Same rows in the same order — no float op moves.
+		buf := fusedIdxScratch.Get(len(indices) + numDst)
+		defer fusedIdxScratch.Put(buf)
+		gIdx, gSelf = buf[:len(indices)], buf[len(indices):]
+		for p, u := range indices {
+			gIdx[p] = frontier[u]
+		}
+		for i, u := range selfIdx {
+			gSelf[i] = frontier[u]
+		}
 	}
 	body := func(v0, v1 int) {
 		fusedGatherSum(out, feats.F32, gIdx, gSelf, indptr, norm, v0, v1)
@@ -108,10 +113,10 @@ var fusedIdxScratch parallel.Scratch[int32]
 // scattered row once per 64-float block, but that does not defeat the
 // prefetcher: on a 2-core AVX-512 Xeon (4 MiB L2) it ran 6.5× faster than
 // a whole-row scalar loop on a 1,131-row L2-resident block (d=64) and
-// 7–10× faster on a 51 MB source (d=64 and 128). gIdx/gSelf hold the
-// pre-translated global rows. The per-element op order — neighbors in
-// index order, then self, then scale — is exactly gather-then-AggregateGCN,
-// so results are bit-identical to the unfused path.
+// 7–10× faster on a 51 MB source (d=64 and 128). gIdx/gSelf hold rows of
+// feats. The per-element op order — neighbors in index order, then self,
+// then scale — is exactly gather-then-aggregate, so results are
+// bit-identical to the unfused path.
 func fusedGatherSum(out, feats *tensor.Matrix,
 	gIdx, gSelf, indptr []int32, norm []float32, i0, i1 int) {
 	for i := i0; i < i1; i++ {

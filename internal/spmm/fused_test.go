@@ -94,3 +94,35 @@ func TestFusedGatherSumValidates(t *testing.T) {
 		t.Fatal("output shape mismatch must be rejected")
 	}
 }
+
+// TestGatherAggGCNSumNilFrontier pins the block-local form: a nil frontier
+// aggregates rows of an already gathered matrix, bit-identical to the same
+// pass over the global store through the frontier.
+func TestGatherAggGCNSumNilFrontier(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const numGlobal, d = 200, 21
+	feats := tensor.New(numGlobal, d)
+	tensor.RandomNormal(feats, rng, 1)
+	frontier, indptr, indices, selfIdx := randomBipartite(rng, 40, 90, 9, numGlobal)
+	norm := make([]float32, 40)
+	for i := range norm {
+		norm[i] = 1 / float32(1+indptr[i+1]-indptr[i])
+	}
+	gathered := tensor.New(len(frontier), d)
+	for i, g := range frontier {
+		copy(gathered.Row(i), feats.Row(int(g)))
+	}
+	want := tensor.New(40, d)
+	if err := GatherAggGCNSum(want, RowsOf(feats), frontier, indptr, indices, selfIdx, norm); err != nil {
+		t.Fatal(err)
+	}
+	got := tensor.New(40, d)
+	if err := GatherAggGCNSum(got, RowsOf(gathered), nil, indptr, indices, selfIdx, norm); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("nil frontier diverges at %d: %v vs %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}

@@ -63,20 +63,8 @@ func DistributedFleet(ds *datasets.Dataset, cfg DistConfig, endpoints []comm.Tra
 }
 
 // statWords is the per-rank epoch report: 5 phase times plus the loss
-// part, each as a float64 split into two float32 bit-pattern words.
+// part, each as a float64 carried in two float32 words (comm.AppendF64).
 const statWords = 12
-
-// splitF64 ships a float64 through a float32 collective losslessly: the
-// two words carry the raw halves of its bit pattern (they are bit
-// patterns, not values — never do arithmetic on them).
-func splitF64(v float64) (hi, lo float32) {
-	b := math.Float64bits(v)
-	return math.Float32frombits(uint32(b >> 32)), math.Float32frombits(uint32(b))
-}
-
-func joinF64(hi, lo float32) float64 {
-	return math.Float64frombits(uint64(math.Float32bits(hi))<<32 | uint64(math.Float32bits(lo)))
-}
 
 // runEpochRemote executes one epoch of this process's rank. Every process
 // in the fleet runs the same sequence of collectives in the same order —
@@ -103,8 +91,7 @@ func (s *distState) gatherEpochStat(r *rankCtx, lossPart float64) DistEpochStat 
 	lat, bwd, mlp, rat, exposed := rankPhaseSeconds(&s.cfg, r)
 	local := make([]float32, 0, statWords)
 	for _, v := range [...]float64{lat, bwd, mlp, rat, exposed, lossPart} {
-		hi, lo := splitF64(v)
-		local = append(local, hi, lo)
+		local = comm.AppendF64(local, v)
 	}
 	all := s.world.AllGather(s.local, local)
 
@@ -112,7 +99,7 @@ func (s *distState) gatherEpochStat(r *rankCtx, lossPart float64) DistEpochStat 
 	var lsum float64
 	for rk := 0; rk < s.cfg.NumPartitions; rk++ {
 		w := all[rk*statWords : (rk+1)*statWords]
-		get := func(i int) float64 { return joinF64(w[2*i], w[2*i+1]) }
+		get := func(i int) float64 { return comm.F64(w[2*i:]) }
 		st.LAT = math.Max(st.LAT, get(0))
 		st.BwdAgg = math.Max(st.BwdAgg, get(1))
 		st.MLP = math.Max(st.MLP, get(2))
