@@ -369,12 +369,10 @@ func BenchmarkRuntimeMatMul(b *testing.B) {
 // --- Cross-cutting: parameter AllReduce (the per-epoch sync) ----------------
 
 func BenchmarkParamAllReduce(b *testing.B) {
-	w := comm.NewWorld(8)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(func(rank int) {
+		comm.RunInProcess(8, func(w *comm.World) {
 			buf := make([]float32, 1<<14)
-			w.AllReduceSum(rank, buf)
+			w.AllReduceSum(w.Self(), buf)
 		})
 	}
 }

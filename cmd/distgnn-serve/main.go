@@ -188,7 +188,24 @@ func main() {
 	case *transport != "inproc" && *transport != "tcp":
 		fatal(fmt.Errorf("unknown -transport %q (inproc or tcp)", *transport))
 	case tcpMode:
-		tr, children, err = setupTCP(*shards, *rank, *commPeers, *commListen, httpAddrs, *spawnLocal, *netTimeout)
+		var peerList []string
+		if *commPeers != "" {
+			peerList = strings.Split(*commPeers, ",")
+		}
+		tr, children, err = comm.JoinTCPFleet(comm.TCPConfig{
+			Rank: *rank, N: *shards, Peers: peerList, Listen: *commListen, Timeout: *netTimeout,
+		}, *spawnLocal, func(r int, registry string) []string {
+			// Children get the full HTTP peer table and the parent's comm
+			// registry; the parent's -comm-listen is its own address and
+			// must not be inherited.
+			return []string{
+				"-spawn-local=false", "-transport=tcp", "-comm-listen=",
+				fmt.Sprintf("-rank=%d", r),
+				"-comm-peers=" + registry,
+				"-peers=" + strings.Join(httpAddrs, ","),
+				"-addr=" + httpAddrs[r],
+			}
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -240,12 +257,12 @@ func main() {
 	for r := range httpPeers {
 		httpPeers[r] = serve.PeerAddr{Rank: r, Addr: httpAddrs[r]}
 	}
-	mkShard := func(r int, fabric comm.Transport) *serve.Server {
+	mkShard := func(fabric comm.Transport) *serve.Server {
+		r := fabric.Self()
 		scfg := cfg
 		scfg.Metrics, scfg.Tracer = obsf.wire("server", r, "rank"+strconv.Itoa(r)+"-"+portTag(httpAddrs[r]))
 		srv, err := serve.NewShard(ds, bytes.NewReader(ckptBytes), scfg, serve.ShardConfig{
-			Rank: r, Shards: *shards, Transport: fabric,
-			HTTPPeers: httpPeers, PartitionSeed: *partSeed,
+			Transport: fabric, HTTPPeers: httpPeers, PartitionSeed: *partSeed,
 		})
 		if err != nil {
 			fatal(err)
@@ -254,7 +271,7 @@ func main() {
 	}
 
 	if tcpMode {
-		srv := mkShard(*rank, tr)
+		srv := mkShard(tr)
 		st := srv.StatsSnapshot().Shard
 		fmt.Printf("shard rank %d/%d (tcp): owns %d vertices, static halo %d, model %s\n",
 			*rank, *shards, st.OwnedVertices, st.HaloVerticesStatic, srv.Engine().Spec())
@@ -264,12 +281,12 @@ func main() {
 		fatal(err)
 	}
 
-	// inproc: every shard a goroutine in this process over the shared
-	// mailbox fabric — partition parallelism without process management.
-	fabric := comm.NewProcTransport(*shards)
+	// inproc: every shard a goroutine in this process over its own
+	// endpoint of an in-process fabric — partition parallelism without
+	// process management.
 	errc := make(chan error, *shards)
-	for r := 0; r < *shards; r++ {
-		srv := mkShard(r, fabric)
+	for r, ep := range comm.NewProcFabric(*shards) {
+		srv := mkShard(ep)
 		st := srv.StatsSnapshot().Shard
 		fmt.Printf("shard rank %d/%d (inproc): owns %d vertices, static halo %d, serving on http://%s\n",
 			r, *shards, st.OwnedVertices, st.HaloVerticesStatic, httpAddrs[r])
@@ -401,7 +418,7 @@ func portTag(addr string) string {
 // port + 1 + b, so the frontend knows every address up front.
 //
 // inproc: every backend runs in this process (fleets each get their own
-// mailbox fabric). tcp requires -spawn-local: this process serves ONLY the
+// in-process fabric). tcp requires -spawn-local: this process serves ONLY the
 // frontend and forks the shards×replicas backends; each fleet rendezvouses
 // through its own pre-reserved comm registry port. Either way the replicas
 // share the checkpoint and partition seed, so they are bit-identical and
@@ -441,9 +458,9 @@ func runReplicated(cfg serve.Config, o replicatedOpts) {
 			for r := 0; r < S; r++ {
 				httpPeers = append(httpPeers, serve.PeerAddr{Rank: r, Addr: backends[rep*S+r]})
 			}
-			var fabric comm.Transport
+			var eps []comm.Transport
 			if S > 1 {
-				fabric = comm.NewProcTransport(S)
+				eps = comm.NewProcFabric(S)
 			}
 			for r := 0; r < S; r++ {
 				addr := backends[rep*S+r]
@@ -455,8 +472,7 @@ func runReplicated(cfg serve.Config, o replicatedOpts) {
 					srv, err = serve.New(ds, bytes.NewReader(ckptBytes), scfg)
 				} else {
 					srv, err = serve.NewShard(ds, bytes.NewReader(ckptBytes), scfg, serve.ShardConfig{
-						Rank: r, Shards: S, Transport: fabric,
-						HTTPPeers: httpPeers, PartitionSeed: o.partSeed,
+						Transport: eps[r], HTTPPeers: httpPeers, PartitionSeed: o.partSeed,
 					})
 				}
 				if err != nil {
@@ -549,56 +565,6 @@ func shardHTTPAddrs(peers, base string, shards int) ([]string, error) {
 		out[r] = net.JoinHostPort(host, strconv.Itoa(port+r))
 	}
 	return out, nil
-}
-
-// setupTCP builds this rank's comm endpoint and, under -spawn-local, forks
-// the nonzero ranks (this process serves rank 0). The returned transport is
-// fully established.
-func setupTCP(shards, rank int, commPeers, commListen string, httpAddrs []string,
-	spawnLocal bool, timeout time.Duration) (comm.Transport, []*exec.Cmd, error) {
-	var peerList []string
-	if commPeers != "" {
-		peerList = strings.Split(commPeers, ",")
-	}
-	if spawnLocal && rank != 0 {
-		return nil, nil, fmt.Errorf("-spawn-local is the rank-0 parent; it cannot run as rank %d", rank)
-	}
-	tr, err := comm.NewTCPTransport(comm.TCPConfig{
-		Rank: rank, N: shards, Peers: peerList, Listen: commListen, Timeout: timeout,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var children []*exec.Cmd
-	if spawnLocal {
-		// Children get the full HTTP peer table and the parent's comm
-		// registry; the parent's -comm-listen is its own address and must
-		// not be inherited.
-		children, err = comm.SpawnLocalRanks(shards, func(r int) []string {
-			return []string{
-				"-spawn-local=false", "-transport=tcp", "-comm-listen=",
-				fmt.Sprintf("-rank=%d", r),
-				"-comm-peers=" + tr.Addr(),
-				"-peers=" + strings.Join(httpAddrs, ","),
-				"-addr=" + httpAddrs[r],
-			}
-		})
-		if err != nil {
-			tr.Close()
-			return nil, nil, err
-		}
-		// The parent serves forever; a SIGINT/SIGTERM must not orphan the
-		// other ranks.
-		comm.KillRanksOnSignal(children)
-	}
-
-	if err := tr.Establish(); err != nil {
-		tr.Close()
-		comm.KillRanks(children)
-		return nil, nil, err
-	}
-	return tr, children, nil
 }
 
 func fatal(err error) {

@@ -121,8 +121,24 @@ func main() {
 	case *transport != "inproc" && *transport != "tcp":
 		fatal(fmt.Errorf("unknown -transport %q (inproc or tcp)", *transport))
 	case tcpMode:
+		var peerList []string
+		if *peers != "" {
+			peerList = strings.Split(*peers, ",")
+		}
 		var err error
-		tr, children, err = setupTCP(fleet, *rank, *peers, *listen, *advertise, *spawnLocal, *netTimeout)
+		tr, children, err = comm.JoinTCPFleet(comm.TCPConfig{
+			Rank: *rank, N: fleet, Peers: peerList,
+			Listen: *listen, Advertise: *advertise, Timeout: *netTimeout,
+		}, *spawnLocal, func(r int, registry string) []string {
+			// The parent's -listen/-advertise are its own addresses —
+			// children must not inherit them (bind collisions, corrupt
+			// rendezvous table).
+			return []string{
+				"-spawn-local=false", "-transport=tcp",
+				"-listen=", "-advertise=",
+				fmt.Sprintf("-rank=%d", r), "-peers=" + registry,
+			}
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -382,50 +398,6 @@ func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
 		tr.Close()
 	}
 	waitChildren(children)
-}
-
-// setupTCP builds this process's TCP endpoint and, under -spawn-local,
-// forks the nonzero ranks of the fleet (this process trains rank 0). The
-// returned transport is fully established.
-func setupTCP(sockets, rank int, peers, listen, advertise string, spawnLocal bool, timeout time.Duration) (comm.Transport, []*exec.Cmd, error) {
-	var peerList []string
-	if peers != "" {
-		peerList = strings.Split(peers, ",")
-	}
-	if spawnLocal && rank != 0 {
-		return nil, nil, fmt.Errorf("-spawn-local is the rank-0 parent; it cannot run as rank %d", rank)
-	}
-	tr, err := comm.NewTCPTransport(comm.TCPConfig{
-		Rank: rank, N: sockets, Peers: peerList,
-		Listen: listen, Advertise: advertise, Timeout: timeout,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var children []*exec.Cmd
-	if spawnLocal {
-		// The parent's -listen/-advertise are its own addresses — children
-		// must not inherit them (bind collisions, corrupt rendezvous table).
-		children, err = comm.SpawnLocalRanks(sockets, func(r int) []string {
-			return []string{
-				"-spawn-local=false", "-transport=tcp",
-				"-listen=", "-advertise=",
-				fmt.Sprintf("-rank=%d", r), "-peers=" + tr.Addr(),
-			}
-		})
-		if err != nil {
-			tr.Close()
-			return nil, nil, err
-		}
-	}
-
-	if err := tr.Establish(); err != nil {
-		tr.Close()
-		comm.KillRanks(children)
-		return nil, nil, err
-	}
-	return tr, children, nil
 }
 
 // waitChildren reaps spawned ranks and exits nonzero if any rank failed —

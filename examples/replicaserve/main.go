@@ -79,8 +79,8 @@ func main() {
 	}
 	fleetHTTP := make([][]*http.Server, replicas)
 	for rep := 0; rep < replicas; rep++ {
-		fabric := comm.NewProcTransport(shards)
-		defer fabric.Close()
+		eps := comm.NewProcFabric(shards)
+		defer comm.CloseAll(eps)
 		var lns []net.Listener
 		var peers []serve.PeerAddr
 		for r := 0; r < shards; r++ {
@@ -94,7 +94,7 @@ func main() {
 		}
 		for r := 0; r < shards; r++ {
 			srv, err := serve.NewShard(ds, bytes.NewReader(ckptA), cfg, serve.ShardConfig{
-				Rank: r, Shards: shards, Transport: fabric, HTTPPeers: peers,
+				Transport: eps[r], HTTPPeers: peers,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -87,7 +87,7 @@ func main() {
 	servers := make([]*serve.Server, shards)
 	for r := 0; r < shards; r++ {
 		servers[r], err = serve.NewShard(ds, bytes.NewReader(ckpt.Bytes()), cfg, serve.ShardConfig{
-			Rank: r, Shards: shards, Transport: fabrics[r], HTTPPeers: peers,
+			Transport: fabrics[r], HTTPPeers: peers,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -1,12 +1,15 @@
 // True multi-process training over TCP, in miniature: the same 2-rank
 // cd-rs run executed on the in-process fabric (every rank a goroutine over
-// a shared mailbox) and over loopback TCP (every rank a single-rank
-// endpoint with framed messages on real sockets — here driven from
-// goroutines, exactly as two separate OS processes would drive theirs; see
-// `distgnn-train -transport tcp -spawn-local` for the real thing). The
-// transport is a substrate change, never an arithmetic one: losses and
-// accuracy must match bit for bit, which this example verifies and prints.
-// -scale and -epochs shrink the run for smoke testing.
+// its own endpoint, payloads copied between per-rank mailboxes) and over
+// loopback TCP (every rank an endpoint with framed messages on real
+// sockets — here driven from goroutines, exactly as two separate OS
+// processes would drive theirs; see `distgnn-train -transport tcp
+// -spawn-local` for the real thing). Both run the same rank loop and the
+// same collectives, so the transport is a substrate change, never an
+// arithmetic or accounting one: every epoch's loss and simulated timings
+// and the final accuracy must match bit for bit, which this example
+// verifies and prints. -scale and -epochs shrink the run for smoke
+// testing.
 package main
 
 import (
@@ -39,7 +42,7 @@ func main() {
 	fmt.Printf("reddit-sim: %d vertices, %d edges — cd-2s across %d ranks\n\n",
 		ds.G.NumVertices, ds.G.NumEdges, ranks)
 
-	// Substrate 1: the in-process world.
+	// Substrate 1: the in-process fabric.
 	start := time.Now()
 	inproc, err := train.Distributed(ds, cfg)
 	if err != nil {
@@ -71,17 +74,18 @@ func main() {
 		tcpWall.Round(time.Millisecond), lastLoss(tcp), 100*tcp.TestAcc)
 
 	for e := range inproc.Epochs {
-		if inproc.Epochs[e].Loss != tcp.Epochs[e].Loss {
-			log.Fatalf("epoch %d: loss diverged across transports: %v vs %v",
-				e, inproc.Epochs[e].Loss, tcp.Epochs[e].Loss)
+		if inproc.Epochs[e] != tcp.Epochs[e] {
+			log.Fatalf("epoch %d: stats diverged across transports: %+v vs %+v",
+				e, inproc.Epochs[e], tcp.Epochs[e])
 		}
 	}
 	if inproc.TestAcc != tcp.TestAcc || inproc.TrainAcc != tcp.TrainAcc {
 		log.Fatalf("accuracy diverged across transports")
 	}
-	fmt.Println("\nEvery epoch's loss and the final accuracy are bit-identical across")
-	fmt.Println("substrates: the transport moves the same bytes through a different")
-	fmt.Println("fabric, and rank-ordered reductions keep the float math exact.")
+	fmt.Println("\nEvery epoch's loss and simulated timings and the final accuracy are")
+	fmt.Println("bit-identical across substrates: the transport moves the same bytes")
+	fmt.Println("through a different fabric, and rank-ordered reductions keep the float")
+	fmt.Println("math exact.")
 }
 
 func lastLoss(r *train.DistResult) float64 { return r.Epochs[len(r.Epochs)-1].Loss }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
@@ -141,38 +140,7 @@ func (t *replicaTopology) close() {
 // startReplicaShardFleet is startShardFleet with reload enabled — every
 // replica must accept the fleet-wide /reload fan-out.
 func startReplicaShardFleet(ds *datasets.Dataset, ckpt []byte, shards int) (*benchShardFleet, error) {
-	f := &benchShardFleet{fabric: comm.NewProcTransport(shards)}
-	var lns []net.Listener
-	var peers []serve.PeerAddr
-	for r := 0; r < shards; r++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.close()
-			return nil, err
-		}
-		lns = append(lns, ln)
-		f.addrs = append(f.addrs, ln.Addr().String())
-		peers = append(peers, serve.PeerAddr{Rank: r, Addr: ln.Addr().String()})
-	}
-	cfg := serve.Config{
-		Arch: serve.ArchGraphSAGE, Hidden: shardServeHidden, NumLayers: shardServeLayers,
-		MaxBatch: 8, MaxWait: time.Millisecond,
-		FeatureCacheBytes: 32 << 20, EmbedCacheBytes: 0, EnableReload: true,
-	}
-	for r := 0; r < shards; r++ {
-		srv, err := serve.NewShard(ds, bytes.NewReader(ckpt), cfg, serve.ShardConfig{
-			Rank: r, Shards: shards, Transport: f.fabric, HTTPPeers: peers,
-		})
-		if err != nil {
-			f.close()
-			return nil, err
-		}
-		f.servers = append(f.servers, srv)
-		hs := &http.Server{Handler: srv.Handler()}
-		f.https = append(f.https, hs)
-		go hs.Serve(lns[r])
-	}
-	return f, nil
+	return startShardFleetCfg(ds, ckpt, shards, func(c *serve.Config) { c.EnableReload = true })
 }
 
 // AblationReplicaServe measures replicated serving under failure: MMPP

@@ -83,7 +83,7 @@ type benchShardFleet struct {
 	addrs   []string
 	servers []*serve.Server
 	https   []*http.Server
-	fabric  comm.Transport
+	fabric  []comm.Transport
 }
 
 func startShardFleet(ds *datasets.Dataset, ckpt []byte, shards int) (*benchShardFleet, error) {
@@ -95,7 +95,7 @@ func startShardFleet(ds *datasets.Dataset, ckpt []byte, shards int) (*benchShard
 // abl-stream uses it to switch on the mutation plane.
 func startShardFleetCfg(ds *datasets.Dataset, ckpt []byte, shards int,
 	mod func(*serve.Config)) (*benchShardFleet, error) {
-	f := &benchShardFleet{fabric: comm.NewProcTransport(shards)}
+	f := &benchShardFleet{fabric: comm.NewProcFabric(shards)}
 	var lns []net.Listener
 	var peers []serve.PeerAddr
 	for r := 0; r < shards; r++ {
@@ -118,7 +118,7 @@ func startShardFleetCfg(ds *datasets.Dataset, ckpt []byte, shards int,
 	}
 	for r := 0; r < shards; r++ {
 		srv, err := serve.NewShard(ds, bytes.NewReader(ckpt), cfg, serve.ShardConfig{
-			Rank: r, Shards: shards, Transport: f.fabric, HTTPPeers: peers,
+			Transport: f.fabric[r], HTTPPeers: peers,
 		})
 		if err != nil {
 			f.close()
@@ -139,9 +139,7 @@ func (f *benchShardFleet) close() {
 	for _, s := range f.servers {
 		s.Close()
 	}
-	if f.fabric != nil {
-		f.fabric.Close()
-	}
+	comm.CloseAll(f.fabric)
 }
 
 // poissonArrivals draws inter-arrival gaps Exp(mean).

@@ -61,7 +61,7 @@ func AblationTransport(opt Options) error {
 
 	t := &table{header: []string{"algo", "transport", "wall/epoch", "sim/epoch", "test acc"}}
 	for _, algo := range []train.Algorithm{train.AlgoCDR, train.AlgoCDRS} {
-		// In-process: every rank a goroutine over the shared mailbox.
+		// In-process: every rank a goroutine over its own fabric endpoint.
 		start := time.Now()
 		res, err := train.Distributed(ds, baseCfg(algo))
 		if err != nil {

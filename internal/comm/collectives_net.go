@@ -2,14 +2,15 @@ package comm
 
 import "fmt"
 
-// collectives_net.go implements the collectives over a single-rank
-// Transport endpoint (one OS process per rank). Every collective reserves
-// a fresh tag from the negative tag space — user p2p tags are non-negative
-// — and since all ranks execute collectives in the same global order,
-// per-endpoint sequence counters agree without coordination. Reductions
-// apply contributions in rank order, the exact float order of the
-// in-process shared-memory path, so both fabrics produce bit-identical
-// results (pinned by the cross-transport conformance harness).
+// collectives_net.go implements every collective over the rank's Transport
+// endpoint — the in-process fabric and TCP alike, rounding out the OneCCL
+// surface the paper's torch.distributed integration uses. Every collective
+// reserves a fresh tag from the negative tag space — user p2p tags are
+// non-negative — and since all ranks execute collectives in the same
+// global order, per-endpoint sequence counters agree without coordination.
+// Reductions apply contributions in rank order, so every fabric produces
+// bit-identical results (pinned by the cross-transport conformance
+// harness).
 
 // nextCollTag reserves a fresh collective tag on this endpoint.
 func (w *World) nextCollTag() int {
@@ -18,7 +19,7 @@ func (w *World) nextCollTag() int {
 }
 
 // sendPeers ships buf to every rank but self under tag. The transport
-// serializes before returning, so buf is not retained.
+// copies or serializes before returning, so buf is not retained.
 func (w *World) sendPeers(tag int, buf []float32) {
 	for peer := 0; peer < w.N; peer++ {
 		if peer == w.self {
@@ -39,13 +40,15 @@ func (w *World) recvPeer(src, tag int) []float32 {
 	return env.F32
 }
 
-// netAllReduceSum is a gather-to-root + broadcast: rank 0 reduces every
-// contribution in rank order — the exact float order of the in-process
-// path, so every rank's result is bit-identical to it — and fans the sum
+// AllReduceSum sums data elementwise across all ranks; every rank's buffer
+// holds the total on return. All ranks must pass equal-length buffers.
+//
+// It is a gather-to-root + broadcast: rank 0 reduces every contribution in
+// rank order, so every rank's result is bit-identical, and fans the sum
 // back out. 2(N-1) buffer transfers total, versus N(N-1) for the flat
 // all-to-all form; for the per-epoch gradient AllReduce (the dominant TCP
 // volume) that is the difference between 4× line rate and 28× at 8 ranks.
-func (w *World) netAllReduceSum(rank int, data []float32) {
+func (w *World) AllReduceSum(rank int, data []float32) {
 	w.checkSelf("AllReduceSum", rank)
 	tag := w.nextCollTag()
 	if rank != 0 {
@@ -79,7 +82,15 @@ func (w *World) netAllReduceSum(rank int, data []float32) {
 	reduceScratch.Put(out)
 }
 
-func (w *World) netAlltoAllV(rank int, send [][]float32) [][]float32 {
+// AlltoAllV exchanges variable-length float32 buffers: send[j] goes to rank
+// j, and the returned recv[j] is the buffer rank j sent to this rank.
+// Every rank must pass a send slice of length N (nil entries mean empty).
+// Returned buffers are copies owned by the caller.
+func (w *World) AlltoAllV(rank int, send [][]float32) [][]float32 {
+	if len(send) != w.N {
+		panic(fmt.Sprintf("comm: AlltoAllV rank %d passed %d buffers, world size %d",
+			rank, len(send), w.N))
+	}
 	w.checkSelf("AlltoAllV", rank)
 	tag := w.nextCollTag()
 	// Empty buffers are sent too (zero-length frames), so every rank can
@@ -107,7 +118,12 @@ func (w *World) netAlltoAllV(rank int, send [][]float32) [][]float32 {
 	return recv
 }
 
-func (w *World) netBroadcast(rank, root int, data []float32) {
+// Broadcast copies root's buffer into every rank's buffer. All ranks must
+// pass equal-length buffers and the same root.
+func (w *World) Broadcast(rank, root int, data []float32) {
+	if root < 0 || root >= w.N {
+		panic(fmt.Sprintf("comm: broadcast root %d outside world of %d", root, w.N))
+	}
 	w.checkSelf("Broadcast", rank)
 	tag := w.nextCollTag()
 	if rank == root {
@@ -122,7 +138,9 @@ func (w *World) netBroadcast(rank, root int, data []float32) {
 	copy(data, src)
 }
 
-func (w *World) netAllGather(rank int, data []float32) []float32 {
+// AllGather concatenates every rank's buffer in rank order; each rank
+// receives the full concatenation. Buffers may have different lengths.
+func (w *World) AllGather(rank int, data []float32) []float32 {
 	w.checkSelf("AllGather", rank)
 	tag := w.nextCollTag()
 	w.sendPeers(tag, data)
@@ -137,7 +155,15 @@ func (w *World) netAllGather(rank int, data []float32) []float32 {
 	return out
 }
 
-func (w *World) netReduceScatterSum(rank int, data []float32) []float32 {
+// ReduceScatterSum splits each rank's buffer into N equal chunks, sums
+// chunk i across ranks, and returns chunk `rank`'s sum — the first half of
+// a ring AllReduce. Buffer length must be a multiple of N and equal on all
+// ranks.
+func (w *World) ReduceScatterSum(rank int, data []float32) []float32 {
+	if len(data)%w.N != 0 {
+		panic(fmt.Sprintf("comm: reduce-scatter length %d not divisible by world size %d",
+			len(data), w.N))
+	}
 	w.checkSelf("ReduceScatterSum", rank)
 	chunk := len(data) / w.N
 	tag := w.nextCollTag()

@@ -3,9 +3,9 @@ package comm
 import "testing"
 
 func TestBroadcast(t *testing.T) {
-	w := NewWorld(5)
 	results := make([][]float32, 5)
-	w.Run(func(rank int) {
+	RunInProcess(5, func(w *World) {
+		rank := w.Self()
 		data := []float32{float32(rank), float32(rank * 2)}
 		if rank == 3 {
 			data = []float32{100, 200}
@@ -21,8 +21,8 @@ func TestBroadcast(t *testing.T) {
 }
 
 func TestBroadcastRepeated(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(rank int) {
+	RunInProcess(3, func(w *World) {
+		rank := w.Self()
 		for iter := 0; iter < 10; iter++ {
 			root := iter % 3
 			data := []float32{float32(rank + 1000)}
@@ -38,9 +38,9 @@ func TestBroadcastRepeated(t *testing.T) {
 }
 
 func TestAllGatherOrderAndContent(t *testing.T) {
-	w := NewWorld(4)
 	results := make([][]float32, 4)
-	w.Run(func(rank int) {
+	RunInProcess(4, func(w *World) {
+		rank := w.Self()
 		// rank r contributes r+1 copies of float32(r).
 		data := make([]float32, rank+1)
 		for i := range data {
@@ -63,9 +63,9 @@ func TestAllGatherOrderAndContent(t *testing.T) {
 
 func TestReduceScatterSum(t *testing.T) {
 	const n = 4
-	w := NewWorld(n)
 	results := make([][]float32, n)
-	w.Run(func(rank int) {
+	RunInProcess(n, func(w *World) {
+		rank := w.Self()
 		// Every rank contributes [rank, rank, ..., rank] of length 2n;
 		// chunk sums are Σranks = 6 per element.
 		data := make([]float32, 2*n)
@@ -89,7 +89,6 @@ func TestReduceScatterSum(t *testing.T) {
 func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 	// The classic identity: reduce-scatter + all-gather == all-reduce.
 	const n = 3
-	w := NewWorld(n)
 	inputs := [][]float32{
 		{1, 2, 3, 4, 5, 6},
 		{10, 20, 30, 40, 50, 60},
@@ -97,7 +96,8 @@ func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 	}
 	viaAR := make([][]float32, n)
 	viaRS := make([][]float32, n)
-	w.Run(func(rank int) {
+	RunInProcess(n, func(w *World) {
+		rank := w.Self()
 		a := append([]float32(nil), inputs[rank]...)
 		w.AllReduceSum(rank, a)
 		viaAR[rank] = a

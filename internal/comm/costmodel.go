@@ -154,23 +154,20 @@ func (c *CostModel) WaitXfer(rank int, readyNs int64) float64 {
 	return float64(exposedNs) / 1e9
 }
 
-// SyncClocks aligns every rank's clock to the slowest one — the simulated
-// counterpart of a bulk-synchronous barrier (the per-epoch gradient
-// AllReduce). Without it, per-rank clocks would drift apart without bound
-// as partitions with unequal work accumulate unequal compute, and the
-// cross-rank ready-vs-clock comparison in WaitXfer would charge phantom
-// exposure for skew the epoch's max-across-ranks timing already covers.
-func (c *CostModel) SyncClocks() {
+// AdvanceClock raises rank's simulated clock to t if it is behind — one
+// rank's half of the simulated bulk-synchronous barrier at the end of each
+// epoch: every rank shares its clock in the epoch's stat gather and
+// advances to the slowest. Without it, per-rank clocks would drift apart
+// without bound as partitions with unequal work accumulate unequal
+// compute, and the cross-rank ready-vs-clock comparison in WaitXfer would
+// charge phantom exposure for skew the epoch's max-across-ranks timing
+// already covers.
+func (c *CostModel) AdvanceClock(rank int, t time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var m int64
-	for _, v := range c.simNs {
-		if v > m {
-			m = v
-		}
-	}
-	for i := range c.simNs {
-		c.simNs[i] = m
+	c.ensure(rank)
+	if int64(t) > c.simNs[rank] {
+		c.simNs[rank] = int64(t)
 	}
 }
 
@@ -190,6 +187,7 @@ func (c *CostModel) WaitXferForced(rank int, durNs int64) float64 {
 func (c *CostModel) SimTime(rank int) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ensure(rank)
 	return time.Duration(c.simNs[rank])
 }
 

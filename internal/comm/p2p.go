@@ -9,9 +9,9 @@ import (
 
 // p2p.go is the nonblocking point-to-point layer: MPI-style Isend/Irecv
 // returning Request handles with Test/Wait/WaitAll semantics over the
-// world's Transport — the in-process mailbox or the TCP fabric, identical
-// behavior on both. Payloads are copied (and, for 16-bit wire formats,
-// packed) at post time, so a sender's buffer is immediately reusable and
+// world's Transport — the in-process fabric or TCP, identical behavior on
+// both. Payloads are copied (and, for 16-bit wire formats, packed) by the
+// time Isend returns, so a sender's buffer is immediately reusable and
 // the transfer proceeds "in the background"; the α–β cost of the transfer
 // accrues on the simulated clock concurrently with whatever compute the
 // poster charges, and only the un-hidden remainder is charged when the
@@ -83,14 +83,14 @@ func (w *World) post(from, to, tag int, data []float32, p quant.Precision) *Requ
 	w.checkSelf("Isend", from)
 	env := &Envelope{Tag: tag, Prec: p}
 	if p == quant.FP32 {
-		if w.remote() && to != w.self {
-			// A remote peer's Send serializes the buffer before returning
-			// (the Transport contract), so the caller's slice needs no
-			// defensive copy — the wire encode is the only copy.
+		if to != w.self {
+			// A peer's Send copies or serializes the buffer before
+			// returning (the Transport contract), so the caller's slice
+			// needs no defensive copy here.
 			env.F32 = data
 		} else {
-			// In-process (and remote self-sends) enqueue the envelope
-			// as-is; copy so the sender's buffer is immediately reusable.
+			// Self-sends enqueue the envelope as-is; copy so the sender's
+			// buffer is immediately reusable.
 			env.F32 = append([]float32(nil), data...)
 		}
 	} else {

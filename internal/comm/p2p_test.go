@@ -10,13 +10,13 @@ import (
 )
 
 func TestIsendIrecvDeliversPayload(t *testing.T) {
-	w := NewWorld(2)
+	w := procWorlds(2)
 	payload := []float32{1, 2, 3.5, -4}
-	send := w.Isend(0, 1, 7, payload)
+	send := w[0].Isend(0, 1, 7, payload)
 	// Buffered-send semantics: the caller's slice is reusable immediately.
 	payload[0] = 99
 
-	recv := w.Irecv(1, 0, 7)
+	recv := w[1].Irecv(1, 0, 7)
 	if ok, err := recv.Test(); err != nil || !ok {
 		t.Fatalf("posted message must test complete: %v %v", ok, err)
 	}
@@ -36,12 +36,12 @@ func TestIsendIrecvDeliversPayload(t *testing.T) {
 }
 
 func TestIrecvTestReportsPending(t *testing.T) {
-	w := NewWorld(2)
-	recv := w.Irecv(1, 0, 3)
+	w := procWorlds(2)
+	recv := w[1].Irecv(1, 0, 3)
 	if ok, err := recv.Test(); err != nil || ok {
 		t.Fatalf("no message posted: Test = %v, %v", ok, err)
 	}
-	w.Isend(0, 1, 3, []float32{1})
+	w[0].Isend(0, 1, 3, []float32{1})
 	if ok, err := recv.Test(); err != nil || !ok {
 		t.Fatalf("message posted: Test = %v, %v", ok, err)
 	}
@@ -65,9 +65,9 @@ func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 	}
 
 	// Double Wait on both sides of a completed exchange.
-	w := NewWorld(2)
-	send := w.Isend(0, 1, 1, []float32{1})
-	recv := w.Irecv(1, 0, 1)
+	w := procWorlds(2)
+	send := w[0].Isend(0, 1, 1, []float32{1})
+	recv := w[1].Irecv(1, 0, 1)
 	for _, r := range []*Request{send, recv} {
 		if _, err := r.Wait(); err != nil {
 			t.Fatal(err)
@@ -82,13 +82,13 @@ func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 }
 
 func TestWaitAllReturnsFirstErrorButDrains(t *testing.T) {
-	w := NewWorld(2)
-	w.Isend(0, 1, 1, []float32{1})
-	w.Isend(0, 1, 2, []float32{2})
-	good1 := w.Irecv(1, 0, 1)
-	good2 := w.Irecv(1, 0, 2)
+	w := procWorlds(2)
+	w[0].Isend(0, 1, 1, []float32{1})
+	w[0].Isend(0, 1, 2, []float32{2})
+	good1 := w[1].Irecv(1, 0, 1)
+	good2 := w[1].Irecv(1, 0, 2)
 	var bad Request
-	if err := w.WaitAll(good1, &bad, good2); !errors.Is(err, ErrNotPosted) {
+	if err := w[1].WaitAll(good1, &bad, good2); !errors.Is(err, ErrNotPosted) {
 		t.Fatalf("WaitAll: %v, want ErrNotPosted", err)
 	}
 	// Both good requests must have been drained despite the error.
@@ -100,13 +100,13 @@ func TestWaitAllReturnsFirstErrorButDrains(t *testing.T) {
 }
 
 func TestSameKeyMessagesDeliverFIFO(t *testing.T) {
-	w := NewWorld(2)
+	w := procWorlds(2)
 	const n = 16
 	for i := 0; i < n; i++ {
-		w.Isend(0, 1, 5, []float32{float32(i)})
+		w[0].Isend(0, 1, 5, []float32{float32(i)})
 	}
 	for i := 0; i < n; i++ {
-		got, err := w.Irecv(1, 0, 5).Wait()
+		got, err := w[1].Irecv(1, 0, 5).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +118,11 @@ func TestSameKeyMessagesDeliverFIFO(t *testing.T) {
 
 func TestIsendPackedMatchesRoundSlice(t *testing.T) {
 	for _, p := range []quant.Precision{quant.BF16, quant.FP16} {
-		w := NewWorld(2)
+		w := procWorlds(2)
 		src := []float32{1.0001, -2.5, 3.14159, 0, 65000, 6e-8,
 			float32(math.Inf(1)), float32(math.NaN())}
-		w.IsendPacked(0, 1, 1, src, p)
-		got, err := w.Irecv(1, 0, 1).Wait()
+		w[0].IsendPacked(0, 1, 1, src, p)
+		got, err := w[1].Irecv(1, 0, 1).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +147,8 @@ func TestConcurrentIsendIrecvWaitAll(t *testing.T) {
 		rounds = 10
 	}
 	for _, n := range []int{2, 4, 8} {
-		w := NewWorld(n)
-		w.Run(func(rank int) {
+		RunInProcess(n, func(w *World) {
+			rank := w.Self()
 			for round := 0; round < rounds; round++ {
 				// Post all sends first, then all receives, then WaitAll —
 				// no rank ever blocks another's posts.
@@ -222,12 +222,13 @@ func TestPostXferOverlapAccounting(t *testing.T) {
 }
 
 func TestTestHiddenFollowsSimulatedClock(t *testing.T) {
-	w := NewWorld(2)
+	w := procWorlds(2)
 	cm := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	w.ConfigureAsync(cm, false)
+	w[0].ConfigureAsync(cm, false)
+	w[1].ConfigureAsync(cm, false)
 
-	w.Isend(0, 1, 1, make([]float32, 250)) // 1000 bytes → 2 µs
-	recv := w.Irecv(1, 0, 1)
+	w[0].Isend(0, 1, 1, make([]float32, 250)) // 1000 bytes → 2 µs
+	recv := w[1].Irecv(1, 0, 1)
 	// Physically present but simulated-in-flight: Test true, TestHidden false.
 	if ok, _ := recv.Test(); !ok {
 		t.Fatal("message must be physically present")
@@ -247,11 +248,12 @@ func TestTestHiddenFollowsSimulatedClock(t *testing.T) {
 	}
 
 	// Under forceSync nothing is ever hidden and Wait charges everything.
-	w2 := NewWorld(2)
+	w2 := procWorlds(2)
 	cm2 := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	w2.ConfigureAsync(cm2, true)
-	w2.Isend(0, 1, 1, make([]float32, 250))
-	recv2 := w2.Irecv(1, 0, 1)
+	w2[0].ConfigureAsync(cm2, true)
+	w2[1].ConfigureAsync(cm2, true)
+	w2[0].Isend(0, 1, 1, make([]float32, 250))
+	recv2 := w2[1].Irecv(1, 0, 1)
 	cm2.ChargeCompute(1, 1)
 	if ok, _ := recv2.TestHidden(); ok {
 		t.Fatal("forceSync must never report hidden")

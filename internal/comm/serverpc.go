@@ -55,9 +55,7 @@ const reqRepTraceFlag = 1 << 31
 
 // ReqRepHandler answers one request. It runs on the responder's goroutines
 // (one per in-flight request) and must be safe for concurrent use. The
-// returned slice is serialized before the call returns on TCP and enqueued
-// as-is in-process, so handlers should return freshly built or immutable
-// buffers.
+// returned slice is copied or serialized before the reply is delivered.
 type ReqRepHandler func(from int, req []float32) ([]float32, error)
 
 // ReqRepTracedHandler additionally receives the caller's trace ID (0 for
@@ -94,24 +92,17 @@ type ReqRep struct {
 const drainPollInterval = 2 * time.Millisecond
 
 // NewReqRep starts the responder goroutines (one per peer) and returns the
-// endpoint. rank must be the rank this endpoint speaks as — passed
-// explicitly because the in-process transport hosts all ranks (Self() ==
-// AllRanks).
-func NewReqRep(tr Transport, rank int, handler ReqRepHandler) (*ReqRep, error) {
-	return NewReqRepTraced(tr, rank, func(from int, _ uint64, req []float32) ([]float32, error) {
+// endpoint, speaking as the transport's own rank.
+func NewReqRep(tr Transport, handler ReqRepHandler) (*ReqRep, error) {
+	return NewReqRepTraced(tr, func(from int, _ uint64, req []float32) ([]float32, error) {
 		return handler(from, req)
 	})
 }
 
 // NewReqRepTraced is NewReqRep for handlers that consume the trace ID
 // traced calls carry.
-func NewReqRepTraced(tr Transport, rank int, handler ReqRepTracedHandler) (*ReqRep, error) {
-	if rank < 0 || rank >= tr.Size() {
-		return nil, fmt.Errorf("comm: reqrep rank %d outside world of %d", rank, tr.Size())
-	}
-	if tr.Self() != AllRanks && tr.Self() != rank {
-		return nil, fmt.Errorf("comm: reqrep rank %d on an endpoint hosting rank %d", rank, tr.Self())
-	}
+func NewReqRepTraced(tr Transport, handler ReqRepTracedHandler) (*ReqRep, error) {
+	rank := tr.Self()
 	r := &ReqRep{tr: tr, rank: rank, handler: handler, quit: make(chan struct{})}
 	for peer := 0; peer < tr.Size(); peer++ {
 		if peer != rank {

@@ -12,30 +12,15 @@ import (
 	"time"
 )
 
-// reqRepFabrics builds each transport the serve plane runs on: the shared
-// in-process mailbox and a loopback TCP mesh, both over n ranks.
+// reqRepFabrics builds each transport the serve plane runs on: the
+// in-process fabric and a loopback TCP mesh, both over n ranks.
 func reqRepFabrics(t *testing.T, n int) map[string][]Transport {
 	t.Helper()
-	proc := NewProcTransport(n)
-	shared := make([]Transport, n)
-	for r := range shared {
-		shared[r] = proc
-	}
 	tcp, err := NewLoopbackTCP(n, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string][]Transport{"inproc": shared, "tcp": tcp}
-}
-
-func closeFabric(eps []Transport) {
-	seen := map[Transport]bool{}
-	for _, ep := range eps {
-		if !seen[ep] {
-			seen[ep] = true
-			ep.Close()
-		}
-	}
+	return map[string][]Transport{"inproc": NewProcFabric(n), "tcp": tcp}
 }
 
 // TestReqRepEchoBothTransports: a request round-trips bit-exactly through
@@ -46,7 +31,7 @@ func TestReqRepEchoBothTransports(t *testing.T) {
 	for name, eps := range reqRepFabrics(t, n) {
 		rrs := make([]*ReqRep, n)
 		for r := 0; r < n; r++ {
-			rr, err := NewReqRep(eps[r], r, func(from int, req []float32) ([]float32, error) {
+			rr, err := NewReqRep(eps[r], func(from int, req []float32) ([]float32, error) {
 				out := append([]float32{float32(from)}, req...)
 				return out, nil
 			})
@@ -70,7 +55,7 @@ func TestReqRepEchoBothTransports(t *testing.T) {
 				t.Fatalf("%s: id %d round-tripped to %d", name, ids[i], got[i])
 			}
 		}
-		closeFabric(eps)
+		CloseAll(eps)
 	}
 }
 
@@ -84,7 +69,7 @@ func TestReqRepConcurrentFanOut(t *testing.T) {
 		rrs := make([]*ReqRep, n)
 		for r := 0; r < n; r++ {
 			r := r
-			rr, err := NewReqRep(eps[r], r, func(from int, req []float32) ([]float32, error) {
+			rr, err := NewReqRep(eps[r], func(from int, req []float32) ([]float32, error) {
 				// Reply = responder rank followed by the doubled request IDs.
 				ids := F32ToInt32s(req)
 				for i := range ids {
@@ -133,7 +118,7 @@ func TestReqRepConcurrentFanOut(t *testing.T) {
 		for err := range errc {
 			t.Fatalf("%s: %v", name, err)
 		}
-		closeFabric(eps)
+		CloseAll(eps)
 	}
 }
 
@@ -142,12 +127,12 @@ func TestReqRepConcurrentFanOut(t *testing.T) {
 func TestReqRepErrorCrossesWire(t *testing.T) {
 	const n = 2
 	for name, eps := range reqRepFabrics(t, n) {
-		if _, err := NewReqRep(eps[1], 1, func(from int, req []float32) ([]float32, error) {
+		if _, err := NewReqRep(eps[1], func(from int, req []float32) ([]float32, error) {
 			return nil, fmt.Errorf("vertex 42 not owned here")
 		}); err != nil {
 			t.Fatal(err)
 		}
-		caller, err := NewReqRep(eps[0], 0, func(int, []float32) ([]float32, error) { return nil, nil })
+		caller, err := NewReqRep(eps[0], func(int, []float32) ([]float32, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,16 +140,16 @@ func TestReqRepErrorCrossesWire(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "vertex 42 not owned here") {
 			t.Fatalf("%s: handler error did not cross the wire: %v", name, err)
 		}
-		closeFabric(eps)
+		CloseAll(eps)
 	}
 }
 
 // TestReqRepMisuse pins the defined misuse errors: self-calls, rank out of
 // world, closed endpoint.
 func TestReqRepMisuse(t *testing.T) {
-	tr := NewProcTransport(2)
-	defer tr.Close()
-	rr, err := NewReqRep(tr, 0, func(int, []float32) ([]float32, error) { return nil, nil })
+	eps := NewProcFabric(2)
+	defer CloseAll(eps)
+	rr, err := NewReqRep(eps[0], func(int, []float32) ([]float32, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +162,6 @@ func TestReqRepMisuse(t *testing.T) {
 	rr.Close()
 	if _, err := rr.Call(1, nil); err == nil {
 		t.Fatal("call on closed endpoint must error")
-	}
-	if _, err := NewReqRep(tr, 7, nil); err == nil {
-		t.Fatal("endpoint rank outside the world must be rejected")
 	}
 }
 
@@ -246,16 +228,17 @@ func (t *timeoutOnceTransport) Recv(to, from, tag int) (*Envelope, error) {
 // in-process fabric — it blocked forever, so the goroutine count never
 // dropped back after Close.
 func TestReqRepTimeoutDrainerReapedOnClose(t *testing.T) {
-	tr := &timeoutOnceTransport{Transport: NewProcTransport(2)}
+	eps := NewProcFabric(2)
+	tr := &timeoutOnceTransport{Transport: eps[0]}
 	entered := make(chan struct{})
 	block := make(chan struct{})
-	r0, err := NewReqRep(tr, 0, func(int, []float32) ([]float32, error) {
+	r0, err := NewReqRep(tr, func(int, []float32) ([]float32, error) {
 		return nil, fmt.Errorf("rank 0 serves nothing here")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := NewReqRep(tr, 1, func(int, []float32) ([]float32, error) {
+	r1, err := NewReqRep(eps[1], func(int, []float32) ([]float32, error) {
 		close(entered)
 		<-block // the reply never arrives inside the test window
 		return []float32{1}, nil
@@ -266,7 +249,7 @@ func TestReqRepTimeoutDrainerReapedOnClose(t *testing.T) {
 	defer func() {
 		close(block)
 		r1.Close()
-		tr.Transport.Close()
+		CloseAll(eps)
 	}()
 
 	if _, err := r0.Call(1, []float32{42}); !errors.Is(err, ErrTimeout) {
@@ -301,9 +284,9 @@ func TestReqRepTimeoutDrainerReapedOnClose(t *testing.T) {
 
 // TestReqRepCloseIdempotent pins that double-Close is safe.
 func TestReqRepCloseIdempotent(t *testing.T) {
-	tr := NewProcTransport(2)
-	defer tr.Close()
-	rr, err := NewReqRep(tr, 0, func(_ int, req []float32) ([]float32, error) { return req, nil })
+	eps := NewProcFabric(2)
+	defer CloseAll(eps)
+	rr, err := NewReqRep(eps[0], func(_ int, req []float32) ([]float32, error) { return req, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

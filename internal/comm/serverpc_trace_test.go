@@ -15,8 +15,8 @@ func TestReqRepTracedFrames(t *testing.T) {
 			var trs []Transport
 			switch fabric {
 			case "inproc":
-				tr := NewProcTransport(2)
-				trs = []Transport{tr, tr}
+				trs = NewProcFabric(2)
+				defer CloseAll(trs)
 			case "tcp":
 				eps, err := NewLoopbackTCP(2, 10*time.Second)
 				if err != nil {
@@ -38,12 +38,12 @@ func TestReqRepTracedFrames(t *testing.T) {
 				mu.Unlock()
 				return req, nil
 			}
-			r0, err := NewReqRepTraced(trs[0], 0, echo)
+			r0, err := NewReqRepTraced(trs[0], echo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r0.Close()
-			r1, err := NewReqRepTraced(trs[1], 1, echo)
+			r1, err := NewReqRepTraced(trs[1], echo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,32 +72,37 @@ func TestReqRepTracedFrames(t *testing.T) {
 // TestTransportNetStats pins the byte accounting: payload bytes counted
 // per direction and attributed to the tag plane they rode.
 func TestTransportNetStats(t *testing.T) {
-	tr := NewProcTransport(2)
-	defer tr.Close()
-	src, ok := tr.(NetStatsSource)
+	eps := NewProcFabric(2)
+	defer CloseAll(eps)
+	src, ok := eps[0].(NetStatsSource)
 	if !ok {
 		t.Fatal("proc transport must implement NetStatsSource")
 	}
 
 	// One message per plane: collective (negative tag), p2p, serve range.
 	for _, tag := range []int{-5, 7, ServeTagBase} {
-		if err := tr.Send(0, 1, &Envelope{Tag: tag, F32: make([]float32, 8)}); err != nil {
+		if err := eps[0].Send(0, 1, &Envelope{Tag: tag, F32: make([]float32, 8)}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Recv(1, 0, tag); err != nil {
+		if _, err := eps[1].Recv(1, 0, tag); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := src.NetStats()
-	if st.SentMsgs != 3 || st.RecvMsgs != 3 {
-		t.Fatalf("msgs = %d/%d, want 3/3", st.SentMsgs, st.RecvMsgs)
+	rst := eps[1].(NetStatsSource).NetStats()
+	if st.SentMsgs != 3 || rst.RecvMsgs != 3 {
+		t.Fatalf("msgs = %d/%d, want 3/3", st.SentMsgs, rst.RecvMsgs)
 	}
-	if st.SentBytes != 96 || st.RecvBytes != 96 {
-		t.Fatalf("bytes = %d/%d, want 96/96 (3×8 floats)", st.SentBytes, st.RecvBytes)
+	if st.SentBytes != 96 || rst.RecvBytes != 96 {
+		t.Fatalf("bytes = %d/%d, want 96/96 (3×8 floats)", st.SentBytes, rst.RecvBytes)
 	}
 	if st.CollectiveBytes != 32 || st.P2PBytes != 32 || st.ServeBytes != 32 {
 		t.Fatalf("plane split = %d/%d/%d, want 32 each",
 			st.CollectiveBytes, st.P2PBytes, st.ServeBytes)
+	}
+	if st.RecvMsgs != 0 || rst.SentMsgs != 0 {
+		t.Fatalf("each endpoint counts only its own traffic: sender recv %d, receiver sent %d",
+			st.RecvMsgs, rst.SentMsgs)
 	}
 }
 

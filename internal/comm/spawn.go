@@ -9,12 +9,45 @@ import (
 	"syscall"
 )
 
-// spawn.go is the -spawn-local process bootstrap shared by the CLIs: the
-// rank-0 parent re-execs itself as ranks 1..N-1 of a loopback fleet,
+// spawn.go is the TCP fleet bring-up shared by the CLIs: one call builds
+// and establishes this process's endpoint and, under -spawn-local, has the
+// rank-0 parent re-exec itself as ranks 1..N-1 of a loopback fleet,
 // appending per-rank flag overrides (the stdlib flag parser takes the last
 // occurrence, so the parent's own flags simply get overridden). The caller
 // supplies the per-rank argv tail; this file owns process lifecycle —
 // start, reap, kill — so the two CLIs cannot drift apart on it.
+
+// JoinTCPFleet builds this process's endpoint of a TCP fleet from cfg and
+// establishes it. With spawn, this process is rank 0 of a local fleet: it
+// first forks ranks 1..N-1, appending childArgs(rank, registry) to each
+// child's copy of this process's flags — registry is this endpoint's
+// rendezvous address — and kills them on SIGINT/SIGTERM so an interrupted
+// parent orphans no rank. Returns the established endpoint and the
+// spawned children.
+func JoinTCPFleet(cfg TCPConfig, spawn bool, childArgs func(rank int, registry string) []string) (*TCPTransport, []*exec.Cmd, error) {
+	if spawn && cfg.Rank != 0 {
+		return nil, nil, fmt.Errorf("-spawn-local is the rank-0 parent; it cannot run as rank %d", cfg.Rank)
+	}
+	tr, err := NewTCPTransport(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	var children []*exec.Cmd
+	if spawn {
+		children, err = SpawnLocalRanks(cfg.N, func(r int) []string { return childArgs(r, tr.Addr()) })
+		if err != nil {
+			tr.Close()
+			return nil, nil, err
+		}
+		KillRanksOnSignal(children)
+	}
+	if err := tr.Establish(); err != nil {
+		tr.Close()
+		KillRanks(children)
+		return nil, nil, err
+	}
+	return tr, children, nil
+}
 
 // SpawnLocalRanks forks ranks 1..n-1 of a local fleet as copies of the
 // current executable. argsForRank returns the flags appended for one rank
@@ -65,8 +98,8 @@ func WaitRanks(children []*exec.Cmd) error {
 }
 
 // KillRanksOnSignal installs a SIGINT/SIGTERM handler that kills the
-// spawned ranks before exiting — long-running parents (a serving fleet)
-// must not orphan their children when the operator kills the parent.
+// spawned ranks before exiting — a parent (a serving fleet, a training
+// run) must not orphan its children when the operator kills it.
 func KillRanksOnSignal(children []*exec.Cmd) {
 	if len(children) == 0 {
 		return

@@ -253,8 +253,7 @@ func TestWorldCollectivesMatchAcrossTransports(t *testing.T) {
 	}
 
 	inproc := make([]outputs, n)
-	w := NewWorld(n)
-	w.Run(func(rank int) { inproc[rank] = runRank(w, rank) })
+	RunInProcess(n, func(w *World) { inproc[w.Self()] = runRank(w, w.Self()) })
 
 	eps := loopback(t, n)
 	tcp := make([]outputs, n)

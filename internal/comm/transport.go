@@ -3,7 +3,9 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"distgnn/internal/quant"
@@ -11,18 +13,13 @@ import (
 
 // transport.go defines the pluggable comm fabric under World: framed
 // point-to-point send/recv of optionally quant-packed messages plus rank
-// bootstrap and barrier. Two implementations exist: the in-process mailbox
-// (procTransport, below — every rank a goroutine in one process, PR 2's
-// fabric refactored behind the interface) and the TCP transport (tcp.go —
-// every rank its own OS process, loopback or LAN). The Request machinery
-// and the transport-backed collectives run identically on both, which is
-// what lets the conformance harness pin bit-identical training across
-// substrates.
-
-// AllRanks is the Self value of a transport that hosts every rank of the
-// world inside one process (the in-process mailbox). Single-rank endpoints
-// return their own rank instead.
-const AllRanks = -1
+// bootstrap and barrier. Every Transport is one rank's endpoint. Two
+// implementations exist: the in-process fabric (procEndpoint, below —
+// every rank a goroutine in one process, delivering into per-rank
+// mailboxes) and the TCP transport (tcp.go — every rank its own OS
+// process, loopback or LAN). The Request machinery and the collectives run
+// identically on both, which is what lets the conformance harness pin
+// bit-identical training across substrates.
 
 // Fabric failure errors. Transport operations that cannot complete return
 // errors wrapping one of these, so callers can distinguish a peer that is
@@ -60,9 +57,10 @@ type Envelope struct {
 //   - Messages between one (from, to, tag) triple are delivered in FIFO
 //     post order.
 //   - Send does not block on the receiver (buffered-send semantics); for
-//     to != Self the envelope's buffers are fully serialized before Send
-//     returns, while self-delivery enqueues the envelope as-is, so callers
-//     that will mutate a buffer after a self-send must copy it first.
+//     to != Self the envelope's buffers are fully serialized (copied)
+//     before Send returns, so the caller may reuse them at once, while
+//     self-delivery enqueues the envelope as-is, so callers that will
+//     mutate a buffer after a self-send must copy it first.
 //   - Recv blocks until a matching envelope arrives, the transport's
 //     deadline expires (ErrTimeout), or the fabric fails (ErrClosed).
 //   - Poll never consumes: it reports the head matching envelope, if any.
@@ -70,8 +68,7 @@ type Envelope struct {
 type Transport interface {
 	// Size is the world size N.
 	Size() int
-	// Self is the rank this endpoint hosts, or AllRanks when the transport
-	// hosts every rank in one process.
+	// Self is the rank this endpoint hosts.
 	Self() int
 	Send(from, to int, env *Envelope) error
 	Recv(to, from, tag int) (*Envelope, error)
@@ -83,9 +80,10 @@ type Transport interface {
 // msgKey addresses one directed (sender, receiver, tag) channel.
 type msgKey struct{ src, dst, tag int }
 
-// mailbox holds pending envelopes keyed by (src, dst, tag) — the matching
-// structure both transports deliver into (the TCP reader goroutines
-// demultiplex inbound frames into one of these).
+// mailbox holds one endpoint's pending envelopes keyed by (src, dst, tag)
+// — the matching structure both transports deliver into (in-process
+// senders push straight into the receiver's mailbox; the TCP reader
+// goroutines demultiplex inbound frames into one of these).
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -193,45 +191,79 @@ func (mb *mailbox) waitErr(key msgKey) error {
 	return mb.srcErr[key.src]
 }
 
-// procTransport is the in-process fabric: every rank a goroutine in this
-// process, delivery straight through the shared mailbox, barrier a
-// sense-reversing counter. It is PR 2's mailbox behind the Transport
-// interface — no serialization, no deadlines (in-process delivery cannot
-// stall on a peer), zero behavior change.
-type procTransport struct {
-	n   int
-	box mailbox
-	net netCounters
+// procFabric is the in-process fabric: n rank endpoints in one process.
+// A send copies the payload into the receiver's mailbox — the same
+// buffer-ownership contract TCP's serialization gives — and the barrier is
+// one shared sense-reversing counter. In-process delivery cannot stall on
+// a peer, so there are no deadlines.
+type procFabric struct {
+	eps []*procEndpoint
 
 	barMu   sync.Mutex
 	barCond *sync.Cond
 	arrived int
 	phase   int64
+	broken  bool // an endpoint closed: no barrier can complete again
 }
 
-// NewProcTransport builds the in-process mailbox fabric over n ranks.
-// NewWorld wraps it automatically; it is exported for symmetry with the
-// TCP transport and for transport-generic tests.
-func NewProcTransport(n int) Transport {
+// procEndpoint is one rank's view of a procFabric.
+type procEndpoint struct {
+	f      *procFabric
+	rank   int
+	box    mailbox // envelopes addressed to this rank
+	net    netCounters
+	closed atomic.Bool
+}
+
+// NewProcFabric builds an in-process fabric over n ranks and returns one
+// endpoint per rank, indexed by rank. Drive each from its own goroutine
+// (RunInProcess does) and Close every endpoint when done.
+func NewProcFabric(n int) []Transport {
 	if n < 1 {
 		panic(fmt.Sprintf("comm: world size must be ≥1, got %d", n))
 	}
-	t := &procTransport{n: n}
-	t.box.init()
-	t.barCond = sync.NewCond(&t.barMu)
-	return t
+	f := &procFabric{eps: make([]*procEndpoint, n)}
+	f.barCond = sync.NewCond(&f.barMu)
+	out := make([]Transport, n)
+	for r := range f.eps {
+		ep := &procEndpoint{f: f, rank: r}
+		ep.box.init()
+		f.eps[r], out[r] = ep, ep
+	}
+	return out
 }
 
-func (t *procTransport) Size() int { return t.n }
-func (t *procTransport) Self() int { return AllRanks }
+func (t *procEndpoint) Size() int { return len(t.f.eps) }
+func (t *procEndpoint) Self() int { return t.rank }
 
-func (t *procTransport) Send(from, to int, env *Envelope) error {
+func (t *procEndpoint) Send(from, to int, env *Envelope) error {
+	if from != t.rank {
+		return fmt.Errorf("comm: endpoint hosts rank %d, cannot send as rank %d", t.rank, from)
+	}
+	if to < 0 || to >= len(t.f.eps) {
+		return fmt.Errorf("comm: send to rank %d outside world of %d", to, len(t.f.eps))
+	}
+	if t.closed.Load() {
+		return ErrClosed
+	}
+	dst := t.f.eps[to]
+	if dst.closed.Load() {
+		return fmt.Errorf("comm: rank %d send to rank %d: %w", t.rank, to, ErrClosed)
+	}
+	if to != t.rank {
+		cp := *env
+		cp.F32, cp.U16 = slices.Clone(env.F32), slices.Clone(env.U16)
+		env = &cp
+	}
 	t.net.countSend(env.Tag, envelopePayloadBytes(env))
-	t.box.push(msgKey{src: from, dst: to, tag: env.Tag}, env)
+	dst.box.push(msgKey{src: from, dst: to, tag: env.Tag}, env)
 	return nil
 }
 
-func (t *procTransport) Recv(to, from, tag int) (*Envelope, error) {
+func (t *procEndpoint) Recv(to, from, tag int) (*Envelope, error) {
+	if to != t.rank {
+		return nil, fmt.Errorf("comm: endpoint hosts rank %d, cannot receive as rank %d", t.rank, to)
+	}
 	env, err := t.box.recv(msgKey{src: from, dst: to, tag: tag}, 0)
 	if err == nil {
 		t.net.countRecv(envelopePayloadBytes(env))
@@ -239,33 +271,63 @@ func (t *procTransport) Recv(to, from, tag int) (*Envelope, error) {
 	return env, err
 }
 
-// NetStats snapshots the fabric's traffic counters (whole-world totals on
-// the in-process transport — every rank shares the one endpoint).
-func (t *procTransport) NetStats() TransportStats { return t.net.stats() }
-
-func (t *procTransport) Poll(to, from, tag int) (*Envelope, bool, error) {
+func (t *procEndpoint) Poll(to, from, tag int) (*Envelope, bool, error) {
+	if to != t.rank {
+		return nil, false, fmt.Errorf("comm: endpoint hosts rank %d, cannot poll as rank %d", t.rank, to)
+	}
 	return t.box.poll(msgKey{src: from, dst: to, tag: tag})
 }
 
-// Barrier is a reusable sense-reversing barrier across all n ranks.
-func (t *procTransport) Barrier(int) error {
-	t.barMu.Lock()
-	defer t.barMu.Unlock()
-	phase := t.phase
-	t.arrived++
-	if t.arrived == t.n {
-		t.arrived = 0
-		t.phase++
-		t.barCond.Broadcast()
+// NetStats snapshots this rank's traffic counters.
+func (t *procEndpoint) NetStats() TransportStats { return t.net.stats() }
+
+// Barrier is a reusable sense-reversing barrier across all n ranks. It
+// fails with ErrClosed once any endpoint has closed.
+func (t *procEndpoint) Barrier(rank int) error {
+	if rank != t.rank {
+		return fmt.Errorf("comm: endpoint hosts rank %d, cannot barrier as rank %d", t.rank, rank)
+	}
+	f := t.f
+	f.barMu.Lock()
+	defer f.barMu.Unlock()
+	if f.broken {
+		return fmt.Errorf("comm: rank %d barrier: %w", t.rank, ErrClosed)
+	}
+	phase := f.phase
+	f.arrived++
+	if f.arrived == len(f.eps) {
+		f.arrived = 0
+		f.phase++
+		f.barCond.Broadcast()
 		return nil
 	}
-	for t.phase == phase {
-		t.barCond.Wait()
+	for f.phase == phase && !f.broken {
+		f.barCond.Wait()
+	}
+	if f.phase == phase {
+		return fmt.Errorf("comm: rank %d barrier: %w", t.rank, ErrClosed)
 	}
 	return nil
 }
 
-func (t *procTransport) Close() error {
+// Close shuts this rank's endpoint: its own operations fail with
+// ErrClosed, peers' receives from it fail once their queues drain (as a
+// dropped TCP connection does), and pending barriers are released with
+// ErrClosed. Idempotent.
+func (t *procEndpoint) Close() error {
+	if t.closed.Swap(true) {
+		return nil
+	}
 	t.box.fail(ErrClosed)
+	for _, ep := range t.f.eps {
+		if ep != t {
+			ep.box.failSrc(t.rank, fmt.Errorf("comm: rank %d closed: %w", t.rank, ErrClosed))
+		}
+	}
+	f := t.f
+	f.barMu.Lock()
+	f.broken = true
+	f.barMu.Unlock()
+	f.barCond.Broadcast()
 	return nil
 }

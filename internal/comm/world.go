@@ -2,11 +2,13 @@
 // torch.distributed + OneCCL in the paper: a fixed-size world of ranks
 // (one per CPU socket) with point-to-point messaging, AlltoAllV and
 // AllReduce collectives, and async send queues — over a pluggable
-// Transport. In-process mode runs every rank as a goroutine exchanging
-// real data through a shared mailbox, with a separate α–β cost model
-// (costmodel.go) accounting the wall-clock such traffic would cost on a
-// cluster fabric; TCP mode (tcp.go) runs each rank as its own OS process
-// over a real network, same World API, bit-identical collective results.
+// Transport. Every rank drives its own endpoint. In-process mode runs each
+// rank as a goroutine over a mailbox fabric that copies real data between
+// ranks, with a separate α–β cost model (costmodel.go) accounting the
+// wall-clock such traffic would cost on a cluster fabric; TCP mode
+// (tcp.go) runs each rank as its own OS process over a real network. One
+// collective implementation (collectives_net.go) serves both, so results
+// are bit-identical across fabrics.
 package comm
 
 import (
@@ -16,28 +18,18 @@ import (
 	"distgnn/internal/parallel"
 )
 
-// World is a communicator over N ranks. All collective operations are
-// synchronous across the full world and deterministic: reductions are
+// World is one rank's communicator over N ranks. All collective operations
+// are synchronous across the full world and deterministic: reductions are
 // applied in rank order regardless of arrival order, so distributed runs
 // are bit-reproducible — on the in-process fabric and over TCP alike.
 type World struct {
 	N int
 
-	// self is AllRanks when this World hosts every rank in-process;
-	// otherwise the single rank this endpoint represents.
 	self int
 	tr   Transport
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	arrived int
-	phase   int64
-	// collective scratch: per-rank contribution slots (in-process mode).
-	slots [][]float32
-	mats  [][][]float32
-	// collSeq reserves a fresh negative tag per collective on a
-	// transport-backed endpoint (collectives_net.go). User p2p tags are
-	// non-negative, so the spaces never collide.
+	// collSeq reserves a fresh negative tag per collective
+	// (collectives_net.go). User p2p tags are non-negative, so the spaces
+	// never collide.
 	collSeq int
 
 	// nonblocking point-to-point state (p2p.go).
@@ -45,176 +37,84 @@ type World struct {
 	forceSync bool
 }
 
-// NewWorld creates an in-process communicator over n ranks: every rank a
-// goroutine in this process, collectives through shared memory, p2p
-// through the in-process mailbox transport.
-func NewWorld(n int) *World {
-	if n < 1 {
-		panic(fmt.Sprintf("comm: world size must be ≥1, got %d", n))
-	}
-	w := &World{N: n, self: AllRanks, tr: NewProcTransport(n),
-		slots: make([][]float32, n), mats: make([][][]float32, n)}
-	w.cond = sync.NewCond(&w.mu)
-	return w
-}
-
-// NewWorldTransport wraps a single-rank Transport endpoint (one OS process
-// per rank, e.g. a TCPTransport) in a World. Collectives run over the
-// transport's point-to-point fabric with the same rank-ordered float
-// reductions as the in-process World, so results are bit-identical.
+// NewWorldTransport wraps one rank's Transport endpoint in a World.
 func NewWorldTransport(t Transport) *World {
-	if t.Self() == AllRanks {
-		panic("comm: NewWorldTransport needs a single-rank endpoint; use NewWorld for the in-process fabric")
-	}
-	w := &World{N: t.Size(), self: t.Self(), tr: t}
-	w.cond = sync.NewCond(&w.mu)
-	return w
+	return &World{N: t.Size(), self: t.Self(), tr: t}
 }
 
-// Transport returns the fabric under this world.
+// Transport returns the endpoint under this world.
 func (w *World) Transport() Transport { return w.tr }
 
-// Self returns the rank this endpoint hosts, or AllRanks for the
-// in-process world.
+// Self returns the rank this endpoint hosts.
 func (w *World) Self() int { return w.self }
 
-// remote reports whether this World is a single-rank transport endpoint.
-func (w *World) remote() bool { return w.self != AllRanks }
-
-// checkSelf panics if a remote endpoint is driven as a rank it does not
-// host — on the in-process world every rank is local, so any is fine.
+// checkSelf panics if the world is driven as a rank it does not host.
 func (w *World) checkSelf(op string, rank int) {
-	if w.remote() && rank != w.self {
+	if rank != w.self {
 		panic(fmt.Sprintf("comm: %s as rank %d on an endpoint hosting rank %d", op, rank, w.self))
 	}
 }
 
 // Barrier blocks until all N ranks have called it.
 func (w *World) Barrier() {
-	if w.remote() {
-		if err := w.tr.Barrier(w.self); err != nil {
-			panic(err)
-		}
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.arriveLocked()
-}
-
-// arriveLocked implements a reusable (sense-reversing) barrier. The caller
-// must hold w.mu.
-func (w *World) arriveLocked() {
-	phase := w.phase
-	w.arrived++
-	if w.arrived == w.N {
-		w.arrived = 0
-		w.phase++
-		w.cond.Broadcast()
-		return
-	}
-	for w.phase == phase {
-		w.cond.Wait()
+	if err := w.tr.Barrier(w.self); err != nil {
+		panic(err)
 	}
 }
 
-// AllReduceSum sums data elementwise across all ranks; every rank's buffer
-// holds the total on return. Reduction is in rank order for determinism.
-// All ranks must pass equal-length buffers.
-func (w *World) AllReduceSum(rank int, data []float32) {
-	if w.remote() {
-		w.netAllReduceSum(rank, data)
-		return
+// RunInProcess builds an n-rank in-process fabric, runs fn once per rank
+// with that rank's World, waits for every rank, and closes the fabric.
+func RunInProcess(n int, fn func(w *World)) {
+	eps := NewProcFabric(n)
+	defer CloseAll(eps)
+	ws := make([]*World, n)
+	for r, ep := range eps {
+		ws[r] = NewWorldTransport(ep)
 	}
-	w.mu.Lock()
-	w.slots[rank] = data
-	w.arriveLocked()
-	// All contributions visible. Rank 0 reduces into a shared result held
-	// in slot 0's backing array? No — every rank reduces deterministically
-	// into its own buffer from the slot snapshot; slots stay valid until
-	// the trailing barrier.
-	slots := make([][]float32, w.N)
-	copy(slots, w.slots)
-	w.mu.Unlock()
-
-	if len(slots[0]) != len(data) {
-		panic(fmt.Sprintf("comm: AllReduceSum length mismatch: rank %d has %d, rank 0 has %d",
-			rank, len(data), len(slots[0])))
-	}
-	out := reduceScratch.GetZeroed(len(data))
-	for r := 0; r < w.N; r++ {
-		src := slots[r]
-		for i, v := range src {
-			out[i] += v
-		}
-	}
-
-	w.mu.Lock()
-	w.arriveLocked() // everyone done reading slots
-	w.slots[rank] = nil
-	w.mu.Unlock()
-	// data aliases this rank's slot; writing it is only safe once every
-	// rank has passed the closing barrier above.
-	copy(data, out)
-	reduceScratch.Put(out)
+	RunRanks(ws, fn)
 }
 
-// reduceScratch recycles the per-rank reduction buffers — AllReduceSum runs
+// RunRanks runs fn once per world, each on its own goroutine, and waits
+// for all of them. Ranks block on one another, so each needs a dedicated
+// goroutine rather than a slot in the bounded kernel pool. If a rank
+// panics, every world's endpoint is closed so its peers fail with
+// ErrClosed instead of blocking forever, and the first panic is re-raised
+// once all ranks settle.
+func RunRanks(ws []*World, fn func(w *World)) {
+	var (
+		once  sync.Once
+		first any
+		wg    sync.WaitGroup
+	)
+	for _, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					once.Do(func() { first = p })
+					for _, w := range ws {
+						w.tr.Close()
+					}
+				}
+			}()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
+}
+
+// CloseAll closes every endpoint of a fabric.
+func CloseAll(eps []Transport) {
+	for _, ep := range eps {
+		ep.Close()
+	}
+}
+
+// reduceScratch recycles the rank-0 reduction buffers — AllReduceSum runs
 // once per epoch per rank over the full flattened gradient, which used to
 // allocate the whole buffer every time.
 var reduceScratch parallel.Scratch[float32]
-
-// AlltoAllV exchanges variable-length float32 buffers: send[j] goes to rank
-// j, and the returned recv[j] is the buffer rank j sent to this rank.
-// Every rank must pass a send slice of length N (nil entries mean empty).
-// Returned buffers are copies owned by the caller.
-func (w *World) AlltoAllV(rank int, send [][]float32) [][]float32 {
-	if len(send) != w.N {
-		panic(fmt.Sprintf("comm: AlltoAllV rank %d passed %d buffers, world size %d",
-			rank, len(send), w.N))
-	}
-	if w.remote() {
-		return w.netAlltoAllV(rank, send)
-	}
-	w.mu.Lock()
-	w.mats[rank] = send
-	w.arriveLocked()
-	mats := make([][][]float32, w.N)
-	copy(mats, w.mats)
-	w.mu.Unlock()
-
-	recv := make([][]float32, w.N)
-	for src := 0; src < w.N; src++ {
-		buf := mats[src][rank]
-		if len(buf) == 0 {
-			continue
-		}
-		out := make([]float32, len(buf))
-		copy(out, buf)
-		recv[src] = out
-	}
-
-	w.mu.Lock()
-	w.arriveLocked()
-	w.mats[rank] = nil
-	w.mu.Unlock()
-	return recv
-}
-
-// Run spawns fn for every rank and waits for all to return. Ranks block on
-// barriers, so each needs a dedicated goroutine — they run on a
-// parallel.Group rather than the bounded kernel pool, which re-raises the
-// first panic (if any) after all goroutines settle so tests fail cleanly
-// rather than deadlock. Only the in-process world can host every rank; a
-// transport endpoint panics.
-func (w *World) Run(fn func(rank int)) {
-	if w.remote() {
-		panic(fmt.Sprintf("comm: Run on an endpoint hosting only rank %d — drive that rank directly", w.self))
-	}
-	var g parallel.Group
-	for r := 0; r < w.N; r++ {
-		rank := r
-		g.Go(func() { fn(rank) })
-	}
-	g.Wait()
-}

@@ -7,9 +7,9 @@ import (
 )
 
 func TestBarrierSynchronizes(t *testing.T) {
-	w := NewWorld(8)
 	var before, after atomic.Int32
-	w.Run(func(rank int) {
+	RunInProcess(8, func(w *World) {
+		rank := w.Self()
 		before.Add(1)
 		w.Barrier()
 		if got := before.Load(); got != 8 {
@@ -23,9 +23,8 @@ func TestBarrierSynchronizes(t *testing.T) {
 }
 
 func TestBarrierReusable(t *testing.T) {
-	w := NewWorld(4)
 	counter := make([]int32, 10)
-	w.Run(func(rank int) {
+	RunInProcess(4, func(w *World) {
 		for round := 0; round < 10; round++ {
 			atomic.AddInt32(&counter[round], 1)
 			w.Barrier()
@@ -38,9 +37,9 @@ func TestBarrierReusable(t *testing.T) {
 }
 
 func TestAllReduceSum(t *testing.T) {
-	w := NewWorld(5)
 	results := make([][]float32, 5)
-	w.Run(func(rank int) {
+	RunInProcess(5, func(w *World) {
+		rank := w.Self()
 		data := []float32{float32(rank), 1, float32(rank * rank)}
 		w.AllReduceSum(rank, data)
 		results[rank] = data
@@ -59,7 +58,6 @@ func TestAllReduceSum(t *testing.T) {
 func TestAllReduceSumDeterministicOrder(t *testing.T) {
 	// Float addition isn't associative; the reduction must be applied in
 	// rank order so every rank computes bit-identical results, every run.
-	w := NewWorld(7)
 	rng := rand.New(rand.NewSource(42))
 	inputs := make([][]float32, 7)
 	for r := range inputs {
@@ -70,7 +68,8 @@ func TestAllReduceSumDeterministicOrder(t *testing.T) {
 	}
 	run := func() [][]float32 {
 		out := make([][]float32, 7)
-		w.Run(func(rank int) {
+		RunInProcess(7, func(w *World) {
+			rank := w.Self()
 			data := append([]float32(nil), inputs[rank]...)
 			w.AllReduceSum(rank, data)
 			out[rank] = data
@@ -92,9 +91,9 @@ func TestAllReduceSumDeterministicOrder(t *testing.T) {
 
 func TestAlltoAllV(t *testing.T) {
 	const n = 4
-	w := NewWorld(n)
 	recvAll := make([][][]float32, n)
-	w.Run(func(rank int) {
+	RunInProcess(n, func(w *World) {
+		rank := w.Self()
 		send := make([][]float32, n)
 		for dst := 0; dst < n; dst++ {
 			// rank sends [rank*10+dst] repeated (dst+1) times to dst.
@@ -123,8 +122,8 @@ func TestAlltoAllV(t *testing.T) {
 
 func TestAlltoAllVEmptyBuffers(t *testing.T) {
 	const n = 3
-	w := NewWorld(n)
-	w.Run(func(rank int) {
+	RunInProcess(n, func(w *World) {
+		rank := w.Self()
 		send := make([][]float32, n) // all nil
 		if rank == 0 {
 			send[1] = []float32{7}
@@ -146,9 +145,9 @@ func TestAlltoAllVEmptyBuffers(t *testing.T) {
 
 func TestAlltoAllVReturnsCopies(t *testing.T) {
 	const n = 2
-	w := NewWorld(n)
 	src := []float32{1, 2, 3}
-	w.Run(func(rank int) {
+	RunInProcess(n, func(w *World) {
+		rank := w.Self()
 		send := make([][]float32, n)
 		if rank == 0 {
 			send[1] = src
@@ -164,8 +163,8 @@ func TestAlltoAllVReturnsCopies(t *testing.T) {
 }
 
 func TestRepeatedCollectivesInterleaved(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(rank int) {
+	RunInProcess(3, func(w *World) {
+		rank := w.Self()
 		for iter := 0; iter < 20; iter++ {
 			data := []float32{float32(rank + iter)}
 			w.AllReduceSum(rank, data)
@@ -226,5 +225,15 @@ func TestWorldRejectsBadSize(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewWorld(0)
+	NewProcFabric(0)
+}
+
+// procWorlds builds an n-rank in-process fabric with one World per rank,
+// for tests that drive several ranks from one goroutine.
+func procWorlds(n int) []*World {
+	ws := make([]*World, n)
+	for r, ep := range NewProcFabric(n) {
+		ws[r] = NewWorldTransport(ep)
+	}
+	return ws
 }

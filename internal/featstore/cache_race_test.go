@@ -76,12 +76,13 @@ func TestShardedGatherCountersReconcileUnderRace(t *testing.T) {
 	)
 	feats := testMatrix(n, dim, 7)
 	owners := ownersRoundRobin(n, shards)
-	tr := comm.NewProcTransport(shards)
+	eps := comm.NewProcFabric(shards)
+	defer comm.CloseAll(eps)
 	stores := make([]*Sharded, shards)
 	for r := range stores {
 		st, err := NewSharded(ShardedConfig{
-			Rank: r, Shards: shards, Transport: tr,
-			Owners: owners, Features: feats, CacheBytes: 1 << 20,
+			Transport: eps[r],
+			Owners:    owners, Features: feats, CacheBytes: 1 << 20,
 		})
 		if err != nil {
 			t.Fatal(err)

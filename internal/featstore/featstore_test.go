@@ -69,14 +69,14 @@ func TestShardedGatherExact(t *testing.T) {
 
 	for _, cacheBytes := range []int64{0, 1 << 20} {
 		// Fresh fabric per arm: ReqRep responder goroutines outlive Close
-		// (they exit with the transport), so reusing one transport would let
+		// (they exit with the transport), so reusing one fabric would let
 		// the previous arm's stores answer this arm's fetches.
-		tr := comm.NewProcTransport(shards)
+		eps := comm.NewProcFabric(shards)
 		stores := make([]*Sharded, shards)
 		for r := range stores {
 			st, err := NewSharded(ShardedConfig{
-				Rank: r, Shards: shards, Transport: tr,
-				Owners: owners, Features: feats, CacheBytes: cacheBytes,
+				Transport: eps[r],
+				Owners:    owners, Features: feats, CacheBytes: cacheBytes,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -135,6 +135,7 @@ func TestShardedGatherExact(t *testing.T) {
 		for _, st := range stores {
 			st.Close()
 		}
+		comm.CloseAll(eps)
 	}
 }
 
@@ -144,12 +145,13 @@ func TestShardedGatherRejectsWrongOwner(t *testing.T) {
 	const n, dim, shards = 20, 4, 2
 	feats := testMatrix(n, dim, 3)
 	owners := ownersRoundRobin(n, shards)
-	tr := comm.NewProcTransport(shards)
+	eps := comm.NewProcFabric(shards)
+	defer comm.CloseAll(eps)
 	stores := make([]*Sharded, shards)
 	for r := range stores {
 		st, err := NewSharded(ShardedConfig{
-			Rank: r, Shards: shards, Transport: tr,
-			Owners: owners, Features: feats,
+			Transport: eps[r],
+			Owners:    owners, Features: feats,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -167,16 +169,14 @@ func TestShardedGatherRejectsWrongOwner(t *testing.T) {
 
 func TestNewShardedValidation(t *testing.T) {
 	feats := testMatrix(10, 2, 4)
-	tr := comm.NewProcTransport(2)
+	eps := comm.NewProcFabric(2)
+	defer comm.CloseAll(eps)
 	owners := ownersRoundRobin(10, 2)
 	cases := []ShardedConfig{
-		{Rank: 0, Shards: 0, Transport: tr, Owners: owners, Features: feats},
-		{Rank: 2, Shards: 2, Transport: tr, Owners: owners, Features: feats},
-		{Rank: 0, Shards: 2, Owners: owners, Features: feats},
-		{Rank: 0, Shards: 3, Transport: tr, Owners: owners, Features: feats},
-		{Rank: 0, Shards: 2, Transport: tr, Owners: owners[:5], Features: feats},
-		{Rank: 0, Shards: 2, Transport: tr, Owners: owners},
-		{Rank: 0, Shards: 2, Transport: tr, Owners: ownersRoundRobin(10, 3), Features: feats},
+		{Owners: owners, Features: feats},
+		{Transport: eps[0], Owners: owners[:5], Features: feats},
+		{Transport: eps[0], Owners: owners},
+		{Transport: eps[0], Owners: ownersRoundRobin(10, 3), Features: feats},
 	}
 	for i, cfg := range cases {
 		if _, err := NewSharded(cfg); err == nil {

@@ -53,13 +53,13 @@ type Sharded struct {
 
 // ShardedConfig configures one rank's slice of a sharded feature store.
 type ShardedConfig struct {
-	// Rank is this store's rank; Shards the fleet size.
-	Rank, Shards int
-	// Transport is the established comm fabric over exactly Shards ranks —
-	// a single-rank endpoint (TCP) or the shared in-process transport. It
-	// stays owned by the caller; Close does not close it.
+	// Transport is this rank's endpoint of the established comm fabric
+	// (TCP or in-process); the store's rank and the fleet size are its
+	// Self() and Size(). It stays owned by the caller; Close does not
+	// close it.
 	Transport comm.Transport
-	// Owners maps every global vertex ID to its owner rank in [0, Shards).
+	// Owners maps every global vertex ID to its owner rank in
+	// [0, Transport.Size()).
 	// Every rank must derive the identical table (it is a pure function of
 	// the deterministic partitioning).
 	Owners []int32
@@ -111,19 +111,10 @@ func (s ShardedStats) HaloHitRate() float64 {
 // NewSharded materializes this rank's owned feature slice and starts
 // answering peers' halo fetches on the transport's reserved tag range.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("featstore: shard count must be ≥1, got %d", cfg.Shards)
-	}
-	if cfg.Rank < 0 || cfg.Rank >= cfg.Shards {
-		return nil, fmt.Errorf("featstore: rank %d outside [0,%d)", cfg.Rank, cfg.Shards)
-	}
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("featstore: sharded store needs a comm.Transport")
 	}
-	if cfg.Transport.Size() != cfg.Shards {
-		return nil, fmt.Errorf("featstore: transport spans %d ranks, shard fleet has %d",
-			cfg.Transport.Size(), cfg.Shards)
-	}
+	rank, shards := cfg.Transport.Self(), cfg.Transport.Size()
 	if cfg.Features == nil {
 		return nil, fmt.Errorf("featstore: sharded store needs the feature matrix")
 	}
@@ -132,7 +123,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			len(cfg.Owners), cfg.Features.Rows)
 	}
 	st := &Sharded{
-		rank: cfg.Rank, shards: cfg.Shards,
+		rank: rank, shards: shards,
 		owners:  cfg.Owners,
 		featDim: cfg.Features.Cols,
 		slabRow: make([]int32, cfg.Features.Rows),
@@ -146,11 +137,11 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	owned := 0
 	for v := range st.slabRow {
 		o := cfg.Owners[v]
-		if o < 0 || int(o) >= cfg.Shards {
+		if o < 0 || int(o) >= shards {
 			return nil, fmt.Errorf("featstore: vertex %d owned by shard %d outside [0,%d)",
-				v, o, cfg.Shards)
+				v, o, shards)
 		}
-		if o == int32(cfg.Rank) {
+		if o == int32(rank) {
 			st.slabRow[v] = int32(owned)
 			owned++
 		} else {
@@ -165,7 +156,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	}
 
 	var err error
-	st.rr, err = comm.NewReqRepTraced(cfg.Transport, cfg.Rank, st.handleFetch)
+	st.rr, err = comm.NewReqRepTraced(cfg.Transport, st.handleFetch)
 	if err != nil {
 		return nil, err
 	}

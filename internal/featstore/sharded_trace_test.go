@@ -17,14 +17,15 @@ func TestGatherSplitTraced(t *testing.T) {
 	const n, dim, shards = 40, 4, 2
 	feats := testMatrix(n, dim, 3)
 	owners := ownersRoundRobin(n, shards)
-	tr := comm.NewProcTransport(shards)
+	eps := comm.NewProcFabric(shards)
+	defer comm.CloseAll(eps)
 	tracers := make([]*obs.Tracer, shards)
 	stores := make([]*Sharded, shards)
 	for r := range stores {
 		tracers[r] = obs.NewTracer(obs.TracerConfig{Role: "server", Rank: r})
 		st, err := NewSharded(ShardedConfig{
-			Rank: r, Shards: shards, Transport: tr,
-			Owners: owners, Features: feats,
+			Transport: eps[r],
+			Owners:    owners, Features: feats,
 			Tracer: tracers[r],
 		})
 		if err != nil {

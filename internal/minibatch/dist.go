@@ -92,28 +92,26 @@ func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error)
 	}
 	feats := spmm.RowsOf(ds.Features)
 	resident := func(s *Sample) (spmm.FeatRows, []int32, error) { return feats, s.InputFrontier(), nil }
-	return runRanks(cfg, nil, func(world *comm.World, rank int) (*DistResult, error) {
-		return trainRank(ds, cfg, world, rank, resident)
+	return runRanks(cfg, nil, func(world *comm.World) (*DistResult, error) {
+		return trainRank(ds, cfg, world, resident)
 	})
 }
 
 // runRanks sizes the kernel pool from cfg.Workers, then runs rank on every
-// rank this process hosts: all NumRanks of a fresh in-process world when tr
-// is nil, else the single rank of the endpoint tr. It returns rank 0's
+// rank this process hosts: all NumRanks of a fresh in-process fabric when
+// tr is nil, else the single rank of the endpoint tr. It returns rank 0's
 // result (or the endpoint's own), with every in-process rank's HaloStats
 // entry folded in.
-func runRanks(cfg DistConfig, tr comm.Transport, rank func(world *comm.World, rank int) (*DistResult, error)) (*DistResult, error) {
+func runRanks(cfg DistConfig, tr comm.Transport, rank func(world *comm.World) (*DistResult, error)) (*DistResult, error) {
 	if cfg.Workers > 0 {
 		parallel.Configure(parallel.Config{Workers: cfg.Workers})
 	}
 	if tr != nil {
-		world := comm.NewWorldTransport(tr)
-		return rank(world, world.Self())
+		return rank(comm.NewWorldTransport(tr))
 	}
-	world := comm.NewWorld(cfg.NumRanks)
 	results := make([]*DistResult, cfg.NumRanks)
 	errs := make([]error, cfg.NumRanks)
-	world.Run(func(r int) { results[r], errs[r] = rank(world, r) })
+	comm.RunInProcess(cfg.NumRanks, func(w *comm.World) { results[w.Self()], errs[w.Self()] = rank(w) })
 	for r, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("minibatch: rank %d: %w", r, err)
@@ -147,7 +145,8 @@ type sampledBatch struct {
 // on where src reads features from: a sharded gather returns the resident
 // matrix's exact bits, and AggregateGCN gives the same bits over a gathered
 // matrix as over the store through the frontier.
-func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, rank int, src featureSource) (*DistResult, error) {
+func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src featureSource) (*DistResult, error) {
+	rank := world.Self()
 	shards := shardTrainIdx(ds.TrainIdx, cfg.Seed, cfg.NumRanks)
 	// All ranks must execute the same number of synchronized steps per
 	// epoch; ranks that run out of local batches contribute zero gradients.

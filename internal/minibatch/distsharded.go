@@ -28,7 +28,7 @@ import (
 type ShardedTrainConfig struct {
 	DistConfig
 	// Transport selects the fabric. Nil runs all NumRanks ranks in this
-	// process over a fresh in-process world. A single-rank endpoint (TCP)
+	// process over a fresh in-process fabric. A single-rank endpoint (TCP)
 	// runs rank Transport.Self() in this process; the caller launches one
 	// process per rank. The transport stays owned by the caller.
 	Transport comm.Transport
@@ -64,9 +64,9 @@ func TrainSharded(ds *datasets.Dataset, cfg ShardedTrainConfig) (*DistResult, er
 	}
 	owners := pt.Owners()
 
-	return runRanks(cfg.DistConfig, cfg.Transport, func(world *comm.World, rank int) (*DistResult, error) {
+	return runRanks(cfg.DistConfig, cfg.Transport, func(world *comm.World) (*DistResult, error) {
+		rank := world.Self()
 		store, err := featstore.NewSharded(featstore.ShardedConfig{
-			Rank: rank, Shards: cfg.NumRanks,
 			Transport:  world.Transport(),
 			Owners:     owners,
 			Features:   ds.Features,
@@ -76,7 +76,7 @@ func TrainSharded(ds *datasets.Dataset, cfg ShardedTrainConfig) (*DistResult, er
 			return nil, err
 		}
 		defer store.Close()
-		res, err := trainRank(ds, cfg.DistConfig, world, rank, func(s *Sample) (spmm.FeatRows, []int32, error) {
+		res, err := trainRank(ds, cfg.DistConfig, world, func(s *Sample) (spmm.FeatRows, []int32, error) {
 			frontier := s.InputFrontier()
 			x, err := store.GatherSplit(frontier, featstore.SplitByOwner(frontier, owners, cfg.NumRanks))
 			return spmm.RowsOf(x), nil, err

@@ -81,11 +81,9 @@ func TestHealthzSchemaGolden(t *testing.T) {
 		t.Fatalf("single /healthz build/model info missing: %v", obj)
 	}
 
-	tr := comm.NewProcTransport(2)
-	defer tr.Close()
-	shard, err := NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{
-		Rank: 1, Shards: 2, Transport: tr,
-	})
+	eps := comm.NewProcFabric(2)
+	defer comm.CloseAll(eps)
+	shard, err := NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{Transport: eps[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +305,7 @@ func newObsFleet(t *testing.T) *obsFleet {
 			Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
 			Metrics: reg, Tracer: tracer,
 		}, ShardConfig{
-			Rank: r, Shards: shards, Transport: eps[r],
+			Transport: eps[r],
 			HTTPPeers: peers, RemoteCacheBytes: 1 << 20,
 		})
 		if err != nil {

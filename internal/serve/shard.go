@@ -103,11 +103,10 @@ func (r *Router) Addr(rank int) string {
 
 // ShardConfig configures one rank of a sharded serving fleet.
 type ShardConfig struct {
-	// Rank is this engine's rank; Shards the fleet size.
-	Rank, Shards int
-	// Transport is the established comm fabric over exactly Shards ranks —
-	// a single-rank TCP endpoint or the shared in-process transport. It
-	// stays owned by the caller; Server.Close does not close it.
+	// Transport is this rank's endpoint of the established comm fabric
+	// (TCP or in-process); the engine's rank and the fleet size are its
+	// Self() and Size(). It stays owned by the caller; Server.Close does
+	// not close it.
 	Transport comm.Transport
 	// HTTPPeers lists the fleet's HTTP addresses (any order, keyed by
 	// rank) so non-owner ranks can proxy requests to the owner. Optional:
@@ -174,31 +173,22 @@ type shardState struct {
 }
 
 func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardState, error) {
-	if sc.Shards < 1 {
-		return nil, fmt.Errorf("serve: shard count must be ≥1, got %d", sc.Shards)
-	}
-	if sc.Rank < 0 || sc.Rank >= sc.Shards {
-		return nil, fmt.Errorf("serve: shard rank %d outside [0,%d)", sc.Rank, sc.Shards)
-	}
 	if sc.Transport == nil {
 		return nil, fmt.Errorf("serve: shard mode needs a comm.Transport")
 	}
-	if sc.Transport.Size() != sc.Shards {
-		return nil, fmt.Errorf("serve: transport spans %d ranks, shard fleet has %d",
-			sc.Transport.Size(), sc.Shards)
-	}
+	rank, shards := sc.Transport.Self(), sc.Transport.Size()
 	if sc.PartitionSeed == 0 {
 		sc.PartitionSeed = 1
 	}
 	if sc.Partitioner == nil {
 		sc.Partitioner = partition.Libra{Seed: sc.PartitionSeed}
 	}
-	pt, err := partition.Partition(ds.G, sc.Partitioner, sc.Shards, sc.PartitionSeed)
+	pt, err := partition.Partition(ds.G, sc.Partitioner, shards, sc.PartitionSeed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard partitioning: %w", err)
 	}
 	owners := pt.Owners()
-	router, err := NewRouter(owners, sc.Shards, sc.HTTPPeers)
+	router, err := NewRouter(owners, shards, sc.HTTPPeers)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +197,6 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 		cacheBytes = cfg.FeatureCacheBytes
 	}
 	fs, err := featstore.NewSharded(featstore.ShardedConfig{
-		Rank: sc.Rank, Shards: sc.Shards,
 		Transport:  sc.Transport,
 		Owners:     owners,
 		Features:   ds.Features,
@@ -222,7 +211,7 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 		router:      router,
 		g:           ds.G,
 		fs:          fs,
-		haloStatic:  len(pt.Halo(sc.Rank)),
+		haloStatic:  len(pt.Halo(rank)),
 	}
 	if src, ok := sc.Transport.(comm.NetStatsSource); ok {
 		st.net = src

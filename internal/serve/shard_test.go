@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"distgnn/internal/datasets"
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
+	"distgnn/internal/obs"
 	"distgnn/internal/partition"
 	"distgnn/internal/tensor"
 )
@@ -84,10 +87,7 @@ func newShardFleet(t *testing.T, ds *datasets.Dataset, ckpt []byte, cfg Config,
 	f := &shardFleet{}
 	switch transport {
 	case "inproc":
-		tr := comm.NewProcTransport(shards)
-		for r := 0; r < shards; r++ {
-			f.fabrics = append(f.fabrics, tr)
-		}
+		f.fabrics = comm.NewProcFabric(shards)
 	case "tcp":
 		eps, err := comm.NewLoopbackTCP(shards, 20*time.Second)
 		if err != nil {
@@ -113,7 +113,7 @@ func newShardFleet(t *testing.T, ds *datasets.Dataset, ckpt []byte, cfg Config,
 	}
 	for r := 0; r < shards; r++ {
 		srv, err := NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{
-			Rank: r, Shards: shards, Transport: f.fabrics[r],
+			Transport: f.fabrics[r],
 			HTTPPeers: peers, RemoteCacheBytes: remoteCacheBytes,
 		})
 		if err != nil {
@@ -136,13 +136,7 @@ func (f *shardFleet) close() {
 	for _, s := range f.servers {
 		s.Close()
 	}
-	seen := map[comm.Transport]bool{}
-	for _, tr := range f.fabrics {
-		if !seen[tr] {
-			seen[tr] = true
-			tr.Close()
-		}
-	}
+	comm.CloseAll(f.fabrics)
 }
 
 // TestCrossShardServingConformance is the acceptance pin: exact-mode logits
@@ -402,23 +396,89 @@ func rowsMatch(got, want []float32) error {
 	return nil
 }
 
+// TestShardNetStatsPerRank pins per-shard fabric accounting on an
+// in-process fleet: each shard's distgnn_net_sent_bytes_total counts only
+// the payload that shard sent — its halo requests and the replies it
+// served — and the per-shard figures sum to the fabric's totals.
+func TestShardNetStatsPerRank(t *testing.T) {
+	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
+	const shards = 2
+	eps := comm.NewProcFabric(shards)
+	defer comm.CloseAll(eps)
+	regs := make([]*obs.Registry, shards)
+	srvs := make([]*Server, shards)
+	for r := range eps {
+		regs[r] = obs.NewRegistry()
+		srv, err := NewShard(ds, bytes.NewReader(ckpt), Config{
+			Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2, Metrics: regs[r],
+		}, ShardConfig{Transport: eps[r], RemoteCacheBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srvs[r] = srv
+	}
+	probe := make([]int32, 40)
+	for i := range probe {
+		probe[i] = int32(i * ds.G.NumVertices / len(probe))
+	}
+	for r, srv := range srvs {
+		if _, err := srv.Engine().Infer(probe); err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	scrape := func(reg *obs.Registry, name string) int64 {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s value %q: %v", name, v, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("metric %s not exported", name)
+		return 0
+	}
+	var sent, recv int64
+	for r, srv := range srvs {
+		st := srv.StatsSnapshot().Shard
+		// A request is the id word plus one word per vertex; a reply the
+		// status word plus the served rows.
+		own := 4*(st.HaloFetches+st.HaloFetchedVertices) + 4*st.PeerServedFetches + st.PeerServedBytes
+		if own == 0 {
+			t.Fatalf("rank %d never used the fabric: %+v", r, st)
+		}
+		if got := scrape(regs[r], "distgnn_net_sent_bytes_total"); got != own {
+			t.Fatalf("rank %d reports %d sent bytes, its own sends are %d", r, got, own)
+		}
+		sent += scrape(regs[r], "distgnn_net_sent_bytes_total")
+		recv += scrape(regs[r], "distgnn_net_recv_bytes_total")
+	}
+	if sent != recv {
+		t.Fatalf("per-shard sends sum to %d bytes, per-shard receives to %d", sent, recv)
+	}
+}
+
 // TestShardModeRejectsMisconfiguration pins the fail-fast contract for the
 // sharded constructor.
 func TestShardModeRejectsMisconfiguration(t *testing.T) {
 	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
 	cfg := Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}
-	tr := comm.NewProcTransport(2)
-	defer tr.Close()
+	eps := comm.NewProcFabric(2)
+	defer comm.CloseAll(eps)
 	cases := []struct {
 		name string
 		cfg  Config
 		sc   ShardConfig
 	}{
 		{"sampled", Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2, Fanouts: []int{5, 5}},
-			ShardConfig{Rank: 0, Shards: 2, Transport: tr}},
-		{"no transport", cfg, ShardConfig{Rank: 0, Shards: 2}},
-		{"rank out of range", cfg, ShardConfig{Rank: 2, Shards: 2, Transport: tr}},
-		{"world mismatch", cfg, ShardConfig{Rank: 0, Shards: 3, Transport: tr}},
+			ShardConfig{Transport: eps[0]}},
+		{"no transport", cfg, ShardConfig{}},
 	}
 	for _, tc := range cases {
 		if _, err := NewShard(ds, bytes.NewReader(ckpt), tc.cfg, tc.sc); err == nil {

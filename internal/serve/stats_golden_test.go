@@ -168,11 +168,9 @@ func TestStatsSchemaGolden(t *testing.T) {
 		t.Fatalf("single-process /stats schema drifted:\n got %v\nwant %v", got, statsGoldenKeys)
 	}
 
-	tr := comm.NewProcTransport(2)
-	defer tr.Close()
-	shard, err := NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{
-		Rank: 0, Shards: 2, Transport: tr,
-	})
+	eps := comm.NewProcFabric(2)
+	defer comm.CloseAll(eps)
+	shard, err := NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{Transport: eps[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,63 @@ package train
 import (
 	"testing"
 
+	"distgnn/internal/comm"
+	"distgnn/internal/datasets"
 	"distgnn/internal/nn"
 	"distgnn/internal/quant"
 )
 
-// snapshotParams flattens rank 0's parameter values (not gradients).
-func snapshotParams(t *testing.T, s *distState, rank int) []float32 {
-	t.Helper()
-	params := s.ranks[rank].model.Params()
+// snapshotParams flattens a rank's parameter values (not gradients).
+func snapshotParams(r *rankCtx) []float32 {
+	params := r.model.Params()
 	buf := make([]float32, nn.TotalElements(params))
 	nn.FlattenParamsInto(buf, params, false)
 	return buf
+}
+
+// fleetTrace records a fleet run epoch by epoch: every rank's epoch stats
+// and parameter snapshots, and the final accuracies.
+type fleetTrace struct {
+	stats             [][]DistEpochStat // [rank][epoch]
+	params            [][][]float32     // [rank][epoch]
+	trainAcc, testAcc float64
+}
+
+// traceFleet drives one rank per endpoint through every epoch and the
+// evaluation exactly as DistributedFleet does, recording as it goes.
+func traceFleet(t *testing.T, ds *datasets.Dataset, cfg DistConfig, eps []comm.Transport) *fleetTrace {
+	t.Helper()
+	su, err := newDistSetup(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds, ranks, err := su.newRanks(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ranks)
+	tr := &fleetTrace{stats: make([][]DistEpochStat, n), params: make([][][]float32, n)}
+	comm.RunRanks(worlds, func(w *comm.World) {
+		rank := w.Self()
+		r := ranks[rank]
+		for e := 0; e < cfg.Epochs; e++ {
+			tr.stats[rank] = append(tr.stats[rank], r.runEpoch(e))
+			tr.params[rank] = append(tr.params[rank], snapshotParams(r))
+		}
+		trainAcc, testAcc := r.evaluate()
+		if rank == 0 {
+			tr.trainAcc, tr.testAcc = trainAcc, testAcc
+		}
+	})
+	return tr
+}
+
+// traceInProcess is traceFleet over a fresh in-process fabric.
+func traceInProcess(t *testing.T, ds *datasets.Dataset, cfg DistConfig) *fleetTrace {
+	t.Helper()
+	eps := comm.NewProcFabric(cfg.NumPartitions)
+	defer comm.CloseAll(eps)
+	return traceFleet(t, ds, cfg, eps)
 }
 
 // TestCDRSConformsToCDR is the cd-rs conformance harness: the overlapped
@@ -46,28 +92,21 @@ func TestCDRSConformsToCDR(t *testing.T) {
 		}
 		refCfg := base
 		refCfg.Algo = AlgoCDR
-		ref, err := newDistState(ds, refCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := traceInProcess(t, ds, refCfg)
 		ovlCfg := base
 		ovlCfg.Algo = AlgoCDRS
 		ovlCfg.ForceSyncOverlap = tc.forceSync
-		ovl, err := newDistState(ds, ovlCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ovl := traceInProcess(t, ds, ovlCfg)
 
 		for e := 0; e < epochs; e++ {
-			refStat := ref.runEpoch(e)
-			ovlStat := ovl.runEpoch(e)
+			refStat, ovlStat := ref.stats[0][e], ovl.stats[0][e]
 			if refStat.Loss != ovlStat.Loss {
 				t.Fatalf("k=%d force=%v %v epoch %d: loss %v (cd-r) vs %v (cd-rs)",
 					tc.sockets, tc.forceSync, tc.prec, e, refStat.Loss, ovlStat.Loss)
 			}
 			for rank := 0; rank < tc.sockets; rank++ {
-				a := snapshotParams(t, ref, rank)
-				b := snapshotParams(t, ovl, rank)
+				a := ref.params[rank][e]
+				b := ovl.params[rank][e]
 				for i := range a {
 					if a[i] != b[i] {
 						t.Fatalf("k=%d force=%v %v epoch %d rank %d: param[%d] %v (cd-r) vs %v (cd-rs)",
@@ -76,19 +115,17 @@ func TestCDRSConformsToCDR(t *testing.T) {
 				}
 			}
 		}
-		refTrain, refTest := ref.evaluate()
-		ovlTrain, ovlTest := ovl.evaluate()
-		if refTrain != ovlTrain || refTest != ovlTest {
+		if ref.trainAcc != ovl.trainAcc || ref.testAcc != ovl.testAcc {
 			t.Fatalf("k=%d force=%v %v: eval %v/%v (cd-r) vs %v/%v (cd-rs)",
-				tc.sockets, tc.forceSync, tc.prec, refTrain, refTest, ovlTrain, ovlTest)
+				tc.sockets, tc.forceSync, tc.prec, ref.trainAcc, ref.testAcc, ovl.trainAcc, ovl.testAcc)
 		}
 	}
 }
 
-// TestCDRDelay1ConformsToItself pins the analogous relation the suite
-// already relies on for the delay ladder: driving the state epoch by epoch
-// is observationally identical to the packaged Distributed loop, so the
-// conformance harness above really exercises the production path.
+// TestStatewiseDriverMatchesDistributed pins the relation the harnesses
+// rely on: driving the ranks epoch by epoch is observationally identical
+// to the packaged Distributed loop, so the conformance tests really
+// exercise the production path.
 func TestStatewiseDriverMatchesDistributed(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DistConfig{
@@ -99,19 +136,16 @@ func TestStatewiseDriverMatchesDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newDistState(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := traceInProcess(t, ds, cfg)
 	for e := 0; e < cfg.Epochs; e++ {
-		st := s.runEpoch(e)
-		if st.Loss != packaged.Epochs[e].Loss {
-			t.Fatalf("epoch %d: driver loss %v vs Distributed %v", e, st.Loss, packaged.Epochs[e].Loss)
+		for rank := range tr.stats {
+			if st := tr.stats[rank][e]; st != packaged.Epochs[e] {
+				t.Fatalf("epoch %d rank %d: driver stat %+v vs Distributed %+v", e, rank, st, packaged.Epochs[e])
+			}
 		}
 	}
-	_, testAcc := s.evaluate()
-	if testAcc != packaged.TestAcc {
-		t.Fatalf("driver acc %v vs Distributed %v", testAcc, packaged.TestAcc)
+	if tr.testAcc != packaged.TestAcc {
+		t.Fatalf("driver acc %v vs Distributed %v", tr.testAcc, packaged.TestAcc)
 	}
 }
 

@@ -74,15 +74,13 @@ type DistConfig struct {
 	// simulated ranks — the OMP_NUM_THREADS knob. 0 keeps the current pool.
 	Workers int
 	// Transport selects the comm fabric. Nil (the default) runs every rank
-	// as a goroutine in this process over the in-process mailbox. A
+	// as a goroutine in this process, each over its own endpoint of an
+	// in-process fabric (DistributedFleet over comm.NewProcFabric). A
 	// single-rank endpoint (e.g. comm.TCPTransport) turns this process into
-	// exactly one rank of a true multi-process run: the trainer executes
-	// only that rank and carries the cross-rank reductions the in-process
-	// driver does in shared memory (gradient AllReduce, loss sum, per-phase
-	// timing max) over the fabric instead — with identical rank-ordered
-	// float reductions, so parameters are bit-identical across transports.
-	// Every process must pass identical DistConfig and dataset; Size() must
-	// equal NumPartitions.
+	// exactly one rank of a true multi-process run. Both run the same rank
+	// loop and collectives, so parameters, losses and simulated timings are
+	// bit-identical across fabrics. Every process must pass identical
+	// DistConfig and dataset; Size() must equal NumPartitions.
 	Transport comm.Transport
 }
 
@@ -155,7 +153,9 @@ func (r *DistResult) AvgLATRAT(lo, hi int) (lat, rat float64) {
 // before this arena existed.
 var gradScratch parallel.Scratch[float32]
 
-// rankCtx is the per-rank training state.
+// rankCtx is one rank of a distributed run: its partition, model replica,
+// optimizer, exchange state and communicator. Every rank runs the same
+// epoch loop over its own fabric endpoint — in-process and over TCP alike.
 type rankCtx struct {
 	id     int
 	world  *comm.World
@@ -169,6 +169,9 @@ type rankCtx struct {
 	// clone) — each global vertex is owned exactly once across ranks.
 	ownedTrain []int32
 	ownedTest  []int32
+	// global train/test set sizes: the denominators of the loss and
+	// accuracy reductions.
+	globalTrain, globalTest int
 
 	// aggregate widths per layer (input dim of each SAGE layer).
 	aggDims []int
@@ -205,36 +208,23 @@ type delivery struct {
 	data  []float32
 }
 
-// distState is a fully initialized distributed run: validated config,
-// partitioning, per-rank contexts and communicator. Distributed drives it
-// epoch by epoch; the cd-rs conformance harness drives it manually so it
-// can snapshot parameters between epochs.
-type distState struct {
-	cfg   DistConfig
-	pt    *partition.Partitioning
-	ranks []*rankCtx
-	world *comm.World
-	// local is comm.AllRanks when this process hosts every rank; otherwise
-	// the single rank this process runs (remote.go drives that mode).
-	local       int
-	lossParts   []float64
-	globalTrain int
-	testIdx     []int32
+// distSetup is everything every rank derives identically from the dataset
+// and config: the validated config, the partitioning, the exchange plans,
+// vertex ownership and the global normalization. A fleet in one process
+// builds it once and shares it read-only; separate processes each derive
+// the same one, which is what keeps their replicas in lockstep.
+type distSetup struct {
+	ds      *datasets.Dataset
+	cfg     DistConfig
+	pt      *partition.Partitioning
+	plans   []*xplan
+	owner   []int32   // owning rank of each global vertex
+	norm    []float32 // GCN normalization by global in-degree
+	aggDims []int
 }
 
-// hostRank returns a rank context this process actually hosts — rank 0
-// in-process, the local rank on a transport endpoint. Model-replica-wide
-// values (parameter counts) are identical on every rank.
-func (s *distState) hostRank() *rankCtx {
-	if s.local != comm.AllRanks {
-		return s.ranks[s.local]
-	}
-	return s.ranks[0]
-}
-
-// newDistState validates and defaults cfg, partitions the graph, and builds
-// every rank's local state.
-func newDistState(ds *datasets.Dataset, cfg DistConfig) (*distState, error) {
+// newDistSetup validates and defaults cfg and partitions the graph.
+func newDistSetup(ds *datasets.Dataset, cfg DistConfig) (*distSetup, error) {
 	if cfg.NumPartitions < 1 {
 		return nil, fmt.Errorf("train: NumPartitions must be ≥1, got %d", cfg.NumPartitions)
 	}
@@ -281,18 +271,6 @@ func newDistState(ds *datasets.Dataset, cfg DistConfig) (*distState, error) {
 	mc.DropoutP = 0
 	cfg.Model = mc
 
-	local := comm.AllRanks
-	if cfg.Transport != nil {
-		if cfg.Transport.Size() != cfg.NumPartitions {
-			return nil, fmt.Errorf("train: transport world size %d != NumPartitions %d",
-				cfg.Transport.Size(), cfg.NumPartitions)
-		}
-		local = cfg.Transport.Self()
-		if local == comm.AllRanks {
-			return nil, fmt.Errorf("train: Transport must be a single-rank endpoint; leave nil for the in-process fabric")
-		}
-	}
-
 	pt, err := partition.Partition(ds.G, cfg.Partitioner, cfg.NumPartitions, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -301,63 +279,141 @@ func newDistState(ds *datasets.Dataset, cfg DistConfig) (*distState, error) {
 	if cfg.Algo == AlgoCDR || cfg.Algo == AlgoCDRS {
 		bins = cfg.Delay
 	}
-	plans := buildXPlans(pt, bins)
 
-	var world *comm.World
-	if local == comm.AllRanks {
-		world = comm.NewWorld(cfg.NumPartitions)
-	} else {
-		world = comm.NewWorldTransport(cfg.Transport)
+	// Aggregate input widths per layer.
+	aggDims := make([]int, mc.NumLayers)
+	for l := range aggDims {
+		if l == 0 {
+			aggDims[l] = mc.InDim
+		} else {
+			aggDims[l] = mc.Hidden
+		}
 	}
-	ranks, err := setupRanks(ds, &cfg, pt, plans, world, local)
-	if err != nil {
-		return nil, err
-	}
-	world.ConfigureAsync(cfg.Net, cfg.ForceSyncOverlap)
-	return &distState{
-		cfg: cfg, pt: pt, ranks: ranks, world: world, local: local,
-		lossParts:   make([]float64, cfg.NumPartitions),
-		globalTrain: len(ds.TrainIdx),
-		testIdx:     ds.TestIdx,
+	return &distSetup{
+		ds: ds, cfg: cfg, pt: pt, plans: buildXPlans(pt, bins), owner: pt.Owners(),
+		norm: model.NormFromDegrees(ds.G.InDegrees()), aggDims: aggDims,
 	}, nil
 }
 
-// runEpoch executes one full training epoch across all ranks and returns
-// its simulated timing plus the global training loss.
-func (s *distState) runEpoch(epoch int) DistEpochStat {
-	if s.local != comm.AllRanks {
-		return s.runEpochRemote(epoch)
+// newRank builds the rank w hosts: its local dataset slice, model replica,
+// optimizer and cd-r buffers. All replicas share one model seed so initial
+// weights are identical, and the gradient AllReduce keeps them identical.
+func (su *distSetup) newRank(w *comm.World) (*rankCtx, error) {
+	cfg := &su.cfg
+	if w.N != cfg.NumPartitions {
+		return nil, fmt.Errorf("train: transport world size %d != NumPartitions %d", w.N, cfg.NumPartitions)
 	}
-	cfg := &s.cfg
-	if cfg.Algo == AlgoCDRS {
-		// The previous epoch's gradient AllReduce is a barrier: align the
-		// simulated clocks so overlap windows measure within-epoch hiding,
-		// not accumulated inter-rank drift.
-		cfg.Net.SyncClocks()
-	}
-	s.world.Run(func(rank int) {
-		s.lossParts[rank] = s.trainEpochRank(s.ranks[rank], epoch)
-	})
+	p := w.Self()
+	part := su.pt.Parts[p]
+	nLocal := part.NumLocal()
 
-	st := timeEpoch(cfg, s.ranks)
-	var lsum float64
-	for _, l := range s.lossParts {
-		lsum += l
+	// Local feature/label slices.
+	x := tensor.New(nLocal, su.ds.Features.Cols)
+	labels := make([]int32, nLocal)
+	norm := make([]float32, nLocal)
+	for local, g := range part.GlobalID {
+		copy(x.Row(local), su.ds.Features.Row(int(g)))
+		labels[local] = su.ds.Labels[g]
+		if cfg.Algo == Algo0C {
+			// 0c vertices only ever see their local partial
+			// neighborhood; normalize by the local degree.
+			norm[local] = 1 / float32(1+part.G.InDegree(local))
+		} else {
+			norm[local] = su.norm[g]
+		}
 	}
-	if s.globalTrain > 0 {
-		st.Loss = lsum / float64(s.globalTrain)
+
+	m, err := model.New(part.G, cfg.Model, norm)
+	if err != nil {
+		return nil, err
 	}
+
+	r := &rankCtx{
+		id: p, world: w, cfg: cfg, part: part, plan: su.plans[p],
+		model: m, x: x, labels: labels, aggDims: su.aggDims,
+		globalTrain: len(su.ds.TrainIdx), globalTest: len(su.ds.TestIdx),
+	}
+
+	// Owned masks in local IDs.
+	for _, g := range su.ds.TrainIdx {
+		if su.owner[g] == int32(p) {
+			r.ownedTrain = append(r.ownedTrain, su.pt.LocalOf[p][g])
+		}
+	}
+	for _, g := range su.ds.TestIdx {
+		if su.owner[g] == int32(p) {
+			r.ownedTest = append(r.ownedTest, su.pt.LocalOf[p][g])
+		}
+	}
+
+	if cfg.Algo == AlgoCDR || cfg.Algo == AlgoCDRS {
+		r.captures = make([]*tensor.Matrix, len(su.aggDims))
+		r.remoteAdd = make([]*tensor.Matrix, len(su.aggDims))
+		r.staleTot = make([]*tensor.Matrix, len(su.aggDims))
+		for l, d := range su.aggDims {
+			r.captures[l] = tensor.New(nLocal, d)
+			r.remoteAdd[l] = tensor.New(nLocal, d)
+			r.staleTot[l] = tensor.New(nLocal, d)
+		}
+		r.staleMask = make([]bool, nLocal)
+		r.pendingPartials = make(map[int][]delivery)
+		r.pendingTotals = make(map[int][]delivery)
+		r.pendingTotReqs = make(map[int][]totReq)
+	}
+
+	// Identical hyperparameters and, after the AllReduce, identical
+	// gradients ⇒ identical weight trajectories on every rank.
+	if cfg.UseAdam {
+		r.opt = nn.NewAdam(cfg.LR, cfg.WeightDecay)
+	} else {
+		r.opt = &nn.SGD{LR: cfg.LR, WeightDecay: cfg.WeightDecay}
+	}
+	w.ConfigureAsync(cfg.Net, cfg.ForceSyncOverlap)
+	return r, nil
+}
+
+// run trains rank r through every epoch, evaluates it, and returns the
+// run's result (identical on every rank).
+func (su *distSetup) run(r *rankCtx) *DistResult {
+	res := &DistResult{
+		Replication: su.pt.ReplicationFactor(),
+		SplitFrac:   su.pt.SplitVertexFraction(),
+		EdgeBalance: su.pt.EdgeBalance(),
+		NumParams:   r.model.NumParams(),
+		Epochs:      make([]DistEpochStat, su.cfg.Epochs),
+	}
+	for epoch := range res.Epochs {
+		res.Epochs[epoch] = r.runEpoch(epoch)
+	}
+	res.TrainAcc, res.TestAcc = r.evaluate()
+	return res
+}
+
+// runEpoch executes one training epoch of this rank and returns the
+// epoch's global simulated timing and loss. Every rank runs the same
+// sequence of collectives in the same order — the exchanges, the gradient
+// AllReduce, then one AllGather of every rank's epoch report — which is
+// all the fabric needs to match them up.
+func (r *rankCtx) runEpoch(epoch int) DistEpochStat {
+	rep := r.report(r.trainEpoch(epoch))
+	all := r.world.AllGather(r.id, rep.appendWords(make([]float32, 0, rankEpochWords)))
+	reps := make([]rankEpoch, r.world.N)
+	for rk := range reps {
+		reps[rk] = rankEpochFrom(all[rk*rankEpochWords:])
+	}
+	st, clock := foldEpoch(r.cfg, r.model.NumParams(), r.globalTrain, reps)
+	// The gradient AllReduce is a barrier: resume from the slowest rank's
+	// simulated clock so the next epoch's overlap windows measure
+	// within-epoch hiding, not accumulated inter-rank drift.
+	r.cfg.Net.AdvanceClock(r.id, clock)
 	return st
 }
 
-// trainEpochRank executes one rank's epoch body: forward, loss scaling,
+// trainEpoch executes one rank's epoch body: forward, loss scaling,
 // backward, the algorithm's exchange, the gradient AllReduce, and the
-// optimizer step. BOTH epoch drivers — the in-process world and the
-// multi-process transport endpoint — run exactly this function, so the
-// cross-transport bit-identity invariant cannot drift between them.
-// Returns the rank's share of the global loss sum.
-func (s *distState) trainEpochRank(r *rankCtx, epoch int) float64 {
-	cfg := &s.cfg
+// optimizer step. Returns the rank's share of the global loss sum.
+func (r *rankCtx) trainEpoch(epoch int) float64 {
+	cfg := r.cfg
 	r.resetCounters()
 	r.installHooks(epoch)
 
@@ -365,8 +421,8 @@ func (s *distState) trainEpochRank(r *rankCtx, epoch int) float64 {
 	loss, dlogits := nn.MaskedCrossEntropy(logits, r.labels, r.ownedTrain)
 	// Re-weight the local mean into the global mean's share.
 	scale := float32(0)
-	if s.globalTrain > 0 {
-		scale = float32(len(r.ownedTrain)) / float32(s.globalTrain)
+	if r.globalTrain > 0 {
+		scale = float32(len(r.ownedTrain)) / float32(r.globalTrain)
 	}
 	dlogits.Scale(scale)
 	lossPart := loss * float64(len(r.ownedTrain))
@@ -387,21 +443,21 @@ func (s *distState) trainEpochRank(r *rankCtx, epoch int) float64 {
 	// flattened buffer is recycled across epochs and ranks.
 	gbuf := gradScratch.Get(nn.TotalElements(params))
 	nn.FlattenParamsInto(gbuf, params, true)
-	s.world.AllReduceSum(r.id, gbuf)
+	r.world.AllReduceSum(r.id, gbuf)
 	nn.UnflattenParams(params, gbuf, true)
 	gradScratch.Put(gbuf)
 	r.optStep()
 	return lossPart
 }
 
-// evalRank scores one rank's owned vertices, returning correct-prediction
-// counts. Shared by both evaluate drivers for the same reason as
-// trainEpochRank.
-func (s *distState) evalRank(r *rankCtx) (trainC, testC float64) {
-	r.installHooks(s.cfg.Epochs) // stale buffers (cd-r/cd-rs) / sync exchange (cd-0) still apply
+// evaluate scores this rank's owned vertices and reduces the correct
+// counts across ranks into global train/test accuracy.
+func (r *rankCtx) evaluate() (trainAcc, testAcc float64) {
+	r.installHooks(r.cfg.Epochs) // stale buffers (cd-r/cd-rs) / sync exchange (cd-0) still apply
 	logits := r.model.Forward(r.x, false)
 	pred := make([]int, logits.Rows)
 	logits.ArgmaxRows(pred)
+	var trainC, testC float32 // small integers: exact in float32
 	for _, v := range r.ownedTrain {
 		if int32(pred[v]) == r.labels[v] {
 			trainC++
@@ -412,51 +468,90 @@ func (s *distState) evalRank(r *rankCtx) (trainC, testC float64) {
 			testC++
 		}
 	}
-	return trainC, testC
-}
-
-// evaluate scores every rank's owned vertices and returns global train/test
-// accuracy.
-func (s *distState) evaluate() (trainAcc, testAcc float64) {
-	if s.local != comm.AllRanks {
-		return s.evaluateRemote()
+	all := r.world.AllGather(r.id, []float32{trainC, testC})
+	var trainTot, testTot float64
+	for rk := 0; rk < r.world.N; rk++ {
+		trainTot += float64(all[2*rk])
+		testTot += float64(all[2*rk+1])
 	}
-	accs := make([][2]float64, s.cfg.NumPartitions) // {trainCorrect, testCorrect}
-	s.world.Run(func(rank int) {
-		trainC, testC := s.evalRank(s.ranks[rank])
-		accs[rank] = [2]float64{trainC, testC}
-	})
-	var trainC, testC float64
-	for _, a := range accs {
-		trainC += a[0]
-		testC += a[1]
+	if r.globalTrain > 0 {
+		trainAcc = trainTot / float64(r.globalTrain)
 	}
-	if s.globalTrain > 0 {
-		trainAcc = trainC / float64(s.globalTrain)
-	}
-	if len(s.testIdx) > 0 {
-		testAcc = testC / float64(len(s.testIdx))
+	if r.globalTest > 0 {
+		testAcc = testTot / float64(r.globalTest)
 	}
 	return trainAcc, testAcc
 }
 
 // Distributed trains GraphSAGE over NumPartitions simulated sockets and
-// returns global accuracy plus per-epoch simulated timing.
+// returns global accuracy plus per-epoch simulated timing. With a nil
+// cfg.Transport every rank runs in this process over an in-process
+// fabric; otherwise this process runs the one rank cfg.Transport hosts.
 func Distributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
-	s, err := newDistState(ds, cfg)
+	su, err := newDistSetup(ds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &DistResult{
-		Replication: s.pt.ReplicationFactor(),
-		SplitFrac:   s.pt.SplitVertexFraction(),
-		EdgeBalance: s.pt.EdgeBalance(),
-		NumParams:   s.hostRank().model.NumParams(),
-		Epochs:      make([]DistEpochStat, s.cfg.Epochs),
+	if cfg.Transport != nil {
+		r, err := su.newRank(comm.NewWorldTransport(cfg.Transport))
+		if err != nil {
+			return nil, err
+		}
+		return su.run(r), nil
 	}
-	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
-		res.Epochs[epoch] = s.runEpoch(epoch)
+	eps := comm.NewProcFabric(cfg.NumPartitions)
+	defer comm.CloseAll(eps)
+	return su.runFleet(eps)
+}
+
+// DistributedFleet drives one rank per transport endpoint concurrently in
+// this process — the one-process harness for a TCP fleet used by loopback
+// tests, the abl-transport benchmark, and the tcploopback example (real
+// deployments run one process per rank instead); Distributed runs its
+// in-process fabric the same way. The ranks share one partitioning.
+// Endpoints must belong to a single established fabric whose size matches
+// cfg.NumPartitions; they are closed only if a rank panics, so its peers
+// fail instead of blocking. Returns rank 0's result.
+func DistributedFleet(ds *datasets.Dataset, cfg DistConfig, endpoints []comm.Transport) (*DistResult, error) {
+	su, err := newDistSetup(ds, cfg)
+	if err != nil {
+		return nil, err
 	}
-	res.TrainAcc, res.TestAcc = s.evaluate()
-	return res, nil
+	return su.runFleet(endpoints)
+}
+
+// newRanks builds the rank each endpoint hosts, indexed by rank, plus the
+// endpoints' worlds in endpoint order. Every rank is built before any of
+// them communicates, so a setup error cannot strand the others in a
+// collective.
+func (su *distSetup) newRanks(endpoints []comm.Transport) ([]*comm.World, []*rankCtx, error) {
+	ranks := make([]*rankCtx, su.cfg.NumPartitions)
+	worlds := make([]*comm.World, len(endpoints))
+	for i, ep := range endpoints {
+		worlds[i] = comm.NewWorldTransport(ep)
+		r, err := su.newRank(worlds[i])
+		if err != nil {
+			return nil, nil, fmt.Errorf("train: fleet endpoint %d (rank %d): %w", i, ep.Self(), err)
+		}
+		if ranks[r.id] != nil {
+			return nil, nil, fmt.Errorf("train: fleet has two endpoints for rank %d", r.id)
+		}
+		ranks[r.id] = r
+	}
+	return worlds, ranks, nil
+}
+
+// runFleet runs every endpoint's rank concurrently and returns rank 0's
+// result.
+func (su *distSetup) runFleet(endpoints []comm.Transport) (*DistResult, error) {
+	worlds, ranks, err := su.newRanks(endpoints)
+	if err != nil {
+		return nil, err
+	}
+	if ranks[0] == nil {
+		return nil, fmt.Errorf("train: fleet has no rank-0 endpoint")
+	}
+	results := make([]*DistResult, len(ranks))
+	comm.RunRanks(worlds, func(w *comm.World) { results[w.Self()] = su.run(ranks[w.Self()]) })
+	return results[0], nil
 }

@@ -1,140 +1,6 @@
 package train
 
-import (
-	"distgnn/internal/comm"
-	"distgnn/internal/datasets"
-	"distgnn/internal/model"
-	"distgnn/internal/nn"
-	"distgnn/internal/partition"
-	"distgnn/internal/tensor"
-)
-
-// setupRanks builds every rank's local dataset slice, model replica,
-// optimizer and cd-r buffers. All replicas share one model seed so initial
-// weights are identical, and the gradient AllReduce keeps them identical.
-// When local != comm.AllRanks — a multi-process run where this process is
-// exactly one rank — only that rank's context is built (the rest stay
-// nil); the global structures (vertex ownership, partitioning, exchange
-// plans) are still derived identically in every process, which is what
-// keeps the fleet's replicas in lockstep.
-func setupRanks(ds *datasets.Dataset, cfg *DistConfig, pt *partition.Partitioning,
-	plans []*xplan, world *comm.World, local int) ([]*rankCtx, error) {
-	k := cfg.NumPartitions
-
-	// Owner of each global vertex: root clone of split vertices, the only
-	// clone otherwise.
-	owner := make([]int32, ds.G.NumVertices)
-	for v := range owner {
-		owner[v] = -1
-	}
-	for p := 0; p < k; p++ {
-		for _, g := range pt.Parts[p].GlobalID {
-			if owner[g] == -1 {
-				owner[g] = int32(p)
-			}
-		}
-	}
-	for _, sv := range pt.Splits {
-		owner[sv.Global] = sv.Clones[0].Part
-	}
-
-	globalDeg := ds.G.InDegrees()
-	globalNorm := model.NormFromDegrees(globalDeg)
-
-	// Aggregate input widths per layer.
-	aggDims := make([]int, cfg.Model.NumLayers)
-	for l := range aggDims {
-		if l == 0 {
-			aggDims[l] = cfg.Model.InDim
-		} else {
-			aggDims[l] = cfg.Model.Hidden
-		}
-	}
-
-	ranks := make([]*rankCtx, k)
-	for p := 0; p < k; p++ {
-		if local != comm.AllRanks && p != local {
-			continue
-		}
-		part := pt.Parts[p]
-		nLocal := part.NumLocal()
-
-		// Local feature/label slices.
-		x := tensor.New(nLocal, ds.Features.Cols)
-		labels := make([]int32, nLocal)
-		norm := make([]float32, nLocal)
-		for local, g := range part.GlobalID {
-			copy(x.Row(local), ds.Features.Row(int(g)))
-			labels[local] = ds.Labels[g]
-			if cfg.Algo == Algo0C {
-				// 0c vertices only ever see their local partial
-				// neighborhood; normalize by the local degree.
-				norm[local] = 1 / float32(1+part.G.InDegree(local))
-			} else {
-				norm[local] = globalNorm[g]
-			}
-		}
-
-		m, err := model.New(part.G, cfg.Model, norm)
-		if err != nil {
-			return nil, err
-		}
-
-		r := &rankCtx{
-			id:      p,
-			world:   world,
-			cfg:     cfg,
-			part:    part,
-			plan:    plans[p],
-			model:   m,
-			x:       x,
-			labels:  labels,
-			aggDims: aggDims,
-		}
-
-		// Owned masks in local IDs.
-		for _, g := range ds.TrainIdx {
-			if owner[g] == int32(p) {
-				r.ownedTrain = append(r.ownedTrain, pt.LocalOf[p][g])
-			}
-		}
-		for _, g := range ds.TestIdx {
-			if owner[g] == int32(p) {
-				r.ownedTest = append(r.ownedTest, pt.LocalOf[p][g])
-			}
-		}
-
-		if cfg.Algo == AlgoCDR || cfg.Algo == AlgoCDRS {
-			r.captures = make([]*tensor.Matrix, len(aggDims))
-			r.remoteAdd = make([]*tensor.Matrix, len(aggDims))
-			r.staleTot = make([]*tensor.Matrix, len(aggDims))
-			for l, d := range aggDims {
-				r.captures[l] = tensor.New(nLocal, d)
-				r.remoteAdd[l] = tensor.New(nLocal, d)
-				r.staleTot[l] = tensor.New(nLocal, d)
-			}
-			r.staleMask = make([]bool, nLocal)
-			r.pendingPartials = make(map[int][]delivery)
-			r.pendingTotals = make(map[int][]delivery)
-			r.pendingTotReqs = make(map[int][]totReq)
-		}
-		ranks[p] = r
-	}
-
-	// Per-rank optimizers (identical hyperparameters; identical gradients
-	// after AllReduce ⇒ identical weight trajectories).
-	for _, r := range ranks {
-		if r == nil {
-			continue
-		}
-		if cfg.UseAdam {
-			r.opt = nn.NewAdam(cfg.LR, cfg.WeightDecay)
-		} else {
-			r.opt = &nn.SGD{LR: cfg.LR, WeightDecay: cfg.WeightDecay}
-		}
-	}
-	return ranks, nil
-}
+import "distgnn/internal/tensor"
 
 func (r *rankCtx) optStep() { r.opt.Step(r.model.Params()) }
 

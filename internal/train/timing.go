@@ -10,6 +10,13 @@ package train
 // negligible amount of time is spent waiting for asynchronous overlapped
 // communication").
 
+import (
+	"math"
+	"time"
+
+	"distgnn/internal/comm"
+)
+
 // aggWorkElems returns the forward aggregation work of one rank in
 // edge-feature element updates: Σ_layers |E_p| × d_l.
 func (r *rankCtx) aggWorkElems() int64 {
@@ -39,9 +46,7 @@ func (r *rankCtx) mlpWorkMACs() int64 {
 }
 
 // rankPhaseSeconds converts one rank's epoch counters into its simulated
-// phase times. Both epoch drivers use it: the in-process one maxes across
-// all ranks in shared memory (timeEpoch), the multi-process one gathers
-// every rank's values over the fabric (gatherEpochStat in remote.go).
+// phase times.
 func rankPhaseSeconds(cfg *DistConfig, r *rankCtx) (lat, bwd, mlp, rat, exposed float64) {
 	lat = cfg.Compute.AggSeconds(r.aggWorkElems())
 	bwd = lat // backward propagates gradients over the same edges
@@ -76,29 +81,64 @@ func paramSyncSeconds(cfg *DistConfig, numParams int) float64 {
 		steps*float64(bytes)/float64(cfg.NumPartitions)/cfg.Net.NetBandwidth
 }
 
-// timeEpoch aggregates per-rank counters into the epoch's simulated timing:
-// the slowest rank bounds each phase (bulk-synchronous execution).
-func timeEpoch(cfg *DistConfig, ranks []*rankCtx) DistEpochStat {
-	var st DistEpochStat
-	for _, r := range ranks {
-		lat, bwd, mlp, rat, exposed := rankPhaseSeconds(cfg, r)
-		if exposed > st.ExposedNet {
-			st.ExposedNet = exposed
-		}
-		if lat > st.LAT {
-			st.LAT = lat
-		}
-		if bwd > st.BwdAgg {
-			st.BwdAgg = bwd
-		}
-		if mlp > st.MLP {
-			st.MLP = mlp
-		}
-		if rat > st.RAT {
-			st.RAT = rat
-		}
+// rankEpoch is one rank's epoch report — its simulated phase times, its
+// share of the loss sum, and its simulated clock — the payload of the one
+// stat AllGather each epoch makes.
+type rankEpoch struct {
+	lat, bwd, mlp, rat, exposed float64
+	lossPart                    float64
+	clock                       time.Duration
+}
+
+// rankEpochWords is a report's wire size: seven 64-bit values, each
+// carried as its raw bit pattern in two float32 words (comm.AppendF64) so
+// the reduction is bit-identical on every rank and fabric.
+const rankEpochWords = 14
+
+// report assembles this rank's epoch report from its counters.
+func (r *rankCtx) report(lossPart float64) rankEpoch {
+	e := rankEpoch{lossPart: lossPart, clock: r.cfg.Net.SimTime(r.id)}
+	e.lat, e.bwd, e.mlp, e.rat, e.exposed = rankPhaseSeconds(r.cfg, r)
+	return e
+}
+
+func (e rankEpoch) appendWords(dst []float32) []float32 {
+	for _, v := range [...]float64{e.lat, e.bwd, e.mlp, e.rat, e.exposed, e.lossPart,
+		math.Float64frombits(uint64(e.clock))} {
+		dst = comm.AppendF64(dst, v)
 	}
-	st.ParamSync = paramSyncSeconds(cfg, ranks[0].model.NumParams())
+	return dst
+}
+
+func rankEpochFrom(w []float32) rankEpoch {
+	get := func(i int) float64 { return comm.F64(w[2*i:]) }
+	return rankEpoch{
+		lat: get(0), bwd: get(1), mlp: get(2), rat: get(3), exposed: get(4),
+		lossPart: get(5), clock: time.Duration(math.Float64bits(get(6))),
+	}
+}
+
+// foldEpoch combines every rank's report, in rank order, into the epoch's
+// stat: the slowest rank bounds each phase (bulk-synchronous execution)
+// and the loss parts sum into the global mean. It also returns the slowest
+// rank's simulated clock, where every rank resumes.
+func foldEpoch(cfg *DistConfig, numParams, globalTrain int, reps []rankEpoch) (DistEpochStat, time.Duration) {
+	var st DistEpochStat
+	var lsum float64
+	var clock time.Duration
+	for _, e := range reps {
+		st.LAT = math.Max(st.LAT, e.lat)
+		st.BwdAgg = math.Max(st.BwdAgg, e.bwd)
+		st.MLP = math.Max(st.MLP, e.mlp)
+		st.RAT = math.Max(st.RAT, e.rat)
+		st.ExposedNet = math.Max(st.ExposedNet, e.exposed)
+		lsum += e.lossPart
+		clock = max(clock, e.clock)
+	}
+	if globalTrain > 0 {
+		st.Loss = lsum / float64(globalTrain)
+	}
+	st.ParamSync = paramSyncSeconds(cfg, numParams)
 	st.Epoch = st.LAT + st.BwdAgg + st.MLP + st.RAT + st.ParamSync
-	return st
+	return st, clock
 }

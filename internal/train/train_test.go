@@ -264,26 +264,32 @@ func TestDistResultMetadata(t *testing.T) {
 	}
 }
 
+// buildRanks builds every rank of cfg over a fresh in-process fabric
+// without training.
+func buildRanks(t *testing.T, ds *datasets.Dataset, cfg DistConfig) []*rankCtx {
+	t.Helper()
+	su, err := newDistSetup(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := comm.NewProcFabric(cfg.NumPartitions)
+	t.Cleanup(func() { comm.CloseAll(eps) })
+	_, ranks, err := su.newRanks(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranks
+}
+
 // White-box: owned vertex masks must partition the global train/test sets.
 func TestOwnershipPartitionsVertices(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DistConfig{Model: smallModel(), NumPartitions: 4, Algo: AlgoCD0,
 		Epochs: 1, LR: 0.1, Seed: 3}
 	cfg.Partitioner = partition.Libra{Seed: 3}
-	mc := cfg.Model
-	mc.InDim = ds.Features.Cols
-	mc.OutDim = ds.NumClasses
-	cfg.Model = mc
 	cfg.Compute.AggElemsPerSec = 1
 	cfg.Compute.MACsPerSec = 1
-	pt, err := partition.Partition(ds.G, cfg.Partitioner, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranks, err := setupRanks(ds, &cfg, pt, buildXPlans(pt, 1), comm.NewWorld(4), comm.AllRanks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ranks := buildRanks(t, ds, cfg)
 	seen := map[int32]int{}
 	ownedTotal := 0
 	for _, r := range ranks {

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -11,75 +10,30 @@ import (
 	"distgnn/internal/quant"
 )
 
-// transport_conformance_test.go extends PR 2's conformance harness across
-// comm substrates: the same trainer config driven as one in-process world
-// and as a fleet of single-rank TCP endpoints over loopback — each
-// endpoint its own distState with only its rank materialized, exactly the
-// state a separate OS process would build — must produce bit-identical
-// parameters and losses at every epoch. In-process conformance
-// (conformance_test.go) pins cd-rs ≡ cd-r; this file pins {cd-r, cd-rs} ×
-// {in-process, TCP}.
+// transport_conformance_test.go extends the conformance harness across
+// comm substrates: the same trainer config driven over in-process
+// endpoints and over loopback TCP endpoints — each rank its own rankCtx,
+// exactly the state a separate OS process would build — must produce
+// bit-identical parameters, losses and simulated timings at every epoch.
+// In-process conformance (conformance_test.go) pins cd-rs ≡ cd-r; this
+// file pins {cd-r, cd-rs} × {in-process, TCP}.
 
-// tcpFleetRun trains a loopback TCP fleet and returns rank 0's per-epoch
-// losses and parameter snapshots plus the final test accuracy.
-func tcpFleetRun(t *testing.T, ds *datasets.Dataset, cfg DistConfig) (losses []float64, params [][]float32, testAcc float64) {
+// tcpTrace is traceFleet over a fresh loopback TCP fabric.
+func tcpTrace(t *testing.T, ds *datasets.Dataset, cfg DistConfig) *fleetTrace {
 	t.Helper()
 	eps, err := comm.NewLoopbackTCP(cfg.NumPartitions, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
-
-	losses = make([]float64, cfg.Epochs)
-	params = make([][]float32, cfg.Epochs)
-	errs := make([]error, cfg.NumPartitions)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.NumPartitions; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[r] = fmt.Errorf("rank %d panicked: %v", r, p)
-				}
-			}()
-			rcfg := cfg
-			rcfg.Transport = eps[r]
-			s, err := newDistState(ds, rcfg)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			for e := 0; e < cfg.Epochs; e++ {
-				st := s.runEpoch(e)
-				if r == 0 {
-					losses[e] = st.Loss
-					params[e] = snapshotParams(t, s, 0)
-				}
-			}
-			_, acc := s.evaluate()
-			if r == 0 {
-				testAcc = acc
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("tcp rank %d: %v", r, err)
-		}
-	}
-	return losses, params, testAcc
+	defer comm.CloseAll(eps)
+	return traceFleet(t, ds, cfg, eps)
 }
 
 // TestTransportConformance: cd-r and cd-rs at 2 and 4 ranks, fp32 and the
-// packed 16-bit wire, train bit-identical parameters over loopback TCP and
-// the in-process mailbox. The transport is a substrate change, never an
-// arithmetic one.
+// packed 16-bit wire, train bit-identical parameters and report identical
+// DistEpochStats — losses and every simulated phase time — over loopback
+// TCP and the in-process fabric. The transport is a substrate change,
+// never an arithmetic or accounting one.
 func TestTransportConformance(t *testing.T) {
 	ds := testDataset(t)
 	const epochs, delay = 5, 2
@@ -102,37 +56,26 @@ func TestTransportConformance(t *testing.T) {
 			Delay: delay, Epochs: epochs, LR: 0.05, UseAdam: true, Seed: 9,
 			CommPrecision: tc.prec,
 		}
-
-		ref, err := newDistState(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refLoss := make([]float64, epochs)
-		refParams := make([][]float32, epochs)
-		for e := 0; e < epochs; e++ {
-			st := ref.runEpoch(e)
-			refLoss[e] = st.Loss
-			refParams[e] = snapshotParams(t, ref, 0)
-		}
-		_, refAcc := ref.evaluate()
-
-		tcpLoss, tcpParams, tcpAcc := tcpFleetRun(t, ds, cfg)
-
-		for e := 0; e < epochs; e++ {
-			if refLoss[e] != tcpLoss[e] {
-				t.Fatalf("k=%d %s %v epoch %d: loss %v (in-process) vs %v (tcp)",
-					tc.sockets, tc.algo, tc.prec, e, refLoss[e], tcpLoss[e])
-			}
-			for i := range refParams[e] {
-				if refParams[e][i] != tcpParams[e][i] {
-					t.Fatalf("k=%d %s %v epoch %d: param[%d] %v (in-process) vs %v (tcp)",
-						tc.sockets, tc.algo, tc.prec, e, i, refParams[e][i], tcpParams[e][i])
+		ref := traceInProcess(t, ds, cfg)
+		tcp := tcpTrace(t, ds, cfg)
+		for rank := 0; rank < tc.sockets; rank++ {
+			for e := 0; e < epochs; e++ {
+				if a, b := ref.stats[rank][e], tcp.stats[rank][e]; a != b {
+					t.Fatalf("k=%d %s %v rank %d epoch %d: stat %+v (in-process) vs %+v (tcp)",
+						tc.sockets, tc.algo, tc.prec, rank, e, a, b)
+				}
+				a, b := ref.params[rank][e], tcp.params[rank][e]
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("k=%d %s %v rank %d epoch %d: param[%d] %v (in-process) vs %v (tcp)",
+							tc.sockets, tc.algo, tc.prec, rank, e, i, a[i], b[i])
+					}
 				}
 			}
 		}
-		if refAcc != tcpAcc {
-			t.Fatalf("k=%d %s %v: test acc %v (in-process) vs %v (tcp)",
-				tc.sockets, tc.algo, tc.prec, refAcc, tcpAcc)
+		if ref.trainAcc != tcp.trainAcc || ref.testAcc != tcp.testAcc {
+			t.Fatalf("k=%d %s %v: acc %v/%v (in-process) vs %v/%v (tcp)",
+				tc.sockets, tc.algo, tc.prec, ref.trainAcc, ref.testAcc, tcp.trainAcc, tcp.testAcc)
 		}
 	}
 }
