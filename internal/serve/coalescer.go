@@ -11,12 +11,14 @@ import (
 	"distgnn/internal/tensor"
 )
 
-// Coalescer merges concurrent single-vertex queries into micro-batches: the
-// first request opens a batch window, further requests join until the batch
-// reaches maxBatch or maxWait elapses, then one inference runs for the
-// deduplicated vertex set and every waiter gets its row. Batches execute on
-// their own goroutines, so a slow batch never blocks window formation for
-// the next one.
+// Coalescer merges concurrent single-vertex queries into micro-batches and
+// runs one inference per batch for the deduplicated vertex set; every
+// waiter gets its row. Batching is work-conserving: a request that finds no
+// batch running starts one at once, taking along whatever is already
+// queued; requests that arrive while a batch runs fill the next batch until
+// it reaches maxBatch, maxWait elapses, or a running batch finishes. Batches
+// execute on their own goroutines, so a slow batch never blocks formation
+// of the next one.
 //
 // Shutdown contract: Close drains — every Submit that was admitted before
 // or concurrently with Close receives either its result (if its batch was
@@ -38,6 +40,10 @@ type Coalescer struct {
 	reqs    chan *pendingReq
 	quit    chan struct{}
 	drained chan struct{} // closed once dispatch has failed all pending reqs
+	// finished carries one signal per completed batch to the dispatcher's
+	// in-flight count. It is unbuffered and run also selects on drained,
+	// so a batch that completes after the dispatcher exits never blocks.
+	finished chan struct{}
 
 	// enqueuing counts Submits inside the enqueue select; the post-Close
 	// drain loop spins until it reaches zero so a request racing Close can
@@ -93,8 +99,10 @@ type CoalescerStats struct {
 
 // NewCoalescer starts a coalescer over the given inference function.
 // maxBatch ≤ 1 disables merging — every request is its own batch (the
-// batch-of-1 reference arm of the serving benchmark). maxWait ≤ 0 defaults
-// to 2ms. maxPending > 0 bounds the admitted-request depth (ErrSaturated
+// batch-of-1 reference arm of the serving benchmark). maxWait is the
+// longest a request waits for batch mates while a batch is in flight; a
+// request that finds the engine idle never waits. maxWait ≤ 0 defaults to
+// 2ms. maxPending > 0 bounds the admitted-request depth (ErrSaturated
 // beyond it); ≤ 0 admits everything.
 func NewCoalescer(infer func([]int32, *obs.TraceCtx) (*tensor.Matrix, error), maxBatch int, maxWait time.Duration, maxPending int) *Coalescer {
 	if maxBatch < 1 {
@@ -111,6 +119,7 @@ func NewCoalescer(infer func([]int32, *obs.TraceCtx) (*tensor.Matrix, error), ma
 		reqs:       make(chan *pendingReq),
 		quit:       make(chan struct{}),
 		drained:    make(chan struct{}),
+		finished:   make(chan struct{}),
 	}
 	go c.dispatch()
 	return c
@@ -193,27 +202,40 @@ func (c *Coalescer) Stats() CoalescerStats {
 	return st
 }
 
-// dispatch forms batches: block for the first request, then fill the
-// window until maxBatch or maxWait. On quit it drains before exiting so no
-// admitted request is stranded.
+// dispatch forms batches, work-conserving: it counts the batches in
+// flight, and when none is running the first request starts a batch at
+// once together with whatever is already queued (up to maxBatch) — an idle
+// engine never sleeps on a timer. While a batch runs, the next one keeps
+// filling until maxBatch, maxWait, or a running batch finishing, whichever
+// comes first. On quit it drains before exiting so no admitted request is
+// stranded.
 func (c *Coalescer) dispatch() {
 	defer close(c.drained)
+	inflight := 0
 	for {
 		var first *pendingReq
 		select {
 		case first = <-c.reqs:
+		case <-c.finished:
+			inflight--
+			continue
 		case <-c.quit:
 			c.drainPending()
 			return
 		}
 		batch := []*pendingReq{first}
-		if c.maxBatch > 1 {
+		if inflight == 0 {
+			batch = c.takeQueued(batch)
+		} else if c.maxBatch > 1 {
 			timer := time.NewTimer(c.maxWait)
 		fill:
 			for len(batch) < c.maxBatch {
 				select {
 				case p := <-c.reqs:
 					batch = append(batch, p)
+				case <-c.finished:
+					inflight--
+					break fill
 				case <-timer.C:
 					break fill
 				case <-c.quit:
@@ -225,8 +247,23 @@ func (c *Coalescer) dispatch() {
 			}
 			timer.Stop()
 		}
+		inflight++
 		go c.run(batch)
 	}
+}
+
+// takeQueued appends the requests whose Submits are already blocked on the
+// queue, up to maxBatch, without waiting for more.
+func (c *Coalescer) takeQueued(batch []*pendingReq) []*pendingReq {
+	for len(batch) < c.maxBatch {
+		select {
+		case p := <-c.reqs:
+			batch = append(batch, p)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // drainPending runs after quit: requests that won the enqueue select
@@ -248,8 +285,15 @@ func (c *Coalescer) drainPending() {
 }
 
 // run deduplicates the batch's vertices (first occurrence wins the slot),
-// executes one inference, and fans the rows out to every waiter.
+// executes one inference, fans the rows out to every waiter, and then
+// reports completion to the dispatcher.
 func (c *Coalescer) run(batch []*pendingReq) {
+	defer func() {
+		select {
+		case c.finished <- struct{}{}:
+		case <-c.drained:
+		}
+	}()
 	order := make([]int32, 0, len(batch))
 	slot := make(map[int32]int, len(batch))
 	for _, p := range batch {

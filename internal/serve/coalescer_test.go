@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -95,20 +97,169 @@ func TestCoalescerBatchOfOneMode(t *testing.T) {
 	}
 }
 
-func TestCoalescerTimerFlushesPartialBatch(t *testing.T) {
+// TestCoalescerIdleStartsAtOnce pins the work-conserving rule: a request
+// that finds no batch running starts one at once instead of waiting out
+// maxWait for batch mates.
+func TestCoalescerIdleStartsAtOnce(t *testing.T) {
 	var calls, seen atomic.Int64
-	c := NewCoalescer(echoInfer(&calls, &seen), 1024, 5*time.Millisecond, 0)
+	c := NewCoalescer(echoInfer(&calls, &seen), 16, time.Second, 0)
 	defer c.Close()
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		row, err := c.Submit(context.Background(), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int32(row[0]) != 42 {
+			t.Fatalf("got %v", row[0])
+		}
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Fatalf("lone Submit on an idle coalescer waited %v (maxWait 1s)", elapsed)
+		}
+	}
+}
+
+// blockingInfer is echoInfer, except that a batch holding vertex `hold`
+// signals entered and then blocks until release is closed.
+func blockingInfer(hold int32, entered chan<- struct{}, release <-chan struct{}) func([]int32, *obs.TraceCtx) (*tensor.Matrix, error) {
+	var calls, seen atomic.Int64
+	echo := echoInfer(&calls, &seen)
+	return func(vs []int32, tc *obs.TraceCtx) (*tensor.Matrix, error) {
+		if slices.Contains(vs, hold) {
+			entered <- struct{}{}
+			<-release
+		}
+		return echo(vs, tc)
+	}
+}
+
+// awaitEntered waits for a batch to signal it is inside infer.
+func awaitEntered(t *testing.T, entered <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no batch entered infer")
+	}
+}
+
+// submitAsync runs Submit on its own goroutine and delivers its outcome.
+func submitAsync(c *Coalescer, v int32) <-chan error {
+	res := make(chan error, 1)
+	go func() {
+		row, err := c.Submit(context.Background(), v)
+		if err == nil && int32(row[0]) != v {
+			err = fmt.Errorf("vertex %d got row %v", v, row[0])
+		}
+		res <- err
+	}()
+	return res
+}
+
+// TestCoalescerTimerFlushesPartialBatch pins the timer path: while one
+// batch is held inside infer, a second request fills the next batch, and
+// maxWait — not the running batch — flushes it.
+func TestCoalescerTimerFlushesPartialBatch(t *testing.T) {
+	const maxWait = 20 * time.Millisecond
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	c := NewCoalescer(blockingInfer(1, entered, release), 1024, maxWait, 0)
+	defer c.Close()
+
+	first := submitAsync(c, 1)
+	awaitEntered(t, entered) // the first batch is running and stays running
 	start := time.Now()
-	row, err := c.Submit(context.Background(), 42)
-	if err != nil {
+	select {
+	case err := <-submitAsync(c, 2):
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("maxWait did not flush the partial batch")
+	}
+	if elapsed := time.Since(start); elapsed < maxWait {
+		t.Fatalf("partial batch flushed after %v, before maxWait %v", elapsed, maxWait)
+	}
+	select {
+	case err := <-first:
+		t.Fatalf("first batch finished before release (err %v)", err)
+	default:
+	}
+	close(release)
+	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	if int32(row[0]) != 42 {
-		t.Fatalf("got %v", row[0])
+	if st := c.Stats(); st.Batches != 2 || st.Requests != 2 {
+		t.Fatalf("stats %+v", st)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("partial batch waited %v", elapsed)
+}
+
+// TestCoalescerBatchCompletionFlushesFill pins the third flush trigger: a
+// batch filling behind a running one starts as soon as that batch
+// finishes, long before maxWait.
+func TestCoalescerBatchCompletionFlushesFill(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	c := NewCoalescer(blockingInfer(1, entered, release), 1024, time.Hour, 0)
+	defer c.Close()
+
+	first := submitAsync(c, 1)
+	awaitEntered(t, entered)
+	second := submitAsync(c, 2)
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Pending < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("second request never admitted: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for _, res := range []<-chan error{first, second} {
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("filling batch did not start when the running batch finished")
+		}
+	}
+}
+
+// TestCoalescerCloseDrainsInflightBatches closes the coalescer while
+// several batches are blocked inside infer, then releases them: every
+// Submit returns its row or ErrCoalescerClosed, and no goroutine — in
+// particular no batch reporting its completion to the exited dispatcher —
+// outlives the drain.
+func TestCoalescerCloseDrainsInflightBatches(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const n, v = 4, 7 // every batch holds v, so every batch blocks
+	entered, release := make(chan struct{}, n+1), make(chan struct{})
+	c := NewCoalescer(blockingInfer(v, entered, release), 4, time.Millisecond, 0)
+
+	var results []<-chan error
+	for i := 0; i < n; i++ {
+		results = append(results, submitAsync(c, v))
+		awaitEntered(t, entered) // batch i is running: n batches end up in flight
+	}
+	results = append(results, submitAsync(c, v)) // fills behind them
+	c.Close()
+	close(release)
+
+	for i, res := range results {
+		select {
+		case err := <-res:
+			if err != nil && err != ErrCoalescerClosed {
+				t.Fatalf("request %d: unexpected error %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %d stranded across Close", i)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines outlive Close (had %d before):\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -40,6 +41,32 @@ import (
 // partition seed), so which replica answers never changes a logit bit —
 // the conformance harness pins exact-mode responses through the frontend
 // against the single-process reference across shard counts and R.
+
+// Read limits: every body the frontend buffers is bounded, so one client
+// or one misbehaving backend cannot make it allocate without limit.
+const (
+	// maxBackendBody caps a backend's /predict or /embed response: one
+	// vertex's JSON row, a few KB at the in-repo model widths.
+	maxBackendBody = 1 << 20
+	// maxReloadBody caps an inbound POST /reload checkpoint. The largest
+	// checkpoint the in-repo datasets produce at the trainer defaults
+	// (reddit-sim GAT, hidden 64, 3 layers) is 44 KB; the same model at
+	// hidden 1024 is 4.6 MB, so 16 MiB leaves room for much wider models.
+	maxReloadBody = 16 << 20
+	// maxReloadReply caps a backend's /reload reply, a short JSON receipt
+	// or error line.
+	maxReloadReply = 64 << 10
+)
+
+// readCapped buffers r and fails, rather than growing, once it exceeds
+// limit bytes.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(b)) > limit {
+		err = fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	return b, err
+}
 
 // GroupSpec names one shard group and its replica endpoints. Key is the
 // group's stable hashing identity (assignment must not depend on list
@@ -488,11 +515,12 @@ func (f *Frontend) tryReplica(rep *replica, r *http.Request, tc *obs.TraceCtx) (
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readCapped(resp.Body, maxBackendBody)
 	if err != nil {
-		// Died mid-response: report as a transport failure so the caller
-		// retries a sibling — no byte has reached the client yet.
-		return 0, nil, nil, err
+		// Died mid-response or sent an oversized one: report as a
+		// transport failure so the caller retries a sibling — no byte has
+		// reached the client yet.
+		return 0, nil, nil, fmt.Errorf("replica %s: %w", rep.addr, err)
 	}
 	return resp.StatusCode, resp.Header, body, nil
 }
@@ -522,8 +550,14 @@ func (f *Frontend) handleReload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST /reload"))
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReloadBody))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("reload checkpoint exceeds %d bytes", maxReloadBody))
+			return
+		}
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -551,11 +585,14 @@ func (f *Frontend) handleReload(w http.ResponseWriter, r *http.Request) {
 					var resp *http.Response
 					resp, err = f.client.Do(req)
 					if err == nil {
-						rb, _ := io.ReadAll(resp.Body)
+						var rb []byte
+						rb, err = readCapped(resp.Body, maxReloadReply)
 						resp.Body.Close()
-						out.Status = resp.StatusCode
-						if resp.StatusCode != http.StatusOK {
-							out.Error = string(bytes.TrimSpace(rb))
+						if err == nil {
+							out.Status = resp.StatusCode
+							if resp.StatusCode != http.StatusOK {
+								out.Error = string(bytes.TrimSpace(rb))
+							}
 						}
 					}
 				}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"distgnn/internal/datasets"
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/train"
@@ -154,7 +155,7 @@ type stubBackend struct {
 	name    string
 	hits    atomic.Int64
 	reloads atomic.Int64
-	mode    atomic.Int32 // 0 ok, 1 shed(429), 2 fail(500), 3 healthzDown
+	mode    atomic.Int32 // 0 ok, 1 shed(429), 2 fail(500), 3 healthzDown, 4 oversized 200 replies
 }
 
 func newStubBackend(name string) *stubBackend {
@@ -169,6 +170,10 @@ func newStubBackend(name string) *stubBackend {
 	})
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
+		if b.mode.Load() == 4 {
+			w.Write(bytes.Repeat([]byte("x"), maxReloadReply+1))
+			return
+		}
 		if b.mode.Load() != 0 {
 			http.Error(w, "reload refused", http.StatusUnprocessableEntity)
 			return
@@ -184,6 +189,8 @@ func newStubBackend(name string) *stubBackend {
 			http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
 		case 2, 3:
 			http.Error(w, `{"error":"boom"}`, http.StatusInternalServerError)
+		case 4:
+			w.Write(bytes.Repeat([]byte(" "), maxBackendBody+1))
 		default:
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprintf(w, `{"served_by":%q,"vertex":%s}`, b.name, r.URL.Query().Get("vertex"))
@@ -445,6 +452,109 @@ func TestFrontendReloadFanOut(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte(`"reloaded":false`)) {
 		t.Fatalf("partial reload must report reloaded=false: %s", body)
+	}
+}
+
+// TestFrontendOversizedBackendReply pins the backend response bound: a
+// replica whose /predict reply exceeds maxBackendBody counts as a transport
+// failure — retried on a sibling, and a 502 once no sibling is left.
+func TestFrontendOversizedBackendReply(t *testing.T) {
+	big, ok := newStubBackend("big"), newStubBackend("ok")
+	defer big.ts.Close()
+	defer ok.ts.Close()
+	f := stubFrontend(t, time.Hour, big, ok)
+	defer f.Close()
+
+	big.mode.Store(4)
+	for i := 0; i < 10; i++ {
+		status, body := frontendGet(t, f, fmt.Sprintf("/predict?vertex=%d", i))
+		if status != http.StatusOK || !strings.Contains(string(body), `"served_by":"ok"`) {
+			t.Fatalf("request %d: status %d: %.200s (oversized reply must fail over)", i, status, body)
+		}
+	}
+	if big.hits.Load() == 0 {
+		t.Fatal("the oversized replica was never tried")
+	}
+
+	ok.mode.Store(4)
+	status, body := frontendGet(t, f, "/predict?vertex=1")
+	if status != http.StatusBadGateway {
+		t.Fatalf("every replica oversized: status %d, want 502: %.200s", status, body)
+	}
+	if !strings.Contains(string(body), fmt.Sprintf("exceeds %d bytes", maxBackendBody)) {
+		t.Fatalf("502 does not name the bound: %.200s", body)
+	}
+}
+
+// TestFrontendReloadBodyLimit pins the inbound /reload bound: a checkpoint
+// over maxReloadBody gets 413 and reaches no replica.
+func TestFrontendReloadBodyLimit(t *testing.T) {
+	b := newStubBackend("r0")
+	defer b.ts.Close()
+	f := stubFrontend(t, time.Hour, b)
+	defer f.Close()
+
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload",
+		bytes.NewReader(make([]byte, maxReloadBody+1))))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /reload: status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if b.reloads.Load() != 0 {
+		t.Fatalf("oversized checkpoint reached the replica %d times", b.reloads.Load())
+	}
+}
+
+// TestReloadLimitFitsInRepoCheckpoints pins how maxReloadBody was sized:
+// every in-repo dataset's checkpoint fits, for both architectures, even at
+// 16× the trainer's default hidden width.
+func TestReloadLimitFitsInRepoCheckpoints(t *testing.T) {
+	for _, name := range datasets.Names() {
+		ds, err := datasets.Load(name, 0.01) // checkpoint size is independent of |V|
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arch := range []Arch{ArchGraphSAGE, ArchGAT} {
+			eng, err := NewEngine(ds, ModelSpec{Arch: arch, Hidden: 1024, NumLayers: 3, NumHeads: 1}, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := nn.WriteParams(&buf, eng.Params()); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() > maxReloadBody {
+				t.Fatalf("%s %s checkpoint is %d bytes, over maxReloadBody %d",
+					name, eng.Spec(), buf.Len(), maxReloadBody)
+			}
+		}
+	}
+}
+
+// TestFrontendOversizedReloadReply pins the backend /reload reply bound: a
+// reply over maxReloadReply fails that replica, so the fleet flip is a 502.
+func TestFrontendOversizedReloadReply(t *testing.T) {
+	b0, b1 := newStubBackend("r0"), newStubBackend("r1")
+	defer b0.ts.Close()
+	defer b1.ts.Close()
+	f := stubFrontend(t, time.Hour, b0, b1)
+	defer f.Close()
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+
+	b1.mode.Store(4)
+	resp, err := http.Post(ts.URL+"/reload", "application/octet-stream", bytes.NewReader([]byte("ckpt")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("oversized reload reply: status %d, want 502: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte(`"reloaded":false`)) ||
+		!bytes.Contains(body, []byte(fmt.Sprintf("exceeds %d bytes", maxReloadReply))) {
+		t.Fatalf("reload outcome does not report the oversized reply: %s", body)
 	}
 }
 

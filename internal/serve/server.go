@@ -38,8 +38,12 @@ type Config struct {
 	// Fanouts selects sampled inference (one entry per layer); empty means
 	// exact full-neighborhood inference.
 	Fanouts []int
-	// MaxBatch and MaxWait shape the request coalescer: a micro-batch
-	// closes at MaxBatch requests or after MaxWait, whichever first.
+	// MaxBatch and MaxWait shape the request coalescer, which is
+	// work-conserving: a request that finds no batch running starts one at
+	// once with whatever is already queued. While a batch runs, the next
+	// one closes at MaxBatch requests, after MaxWait, or when a running
+	// batch finishes, whichever comes first — MaxWait is the longest a
+	// request waits for batch mates while a batch is in flight.
 	// MaxBatch ≤ 1 disables coalescing.
 	MaxBatch int
 	MaxWait  time.Duration
