@@ -1,32 +1,25 @@
 // Command distgnn-bench regenerates the tables and figures of the DistGNN
-// paper's evaluation section on the synthetic calibrated datasets.
+// paper's evaluation section on the synthetic calibrated datasets, plus
+// the ablation studies beyond them.
 //
 // Usage:
 //
-//	distgnn-bench [-scale 0.5] [-epochs N] <experiment>...
+//	distgnn-bench [-scale 0.5] [-epochs N] [-workers N] [-json FILE] <experiment>...
 //	distgnn-bench -list
 //	distgnn-bench all
-//	distgnn-bench -update-baseline [-baseline-dir DIR] [<experiment>...]
-//	distgnn-bench -check [-baseline-dir DIR] [-tolerance 0.15] [<experiment>...]
+//	distgnn-bench ablations
 //
 // Experiments: fig2 table3 fig3 fig4 table4 fig5 fig6 table5 table6
-// table7 table8 table9.
-//
-// -check reruns the gated experiments (abl-kernels, abl-serve by default)
-// and compares their metrics envelope against the committed baselines in
-// -baseline-dir, normalizing by the per-machine calibration workload; any
-// metric slower than baseline × calibration ratio × (1 + tolerance) exits
-// nonzero. -update-baseline regenerates the baseline files; run it at the
-// same -scale/-epochs the check will use.
+// table7 table8 table9; -list adds the abl-* ablations. Nothing here is a
+// perf gate: wall time is gated by the repository benchmark (perfbench/),
+// and the counted figures (table3, table4, table6, table7, table8,
+// abl-reorder) are pinned byte for byte by internal/bench's golden test.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"distgnn/internal/bench"
@@ -41,14 +34,6 @@ func main() {
 	jsonPath := flag.String("json", "",
 		"write machine-readable results to this file (experiments that emit them, e.g. abl-transport)")
 	list := flag.Bool("list", false, "list available experiments")
-	check := flag.Bool("check", false,
-		"rerun the gated experiments and fail on perf regression vs the committed baselines")
-	update := flag.Bool("update-baseline", false,
-		"rerun the gated experiments and rewrite their baseline files")
-	baselineDir := flag.String("baseline-dir", "BENCH_baseline",
-		"directory holding the committed baseline envelopes for -check/-update-baseline")
-	tolerance := flag.Float64("tolerance", bench.DefaultTolerance,
-		"relative slowdown -check permits after calibration scaling")
 	flag.Parse()
 
 	if *workers > 0 {
@@ -63,9 +48,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", e.ID, e.Title)
 		}
 		return
-	}
-	if *check || *update {
-		os.Exit(runGate(flag.Args(), *scale, *epochs, *baselineDir, *tolerance, *update))
 	}
 	args := flag.Args()
 	if len(args) == 0 {
@@ -105,76 +87,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// runGate drives -check and -update-baseline over the gated experiments
-// and returns the process exit code.
-func runGate(ids []string, scale float64, epochs int, dir string, tol float64, update bool) int {
-	if len(ids) == 0 {
-		ids = bench.GatedExperiments()
-	}
-	failed := false
-	for _, id := range ids {
-		e, ok := bench.Lookup(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "distgnn-bench: unknown experiment %q (try -list)\n", id)
-			return 2
-		}
-		fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
-		var buf bytes.Buffer
-		opt := bench.Options{Scale: scale, Epochs: epochs, Out: os.Stdout, JSON: &buf}
-		if err := e.Run(opt); err != nil {
-			fmt.Fprintf(os.Stderr, "distgnn-bench: %s: %v\n", e.ID, err)
-			return 1
-		}
-		path := filepath.Join(dir, id+".json")
-		if update {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "distgnn-bench: %v\n", err)
-				return 1
-			}
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "distgnn-bench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("baseline written: %s\n\n", path)
-			continue
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distgnn-bench: no baseline for %s: %v (run -update-baseline)\n", id, err)
-			return 1
-		}
-		var base, cur bench.MetricsEnvelope
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "distgnn-bench: corrupt baseline %s: %v\n", path, err)
-			return 1
-		}
-		if err := json.Unmarshal(buf.Bytes(), &cur); err != nil {
-			fmt.Fprintf(os.Stderr, "distgnn-bench: %s report: %v\n", id, err)
-			return 1
-		}
-		fails := bench.CheckRegression(base, cur, tol)
-		if len(fails) == 0 {
-			fmt.Printf("check %s: PASS (%d metrics, calib ratio %.2f)\n\n",
-				id, len(base.Metrics), calibRatio(base, cur))
-			continue
-		}
-		failed = true
-		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "check %s: FAIL: %s\n", id, f)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
-	if failed {
-		return 1
-	}
-	return 0
-}
-
-func calibRatio(base, cur bench.MetricsEnvelope) float64 {
-	if base.CalibSeconds <= 0 || cur.CalibSeconds <= 0 {
-		return 1
-	}
-	return cur.CalibSeconds / base.CalibSeconds
 }

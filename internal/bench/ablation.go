@@ -30,12 +30,7 @@ func Ablations() []Experiment {
 		{"abl-reorder", "Ablation: vertex reordering vs AP cache reuse", AblationReorder},
 		{"abl-workers", "Ablation: worker-pool size vs AP/matmul time (OMP_NUM_THREADS)", AblationWorkers},
 		{"abl-transport", "Ablation: in-process vs TCP-loopback comm transport epoch time", AblationTransport},
-		{"abl-serve", "Ablation: online serving — coalescing and cache levers (QPS, p50/p95/p99)", AblationServe},
-		{"abl-shardserve", "Ablation: sharded serving — QPS/p95 vs shard count under Poisson and MMPP arrivals", AblationShardServe},
-		{"abl-replicaserve", "Ablation: replicated serving — MMPP tail with a replica killed mid-run, mid-run /reload survival", AblationReplicaServe},
-		{"abl-stream", "Ablation: streaming updates — ingest rate vs query tail latency and invalidation fan-out", AblationStream},
-		{"abl-kernels", "Ablation: aggregation kernel arms (scalar/fused) and wall-epoch trajectory", AblationKernels},
-		{"abl-obs", "Ablation: observability overhead — serving p95 with obs off / metrics / metrics+trace", AblationObs},
+		{"abl-kernels", "Ablation: aggregation kernel arms (gathered/fused) and wall-epoch trajectory", AblationKernels},
 	}
 }
 

@@ -4,7 +4,9 @@
 // cmd/distgnn-bench exposes them by ID (fig2, table3, …). Absolute numbers
 // differ from the paper (different hardware, scaled datasets); the shapes —
 // who wins, by what factor, where crossovers fall — are the reproduction
-// target, as recorded in EXPERIMENTS.md.
+// target. The counted figures (cache reuse, replication, work per hop) are
+// deterministic for a seed and pinned byte for byte by the golden test;
+// the wall times are reported, never gated (perfbench/ gates wall time).
 package bench
 
 import (
@@ -26,9 +28,8 @@ type Options struct {
 	// Out receives the experiment's table; defaults to os.Stdout upstream.
 	Out io.Writer
 	// JSON, when set, receives a machine-readable report from experiments
-	// that emit one (abl-transport → BENCH_transport.json, abl-serve →
-	// BENCH_serve.json CI artifacts). Experiments without a JSON form
-	// ignore it.
+	// that emit one (abl-transport, abl-kernels, abl-distmb). Experiments
+	// without a JSON form ignore it.
 	JSON io.Writer
 }
 

@@ -15,11 +15,10 @@ import (
 // reference at its rank count (the conformance harness in
 // internal/minibatch pins that); what this ablation measures is the cost
 // of sourcing features remotely — halo fetch volume, cache hit rate, and
-// the wall-epoch trajectory as ranks are added. With Options.JSON set the
-// rows land in BENCH_distmb.json together with the regression-gated
-// Metrics/CalibSeconds envelope. Only the 1-rank arm is gated: multi-rank
-// in-process arms timeshare the host's cores, so their wall time measures
-// the machine's parallelism, not the code.
+// the wall-epoch trajectory as ranks are added. The wall times are
+// reported, not gated; the mini-batch step's allocation budget
+// (internal/minibatch) pins the rank loop every arm runs. With
+// Options.JSON set the rows land in one machine-readable report.
 
 const (
 	distMBHidden     = 64
@@ -42,15 +41,12 @@ type DistMBRow struct {
 	TestAcc         float64 `json:"test_acc"`
 }
 
-// DistMBBenchReport is the BENCH_distmb.json schema. Metrics and
-// CalibSeconds form the MetricsEnvelope the regression gate consumes.
+// DistMBBenchReport is abl-distmb's JSON report.
 type DistMBBenchReport struct {
-	Experiment   string             `json:"experiment"`
-	Scale        float64            `json:"scale"`
-	Epochs       int                `json:"epochs"`
-	Rows         []DistMBRow        `json:"rows"`
-	Metrics      map[string]float64 `json:"metrics"`
-	CalibSeconds float64            `json:"calib_seconds"`
+	Experiment string      `json:"experiment"`
+	Scale      float64     `json:"scale"`
+	Epochs     int         `json:"epochs"`
+	Rows       []DistMBRow `json:"rows"`
 }
 
 // AblationDistMB measures sharded mini-batch training over the shared
@@ -61,10 +57,7 @@ func AblationDistMB(opt Options) error {
 		return err
 	}
 	epochs := opt.epochs(3)
-	report := DistMBBenchReport{
-		Experiment: "abl-distmb", Scale: opt.scale(), Epochs: epochs,
-		Metrics: map[string]float64{},
-	}
+	report := DistMBBenchReport{Experiment: "abl-distmb", Scale: opt.scale(), Epochs: epochs}
 	t := &table{header: []string{"#ranks", "epoch (wall)", "steps", "halo hit", "rows fetched", "test acc"}}
 	for _, ranks := range []int{1, 2, 4} {
 		res, err := minibatch.TrainSharded(ds, minibatch.ShardedTrainConfig{
@@ -103,18 +96,11 @@ func AblationDistMB(opt Options) error {
 			HaloHitRate: rate, HaloFetchedRows: fetched, TestAcc: res.TestAcc,
 		}
 		report.Rows = append(report.Rows, row)
-		if ranks == 1 {
-			// The only machine-independent wall metric: one rank keeps the
-			// featstore plane engaged (slab gathers, zero halo) without
-			// timesharing artifacts from co-scheduled in-process ranks.
-			report.Metrics["epoch_r1_s"] = best
-		}
 		t.add(fmt.Sprint(ranks), ms(best), fmt.Sprint(row.Steps),
 			pct(rate), fmt.Sprint(fetched), pct(res.TestAcc))
 	}
 	t.write(opt.Out)
 
-	report.CalibSeconds = CalibrationSeconds()
 	if opt.JSON != nil {
 		enc := json.NewEncoder(opt.JSON)
 		enc.SetIndent("", "  ")

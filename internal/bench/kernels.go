@@ -15,18 +15,17 @@ import (
 // aggregation hot path. Two arms over the same fanout-sampled bipartite
 // block at d=64 and d=128:
 //
-//   - scalar-fp32: materialize the |frontier|×d gathered matrix, then
-//     AggregateGCN — the pre-fusion pipeline, and the traffic ceiling. The
-//     name predates the SIMD gather row-sum both fp32 arms now run; it
-//     stays because the committed envelopes key on it.
+//   - gathered-fp32: materialize the |frontier|×d gathered matrix, then
+//     AggregateGCN — the path serving takes when its feature cache is on,
+//     and the traffic ceiling.
 //   - fused-fp32: GatherAggGCNSum streams rows straight out of the fp32
 //     store (bit-identical math, no gathered matrix).
 //
 // Plus the end-to-end figure the kernels exist to move: mini-batch wall
-// time per epoch. With Options.JSON set the
-// rows land in BENCH_kernels.json together with the regression-gated
-// Metrics/CalibSeconds envelope (see regress.go); BENCH_baseline/ holds
-// the committed trajectory that `distgnn-bench -check` diffs against.
+// time per epoch. The wall times are reported, not gated: perfbench gates
+// wall time, and the mini-batch step's allocation budget
+// (internal/minibatch) pins its garbage. With Options.JSON set the rows
+// land in one machine-readable report.
 
 const (
 	kernelBenchSeeds   = 4096
@@ -43,16 +42,15 @@ type KernelBenchRow struct {
 	// PassMS is the min-of-N wall time of one full aggregation pass.
 	PassMS float64 `json:"pass_ms"`
 	// TrafficMB models the feature bytes moved per pass (store reads, plus
-	// the gathered matrix's write+read for the scalar arm).
+	// the gathered matrix's write+read for the gathered arm).
 	TrafficMB float64 `json:"traffic_mb"`
 	MBPerSec  float64 `json:"mb_per_sec"`
-	// SpeedupVsScalar is scalar-fp32 pass time / this arm's pass time at
-	// the same d.
-	SpeedupVsScalar float64 `json:"speedup_vs_scalar"`
+	// SpeedupVsGathered is gathered-fp32 pass time / this arm's pass time
+	// at the same d.
+	SpeedupVsGathered float64 `json:"speedup_vs_gathered"`
 }
 
-// KernelsBenchReport is the BENCH_kernels.json schema. Metrics and
-// CalibSeconds form the MetricsEnvelope the regression gate consumes.
+// KernelsBenchReport is abl-kernels' JSON report.
 type KernelsBenchReport struct {
 	Experiment string           `json:"experiment"`
 	Scale      float64          `json:"scale"`
@@ -61,10 +59,8 @@ type KernelsBenchReport struct {
 	NumSrc     int              `json:"num_src"`
 	Edges      int              `json:"edges"`
 	Rows       []KernelBenchRow `json:"rows"`
-	// Metrics are the gated lower-is-better seconds (see MetricsEnvelope):
-	// agg_<arm>_d<D>_s per arm and train_epoch_fp32_s end to end.
-	Metrics      map[string]float64 `json:"metrics"`
-	CalibSeconds float64            `json:"calib_seconds"`
+	// TrainEpochS is the min-over-epochs mini-batch wall epoch.
+	TrainEpochS float64 `json:"train_epoch_s"`
 }
 
 // kernelSink defeats dead-code elimination of the timed passes.
@@ -80,7 +76,7 @@ func AblationKernels(opt Options) error {
 	seeds := strideSample(ds.G.NumVertices, kernelBenchSeeds)
 	// A fanout-sampled block — the shape the mini-batch trainer's layer 0
 	// actually runs, where each frontier row is read roughly once and the
-	// scalar pipeline's materialized gather is nearly a full extra pass.
+	// gathered pipeline's materialized matrix is nearly a full extra pass.
 	sampler, err := minibatch.NewSampler(ds.G, []int{kernelBenchFanout}, 1)
 	if err != nil {
 		return err
@@ -93,24 +89,22 @@ func AblationKernels(opt Options) error {
 	report := KernelsBenchReport{
 		Experiment: "abl-kernels", Scale: opt.scale(), Epochs: opt.epochs(2),
 		NumDst: blk.NumDst, NumSrc: blk.NumSrc, Edges: nnz,
-		Metrics: map[string]float64{},
 	}
-	t := &table{header: []string{"d", "arm", "pass", "traffic MB", "MB/s", "vs scalar"}}
+	t := &table{header: []string{"d", "arm", "pass", "traffic MB", "MB/s", "vs gathered"}}
 	for _, d := range []int{64, 128} {
 		x := syntheticFeatures(ds.G.NumVertices, d)
 
 		// Feature bytes moved per pass: every arm reads (edges + self) rows
-		// from its source; the scalar arm first round-trips the gathered
+		// from its source; the gathered arm first round-trips the gathered
 		// matrix (store read + write, then aggregate reads it back).
 		rowReads := float64(nnz+blk.NumDst) * float64(d)
 		gatherRT := float64(blk.NumSrc) * float64(d) * (4 + 4)
 		arms := []struct {
-			name   string
-			bytes  float64
-			metric string
-			run    func()
+			name  string
+			bytes float64
+			run   func()
 		}{
-			{"scalar-fp32", gatherRT + rowReads*4, fmt.Sprintf("agg_scalar_fp32_d%d_s", d), func() {
+			{"gathered-fp32", gatherRT + rowReads*4, func() {
 				// The pre-fusion pipeline exactly: a fresh |frontier|×d
 				// gathered matrix per pass, filled row by row through
 				// FeatRows.CopyRow (what gatherFeatures did per sample),
@@ -123,26 +117,25 @@ func AblationKernels(opt Options) error {
 				out := minibatch.AggregateGCN(blk, spmm.RowsOf(gathered), nil)
 				kernelSink += out.Data[0]
 			}},
-			{"fused-fp32", rowReads * 4, fmt.Sprintf("agg_fused_fp32_d%d_s", d), func() {
+			{"fused-fp32", rowReads * 4, func() {
 				out := minibatch.AggregateGCN(blk, spmm.RowsOf(x), frontier)
 				kernelSink += out.Data[0]
 			}},
 		}
-		var scalarSec float64
+		var gatheredSec float64
 		for i, arm := range arms {
 			sec := timePass(arm.run)
 			if i == 0 {
-				scalarSec = sec
+				gatheredSec = sec
 			}
-			report.Metrics[arm.metric] = sec
 			row := KernelBenchRow{
 				D: d, Arm: arm.name, PassMS: sec * 1e3,
 				TrafficMB: arm.bytes / 1e6, MBPerSec: arm.bytes / 1e6 / sec,
-				SpeedupVsScalar: scalarSec / sec,
+				SpeedupVsGathered: gatheredSec / sec,
 			}
 			report.Rows = append(report.Rows, row)
 			t.add(fmt.Sprint(d), arm.name, ms(sec), f2(row.TrafficMB),
-				fmt.Sprintf("%.0f", row.MBPerSec), f2(row.SpeedupVsScalar)+"x")
+				fmt.Sprintf("%.0f", row.MBPerSec), f2(row.SpeedupVsGathered)+"x")
 		}
 	}
 	t.write(opt.Out)
@@ -167,10 +160,9 @@ func AblationKernels(opt Options) error {
 			best = sec
 		}
 	}
-	report.Metrics["train_epoch_fp32_s"] = best
+	report.TrainEpochS = best
 	fmt.Fprintf(opt.Out, "wall-epoch (fp32 features): %s   test acc %s\n", ms(best), pct(res.TestAcc))
 
-	report.CalibSeconds = CalibrationSeconds()
 	if opt.JSON != nil {
 		enc := json.NewEncoder(opt.JSON)
 		enc.SetIndent("", "  ")

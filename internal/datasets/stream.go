@@ -13,8 +13,8 @@ import (
 // generators, so new edges land where real growth lands — on the hubs)
 // arriving under a two-state Markov-modulated Poisson process. The MMPP
 // alternates between a quiet state and a burst state, which is what ingest
-// traffic actually looks like and what the abl-stream benchmark needs to
-// stress compaction and cache invalidation under load spikes.
+// traffic actually looks like and what perfbench's serve-rw writer needs
+// to stress compaction and cache invalidation under load spikes.
 
 // EdgeEvent is one timestamped edge insert in a synthetic stream.
 type EdgeEvent struct {

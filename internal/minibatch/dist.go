@@ -173,6 +173,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(rank)))
 	shard := shards[rank]
 	params := m.params()
+	st := &rankStepper{m: m, params: params, opt: opt, world: world, labels: ds.Labels}
 
 	res := &DistResult{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -209,38 +210,12 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 			if bw.err != nil {
 				return nil, bw.err
 			}
-			nn.ZeroGrads(params)
-			var batchN int
+			loss, ar := st.step(bw, globalBatchSize(shards, step, cfg.BatchSize))
+			localLoss += loss
+			arTime += ar
 			if bw.s != nil {
-				logits := m.forward(bw.s, bw.rows, bw.frontier, true)
-				localLabels := make([]int32, len(bw.seeds))
-				mask := make([]int32, len(bw.seeds))
-				for i, g := range bw.seeds {
-					localLabels[i] = ds.Labels[g]
-					mask[i] = int32(i)
-				}
-				loss, dlogits := nn.MaskedCrossEntropy(logits, localLabels, mask)
-				m.backward(dlogits)
-				localLoss += loss * float64(len(bw.seeds))
 				localWork += sampledWork(bw.s, m.dims)
-				batchN = len(bw.seeds)
 			}
-			// Scale the local gradient to its share of the global batch,
-			// then AllReduce. Idle ranks contribute zeros.
-			global := globalBatchSize(shards, step, cfg.BatchSize)
-			scale := float32(0)
-			if global > 0 {
-				scale = float32(batchN) / float32(global)
-			}
-			for _, p := range params {
-				p.Grad.Scale(scale)
-			}
-			gbuf := nn.FlattenParams(params, true)
-			arStart := time.Now()
-			world.AllReduceSum(rank, gbuf)
-			arTime += time.Since(arStart)
-			nn.UnflattenParams(params, gbuf, true)
-			opt.Step(params)
 			step++
 		}
 
@@ -278,6 +253,52 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 	world.Broadcast(rank, 0, accBits)
 	res.TestAcc = comm.F64(accBits)
 	return res, nil
+}
+
+// rankStepper is one rank's optimizer-step state: the model replica, its
+// parameters and optimizer, and the world its gradients are AllReduced on.
+type rankStepper struct {
+	m      *mbModel
+	params []*nn.Param
+	opt    nn.Optimizer
+	world  *comm.World
+	labels []int32 // global vertex labels
+}
+
+// step runs one synchronized optimizer step: forward, loss and backward
+// over bw when this rank has a batch (an idle step contributes zero
+// gradients), the gradient scaled to the rank's share of a global batch of
+// global seeds, the rank-order AllReduce, then the optimizer step. It
+// returns the batch's summed (not mean) loss and the AllReduce wall time.
+func (st *rankStepper) step(bw sampledBatch, global int) (float64, time.Duration) {
+	nn.ZeroGrads(st.params)
+	var loss float64
+	if bw.s != nil {
+		logits := st.m.forward(bw.s, bw.rows, bw.frontier, true)
+		localLabels := make([]int32, len(bw.seeds))
+		mask := make([]int32, len(bw.seeds))
+		for i, g := range bw.seeds {
+			localLabels[i] = st.labels[g]
+			mask[i] = int32(i)
+		}
+		mean, dlogits := nn.MaskedCrossEntropy(logits, localLabels, mask)
+		st.m.backward(dlogits)
+		loss = mean * float64(len(bw.seeds))
+	}
+	scale := float32(0)
+	if global > 0 {
+		scale = float32(len(bw.seeds)) / float32(global)
+	}
+	for _, p := range st.params {
+		p.Grad.Scale(scale)
+	}
+	gbuf := nn.FlattenParams(st.params, true)
+	arStart := time.Now()
+	st.world.AllReduceSum(st.world.Self(), gbuf)
+	arTime := time.Since(arStart)
+	nn.UnflattenParams(st.params, gbuf, true)
+	st.opt.Step(st.params)
+	return loss, arTime
 }
 
 // shardTrainIdx shards training vertices round-robin after one seeded

@@ -53,6 +53,19 @@ func TestNilPlaneIsFree(t *testing.T) {
 	if NewEventLog(nil) != nil {
 		t.Fatal("NewEventLog(nil) must return nil")
 	}
+
+	// Free also means no allocation: with obs off, the serving hot path
+	// makes these calls on every request.
+	if n := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		g.Set(3)
+		h.Observe(time.Millisecond)
+		tc.StartSpan("s")()
+		tc.AddSpanAt("s", time.Time{}, time.Millisecond)
+		tr.Finish(tc, "predict", 0, 200)
+	}); n != 0 {
+		t.Fatalf("nil obs handles allocate %.0f times per call set, want 0", n)
+	}
 }
 
 // TestCounterGaugeHistogram exercises the live hot paths, including

@@ -20,7 +20,7 @@ func randomGraph(rng *rand.Rand, n, m int) *graph.CSR {
 func TestLibraAssignsEveryEdgeOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(rng, 200, 1500)
-	for _, k := range []int{1, 2, 4, 8, 70} { // 70 exercises the >64 path
+	for _, k := range []int{1, 2, 4, 8, 70, 128} { // 70 and 128 span several bitset words
 		assign := Libra{Seed: 1}.Assign(g, k)
 		if len(assign) != g.NumEdges {
 			t.Fatalf("k=%d: %d assignments for %d edges", k, len(assign), g.NumEdges)
@@ -28,6 +28,14 @@ func TestLibraAssignsEveryEdgeOnce(t *testing.T) {
 		for i, p := range assign {
 			if p < 0 || int(p) >= k {
 				t.Fatalf("k=%d: edge %d assigned to %d", k, i, p)
+			}
+		}
+		// The same Seed must give the same assignment: every rank derives
+		// the owner table from it without coordination.
+		again := Libra{Seed: 1}.Assign(g, k)
+		for i := range assign {
+			if assign[i] != again[i] {
+				t.Fatalf("k=%d: edge %d assigned to %d, then to %d with the same seed", k, i, assign[i], again[i])
 			}
 		}
 	}

@@ -46,80 +46,54 @@ func (l Libra) Assign(g *graph.CSR, k int) []int32 {
 	edges := g.Edges()
 	rng := rand.New(rand.NewSource(l.Seed))
 	load := make([]int64, k)
-	// present[v] is a bitset of partitions containing v; supports k ≤ 64
-	// directly and falls back to map-of-sets beyond that.
-	if k <= 64 {
-		return libraBitset(edges, g.NumVertices, k, load, rng)
-	}
-	return libraSets(edges, g.NumVertices, k, load, rng)
-}
-
-func libraBitset(edges []graph.Edge, n, k int, load []int64, rng *rand.Rand) []int32 {
-	present := make([]uint64, n)
+	// present holds one bitset of ⌈k/64⌉ words per vertex: bit p of
+	// vertex v's words is set once some edge of v lands in partition p.
+	w := (k + 63) / 64
+	present := make([]uint64, g.NumVertices*w)
+	both := make([]uint64, w)
 	assign := make([]int32, len(edges))
 	for i, e := range edges {
-		pu, pv := present[e.Src], present[e.Dst]
-		var candidates uint64
+		u, v := int(e.Src)*w, int(e.Dst)*w
+		pu, pv := present[u:u+w], present[v:v+w]
+		var shared, inU, inV uint64
+		for j := range both {
+			both[j] = pu[j] & pv[j]
+			shared |= both[j]
+			inU |= pu[j]
+			inV |= pv[j]
+		}
+		var candidates []uint64 // nil means all partitions
 		switch {
-		case pu&pv != 0:
-			candidates = pu & pv
-		case pu != 0 && pv != 0:
-			candidates = pu | pv
-		case pu != 0:
+		case shared != 0:
+			candidates = both
+		case inU != 0 && inV != 0:
+			for j := range both {
+				both[j] = pu[j] | pv[j]
+			}
+			candidates = both
+		case inU != 0:
 			candidates = pu
-		case pv != 0:
+		case inV != 0:
 			candidates = pv
-		default:
-			candidates = 0 // all partitions
 		}
 		best := leastLoaded(load, candidates, k, rng)
 		assign[i] = int32(best)
 		load[best]++
-		present[e.Src] |= 1 << best
-		present[e.Dst] |= 1 << best
-	}
-	return assign
-}
-
-func libraSets(edges []graph.Edge, n, k int, load []int64, rng *rand.Rand) []int32 {
-	present := make([]map[int32]bool, n)
-	assign := make([]int32, len(edges))
-	add := func(v int32, p int32) {
-		if present[v] == nil {
-			present[v] = make(map[int32]bool, 2)
-		}
-		present[v][p] = true
-	}
-	for i, e := range edges {
-		pu, pv := present[e.Src], present[e.Dst]
-		var candidates []int32
-		inter := intersect(pu, pv)
-		switch {
-		case len(inter) > 0:
-			candidates = inter
-		case len(pu) > 0 && len(pv) > 0:
-			candidates = union(pu, pv)
-		case len(pu) > 0:
-			candidates = keys(pu)
-		case len(pv) > 0:
-			candidates = keys(pv)
-		}
-		best := leastLoadedList(load, candidates, k, rng)
-		assign[i] = int32(best)
-		load[best]++
-		add(e.Src, int32(best))
-		add(e.Dst, int32(best))
+		pu[best>>6] |= 1 << (best & 63)
+		pv[best>>6] |= 1 << (best & 63)
 	}
 	return assign
 }
 
 // leastLoaded picks the minimum-load partition among the candidate bitset
-// (0 means "all partitions"), breaking ties uniformly at random so hubs
-// spread across partitions instead of piling into partition 0.
-func leastLoaded(load []int64, candidates uint64, k int, rng *rand.Rand) int {
+// (nil means "all partitions"), breaking ties uniformly at random so hubs
+// spread across partitions instead of piling into partition 0. Candidates
+// are visited in ascending partition id, so the rng draws — and with them
+// the assignment — depend only on Seed.
+func leastLoaded(load []int64, candidates []uint64, k int, rng *rand.Rand) int {
 	best, bestLoad, ties := -1, int64(1<<62), 0
 	for p := 0; p < k; p++ {
-		if candidates != 0 && candidates&(1<<p) == 0 {
+		if candidates != nil && candidates[p>>6]&(1<<(p&63)) == 0 {
 			continue
 		}
 		switch {
@@ -133,56 +107,6 @@ func leastLoaded(load []int64, candidates uint64, k int, rng *rand.Rand) int {
 		}
 	}
 	return best
-}
-
-func leastLoadedList(load []int64, candidates []int32, k int, rng *rand.Rand) int {
-	if len(candidates) == 0 {
-		return leastLoaded(load, 0, k, rng)
-	}
-	best, bestLoad, ties := -1, int64(1<<62), 0
-	for _, p := range candidates {
-		switch {
-		case load[p] < bestLoad:
-			best, bestLoad, ties = int(p), load[p], 1
-		case load[p] == bestLoad:
-			ties++
-			if rng.Intn(ties) == 0 {
-				best = int(p)
-			}
-		}
-	}
-	return best
-}
-
-func intersect(a, b map[int32]bool) []int32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var out []int32
-	for p := range a {
-		if b[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func union(a, b map[int32]bool) []int32 {
-	out := keys(a)
-	for p := range b {
-		if !a[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func keys(m map[int32]bool) []int32 {
-	out := make([]int32, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	return out
 }
 
 // RandomEdge assigns each edge to a uniformly random partition — the

@@ -13,6 +13,7 @@ import (
 	"distgnn/internal/datasets"
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
+	"distgnn/internal/obs"
 	"distgnn/internal/tensor"
 	"distgnn/internal/train"
 )
@@ -415,51 +416,76 @@ func TestDeterministicAcrossServers(t *testing.T) {
 
 // TestWarmPredictAllocBudget is the allocation budget of the warm read
 // path: one exact /predict whose row is already in the embedding cache,
-// through Server.Handler(). Allocation counts carry no timing noise, so a
-// change that adds garbage to the hot path fails here even where a wall
-// time could not resolve it. The count includes the httptest recorder the
-// response is written into.
+// through Server.Handler(), with the observability plane off, with the
+// metrics registry, and with metrics plus per-request tracing. Allocation
+// counts carry no timing noise, so a change that adds garbage to the hot
+// path fails here even where a wall time could not resolve it. The three
+// arms count what each obs level costs per request; that a nil handle
+// costs exactly nothing is pinned in internal/obs (TestNilPlaneIsFree).
+// The count includes the httptest recorder the response is written into.
 func TestWarmPredictAllocBudget(t *testing.T) {
 	ds, m, ckpt := trainedSageCheckpoint(t, 16, 2)
-	srv, err := New(ds, bytes.NewReader(ckpt), Config{
-		Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
-		MaxBatch: 8, FeatureCacheBytes: 1 << 20, EmbedCacheBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/predict?vertex=7", nil)
-	var rec *httptest.ResponseRecorder
-	serve := func() {
-		rec = httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-	}
-	serve() // cold: fills the embedding cache
-	if rec.Code != http.StatusOK {
-		t.Fatalf("cold /predict status %d: %s", rec.Code, rec.Body)
-	}
-	coalesced := srv.co.Stats().Requests
+	want := m.Forward(ds.Features, false).Row(7)
+	for _, arm := range []struct {
+		name    string
+		metrics bool
+		trace   bool
+		// budget is the measured count (go1.24, default and purego
+		// builds) plus a margin of 3 that absorbs a toolchain's net/http or
+		// encoding/json internals shifting by one or two.
+		budget int
+	}{
+		{"off", false, false, 16},         // measured 13
+		{"metrics", true, false, 20},      // measured 17
+		{"metrics+trace", true, true, 27}, // measured 24
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := Config{
+				Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
+				MaxBatch: 8, FeatureCacheBytes: 1 << 20, EmbedCacheBytes: 1 << 20,
+			}
+			if arm.metrics {
+				cfg.Metrics = obs.NewRegistry()
+			}
+			if arm.trace {
+				cfg.Tracer = obs.NewTracer(obs.TracerConfig{Role: "server", Rank: -1})
+			}
+			srv, err := New(ds, bytes.NewReader(ckpt), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			h := srv.Handler()
+			req := httptest.NewRequest(http.MethodGet, "/predict?vertex=7", nil)
+			var rec *httptest.ResponseRecorder
+			serve := func() {
+				rec = httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+			}
+			serve() // cold: fills the embedding cache
+			if rec.Code != http.StatusOK {
+				t.Fatalf("cold /predict status %d: %s", rec.Code, rec.Body)
+			}
+			coalesced := srv.co.Stats().Requests
 
-	allocs := testing.AllocsPerRun(100, serve)
-	t.Logf("warm /predict: %.0f allocs/op", allocs)
+			allocs := testing.AllocsPerRun(100, serve)
+			t.Logf("warm /predict, obs %s: %.0f allocs/op", arm.name, allocs)
 
-	var pr PredictResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, pr.Logits, m.Forward(ds.Features, false).Row(7), "warm /predict vs full Forward")
-	if n := srv.co.Stats().Requests; n != coalesced {
-		t.Fatalf("warm /predict reached the coalescer (%d requests, want %d)", n, coalesced)
-	}
-	// Measured 13 (go1.24, default and purego builds); the margin of 3 absorbs a
-	// toolchain's net/http or encoding/json internals shifting by one or two.
-	const budget = 16
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
-	if allocs > budget {
-		t.Fatalf("warm /predict allocates %.0f times per request, budget %d", allocs, budget)
+			var pr PredictResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+				t.Fatal(err)
+			}
+			bitsEqual(t, pr.Logits, want, "warm /predict vs full Forward")
+			if n := srv.co.Stats().Requests; n != coalesced {
+				t.Fatalf("warm /predict reached the coalescer (%d requests, want %d)", n, coalesced)
+			}
+			if raceEnabled {
+				t.Skip("allocation counts differ under the race detector")
+			}
+			if allocs > float64(arm.budget) {
+				t.Fatalf("warm /predict (obs %s) allocates %.0f times per request, budget %d",
+					arm.name, allocs, arm.budget)
+			}
+		})
 	}
 }

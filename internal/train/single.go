@@ -100,12 +100,7 @@ func SingleSocket(ds *datasets.Dataset, cfg SingleConfig) (*SingleResult, error)
 	params := m.Params()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
-		m.ResetAggTime()
-		logits := m.Forward(ds.Features, true)
-		loss, dlogits := nn.MaskedCrossEntropy(logits, ds.Labels, ds.TrainIdx)
-		nn.ZeroGrads(params)
-		m.Backward(dlogits)
-		opt.Step(params)
+		loss := fullBatchEpoch(m, ds, opt, params)
 		res.Epochs = append(res.Epochs, EpochStat{
 			Loss:  loss,
 			Total: time.Since(start),
@@ -118,4 +113,17 @@ func SingleSocket(ds *datasets.Dataset, cfg SingleConfig) (*SingleResult, error)
 	res.ValAcc = nn.Accuracy(logits, ds.Labels, ds.ValIdx)
 	res.TestAcc = nn.Accuracy(logits, ds.Labels, ds.TestIdx)
 	return res, nil
+}
+
+// fullBatchEpoch runs one full-batch epoch — forward over every vertex, the
+// masked loss on the training vertices, backward, and the optimizer step —
+// and returns the loss. m.AggTime covers this epoch's aggregation.
+func fullBatchEpoch(m *model.GraphSAGE, ds *datasets.Dataset, opt nn.Optimizer, params []*nn.Param) float64 {
+	m.ResetAggTime()
+	logits := m.Forward(ds.Features, true)
+	loss, dlogits := nn.MaskedCrossEntropy(logits, ds.Labels, ds.TrainIdx)
+	nn.ZeroGrads(params)
+	m.Backward(dlogits)
+	opt.Step(params)
+	return loss
 }
