@@ -22,15 +22,21 @@ import (
 //
 // Head outputs are concatenated (each head emits OutWidth/NumHeads
 // channels) and ReLU is applied between layers. Built entirely from the
-// spmm primitives (SDDMM, EdgeSoftmax, AggregateWeighted), demonstrating
-// the substrate covers the featgraph operator surface, not just the GCN
-// aggregate.
+// spmm block primitives (SDDMM, EdgeSoftmax, AggregateWeighted), and one
+// layer implementation serves both uses: Forward runs each layer over the
+// full graph as the identity block, and ApplyLayer runs it forward-only
+// over a sampled or k-hop block (serving).
 type GAT struct {
 	Cfg GATConfig
 	G   *graph.CSR
 
 	layers []*gatLayer
-	rev    *graph.CSR
+	// self is the identity block's selfIdx, 0..|V|-1.
+	self []int32
+	rev  *graph.CSR
+	// revPos[q] is the forward block position of reverse edge q:
+	// inverse(G.EdgeIDs)[rev.EdgeIDs[q]].
+	revPos []int32
 }
 
 // GATConfig describes a GAT instance.
@@ -41,10 +47,14 @@ type GATConfig struct {
 	NumLayers int
 	// NumHeads is the attention head count per layer; Hidden and OutDim
 	// must be divisible by it. Defaults to 1.
-	NumHeads   int
-	LeakySlope float64 // LeakyReLU negative slope; defaults to 0.2
-	Seed       int64
+	NumHeads int
+	Seed     int64
 }
+
+// leakySlope is the LeakyReLU negative slope of the attention scores. The
+// checkpoint does not record it, so it is fixed: serving cannot disagree
+// with training on it.
+const leakySlope float32 = 0.2
 
 // gatHead is one attention head: its projection, attention vectors and the
 // forward caches its backward pass needs.
@@ -54,8 +64,8 @@ type gatHead struct {
 	attR   *nn.Param // 1×headOut
 
 	z     *tensor.Matrix // post-linear features
-	alpha *tensor.Matrix // |E|×1 attention weights
-	pre   *tensor.Matrix // |E|×1 pre-activation scores
+	alpha *tensor.Matrix // |E|×1 attention weights, by block position
+	pre   *tensor.Matrix // |E|×1 pre-activation scores, by block position
 }
 
 type gatLayer struct {
@@ -65,7 +75,9 @@ type gatLayer struct {
 	h *tensor.Matrix // concatenated layer output (ReLU mask)
 }
 
-// NewGAT constructs a GAT over g.
+// NewGAT validates cfg and constructs a GAT over g. A nil g builds the
+// parameters only, for forward-only use over blocks through ApplyLayer;
+// Forward and Backward need g.
 func NewGAT(g *graph.CSR, cfg GATConfig) (*GAT, error) {
 	if cfg.NumLayers < 1 {
 		return nil, fmt.Errorf("model: GAT NumLayers must be ≥1")
@@ -83,11 +95,23 @@ func NewGAT(g *graph.CSR, cfg GATConfig) (*GAT, error) {
 		return nil, fmt.Errorf("model: GAT widths (hidden %d, out %d) must divide NumHeads %d",
 			cfg.Hidden, cfg.OutDim, cfg.NumHeads)
 	}
-	if cfg.LeakySlope == 0 {
-		cfg.LeakySlope = 0.2
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &GAT{Cfg: cfg, G: g, rev: g.Reverse()}
+	m := &GAT{Cfg: cfg, G: g}
+	if g != nil {
+		m.self = make([]int32, g.NumVertices)
+		for v := range m.self {
+			m.self[v] = int32(v)
+		}
+		m.rev = g.Reverse()
+		pos := make([]int32, g.NumEdges)
+		for p, e := range g.EdgeIDs {
+			pos[e] = int32(p)
+		}
+		m.revPos = make([]int32, g.NumEdges)
+		for q, e := range m.rev.EdgeIDs {
+			m.revPos[q] = pos[e]
+		}
+	}
 	for l := 0; l < cfg.NumLayers; l++ {
 		in := cfg.Hidden
 		if l == 0 {
@@ -114,49 +138,40 @@ func NewGAT(g *graph.CSR, cfg GATConfig) (*GAT, error) {
 	return m, nil
 }
 
-// Forward returns per-vertex logits.
+// Forward returns per-vertex logits, keeping the caches Backward reads.
 func (m *GAT) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	h := x
 	for _, gl := range m.layers {
-		h = m.forwardLayer(gl, h, training)
+		h = gl.forward(m.G.Indptr, m.G.Indices, m.self, h, true)
 	}
 	return h
 }
 
-func (m *GAT) forwardLayer(gl *gatLayer, x *tensor.Matrix, training bool) *tensor.Matrix {
-	g := m.G
+// ApplyLayer runs layer l forward-only over one bipartite block in
+// minibatch.Block layout (see the spmm attention primitives): h holds the
+// block's source rows, and the result one row per destination. It keeps
+// no caches, so it is safe for concurrent use. Over a full-neighborhood
+// block each destination's float ops are exactly Forward's.
+func (m *GAT) ApplyLayer(l int, indptr, indices, selfIdx []int32, h *tensor.Matrix) *tensor.Matrix {
+	return m.layers[l].forward(indptr, indices, selfIdx, h, false)
+}
+
+// forward runs the layer over one block. With keep, each head projects
+// through Linear.Forward and the layer keeps its backward caches;
+// otherwise it projects through Linear.Apply and writes nothing shared.
+func (gl *gatLayer) forward(indptr, indices, selfIdx []int32, x *tensor.Matrix, keep bool) *tensor.Matrix {
 	headOut := gl.heads[0].linear.Weight.W.Cols
-	out := tensor.New(g.NumVertices, headOut*len(gl.heads))
+	out := tensor.New(len(indptr)-1, headOut*len(gl.heads))
 	for hi, head := range gl.heads {
-		z := head.linear.Forward(x, training)
-		head.z = z
-
-		// Per-vertex attention projections s_u = aL·z_u, t_v = aR·z_v.
-		s := project(z, head.attL.W.Data)
-		t := project(z, head.attR.W.Data)
-
-		// Per-edge pre-activation score e = s_u + t_v, then LeakyReLU.
-		pre := tensor.New(g.NumEdges, 1)
-		if err := spmm.SDDMM(g, s, t, spmm.SDDMMAdd, pre); err != nil {
-			panic(err)
+		var z *tensor.Matrix
+		if keep {
+			z = head.linear.Forward(x, true)
+		} else {
+			z = head.linear.Apply(x)
 		}
-		slope := float32(m.Cfg.LeakySlope)
-		alpha := pre.Clone()
-		for i, v := range alpha.Data {
-			if v < 0 {
-				alpha.Data[i] = v * slope
-			}
-		}
-		head.pre = pre
-		if err := spmm.EdgeSoftmax(g, alpha); err != nil {
-			panic(err)
-		}
-		head.alpha = alpha
-
-		// Weighted aggregation h_v = Σ α z_u, into this head's column band.
-		agg := tensor.New(g.NumVertices, headOut)
-		if err := spmm.AggregateWeighted(g, z, alpha.Data, agg); err != nil {
-			panic(err)
+		agg, pre, alpha := attend(indptr, indices, selfIdx, z, head.attL.W.Data, head.attR.W.Data)
+		if keep {
+			head.z, head.pre, head.alpha = z, pre, alpha
 		}
 		setColBand(out, agg, hi*headOut)
 	}
@@ -167,8 +182,38 @@ func (m *GAT) forwardLayer(gl *gatLayer, x *tensor.Matrix, training bool) *tenso
 			}
 		}
 	}
-	gl.h = out
+	if keep {
+		gl.h = out
+	}
 	return out
+}
+
+// attend is one attention head over a block, given its projected source
+// rows z: per-source projections s = z·aL and t = z·aR, per-edge
+// pre-activation scores pre_p = s[indices[p]] + t[selfIdx[i]], attention
+// α = edge softmax of LeakyReLU(pre), and agg_i = Σ_p α_p·z[indices[p]].
+// pre and α are by block position.
+func attend(indptr, indices, selfIdx []int32, z *tensor.Matrix, attL, attR []float32) (agg, pre, alpha *tensor.Matrix) {
+	s := project(z, attL)
+	t := project(z, attR)
+	pre = tensor.New(len(indices), 1)
+	if err := spmm.SDDMM(indptr, indices, selfIdx, s, t, spmm.SDDMMAdd, pre); err != nil {
+		panic(err)
+	}
+	alpha = pre.Clone()
+	for i, v := range alpha.Data {
+		if v < 0 {
+			alpha.Data[i] = v * leakySlope
+		}
+	}
+	if err := spmm.EdgeSoftmax(indptr, alpha); err != nil {
+		panic(err)
+	}
+	agg = tensor.New(len(indptr)-1, z.Cols)
+	if err := spmm.AggregateWeighted(indptr, indices, z, alpha.Data, agg); err != nil {
+		panic(err)
+	}
+	return agg, pre, alpha
 }
 
 // project returns the |V|×1 matrix of row-dot-products z·a.
@@ -235,54 +280,54 @@ func (m *GAT) backwardLayer(gl *gatLayer, dy *tensor.Matrix) *tensor.Matrix {
 	return dxTotal
 }
 
-// backwardHead runs the single-head attention backward pass and returns
-// ∂L/∂x for this head's path.
+// backwardHead runs the single-head attention backward pass over the
+// identity block and returns ∂L/∂x for this head's path. Per-edge values
+// are by forward block position; the per-destination loops visit
+// positions in the order InEdgeIDs lists the edges.
 func (m *GAT) backwardHead(g *graph.CSR, head *gatHead, dy *tensor.Matrix) *tensor.Matrix {
 	// h_v = Σ_u α_uv z_u.
-	// (1) dz_u += Σ_v α_uv dy_v — weighted aggregation along reverse edges
-	//     (edge IDs are shared between g and its reverse).
+	// (1) dz_u += Σ_v α_uv dy_v — weighted aggregation along reverse edges,
+	//     each weighted by its forward position's α.
+	revAlpha := make([]float32, len(m.revPos))
+	for q, p := range m.revPos {
+		revAlpha[q] = head.alpha.Data[p]
+	}
 	dz := tensor.New(head.z.Rows, head.z.Cols)
-	if err := spmm.AggregateWeighted(m.rev, dy, head.alpha.Data, dz); err != nil {
+	if err := spmm.AggregateWeighted(m.rev.Indptr, m.rev.Indices, dy, revAlpha, dz); err != nil {
 		panic(err)
 	}
 	// (2) dα_uv = z_u · dy_v — SDDMM dot.
 	dalpha := tensor.New(g.NumEdges, 1)
-	if err := spmm.SDDMM(g, head.z, dy, spmm.SDDMMDot, dalpha); err != nil {
+	if err := spmm.SDDMM(g.Indptr, g.Indices, m.self, head.z, dy, spmm.SDDMMDot, dalpha); err != nil {
 		panic(err)
 	}
 	// (3) softmax backward per destination: de = α ⊙ (dα − Σ α·dα).
 	de := tensor.New(g.NumEdges, 1)
 	for v := 0; v < g.NumVertices; v++ {
-		ids := g.InEdgeIDs(v)
-		if len(ids) == 0 {
-			continue
-		}
+		lo, hi := g.Indptr[v], g.Indptr[v+1]
 		var dot float64
-		for _, e := range ids {
-			dot += float64(head.alpha.Data[e]) * float64(dalpha.Data[e])
+		for p := lo; p < hi; p++ {
+			dot += float64(head.alpha.Data[p]) * float64(dalpha.Data[p])
 		}
-		for _, e := range ids {
-			de.Data[e] = head.alpha.Data[e] * (dalpha.Data[e] - float32(dot))
+		for p := lo; p < hi; p++ {
+			de.Data[p] = head.alpha.Data[p] * (dalpha.Data[p] - float32(dot))
 		}
 	}
 	// (4) LeakyReLU backward on the pre-activation scores.
-	slope := float32(m.Cfg.LeakySlope)
 	for i := range de.Data {
 		if head.pre.Data[i] < 0 {
-			de.Data[i] *= slope
+			de.Data[i] *= leakySlope
 		}
 	}
 	// (5) de flows to s_u (sum over out-edges) and t_v (sum over in-edges).
 	dsrc := tensor.New(g.NumVertices, 1)
 	ddst := tensor.New(g.NumVertices, 1)
 	for v := 0; v < g.NumVertices; v++ {
-		nbr := g.InNeighbors(v)
-		ids := g.InEdgeIDs(v)
 		var sum float32
-		for i := range ids {
-			grad := de.Data[ids[i]]
+		for p := g.Indptr[v]; p < g.Indptr[v+1]; p++ {
+			grad := de.Data[p]
 			sum += grad
-			dsrc.Data[nbr[i]] += grad
+			dsrc.Data[g.Indices[p]] += grad
 		}
 		ddst.Data[v] += sum
 	}

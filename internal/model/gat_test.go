@@ -140,13 +140,13 @@ func TestGATAttentionWeightsValid(t *testing.T) {
 	m.Forward(x, false)
 	alpha := m.layers[0].heads[0].alpha
 	for v := 0; v < g.NumVertices; v++ {
-		ids := g.InEdgeIDs(v)
-		if len(ids) == 0 {
+		lo, hi := g.Indptr[v], g.Indptr[v+1]
+		if lo == hi {
 			continue
 		}
 		var sum float64
-		for _, e := range ids {
-			sum += float64(alpha.Data[e])
+		for _, a := range alpha.Data[lo:hi] {
+			sum += float64(a)
 		}
 		if math.Abs(sum-1) > 1e-5 {
 			t.Fatalf("attention over vertex %d sums to %v", v, sum)

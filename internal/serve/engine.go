@@ -25,6 +25,7 @@ import (
 	"distgnn/internal/featstore"
 	"distgnn/internal/graph"
 	"distgnn/internal/minibatch"
+	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
 	"distgnn/internal/spmm"
@@ -52,9 +53,6 @@ type ModelSpec struct {
 	NumLayers int
 	// NumHeads is the GAT attention head count (ignored for GraphSAGE).
 	NumHeads int
-	// LeakySlope is GAT's LeakyReLU negative slope; defaults to 0.2 to
-	// match model.NewGAT.
-	LeakySlope float64
 }
 
 func (s ModelSpec) String() string {
@@ -64,16 +62,6 @@ func (s ModelSpec) String() string {
 	}
 	return fmt.Sprintf("graphsage(in=%d hidden=%d out=%d layers=%d)",
 		s.InDim, s.Hidden, s.OutDim, s.NumLayers)
-}
-
-// gatServeHead is one forward-only attention head.
-type gatServeHead struct {
-	w, attL, attR *tensor.Matrix
-}
-
-type gatServeLayer struct {
-	heads []*gatServeHead
-	last  bool
 }
 
 // EngineStats are the engine-level counters surfaced in /stats.
@@ -117,7 +105,7 @@ type Engine struct {
 	fanouts []int // nil → exact full-neighborhood mode
 	params  []*nn.Param
 	sage    []*nn.Linear // run forward-only through Apply
-	gat     []*gatServeLayer
+	gat     *model.GAT   // parameters only; run through ApplyLayer
 	feat    *Cache[int32, []float32]
 	src     featureSource
 	// feats is the resident feature store. The exact-mode GraphSAGE path
@@ -171,21 +159,16 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 	case ArchGraphSAGE:
 		e.buildSage()
 	case ArchGAT:
-		if e.spec.NumHeads == 0 {
-			e.spec.NumHeads = 1
+		// model's constructor validates the config and names the
+		// parameters exactly as training does.
+		gat, err := model.NewGAT(nil, model.GATConfig{
+			InDim: spec.InDim, Hidden: spec.Hidden, OutDim: spec.OutDim,
+			NumLayers: spec.NumLayers, NumHeads: spec.NumHeads,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w — if the checkpoint's output width was padded to a NumHeads multiple, pass it via OutDim/-out-dim", err)
 		}
-		if e.spec.NumHeads < 1 {
-			return nil, fmt.Errorf("serve: GAT NumHeads must be ≥1")
-		}
-		if e.spec.OutDim%e.spec.NumHeads != 0 || (spec.NumLayers > 1 && e.spec.Hidden%e.spec.NumHeads != 0) {
-			return nil, fmt.Errorf("serve: GAT widths (hidden %d, out %d) must be divisible by NumHeads %d"+
-				" — pass the padded output width the checkpoint was trained with via OutDim/-out-dim",
-				e.spec.Hidden, e.spec.OutDim, e.spec.NumHeads)
-		}
-		if e.spec.LeakySlope == 0 {
-			e.spec.LeakySlope = 0.2
-		}
-		e.buildGAT()
+		e.gat, e.params, e.spec.NumHeads = gat, gat.Params(), gat.Cfg.NumHeads
 	default:
 		return nil, fmt.Errorf("serve: unknown arch %q (graphsage or gat)", spec.Arch)
 	}
@@ -215,24 +198,6 @@ func (e *Engine) buildSage() {
 		}
 		e.params = append(e.params, lin.Params()...)
 		e.sage = append(e.sage, lin)
-	}
-}
-
-// buildGAT mirrors model.NewGAT's parameter naming and order: per layer,
-// per head — linear weight, attL, attR.
-func (e *Engine) buildGAT() {
-	for l := 0; l < e.spec.NumLayers; l++ {
-		in, out := e.layerDims(l)
-		headOut := out / e.spec.NumHeads
-		gl := &gatServeLayer{last: l == e.spec.NumLayers-1}
-		for h := 0; h < e.spec.NumHeads; h++ {
-			w := nn.NewParam(fmt.Sprintf("gat%d.h%d.weight", l, h), in, headOut)
-			attL := nn.NewParam(fmt.Sprintf("gat%d.h%d.attL", l, h), 1, headOut)
-			attR := nn.NewParam(fmt.Sprintf("gat%d.h%d.attR", l, h), 1, headOut)
-			e.params = append(e.params, w, attL, attR)
-			gl.heads = append(gl.heads, &gatServeHead{w: w.W, attL: attL.W, attR: attR.W})
-		}
-		e.gat = append(e.gat, gl)
 	}
 }
 
@@ -371,8 +336,13 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 
 	stop := tc.StartSpan("forward")
 	var out *tensor.Matrix
-	if e.spec.Arch == ArchGAT {
-		out = e.forwardGAT(s, x)
+	if e.gat != nil {
+		// x is set: GAT never takes the fused path.
+		out = x
+		for l := len(s.Blocks) - 1; l >= 0; l-- {
+			b := s.Blocks[l]
+			out = e.gat.ApplyLayer(len(s.Blocks)-1-l, b.Indptr, b.Indices, b.SelfIdx, out)
+		}
 	} else {
 		out = minibatch.SageForward(s, rows, frontier, e.sageLayer)
 	}
@@ -408,110 +378,4 @@ func (e *Engine) sageLayer(layer int, agg *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return y
-}
-
-// forwardGAT runs the attention layers over the blocks, replicating the
-// full-graph model's per-destination op order: SDDMM add, LeakyReLU,
-// max-stabilized edge softmax (float64 exponent sum), weighted aggregation.
-func (e *Engine) forwardGAT(s *minibatch.Sample, x *tensor.Matrix) *tensor.Matrix {
-	h := x
-	for l := len(s.Blocks) - 1; l >= 0; l-- {
-		layer := len(s.Blocks) - 1 - l
-		blk := s.Blocks[l]
-		gl := e.gat[layer]
-		headOut := gl.heads[0].w.Cols
-		out := tensor.New(blk.NumDst, headOut*len(gl.heads))
-		for hi, head := range gl.heads {
-			z := tensor.New(h.Rows, headOut)
-			tensor.MatMul(z, h, head.w)
-			sProj := projectRows(z, head.attL.Data)
-			tProj := projectRows(z, head.attR.Data)
-			alpha := edgeAttention(blk, sProj, tProj, float32(e.spec.LeakySlope))
-			aggregateWeightedBlock(blk, z, alpha, out, hi*headOut)
-		}
-		if !gl.last {
-			// model.GAT's inter-layer ReLU: negatives to +0, else untouched.
-			for i, v := range out.Data {
-				if v < 0 {
-					out.Data[i] = 0
-				}
-			}
-		}
-		h = out
-	}
-	return h
-}
-
-// projectRows returns the per-row dot products z·a (model.GAT's project).
-func projectRows(z *tensor.Matrix, a []float32) []float32 {
-	out := make([]float32, z.Rows)
-	for v := 0; v < z.Rows; v++ {
-		row := z.Row(v)
-		var sum float32
-		for j, w := range a {
-			sum += row[j] * w
-		}
-		out[v] = sum
-	}
-	return out
-}
-
-// edgeAttention computes per-block-edge softmax attention: for each dst i
-// over its block edges in order, e_p = LeakyReLU(s[src_p] + t[self_i]),
-// normalized with the max-stabilized float64-sum softmax spmm.EdgeSoftmax
-// uses, so exact-mode scores are bit-identical to the full-graph model.
-func edgeAttention(blk *minibatch.Block, sProj, tProj []float32, slope float32) []float32 {
-	alpha := make([]float32, len(blk.Indices))
-	for i := 0; i < blk.NumDst; i++ {
-		lo, hi := int(blk.Indptr[i]), int(blk.Indptr[i+1])
-		if lo == hi {
-			continue
-		}
-		tv := tProj[blk.SelfIdx[i]]
-		for p := lo; p < hi; p++ {
-			v := sProj[blk.Indices[p]] + tv
-			if v < 0 {
-				v *= slope
-			}
-			alpha[p] = v
-		}
-		maxV := alpha[lo]
-		for p := lo + 1; p < hi; p++ {
-			if alpha[p] > maxV {
-				maxV = alpha[p]
-			}
-		}
-		var sum float64
-		for p := lo; p < hi; p++ {
-			ex := spmm.Expf(float64(alpha[p] - maxV))
-			alpha[p] = float32(ex)
-			sum += ex
-		}
-		inv := float32(1 / sum)
-		for p := lo; p < hi; p++ {
-			alpha[p] *= inv
-		}
-	}
-	return alpha
-}
-
-// aggregateWeightedBlock writes Σ_p α_p·z[src_p] into out's column band
-// [j0, j0+z.Cols) per destination, skipping zero weights exactly as
-// spmm.AggregateWeighted does.
-func aggregateWeightedBlock(blk *minibatch.Block, z *tensor.Matrix, alpha []float32, out *tensor.Matrix, j0 int) {
-	w := z.Cols
-	for i := 0; i < blk.NumDst; i++ {
-		dst := out.Row(i)[j0 : j0+w]
-		lo, hi := int(blk.Indptr[i]), int(blk.Indptr[i+1])
-		for p := lo; p < hi; p++ {
-			a := alpha[p]
-			if a == 0 {
-				continue
-			}
-			src := z.Row(int(blk.Indices[p]))
-			for j := range dst {
-				dst[j] += a * src[j]
-			}
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -106,45 +107,17 @@ func TestExactServingMatchesFullForwardBitwise(t *testing.T) {
 }
 
 // TestExactGATServingMatchesFullForwardBitwise extends the pin to the
-// attention model: the block-wise softmax/aggregation replicates the
-// full-graph op order.
+// attention model: serving runs the model's own GAT layer over k-hop
+// blocks, and the blocks must give the full-graph op order.
 func TestExactGATServingMatchesFullForwardBitwise(t *testing.T) {
-	ds, err := datasets.Load("reddit-sim", 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heads := 2
-	out := ((ds.NumClasses + heads - 1) / heads) * heads
-	gat, err := model.NewGAT(ds.G, model.GATConfig{
-		InDim: ds.Features.Cols, Hidden: 16, OutDim: out,
-		NumLayers: 2, NumHeads: heads, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A couple of training steps so the attention weights are not at init.
-	adam := nn.NewAdam(0.01, 0)
-	params := gat.Params()
-	for e := 0; e < 2; e++ {
-		logits := gat.Forward(ds.Features, true)
-		_, dlogits := nn.MaskedCrossEntropy(logits, ds.Labels, ds.TrainIdx)
-		nn.ZeroGrads(params)
-		gat.Backward(dlogits)
-		adam.Step(params)
-	}
-	var buf bytes.Buffer
-	if err := nn.WriteParams(&buf, params); err != nil {
-		t.Fatal(err)
-	}
-
-	full := gat.Forward(ds.Features, false)
+	ds, full, ckpt, cfg := trainedGATCheckpoint(t)
 	eng, err := NewEngine(ds, ModelSpec{
-		Arch: ArchGAT, Hidden: 16, OutDim: out, NumLayers: 2, NumHeads: heads,
+		Arch: ArchGAT, Hidden: cfg.Hidden, OutDim: cfg.OutDim, NumLayers: cfg.NumLayers, NumHeads: cfg.NumHeads,
 	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.ReadParams(bytes.NewReader(buf.Bytes()), eng.Params()); err != nil {
+	if err := nn.ReadParams(bytes.NewReader(ckpt), eng.Params()); err != nil {
 		t.Fatal(err)
 	}
 	probe := []int32{2, 9, 33, int32(ds.G.NumVertices - 2)}
@@ -198,6 +171,19 @@ func TestPaddedGATServableThroughConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitsEqual(t, got.Row(0), full.Row(6), "padded GAT via Config.OutDim")
+}
+
+// TestGATConfigErrorNamesOutDim: the engine takes its GAT config check
+// from model.NewGAT and adds the -out-dim hint a padded checkpoint needs.
+func TestGATConfigErrorNamesOutDim(t *testing.T) {
+	ds, err := datasets.Load("reddit-sim", 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewEngine(ds, ModelSpec{Arch: ArchGAT, Hidden: 16, OutDim: 41, NumLayers: 2, NumHeads: 2}, nil, 0)
+	if err == nil || !strings.Contains(err.Error(), "model: GAT widths") || !strings.Contains(err.Error(), "-out-dim") {
+		t.Fatalf("indivisible GAT width: got %v, want model's check with the -out-dim hint", err)
+	}
 }
 
 // TestHTTPEndpoints drives the real handler: /predict agrees with the
@@ -311,83 +297,115 @@ func TestCheckpointMismatchFailsFast(t *testing.T) {
 
 // TestSampledModeServes covers the sampled path: valid logits with the
 // right width, and /stats reporting the sampled mode.
+// TestSampledModeServes runs both architectures on sampled blocks: small
+// fanouts give finite logits of the model's width, and fanouts no smaller
+// than the largest in-degree take every neighbor in CSR order, so they
+// give the full Forward's bits.
 func TestSampledModeServes(t *testing.T) {
-	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
-	srv, err := New(ds, bytes.NewReader(ckpt), Config{
-		Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2, Fanouts: []int{5, 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	out, err := srv.Engine().Infer([]int32{3, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows != 2 || out.Cols != ds.NumClasses {
-		t.Fatalf("sampled output %dx%d", out.Rows, out.Cols)
-	}
-	for _, v := range out.Data {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			t.Fatalf("non-finite sampled logit %v", v)
-		}
-	}
-	if mode := srv.Engine().Mode(); mode != "sampled(5,5)" {
-		t.Fatalf("mode %q", mode)
+	for _, arch := range []Arch{ArchGraphSAGE, ArchGAT} {
+		t.Run(string(arch), func(t *testing.T) {
+			ds, full, ckpt, cfg := shardFixture(t, arch)
+			width := ds.NumClasses
+			if cfg.OutDim != 0 {
+				width = cfg.OutDim
+			}
+			cfg.Fanouts = []int{5, 5}
+			srv, err := New(ds, bytes.NewReader(ckpt), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			out, err := srv.Engine().Infer([]int32{3, 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Rows != 2 || out.Cols != width {
+				t.Fatalf("sampled output %dx%d, want 2x%d", out.Rows, out.Cols, width)
+			}
+			for _, v := range out.Data {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					t.Fatalf("non-finite sampled logit %v", v)
+				}
+			}
+			if mode := srv.Engine().Mode(); mode != "sampled(5,5)" {
+				t.Fatalf("mode %q", mode)
+			}
+
+			maxDeg := 0
+			for _, d := range ds.G.InDegrees() {
+				maxDeg = max(maxDeg, int(d))
+			}
+			cfg.Fanouts = []int{maxDeg, maxDeg}
+			wide, err := New(ds, bytes.NewReader(ckpt), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wide.Close()
+			probe := []int32{3, 11, int32(ds.G.NumVertices - 1)}
+			got, err := wide.Engine().Infer(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range probe {
+				bitsEqual(t, got.Row(i), full.Row(int(v)), "sampled with full fanouts vs full Forward")
+			}
+		})
 	}
 }
 
 // TestConcurrentClientsThroughHTTP hammers the full pipeline — coalescer,
-// engine, both caches — from concurrent clients; every response must carry
-// the vertex's own bit-exact logits (the -race CI pass runs this too).
+// engine, both caches — from concurrent clients, for both architectures;
+// every response must carry the vertex's own bit-exact logits (the -race
+// CI pass runs this too, so GAT's shared layers are read concurrently).
 func TestConcurrentClientsThroughHTTP(t *testing.T) {
-	ds, m, ckpt := trainedSageCheckpoint(t, 16, 2)
-	srv, err := New(ds, bytes.NewReader(ckpt), Config{
-		Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
-		MaxBatch: 8, FeatureCacheBytes: 1 << 20, EmbedCacheBytes: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	full := m.Forward(ds.Features, false)
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				v := (w*7 + i*3) % ds.G.NumVertices
-				resp, err := http.Get(fmt.Sprintf("%s/predict?vertex=%d", ts.URL, v))
-				if err != nil {
-					errs <- err
-					return
-				}
-				var pr PredictResponse
-				err = json.NewDecoder(resp.Body).Decode(&pr)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				want := full.Row(v)
-				for j := range want {
-					if math.Float32bits(pr.Logits[j]) != math.Float32bits(want[j]) {
-						errs <- fmt.Errorf("vertex %d col %d: %v != %v", v, j, pr.Logits[j], want[j])
-						return
-					}
-				}
+	for _, arch := range []Arch{ArchGraphSAGE, ArchGAT} {
+		t.Run(string(arch), func(t *testing.T) {
+			ds, full, ckpt, cfg := shardFixture(t, arch)
+			cfg.MaxBatch, cfg.FeatureCacheBytes, cfg.EmbedCacheBytes = 8, 1<<20, 1<<20
+			srv, err := New(ds, bytes.NewReader(ckpt), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			var wg sync.WaitGroup
+			errs := make(chan error, 16)
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 20; i++ {
+						v := (w*7 + i*3) % ds.G.NumVertices
+						resp, err := http.Get(fmt.Sprintf("%s/predict?vertex=%d", ts.URL, v))
+						if err != nil {
+							errs <- err
+							return
+						}
+						var pr PredictResponse
+						err = json.NewDecoder(resp.Body).Decode(&pr)
+						resp.Body.Close()
+						if err != nil {
+							errs <- err
+							return
+						}
+						want := full.Row(v)
+						for j := range want {
+							if math.Float32bits(pr.Logits[j]) != math.Float32bits(want[j]) {
+								errs <- fmt.Errorf("vertex %d col %d: %v != %v", v, j, pr.Logits[j], want[j])
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

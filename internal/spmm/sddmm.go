@@ -4,9 +4,23 @@ import (
 	"fmt"
 	"math"
 
-	"distgnn/internal/graph"
+	"distgnn/internal/parallel"
 	"distgnn/internal/tensor"
 )
+
+// The attention primitives below run over one bipartite block in
+// minibatch.Block layout, the arrays GatherAggGCNSum takes: destination
+// i's in-edges are the block positions p ∈ [indptr[i], indptr[i+1]),
+// indices[p] is edge p's source row, and selfIdx[i] is the source row
+// holding destination i itself. Per-edge values are stored by block
+// position. A full graph g is the identity block: g.Indptr, g.Indices and
+// selfIdx = 0..|V|-1, with per-edge values in CSR position order.
+
+// attnGrain is the least destination count an attention primitive hands
+// to a pool worker (parallel.For's grain): a k-hop serving block of a few
+// dozen destinations runs on the calling goroutine, where a pool hand-off
+// would cost more than the pass.
+const attnGrain = 64
 
 // SDDMMOp is the per-edge operator of the SDDMM primitive. DGL (§2.2 of
 // the paper) formulates computations on edges — attention scores, edge
@@ -15,35 +29,20 @@ import (
 type SDDMMOp uint8
 
 const (
-	// SDDMMAdd, …, SDDMMDiv produce an elementwise |E|×d result.
+	// SDDMMAdd produces the elementwise |E|×d sum — GAT's attention score
+	// s_u + t_v.
 	SDDMMAdd SDDMMOp = iota
-	SDDMMSub
-	SDDMMMul
-	SDDMMDiv
-	// SDDMMDot produces the |E|×1 inner product — the GAT/transformer
-	// attention-score pattern.
+	// SDDMMDot produces the |E|×1 inner product — GAT's attention-weight
+	// gradient z_u · dy_v.
 	SDDMMDot
-	// SDDMMCopyU / SDDMMCopyV copy one endpoint's features to the edge.
-	SDDMMCopyU
-	SDDMMCopyV
 )
 
 func (o SDDMMOp) String() string {
 	switch o {
 	case SDDMMAdd:
 		return "add"
-	case SDDMMSub:
-		return "sub"
-	case SDDMMMul:
-		return "mul"
-	case SDDMMDiv:
-		return "div"
 	case SDDMMDot:
 		return "dot"
-	case SDDMMCopyU:
-		return "copyu"
-	case SDDMMCopyV:
-		return "copyv"
 	}
 	return fmt.Sprintf("SDDMMOp(%d)", uint8(o))
 }
@@ -56,80 +55,46 @@ func (o SDDMMOp) OutCols(d int) int {
 	return d
 }
 
-// SDDMM computes, for every edge u→v of g, out[e] = fU[u] ⊗ fV[v], where
-// out is indexed by edge ID. fU and fV are |V|×d matrices (they may alias
-// each other — the common case scores a vertex embedding against itself).
-// out must be |E|×OutCols(d). Parallelized over destination vertices: each
-// edge is written exactly once, so there are no write conflicts.
-func SDDMM(g *graph.CSR, fU, fV *tensor.Matrix, op SDDMMOp, out *tensor.Matrix) error {
-	if fU == nil && op != SDDMMCopyV {
-		return fmt.Errorf("spmm: sddmm %v requires source features", op)
+// SDDMM computes, for every edge p into destination i of the block,
+// out[p] = fU[indices[p]] ⊗ fV[selfIdx[i]]. fU and fV are source-row
+// matrices of equal shape (they may alias each other — the common case
+// scores a vertex embedding against itself). out must be
+// len(indices)×OutCols(d). Parallelized over destinations: each edge is
+// written exactly once, so there are no write conflicts.
+func SDDMM(indptr, indices, selfIdx []int32, fU, fV *tensor.Matrix, op SDDMMOp, out *tensor.Matrix) error {
+	if op != SDDMMAdd && op != SDDMMDot {
+		return fmt.Errorf("spmm: unknown sddmm op %v", op)
 	}
-	if fV == nil && op != SDDMMCopyU {
-		return fmt.Errorf("spmm: sddmm %v requires destination features", op)
+	if fU == nil || fV == nil {
+		return fmt.Errorf("spmm: sddmm %v requires source and destination features", op)
 	}
-	d := 0
-	if fU != nil {
-		if fU.Rows != g.NumVertices {
-			return fmt.Errorf("spmm: sddmm fU rows %d != vertices %d", fU.Rows, g.NumVertices)
-		}
-		d = fU.Cols
+	if fU.Rows != fV.Rows || fU.Cols != fV.Cols {
+		return fmt.Errorf("spmm: sddmm operands %dx%d vs %dx%d", fU.Rows, fU.Cols, fV.Rows, fV.Cols)
 	}
-	if fV != nil {
-		if fV.Rows != g.NumVertices {
-			return fmt.Errorf("spmm: sddmm fV rows %d != vertices %d", fV.Rows, g.NumVertices)
-		}
-		if d != 0 && fV.Cols != d {
-			return fmt.Errorf("spmm: sddmm width mismatch %d vs %d", fU.Cols, fV.Cols)
-		}
-		d = fV.Cols
+	numDst := len(indptr) - 1
+	if len(selfIdx) != numDst {
+		return fmt.Errorf("spmm: sddmm selfIdx length %d, want %d", len(selfIdx), numDst)
 	}
-	if out.Rows != g.NumEdges || out.Cols != op.OutCols(d) {
+	if out.Rows != len(indices) || out.Cols != op.OutCols(fU.Cols) {
 		return fmt.Errorf("spmm: sddmm output %dx%d, want %dx%d",
-			out.Rows, out.Cols, g.NumEdges, op.OutCols(d))
+			out.Rows, out.Cols, len(indices), op.OutCols(fU.Cols))
 	}
-	staticParallel(g.NumVertices, func(v0, v1 int) {
-		for v := v0; v < v1; v++ {
-			nbr := g.InNeighbors(v)
-			ids := g.InEdgeIDs(v)
-			var dst []float32
-			if fV != nil {
-				dst = fV.Row(v)
-			}
-			for i, u := range nbr {
-				e := int(ids[i])
-				var src []float32
-				if fU != nil {
-					src = fU.Row(int(u))
-				}
-				o := out.Row(e)
-				switch op {
-				case SDDMMAdd:
-					for j := range o {
-						o[j] = src[j] + dst[j]
-					}
-				case SDDMMSub:
-					for j := range o {
-						o[j] = src[j] - dst[j]
-					}
-				case SDDMMMul:
-					for j := range o {
-						o[j] = src[j] * dst[j]
-					}
-				case SDDMMDiv:
-					for j := range o {
-						o[j] = src[j] / dst[j]
-					}
-				case SDDMMDot:
+	parallel.For(numDst, attnGrain, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			dst := fV.Row(int(selfIdx[i]))
+			for p := indptr[i]; p < indptr[i+1]; p++ {
+				src := fU.Row(int(indices[p]))
+				o := out.Row(int(p))
+				if op == SDDMMDot {
 					var s float32
 					for j := range src {
 						s += src[j] * dst[j]
 					}
 					o[0] = s
-				case SDDMMCopyU:
-					copy(o, src)
-				case SDDMMCopyV:
-					copy(o, dst)
+					continue
+				}
+				for j := range o {
+					o[j] = src[j] + dst[j]
 				}
 			}
 		}
@@ -137,64 +102,64 @@ func SDDMM(g *graph.CSR, fU, fV *tensor.Matrix, op SDDMMOp, out *tensor.Matrix) 
 	return nil
 }
 
-// EdgeSoftmax normalizes per-edge scalar scores (|E|×1) over each
-// destination vertex's in-edges, in place — the attention normalization of
-// GAT. Numerically stabilized with the per-destination max.
-func EdgeSoftmax(g *graph.CSR, scores *tensor.Matrix) error {
-	if scores.Rows != g.NumEdges || scores.Cols != 1 {
+// EdgeSoftmax normalizes per-edge scalar scores (len(indices)×1) over each
+// destination's in-edges, in place — the attention normalization of GAT.
+// Numerically stabilized with the per-destination max; the exponent sum
+// is accumulated in float64.
+func EdgeSoftmax(indptr []int32, scores *tensor.Matrix) error {
+	if len(indptr) == 0 || scores.Cols != 1 || scores.Rows != int(indptr[len(indptr)-1]) {
 		return fmt.Errorf("spmm: edge softmax wants |E|x1 scores, got %dx%d",
 			scores.Rows, scores.Cols)
 	}
-	staticParallel(g.NumVertices, func(v0, v1 int) {
-		for v := v0; v < v1; v++ {
-			ids := g.InEdgeIDs(v)
-			if len(ids) == 0 {
+	parallel.For(len(indptr)-1, attnGrain, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			e := scores.Data[indptr[i]:indptr[i+1]]
+			if len(e) == 0 {
 				continue
 			}
-			maxV := scores.Data[ids[0]]
-			for _, e := range ids[1:] {
-				if scores.Data[e] > maxV {
-					maxV = scores.Data[e]
+			maxV := e[0]
+			for _, v := range e[1:] {
+				if v > maxV {
+					maxV = v
 				}
 			}
 			var sum float64
-			for _, e := range ids {
-				x := float64(scores.Data[e] - maxV)
-				ex := Expf(x)
-				scores.Data[e] = float32(ex)
+			for p, v := range e {
+				ex := expf(float64(v - maxV))
+				e[p] = float32(ex)
 				sum += ex
 			}
 			inv := float32(1 / sum)
-			for _, e := range ids {
-				scores.Data[e] *= inv
+			for p := range e {
+				e[p] *= inv
 			}
 		}
 	})
 	return nil
 }
 
-// AggregateWeighted computes out[v] = Σ_{e: u→v} w[e]·x[u] — the weighted
-// aggregation attention models use, with per-edge scalar weights. w is
-// indexed by edge ID. Parallelized over destinations.
-func AggregateWeighted(g *graph.CSR, x *tensor.Matrix, w []float32, out *tensor.Matrix) error {
-	if x.Rows != g.NumVertices || out.Rows != g.NumVertices || x.Cols != out.Cols {
+// AggregateWeighted computes out[i] = Σ_p w[p]·x[indices[p]] over
+// destination i's block edges in position order — the weighted
+// aggregation attention models use, with per-edge scalar weights. Zero
+// weights are skipped. out (NumDst rows) is overwritten. Parallelized over
+// destinations.
+func AggregateWeighted(indptr, indices []int32, x *tensor.Matrix, w []float32, out *tensor.Matrix) error {
+	if out.Rows != len(indptr)-1 || x.Cols != out.Cols {
 		return fmt.Errorf("spmm: weighted aggregate shape mismatch")
 	}
-	if len(w) != g.NumEdges {
-		return fmt.Errorf("spmm: weights cover %d edges, graph has %d", len(w), g.NumEdges)
+	if len(w) != len(indices) {
+		return fmt.Errorf("spmm: weights cover %d edges, block has %d", len(w), len(indices))
 	}
 	out.Zero()
-	staticParallel(g.NumVertices, func(v0, v1 int) {
-		for v := v0; v < v1; v++ {
-			nbr := g.InNeighbors(v)
-			ids := g.InEdgeIDs(v)
-			dst := out.Row(v)
-			for i, u := range nbr {
-				alpha := w[ids[i]]
+	parallel.For(out.Rows, attnGrain, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			dst := out.Row(i)
+			for p := indptr[i]; p < indptr[i+1]; p++ {
+				alpha := w[p]
 				if alpha == 0 {
 					continue
 				}
-				src := x.Row(int(u))
+				src := x.Row(int(indices[p]))
 				for j := range dst {
 					dst[j] += alpha * src[j]
 				}
@@ -204,11 +169,9 @@ func AggregateWeighted(g *graph.CSR, x *tensor.Matrix, w []float32, out *tensor.
 	return nil
 }
 
-// Expf is the overflow-guarded exponent of the edge softmax: math.Exp, but
-// 0 below −80. The serving engine's GAT replay calls it too, so both
-// softmaxes take the same bits.
-func Expf(x float64) float64 {
-	// Guard against overflow for pathological score spreads.
+// expf is the overflow-guarded exponent of the edge softmax: math.Exp, but
+// 0 below −80.
+func expf(x float64) float64 {
 	if x < -80 {
 		return 0
 	}

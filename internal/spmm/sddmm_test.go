@@ -9,33 +9,31 @@ import (
 	"distgnn/internal/tensor"
 )
 
+// identity returns the identity block's selfIdx 0..n-1: a full graph g is
+// the block (g.Indptr, g.Indices, identity(g.NumVertices)).
+func identity(n int) []int32 {
+	self := make([]int32, n)
+	for i := range self {
+		self[i] = int32(i)
+	}
+	return self
+}
+
 func TestSDDMMElementwiseOps(t *testing.T) {
 	g := graph.MustCSR(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}, {Src: 1, Dst: 0}})
 	fU := tensor.FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
 	fV := tensor.FromSlice(3, 2, []float32{10, 20, 30, 40, 50, 60})
-	edges := g.Edges()
 
-	cases := []struct {
-		op    SDDMMOp
-		check func(u, v, j int) float32
-	}{
-		{SDDMMAdd, func(u, v, j int) float32 { return fU.At(u, j) + fV.At(v, j) }},
-		{SDDMMSub, func(u, v, j int) float32 { return fU.At(u, j) - fV.At(v, j) }},
-		{SDDMMMul, func(u, v, j int) float32 { return fU.At(u, j) * fV.At(v, j) }},
-		{SDDMMDiv, func(u, v, j int) float32 { return fU.At(u, j) / fV.At(v, j) }},
-		{SDDMMCopyU, func(u, v, j int) float32 { return fU.At(u, j) }},
-		{SDDMMCopyV, func(u, v, j int) float32 { return fV.At(v, j) }},
+	out := tensor.New(g.NumEdges, 2)
+	if err := SDDMM(g.Indptr, g.Indices, identity(3), fU, fV, SDDMMAdd, out); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		out := tensor.New(g.NumEdges, 2)
-		if err := SDDMM(g, fU, fV, tc.op, out); err != nil {
-			t.Fatalf("%v: %v", tc.op, err)
-		}
-		for e, ed := range edges {
+	for v := 0; v < g.NumVertices; v++ {
+		for p := g.Indptr[v]; p < g.Indptr[v+1]; p++ {
+			u := int(g.Indices[p])
 			for j := 0; j < 2; j++ {
-				want := tc.check(int(ed.Src), int(ed.Dst), j)
-				if got := out.At(e, j); got != want {
-					t.Fatalf("%v edge %d col %d: got %v want %v", tc.op, e, j, got, want)
+				if got, want := out.At(int(p), j), fU.At(u, j)+fV.At(v, j); got != want {
+					t.Fatalf("add position %d col %d: got %v want %v", p, j, got, want)
 				}
 			}
 		}
@@ -47,7 +45,7 @@ func TestSDDMMDot(t *testing.T) {
 	fU := tensor.FromSlice(2, 3, []float32{1, 2, 3, 0, 0, 0})
 	fV := tensor.FromSlice(2, 3, []float32{0, 0, 0, 4, 5, 6})
 	out := tensor.New(1, 1)
-	if err := SDDMM(g, fU, fV, SDDMMDot, out); err != nil {
+	if err := SDDMM(g.Indptr, g.Indices, identity(2), fU, fV, SDDMMDot, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.At(0, 0) != 1*4+2*5+3*6 {
@@ -57,21 +55,152 @@ func TestSDDMMDot(t *testing.T) {
 
 func TestSDDMMValidation(t *testing.T) {
 	g := graph.MustCSR(2, []graph.Edge{{Src: 0, Dst: 1}})
+	self := identity(2)
 	f := tensor.New(2, 3)
-	if err := SDDMM(g, nil, f, SDDMMAdd, tensor.New(1, 3)); err == nil {
+	if err := SDDMM(g.Indptr, g.Indices, self, nil, f, SDDMMAdd, tensor.New(1, 3)); err == nil {
 		t.Fatal("missing fU must error")
 	}
-	if err := SDDMM(g, f, nil, SDDMMAdd, tensor.New(1, 3)); err == nil {
+	if err := SDDMM(g.Indptr, g.Indices, self, f, nil, SDDMMAdd, tensor.New(1, 3)); err == nil {
 		t.Fatal("missing fV must error")
 	}
-	if err := SDDMM(g, f, tensor.New(2, 4), SDDMMAdd, tensor.New(1, 3)); err == nil {
+	if err := SDDMM(g.Indptr, g.Indices, self, f, tensor.New(2, 4), SDDMMAdd, tensor.New(1, 3)); err == nil {
 		t.Fatal("width mismatch must error")
 	}
-	if err := SDDMM(g, f, f, SDDMMDot, tensor.New(1, 3)); err == nil {
+	if err := SDDMM(g.Indptr, g.Indices, self, f, f, SDDMMDot, tensor.New(1, 3)); err == nil {
 		t.Fatal("dot output must be |E|x1")
 	}
-	if err := SDDMM(g, tensor.New(5, 3), f, SDDMMAdd, tensor.New(1, 3)); err == nil {
+	if err := SDDMM(g.Indptr, g.Indices, self, tensor.New(5, 3), f, SDDMMAdd, tensor.New(1, 3)); err == nil {
 		t.Fatal("fU row mismatch must error")
+	}
+	if err := SDDMM(g.Indptr, g.Indices, self[:1], f, f, SDDMMAdd, tensor.New(1, 3)); err == nil {
+		t.Fatal("selfIdx length mismatch must error")
+	}
+	if err := SDDMM(g.Indptr, g.Indices, self, f, f, SDDMMOp(7), tensor.New(1, 3)); err == nil {
+		t.Fatal("unknown op must error")
+	}
+}
+
+// TestAttentionPrimitivesMatchScalarReference pins the block form of the
+// three attention primitives bit for bit against scalar loops written
+// here, on random bipartite blocks with more sources than destinations, a
+// selfIdx that is not the identity, and destinations without edges.
+func TestAttentionPrimitivesMatchScalarReference(t *testing.T) {
+	bitsEqual := func(what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s diverges at %d: %v vs %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const numDst, numSrc, d = 60, 150, 7
+		_, indptr, indices, selfIdx := randomBipartite(rng, numDst, numSrc, 6, 400)
+		for i, s := range rng.Perm(numSrc)[:numDst] {
+			selfIdx[i] = int32(s)
+		}
+		empty := 0
+		for i := 0; i < numDst; i++ {
+			if indptr[i] == indptr[i+1] {
+				empty++
+			}
+		}
+		if empty == 0 {
+			t.Fatalf("seed %d: block has no edgeless destination", seed)
+		}
+		fU, fV := tensor.New(numSrc, d), tensor.New(numSrc, d)
+		tensor.RandomNormal(fU, rng, 1)
+		tensor.RandomNormal(fV, rng, 1)
+		numE := len(indices)
+
+		// SDDMM add and dot: out[p] = fU[indices[p]] ⊗ fV[selfIdx[i]].
+		add, dot := tensor.New(numE, d), tensor.New(numE, 1)
+		if err := SDDMM(indptr, indices, selfIdx, fU, fV, SDDMMAdd, add); err != nil {
+			t.Fatal(err)
+		}
+		if err := SDDMM(indptr, indices, selfIdx, fU, fV, SDDMMDot, dot); err != nil {
+			t.Fatal(err)
+		}
+		wantAdd, wantDot := make([]float32, numE*d), make([]float32, numE)
+		for i := 0; i < numDst; i++ {
+			v := fV.Row(int(selfIdx[i]))
+			for p := indptr[i]; p < indptr[i+1]; p++ {
+				u := fU.Row(int(indices[p]))
+				for j := 0; j < d; j++ {
+					wantAdd[int(p)*d+j] = u[j] + v[j]
+					wantDot[p] += u[j] * v[j]
+				}
+			}
+		}
+		bitsEqual("sddmm add", add.Data, wantAdd)
+		bitsEqual("sddmm dot", dot.Data, wantDot)
+
+		// EdgeSoftmax over a wide score spread, so some exponents fall
+		// below the −80 guard.
+		scores := tensor.New(numE, 1)
+		tensor.RandomNormal(scores, rng, 40)
+		want := append([]float32(nil), scores.Data...)
+		for i := 0; i < numDst; i++ {
+			e := want[indptr[i]:indptr[i+1]]
+			if len(e) == 0 {
+				continue
+			}
+			maxV := e[0]
+			for _, v := range e {
+				if v > maxV {
+					maxV = v
+				}
+			}
+			var sum float64
+			for p, v := range e {
+				ex := 0.0
+				if x := float64(v - maxV); x >= -80 {
+					ex = math.Exp(x)
+				}
+				e[p] = float32(ex)
+				sum += ex
+			}
+			for p := range e {
+				e[p] *= float32(1 / sum)
+			}
+		}
+		if err := EdgeSoftmax(indptr, scores); err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual("edge softmax", scores.Data, want)
+
+		// AggregateWeighted, with some zero weights; destinations without
+		// edges come out zero. Source row indices[0] is +Inf and reached
+		// only through zero weights, so it shows whether they are skipped.
+		w := make([]float32, numE)
+		for p := range w {
+			if rng.Intn(5) > 0 && indices[p] != indices[0] {
+				w[p] = float32(rng.NormFloat64())
+			}
+		}
+		for j := range fU.Row(int(indices[0])) {
+			fU.Row(int(indices[0]))[j] = float32(math.Inf(1))
+		}
+		agg := tensor.New(numDst, d)
+		tensor.RandomNormal(agg, rng, 1) // overwritten
+		if err := AggregateWeighted(indptr, indices, fU, w, agg); err != nil {
+			t.Fatal(err)
+		}
+		wantAgg := make([]float32, numDst*d)
+		for i := 0; i < numDst; i++ {
+			row := wantAgg[i*d : (i+1)*d]
+			for p := indptr[i]; p < indptr[i+1]; p++ {
+				if w[p] == 0 {
+					continue
+				}
+				u := fU.Row(int(indices[p]))
+				for j := range row {
+					row[j] += w[p] * u[j]
+				}
+			}
+		}
+		bitsEqual("weighted aggregate", agg.Data, wantAgg)
 	}
 }
 
@@ -80,17 +209,16 @@ func TestEdgeSoftmaxNormalizesPerDestination(t *testing.T) {
 	g := randomGraph(rng, 50, 400)
 	scores := tensor.New(g.NumEdges, 1)
 	tensor.RandomNormal(scores, rng, 2)
-	if err := EdgeSoftmax(g, scores); err != nil {
+	if err := EdgeSoftmax(g.Indptr, scores); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.NumVertices; v++ {
-		ids := g.InEdgeIDs(v)
-		if len(ids) == 0 {
+		lo, hi := g.Indptr[v], g.Indptr[v+1]
+		if lo == hi {
 			continue
 		}
 		var sum float64
-		for _, e := range ids {
-			a := scores.Data[e]
+		for _, a := range scores.Data[lo:hi] {
 			if a < 0 || a > 1 {
 				t.Fatalf("attention weight %v out of [0,1]", a)
 			}
@@ -105,7 +233,7 @@ func TestEdgeSoftmaxNormalizesPerDestination(t *testing.T) {
 func TestEdgeSoftmaxStableWithLargeScores(t *testing.T) {
 	g := graph.MustCSR(2, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 1}})
 	scores := tensor.FromSlice(2, 1, []float32{500, 501})
-	if err := EdgeSoftmax(g, scores); err != nil {
+	if err := EdgeSoftmax(g.Indptr, scores); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range scores.Data {
@@ -120,11 +248,14 @@ func TestEdgeSoftmaxStableWithLargeScores(t *testing.T) {
 
 func TestEdgeSoftmaxValidation(t *testing.T) {
 	g := graph.MustCSR(2, []graph.Edge{{Src: 0, Dst: 1}})
-	if err := EdgeSoftmax(g, tensor.New(1, 2)); err == nil {
+	if err := EdgeSoftmax(g.Indptr, tensor.New(1, 2)); err == nil {
 		t.Fatal("non-scalar scores must error")
 	}
-	if err := EdgeSoftmax(g, tensor.New(5, 1)); err == nil {
+	if err := EdgeSoftmax(g.Indptr, tensor.New(5, 1)); err == nil {
 		t.Fatal("wrong edge count must error")
+	}
+	if err := EdgeSoftmax(nil, tensor.New(0, 1)); err == nil {
+		t.Fatal("empty indptr must error")
 	}
 }
 
@@ -138,22 +269,16 @@ func TestAggregateWeightedMatchesManual(t *testing.T) {
 		w[i] = rng.Float32()
 	}
 	out := tensor.New(30, 5)
-	if err := AggregateWeighted(g, x, w, out); err != nil {
+	if err := AggregateWeighted(g.Indptr, g.Indices, x, w, out); err != nil {
 		t.Fatal(err)
 	}
 	want := tensor.New(30, 5)
-	for _, e := range g.Edges() {
-		// Recover the edge ID by matching; easier: recompute via CSR below.
-		_ = e
-	}
 	for v := 0; v < 30; v++ {
-		nbr := g.InNeighbors(v)
-		ids := g.InEdgeIDs(v)
 		row := want.Row(v)
-		for i, u := range nbr {
-			src := x.Row(int(u))
+		for p := g.Indptr[v]; p < g.Indptr[v+1]; p++ {
+			src := x.Row(int(g.Indices[p]))
 			for j := range row {
-				row[j] += w[ids[i]] * src[j]
+				row[j] += w[p] * src[j]
 			}
 		}
 	}
@@ -173,7 +298,7 @@ func TestAggregateWeightedUniformEqualsAP(t *testing.T) {
 		w[i] = 1
 	}
 	weighted := tensor.New(40, 8)
-	if err := AggregateWeighted(g, x, w, weighted); err != nil {
+	if err := AggregateWeighted(g.Indptr, g.Indices, x, w, weighted); err != nil {
 		t.Fatal(err)
 	}
 	ap := &Args{G: g, FV: x, FO: tensor.New(40, 8), Op: OpCopyLHS, Red: ReduceSum}
@@ -188,11 +313,14 @@ func TestAggregateWeightedUniformEqualsAP(t *testing.T) {
 func TestAggregateWeightedValidation(t *testing.T) {
 	g := graph.MustCSR(2, []graph.Edge{{Src: 0, Dst: 1}})
 	x := tensor.New(2, 3)
-	if err := AggregateWeighted(g, x, []float32{1, 2}, tensor.New(2, 3)); err == nil {
+	if err := AggregateWeighted(g.Indptr, g.Indices, x, []float32{1, 2}, tensor.New(2, 3)); err == nil {
 		t.Fatal("wrong weight count must error")
 	}
-	if err := AggregateWeighted(g, x, []float32{1}, tensor.New(2, 4)); err == nil {
+	if err := AggregateWeighted(g.Indptr, g.Indices, x, []float32{1}, tensor.New(2, 4)); err == nil {
 		t.Fatal("shape mismatch must error")
+	}
+	if err := AggregateWeighted(g.Indptr, g.Indices, x, []float32{1}, tensor.New(3, 3)); err == nil {
+		t.Fatal("destination count mismatch must error")
 	}
 }
 
