@@ -46,11 +46,11 @@ func TestMutableInsertMatchesRebuild(t *testing.T) {
 	all := append([]Edge(nil), base...)
 
 	batches := [][]Edge{
-		{{7, 0}, {0, 0}},          // prepend and append into an existing list
-		{{2, 0}, {2, 0}},          // duplicate edges (multigraph) and duplicate-of-base
-		{{6, 6}, {11, 10}},        // previously isolated vertices
-		{{1, 0}, {3, 0}, {9, 2}},  // interleave into existing lists
-		{{10, 11}, {11, 10}},      // mutual edges
+		{{7, 0}, {0, 0}},         // prepend and append into an existing list
+		{{2, 0}, {2, 0}},         // duplicate edges (multigraph) and duplicate-of-base
+		{{6, 6}, {11, 10}},       // previously isolated vertices
+		{{1, 0}, {3, 0}, {9, 2}}, // interleave into existing lists
+		{{10, 11}, {11, 10}},     // mutual edges
 	}
 	for bi, b := range batches {
 		snap, err := m.Insert(b)

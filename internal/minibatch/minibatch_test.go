@@ -125,7 +125,7 @@ func TestSamplePickProperties(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(30)
 		k := rng.Intn(10) + 1
-		picked := samplePick(rng, n, k)
+		picked := samplePick(rng, n, k, nil)
 		want := k
 		if n < k {
 			want = n
@@ -222,7 +222,7 @@ func TestSamplePickFloydUniform(t *testing.T) {
 	}
 	counts := make([]int, n)
 	for trial := 0; trial < trials; trial++ {
-		picked := samplePick(rng, n, k)
+		picked := samplePick(rng, n, k, nil)
 		if len(picked) != k {
 			t.Fatalf("trial %d: %d picks, want %d", trial, len(picked), k)
 		}
@@ -247,7 +247,7 @@ func TestSamplePickFloydDistinct(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		k := rng.Intn(8) + 1
 		n := floydThreshold*k + 1 + rng.Intn(200)
-		picked := samplePick(rng, n, k)
+		picked := samplePick(rng, n, k, nil)
 		if len(picked) != k {
 			t.Fatalf("n=%d k=%d: %d picks", n, k, len(picked))
 		}

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"distgnn/internal/graph"
+	"distgnn/internal/parallel"
 )
 
 // Block is one bipartite sampled layer: destination vertices (the previous
@@ -118,35 +119,23 @@ func (s *Sampler) Sample(seeds []int32) *Sample {
 
 // expand samples up to fanout in-neighbors per dst vertex and interns the
 // union (dst vertices first, preserving their order) as the src frontier.
+// One pick buffer serves every destination of the hop.
 func (s *Sampler) expand(dst []int32, fanout int) (*Block, []int32) {
-	local := make(map[int32]int32, 2*len(dst))
-	var next []int32
-	intern := func(g int32) int32 {
-		if id, ok := local[g]; ok {
-			return id
-		}
-		id := int32(len(next))
-		next = append(next, g)
-		local[g] = id
-		return id
+	nnz := 0
+	for _, g := range dst {
+		nnz += min(s.G.InDegree(int(g)), fanout)
 	}
-	// Destinations first: DGL's convention that dst ⊆ src with matching
-	// prefix order, which makes the self term a prefix lookup.
-	blk := &Block{NumDst: len(dst), SelfIdx: make([]int32, len(dst))}
-	for i, g := range dst {
-		blk.SelfIdx[i] = intern(g)
-	}
-	blk.Indptr = make([]int32, len(dst)+1)
+	blk, f := startBlock(s.G.NumV(), dst, nnz)
+	var picked []int32
 	for i, g := range dst {
 		nbr := s.G.InNeighbors(int(g))
-		picked := samplePick(s.Rng, len(nbr), fanout)
+		picked = samplePick(s.Rng, len(nbr), fanout, picked[:0])
 		for _, p := range picked {
-			blk.Indices = append(blk.Indices, intern(nbr[p]))
+			blk.Indices = append(blk.Indices, f.intern(nbr[p]))
 		}
 		blk.Indptr[i+1] = int32(len(blk.Indices))
 	}
-	blk.NumSrc = len(next)
-	return blk, next
+	return blk, f.finish(blk)
 }
 
 // FullSample expands seeds through hops layers of *full* in-neighborhoods —
@@ -175,30 +164,74 @@ func FullSample(g graph.Topology, seeds []int32, hops int) *Sample {
 // are interned first (the DGL dst ⊆ src prefix convention), then each dst's
 // full CSR neighbor list in order.
 func expandFull(g graph.Topology, dst []int32) (*Block, []int32) {
-	local := make(map[int32]int32, 2*len(dst))
-	var next []int32
-	intern := func(gv int32) int32 {
-		if id, ok := local[gv]; ok {
-			return id
-		}
-		id := int32(len(next))
-		next = append(next, gv)
-		local[gv] = id
-		return id
+	nnz := 0
+	for _, gv := range dst {
+		nnz += len(g.InNeighbors(int(gv)))
 	}
-	blk := &Block{NumDst: len(dst), SelfIdx: make([]int32, len(dst))}
-	for i, gv := range dst {
-		blk.SelfIdx[i] = intern(gv)
-	}
-	blk.Indptr = make([]int32, len(dst)+1)
+	blk, f := startBlock(g.NumV(), dst, nnz)
 	for i, gv := range dst {
 		for _, u := range g.InNeighbors(int(gv)) {
-			blk.Indices = append(blk.Indices, intern(u))
+			blk.Indices = append(blk.Indices, f.intern(u))
 		}
 		blk.Indptr[i+1] = int32(len(blk.Indices))
 	}
-	blk.NumSrc = len(next)
-	return blk, next
+	return blk, f.finish(blk)
+}
+
+// frontierIndex pools the dense interning index of block extraction: one
+// []int32 per graph vertex holding local ID + 1, with 0 meaning "not in the
+// frontier". Scratch.Get promises arbitrary contents; this pool keeps a
+// stronger private invariant instead: every buffer in it is all-zero.
+// frontier.finish restores it by clearing exactly the entries its frontier
+// set before the Put, so a hop costs O(frontier) rather than O(|V|), and an
+// expansion that panics drops its buffer rather than returning a dirty one
+// (hence no deferred Put).
+var frontierIndex parallel.Scratch[int32]
+
+// frontier interns global vertex IDs as a block's source frontier in
+// first-occurrence order.
+type frontier struct {
+	pos []int32 // pos[g] = local ID + 1 of vertex g; 0 = not yet interned
+	ids []int32 // the frontier: ids[local] = global ID
+}
+
+// startBlock takes a zeroed index for a numV-vertex graph, interns dst as
+// the frontier's prefix — DGL's convention that dst ⊆ src with matching
+// prefix order, which makes the self term a prefix lookup — and returns
+// the block with Indices presized to nnz edges.
+func startBlock(numV int, dst []int32, nnz int) (*Block, frontier) {
+	f := frontier{pos: frontierIndex.Get(numV)}
+	blk := &Block{
+		NumDst:  len(dst),
+		Indptr:  make([]int32, len(dst)+1),
+		Indices: make([]int32, 0, nnz),
+		SelfIdx: make([]int32, len(dst)),
+	}
+	for i, g := range dst {
+		blk.SelfIdx[i] = f.intern(g)
+	}
+	return blk, f
+}
+
+func (f *frontier) intern(g int32) int32 {
+	if id := f.pos[g]; id != 0 {
+		return id - 1
+	}
+	id := int32(len(f.ids))
+	f.ids = append(f.ids, g)
+	f.pos[g] = id + 1
+	return id
+}
+
+// finish records the frontier size on blk, re-zeroes the index entries the
+// frontier set, returns the index to the pool and yields the frontier.
+func (f *frontier) finish(blk *Block) []int32 {
+	for _, g := range f.ids {
+		f.pos[g] = 0
+	}
+	frontierIndex.Put(f.pos)
+	blk.NumSrc = len(f.ids)
+	return f.ids
 }
 
 // floydThreshold selects the samplePick strategy: Floyd's algorithm engages
@@ -211,49 +244,44 @@ const floydThreshold = 4
 // random. Dense picks (n within a small factor of k) run a partial
 // Fisher–Yates over an index array; sparse picks (k ≪ n — a small fanout
 // into a heavy-tailed degree, paid per destination per hop) use Floyd's
-// algorithm, which allocates O(k) and draws exactly k variates. The two
+// algorithm, which needs O(k) space and draws exactly k variates. The two
 // branches consume different RNG streams, so changing the branch boundary
 // changes the sampled sets for the same seed — equally uniform, and no
 // cross-version pin depends on the stream (conformance harnesses compare
-// runs of the same build).
-func samplePick(rng *rand.Rand, n, k int) []int32 {
-	if n <= k {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
+// runs of the same build). The picks are appended to buf, which must be
+// empty; passing the previous result back as buf[:0] reuses its storage.
+func samplePick(rng *rand.Rand, n, k int, buf []int32) []int32 {
 	if n > floydThreshold*k {
 		// Floyd's F2: for j = n-k … n-1, draw t uniform on [0, j]; take t
 		// unless already taken, else take j. Each of the C(n, k) subsets is
 		// equally likely. Membership is a linear scan over the picks so far —
 		// at most k elements, cache-resident for fanout-sized k.
-		out := make([]int32, 0, k)
 		for j := n - k; j < n; j++ {
 			t := int32(rng.Intn(j + 1))
 			taken := false
-			for _, v := range out {
+			for _, v := range buf {
 				if v == t {
 					taken = true
 					break
 				}
 			}
 			if taken {
-				out = append(out, int32(j))
+				buf = append(buf, int32(j))
 			} else {
-				out = append(out, t)
+				buf = append(buf, t)
 			}
 		}
-		return out
+		return buf
 	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
+	for i := 0; i < n; i++ {
+		buf = append(buf, int32(i))
+	}
+	if n <= k {
+		return buf // every index, in order, drawing nothing
 	}
 	for i := 0; i < k; i++ {
 		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
+		buf[i], buf[j] = buf[j], buf[i]
 	}
-	return idx[:k]
+	return buf[:k]
 }
