@@ -289,7 +289,7 @@ func BenchmarkTable9MiniBatchEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
 			Config: minibatch.Config{
-				Hidden: 32, NumLayers: 2, Fanouts: []int{10, 5},
+				Hidden: 32, Fanouts: []int{10, 5},
 				BatchSize: 256, Epochs: 1, LR: 0.01, Seed: 1,
 			},
 			NumRanks: 1,

@@ -67,7 +67,7 @@ func main() {
 	hidden := flag.Int("hidden", 64, "hidden layer width")
 	layers := flag.Int("layers", 3, "number of GraphSAGE layers")
 	seed := flag.Int64("seed", 1, "random seed")
-	save := flag.String("save", "", "write trained model parameters to this file (single-socket mode)")
+	save := flag.String("save", "", "write trained model parameters to this file (single-socket full-batch only)")
 	workers := flag.Int("workers", 0,
 		"kernel worker-pool size, the OMP_NUM_THREADS analogue (0 = GOMAXPROCS)")
 	transport := flag.String("transport", "inproc",
@@ -102,8 +102,8 @@ func main() {
 		"profile output path (default distgnn-train.<mode>.pprof)")
 	flag.Parse()
 
-	if *mb && *transport == "tcp" && *shards <= 1 {
-		fatal(fmt.Errorf("-minibatch over tcp requires -shards >1 (replicated mini-batch runs are in-process)"))
+	if err := checkFlags(*mb, *transport, *shards, *sockets, *save); err != nil {
+		fatal(err)
 	}
 
 	// TCP fabric setup happens before the (identical, deterministic)
@@ -193,7 +193,7 @@ func main() {
 			fatal(err)
 		}
 		cfg := minibatch.Config{
-			Hidden: *hidden, NumLayers: len(fo), Fanouts: fo,
+			Hidden: *hidden, Fanouts: fo,
 			BatchSize: *batch, Epochs: *epochs, LR: *lr, UseAdam: *adam,
 			Seed: *seed, Workers: *workers,
 		}
@@ -303,6 +303,20 @@ func main() {
 		tr.Close()
 	}
 	waitChildren(children)
+}
+
+// checkFlags rejects, before any work starts, flag combinations the
+// trainer cannot run as asked.
+func checkFlags(minibatch bool, transport string, shards, sockets int, save string) error {
+	switch {
+	case minibatch && transport == "tcp" && shards <= 1:
+		return fmt.Errorf("-minibatch over tcp requires -shards >1 (replicated mini-batch runs are in-process)")
+	case save != "" && minibatch:
+		return fmt.Errorf("-save writes single-socket full-batch checkpoints only; it cannot be combined with -minibatch")
+	case save != "" && sockets > 1:
+		return fmt.Errorf("-save writes single-socket full-batch checkpoints only; it cannot be combined with -sockets %d", sockets)
+	}
+	return nil
 }
 
 // runMinibatch drives neighbor-sampled mini-batch training: sharded

@@ -43,7 +43,7 @@ func main() {
 	cfg := minibatch.ShardedTrainConfig{
 		DistConfig: minibatch.DistConfig{
 			Config: minibatch.Config{
-				Hidden: 64, NumLayers: 2, Fanouts: []int{10, 5},
+				Hidden: 64, Fanouts: []int{10, 5},
 				BatchSize: 256, Epochs: *epochs, LR: 0.02, UseAdam: true, Seed: 1,
 			},
 			NumRanks: ranks,

@@ -90,7 +90,7 @@ func AblationMiniBatchDist(opt Options) error {
 	for _, ranks := range []int{1, 2, 4, 8} {
 		res, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
 			Config: minibatch.Config{
-				Hidden: fig5ModelFor("ogbn-products-sim").Hidden, NumLayers: 3,
+				Hidden:  fig5ModelFor("ogbn-products-sim").Hidden,
 				Fanouts: table7Fanouts, BatchSize: table7Batch,
 				Epochs: epochs, LR: 0.02, UseAdam: true, Seed: 1,
 			},

@@ -63,7 +63,7 @@ func AblationDistMB(opt Options) error {
 		res, err := minibatch.TrainSharded(ds, minibatch.ShardedTrainConfig{
 			DistConfig: minibatch.DistConfig{
 				Config: minibatch.Config{
-					Hidden: distMBHidden, NumLayers: 2,
+					Hidden:    distMBHidden,
 					Fanouts:   []int{distMBFanout, distMBFanout},
 					BatchSize: distMBBatch, Epochs: epochs,
 					LR: 0.02, UseAdam: true, Seed: 1,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"distgnn/internal/minibatch"
+	"distgnn/internal/model"
 	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
@@ -16,8 +17,8 @@ import (
 // block at d=64 and d=128:
 //
 //   - gathered-fp32: materialize the |frontier|×d gathered matrix, then
-//     AggregateGCN — the path serving takes when its feature cache is on,
-//     and the traffic ceiling.
+//     model.AggregateGCN over it — the path serving takes when its feature
+//     cache is on, and the traffic ceiling.
 //   - fused-fp32: GatherAggGCNSum streams rows straight out of the fp32
 //     store (bit-identical math, no gathered matrix).
 //
@@ -114,11 +115,11 @@ func AblationKernels(opt Options) error {
 				for i, v := range frontier {
 					rows.CopyRow(gathered.Row(i), int(v))
 				}
-				out := minibatch.AggregateGCN(blk, spmm.RowsOf(gathered), nil)
+				out := model.AggregateGCN(blk.Indptr, blk.Indices, blk.SelfIdx, spmm.RowsOf(gathered), nil)
 				kernelSink += out.Data[0]
 			}},
 			{"fused-fp32", rowReads * 4, func() {
-				out := minibatch.AggregateGCN(blk, spmm.RowsOf(x), frontier)
+				out := model.AggregateGCN(blk.Indptr, blk.Indices, blk.SelfIdx, spmm.RowsOf(x), frontier)
 				kernelSink += out.Data[0]
 			}},
 		}
@@ -144,7 +145,7 @@ func AblationKernels(opt Options) error {
 	// epochs — the steady-state epoch, insulated from first-epoch warmup.
 	res, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
 		Config: minibatch.Config{
-			Hidden: kernelBenchHidden, NumLayers: 2,
+			Hidden:    kernelBenchHidden,
 			Fanouts:   []int{kernelBenchFanout, kernelBenchFanout},
 			BatchSize: kernelBenchBatch, Epochs: opt.epochs(2),
 			LR: 0.02, UseAdam: true, Seed: 1,

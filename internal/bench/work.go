@@ -138,7 +138,7 @@ func Table9(opt Options) error {
 
 	mb, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
 		Config: minibatch.Config{
-			Hidden: fig5ModelFor("ogbn-products-sim").Hidden, NumLayers: 3,
+			Hidden:  fig5ModelFor("ogbn-products-sim").Hidden,
 			Fanouts: table7Fanouts, BatchSize: table7Batch,
 			Epochs: epochs, LR: 0.01, Seed: 1,
 		},

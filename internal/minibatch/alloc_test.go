@@ -1,10 +1,10 @@
 package minibatch
 
 import (
-	"math/rand"
 	"testing"
 
 	"distgnn/internal/comm"
+	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/parallel"
 	"distgnn/internal/spmm"
@@ -29,16 +29,19 @@ func TestTrainStepAllocBudget(t *testing.T) {
 	seeds := ds.TrainIdx[:64]
 	s := sampler.Sample(seeds)
 	bw := sampledBatch{seeds: seeds, s: s, rows: spmm.RowsOf(ds.Features), frontier: s.InputFrontier()}
-	m := newMBModel(ds.Features.Cols, 32, ds.NumClasses, 2, rand.New(rand.NewSource(1)))
+	m, err := model.New(nil, model.Config{InDim: ds.Features.Cols, Hidden: 32, OutDim: ds.NumClasses, NumLayers: 2, Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var allocs float64
 	comm.RunInProcess(1, func(w *comm.World) {
-		st := &rankStepper{m: m, params: m.params(), opt: nn.NewAdam(0.01, 0), world: w, labels: ds.Labels}
+		st := &rankStepper{m: m, params: m.Params(), opt: nn.NewAdam(0.01, 0), world: w, labels: ds.Labels}
 		st.step(bw, len(seeds)) // first step allocates Adam's moment buffers
 		allocs = testing.AllocsPerRun(20, func() { st.step(bw, len(seeds)) })
 	})
 	t.Logf("mini-batch step: %.0f allocs/op", allocs)
-	// Measured 45 (go1.24, default and purego builds): the per-layer
+	// Measured 43 (go1.24, default and purego builds): the per-layer
 	// activation, gradient and aggregate matrices, the label and mask
 	// slices, and the flattened gradient buffer. The margin of 5 absorbs a
 	// toolchain's runtime internals shifting by a few; a new per-row or

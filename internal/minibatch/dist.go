@@ -9,6 +9,7 @@ import (
 	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
 	"distgnn/internal/featstore"
+	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/parallel"
 	"distgnn/internal/spmm"
@@ -69,18 +70,16 @@ func (cfg *DistConfig) validate() error {
 	if cfg.NumRanks < 1 {
 		return fmt.Errorf("minibatch: NumRanks must be ≥1, got %d", cfg.NumRanks)
 	}
-	if cfg.NumLayers != len(cfg.Fanouts) {
-		return fmt.Errorf("minibatch: NumLayers %d != len(Fanouts) %d", cfg.NumLayers, len(cfg.Fanouts))
-	}
 	if cfg.BatchSize < 1 || cfg.Epochs < 1 {
 		return fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
 	}
 	return nil
 }
 
-// featureSource yields a sampled batch's layer-0 input in AggregateGCN's
-// form: feature rows, and the frontier that indexes them (nil when the rows
-// are already block-local). It is one rank's only view of the features.
+// featureSource yields a sampled batch's layer-0 input in
+// model.AggregateGCN's form: feature rows, and the frontier that indexes
+// them (nil when the rows are already block-local). It is one rank's only
+// view of the features.
 type featureSource func(s *Sample) (spmm.FeatRows, []int32, error)
 
 // TrainDistributed runs data-parallel mini-batch training over NumRanks
@@ -143,8 +142,8 @@ type sampledBatch struct {
 // shuffle (cfg.Seed+1000+rank), and AllReduces gradients in rank order
 // every step, so the replicas stay identical and the result does not depend
 // on where src reads features from: a sharded gather returns the resident
-// matrix's exact bits, and AggregateGCN gives the same bits over a gathered
-// matrix as over the store through the frontier.
+// matrix's exact bits, and model.AggregateGCN gives the same bits over a
+// gathered matrix as over the store through the frontier.
 func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src featureSource) (*DistResult, error) {
 	rank := world.Self()
 	shards := shardTrainIdx(ds.TrainIdx, cfg.Seed, cfg.NumRanks)
@@ -158,8 +157,13 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 		return nil, fmt.Errorf("minibatch: no training vertices")
 	}
 
-	mrng := rand.New(rand.NewSource(cfg.Seed + 100))
-	m := newMBModel(ds.Features.Cols, cfg.Hidden, ds.NumClasses, cfg.NumLayers, mrng)
+	m, err := model.New(nil, model.Config{
+		InDim: ds.Features.Cols, Hidden: cfg.Hidden, OutDim: ds.NumClasses,
+		NumLayers: len(cfg.Fanouts), Seed: cfg.Seed + 100,
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
 	sampler, err := NewSampler(ds.G, cfg.Fanouts, cfg.Seed+int64(rank))
 	if err != nil {
 		return nil, err
@@ -172,7 +176,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(rank)))
 	shard := shards[rank]
-	params := m.params()
+	params := m.Params()
 	st := &rankStepper{m: m, params: params, opt: opt, world: world, labels: ds.Labels}
 
 	res := &DistResult{}
@@ -214,7 +218,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 			localLoss += loss
 			arTime += ar
 			if bw.s != nil {
-				localWork += sampledWork(bw.s, m.dims)
+				localWork += sampledWork(bw.s, ds.Features.Cols, cfg.Hidden)
 			}
 			step++
 		}
@@ -258,7 +262,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 // rankStepper is one rank's optimizer-step state: the model replica, its
 // parameters and optimizer, and the world its gradients are AllReduced on.
 type rankStepper struct {
-	m      *mbModel
+	m      *model.GraphSAGE
 	params []*nn.Param
 	opt    nn.Optimizer
 	world  *comm.World
@@ -274,7 +278,7 @@ func (st *rankStepper) step(bw sampledBatch, global int) (float64, time.Duration
 	nn.ZeroGrads(st.params)
 	var loss float64
 	if bw.s != nil {
-		logits := st.m.forward(bw.s, bw.rows, bw.frontier, true)
+		logits := SageForward(st.m, bw.s, bw.rows, bw.frontier, true)
 		localLabels := make([]int32, len(bw.seeds))
 		mask := make([]int32, len(bw.seeds))
 		for i, g := range bw.seeds {
@@ -282,7 +286,7 @@ func (st *rankStepper) step(bw sampledBatch, global int) (float64, time.Duration
 			mask[i] = int32(i)
 		}
 		mean, dlogits := nn.MaskedCrossEntropy(logits, localLabels, mask)
-		st.m.backward(dlogits)
+		st.m.BackwardBlocks(dlogits)
 		loss = mean * float64(len(bw.seeds))
 	}
 	scale := float32(0)

@@ -10,7 +10,7 @@ func TestTrainDistributedLearns(t *testing.T) {
 	ds := testDS(t)
 	res, err := TrainDistributed(ds, DistConfig{
 		Config: Config{
-			Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
+			Hidden: 16, Fanouts: []int{10, 5},
 			BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
 		},
 		NumRanks: 4,
@@ -45,7 +45,7 @@ func TestTrainDistributedAppliesWorkers(t *testing.T) {
 	ds := testDS(t)
 	if _, err := TrainDistributed(ds, DistConfig{
 		Config: Config{
-			Hidden: 8, NumLayers: 1, Fanouts: []int{5},
+			Hidden: 8, Fanouts: []int{5},
 			BatchSize: 200, Epochs: 1, LR: 0.05, Seed: 1, Workers: want,
 		},
 		NumRanks: 2,
@@ -62,7 +62,7 @@ func TestTrainDistributedDeterministic(t *testing.T) {
 	run := func() *DistResult {
 		res, err := TrainDistributed(ds, DistConfig{
 			Config: Config{
-				Hidden: 8, NumLayers: 2, Fanouts: []int{5, 5},
+				Hidden: 8, Fanouts: []int{5, 5},
 				BatchSize: 64, Epochs: 3, LR: 0.05, Seed: 9,
 			},
 			NumRanks: 3,
@@ -89,7 +89,7 @@ func TestTrainDistributedUnevenShards(t *testing.T) {
 	ds := testDS(t)
 	res, err := TrainDistributed(ds, DistConfig{
 		Config: Config{
-			Hidden: 8, NumLayers: 1, Fanouts: []int{5},
+			Hidden: 8, Fanouts: []int{5},
 			BatchSize: 200, Epochs: 2, LR: 0.05, Seed: 1,
 		},
 		NumRanks: 7,
@@ -105,9 +105,8 @@ func TestTrainDistributedUnevenShards(t *testing.T) {
 func TestTrainDistributedRejectsBadConfig(t *testing.T) {
 	ds := testDS(t)
 	bad := []DistConfig{
-		{Config: Config{Hidden: 8, NumLayers: 1, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1}, NumRanks: 0},
-		{Config: Config{Hidden: 8, NumLayers: 2, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1}, NumRanks: 2},
-		{Config: Config{Hidden: 8, NumLayers: 1, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, LR: 0.1}, NumRanks: 2},
+		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1}, NumRanks: 0},
+		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, LR: 0.1}, NumRanks: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := TrainDistributed(ds, cfg); err == nil {

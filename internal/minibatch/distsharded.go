@@ -19,8 +19,8 @@ import (
 // LRU, issued for batch t+1 while batch t computes.
 //
 // A sharded gather returns the exact fp32 bits of the resident matrix
-// (featstore's contract), and AggregateGCN over the gathered matrix gives
-// the bits of the fused pass over the store, so final parameters are
+// (featstore's contract), and model.AggregateGCN over the gathered matrix
+// gives the bits of the fused pass over the store, so final parameters are
 // bit-identical across 1/2/4 ranks, both transports, and against
 // TrainDistributed — the pin TestTrainShardedConformance holds.
 

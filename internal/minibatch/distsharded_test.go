@@ -16,7 +16,7 @@ func shardedTestCfg(ranks int) ShardedTrainConfig {
 	return ShardedTrainConfig{
 		DistConfig: DistConfig{
 			Config: Config{
-				Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
+				Hidden: 16, Fanouts: []int{10, 5},
 				BatchSize: 64, Epochs: 2, LR: 0.05, UseAdam: true, Seed: 5,
 			},
 			NumRanks: ranks,
@@ -139,9 +139,8 @@ func TestTrainShardedTCPConformance(t *testing.T) {
 func TestTrainShardedRejectsBadConfig(t *testing.T) {
 	ds := testDS(t)
 	bad := []ShardedTrainConfig{
-		{DistConfig: DistConfig{Config: Config{NumLayers: 2, Fanouts: []int{5, 5}, BatchSize: 32, Epochs: 1, Seed: 1}, NumRanks: 0}},
-		{DistConfig: DistConfig{Config: Config{NumLayers: 2, Fanouts: []int{5}, BatchSize: 32, Epochs: 1, Seed: 1}, NumRanks: 2}},
-		{DistConfig: DistConfig{Config: Config{NumLayers: 1, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, Seed: 1}, NumRanks: 2}},
+		{DistConfig: DistConfig{Config: Config{Fanouts: []int{5, 5}, BatchSize: 32, Epochs: 1, Seed: 1}, NumRanks: 0}},
+		{DistConfig: DistConfig{Config: Config{Fanouts: []int{5}, BatchSize: 0, Epochs: 1, Seed: 1}, NumRanks: 2}},
 	}
 	for i, cfg := range bad {
 		if _, err := TrainSharded(ds, cfg); err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distgnn/internal/graph"
+	"distgnn/internal/model"
 	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
@@ -89,7 +90,7 @@ func TestAggregateGCNFullBlockMatchesKernelBitwise(t *testing.T) {
 	for i, gv := range s.Frontiers[1] {
 		copy(x2.Row(i), x.Row(int(gv)))
 	}
-	got := AggregateGCN(blk, spmm.RowsOf(x2), nil)
+	got := model.AggregateGCN(blk.Indptr, blk.Indices, blk.SelfIdx, spmm.RowsOf(x2), nil)
 
 	for i := range seeds {
 		rRow, gRow := ref.Row(i), got.Row(i)

@@ -150,7 +150,7 @@ func TestTrainLearns(t *testing.T) {
 	ds := testDS(t)
 	res, err := TrainDistributed(ds, DistConfig{
 		Config: Config{
-			Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
+			Hidden: 16, Fanouts: []int{10, 5},
 			BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
 		},
 		NumRanks: 1,
@@ -178,9 +178,8 @@ func TestTrainLearns(t *testing.T) {
 func TestTrainRejectsBadConfig(t *testing.T) {
 	ds := testDS(t)
 	bad := []Config{
-		{Hidden: 8, NumLayers: 2, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1},
-		{Hidden: 8, NumLayers: 1, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, LR: 0.1},
-		{Hidden: 8, NumLayers: 1, Fanouts: []int{5}, BatchSize: 10, Epochs: 0, LR: 0.1},
+		{Hidden: 8, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, LR: 0.1},
+		{Hidden: 8, Fanouts: []int{5}, BatchSize: 10, Epochs: 0, LR: 0.1},
 	}
 	for i, cfg := range bad {
 		if _, err := TrainDistributed(ds, DistConfig{Config: cfg, NumRanks: 1}); err == nil {
@@ -195,7 +194,7 @@ func TestSampledWorkBelowFullBatchWork(t *testing.T) {
 	ds := testDS(t)
 	res, err := TrainDistributed(ds, DistConfig{
 		Config: Config{
-			Hidden: 16, NumLayers: 2, Fanouts: []int{10, 5},
+			Hidden: 16, Fanouts: []int{10, 5},
 			BatchSize: 64, Epochs: 1, LR: 0.05, Seed: 6,
 		},
 		NumRanks: 1,

@@ -31,17 +31,6 @@ type Block struct {
 // NumSampledEdges returns the number of sampled (src→dst) pairs.
 func (b *Block) NumSampledEdges() int { return len(b.Indices) }
 
-// Norms returns the GCN normalization 1/(1+deg) per destination, where deg
-// is the block's per-dst edge count. For a full-neighborhood block this is
-// exactly the global-degree norm the full-batch model uses.
-func (b *Block) Norms() []float32 {
-	norms := make([]float32, b.NumDst)
-	for i := range norms {
-		norms[i] = 1 / float32(1+b.Indptr[i+1]-b.Indptr[i])
-	}
-	return norms
-}
-
 // Sample is one sampled mini-batch: per-hop frontiers of global vertex IDs
 // (Frontiers[0] = seeds) and the bipartite blocks connecting them.
 // Blocks[h] aggregates Frontiers[h+1] into Frontiers[h].

@@ -159,9 +159,14 @@ func (m *GAT) ApplyLayer(l int, indptr, indices, selfIdx []int32, h *tensor.Matr
 // forward runs the layer over one block. With keep, each head projects
 // through Linear.Forward and the layer keeps its backward caches;
 // otherwise it projects through Linear.Apply and writes nothing shared.
+// A single head aggregates straight into the layer output.
 func (gl *gatLayer) forward(indptr, indices, selfIdx []int32, x *tensor.Matrix, keep bool) *tensor.Matrix {
 	headOut := gl.heads[0].linear.Weight.W.Cols
 	out := tensor.New(len(indptr)-1, headOut*len(gl.heads))
+	agg := out
+	if len(gl.heads) > 1 {
+		agg = tensor.New(out.Rows, headOut)
+	}
 	for hi, head := range gl.heads {
 		var z *tensor.Matrix
 		if keep {
@@ -169,11 +174,13 @@ func (gl *gatLayer) forward(indptr, indices, selfIdx []int32, x *tensor.Matrix, 
 		} else {
 			z = head.linear.Apply(x)
 		}
-		agg, pre, alpha := attend(indptr, indices, selfIdx, z, head.attL.W.Data, head.attR.W.Data)
+		pre, alpha := attend(indptr, indices, selfIdx, z, head.attL.W.Data, head.attR.W.Data, agg, keep)
 		if keep {
 			head.z, head.pre, head.alpha = z, pre, alpha
 		}
-		setColBand(out, agg, hi*headOut)
+		if agg != out {
+			setColBand(out, agg, hi*headOut)
+		}
 	}
 	if !gl.last {
 		for i, v := range out.Data {
@@ -191,16 +198,21 @@ func (gl *gatLayer) forward(indptr, indices, selfIdx []int32, x *tensor.Matrix, 
 // attend is one attention head over a block, given its projected source
 // rows z: per-source projections s = z·aL and t = z·aR, per-edge
 // pre-activation scores pre_p = s[indices[p]] + t[selfIdx[i]], attention
-// α = edge softmax of LeakyReLU(pre), and agg_i = Σ_p α_p·z[indices[p]].
-// pre and α are by block position.
-func attend(indptr, indices, selfIdx []int32, z *tensor.Matrix, attL, attR []float32) (agg, pre, alpha *tensor.Matrix) {
+// α = edge softmax of LeakyReLU(pre), and agg_i = Σ_p α_p·z[indices[p]],
+// written into agg. pre and α are by block position. With keep, pre is
+// kept beside α for the backward pass; otherwise the scores become α in
+// place and pre is α.
+func attend(indptr, indices, selfIdx []int32, z *tensor.Matrix, attL, attR []float32, agg *tensor.Matrix, keep bool) (pre, alpha *tensor.Matrix) {
 	s := project(z, attL)
 	t := project(z, attR)
 	pre = tensor.New(len(indices), 1)
 	if err := spmm.SDDMM(indptr, indices, selfIdx, s, t, spmm.SDDMMAdd, pre); err != nil {
 		panic(err)
 	}
-	alpha = pre.Clone()
+	alpha = pre
+	if keep {
+		alpha = pre.Clone()
+	}
 	for i, v := range alpha.Data {
 		if v < 0 {
 			alpha.Data[i] = v * leakySlope
@@ -209,11 +221,10 @@ func attend(indptr, indices, selfIdx []int32, z *tensor.Matrix, attL, attR []flo
 	if err := spmm.EdgeSoftmax(indptr, alpha); err != nil {
 		panic(err)
 	}
-	agg = tensor.New(len(indptr)-1, z.Cols)
 	if err := spmm.AggregateWeighted(indptr, indices, z, alpha.Data, agg); err != nil {
 		panic(err)
 	}
-	return agg, pre, alpha
+	return pre, alpha
 }
 
 // project returns the |V|×1 matrix of row-dot-products z·a.

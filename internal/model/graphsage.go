@@ -5,6 +5,11 @@
 // between layers. The paper uses 2 layers × 16 hidden units for Reddit and
 // 3 layers × 256 hidden units for the other datasets.
 //
+// One layer serves every input: Forward/Backward run it over the full graph
+// through the blocked spmm.Plan, and ApplyLayer (serving) and
+// ForwardBlock/BackwardBlocks (sampled training) over one bipartite block
+// through the fused spmm.GatherAggGCNSum.
+//
 // Distributed training hooks: after local aggregation in each layer the
 // model calls FwdHook so a distributed trainer can fold in remote partial
 // aggregates of split vertices (cd-0 synchronously, cd-r with delay, 0c not
@@ -72,7 +77,8 @@ type Config struct {
 	Seed           int64
 }
 
-// GraphSAGE is a full-batch GraphSAGE model bound to one graph.
+// GraphSAGE is a GraphSAGE model, bound to one graph for full-batch
+// training or built from parameters only for use over blocks.
 type GraphSAGE struct {
 	Cfg  Config
 	G    *graph.CSR
@@ -104,14 +110,18 @@ type sageLayer struct {
 	relu    *nn.ReLU // nil on the last layer
 	dropout *nn.Dropout
 
-	x      *tensor.Matrix // layer input, cached for backward self-term
-	argmax []int32        // max-pool winners, cached for backward routing
+	argmax []int32 // max-pool winners, cached for backward routing
+	// indptr, indices and selfIdx are ForwardBlock's block, cached for
+	// BackwardBlocks.
+	indptr, indices, selfIdx []int32
 }
 
 // New builds a GraphSAGE model over g. norm is the per-vertex normalization
 // vector (1/(1+deg)); pass nil to derive it from g's in-degrees — the
 // distributed trainer passes global-degree norms so partitioned training
-// normalizes identically to single-socket.
+// normalizes identically to single-socket. A nil g builds the parameters
+// only (norm is ignored), for use over blocks through ApplyLayer and
+// ForwardBlock; Forward and Backward need g.
 func New(g *graph.CSR, cfg Config, norm []float32) (*GraphSAGE, error) {
 	if cfg.NumLayers < 1 {
 		return nil, fmt.Errorf("model: NumLayers must be ≥1, got %d", cfg.NumLayers)
@@ -120,22 +130,25 @@ func New(g *graph.CSR, cfg Config, norm []float32) (*GraphSAGE, error) {
 		return nil, fmt.Errorf("model: dimensions must be positive (in=%d hidden=%d out=%d)",
 			cfg.InDim, cfg.Hidden, cfg.OutDim)
 	}
-	if norm == nil {
-		norm = NormFromDegrees(g.InDegrees())
-	}
-	if len(norm) != g.NumVertices {
-		return nil, fmt.Errorf("model: norm length %d != vertices %d", len(norm), g.NumVertices)
-	}
-	if cfg.AggOpt == (spmm.Options{}) {
-		cfg.AggOpt = spmm.DefaultOptions(pickNumBlocks(g))
-	}
-	m := &GraphSAGE{Cfg: cfg, G: g, Norm: norm}
-	if !cfg.UseBaselineAgg {
-		m.fwdPlan = spmm.NewPlan(g, cfg.AggOpt)
-		m.bwdPlan = spmm.NewPlan(g.Reverse(), cfg.AggOpt)
-	} else {
-		// Baseline still needs the reverse graph for backward.
-		m.bwdPlan = spmm.NewPlan(g.Reverse(), spmm.Options{NumBlocks: 1})
+	m := &GraphSAGE{Cfg: cfg, G: g}
+	if g != nil {
+		if norm == nil {
+			norm = NormFromDegrees(g.InDegrees())
+		}
+		if len(norm) != g.NumVertices {
+			return nil, fmt.Errorf("model: norm length %d != vertices %d", len(norm), g.NumVertices)
+		}
+		if cfg.AggOpt == (spmm.Options{}) {
+			m.Cfg.AggOpt = spmm.DefaultOptions(pickNumBlocks(g))
+		}
+		m.Norm = norm
+		if !cfg.UseBaselineAgg {
+			m.fwdPlan = spmm.NewPlan(g, m.Cfg.AggOpt)
+			m.bwdPlan = spmm.NewPlan(g.Reverse(), m.Cfg.AggOpt)
+		} else {
+			// Baseline still needs the reverse graph for backward.
+			m.bwdPlan = spmm.NewPlan(g.Reverse(), spmm.Options{NumBlocks: 1})
+		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -220,45 +233,32 @@ func (m *GraphSAGE) aggregateReverse(g *tensor.Matrix) *tensor.Matrix {
 func (m *GraphSAGE) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	h := x
 	for l, sl := range m.layers {
-		sl.x = h
+		var agg *tensor.Matrix
 		if m.Cfg.Aggregator == AggMaxPool {
-			agg := tensor.New(h.Rows, h.Cols)
+			agg = tensor.New(h.Rows, h.Cols)
 			sl.argmax = make([]int32, len(agg.Data))
 			start := time.Now()
 			if err := spmm.AggregateMaxArg(m.G, h, agg, sl.argmax); err != nil {
 				panic(err)
 			}
 			m.AggTime += time.Since(start)
-			h = sl.linear.Forward(agg, training)
-			if sl.relu != nil {
-				h = sl.relu.Forward(h, training)
-				if sl.dropout != nil {
-					h = sl.dropout.Forward(h, training)
-				}
+		} else {
+			agg = m.aggregate(h)
+			if m.FwdHook != nil {
+				m.FwdHook(l, agg)
 			}
-			continue
-		}
-		agg := m.aggregate(h)
-		if m.FwdHook != nil {
-			m.FwdHook(l, agg)
-		}
-		switch m.Cfg.Aggregator {
-		case AggGIN:
-			// GIN combine: (1+ε)·x + Σ neighbors, unnormalized.
-			agg.AddScaled(h, float32(1+m.Cfg.GINEps))
-		default:
-			// GCN post-processing (§6.1): add own features, normalize by
-			// degree.
-			agg.Add(h)
-			agg.ScaleRows(m.Norm)
-		}
-		h = sl.linear.Forward(agg, training)
-		if sl.relu != nil {
-			h = sl.relu.Forward(h, training)
-			if sl.dropout != nil {
-				h = sl.dropout.Forward(h, training)
+			switch m.Cfg.Aggregator {
+			case AggGIN:
+				// GIN combine: (1+ε)·x + Σ neighbors, unnormalized.
+				agg.AddScaled(h, float32(1+m.Cfg.GINEps))
+			default:
+				// GCN post-processing (§6.1): add own features, normalize
+				// by degree.
+				agg.Add(h)
+				agg.ScaleRows(m.Norm)
 			}
 		}
+		h = sl.dense(agg, true, training)
 	}
 	return h
 }
@@ -268,18 +268,11 @@ func (m *GraphSAGE) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 func (m *GraphSAGE) Backward(dlogits *tensor.Matrix) *tensor.Matrix {
 	dy := dlogits
 	for l := len(m.layers) - 1; l >= 0; l-- {
-		sl := m.layers[l]
-		if sl.relu != nil {
-			if sl.dropout != nil {
-				dy = sl.dropout.Backward(dy)
-			}
-			dy = sl.relu.Backward(dy)
-		}
-		ds := sl.linear.Backward(dy)
+		ds := m.layers[l].denseBackward(dy)
 		switch m.Cfg.Aggregator {
 		case AggMaxPool:
 			dx := tensor.New(ds.Rows, ds.Cols)
-			if err := spmm.ScatterMaxGrad(ds, sl.argmax, dx); err != nil {
+			if err := spmm.ScatterMaxGrad(ds, m.layers[l].argmax, dx); err != nil {
 				panic(err)
 			}
 			dy = dx
@@ -304,6 +297,108 @@ func (m *GraphSAGE) Backward(dlogits *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return dy
+}
+
+// dense is the dense half of a layer on every input: y = agg·W + b, then
+// ReLU and dropout between layers. With keep it runs through nn layers
+// that keep denseBackward's caches; otherwise through Linear.Apply with
+// nn.ReLU's bits in place (v when v > 0, else +0), writing nothing shared.
+func (sl *sageLayer) dense(agg *tensor.Matrix, keep, training bool) *tensor.Matrix {
+	if !keep {
+		y := sl.linear.Apply(agg)
+		if sl.relu != nil {
+			for i, v := range y.Data {
+				if !(v > 0) {
+					y.Data[i] = 0
+				}
+			}
+		}
+		return y
+	}
+	h := sl.linear.Forward(agg, training)
+	if sl.relu != nil {
+		h = sl.relu.Forward(h, training)
+		if sl.dropout != nil {
+			h = sl.dropout.Forward(h, training)
+		}
+	}
+	return h
+}
+
+// denseBackward is dense's backward after a keep pass: it returns ∂L/∂agg
+// and accumulates the Linear gradients.
+func (sl *sageLayer) denseBackward(dy *tensor.Matrix) *tensor.Matrix {
+	if sl.relu != nil {
+		if sl.dropout != nil {
+			dy = sl.dropout.Backward(dy)
+		}
+		dy = sl.relu.Backward(dy)
+	}
+	return sl.linear.Backward(dy)
+}
+
+// AggregateGCN is the GCN aggregate of one bipartite block in
+// minibatch.Block layout, out[i] = (Σ_p x[indices[p]] + x[selfIdx[i]]) /
+// (1+deg_i) with neighbors in index order, through the fused
+// spmm.GatherAggGCNSum. x is rows through frontier, or rows already
+// block-local when frontier is nil; both give the same bits, and a
+// full-neighborhood block gives Forward's.
+func AggregateGCN(indptr, indices, selfIdx []int32, rows spmm.FeatRows, frontier []int32) *tensor.Matrix {
+	norm := make([]float32, len(indptr)-1)
+	for i := range norm {
+		norm[i] = 1 / float32(1+indptr[i+1]-indptr[i])
+	}
+	out := tensor.New(len(norm), rows.Cols())
+	if err := spmm.GatherAggGCNSum(out, rows, frontier, indptr, indices, selfIdx, norm); err != nil {
+		panic("model: " + err.Error()) // blocks come from the sampler
+	}
+	return out
+}
+
+// ApplyLayer runs layer l forward-only over one bipartite block, reading
+// its source rows as AggregateGCN does, and returns one row per
+// destination. It keeps no caches, so it is safe for concurrent use.
+// Blocks always aggregate with the GCN rule.
+func (m *GraphSAGE) ApplyLayer(l int, indptr, indices, selfIdx []int32, rows spmm.FeatRows, frontier []int32) *tensor.Matrix {
+	return m.layers[l].dense(AggregateGCN(indptr, indices, selfIdx, rows, frontier), false, false)
+}
+
+// ForwardBlock is ApplyLayer in training mode: it keeps the block and the
+// caches BackwardBlocks reads. A pass calls it for every layer in order.
+func (m *GraphSAGE) ForwardBlock(l int, indptr, indices, selfIdx []int32, rows spmm.FeatRows, frontier []int32) *tensor.Matrix {
+	sl := m.layers[l]
+	sl.indptr, sl.indices, sl.selfIdx = indptr, indices, selfIdx
+	return sl.dense(AggregateGCN(indptr, indices, selfIdx, rows, frontier), true, true)
+}
+
+// BackwardBlocks propagates ∂L/∂logits back through the last ForwardBlock
+// pass, accumulating parameter gradients. Each layer's aggregate gradient
+// scatters back to its sources, the previous layer's outputs: the
+// transpose of AggregateGCN, destination by destination, neighbors in
+// index order, then self. Layer 0's sources are input features, which
+// need no gradient.
+func (m *GraphSAGE) BackwardBlocks(dlogits *tensor.Matrix) {
+	dAgg := m.layers[len(m.layers)-1].denseBackward(dlogits)
+	for l := len(m.layers) - 1; l > 0; l-- {
+		sl := m.layers[l]
+		dx := tensor.New(len(m.layers[l-1].indptr)-1, dAgg.Cols)
+		for i := 0; i < len(sl.indptr)-1; i++ {
+			lo, hi := sl.indptr[i], sl.indptr[i+1]
+			norm := 1 / float32(1+hi-lo)
+			g := dAgg.Row(i)
+			for p := lo; p < hi; p++ {
+				dst := dx.Row(int(sl.indices[p]))
+				for j := range dst {
+					dst[j] += g[j] * norm
+				}
+			}
+			self := dx.Row(int(sl.selfIdx[i]))
+			for j := range self {
+				self[j] += g[j] * norm
+			}
+		}
+		dAgg = m.layers[l-1].denseBackward(dx)
+	}
 }
 
 // Params returns all trainable parameters, layer order.

@@ -104,10 +104,12 @@ type Engine struct {
 	spec    ModelSpec
 	fanouts []int // nil → exact full-neighborhood mode
 	params  []*nn.Param
-	sage    []*nn.Linear // run forward-only through Apply
-	gat     *model.GAT   // parameters only; run through ApplyLayer
-	feat    *Cache[int32, []float32]
-	src     featureSource
+	// Exactly one of sage and gat is set: the model's parameters only,
+	// run forward-only through its ApplyLayer.
+	sage *model.GraphSAGE
+	gat  *model.GAT
+	feat *Cache[int32, []float32]
+	src  featureSource
 	// feats is the resident feature store. The exact-mode GraphSAGE path
 	// aggregates straight from it through the fused gather kernel when the
 	// feature cache is disabled.
@@ -138,15 +140,8 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 	if spec.OutDim == 0 {
 		spec.OutDim = ds.NumClasses
 	}
-	if spec.NumLayers < 1 {
-		return nil, fmt.Errorf("serve: NumLayers must be ≥1, got %d", spec.NumLayers)
-	}
 	if spec.InDim != ds.Features.Cols {
 		return nil, fmt.Errorf("serve: model InDim %d != dataset feature width %d", spec.InDim, ds.Features.Cols)
-	}
-	if spec.InDim <= 0 || spec.OutDim <= 0 || (spec.NumLayers > 1 && spec.Hidden <= 0) {
-		return nil, fmt.Errorf("serve: dimensions must be positive (in=%d hidden=%d out=%d)",
-			spec.InDim, spec.Hidden, spec.OutDim)
 	}
 	e := &Engine{
 		ds:    ds,
@@ -155,12 +150,19 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 		feats: spmm.RowsOf(ds.Features),
 	}
 	e.src = featstore.NewLocal(e.feats, e.feat)
+	// model's constructors validate the config and name the parameters
+	// exactly as training does, so nn.ReadParams accepts exactly the
+	// checkpoints the trainers write.
 	switch spec.Arch {
 	case ArchGraphSAGE:
-		e.buildSage()
+		sage, err := model.New(nil, model.Config{
+			InDim: spec.InDim, Hidden: spec.Hidden, OutDim: spec.OutDim, NumLayers: spec.NumLayers,
+		}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+		e.sage, e.params = sage, sage.Params()
 	case ArchGAT:
-		// model's constructor validates the config and names the
-		// parameters exactly as training does.
 		gat, err := model.NewGAT(nil, model.GATConfig{
 			InDim: spec.InDim, Hidden: spec.Hidden, OutDim: spec.OutDim,
 			NumLayers: spec.NumLayers, NumHeads: spec.NumHeads,
@@ -184,32 +186,6 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 		e.fanouts = append([]int(nil), fanouts...)
 	}
 	return e, nil
-}
-
-// buildSage allocates parameters with the training-time names and shapes
-// ("sage<l>.weight"/"sage<l>.bias", in model.Params() order) so
-// nn.ReadParams accepts exactly the checkpoints distgnn-train writes.
-func (e *Engine) buildSage() {
-	for l := 0; l < e.spec.NumLayers; l++ {
-		in, out := e.layerDims(l)
-		lin := &nn.Linear{
-			Weight: nn.NewParam(fmt.Sprintf("sage%d.weight", l), in, out),
-			Bias:   nn.NewParam(fmt.Sprintf("sage%d.bias", l), 1, out),
-		}
-		e.params = append(e.params, lin.Params()...)
-		e.sage = append(e.sage, lin)
-	}
-}
-
-func (e *Engine) layerDims(l int) (in, out int) {
-	in, out = e.spec.Hidden, e.spec.Hidden
-	if l == 0 {
-		in = e.spec.InDim
-	}
-	if l == e.spec.NumLayers-1 {
-		out = e.spec.OutDim
-	}
-	return in, out
 }
 
 // Params returns the engine's parameter list in checkpoint order.
@@ -344,7 +320,7 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 			out = e.gat.ApplyLayer(len(s.Blocks)-1-l, b.Indptr, b.Indices, b.SelfIdx, out)
 		}
 	} else {
-		out = minibatch.SageForward(s, rows, frontier, e.sageLayer)
+		out = minibatch.SageForward(e.sage, s, rows, frontier, false)
 	}
 	stop()
 	return out, nil
@@ -362,20 +338,4 @@ func (e *Engine) fusedExact() bool {
 	}
 	_, sharded := e.src.(exactSampler)
 	return !sharded
-}
-
-// sageLayer is the dense half of one GraphSAGE layer for
-// minibatch.SageForward: y = agg·W + b, then ReLU between layers (nn.ReLU
-// semantics: keep v when v > 0, else exactly +0). The per-row float-op
-// order matches the full-batch model's Forward (see package comment).
-func (e *Engine) sageLayer(layer int, agg *tensor.Matrix) *tensor.Matrix {
-	y := e.sage[layer].Apply(agg)
-	if layer < len(e.sage)-1 {
-		for i, v := range y.Data {
-			if !(v > 0) {
-				y.Data[i] = 0
-			}
-		}
-	}
-	return y
 }

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -350,6 +353,42 @@ func TestSampledModeServes(t *testing.T) {
 				bitsEqual(t, got.Row(i), full.Row(int(v)), "sampled with full fanouts vs full Forward")
 			}
 		})
+	}
+}
+
+// TestSampledInferGolden pins sampled-mode inference to logits digests
+// recorded from a fixed seed: the sampler's RNG stream and the block
+// forward over sampled neighborhoods, which no full-Forward comparison
+// can check. A deliberate change to those bits must update the digests.
+func TestSampledInferGolden(t *testing.T) {
+	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
+	eng, err := NewEngine(ds, ModelSpec{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}, []int{5, 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.ReadParams(bytes.NewReader(ckpt), eng.Params()); err != nil {
+		t.Fatal(err)
+	}
+	// One engine, calls in order: each draws the next samples.
+	for _, c := range []struct {
+		probe  []int32
+		digest string
+	}{
+		{[]int32{0, 7, 42}, "6eac0275155379de"},
+		{[]int32{int32(ds.G.NumVertices - 1)}, "71367a4f801ccdd4"},
+		{[]int32{7}, "ac998b4ed5f61156"},
+	} {
+		out, err := eng.Infer(c.probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, v := range out.Data {
+			h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != c.digest {
+			t.Errorf("sampled logits of %v: digest %s, want %s", c.probe, got, c.digest)
+		}
 	}
 }
 
