@@ -56,10 +56,8 @@ func main() {
 	scale := flag.Float64("scale", 0.5, "dataset scale factor")
 	file := flag.String("file", "", "load a dataset file written by distgnn-datagen instead of generating")
 	sockets := flag.Int("sockets", 1, "number of CPU sockets (partitions / ranks)")
-	algo := flag.String("algo", "cd-0", "distributed algorithm: 0c, cd-0, cd-r, cd-rs (nonblocking overlap)")
+	algo := flag.String("algo", "cd-0", "distributed algorithm: 0c, cd-0, cd-r, cd-rs (cd-r with network time overlapped)")
 	delay := flag.Int("delay", 5, "delay r for cd-r/cd-rs")
-	forceSync := flag.Bool("force-sync-overlap", false,
-		"cd-rs only: charge every nonblocking transfer as if synchronous (conformance/debug)")
 	epochs := flag.Int("epochs", 30, "training epochs")
 	lr := flag.Float64("lr", 0.01, "learning rate")
 	wd := flag.Float64("wd", 5e-4, "weight decay")
@@ -260,8 +258,7 @@ func main() {
 		Model: mc, NumPartitions: *sockets, Algo: train.Algorithm(*algo),
 		Delay: *delay, Epochs: *epochs, LR: *lr, WeightDecay: *wd,
 		UseAdam: *adam, Seed: *seed, Workers: *workers,
-		ForceSyncOverlap: *forceSync,
-		Transport:        tr,
+		Transport: tr,
 	})
 	if err != nil {
 		comm.KillRanks(children)

@@ -1,7 +1,7 @@
 // Distributed training: run the §5.3 algorithm ladder — 0c (no
 // communication), cd-0 (synchronous partial-aggregate exchange), cd-5
-// (delayed exchange, blocking at the epoch boundary) and cd-5s (the same
-// exchange posted nonblocking and overlapped with compute) — on a
+// (delayed exchange, its network time charged as blocking) and cd-5s (the
+// same exchange, charged only what compute does not hide) — on a
 // simulated 8-socket cluster and compare simulated epoch time,
 // communication split and accuracy. -scale and -epochs shrink the run for
 // smoke testing.

@@ -113,20 +113,16 @@ func (c *CostModel) ChargeCompute(rank int, seconds float64) {
 // rank at its current simulated clock. Transfers serialize on the rank's
 // injection port; each costs α + bytes/β on the fabric. The poster's clock
 // does NOT advance — the transfer proceeds concurrently with whatever
-// compute is charged next. Returns the simulated completion time and the
-// full transfer duration, both in nanoseconds.
-func (c *CostModel) PostXfer(rank, bytes int) (readyNs, durNs int64) {
+// compute is charged next. Returns the simulated completion time in
+// nanoseconds.
+func (c *CostModel) PostXfer(rank, bytes int) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ensure(rank)
-	durNs = int64((c.NetLatency + float64(bytes)/c.NetBandwidth) * 1e9)
-	start := c.simNs[rank]
-	if c.injNs[rank] > start {
-		start = c.injNs[rank]
-	}
-	readyNs = start + durNs
-	c.injNs[rank] = readyNs
-	return readyNs, durNs
+	durNs := int64((c.NetLatency + float64(bytes)/c.NetBandwidth) * 1e9)
+	start := max(c.simNs[rank], c.injNs[rank])
+	c.injNs[rank] = start + durNs
+	return c.injNs[rank]
 }
 
 // clockNs reads a rank's current simulated clock.
@@ -169,18 +165,6 @@ func (c *CostModel) AdvanceClock(rank int, t time.Duration) {
 	if int64(t) > c.simNs[rank] {
 		c.simNs[rank] = int64(t)
 	}
-}
-
-// WaitXferForced charges the full transfer duration regardless of how much
-// compute elapsed since the post — overlap artificially forced synchronous.
-// The conformance harness uses it to show cd-rs with hiding disabled costs
-// what cd-r does while computing bit-identical parameters.
-func (c *CostModel) WaitXferForced(rank int, durNs int64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ensure(rank)
-	c.simNs[rank] += durNs
-	return float64(durNs) / 1e9
 }
 
 // SimTime returns the simulated time accumulated for a rank.

@@ -9,14 +9,14 @@ import (
 	"distgnn/internal/quant"
 )
 
-// frame.go is the TCP transport's wire format: a fixed 44-byte
+// frame.go is the TCP transport's wire format: a fixed 36-byte
 // length-prefixed header followed by the payload. Everything is
 // little-endian. The 16-bit quant formats are the literal wire encoding —
 // a BF16/FP16 payload crosses the network as the packed words quant.Pack
 // produced, half the bytes of fp32.
 //
 //	offset  size  field
-//	0       4     magic "DGW1"
+//	0       4     magic "DGW2"
 //	4       1     kind (data, hello, table, barrier, release)
 //	5       1     precision (quant.FP32 / BF16 / FP16)
 //	6       2     reserved (zero)
@@ -24,12 +24,15 @@ import (
 //	12      4     dst rank
 //	16      8     tag (two's complement int64)
 //	24      8     readyNs — simulated fabric-completion time
-//	32      8     durNs — full simulated transfer duration
-//	40      4     payload length in bytes
-//	44      …     payload
+//	32      4     payload length in bytes
+//	36      …     payload
+//
+// The magic names the layout: "DGW1" carried a second 8-byte cost word at
+// offset 32, so a peer on that layout fails the magic check instead of
+// misparsing the length.
 const (
-	frameMagic      = "DGW1"
-	frameHeaderSize = 44
+	frameMagic      = "DGW2"
+	frameHeaderSize = 36
 )
 
 // maxFramePayload bounds one frame's payload (1 GiB — a 268M-parameter
@@ -57,7 +60,6 @@ type frameHeader struct {
 	Src, Dst   uint32
 	Tag        int64
 	ReadyNs    int64
-	DurNs      int64
 	PayloadLen uint32
 }
 
@@ -71,8 +73,7 @@ func putFrameHeader(b []byte, h frameHeader) {
 	binary.LittleEndian.PutUint32(b[12:16], h.Dst)
 	binary.LittleEndian.PutUint64(b[16:24], uint64(h.Tag))
 	binary.LittleEndian.PutUint64(b[24:32], uint64(h.ReadyNs))
-	binary.LittleEndian.PutUint64(b[32:40], uint64(h.DurNs))
-	binary.LittleEndian.PutUint32(b[40:44], h.PayloadLen)
+	binary.LittleEndian.PutUint32(b[32:36], h.PayloadLen)
 }
 
 // parseFrameHeader decodes and validates the fixed header.
@@ -101,8 +102,7 @@ func parseFrameHeader(b []byte) (frameHeader, error) {
 	h.Dst = binary.LittleEndian.Uint32(b[12:16])
 	h.Tag = int64(binary.LittleEndian.Uint64(b[16:24]))
 	h.ReadyNs = int64(binary.LittleEndian.Uint64(b[24:32]))
-	h.DurNs = int64(binary.LittleEndian.Uint64(b[32:40]))
-	h.PayloadLen = binary.LittleEndian.Uint32(b[40:44])
+	h.PayloadLen = binary.LittleEndian.Uint32(b[32:36])
 	if h.PayloadLen > maxFramePayload {
 		return h, fmt.Errorf("comm: frame payload %d exceeds limit %d", h.PayloadLen, maxFramePayload)
 	}
@@ -129,8 +129,7 @@ func appendDataFrame(buf []byte, src, dst int, env *Envelope) []byte {
 	h := frameHeader{
 		Kind: kindData, Prec: env.Prec,
 		Src: uint32(src), Dst: uint32(dst), Tag: int64(env.Tag),
-		ReadyNs: env.ReadyNs, DurNs: env.DurNs,
-		PayloadLen: uint32(plen),
+		ReadyNs: env.ReadyNs, PayloadLen: uint32(plen),
 	}
 	off := len(buf)
 	buf = append(buf, make([]byte, frameHeaderSize+plen)...)
@@ -165,7 +164,7 @@ func appendControlFrame(buf []byte, kind byte, src, dst int, tag int64, payload 
 // envelopeFromFrame decodes a data frame's payload into an Envelope. The
 // header has already been validated by parseFrameHeader.
 func envelopeFromFrame(h frameHeader, payload []byte) *Envelope {
-	env := &Envelope{Tag: int(h.Tag), Prec: h.Prec, ReadyNs: h.ReadyNs, DurNs: h.DurNs}
+	env := &Envelope{Tag: int(h.Tag), Prec: h.Prec, ReadyNs: h.ReadyNs}
 	if h.Prec == quant.FP32 {
 		if len(payload) > 0 {
 			env.F32 = make([]float32, len(payload)/4)

@@ -39,19 +39,12 @@ type Request struct {
 	done    bool
 	data    []float32 // completed receive payload
 	exposed float64   // un-hidden network seconds charged at Wait
-	durNs   int64     // send side: full transfer duration
 	err     error     // send side: transport failure, surfaced at Wait
 }
 
 // ConfigureAsync attaches the α–β cost model used to account nonblocking
-// transfers (nil disables accounting) and sets the overlap mode: with
-// forceSync, every Wait charges the full α+bytes/β network term as if the
-// transfer ran synchronously — the conformance knob that turns cd-rs into
-// cd-r's cost shape without changing a single arithmetic operation.
-func (w *World) ConfigureAsync(cm *CostModel, forceSync bool) {
-	w.asyncCost = cm
-	w.forceSync = forceSync
-}
+// transfers (nil disables accounting).
+func (w *World) ConfigureAsync(cm *CostModel) { w.asyncCost = cm }
 
 func (w *World) checkRank(name string, r int) {
 	if r < 0 || r >= w.N {
@@ -97,11 +90,10 @@ func (w *World) post(from, to, tag int, data []float32, p quant.Precision) *Requ
 		env.U16 = p.Pack(make([]uint16, 0, len(data)), data)
 	}
 	if w.asyncCost != nil {
-		env.ReadyNs, env.DurNs = w.asyncCost.PostXfer(from, len(data)*p.Bytes())
+		env.ReadyNs = w.asyncCost.PostXfer(from, len(data)*p.Bytes())
 	}
 	err := w.tr.Send(from, to, env)
-	return &Request{w: w, rank: from, key: msgKey{src: from, dst: to, tag: tag},
-		durNs: env.DurNs, err: err}
+	return &Request{w: w, rank: from, key: msgKey{src: from, dst: to, tag: tag}, err: err}
 }
 
 // Irecv posts a nonblocking receive on `rank` for the next message rank
@@ -137,8 +129,7 @@ func (r *Request) Test() (bool, error) {
 // the transfer is both physically delivered and fully hidden behind the
 // compute charged so far. Layer-boundary drains use it so the set of
 // messages reeled in early is a function of simulated time only, keeping
-// runs deterministic regardless of goroutine scheduling. Always false
-// under forceSync, where nothing counts as hidden.
+// runs deterministic regardless of goroutine scheduling.
 func (r *Request) TestHidden() (bool, error) {
 	if r.w == nil {
 		return false, ErrNotPosted
@@ -157,17 +148,14 @@ func (r *Request) TestHidden() (bool, error) {
 	if cm == nil {
 		return true, nil
 	}
-	if r.w.forceSync {
-		return false, nil
-	}
 	return cm.clockNs(r.rank) >= env.ReadyNs, nil
 }
 
 // Wait blocks until the operation completes and returns the received
 // payload (nil for sends). For receives with a cost model attached, Wait
 // charges this rank only the part of the α+bytes/β transfer that the
-// rank's compute since the post did not hide — or the full term under
-// forceSync. A request may be waited exactly once. On a transport with
+// rank's compute since the post did not hide. A request may be waited
+// exactly once. On a transport with
 // deadlines (TCP), a receive nothing arrives for fails with an error
 // wrapping ErrTimeout instead of blocking forever.
 func (r *Request) Wait() ([]float32, error) {
@@ -192,11 +180,7 @@ func (r *Request) Wait() ([]float32, error) {
 		r.data = env.Prec.Unpack(make([]float32, 0, len(env.U16)), env.U16)
 	}
 	if cm := r.w.asyncCost; cm != nil {
-		if r.w.forceSync {
-			r.exposed = cm.WaitXferForced(r.rank, env.DurNs)
-		} else {
-			r.exposed = cm.WaitXfer(r.rank, env.ReadyNs)
-		}
+		r.exposed = cm.WaitXfer(r.rank, env.ReadyNs)
 	}
 	return r.data, nil
 }

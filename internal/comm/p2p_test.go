@@ -177,12 +177,12 @@ func TestConcurrentIsendIrecvWaitAll(t *testing.T) {
 func TestPostXferOverlapAccounting(t *testing.T) {
 	cm := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
 	// 1000 bytes: 1 µs latency + 1 µs serialization = 2 µs.
-	ready, dur := cm.PostXfer(0, 1000)
-	if dur != 2000 || ready != 2000 {
-		t.Fatalf("transfer: ready %d dur %d, want 2000/2000", ready, dur)
+	ready := cm.PostXfer(0, 1000)
+	if ready != 2000 {
+		t.Fatalf("transfer: ready %d, want 2000", ready)
 	}
 	// Back-to-back posts serialize on the injection port.
-	ready2, _ := cm.PostXfer(0, 1000)
+	ready2 := cm.PostXfer(0, 1000)
 	if ready2 != 4000 {
 		t.Fatalf("second post must queue behind the first: ready %d, want 4000", ready2)
 	}
@@ -198,7 +198,7 @@ func TestPostXferOverlapAccounting(t *testing.T) {
 	}
 
 	// Compute past the completion time hides a transfer entirely.
-	ready3, _ := cm.PostXfer(0, 1000)
+	ready3 := cm.PostXfer(0, 1000)
 	cm.ChargeCompute(0, 1e-3)
 	if got := cm.WaitXfer(0, ready3); got != 0 {
 		t.Fatalf("hidden transfer exposed %v, want 0", got)
@@ -206,26 +206,18 @@ func TestPostXferOverlapAccounting(t *testing.T) {
 
 	// Partial overlap: compute covers half, the rest is exposed.
 	cm2 := &CostModel{NetLatency: 0, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	ready4, _ := cm2.PostXfer(0, 2000) // 2 µs
+	ready4 := cm2.PostXfer(0, 2000) // 2 µs
 	cm2.ChargeCompute(0, 1e-6)
 	if got := cm2.WaitXfer(0, ready4); got != 1e-6 {
 		t.Fatalf("partial overlap exposed %v, want 1µs", got)
-	}
-
-	// Forced sync charges the full duration no matter the compute.
-	cm3 := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	_, dur3 := cm3.PostXfer(0, 1000)
-	cm3.ChargeCompute(0, 1)
-	if got := cm3.WaitXferForced(0, dur3); got != 2e-6 {
-		t.Fatalf("forced sync exposed %v, want full 2µs", got)
 	}
 }
 
 func TestTestHiddenFollowsSimulatedClock(t *testing.T) {
 	w := procWorlds(2)
 	cm := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	w[0].ConfigureAsync(cm, false)
-	w[1].ConfigureAsync(cm, false)
+	w[0].ConfigureAsync(cm)
+	w[1].ConfigureAsync(cm)
 
 	w[0].Isend(0, 1, 1, make([]float32, 250)) // 1000 bytes → 2 µs
 	recv := w[1].Irecv(1, 0, 1)
@@ -245,23 +237,5 @@ func TestTestHiddenFollowsSimulatedClock(t *testing.T) {
 	}
 	if recv.Exposed() != 0 {
 		t.Fatalf("hidden transfer exposed %v", recv.Exposed())
-	}
-
-	// Under forceSync nothing is ever hidden and Wait charges everything.
-	w2 := procWorlds(2)
-	cm2 := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	w2[0].ConfigureAsync(cm2, true)
-	w2[1].ConfigureAsync(cm2, true)
-	w2[0].Isend(0, 1, 1, make([]float32, 250))
-	recv2 := w2[1].Irecv(1, 0, 1)
-	cm2.ChargeCompute(1, 1)
-	if ok, _ := recv2.TestHidden(); ok {
-		t.Fatal("forceSync must never report hidden")
-	}
-	if _, err := recv2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if recv2.Exposed() != 2e-6 {
-		t.Fatalf("forceSync exposed %v, want full 2µs", recv2.Exposed())
 	}
 }

@@ -74,7 +74,7 @@ func TestTCPPackedAndMetadata(t *testing.T) {
 	var g parallel.Group
 	g.Go(func() {
 		err := eps[0].Send(0, 1, &Envelope{
-			Tag: 3, Prec: quant.FP16, U16: words, ReadyNs: 123456789, DurNs: 42,
+			Tag: 3, Prec: quant.FP16, U16: words, ReadyNs: 123456789,
 		})
 		if err != nil {
 			panic(err)
@@ -88,7 +88,7 @@ func TestTCPPackedAndMetadata(t *testing.T) {
 				panic(err)
 			}
 			if ok {
-				if env.ReadyNs != 123456789 || env.DurNs != 42 {
+				if env.ReadyNs != 123456789 {
 					panic("cost metadata lost in transit")
 				}
 				break

@@ -45,9 +45,9 @@ type Envelope struct {
 	// payload otherwise. Exactly one is non-nil for non-empty payloads.
 	F32 []float32
 	U16 []uint16
-	// ReadyNs/DurNs are the sender's simulated fabric-completion time and
-	// full transfer duration (costmodel.go); zero without a cost model.
-	ReadyNs, DurNs int64
+	// ReadyNs is the sender's simulated fabric-completion time
+	// (costmodel.go); zero without a cost model.
+	ReadyNs int64
 }
 
 // Transport is a pluggable point-to-point comm fabric over a fixed world

@@ -32,9 +32,8 @@ type World struct {
 	// never collide.
 	collSeq int
 
-	// nonblocking point-to-point state (p2p.go).
+	// nonblocking point-to-point cost accounting (p2p.go).
 	asyncCost *CostModel
-	forceSync bool
 }
 
 // NewWorldTransport wraps one rank's Transport endpoint in a World.

@@ -12,9 +12,10 @@
 //
 // Distributed training hooks: after local aggregation in each layer the
 // model calls FwdHook so a distributed trainer can fold in remote partial
-// aggregates of split vertices (cd-0 synchronously, cd-r with delay, 0c not
-// at all, per §5.3); BwdHook mirrors this for the input-gradient partials
-// on the backward pass.
+// aggregates of split vertices (cd-0 synchronously, cd-r/cd-rs with delay,
+// 0c not at all, per §5.3). BwdHook is the same seam on the backward pass:
+// it sees each layer's aggregate gradient before the reverse aggregation,
+// where cd-0 sums the partials that split vertices' clones hold.
 package model
 
 import (
@@ -40,8 +41,9 @@ const (
 	AggGIN
 	// AggMaxPool is GraphSAGE's max aggregator: elementwise maximum over
 	// the neighborhood including self, with argmax-routed gradients.
-	// Single-socket only: distributed partial aggregates merge by sum, and
-	// the forward hooks are not invoked for this aggregator.
+	// Neither hook is invoked for it, so it has no distributed exchange:
+	// train.Distributed rejects it for every algorithm that exchanges
+	// partial aggregates.
 	AggMaxPool
 )
 
@@ -91,9 +93,13 @@ type GraphSAGE struct {
 	// FwdHook, if set, is called after local aggregation of each layer with
 	// the raw aggregate matrix (before self-add and normalization).
 	FwdHook func(layer int, agg *tensor.Matrix)
-	// BwdHook, if set, is called with the reverse-aggregated input-gradient
-	// partials of each layer before the self term is added — the point where
-	// a distributed trainer sums gradient partials across clones.
+	// BwdHook, if set, is called with each layer's aggregate gradient
+	// before its reverse aggregation — the point where a distributed
+	// trainer sums gradient partials across clones. The self term is taken
+	// from the gradient as it was before the hook, so a split vertex's own
+	// gradient is counted once, on the clone that holds it. Layer 0 has no
+	// reverse aggregation and no hook call: input features need no
+	// gradient.
 	BwdHook func(layer int, grad *tensor.Matrix)
 
 	// AggTime accumulates wall time spent inside the aggregation primitive
@@ -264,11 +270,15 @@ func (m *GraphSAGE) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 }
 
 // Backward propagates ∂L/∂logits through the model, accumulating parameter
-// gradients. Returns ∂L/∂input (rarely needed; callers may ignore it).
-func (m *GraphSAGE) Backward(dlogits *tensor.Matrix) *tensor.Matrix {
+// gradients. It stops at layer 0's dense half: the gradient of the input
+// features is never needed, so layer 0's reverse aggregation is skipped.
+func (m *GraphSAGE) Backward(dlogits *tensor.Matrix) {
 	dy := dlogits
-	for l := len(m.layers) - 1; l >= 0; l-- {
+	for l := len(m.layers) - 1; ; l-- {
 		ds := m.layers[l].denseBackward(dy)
+		if l == 0 {
+			return
+		}
 		switch m.Cfg.Aggregator {
 		case AggMaxPool:
 			dx := tensor.New(ds.Rows, ds.Cols)
@@ -278,25 +288,32 @@ func (m *GraphSAGE) Backward(dlogits *tensor.Matrix) *tensor.Matrix {
 			dy = dx
 		case AggGIN:
 			// s = (1+ε)x + agg: neighbor path gets ds, self path (1+ε)·ds.
-			if m.BwdHook != nil {
-				m.BwdHook(l, ds)
-			}
+			self := m.hookGrad(l, ds)
 			dx := m.aggregateReverse(ds)
-			dx.AddScaled(ds, float32(1+m.Cfg.GINEps))
+			dx.AddScaled(self, float32(1+m.Cfg.GINEps))
 			dy = dx
 		default:
 			// s = norm ⊙ (agg + x): scale the gradient once, then split
 			// into the self path and the neighbor path.
 			ds.ScaleRows(m.Norm)
-			if m.BwdHook != nil {
-				m.BwdHook(l, ds)
-			}
+			self := m.hookGrad(l, ds)
 			dx := m.aggregateReverse(ds)
-			dx.Add(ds)
+			dx.Add(self)
 			dy = dx
 		}
 	}
-	return dy
+}
+
+// hookGrad runs BwdHook on layer l's aggregate gradient and returns the
+// gradient as it was before the hook, for the self path. Without a hook it
+// returns ds itself and copies nothing.
+func (m *GraphSAGE) hookGrad(l int, ds *tensor.Matrix) *tensor.Matrix {
+	if m.BwdHook == nil {
+		return ds
+	}
+	self := ds.Clone()
+	m.BwdHook(l, ds)
+	return self
 }
 
 // dense is the dense half of a layer on every input: y = agg·W + b, then

@@ -154,8 +154,46 @@ func TestHooksInvokedPerLayer(t *testing.T) {
 	if len(fwdCalls) != 3 || fwdCalls[0] != 0 || fwdCalls[2] != 2 {
 		t.Fatalf("fwd hook calls: %v", fwdCalls)
 	}
-	if len(bwdCalls) != 3 || bwdCalls[0] != 2 || bwdCalls[2] != 0 {
+	// Layer 0 has no reverse aggregation, so no backward exchange.
+	if len(bwdCalls) != 2 || bwdCalls[0] != 2 || bwdCalls[1] != 1 {
 		t.Fatalf("bwd hook calls: %v", bwdCalls)
+	}
+}
+
+// TestNoOpBwdHookKeepsGradientBits: installing a BwdHook copies each
+// layer's gradient for the self path; with a hook that changes nothing,
+// every parameter gradient must keep the unhooked run's bits, for both
+// aggregators that call the hook.
+func TestNoOpBwdHookKeepsGradientBits(t *testing.T) {
+	g := smallGraph()
+	x := tensor.New(5, 4)
+	tensor.RandomNormal(x, rand.New(rand.NewSource(6)), 1)
+	labels, mask := []int32{0, 1, 2, 0, 1}, []int32{0, 1, 2, 3, 4}
+	for _, agg := range []Aggregator{AggGCN, AggGIN} {
+		grads := func(hook func(int, *tensor.Matrix)) []float32 {
+			cfg := smallConfig(3)
+			cfg.Aggregator = agg
+			m, err := New(g, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.BwdHook = hook
+			_, dlogits := nn.MaskedCrossEntropy(m.Forward(x, true), labels, mask)
+			nn.ZeroGrads(m.Params())
+			m.Backward(dlogits)
+			var out []float32
+			for _, p := range m.Params() {
+				out = append(out, p.Grad.Data...)
+			}
+			return out
+		}
+		want := grads(nil)
+		got := grads(func(int, *tensor.Matrix) {})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: grad[%d] %v with a no-op hook, %v without", agg, i, got[i], want[i])
+			}
+		}
 	}
 }
 

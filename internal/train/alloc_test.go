@@ -30,11 +30,11 @@ func TestFullBatchEpochAllocBudget(t *testing.T) {
 	fullBatchEpoch(m, ds, opt, params) // first epoch allocates Adam's moment buffers
 	allocs := testing.AllocsPerRun(20, func() { fullBatchEpoch(m, ds, opt, params) })
 	t.Logf("full-batch epoch: %.0f allocs/op", allocs)
-	// Measured 44 (go1.24, default and purego builds): the per-layer
+	// Measured 40 (go1.24, default and purego builds): the per-layer
 	// activation, aggregate and gradient matrices and the loss gradient.
 	// The margin of 6 absorbs a toolchain's runtime internals shifting by a
 	// few; a new per-row or per-edge allocation overshoots it by hundreds.
-	const budget = 50
+	const budget = 46
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}

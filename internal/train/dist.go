@@ -25,17 +25,16 @@ const (
 	// every layer, giving every vertex its complete neighborhood.
 	AlgoCD0 Algorithm = "cd-0"
 	// AlgoCDR delays partial-aggregate exchange by Delay epochs and spreads
-	// it over Delay bins of split vertices (DRPA, Alg. 4). The exchange
-	// itself is a blocking AlltoAllV at the epoch boundary, so its network
-	// term is exposed — smaller than cd-0's (1/Delay of the volume per
-	// epoch) but still on the critical path.
+	// it over Delay bins of split vertices (DRPA, Alg. 4): each bin's leaf
+	// partials are sent per layer as the forward pass produces them, and
+	// roots send totals back at the epoch end. Its network term is charged
+	// in full, as if every message blocked — smaller than cd-0's (1/Delay
+	// of the volume per epoch) but still on the critical path.
 	AlgoCDR Algorithm = "cd-r"
-	// AlgoCDRS is cd-r with the exchange overlapped behind compute via
-	// nonblocking Isend/Irecv (the paper's full DRPA, §6.3): each bin's
-	// partial-aggregate sends are posted as soon as a layer's aggregation
-	// produces them, completions are drained at layer boundaries, and only
-	// the un-hidden remainder of the α+bytes/β network term is charged —
-	// identical arithmetic to cd-r, network time hidden.
+	// AlgoCDRS runs cd-r's exchange, the same code and the same bits, but
+	// charges only the part of the α+bytes/β network term that compute
+	// failed to hide — the paper's full DRPA with communication overlapped
+	// behind compute (§6.3).
 	AlgoCDRS Algorithm = "cd-rs"
 )
 
@@ -61,15 +60,10 @@ type DistConfig struct {
 	// CommPrecision selects the wire format for partial-aggregate
 	// exchanges (the §7 future-work extension): FP32 (default), BF16 or
 	// FP16. Low-precision formats halve the network volume; values are
-	// rounded through the format so the accuracy impact is real. For cd-rs
-	// the pack/unpack runs inside the nonblocking request path, off the
-	// compute-critical path.
+	// rounded through the format so the accuracy impact is real. For
+	// cd-r/cd-rs the pack/unpack runs inside the nonblocking request path,
+	// off the compute-critical path.
 	CommPrecision quant.Precision
-	// ForceSyncOverlap (cd-rs only) charges every nonblocking transfer as
-	// if it completed synchronously — overlap disabled in the cost model
-	// while the arithmetic stays untouched. The conformance harness uses it
-	// to pin cd-rs to cd-r's cost shape and bit-identical parameters.
-	ForceSyncOverlap bool
 	// Workers sizes the process-wide kernel worker pool shared by all
 	// simulated ranks — the OMP_NUM_THREADS knob. 0 keeps the current pool.
 	Workers int
@@ -89,7 +83,9 @@ type DistConfig struct {
 // (LAT = forward local aggregation; RAT = remote aggregation including
 // pre/post processing plus the exposed network time — the full term for
 // the blocking cd-0/cd-r exchanges, only the un-hidden remainder for
-// cd-rs).
+// cd-rs). RAT counts every exchange an epoch runs: cd-0's backward
+// gradient exchange lands in it through the same gather, byte and message
+// counters as its forward one.
 type DistEpochStat struct {
 	Loss      float64
 	LAT       float64 // forward local aggregation, max across ranks
@@ -181,11 +177,10 @@ type rankCtx struct {
 	remoteAdd []*tensor.Matrix // stale leaf-partial sums (root rows)
 	staleTot  []*tensor.Matrix // stale totals from roots (leaf rows)
 	staleMask []bool           // rows of staleTot that are valid
-	// delivery queues keyed by epoch.
+	// phase-A partials waiting out their delay, keyed by due epoch.
 	pendingPartials map[int][]delivery
-	pendingTotals   map[int][]delivery
 
-	// cd-rs nonblocking state (overlap.go).
+	// nonblocking state (overlap.go).
 	pendingAReqs   []pendReq        // phase-A receives in flight this epoch
 	pendingTotReqs map[int][]totReq // phase-B receives keyed by due epoch
 
@@ -193,19 +188,15 @@ type rankCtx struct {
 	gatherBytes int64
 	netBytes    int64
 	netMsgs     int64
-	exposedNet  float64 // cd-rs: un-hidden network seconds this epoch
+	exposedNet  float64 // un-hidden network seconds this epoch (charged by cd-rs)
 
 	opt nn.Optimizer
 }
 
-// delivery is a received buffer waiting out its cd-r delay.
+// delivery is one layer's received leaf partials waiting out their delay.
 type delivery struct {
-	peer int
-	bin  int
-	// layer is the single layer a cd-rs phase-A payload carries; allLayers
-	// marks cd-r's concatenated-across-layers wire format.
-	layer int
-	data  []float32
+	peer, bin, layer int
+	data             []float32
 }
 
 // distSetup is everything every rank derives identically from the dataset
@@ -242,6 +233,11 @@ func newDistSetup(ds *datasets.Dataset, cfg DistConfig) (*distSetup, error) {
 		}
 	default:
 		return nil, fmt.Errorf("train: unknown algorithm %q", cfg.Algo)
+	}
+	if cfg.Algo != Algo0C && cfg.NumPartitions > 1 && cfg.Model.Aggregator == model.AggMaxPool {
+		// Max-pool's forward calls no hook, so split vertices would
+		// silently aggregate locally, as 0c does.
+		return nil, fmt.Errorf("train: %s cannot exchange %s partial aggregates", cfg.Algo, model.AggMaxPool)
 	}
 	if cfg.Partitioner == nil {
 		cfg.Partitioner = partition.Libra{Seed: cfg.Seed}
@@ -357,7 +353,6 @@ func (su *distSetup) newRank(w *comm.World) (*rankCtx, error) {
 		}
 		r.staleMask = make([]bool, nLocal)
 		r.pendingPartials = make(map[int][]delivery)
-		r.pendingTotals = make(map[int][]delivery)
 		r.pendingTotReqs = make(map[int][]totReq)
 	}
 
@@ -368,7 +363,7 @@ func (su *distSetup) newRank(w *comm.World) (*rankCtx, error) {
 	} else {
 		r.opt = &nn.SGD{LR: cfg.LR, WeightDecay: cfg.WeightDecay}
 	}
-	w.ConfigureAsync(cfg.Net, cfg.ForceSyncOverlap)
+	w.ConfigureAsync(cfg.Net)
 	return r, nil
 }
 
@@ -431,10 +426,7 @@ func (r *rankCtx) trainEpoch(epoch int) float64 {
 	nn.ZeroGrads(params)
 	r.model.Backward(dlogits)
 
-	switch cfg.Algo {
-	case AlgoCDR:
-		r.delayedExchange(epoch)
-	case AlgoCDRS:
+	if cfg.Algo == AlgoCDR || cfg.Algo == AlgoCDRS {
 		r.overlappedExchange(epoch)
 	}
 

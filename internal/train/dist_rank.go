@@ -9,34 +9,29 @@ func (r *rankCtx) resetCounters() {
 	r.exposedNet = 0
 }
 
-// installHooks wires the model's forward hook for the configured algorithm
-// at the given epoch (cd-r/cd-rs need the epoch to select its bin).
+// installHooks wires the model's hooks for the configured algorithm at the
+// given epoch (cd-r/cd-rs need the epoch to select its bin and tag its
+// posts). cd-0 exchanges in both directions; the delayed algorithms
+// exchange forward aggregates only.
 func (r *rankCtx) installHooks(epoch int) {
+	r.model.FwdHook, r.model.BwdHook = nil, nil
 	switch r.cfg.Algo {
-	case Algo0C:
-		r.model.FwdHook = nil
 	case AlgoCD0:
 		r.model.FwdHook = func(layer int, agg *tensor.Matrix) {
 			r.exchangeSumBroadcast(agg, 0)
 		}
-	case AlgoCDR:
+		r.model.BwdHook = func(layer int, grad *tensor.Matrix) {
+			r.exchangeSumBroadcast(grad, 0)
+		}
+	case AlgoCDR, AlgoCDRS:
 		bin := epoch % r.plan.bins
 		r.model.FwdHook = func(layer int, agg *tensor.Matrix) {
-			r.cdrForwardHook(layer, agg, bin)
-		}
-	case AlgoCDRS:
-		bin := epoch % r.plan.bins
-		if epoch >= r.cfg.Epochs {
-			// Evaluation forward pass: stale buffers still apply, but
-			// nothing new is posted on the fabric.
-			r.model.FwdHook = func(layer int, agg *tensor.Matrix) {
-				r.cdrForwardHook(layer, agg, bin)
+			// The evaluation pass after the last epoch posts nothing;
+			// the stale buffers still apply.
+			if epoch < r.cfg.Epochs {
+				r.postLayer(layer, agg, bin, epoch)
 			}
-			return
-		}
-		e := epoch
-		r.model.FwdHook = func(layer int, agg *tensor.Matrix) {
-			r.cdrsForwardHook(layer, agg, bin, e)
+			r.applyStale(layer, agg)
 		}
 	}
 }
@@ -105,156 +100,4 @@ func (r *rankCtx) countConcatSend(rows int) {
 		r.netBytes += int64(rows*d) * int64(r.cfg.CommPrecision.Bytes())
 	}
 	r.netMsgs++
-}
-
-// cdrForwardHook is the per-layer forward hook of the DRPA algorithm:
-// capture this epoch's fresh local partials for the active bin, then apply
-// the stale remote contributions received in earlier epochs. cd-rs shares
-// both halves — its hook only adds the nonblocking posts in between.
-func (r *rankCtx) cdrForwardHook(layer int, agg *tensor.Matrix, bin int) {
-	r.captureBin(layer, agg, bin)
-	r.applyStale(layer, agg)
-}
-
-// captureBin snapshots fresh local partials of rows this rank will send (as
-// leaf) or fold into totals (as root) this epoch.
-func (r *rankCtx) captureBin(layer int, agg *tensor.Matrix, bin int) {
-	cap := r.captures[layer]
-	for peer := 0; peer < r.world.N; peer++ {
-		for _, row := range r.plan.leafSend[bin][peer] {
-			copy(cap.Row(int(row)), agg.Row(int(row)))
-		}
-		for _, row := range r.plan.rootSend[bin][peer] {
-			copy(cap.Row(int(row)), agg.Row(int(row)))
-		}
-	}
-}
-
-// applyStale folds in the remote contributions received in earlier epochs:
-// roots add the stale sums of leaf partials, leaves overwrite with the
-// stale totals where one has arrived.
-func (r *rankCtx) applyStale(layer int, agg *tensor.Matrix) {
-	agg.Add(r.remoteAdd[layer])
-	stale := r.staleTot[layer]
-	for v := 0; v < agg.Rows; v++ {
-		if r.staleMask[v] {
-			copy(agg.Row(v), stale.Row(v))
-		}
-	}
-}
-
-// delayedExchange runs at the end of each cd-r epoch: it ships this epoch's
-// bin of leaf partials, processes the bundles whose delay has elapsed
-// (root reduce + totals send-back), and applies totals whose delay has
-// elapsed on the leaf side. The physical transfer happens now; the r-epoch
-// staleness is enforced by the delivery queues.
-func (r *rankCtx) delayedExchange(epoch int) {
-	k := r.world.N
-	bin := epoch % r.plan.bins
-
-	// AlltoAll #1: leaf partials (concatenated across layers) → roots.
-	send := make([][]float32, k)
-	for peer := 0; peer < k; peer++ {
-		rows := r.plan.leafSend[bin][peer]
-		if len(rows) == 0 {
-			continue
-		}
-		var buf []float32
-		for l := range r.aggDims {
-			buf = append(buf, packRows(r.captures[l], rows)...)
-		}
-		r.countConcatSend(len(rows))
-		send[peer] = r.cfg.CommPrecision.RoundSlice(buf)
-	}
-	recv := r.world.AlltoAllV(r.id, send)
-	for peer := 0; peer < k; peer++ {
-		if len(recv[peer]) > 0 {
-			r.pendingPartials[epoch+r.cfg.Delay] = append(r.pendingPartials[epoch+r.cfg.Delay],
-				delivery{peer: peer, bin: bin, layer: allLayers, data: recv[peer]})
-		}
-	}
-
-	// Root side: process partials whose delay elapsed; they were sent in
-	// epoch-Delay for the same bin (Delay == bins ⇒ (epoch-Delay)%bins == bin).
-	due := r.pendingPartials[epoch]
-	delete(r.pendingPartials, epoch)
-	// The new arrivals replace the previous stale sums for this bin's rows.
-	for _, dl := range due {
-		for l := range r.aggDims {
-			zeroRows(r.remoteAdd[l], r.plan.rootRecv[dl.bin][dl.peer])
-		}
-	}
-	for _, dl := range due {
-		off := 0
-		for l, d := range r.aggDims {
-			rows := r.plan.rootRecv[dl.bin][dl.peer]
-			n := len(rows) * d
-			addRows(r.remoteAdd[l], rows, dl.data[off:off+n])
-			r.gatherBytes += int64(n) * 4
-			off += n
-		}
-	}
-
-	// AlltoAll #2: totals (fresh root partial + stale leaf sums) → leaves.
-	send = make([][]float32, k)
-	processedBins := map[int]bool{}
-	for _, dl := range due {
-		processedBins[dl.bin] = true
-	}
-	for b := range processedBins {
-		for peer := 0; peer < k; peer++ {
-			rows := r.plan.rootSend[b][peer]
-			if len(rows) == 0 {
-				continue
-			}
-			var buf []float32
-			for l, d := range r.aggDims {
-				chunk := make([]float32, len(rows)*d)
-				for i, row := range rows {
-					dst := chunk[i*d : (i+1)*d]
-					copy(dst, r.captures[l].Row(int(row)))
-					remote := r.remoteAdd[l].Row(int(row))
-					for j := range dst {
-						dst[j] += remote[j]
-					}
-				}
-				buf = append(buf, chunk...)
-			}
-			r.countConcatSend(len(rows))
-			send[peer] = append(send[peer], r.cfg.CommPrecision.RoundSlice(buf)...)
-		}
-	}
-	recv = r.world.AlltoAllV(r.id, send)
-	for peer := 0; peer < k; peer++ {
-		if len(recv[peer]) > 0 {
-			r.pendingTotals[epoch+r.cfg.Delay] = append(r.pendingTotals[epoch+r.cfg.Delay],
-				delivery{peer: peer, bin: bin, layer: allLayers, data: recv[peer]})
-		}
-	}
-
-	// Leaf side: totals whose delay elapsed become the stale override.
-	dueTot := r.pendingTotals[epoch]
-	delete(r.pendingTotals, epoch)
-	for _, dl := range dueTot {
-		off := 0
-		for l, d := range r.aggDims {
-			rows := r.plan.leafRecv[dl.bin][dl.peer]
-			n := len(rows) * d
-			setRows(r.staleTot[l], rows, dl.data[off:off+n])
-			r.gatherBytes += int64(n) * 4
-			off += n
-			for _, row := range rows {
-				r.staleMask[row] = true
-			}
-		}
-	}
-}
-
-func zeroRows(mat *tensor.Matrix, rows []int32) {
-	for _, row := range rows {
-		dst := mat.Row(int(row))
-		for j := range dst {
-			dst[j] = 0
-		}
-	}
 }

@@ -1,16 +1,16 @@
 package train
 
-// overlap.go implements cd-rs, the top of the paper's algorithm ladder:
-// cd-r's delayed partial-aggregate exchange rebuilt on nonblocking
-// Isend/Irecv so the network term overlaps with compute (§6.3). Each bin's
-// leaf partials are posted to their roots as soon as a layer's aggregation
-// produces them — before the forward pass of the remaining layers —
-// completions are drained at layer boundaries, and the epoch-end wait
-// charges only what compute failed to hide. Every floating-point operation
-// matches cd-r exactly: the same captures are shipped, the same delay
-// queues hold them, and the reduction applies peer contributions in the
-// same (peer, layer) order, so cd-rs is bit-identical to cd-r at every
-// epoch (the conformance tests pin this at 2/4/8 sockets).
+// overlap.go implements the delayed partial-aggregate exchange of DRPA
+// (§5.3, Alg. 4) on nonblocking Isend/Irecv, the one code path of both
+// cd-r and cd-rs. Each bin's leaf partials are posted to their roots as
+// soon as a layer's aggregation produces them — one message per (peer,
+// layer), before the forward pass of the remaining layers — completions
+// are drained at layer boundaries, and at the epoch end roots reduce the
+// partials whose delay elapsed and post totals back to the leaves. The two
+// algorithms differ only in how timing.go charges the traffic: cd-r pays
+// the full α+bytes/β term of every message as if the exchange blocked,
+// cd-rs only the remainder its compute failed to hide (§6.3). Their
+// losses and parameters are therefore the same bits at every epoch.
 
 import (
 	"sort"
@@ -18,10 +18,6 @@ import (
 	"distgnn/internal/comm"
 	"distgnn/internal/tensor"
 )
-
-// allLayers marks a delivery whose payload concatenates every layer (the
-// cd-r wire format); cd-rs phase-A deliveries carry one layer each.
-const allLayers = -1
 
 // pendReq is a phase-A (leaf partial → root) receive in flight.
 type pendReq struct {
@@ -56,11 +52,11 @@ func (r *rankCtx) waitSend(req *comm.Request) {
 	}
 }
 
-// cdrsForwardHook is cd-r's forward hook with the exchange posted inline:
-// capture the bin's fresh partials, ship this layer's rows immediately so
-// the transfer rides under the remaining layers' compute, reel in already
-// hidden arrivals, then apply the stale remote state exactly as cd-r does.
-func (r *rankCtx) cdrsForwardHook(layer int, agg *tensor.Matrix, bin, epoch int) {
+// postLayer is the first half of DRPA's forward hook: capture the bin's
+// fresh partials, ship this layer's rows immediately so the transfer rides
+// under the remaining layers' compute, and reel in already hidden
+// arrivals.
+func (r *rankCtx) postLayer(layer int, agg *tensor.Matrix, bin, epoch int) {
 	// This layer's aggregation is compute the in-flight transfers hide
 	// behind; advance the simulated clock before posting.
 	r.cfg.Net.ChargeCompute(r.id,
@@ -87,8 +83,33 @@ func (r *rankCtx) cdrsForwardHook(layer int, agg *tensor.Matrix, bin, epoch int)
 	// Layer boundary: drain transfers that completed under the compute
 	// charged so far.
 	r.drainPartials(epoch, false)
+}
 
-	r.applyStale(layer, agg)
+// captureBin snapshots fresh local partials of rows this rank will send (as
+// leaf) or fold into totals (as root) this epoch.
+func (r *rankCtx) captureBin(layer int, agg *tensor.Matrix, bin int) {
+	cap := r.captures[layer]
+	for peer := 0; peer < r.world.N; peer++ {
+		for _, row := range r.plan.leafSend[bin][peer] {
+			copy(cap.Row(int(row)), agg.Row(int(row)))
+		}
+		for _, row := range r.plan.rootSend[bin][peer] {
+			copy(cap.Row(int(row)), agg.Row(int(row)))
+		}
+	}
+}
+
+// applyStale folds in the remote contributions received in earlier epochs:
+// roots add the stale sums of leaf partials, leaves overwrite with the
+// stale totals where one has arrived.
+func (r *rankCtx) applyStale(layer int, agg *tensor.Matrix) {
+	agg.Add(r.remoteAdd[layer])
+	stale := r.staleTot[layer]
+	for v := 0; v < agg.Rows; v++ {
+		if r.staleMask[v] {
+			copy(agg.Row(v), stale.Row(v))
+		}
+	}
 }
 
 // drainPartials moves completed phase-A receives into the delay queue. At
@@ -120,10 +141,10 @@ func (r *rankCtx) drainPartials(epoch int, final bool) {
 	r.pendingAReqs = kept
 }
 
-// overlappedExchange is cd-rs's epoch-end step, the counterpart of cd-r's
-// delayedExchange: finish draining this epoch's posts, reduce the partials
-// whose delay elapsed, ship totals back to leaves nonblocking, and harvest
-// totals that have ridden out their own delay.
+// overlappedExchange is DRPA's epoch-end step: finish draining this epoch's
+// posts, reduce the partials whose delay elapsed, ship totals back to
+// leaves nonblocking, and harvest totals that have ridden out their own
+// delay.
 func (r *rankCtx) overlappedExchange(epoch int) {
 	// Backward aggregation and the dense layers extend the overlap window
 	// before the final drain.
@@ -135,8 +156,8 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 	bin := epoch % r.plan.bins
 
 	// Root side: reduce due partials. Arrival order is whatever the drains
-	// produced; sorting by (peer, layer) restores cd-r's reduction order so
-	// the float sums are bit-identical.
+	// produced; sorting by (peer, layer) fixes the reduction order, so the
+	// float sums do not depend on how much compute hid the transfers.
 	due := r.pendingPartials[epoch]
 	delete(r.pendingPartials, epoch)
 	sort.Slice(due, func(i, j int) bool {
@@ -155,7 +176,8 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 	}
 
 	// Phase B: totals (fresh root partial + stale leaf sums) back to the
-	// leaves, in cd-r's concatenated-layers wire format, posted nonblocking.
+	// leaves, every layer concatenated into one message per peer, posted
+	// nonblocking.
 	if len(due) > 0 {
 		for peer := 0; peer < k; peer++ {
 			rows := r.plan.rootSend[bin][peer]
@@ -214,6 +236,15 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 			for _, row := range rows {
 				r.staleMask[row] = true
 			}
+		}
+	}
+}
+
+func zeroRows(mat *tensor.Matrix, rows []int32) {
+	for _, row := range rows {
+		dst := mat.Row(int(row))
+		for j := range dst {
+			dst[j] = 0
 		}
 	}
 }

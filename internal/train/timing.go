@@ -3,12 +3,12 @@ package train
 // timing.go converts each epoch's executed work and communication counters
 // into simulated cluster time (Fig. 5/6). Each partition is modeled as one
 // full CPU socket: compute terms use the calibrated per-socket throughput
-// model and communication terms use the α–β network model. The blocking
-// algorithms (cd-0 every layer, cd-r once per epoch) expose their full
-// network term; cd-rs posts the same traffic nonblocking and pays only the
-// remainder its compute failed to hide — the behaviour §6.3 reports ("a
-// negligible amount of time is spent waiting for asynchronous overlapped
-// communication").
+// model and communication terms use the α–β network model. This is the
+// one place cd-r and cd-rs differ: they run the same exchange, but cd-r
+// is charged its full network term, as the blocking cd-0 is, while cd-rs
+// pays only the remainder its compute failed to hide — the behaviour §6.3
+// reports ("a negligible amount of time is spent waiting for asynchronous
+// overlapped communication").
 
 import (
 	"math"
@@ -55,8 +55,9 @@ func rankPhaseSeconds(cfg *DistConfig, r *rankCtx) (lat, bwd, mlp, rat, exposed 
 	rat = float64(r.gatherBytes) / cfg.Net.MemBandwidth
 	switch cfg.Algo {
 	case AlgoCD0, AlgoCDR:
-		// Synchronous exchange exposes the network time: cd-0 blocks at
-		// every layer, cd-r's AlltoAllV blocks at the epoch boundary
+		// Blocking exchange exposes the network time of every message:
+		// cd-0 blocks at every layer in both directions, cd-r is charged
+		// as if each of its per-layer posts and epoch-end totals blocked
 		// (on 1/Delay of the volume).
 		rat += float64(r.netMsgs)*cfg.Net.NetLatency +
 			float64(r.netBytes)/cfg.Net.NetBandwidth
