@@ -42,20 +42,24 @@
 //	distgnn-serve -checkpoint ckpt.dgnp -shards 2 -replicas 2 -transport tcp -spawn-local -reload ...
 //	curl 'localhost:8399/predict?vertex=17'             # frontend
 //	curl -X POST 'localhost:8399/reload?checkpoint=new.dgnp'
+//
+// Every in-process topology is one serve.StartFleet call; SIGINT or SIGTERM
+// drains in-flight requests before the process exits.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"distgnn/internal/comm"
@@ -106,8 +110,6 @@ func main() {
 		"shard mode: seed of the deterministic vertex-cut partitioning every rank derives")
 	replicas := flag.Int("replicas", 1,
 		"run this many bit-identical replicas of the engine (or shard fleet) behind a consistent-hash frontend on -addr; backends take ports addr+1..addr+shards*replicas")
-	frontendOn := flag.Bool("frontend", false,
-		"serve the replicated frontend even with -replicas 1 (implied by -replicas >1)")
 	reloadOn := flag.Bool("reload", false,
 		"enable POST /reload checkpoint hot-swapping (reads server-side files via ?checkpoint=path)")
 	updatesOn := flag.Bool("updates", false,
@@ -156,38 +158,45 @@ func main() {
 		metrics: *metricsOn, trace: *traceOn, pprof: *pprofOn,
 		slowLog: *slowLog, slowThreshold: *slowThreshold, ring: *traceRing,
 	}
-
-	if *replicas > 1 || *frontendOn {
-		if *updatesOn {
-			// Each replica group holds independent mutation state; an update
-			// landing on one group would silently diverge the others.
-			fatal(fmt.Errorf("-updates is not supported behind the replicated frontend (drop -replicas/-frontend)"))
+	top := serve.Topology{
+		Shards: *shards, Replicas: *replicas, PartitionSeed: *partSeed,
+		Obs: obsf.wire, Handler: obsf.handler,
+	}
+	switch {
+	case *shards < 1 || *replicas < 1:
+		fatal(fmt.Errorf("-shards and -replicas must be ≥1"))
+	case *transport != "inproc" && *transport != "tcp":
+		fatal(fmt.Errorf("unknown -transport %q (inproc or tcp)", *transport))
+	case *replicas > 1 && *updatesOn:
+		// Each replica group holds independent mutation state; an update
+		// landing on one group would silently diverge the others.
+		fatal(fmt.Errorf("-updates is not supported behind the replicated frontend (drop -replicas)"))
+	case *replicas > 1 && *transport == "tcp":
+		if !*spawnLocal {
+			fatal(fmt.Errorf("replicated tcp serving requires -spawn-local (the frontend forks the backend fleets)"))
 		}
-		runReplicated(cfg, replicatedOpts{
-			checkpoint: *checkpoint, dataset: *dataset, scale: *scale, file: *file,
-			addr: *addr, shards: *shards, replicas: *replicas,
-			transport: *transport, spawnLocal: *spawnLocal, partSeed: *partSeed,
-			obs: obsf,
-		})
+		spawnReplicas(top, *addr)
 		return
+	case *spawnLocal && (*transport != "tcp" || *shards == 1):
+		fatal(fmt.Errorf("-spawn-local requires -transport tcp and -shards >1 or -replicas >1"))
 	}
 
 	// TCP shard rendezvous starts before the (deterministic) dataset
 	// generation so spawned ranks overlap their graph builds.
+	var httpAddrs []string
+	if *replicas > 1 {
+		top.Frontend = *addr
+		httpAddrs, err = serve.BackendAddrs(*addr, *shards**replicas)
+	} else {
+		httpAddrs, err = shardHTTPAddrs(*peers, *addr, *shards)
+	}
+	if err != nil {
+		fatal(err)
+	}
 	var tr comm.Transport
 	var children []*exec.Cmd
-	var httpAddrs []string
-	tcpMode := *transport == "tcp" && *shards > 1
-	if *shards > 1 {
-		httpAddrs, err = shardHTTPAddrs(*peers, *addr, *shards)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	switch {
-	case *transport != "inproc" && *transport != "tcp":
-		fatal(fmt.Errorf("unknown -transport %q (inproc or tcp)", *transport))
-	case tcpMode:
+	tcpMode := *transport == "tcp" && *shards > 1 && *replicas == 1
+	if tcpMode {
 		var peerList []string
 		if *commPeers != "" {
 			peerList = strings.Split(*commPeers, ",")
@@ -195,108 +204,57 @@ func main() {
 		tr, children, err = comm.JoinTCPFleet(comm.TCPConfig{
 			Rank: *rank, N: *shards, Peers: peerList, Listen: *commListen, Timeout: *netTimeout,
 		}, *spawnLocal, func(r int, registry string) []string {
-			// Children get the full HTTP peer table and the parent's comm
-			// registry; the parent's -comm-listen is its own address and
-			// must not be inherited.
-			return []string{
-				"-spawn-local=false", "-transport=tcp", "-comm-listen=",
-				fmt.Sprintf("-rank=%d", r),
-				"-comm-peers=" + registry,
-				"-peers=" + strings.Join(httpAddrs, ","),
-				"-addr=" + httpAddrs[r],
-			}
+			return rankArgs(httpAddrs, []string{registry}, *shards, r)
 		})
 		if err != nil {
 			fatal(err)
 		}
-	case *spawnLocal:
-		fatal(fmt.Errorf("-spawn-local requires -transport tcp and -shards >1"))
 	}
 
 	ds, name, err := loadDataset(*file, *dataset, *scale)
 	if err != nil {
 		fatal(err)
 	}
-
-	verbose := !tcpMode || *rank == 0
-	if verbose {
+	if !tcpMode || *rank == 0 {
 		fmt.Printf("dataset %s: %d vertices, %d edges (avg degree %.1f), %d features, %d classes\n",
 			name, ds.G.NumVertices, ds.G.NumEdges, ds.G.AvgDegree(),
 			ds.Features.Cols, ds.NumClasses)
 	}
-
-	if *shards <= 1 {
-		ckpt, err := os.Open(*checkpoint)
-		if err != nil {
-			fatal(err)
-		}
-		scfg := cfg
-		scfg.Metrics, scfg.Tracer = obsf.wire("server", -1, portTag(*addr))
-		srv, err := serve.New(ds, ckpt, scfg)
-		ckpt.Close()
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Printf("model %s from %s, inference mode %s\n",
-			srv.Engine().Spec(), *checkpoint, srv.Engine().Mode())
-		fmt.Printf("coalescer: max batch %d, max wait %v; caches: features %.0f MB, embeddings %.0f MB\n",
-			*maxBatch, *maxWait, *featCacheMB, *embCacheMB)
-		fmt.Printf("serving %s on http://%s\n", obsf.endpoints(), *addr)
-		if err := http.ListenAndServe(*addr, obsf.handler(srv.Handler())); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	ckptBytes, err := os.ReadFile(*checkpoint)
+	ckpt, err := os.ReadFile(*checkpoint)
 	if err != nil {
 		fatal(err)
 	}
-	httpPeers := make([]serve.PeerAddr, *shards)
-	for r := range httpPeers {
-		httpPeers[r] = serve.PeerAddr{Rank: r, Addr: httpAddrs[r]}
-	}
-	mkShard := func(fabric comm.Transport) *serve.Server {
-		r := fabric.Self()
-		scfg := cfg
-		scfg.Metrics, scfg.Tracer = obsf.wire("server", r, "rank"+strconv.Itoa(r)+"-"+portTag(httpAddrs[r]))
-		srv, err := serve.NewShard(ds, bytes.NewReader(ckptBytes), scfg, serve.ShardConfig{
-			Transport: fabric, HTTPPeers: httpPeers, PartitionSeed: *partSeed,
-		})
+
+	if tcpMode {
+		srv, err := top.NewRank(ds, ckpt, cfg, tr, httpAddrs)
 		if err != nil {
 			fatal(err)
 		}
-		return srv
-	}
-
-	if tcpMode {
-		srv := mkShard(tr)
 		st := srv.StatsSnapshot().Shard
-		fmt.Printf("shard rank %d/%d (tcp): owns %d vertices, static halo %d, model %s\n",
-			*rank, *shards, st.OwnedVertices, st.HaloVerticesStatic, srv.Engine().Spec())
-		fmt.Printf("serving %s on http://%s\n", obsf.endpoints(), httpAddrs[*rank])
-		err := http.ListenAndServe(httpAddrs[*rank], obsf.handler(srv.Handler()))
+		fmt.Printf("shard rank %d/%d (tcp): owns %d vertices, static halo %d, model %s, serving on http://%s\n",
+			*rank, *shards, st.OwnedVertices, st.HaloVerticesStatic, srv.Engine().Spec(), httpAddrs[*rank])
+		err = top.HTTPServer(httpAddrs[*rank], srv.Handler()).ListenAndServe()
 		comm.KillRanks(children)
 		fatal(err)
 	}
 
-	// inproc: every shard a goroutine in this process over its own
-	// endpoint of an in-process fabric — partition parallelism without
-	// process management.
-	errc := make(chan error, *shards)
-	for r, ep := range comm.NewProcFabric(*shards) {
-		srv := mkShard(ep)
-		st := srv.StatsSnapshot().Shard
-		fmt.Printf("shard rank %d/%d (inproc): owns %d vertices, static halo %d, serving on http://%s\n",
-			r, *shards, st.OwnedVertices, st.HaloVerticesStatic, httpAddrs[r])
-		go func(r int, srv *serve.Server) {
-			errc <- http.ListenAndServe(httpAddrs[r], obsf.handler(srv.Handler()))
-		}(r, srv)
+	// In-process: every backend (and the frontend) in this process, each
+	// replica's shards over their own in-process fabric.
+	top.Addrs = httpAddrs
+	fleet, err := serve.StartFleet(ds, ckpt, cfg, top)
+	if err != nil {
+		fatal(err)
 	}
-	fmt.Printf("model %s, %d shards, endpoints %s\n",
-		serve.Arch(*arch), *shards, obsf.endpoints())
-	fatal(<-errc)
+	eng := fleet.Servers[0].Engine()
+	fmt.Printf("model %s from %s, inference mode %s: %d shards × %d replicas on %v\n",
+		eng.Spec(), *checkpoint, eng.Mode(), *shards, *replicas, fleet.Addrs)
+	if fleet.Frontend != nil {
+		fmt.Printf("frontend on http://%s\n", fleet.FrontendAddr)
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	fleet.Close()
 }
 
 // loadDataset loads -file (a distgnn-datagen artifact) or regenerates the
@@ -315,35 +273,21 @@ func loadDataset(file, dataset string, scale float64) (*datasets.Dataset, string
 	return ds, dataset, err
 }
 
-// replicatedOpts carries the topology flags into the replicated runner.
-type replicatedOpts struct {
-	checkpoint, dataset, file string
-	scale                     float64
-	addr                      string
-	shards, replicas          int
-	transport                 string
-	spawnLocal                bool
-	partSeed                  int64
-	obs                       obsOptions
-}
-
 // obsOptions carries the observability flags: each server instance (rank,
 // replica, or frontend) wires its own registry and tracer so scrape-time
 // metric funcs read that instance's counters and slow logs never interleave.
 type obsOptions struct {
-	metrics       bool
-	trace         bool
-	pprof         bool
-	slowLog       string
-	slowThreshold time.Duration
-	ring          int
+	metrics, trace, pprof bool
+	slowLog               string
+	slowThreshold         time.Duration
+	ring                  int
 }
 
 // wire builds one instance's registry and tracer (nil when the respective
 // leg is off — the obs plane's disabled-is-free contract). The slow log
-// lands in a per-instance file keyed by tag (e.g. "rank0-8400",
-// "frontend-8399"), so spawned ranks sharing the flag never share a file.
-func (o obsOptions) wire(role string, rank int, tag string) (*obs.Registry, *obs.Tracer) {
+// lands in a per-instance file keyed by instanceTag, so spawned ranks
+// sharing the flag never share a file.
+func (o obsOptions) wire(role string, rank int, addr string) (*obs.Registry, *obs.Tracer) {
 	var reg *obs.Registry
 	if o.metrics {
 		reg = obs.NewRegistry()
@@ -354,7 +298,7 @@ func (o obsOptions) wire(role string, rank int, tag string) (*obs.Registry, *obs
 			Role: role, Rank: rank, RingSize: o.ring, SlowThreshold: o.slowThreshold,
 		}
 		if o.slowLog != "" {
-			f, err := os.OpenFile(slowLogPath(o.slowLog, tag),
+			f, err := os.OpenFile(slowLogPath(o.slowLog, instanceTag(role, rank, addr)),
 				os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				fatal(err)
@@ -374,27 +318,8 @@ func (o obsOptions) handler(h http.Handler) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", h)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/pprof/", http.DefaultServeMux) // net/http/pprof registers there
 	return mux
-}
-
-// endpoints renders the endpoint list for startup banners.
-func (o obsOptions) endpoints() string {
-	s := "/predict /embed /stats /healthz"
-	if o.metrics {
-		s += " /metrics"
-	}
-	if o.trace {
-		s += " /debug/trace/recent"
-	}
-	if o.pprof {
-		s += " /debug/pprof/"
-	}
-	return s
 }
 
 // slowLogPath splices the instance tag before the path's extension:
@@ -402,6 +327,18 @@ func (o obsOptions) endpoints() string {
 func slowLogPath(path, tag string) string {
 	ext := filepath.Ext(path)
 	return strings.TrimSuffix(path, ext) + "." + tag + ext
+}
+
+// instanceTag names one instance by role, rank and port: "rank0-8400",
+// "frontend-8399", or "8399" for a single-process server.
+func instanceTag(role string, rank int, addr string) string {
+	switch {
+	case role == "frontend":
+		return "frontend-" + portTag(addr)
+	case rank >= 0:
+		return "rank" + strconv.Itoa(rank) + "-" + portTag(addr)
+	}
+	return portTag(addr)
 }
 
 // portTag extracts the port of a listen address for instance tagging.
@@ -412,159 +349,77 @@ func portTag(addr string) string {
 	return strings.NewReplacer("/", "_", ":", "_").Replace(addr)
 }
 
-// runReplicated stands up R bit-identical serving replicas (single servers,
-// or whole shard fleets when -shards >1) behind the consistent-hash
-// frontend on -addr. Backend b = rep*shards + rank listens on -addr's
-// port + 1 + b, so the frontend knows every address up front.
-//
-// inproc: every backend runs in this process (fleets each get their own
-// in-process fabric). tcp requires -spawn-local: this process serves ONLY the
-// frontend and forks the shards×replicas backends; each fleet rendezvouses
-// through its own pre-reserved comm registry port. Either way the replicas
-// share the checkpoint and partition seed, so they are bit-identical and
-// any of them can answer for its group.
-func runReplicated(cfg serve.Config, o replicatedOpts) {
-	S, R := o.shards, o.replicas
-	if S < 1 || R < 1 {
-		fatal(fmt.Errorf("-shards and -replicas must be ≥1"))
-	}
-	backends, err := shardHTTPAddrs("", o.addr, S*R+1)
+// spawnReplicas runs replicated tcp serving: this process serves only the
+// frontend on addr and forks the shards×replicas backends as processes of
+// this binary, backend b = rep·shards + rank on addr's port + 1 + b. Each
+// replica's shards rendezvous through their own pre-reserved comm registry.
+func spawnReplicas(top serve.Topology, addr string) {
+	backends, err := serve.BackendAddrs(addr, top.Shards*top.Replicas)
 	if err != nil {
 		fatal(err)
 	}
-	backends = backends[1:] // index 0 is the frontend itself
-	groups := make([]serve.GroupSpec, S)
-	for g := range groups {
-		groups[g].Key = fmt.Sprintf("group-%d", g)
-		for rep := 0; rep < R; rep++ {
-			groups[g].Replicas = append(groups[g].Replicas, backends[rep*S+g])
+	registries := make([]string, top.Replicas)
+	for rep := range registries {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			fatal(err)
 		}
+		registries[rep] = ln.Addr().String()
+		ln.Close()
 	}
-
-	switch o.transport {
-	case "inproc":
-		ds, name, err := loadDataset(o.file, o.dataset, o.scale)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("dataset %s: %d vertices, %d edges, %d features, %d classes\n",
-			name, ds.G.NumVertices, ds.G.NumEdges, ds.Features.Cols, ds.NumClasses)
-		ckptBytes, err := os.ReadFile(o.checkpoint)
-		if err != nil {
-			fatal(err)
-		}
-		for rep := 0; rep < R; rep++ {
-			var httpPeers []serve.PeerAddr
-			for r := 0; r < S; r++ {
-				httpPeers = append(httpPeers, serve.PeerAddr{Rank: r, Addr: backends[rep*S+r]})
-			}
-			var eps []comm.Transport
-			if S > 1 {
-				eps = comm.NewProcFabric(S)
-			}
-			for r := 0; r < S; r++ {
-				addr := backends[rep*S+r]
-				scfg := cfg
-				scfg.Metrics, scfg.Tracer = o.obs.wire("server", r,
-					"rank"+strconv.Itoa(r)+"-"+portTag(addr))
-				var srv *serve.Server
-				if S == 1 {
-					srv, err = serve.New(ds, bytes.NewReader(ckptBytes), scfg)
-				} else {
-					srv, err = serve.NewShard(ds, bytes.NewReader(ckptBytes), scfg, serve.ShardConfig{
-						Transport: eps[r], HTTPPeers: httpPeers, PartitionSeed: o.partSeed,
-					})
-				}
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Printf("replica %d rank %d/%d on http://%s\n", rep, r, S, addr)
-				go func(addr string, srv *serve.Server) {
-					fatal(http.ListenAndServe(addr, o.obs.handler(srv.Handler())))
-				}(addr, srv)
-			}
-		}
-	case "tcp":
-		if !o.spawnLocal {
-			fatal(fmt.Errorf("replicated tcp serving requires -spawn-local (the frontend forks the backend fleets)"))
-		}
-		// Each fleet rendezvouses through its own registry address,
-		// reserved here so every child can be told where to meet.
-		registries := make([]string, R)
-		for rep := range registries {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				fatal(err)
-			}
-			registries[rep] = ln.Addr().String()
-			ln.Close()
-		}
-		children, err := comm.SpawnLocalRanks(S*R+1, func(i int) []string {
-			rep, r := (i-1)/S, (i-1)%S
-			args := []string{
-				"-frontend=false", "-replicas=1", "-spawn-local=false",
-				fmt.Sprintf("-shards=%d", S), fmt.Sprintf("-rank=%d", r),
-				"-addr=" + backends[rep*S+r],
-			}
-			if S > 1 {
-				fleet := backends[rep*S : rep*S+S]
-				args = append(args, "-transport=tcp", "-peers="+strings.Join(fleet, ","))
-				if r == 0 {
-					args = append(args, "-comm-listen="+registries[rep], "-comm-peers=")
-				} else {
-					args = append(args, "-comm-listen=", "-comm-peers="+registries[rep])
-				}
-			} else {
-				args = append(args, "-transport=inproc")
-			}
-			return args
-		})
-		if err != nil {
-			fatal(err)
-		}
-		comm.KillRanksOnSignal(children)
-	default:
-		fatal(fmt.Errorf("unknown -transport %q (inproc or tcp)", o.transport))
-	}
-
-	freg, ftracer := o.obs.wire("frontend", -1, "frontend-"+portTag(o.addr))
-	f, err := serve.NewFrontend(serve.FrontendConfig{
-		Groups: groups, Metrics: freg, Tracer: ftracer,
+	children, err := comm.SpawnLocalRanks(len(backends)+1, func(i int) []string {
+		return rankArgs(backends, registries, top.Shards, i-1)
 	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("frontend: %d shard groups × %d replicas, endpoints %s /reload on http://%s\n",
-		S, R, o.obs.endpoints(), o.addr)
-	fatal(http.ListenAndServe(o.addr, o.obs.handler(f.Handler())))
+	comm.KillRanksOnSignal(children)
+	f, err := top.NewFrontend(addr, backends)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("frontend: %d shard groups × %d replicas on http://%s\n", top.Shards, top.Replicas, addr)
+	fatal(top.HTTPServer(addr, f.Handler()).ListenAndServe())
 }
 
-// shardHTTPAddrs resolves the fleet's HTTP addresses: an explicit -peers
-// list, or rank r at base's port + r.
+// rankArgs are the flags that make a spawned child backend b: rank
+// b%shards of replica b/shards, listening on backends[b] and, for a
+// multi-shard replica, meeting its peers at the replica's comm registry
+// (hosted by its rank 0). They override the parent's flags the child
+// inherits, -comm-listen included.
+func rankArgs(backends, registries []string, shards, b int) []string {
+	rep, r := b/shards, b%shards
+	args := []string{
+		"-replicas=1", "-spawn-local=false",
+		fmt.Sprintf("-shards=%d", shards), fmt.Sprintf("-rank=%d", r),
+		"-addr=" + backends[b],
+	}
+	if shards == 1 {
+		return append(args, "-transport=inproc")
+	}
+	fleet := backends[rep*shards : rep*shards+shards]
+	args = append(args, "-transport=tcp", "-peers="+strings.Join(fleet, ","))
+	if r == 0 {
+		return append(args, "-comm-listen="+registries[rep], "-comm-peers=")
+	}
+	return append(args, "-comm-listen=", "-comm-peers="+registries[rep])
+}
+
+// shardHTTPAddrs resolves a shard fleet's HTTP addresses: an explicit -peers
+// list, or rank 0 on base and rank r on base's port + r.
 func shardHTTPAddrs(peers, base string, shards int) ([]string, error) {
-	if peers != "" {
-		list := strings.Split(peers, ",")
-		if len(list) != shards {
-			return nil, fmt.Errorf("-peers lists %d addresses for %d shards", len(list), shards)
-		}
-		for i := range list {
-			list[i] = strings.TrimSpace(list[i])
-		}
-		return list, nil
+	if peers == "" {
+		rest, err := serve.BackendAddrs(base, shards-1)
+		return append([]string{base}, rest...), err
 	}
-	host, portStr, err := net.SplitHostPort(base)
-	if err != nil {
-		return nil, fmt.Errorf("bad -addr %q: %v", base, err)
+	list := strings.Split(peers, ",")
+	if len(list) != shards {
+		return nil, fmt.Errorf("-peers lists %d addresses for %d shards", len(list), shards)
 	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return nil, fmt.Errorf("bad -addr port %q: %v", portStr, err)
+	for i := range list {
+		list[i] = strings.TrimSpace(list[i])
 	}
-	out := make([]string, shards)
-	for r := range out {
-		out[r] = net.JoinHostPort(host, strconv.Itoa(port+r))
-	}
-	return out, nil
+	return list, nil
 }
 
 func fatal(err error) {

@@ -6,23 +6,22 @@
 // from either entry point, and identical to a single-process server.
 // -scale and -epochs shrink the run for smoke testing.
 //
-// The same fleet as real processes:
+// serve.StartFleet, the one way to stand up an in-process fleet, builds it;
+// the same fleet as real processes:
 //
 //	distgnn-serve -checkpoint ckpt.dgnp -shards 2 -transport tcp -spawn-local ...
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
+	"strings"
 	"time"
 
-	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
@@ -53,111 +52,57 @@ func main() {
 	}
 	fmt.Printf("trained: %d epochs, test accuracy %.1f%%\n", *epochs, 100*res.TestAcc)
 
-	// 2. A real TCP comm fabric over 2 ranks (loopback; each endpoint is
-	//    driven exactly as a separate OS process would drive its own).
-	const shards = 2
-	fabrics, err := comm.NewLoopbackTCP(shards, 30*time.Second)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		for _, f := range fabrics {
-			f.Close()
-		}
-	}()
-
-	// 3. One HTTP listener per rank, then one sharded server per rank. Each
-	//    rank independently derives the same deterministic partitioning, so
+	// 2. A 2-rank fleet in one call: each rank a sharded server over its
+	//    endpoint of a real loopback-TCP comm fabric (driven exactly as a
+	//    separate OS process would drive it) and on its own HTTP listener.
+	//    Every rank derives the same deterministic partitioning, so
 	//    ownership needs no coordination.
 	cfg := serve.Config{
 		Arch: serve.ArchGraphSAGE, Hidden: 16, NumLayers: 2,
 		MaxBatch: 16, MaxWait: 2 * time.Millisecond,
 		FeatureCacheBytes: 16 << 20, EmbedCacheBytes: 4 << 20,
 	}
-	var lns []net.Listener
-	var peers []serve.PeerAddr
-	for r := 0; r < shards; r++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		lns = append(lns, ln)
-		peers = append(peers, serve.PeerAddr{Rank: r, Addr: ln.Addr().String()})
+	fleet, err := serve.StartFleet(ds, ckpt.Bytes(), cfg, serve.Topology{Shards: 2, Fabric: serve.FabricTCP})
+	if err != nil {
+		log.Fatal(err)
 	}
-	servers := make([]*serve.Server, shards)
-	for r := 0; r < shards; r++ {
-		servers[r], err = serve.NewShard(ds, bytes.NewReader(ckpt.Bytes()), cfg, serve.ShardConfig{
-			Transport: fabrics[r], HTTPPeers: peers,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer servers[r].Close()
-		st := servers[r].StatsSnapshot().Shard
-		fmt.Printf("shard rank %d/%d: owns %d vertices, static halo %d, serving on http://%s\n",
-			r, shards, st.OwnedVertices, st.HaloVerticesStatic, peers[r].Addr)
-		hs := &http.Server{Handler: servers[r].Handler()}
-		go hs.Serve(lns[r])
-		defer hs.Close()
-	}
+	defer fleet.Close()
 
-	// 4. Query BOTH ranks for the same vertex. The non-owner proxies to the
-	//    owner; the owner's k-hop gather fetches halo features over TCP.
-	get := func(rank int, path string) string {
-		resp, err := http.Get("http://" + peers[rank].Addr + path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			log.Fatalf("rank %d %s: HTTP %d: %s", rank, path, resp.StatusCode, body)
-		}
-		return string(body)
-	}
-	const vertex = 7
-	a := get(0, fmt.Sprintf("/predict?vertex=%d", vertex))
-	b := get(1, fmt.Sprintf("/predict?vertex=%d", vertex))
-	fmt.Printf("GET rank0 /predict?vertex=%d → %.110s…\n", vertex, a)
-	fmt.Printf("GET rank1 /predict?vertex=%d → identical bytes: %v\n", vertex, a == b)
-	if a != b {
-		log.Fatalf("rank responses differ:\n%s\n%s", a, b)
-	}
-
-	// 5. A single-process server on the same checkpoint agrees bit for bit.
-	single, err := serve.New(ds, bytes.NewReader(ckpt.Bytes()), cfg)
+	// 3. Query BOTH ranks for the same vertex, and a single-process server
+	//    (a 1-shard fleet) on the same checkpoint. The non-owner rank
+	//    proxies to the owner; the owner's k-hop gather fetches halo
+	//    features over TCP; all three answers are the same bytes.
+	single, err := serve.StartFleet(ds, ckpt.Bytes(), cfg, serve.Topology{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer single.Close()
-	out, err := single.Engine().Infer([]int32{vertex})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var pr serve.PredictResponse
-	if err := json.Unmarshal([]byte(a), &pr); err != nil {
-		log.Fatal(err)
-	}
-	same := len(pr.Logits) == len(out.Row(0))
-	for j := range pr.Logits {
-		same = same && pr.Logits[j] == out.Row(0)[j]
-	}
-	fmt.Printf("sharded logits == single-process logits: %v\n", same)
-	if !same {
-		log.Fatal("sharded serving diverged from the single-process engine")
-	}
-
-	// 6. The shard counters show the distribution at work.
-	for r := 0; r < shards; r++ {
-		var st serve.Stats
-		if err := json.Unmarshal([]byte(get(r, "/stats")), &st); err != nil {
+	const path = "/predict?vertex=7"
+	var answers []string
+	for _, addr := range append(fleet.Addrs, single.Addrs[0]) {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("rank %d stats: predicts %d, routed out %d, halo fetches %d (%d vertices), peer-served %d\n",
-			r, st.Predicts, st.Shard.RoutedOut, st.Shard.HaloFetches,
-			st.Shard.HaloFetchedVertices, st.Shard.PeerServedFetches)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			log.Fatalf("%s%s: HTTP %d: %s (%v)", addr, path, resp.StatusCode, body, err)
+		}
+		answers = append(answers, string(body))
+	}
+	fmt.Printf("GET rank0 %s → %.110s…\n", path, answers[0])
+	fmt.Printf("rank1 and single-process answers identical bytes: %v, %v\n",
+		answers[1] == answers[0], answers[2] == answers[0])
+	if answers[1] != answers[0] || answers[2] != answers[0] {
+		log.Fatalf("answers differ:\n%s", strings.Join(answers, "\n"))
+	}
+
+	// 4. The shard counters show the distribution at work.
+	for r, srv := range fleet.Servers {
+		st := srv.StatsSnapshot()
+		fmt.Printf("rank %d on http://%s: owns %d vertices, predicts %d, routed out %d, halo fetches %d (%d vertices), peer-served %d\n",
+			r, fleet.Addrs[r], st.Shard.OwnedVertices, st.Predicts, st.Shard.RoutedOut,
+			st.Shard.HaloFetches, st.Shard.HaloFetchedVertices, st.Shard.PeerServedFetches)
 	}
 }

@@ -63,7 +63,7 @@ func Registry() []Experiment {
 		{"fig4", "Fig. 4: optimization breakdown (DS, Block, LR)", Fig4},
 		{"table4", "Table 4: replication factor vs partition count (Libra)", Table4},
 		{"fig5", "Fig. 5: distributed epoch time and speedup (0c/cd-0/cd-r)", Fig5},
-		{"fig6", "Fig. 6: forward-pass local vs remote aggregation scaling", Fig6},
+		{"fig6", "Fig. 6: local vs remote aggregation scaling", Fig6},
 		{"table5", "Table 5: test accuracy of distributed algorithms", Table5},
 		{"table6", "Table 6: per-partition memory and split-vertex fraction", Table6},
 		{"table7", "Table 7: mini-batch (Dist-DGL) aggregation work per hop", Table7},

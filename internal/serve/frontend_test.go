@@ -747,29 +747,16 @@ func TestReplicatedServingConformance(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, replicas := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%d-shard/%d-replica", shards, replicas), func(t *testing.T) {
-				fleets := make([]*shardFleet, replicas)
-				for rep := range fleets {
-					fleets[rep] = newShardFleet(t, ds, ckpt, cfg, shards, "inproc", true, 1<<20)
-					defer fleets[rep].close()
-				}
-				groups := make([]GroupSpec, shards)
-				for g := range groups {
-					groups[g].Key = fmt.Sprintf("group-%d", g)
-					for rep := 0; rep < replicas; rep++ {
-						groups[g].Replicas = append(groups[g].Replicas, fleets[rep].addrs[g])
-					}
-				}
-				f, err := NewFrontend(FrontendConfig{Groups: groups, MaxFails: 2, ProbeInterval: time.Hour})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
-				fts := httptest.NewServer(f.Handler())
-				defer fts.Close()
+				fleet := startFleet(t, ds, ckpt, cfg, Topology{
+					Shards: shards, Replicas: replicas, Fabric: FabricInproc, RemoteCacheBytes: 1 << 20,
+					Frontend: "127.0.0.1:0", FrontendConfig: FrontendConfig{MaxFails: 2, ProbeInterval: time.Hour},
+				})
+				defer fleet.Close()
+				base := "http://" + fleet.FrontendAddr
 
-				check := func(ref func(int) []float32, what string) {
+				check := func(base string, ref func(int) []float32, what string) {
 					for _, v := range probe {
-						resp, err := http.Get(fmt.Sprintf("%s/predict?vertex=%d", fts.URL, v))
+						resp, err := http.Get(fmt.Sprintf("%s/predict?vertex=%d", base, v))
 						if err != nil {
 							t.Fatalf("%s vertex %d: %v", what, v, err)
 						}
@@ -785,77 +772,39 @@ func TestReplicatedServingConformance(t *testing.T) {
 						bitsEqual(t, pr.Logits, ref(int(v)), fmt.Sprintf("%s vertex %d", what, v))
 					}
 				}
-				check(full.Row, "frontend path")
+				check(base, full.Row, "frontend path")
 
+				// R=1 rolls over through the primary frontend.
+				reloadVia := base
 				if replicas > 1 {
 					// Kill fleet 0 outright: the survivors must keep the
 					// answers bit-identical and error-free.
-					for _, hs := range fleets[0].https {
-						hs.Close()
-					}
-					check(full.Row, "after replica kill")
-					if st := f.StatsSnapshot(); st.Errors != 0 {
+					fleet.Kill(0)
+					check(base, full.Row, "after replica kill")
+					if st := fleet.Frontend.StatsSnapshot(); st.Errors != 0 {
 						t.Fatalf("replica kill surfaced %d frontend errors", st.Errors)
 					}
 
 					// Fleet-wide rollover through the frontend: dead
 					// replicas fail the flip (they're part of the fleet),
 					// so this runs against the surviving topology only.
-					survivors := make([]GroupSpec, shards)
-					for g := range survivors {
-						survivors[g] = GroupSpec{
-							Key:      fmt.Sprintf("group-%d", g),
-							Replicas: []string{fleets[1].addrs[g]},
-						}
-					}
-					f2, err := NewFrontend(FrontendConfig{Groups: survivors, ProbeInterval: time.Hour})
+					_, addr2, err := fleet.AddFrontend("127.0.0.1:0", 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer f2.Close()
-					fts2 := httptest.NewServer(f2.Handler())
-					defer fts2.Close()
-					resp, err := http.Post(fts2.URL+"/reload", "application/octet-stream", bytes.NewReader(ckptB))
-					if err != nil {
-						t.Fatal(err)
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("fleet reload: status %d: %s", resp.StatusCode, body)
-					}
-					// Post-rollover bit-identity to the NEW model, through
-					// the surviving frontend topology.
-					checkB := func() {
-						for _, v := range probe {
-							resp, err := http.Get(fmt.Sprintf("%s/predict?vertex=%d", fts2.URL, v))
-							if err != nil {
-								t.Fatal(err)
-							}
-							var pr PredictResponse
-							err = json.NewDecoder(resp.Body).Decode(&pr)
-							resp.Body.Close()
-							if err != nil {
-								t.Fatal(err)
-							}
-							bitsEqual(t, pr.Logits, fullB.Row(int(v)),
-								fmt.Sprintf("post-rollover vertex %d", v))
-						}
-					}
-					checkB()
-				} else {
-					// R=1: rollover through the primary frontend.
-					resp, err := http.Post(fts.URL+"/reload", "application/octet-stream", bytes.NewReader(ckptB))
-					if err != nil {
-						t.Fatal(err)
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("fleet reload: status %d: %s", resp.StatusCode, body)
-					}
-					check(fullB.Row, "post-rollover frontend path")
+					reloadVia = "http://" + addr2
 				}
+				resp, err := http.Post(reloadVia+"/reload", "application/octet-stream", bytes.NewReader(ckptB))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("fleet reload: status %d: %s", resp.StatusCode, body)
+				}
+				// Post-rollover bit-identity to the NEW model.
+				check(reloadVia, fullB.Row, "post-rollover")
 			})
 		}
 	}

@@ -140,10 +140,10 @@ func TestMutationConformance(t *testing.T) {
 		for _, transport := range []string{"inproc", "tcp"} {
 			for _, shards := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/%s/%d-shard", arch, transport, shards)
-				fleet := newShardFleet(t, ds, ckpt, mcfg, shards, transport, false, 1<<20)
+				fleet := startFleet(t, ds, ckpt, mcfg, Topology{Shards: shards, Fabric: Fabric(transport), RemoteCacheBytes: 1 << 20})
 
 				checkAll := func(stage string, want [][]float32) {
-					for r, srv := range fleet.servers {
+					for r, srv := range fleet.Servers {
 						out, err := srv.Engine().Infer(probe)
 						if err != nil {
 							t.Fatalf("%s %s rank %d: %v", name, stage, r, err)
@@ -159,7 +159,7 @@ func TestMutationConformance(t *testing.T) {
 					// Warm the caches with the pre-batch graph so the
 					// invalidation sweep has stale rows to kill, then apply
 					// the batch on the entry rank and re-check every rank.
-					resp := postUpdate(t, fleet.servers[0], batches[b])
+					resp := postUpdate(t, fleet.Servers[0], batches[b])
 					if resp.Applied != perBatch {
 						t.Fatalf("%s batch %d: applied %d, want %d", name, b, resp.Applied, perBatch)
 					}
@@ -171,7 +171,7 @@ func TestMutationConformance(t *testing.T) {
 
 				// Compact every rank's overlay into a fresh base CSR; the
 				// post-compaction bits must not move.
-				for r, srv := range fleet.servers {
+				for r, srv := range fleet.Servers {
 					pre := srv.upd.mut.Snapshot()
 					if pre.OverlayEdges() != nBatches*perBatch {
 						t.Fatalf("%s rank %d: overlay holds %d edges, want %d",
@@ -186,7 +186,7 @@ func TestMutationConformance(t *testing.T) {
 
 				// The stream stats must reflect what happened. Every rank
 				// applied every batch (fan-out), so the counters agree.
-				for r, srv := range fleet.servers {
+				for r, srv := range fleet.Servers {
 					str := srv.StatsSnapshot().Stream
 					if str == nil {
 						t.Fatalf("%s rank %d: no stream stats", name, r)
@@ -200,15 +200,16 @@ func TestMutationConformance(t *testing.T) {
 							name, r, str.Compactions, str.OverlayEdges)
 					}
 				}
-				fleet.close()
+				fleet.Close()
 			}
 		}
 
 		// A cold 2-shard fleet on the rebuilt final graph agrees with the
-		// mutated fleets (the "cold fleet" form of the acceptance pin).
+		// mutated fleets (the "cold fleet" form of the acceptance pin),
+		// even partitioned from another seed: bits never depend on owners.
 		finalDS := mutatedDataset(t, ds, prefix)
-		cold := newShardFleet(t, finalDS, ckpt, cfg, 2, "inproc", false, 1<<20)
-		for r, srv := range cold.servers {
+		cold := startFleet(t, finalDS, ckpt, cfg, Topology{Shards: 2, RemoteCacheBytes: 1 << 20, PartitionSeed: 2})
+		for r, srv := range cold.Servers {
 			out, err := srv.Engine().Infer(probe)
 			if err != nil {
 				t.Fatal(err)
@@ -218,6 +219,6 @@ func TestMutationConformance(t *testing.T) {
 					fmt.Sprintf("%s cold 2-shard rank %d vertex %d", arch, r, v))
 			}
 		}
-		cold.close()
+		cold.Close()
 	}
 }

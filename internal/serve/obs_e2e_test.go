@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -118,45 +117,29 @@ func TestHealthzSchemaGolden(t *testing.T) {
 // the allowed method.
 func TestReadOnlyEndpointsReject405(t *testing.T) {
 	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
-	srv, err := New(ds, bytes.NewReader(ckpt), Config{
-		Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
-		Metrics: obs.NewRegistry(),
-		Tracer:  obs.NewTracer(obs.TracerConfig{Role: "server", Rank: -1}),
+	fleet := startFleet(t, ds, ckpt, Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}, Topology{
+		Frontend: "127.0.0.1:0", FrontendConfig: FrontendConfig{ProbeInterval: time.Hour},
+		Obs: func(role string, rank int, _ string) (*obs.Registry, *obs.Tracer) {
+			return obs.NewRegistry(), obs.NewTracer(obs.TracerConfig{Role: role, Rank: rank})
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	f, err := NewFrontend(FrontendConfig{
-		Groups:        []GroupSpec{{Key: "g0", Replicas: []string{ts.URL}}},
-		ProbeInterval: time.Hour,
-		Metrics:       obs.NewRegistry(),
-		Tracer:        obs.NewTracer(obs.TracerConfig{Role: "frontend", Rank: -1}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	fts := httptest.NewServer(f.Handler())
-	defer fts.Close()
+	defer fleet.Close()
+	srvURL, frontURL := "http://"+fleet.Addrs[0], "http://"+fleet.FrontendAddr
 
 	cases := []struct {
 		base, path string
 		wantAllow  bool // serve-layer handlers set the Allow header
 	}{
-		{ts.URL, "/stats", true},
-		{ts.URL, "/healthz", true},
-		{ts.URL, "/metrics", false},
-		{ts.URL, "/debug/trace/recent", false},
-		{ts.URL, "/predict?vertex=0", true},
-		{ts.URL, "/embed?vertex=0", true},
-		{fts.URL, "/stats", true},
-		{fts.URL, "/healthz", true},
-		{fts.URL, "/metrics", false},
-		{fts.URL, "/predict?vertex=0", true},
+		{srvURL, "/stats", true},
+		{srvURL, "/healthz", true},
+		{srvURL, "/metrics", false},
+		{srvURL, "/debug/trace/recent", false},
+		{srvURL, "/predict?vertex=0", true},
+		{srvURL, "/embed?vertex=0", true},
+		{frontURL, "/stats", true},
+		{frontURL, "/healthz", true},
+		{frontURL, "/metrics", false},
+		{frontURL, "/predict?vertex=0", true},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(tc.base+tc.path, "text/plain", strings.NewReader("x"))
@@ -267,74 +250,29 @@ func TestMetricsExposition(t *testing.T) {
 // obsFleet is a 2-shard TCP fleet with the full obs plane on: one registry
 // and tracer per rank, real HTTP listeners, and a traced frontend on top.
 type obsFleet struct {
-	fleet    *shardFleet
-	tracers  []*obs.Tracer
-	regs     []*obs.Registry
-	frontend *Frontend
-	fts      *httptest.Server
-	ftracer  *obs.Tracer
+	*Fleet
+	tracers []*obs.Tracer
+	ftracer *obs.Tracer
 }
 
 func newObsFleet(t *testing.T) *obsFleet {
 	t.Helper()
 	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
-	const shards = 2
-	eps, err := comm.NewLoopbackTCP(shards, 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	of := &obsFleet{fleet: &shardFleet{fabrics: eps}}
-
-	var peers []PeerAddr
-	var lns []net.Listener
-	for r := 0; r < shards; r++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns = append(lns, ln)
-		of.fleet.addrs = append(of.fleet.addrs, ln.Addr().String())
-		peers = append(peers, PeerAddr{Rank: r, Addr: ln.Addr().String()})
-	}
-	for r := 0; r < shards; r++ {
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(obs.TracerConfig{Role: "server", Rank: r})
-		of.regs = append(of.regs, reg)
-		of.tracers = append(of.tracers, tracer)
-		srv, err := NewShard(ds, bytes.NewReader(ckpt), Config{
-			Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
-			Metrics: reg, Tracer: tracer,
-		}, ShardConfig{
-			Transport: eps[r],
-			HTTPPeers: peers, RemoteCacheBytes: 1 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		of.fleet.servers = append(of.fleet.servers, srv)
-		hs := &http.Server{Handler: srv.Handler()}
-		of.fleet.https = append(of.fleet.https, hs)
-		go hs.Serve(lns[r])
-	}
-
-	of.ftracer = obs.NewTracer(obs.TracerConfig{Role: "frontend", Rank: -1})
-	of.frontend, err = NewFrontend(FrontendConfig{
-		Groups:        []GroupSpec{{Key: "g0", Replicas: of.fleet.addrs}},
-		ProbeInterval: time.Hour,
-		Metrics:       obs.NewRegistry(),
-		Tracer:        of.ftracer,
+	of := &obsFleet{tracers: make([]*obs.Tracer, 2)}
+	of.Fleet = startFleet(t, ds, ckpt, Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}, Topology{
+		Shards: 2, Fabric: FabricTCP, RemoteCacheBytes: 1 << 20,
+		Frontend: "127.0.0.1:0", FrontendConfig: FrontendConfig{ProbeInterval: time.Hour},
+		Obs: func(role string, rank int, _ string) (*obs.Registry, *obs.Tracer) {
+			tracer := obs.NewTracer(obs.TracerConfig{Role: role, Rank: rank})
+			if role == "frontend" {
+				of.ftracer = tracer
+			} else {
+				of.tracers[rank] = tracer
+			}
+			return obs.NewRegistry(), tracer
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	of.fts = httptest.NewServer(of.frontend.Handler())
 	return of
-}
-
-func (of *obsFleet) close() {
-	of.fts.Close()
-	of.frontend.Close()
-	of.fleet.close()
 }
 
 func findTrace(recs []obs.Trace, id, endpoint string) *obs.Trace {
@@ -353,12 +291,12 @@ func findTrace(recs []obs.Trace, id, endpoint string) *obs.Trace {
 // client in the response header.
 func TestCrossRankTraceAttribution(t *testing.T) {
 	of := newObsFleet(t)
-	defer of.close()
+	defer of.Close()
 
 	probe := []int32{2, 9, 17, 33, 40, 63}
 	crossRank := false
 	for _, v := range probe {
-		resp, err := http.Get(fmt.Sprintf("%s/predict?vertex=%d", of.fts.URL, v))
+		resp, err := http.Get(fmt.Sprintf("http://%s/predict?vertex=%d", of.FrontendAddr, v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +364,7 @@ func TestCrossRankTraceAttribution(t *testing.T) {
 
 	// The ring is also served over HTTP: /debug/trace/recent on rank 0
 	// returns a JSON array of trace records.
-	resp, err := http.Get("http://" + of.fleet.addrs[0] + "/debug/trace/recent?n=256")
+	resp, err := http.Get("http://" + of.Addrs[0] + "/debug/trace/recent?n=256")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,8 +381,8 @@ func TestCrossRankTraceAttribution(t *testing.T) {
 	}
 
 	// And the shard metrics are live on every rank's /metrics.
-	for r := range of.fleet.addrs {
-		resp, err := http.Get("http://" + of.fleet.addrs[r] + "/metrics")
+	for r := range of.Addrs {
+		resp, err := http.Get("http://" + of.Addrs[r] + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}

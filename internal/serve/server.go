@@ -121,18 +121,28 @@ type Server struct {
 }
 
 // New loads the checkpoint into a forward-only model described by cfg and
-// assembles the serving pipeline. A checkpoint whose parameter names or
-// shapes disagree with the requested arch/dims fails immediately with a
-// descriptive error rather than serving garbage.
+// assembles the serving pipeline.
 func New(ds *datasets.Dataset, checkpoint io.Reader, cfg Config) (*Server, error) {
 	cfg.applyDefaults()
 	if cfg.EnableUpdates && len(cfg.Fanouts) > 0 {
 		return nil, fmt.Errorf("serve: streaming updates are exact-mode only (drop -fanouts)")
 	}
+	eng, err := loadEngine(ds, checkpoint, cfg, cfg.Fanouts, cfg.FeatureCacheBytes)
+	if err != nil {
+		return nil, err
+	}
+	return newServer(eng, cfg), nil
+}
+
+// loadEngine builds cfg's model over ds and loads the checkpoint into it. A
+// checkpoint whose parameter names or shapes disagree with the requested
+// arch/dims fails immediately with a descriptive error rather than serving
+// garbage.
+func loadEngine(ds *datasets.Dataset, checkpoint io.Reader, cfg Config, fanouts []int, cacheBytes int64) (*Engine, error) {
 	eng, err := NewEngine(ds, ModelSpec{
 		Arch: cfg.Arch, Hidden: cfg.Hidden, OutDim: cfg.OutDim,
 		NumLayers: cfg.NumLayers, NumHeads: cfg.NumHeads,
-	}, cfg.Fanouts, cfg.FeatureCacheBytes)
+	}, fanouts, cacheBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +151,7 @@ func New(ds *datasets.Dataset, checkpoint io.Reader, cfg Config) (*Server, error
 			"(distgnn-train prints the hyperparameters next to \"checkpoint written\" — pass the same -arch/-hidden/-layers/-heads here)",
 			eng.Spec(), err)
 	}
-	return newServer(eng, cfg), nil
+	return eng, nil
 }
 
 // newServer assembles the HTTP pipeline around a ready engine.
@@ -204,14 +214,6 @@ func (s *Server) Engine() *Engine { return s.engine.Load() }
 
 // Handler returns the HTTP handler for all endpoints.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Router returns the shard router, or nil for a single-process server.
-func (s *Server) Router() *Router {
-	if s.shard == nil {
-		return nil
-	}
-	return s.shard.router
-}
 
 // Close stops the request coalescer and, in shard mode, the halo-fetch
 // endpoint. The comm transport stays owned by the caller.

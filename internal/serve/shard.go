@@ -10,7 +10,6 @@ import (
 	"distgnn/internal/featstore"
 	"distgnn/internal/graph"
 	"distgnn/internal/minibatch"
-	"distgnn/internal/nn"
 	"distgnn/internal/obs"
 	"distgnn/internal/partition"
 	"distgnn/internal/tensor"
@@ -113,11 +112,8 @@ type ShardConfig struct {
 	// without it every rank answers every vertex locally.
 	HTTPPeers []PeerAddr
 	// PartitionSeed seeds the deterministic partitioning every rank must
-	// derive identically (default 1).
+	// derive identically (default 1): Libra, the paper's vertex-cut.
 	PartitionSeed int64
-	// Partitioner assigns edges to partitions; default Libra{Seed:
-	// PartitionSeed}, the paper's vertex-cut.
-	Partitioner partition.Partitioner
 	// RemoteCacheBytes budgets the per-rank LRU of halo features fetched
 	// from peers; 0 defaults to Config.FeatureCacheBytes, negative
 	// disables.
@@ -180,10 +176,8 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 	if sc.PartitionSeed == 0 {
 		sc.PartitionSeed = 1
 	}
-	if sc.Partitioner == nil {
-		sc.Partitioner = partition.Libra{Seed: sc.PartitionSeed}
-	}
-	pt, err := partition.Partition(ds.G, sc.Partitioner, shards, sc.PartitionSeed)
+	part := partition.Libra{Seed: sc.PartitionSeed}
+	pt, err := partition.Partition(ds.G, part, shards, sc.PartitionSeed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard partitioning: %w", err)
 	}
@@ -207,7 +201,7 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 		return nil, err
 	}
 	st := &shardState{
-		partitioner: sc.Partitioner.Name(),
+		partitioner: part.Name(),
 		router:      router,
 		g:           ds.G,
 		fs:          fs,
@@ -290,19 +284,11 @@ func NewShard(ds *datasets.Dataset, checkpoint io.Reader, cfg Config, sc ShardCo
 	// Shard mode has no local gathered-feature cache — local rows come
 	// straight from the resident slab; the remote cache covers the fetch
 	// path — so the engine's cache budget is zero.
-	eng, err := NewEngine(ds, ModelSpec{
-		Arch: cfg.Arch, Hidden: cfg.Hidden, OutDim: cfg.OutDim,
-		NumLayers: cfg.NumLayers, NumHeads: cfg.NumHeads,
-	}, nil, 0)
+	eng, err := loadEngine(ds, checkpoint, cfg, nil, 0)
 	if err != nil {
 		return nil, err
 	}
 	eng.src = &shardFeatures{st: st}
-	if err := nn.ReadParams(checkpoint, eng.Params()); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint does not match requested model %s: %w "+
-			"(distgnn-train prints the hyperparameters next to \"checkpoint written\" — pass the same -arch/-hidden/-layers/-heads here)",
-			eng.Spec(), err)
-	}
 	s := newServer(eng, cfg)
 	s.shard = st
 	if s.upd != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -69,74 +68,14 @@ func shardFixture(t *testing.T, arch Arch) (*datasets.Dataset, *tensor.Matrix, [
 	return ds, m.Forward(ds.Features, false), ckpt, Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}
 }
 
-// shardFleet is an in-test sharded serving fleet: one Server per rank, an
-// optional real HTTP listener per rank, and the comm fabric underneath.
-type shardFleet struct {
-	servers []*Server
-	addrs   []string
-	https   []*http.Server
-	fabrics []comm.Transport
-}
-
-// newShardFleet stands a fleet up over the named transport ("inproc" or
-// "tcp"). withHTTP binds a real listener per rank so routing/proxying runs
-// over actual sockets.
-func newShardFleet(t *testing.T, ds *datasets.Dataset, ckpt []byte, cfg Config,
-	shards int, transport string, withHTTP bool, remoteCacheBytes int64) *shardFleet {
+// startFleet is StartFleet that fails the test on error.
+func startFleet(t *testing.T, ds *datasets.Dataset, ckpt []byte, cfg Config, top Topology) *Fleet {
 	t.Helper()
-	f := &shardFleet{}
-	switch transport {
-	case "inproc":
-		f.fabrics = comm.NewProcFabric(shards)
-	case "tcp":
-		eps, err := comm.NewLoopbackTCP(shards, 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.fabrics = eps
-	default:
-		t.Fatalf("unknown transport %q", transport)
+	fl, err := StartFleet(ds, ckpt, cfg, top)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var peers []PeerAddr
-	var lns []net.Listener
-	if withHTTP {
-		for r := 0; r < shards; r++ {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			lns = append(lns, ln)
-			f.addrs = append(f.addrs, ln.Addr().String())
-			peers = append(peers, PeerAddr{Rank: r, Addr: ln.Addr().String()})
-		}
-	}
-	for r := 0; r < shards; r++ {
-		srv, err := NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{
-			Transport: f.fabrics[r],
-			HTTPPeers: peers, RemoteCacheBytes: remoteCacheBytes,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.servers = append(f.servers, srv)
-		if withHTTP {
-			hs := &http.Server{Handler: srv.Handler()}
-			f.https = append(f.https, hs)
-			go hs.Serve(lns[r])
-		}
-	}
-	return f
-}
-
-func (f *shardFleet) close() {
-	for _, hs := range f.https {
-		hs.Close()
-	}
-	for _, s := range f.servers {
-		s.Close()
-	}
-	comm.CloseAll(f.fabrics)
+	return fl
 }
 
 // TestCrossShardServingConformance is the acceptance pin: exact-mode logits
@@ -151,8 +90,8 @@ func TestCrossShardServingConformance(t *testing.T) {
 		for _, transport := range []string{"inproc", "tcp"} {
 			for _, shards := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/%s/%d-shard", arch, transport, shards)
-				fleet := newShardFleet(t, ds, ckpt, cfg, shards, transport, false, 1<<20)
-				for r, srv := range fleet.servers {
+				fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: shards, Fabric: Fabric(transport), RemoteCacheBytes: 1 << 20})
+				for r, srv := range fleet.Servers {
 					// Cold pass: every halo feature crosses the fabric.
 					out, err := srv.Engine().Infer(probe)
 					if err != nil {
@@ -186,7 +125,7 @@ func TestCrossShardServingConformance(t *testing.T) {
 						t.Fatalf("%s: single shard fetched remotely: %+v", name, st)
 					}
 				}
-				fleet.close()
+				fleet.Close()
 			}
 		}
 	}
@@ -207,8 +146,8 @@ func TestEndToEndTwoShardTCPServe(t *testing.T) {
 			}
 			defer single.Close()
 
-			fleet := newShardFleet(t, ds, ckpt, cfg, 2, "tcp", true, 1<<20)
-			defer fleet.close()
+			fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: 2, Fabric: FabricTCP, RemoteCacheBytes: 1 << 20})
+			defer fleet.Close()
 
 			probe := []int32{2, 9, 33, int32(ds.G.NumVertices - 2)}
 			for _, v := range probe {
@@ -218,8 +157,8 @@ func TestEndToEndTwoShardTCPServe(t *testing.T) {
 				}
 				bitsEqual(t, ref.Row(0), full.Row(int(v)), "single-process reference")
 				var bodies [][]byte
-				for r := range fleet.servers {
-					resp, err := http.Get(fmt.Sprintf("http://%s/predict?vertex=%d", fleet.addrs[r], v))
+				for r := range fleet.Servers {
+					resp, err := http.Get(fmt.Sprintf("http://%s/predict?vertex=%d", fleet.Addrs[r], v))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -244,7 +183,7 @@ func TestEndToEndTwoShardTCPServe(t *testing.T) {
 			// The probe hit both ranks; whichever rank was not the owner
 			// must have proxied.
 			var routed int64
-			for _, srv := range fleet.servers {
+			for _, srv := range fleet.Servers {
 				routed += srv.StatsSnapshot().Shard.RoutedOut
 			}
 			if routed == 0 {
@@ -320,8 +259,8 @@ func TestShardRaceConcurrentCrossShardFanOut(t *testing.T) {
 	ds, m, ckpt := trainedSageCheckpoint(t, 16, 2)
 	cfg := Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
 		MaxBatch: 8, MaxWait: time.Millisecond, EmbedCacheBytes: 1 << 18}
-	fleet := newShardFleet(t, ds, ckpt, cfg, 2, "inproc", true, 1<<15)
-	defer fleet.close()
+	fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: 2, RemoteCacheBytes: 1 << 15})
+	defer fleet.Close()
 	full := m.Forward(ds.Features, false)
 
 	var wg sync.WaitGroup
@@ -337,7 +276,7 @@ func TestShardRaceConcurrentCrossShardFanOut(t *testing.T) {
 				entry := (w + i) % 2
 				if i%3 == 2 {
 					// Direct engine path races the HTTP path on the same caches.
-					out, err := fleet.servers[entry].Engine().Infer([]int32{int32(v)})
+					out, err := fleet.Servers[entry].Engine().Infer([]int32{int32(v)})
 					if err != nil {
 						errs <- err
 						return
@@ -348,7 +287,7 @@ func TestShardRaceConcurrentCrossShardFanOut(t *testing.T) {
 					}
 					continue
 				}
-				resp, err := http.Get(fmt.Sprintf("http://%s/predict?vertex=%d", fleet.addrs[entry], v))
+				resp, err := http.Get(fmt.Sprintf("http://%s/predict?vertex=%d", fleet.Addrs[entry], v))
 				if err != nil {
 					errs <- err
 					return
@@ -374,7 +313,7 @@ func TestShardRaceConcurrentCrossShardFanOut(t *testing.T) {
 	}
 	// The tiny budget must actually have caused cache churn somewhere.
 	var puts int64
-	for _, srv := range fleet.servers {
+	for _, srv := range fleet.Servers {
 		puts += srv.StatsSnapshot().Shard.RemoteCache.Puts
 	}
 	if puts == 0 {
@@ -402,22 +341,16 @@ func rowsMatch(got, want []float32) error {
 // served — and the per-shard figures sum to the fabric's totals.
 func TestShardNetStatsPerRank(t *testing.T) {
 	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
-	const shards = 2
-	eps := comm.NewProcFabric(shards)
-	defer comm.CloseAll(eps)
-	regs := make([]*obs.Registry, shards)
-	srvs := make([]*Server, shards)
-	for r := range eps {
-		regs[r] = obs.NewRegistry()
-		srv, err := NewShard(ds, bytes.NewReader(ckpt), Config{
-			Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2, Metrics: regs[r],
-		}, ShardConfig{Transport: eps[r], RemoteCacheBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		srvs[r] = srv
-	}
+	regs := make([]*obs.Registry, 2)
+	fleet := startFleet(t, ds, ckpt, Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}, Topology{
+		Shards: 2, RemoteCacheBytes: -1,
+		Obs: func(_ string, rank int, _ string) (*obs.Registry, *obs.Tracer) {
+			regs[rank] = obs.NewRegistry()
+			return regs[rank], nil
+		},
+	})
+	defer fleet.Close()
+	srvs := fleet.Servers
 	probe := make([]int32, 40)
 	for i := range probe {
 		probe[i] = int32(i * ds.G.NumVertices / len(probe))

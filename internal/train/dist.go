@@ -89,7 +89,7 @@ type DistConfig struct {
 type DistEpochStat struct {
 	Loss      float64
 	LAT       float64 // forward local aggregation, max across ranks
-	RAT       float64 // forward remote aggregation, max across ranks
+	RAT       float64 // remote aggregation, every exchange of the epoch, max across ranks
 	BwdAgg    float64 // backward aggregation
 	MLP       float64 // dense layers fwd+bwd
 	ParamSync float64
@@ -127,8 +127,8 @@ func (r *DistResult) AvgEpochSeconds(lo, hi int) float64 {
 	return s / float64(hi-lo)
 }
 
-// AvgLATRAT averages the forward local/remote aggregation split over the
-// same window (Fig. 6).
+// AvgLATRAT averages the local/remote aggregation split (forward LAT, RAT
+// of every exchange) over the same window (Fig. 6).
 func (r *DistResult) AvgLATRAT(lo, hi int) (lat, rat float64) {
 	if hi > len(r.Epochs) {
 		hi = len(r.Epochs)
