@@ -372,7 +372,7 @@ func BenchmarkParamAllReduce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		comm.RunInProcess(8, func(w *comm.World) {
 			buf := make([]float32, 1<<14)
-			w.AllReduceSum(w.Self(), buf)
+			w.AllReduceSum(buf)
 		})
 	}
 }

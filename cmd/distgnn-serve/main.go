@@ -43,11 +43,13 @@
 //	curl 'localhost:8399/predict?vertex=17'             # frontend
 //	curl -X POST 'localhost:8399/reload?checkpoint=new.dgnp'
 //
-// Every in-process topology is one serve.StartFleet call; SIGINT or SIGTERM
-// drains in-flight requests before the process exits.
+// Every in-process topology is one serve.StartFleet call. In every mode
+// SIGINT or SIGTERM drains in-flight requests before the process exits 0;
+// a -spawn-local parent then stops and reaps the processes it forked.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -55,11 +57,9 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"distgnn/internal/comm"
@@ -175,11 +175,12 @@ func main() {
 		if !*spawnLocal {
 			fatal(fmt.Errorf("replicated tcp serving requires -spawn-local (the frontend forks the backend fleets)"))
 		}
-		spawnReplicas(top, *addr)
+		spawnReplicas(top, *addr, comm.NotifyStop())
 		return
 	case *spawnLocal && (*transport != "tcp" || *shards == 1):
 		fatal(fmt.Errorf("-spawn-local requires -transport tcp and -shards >1 or -replicas >1"))
 	}
+	sig := comm.NotifyStop()
 
 	// TCP shard rendezvous starts before the (deterministic) dataset
 	// generation so spawned ranks overlap their graph builds.
@@ -233,9 +234,16 @@ func main() {
 		st := srv.StatsSnapshot().Shard
 		fmt.Printf("shard rank %d/%d (tcp): owns %d vertices, static halo %d, model %s, serving on http://%s\n",
 			*rank, *shards, st.OwnedVertices, st.HaloVerticesStatic, srv.Engine().Spec(), httpAddrs[*rank])
-		err = top.HTTPServer(httpAddrs[*rank], srv.Handler()).ListenAndServe()
-		comm.KillRanks(children)
-		fatal(err)
+		err = serveUntil(top.HTTPServer(httpAddrs[*rank], srv.Handler()), sig)
+		// Peers may still fetch halo rows from this rank until they stop,
+		// so the fabric closes after them.
+		srv.Close()
+		comm.StopRanks(children, serve.ShutdownTimeout)
+		tr.Close()
+		if err != nil {
+			fatal(err)
+		}
+		return
 	}
 
 	// In-process: every backend (and the frontend) in this process, each
@@ -251,10 +259,27 @@ func main() {
 	if fleet.Frontend != nil {
 		fmt.Printf("frontend on http://%s\n", fleet.FrontendAddr)
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fleet.Close()
+}
+
+// serveUntil serves hs until sig fires, then drains it through Shutdown
+// within serve.ShutdownTimeout. It returns the listener's error if serving
+// ends on its own.
+func serveUntil(hs *http.Server, sig <-chan os.Signal) error {
+	errc := make(chan error, 1)
+	go func() { errc <- hs.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-sig:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), serve.ShutdownTimeout)
+	defer cancel()
+	if hs.Shutdown(ctx) != nil {
+		hs.Close()
+	}
+	return nil
 }
 
 // loadDataset loads -file (a distgnn-datagen artifact) or regenerates the
@@ -353,7 +378,8 @@ func portTag(addr string) string {
 // frontend on addr and forks the shards×replicas backends as processes of
 // this binary, backend b = rep·shards + rank on addr's port + 1 + b. Each
 // replica's shards rendezvous through their own pre-reserved comm registry.
-func spawnReplicas(top serve.Topology, addr string) {
+// On sig the frontend drains, then the backends are stopped and reaped.
+func spawnReplicas(top serve.Topology, addr string, sig <-chan os.Signal) {
 	backends, err := serve.BackendAddrs(addr, top.Shards*top.Replicas)
 	if err != nil {
 		fatal(err)
@@ -373,13 +399,18 @@ func spawnReplicas(top serve.Topology, addr string) {
 	if err != nil {
 		fatal(err)
 	}
-	comm.KillRanksOnSignal(children)
 	f, err := top.NewFrontend(addr, backends)
 	if err != nil {
+		comm.KillRanks(children)
 		fatal(err)
 	}
 	fmt.Printf("frontend: %d shard groups × %d replicas on http://%s\n", top.Shards, top.Replicas, addr)
-	fatal(top.HTTPServer(addr, f.Handler()).ListenAndServe())
+	err = serveUntil(top.HTTPServer(addr, f.Handler()), sig)
+	f.Close()
+	comm.StopRanks(children, serve.ShutdownTimeout)
+	if err != nil {
+		fatal(err)
+	}
 }
 
 // rankArgs are the flags that make a spawned child backend b: rank

@@ -10,10 +10,11 @@ import (
 	"distgnn/internal/serve"
 )
 
-// TestReplicatedLayout pins the replicated address layout the CI smoke
-// relies on: with the frontend on -addr 127.0.0.1:8450, -shards 2 and
-// -replicas 2, backend b = rep·2 + rank listens on 8451 + b, so replica 0
-// (which the smoke SIGKILLs by port) is exactly 8451 and 8452.
+// TestReplicatedLayout pins the replicated address layout the e2e smoke
+// TestSmoke/replica-kill relies on: with the frontend on -addr
+// 127.0.0.1:8450, -shards 2 and -replicas 2, backend b = rep·2 + rank
+// listens on 8451 + b, so replica 0 (whose processes the smoke finds by
+// their -addr and SIGKILLs) is exactly 8451 and 8452.
 func TestReplicatedLayout(t *testing.T) {
 	const shards = 2
 	backends, err := serve.BackendAddrs("127.0.0.1:8450", shards*2)

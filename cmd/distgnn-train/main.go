@@ -123,6 +123,7 @@ func main() {
 		if *peers != "" {
 			peerList = strings.Split(*peers, ",")
 		}
+		sig := comm.NotifyStop()
 		var err error
 		tr, children, err = comm.JoinTCPFleet(comm.TCPConfig{
 			Rank: *rank, N: fleet, Peers: peerList,
@@ -140,6 +141,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		comm.KillRanksOnSignal(sig, children)
 	case *spawnLocal:
 		fatal(fmt.Errorf("-spawn-local requires -transport tcp and more than one rank"))
 	}

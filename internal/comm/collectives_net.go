@@ -48,8 +48,8 @@ func (w *World) recvPeer(src, tag int) []float32 {
 // back out. 2(N-1) buffer transfers total, versus N(N-1) for the flat
 // all-to-all form; for the per-epoch gradient AllReduce (the dominant TCP
 // volume) that is the difference between 4× line rate and 28× at 8 ranks.
-func (w *World) AllReduceSum(rank int, data []float32) {
-	w.checkSelf("AllReduceSum", rank)
+func (w *World) AllReduceSum(data []float32) {
+	rank := w.self
 	tag := w.nextCollTag()
 	if rank != 0 {
 		if err := w.tr.Send(rank, 0, &Envelope{Tag: tag, F32: data}); err != nil {
@@ -86,12 +86,12 @@ func (w *World) AllReduceSum(rank int, data []float32) {
 // j, and the returned recv[j] is the buffer rank j sent to this rank.
 // Every rank must pass a send slice of length N (nil entries mean empty).
 // Returned buffers are copies owned by the caller.
-func (w *World) AlltoAllV(rank int, send [][]float32) [][]float32 {
+func (w *World) AlltoAllV(send [][]float32) [][]float32 {
+	rank := w.self
 	if len(send) != w.N {
 		panic(fmt.Sprintf("comm: AlltoAllV rank %d passed %d buffers, world size %d",
 			rank, len(send), w.N))
 	}
-	w.checkSelf("AlltoAllV", rank)
 	tag := w.nextCollTag()
 	// Empty buffers are sent too (zero-length frames), so every rank can
 	// post exactly N-1 receives without out-of-band length negotiation.
@@ -120,11 +120,11 @@ func (w *World) AlltoAllV(rank int, send [][]float32) [][]float32 {
 
 // Broadcast copies root's buffer into every rank's buffer. All ranks must
 // pass equal-length buffers and the same root.
-func (w *World) Broadcast(rank, root int, data []float32) {
+func (w *World) Broadcast(root int, data []float32) {
+	rank := w.self
 	if root < 0 || root >= w.N {
 		panic(fmt.Sprintf("comm: broadcast root %d outside world of %d", root, w.N))
 	}
-	w.checkSelf("Broadcast", rank)
 	tag := w.nextCollTag()
 	if rank == root {
 		w.sendPeers(tag, data)
@@ -140,8 +140,8 @@ func (w *World) Broadcast(rank, root int, data []float32) {
 
 // AllGather concatenates every rank's buffer in rank order; each rank
 // receives the full concatenation. Buffers may have different lengths.
-func (w *World) AllGather(rank int, data []float32) []float32 {
-	w.checkSelf("AllGather", rank)
+func (w *World) AllGather(data []float32) []float32 {
+	rank := w.self
 	tag := w.nextCollTag()
 	w.sendPeers(tag, data)
 	var out []float32
@@ -156,15 +156,15 @@ func (w *World) AllGather(rank int, data []float32) []float32 {
 }
 
 // ReduceScatterSum splits each rank's buffer into N equal chunks, sums
-// chunk i across ranks, and returns chunk `rank`'s sum — the first half of
-// a ring AllReduce. Buffer length must be a multiple of N and equal on all
-// ranks.
-func (w *World) ReduceScatterSum(rank int, data []float32) []float32 {
+// chunk i across ranks, and returns this rank's chunk of the sum — the
+// first half of a ring AllReduce. Buffer length must be a multiple of N and
+// equal on all ranks.
+func (w *World) ReduceScatterSum(data []float32) []float32 {
+	rank := w.self
 	if len(data)%w.N != 0 {
 		panic(fmt.Sprintf("comm: reduce-scatter length %d not divisible by world size %d",
 			len(data), w.N))
 	}
-	w.checkSelf("ReduceScatterSum", rank)
 	chunk := len(data) / w.N
 	tag := w.nextCollTag()
 	for peer := 0; peer < w.N; peer++ {

@@ -10,7 +10,7 @@ func TestBroadcast(t *testing.T) {
 		if rank == 3 {
 			data = []float32{100, 200}
 		}
-		w.Broadcast(rank, 3, data)
+		w.Broadcast(3, data)
 		results[rank] = data
 	})
 	for rank, got := range results {
@@ -29,7 +29,7 @@ func TestBroadcastRepeated(t *testing.T) {
 			if rank == root {
 				data[0] = float32(iter)
 			}
-			w.Broadcast(rank, root, data)
+			w.Broadcast(root, data)
 			if data[0] != float32(iter) {
 				t.Errorf("iter %d rank %d: got %v", iter, rank, data[0])
 			}
@@ -46,7 +46,7 @@ func TestAllGatherOrderAndContent(t *testing.T) {
 		for i := range data {
 			data[i] = float32(rank)
 		}
-		results[rank] = w.AllGather(rank, data)
+		results[rank] = w.AllGather(data)
 	})
 	want := []float32{0, 1, 1, 2, 2, 2, 3, 3, 3, 3}
 	for rank, got := range results {
@@ -72,7 +72,7 @@ func TestReduceScatterSum(t *testing.T) {
 		for i := range data {
 			data[i] = float32(rank)
 		}
-		results[rank] = w.ReduceScatterSum(rank, data)
+		results[rank] = w.ReduceScatterSum(data)
 	})
 	for rank, got := range results {
 		if len(got) != 2 {
@@ -99,12 +99,12 @@ func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
 	RunInProcess(n, func(w *World) {
 		rank := w.Self()
 		a := append([]float32(nil), inputs[rank]...)
-		w.AllReduceSum(rank, a)
+		w.AllReduceSum(a)
 		viaAR[rank] = a
 
 		b := append([]float32(nil), inputs[rank]...)
-		chunk := w.ReduceScatterSum(rank, b)
-		viaRS[rank] = w.AllGather(rank, chunk)
+		chunk := w.ReduceScatterSum(b)
+		viaRS[rank] = w.AllGather(chunk)
 	})
 	for rank := 0; rank < n; rank++ {
 		for i := range viaAR[rank] {

@@ -38,7 +38,7 @@ func TestF64RoundTrip(t *testing.T) {
 	// Carry the words across a real collective too: the lane must move
 	// bit patterns untouched.
 	got := make([][]float32, 2)
-	RunInProcess(2, func(w *World) { rank := w.Self(); got[rank] = w.AllGather(rank, words) })
+	RunInProcess(2, func(w *World) { rank := w.Self(); got[rank] = w.AllGather(words) })
 	for i, b := range bits {
 		for rank, all := range got {
 			if back := math.Float64bits(F64(all[2*i:])); back != b {

@@ -52,13 +52,13 @@ func (w *World) checkRank(name string, r int) {
 	}
 }
 
-// Isend posts a nonblocking send of data from rank `from` to rank `to`.
+// Isend posts a nonblocking send of data from this rank to rank `to`.
 // The payload is copied at post time, so the caller's buffer is immediately
 // reusable; the matching Irecv observes the values as posted. The returned
 // request completes trivially (buffered-send semantics) — Wait it to keep
 // the post/wait pairing uniform.
-func (w *World) Isend(from, to, tag int, data []float32) *Request {
-	return w.post(from, to, tag, data, quant.FP32)
+func (w *World) Isend(to, tag int, data []float32) *Request {
+	return w.post(to, tag, data, quant.FP32)
 }
 
 // IsendPacked is Isend with the payload packed into the 16-bit wire format
@@ -66,17 +66,16 @@ func (w *World) Isend(from, to, tag int, data []float32) *Request {
 // of the compute the transfer overlaps, and on the TCP fabric the packed
 // words are the literal bytes on the wire. The receiver's Wait unpacks, so
 // it observes exactly RoundSlice(data). FP32 falls back to Isend.
-func (w *World) IsendPacked(from, to, tag int, data []float32, p quant.Precision) *Request {
-	return w.post(from, to, tag, data, p)
+func (w *World) IsendPacked(to, tag int, data []float32, p quant.Precision) *Request {
+	return w.post(to, tag, data, p)
 }
 
-func (w *World) post(from, to, tag int, data []float32, p quant.Precision) *Request {
-	w.checkRank("Isend source", from)
+func (w *World) post(to, tag int, data []float32, p quant.Precision) *Request {
 	w.checkRank("Isend destination", to)
-	w.checkSelf("Isend", from)
+	from := w.self
 	env := &Envelope{Tag: tag, Prec: p}
 	if p == quant.FP32 {
-		if to != w.self {
+		if to != from {
 			// A peer's Send copies or serializes the buffer before
 			// returning (the Transport contract), so the caller's slice
 			// needs no defensive copy here.
@@ -96,14 +95,12 @@ func (w *World) post(from, to, tag int, data []float32, p quant.Precision) *Requ
 	return &Request{w: w, rank: from, key: msgKey{src: from, dst: to, tag: tag}, err: err}
 }
 
-// Irecv posts a nonblocking receive on `rank` for the next message rank
-// `from` sends with this tag. The payload is delivered by Wait.
-func (w *World) Irecv(rank, from, tag int) *Request {
-	w.checkRank("Irecv rank", rank)
+// Irecv posts a nonblocking receive for the next message rank `from` sends
+// this rank with this tag. The payload is delivered by Wait.
+func (w *World) Irecv(from, tag int) *Request {
 	w.checkRank("Irecv source", from)
-	w.checkSelf("Irecv", rank)
-	return &Request{w: w, recv: true, rank: rank,
-		key: msgKey{src: from, dst: rank, tag: tag}}
+	return &Request{w: w, recv: true, rank: w.self,
+		key: msgKey{src: from, dst: w.self, tag: tag}}
 }
 
 // Test reports whether Wait would complete without blocking. Sends are

@@ -12,11 +12,11 @@ import (
 func TestIsendIrecvDeliversPayload(t *testing.T) {
 	w := procWorlds(2)
 	payload := []float32{1, 2, 3.5, -4}
-	send := w[0].Isend(0, 1, 7, payload)
+	send := w[0].Isend(1, 7, payload)
 	// Buffered-send semantics: the caller's slice is reusable immediately.
 	payload[0] = 99
 
-	recv := w[1].Irecv(1, 0, 7)
+	recv := w[1].Irecv(0, 7)
 	if ok, err := recv.Test(); err != nil || !ok {
 		t.Fatalf("posted message must test complete: %v %v", ok, err)
 	}
@@ -37,11 +37,11 @@ func TestIsendIrecvDeliversPayload(t *testing.T) {
 
 func TestIrecvTestReportsPending(t *testing.T) {
 	w := procWorlds(2)
-	recv := w[1].Irecv(1, 0, 3)
+	recv := w[1].Irecv(0, 3)
 	if ok, err := recv.Test(); err != nil || ok {
 		t.Fatalf("no message posted: Test = %v, %v", ok, err)
 	}
-	w[0].Isend(0, 1, 3, []float32{1})
+	w[0].Isend(1, 3, []float32{1})
 	if ok, err := recv.Test(); err != nil || !ok {
 		t.Fatalf("message posted: Test = %v, %v", ok, err)
 	}
@@ -66,8 +66,8 @@ func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 
 	// Double Wait on both sides of a completed exchange.
 	w := procWorlds(2)
-	send := w[0].Isend(0, 1, 1, []float32{1})
-	recv := w[1].Irecv(1, 0, 1)
+	send := w[0].Isend(1, 1, []float32{1})
+	recv := w[1].Irecv(0, 1)
 	for _, r := range []*Request{send, recv} {
 		if _, err := r.Wait(); err != nil {
 			t.Fatal(err)
@@ -83,10 +83,10 @@ func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 
 func TestWaitAllReturnsFirstErrorButDrains(t *testing.T) {
 	w := procWorlds(2)
-	w[0].Isend(0, 1, 1, []float32{1})
-	w[0].Isend(0, 1, 2, []float32{2})
-	good1 := w[1].Irecv(1, 0, 1)
-	good2 := w[1].Irecv(1, 0, 2)
+	w[0].Isend(1, 1, []float32{1})
+	w[0].Isend(1, 2, []float32{2})
+	good1 := w[1].Irecv(0, 1)
+	good2 := w[1].Irecv(0, 2)
 	var bad Request
 	if err := w[1].WaitAll(good1, &bad, good2); !errors.Is(err, ErrNotPosted) {
 		t.Fatalf("WaitAll: %v, want ErrNotPosted", err)
@@ -103,10 +103,10 @@ func TestSameKeyMessagesDeliverFIFO(t *testing.T) {
 	w := procWorlds(2)
 	const n = 16
 	for i := 0; i < n; i++ {
-		w[0].Isend(0, 1, 5, []float32{float32(i)})
+		w[0].Isend(1, 5, []float32{float32(i)})
 	}
 	for i := 0; i < n; i++ {
-		got, err := w[1].Irecv(1, 0, 5).Wait()
+		got, err := w[1].Irecv(0, 5).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +121,8 @@ func TestIsendPackedMatchesRoundSlice(t *testing.T) {
 		w := procWorlds(2)
 		src := []float32{1.0001, -2.5, 3.14159, 0, 65000, 6e-8,
 			float32(math.Inf(1)), float32(math.NaN())}
-		w[0].IsendPacked(0, 1, 1, src, p)
-		got, err := w[1].Irecv(1, 0, 1).Wait()
+		w[0].IsendPacked(1, 1, src, p)
+		got, err := w[1].Irecv(0, 1).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestConcurrentIsendIrecvWaitAll(t *testing.T) {
 				// Post all sends first, then all receives, then WaitAll —
 				// no rank ever blocks another's posts.
 				for peer := 0; peer < n; peer++ {
-					w.Isend(rank, peer, round, []float32{float32(rank), float32(round)})
+					w.Isend(peer, round, []float32{float32(rank), float32(round)})
 				}
 				reqs := make([]*Request, n)
 				for peer := 0; peer < n; peer++ {
-					reqs[peer] = w.Irecv(rank, peer, round)
+					reqs[peer] = w.Irecv(peer, round)
 				}
 				if err := w.WaitAll(reqs...); err != nil {
 					panic(err)
@@ -219,8 +219,8 @@ func TestTestHiddenFollowsSimulatedClock(t *testing.T) {
 	w[0].ConfigureAsync(cm)
 	w[1].ConfigureAsync(cm)
 
-	w[0].Isend(0, 1, 1, make([]float32, 250)) // 1000 bytes → 2 µs
-	recv := w[1].Irecv(1, 0, 1)
+	w[0].Isend(1, 1, make([]float32, 250)) // 1000 bytes → 2 µs
+	recv := w[1].Irecv(0, 1)
 	// Physically present but simulated-in-flight: Test true, TestHidden false.
 	if ok, _ := recv.Test(); !ok {
 		t.Fatal("message must be physically present")

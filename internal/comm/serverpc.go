@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"distgnn/internal/parallel"
 )
 
 // serverpc.go is the serving data plane over a Transport: a minimal tagged
@@ -53,15 +51,13 @@ const reqRepIDMask = 1<<30 - 1
 // frames are byte-identical to the pre-extension protocol.
 const reqRepTraceFlag = 1 << 31
 
-// ReqRepHandler answers one request. It runs on the responder's goroutines
-// (one per in-flight request) and must be safe for concurrent use. The
-// returned slice is copied or serialized before the reply is delivered.
-type ReqRepHandler func(from int, req []float32) ([]float32, error)
-
-// ReqRepTracedHandler additionally receives the caller's trace ID (0 for
-// untraced requests) so responders can attribute served work to the
-// originating request across ranks.
-type ReqRepTracedHandler func(from int, trace uint64, req []float32) ([]float32, error)
+// ReqRepHandler answers one request from rank `from`; trace is the
+// caller's trace ID (0 for an untraced request), so a responder can
+// attribute served work to the originating request across ranks. It runs
+// on the responder's goroutines (one per in-flight request) and must be
+// safe for concurrent use. The returned slice is copied or serialized
+// before the reply is delivered.
+type ReqRepHandler func(from int, trace uint64, req []float32) ([]float32, error)
 
 // ReqRep is the request/reply endpoint for one rank: it answers peers'
 // requests through the handler and issues its own via Call.
@@ -76,7 +72,7 @@ type ReqRepTracedHandler func(from int, trace uint64, req []float32) ([]float32,
 type ReqRep struct {
 	tr      Transport
 	rank    int
-	handler ReqRepTracedHandler
+	handler ReqRepHandler
 	seq     atomic.Int64
 	closed  atomic.Bool
 
@@ -94,14 +90,6 @@ const drainPollInterval = 2 * time.Millisecond
 // NewReqRep starts the responder goroutines (one per peer) and returns the
 // endpoint, speaking as the transport's own rank.
 func NewReqRep(tr Transport, handler ReqRepHandler) (*ReqRep, error) {
-	return NewReqRepTraced(tr, func(from int, _ uint64, req []float32) ([]float32, error) {
-		return handler(from, req)
-	})
-}
-
-// NewReqRepTraced is NewReqRep for handlers that consume the trace ID
-// traced calls carry.
-func NewReqRepTraced(tr Transport, handler ReqRepTracedHandler) (*ReqRep, error) {
 	rank := tr.Self()
 	r := &ReqRep{tr: tr, rank: rank, handler: handler, quit: make(chan struct{})}
 	for peer := 0; peer < tr.Size(); peer++ {
@@ -113,15 +101,10 @@ func NewReqRepTraced(tr Transport, handler ReqRepTracedHandler) (*ReqRep, error)
 }
 
 // Call sends req to peer and blocks for the reply (or the transport's
-// deadline / failure). The returned slice is the reply payload, owned by
-// the caller.
-func (r *ReqRep) Call(peer int, req []float32) ([]float32, error) {
-	return r.CallTraced(peer, 0, req)
-}
-
-// CallTraced is Call with a trace ID riding the request frame (see
-// reqRepTraceFlag). trace == 0 sends the untraced frame.
-func (r *ReqRep) CallTraced(peer int, trace uint64, req []float32) ([]float32, error) {
+// deadline / failure). A nonzero trace rides the request frame (see
+// reqRepTraceFlag); trace == 0 sends the untraced frame. The returned slice
+// is the reply payload, owned by the caller.
+func (r *ReqRep) Call(peer int, trace uint64, req []float32) ([]float32, error) {
 	if peer == r.rank {
 		return nil, fmt.Errorf("comm: reqrep rank %d cannot call itself", r.rank)
 	}
@@ -347,39 +330,4 @@ func UnpackBytes(fs []float32, n int) ([]byte, error) {
 		out[i] = byte(math.Float32bits(fs[i/4]) >> (8 * (i % 4)))
 	}
 	return out, nil
-}
-
-// fanOutCalls issues one Call per (peer, request) pair concurrently and
-// waits for all of them, returning the first error. The serving gather path
-// uses it to overlap halo fetches to different owner ranks.
-func (r *ReqRep) fanOutCalls(peers []int, reqs [][]float32, replies [][]float32) error {
-	errs := make([]error, len(peers))
-	var g parallel.Group
-	for i := range peers {
-		i := i
-		g.Go(func() {
-			rep, err := r.Call(peers[i], reqs[i])
-			replies[i], errs[i] = rep, err
-		})
-	}
-	g.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CallAll fans reqs out to peers concurrently (one call per pair) and
-// returns the replies in peer order.
-func (r *ReqRep) CallAll(peers []int, reqs [][]float32) ([][]float32, error) {
-	if len(peers) != len(reqs) {
-		return nil, fmt.Errorf("comm: reqrep CallAll: %d peers, %d requests", len(peers), len(reqs))
-	}
-	replies := make([][]float32, len(peers))
-	if err := r.fanOutCalls(peers, reqs, replies); err != nil {
-		return nil, err
-	}
-	return replies, nil
 }

@@ -31,7 +31,7 @@ func TestReqRepEchoBothTransports(t *testing.T) {
 	for name, eps := range reqRepFabrics(t, n) {
 		rrs := make([]*ReqRep, n)
 		for r := 0; r < n; r++ {
-			rr, err := NewReqRep(eps[r], func(from int, req []float32) ([]float32, error) {
+			rr, err := NewReqRep(eps[r], func(from int, _ uint64, req []float32) ([]float32, error) {
 				out := append([]float32{float32(from)}, req...)
 				return out, nil
 			})
@@ -42,7 +42,7 @@ func TestReqRepEchoBothTransports(t *testing.T) {
 		}
 		ids := []int32{0, 1, -7, 1 << 20, math.MaxInt32}
 		req := Int32sToF32(ids)
-		rep, err := rrs[0].Call(2, req)
+		rep, err := rrs[0].Call(2, 0, req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -69,7 +69,7 @@ func TestReqRepConcurrentFanOut(t *testing.T) {
 		rrs := make([]*ReqRep, n)
 		for r := 0; r < n; r++ {
 			r := r
-			rr, err := NewReqRep(eps[r], func(from int, req []float32) ([]float32, error) {
+			rr, err := NewReqRep(eps[r], func(from int, _ uint64, req []float32) ([]float32, error) {
 				// Reply = responder rank followed by the doubled request IDs.
 				ids := F32ToInt32s(req)
 				for i := range ids {
@@ -95,7 +95,7 @@ func TestReqRepConcurrentFanOut(t *testing.T) {
 						defer wg.Done()
 						for i := 0; i < 25; i++ {
 							ids := []int32{int32(r*1000 + peer*100 + w*10 + i)}
-							rep, err := rrs[r].Call(peer, Int32sToF32(ids))
+							rep, err := rrs[r].Call(peer, 0, Int32sToF32(ids))
 							if err != nil {
 								errc <- err
 								return
@@ -127,16 +127,16 @@ func TestReqRepConcurrentFanOut(t *testing.T) {
 func TestReqRepErrorCrossesWire(t *testing.T) {
 	const n = 2
 	for name, eps := range reqRepFabrics(t, n) {
-		if _, err := NewReqRep(eps[1], func(from int, req []float32) ([]float32, error) {
+		if _, err := NewReqRep(eps[1], func(from int, _ uint64, req []float32) ([]float32, error) {
 			return nil, fmt.Errorf("vertex 42 not owned here")
 		}); err != nil {
 			t.Fatal(err)
 		}
-		caller, err := NewReqRep(eps[0], func(int, []float32) ([]float32, error) { return nil, nil })
+		caller, err := NewReqRep(eps[0], func(int, uint64, []float32) ([]float32, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = caller.Call(1, []float32{1})
+		_, err = caller.Call(1, 0, []float32{1})
 		if err == nil || !strings.Contains(err.Error(), "vertex 42 not owned here") {
 			t.Fatalf("%s: handler error did not cross the wire: %v", name, err)
 		}
@@ -149,18 +149,18 @@ func TestReqRepErrorCrossesWire(t *testing.T) {
 func TestReqRepMisuse(t *testing.T) {
 	eps := NewProcFabric(2)
 	defer CloseAll(eps)
-	rr, err := NewReqRep(eps[0], func(int, []float32) ([]float32, error) { return nil, nil })
+	rr, err := NewReqRep(eps[0], func(int, uint64, []float32) ([]float32, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rr.Call(0, nil); err == nil {
+	if _, err := rr.Call(0, 0, nil); err == nil {
 		t.Fatal("self-call must error")
 	}
-	if _, err := rr.Call(5, nil); err == nil {
+	if _, err := rr.Call(5, 0, nil); err == nil {
 		t.Fatal("out-of-world call must error")
 	}
 	rr.Close()
-	if _, err := rr.Call(1, nil); err == nil {
+	if _, err := rr.Call(1, 0, nil); err == nil {
 		t.Fatal("call on closed endpoint must error")
 	}
 }
@@ -232,13 +232,13 @@ func TestReqRepTimeoutDrainerReapedOnClose(t *testing.T) {
 	tr := &timeoutOnceTransport{Transport: eps[0]}
 	entered := make(chan struct{})
 	block := make(chan struct{})
-	r0, err := NewReqRep(tr, func(int, []float32) ([]float32, error) {
+	r0, err := NewReqRep(tr, func(int, uint64, []float32) ([]float32, error) {
 		return nil, fmt.Errorf("rank 0 serves nothing here")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := NewReqRep(eps[1], func(int, []float32) ([]float32, error) {
+	r1, err := NewReqRep(eps[1], func(int, uint64, []float32) ([]float32, error) {
 		close(entered)
 		<-block // the reply never arrives inside the test window
 		return []float32{1}, nil
@@ -252,7 +252,7 @@ func TestReqRepTimeoutDrainerReapedOnClose(t *testing.T) {
 		CloseAll(eps)
 	}()
 
-	if _, err := r0.Call(1, []float32{42}); !errors.Is(err, ErrTimeout) {
+	if _, err := r0.Call(1, 0, []float32{42}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Call: got %v, want ErrTimeout", err)
 	}
 	// Synchronize: the handler goroutine is parked and the drainer (spawned
@@ -286,13 +286,13 @@ func TestReqRepTimeoutDrainerReapedOnClose(t *testing.T) {
 func TestReqRepCloseIdempotent(t *testing.T) {
 	eps := NewProcFabric(2)
 	defer CloseAll(eps)
-	rr, err := NewReqRep(eps[0], func(_ int, req []float32) ([]float32, error) { return req, nil })
+	rr, err := NewReqRep(eps[0], func(_ int, _ uint64, req []float32) ([]float32, error) { return req, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	rr.Close()
 	rr.Close()
-	if _, err := rr.Call(1, []float32{1}); !errors.Is(err, ErrClosed) {
+	if _, err := rr.Call(1, 0, []float32{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Call after Close: got %v, want ErrClosed", err)
 	}
 }

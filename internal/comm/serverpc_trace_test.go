@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// TestReqRepTracedFrames pins the trace-ID frame extension: CallTraced
-// delivers the trace ID to a traced handler, plain Call delivers zero, and
-// both coexist on one endpoint pair (the frames are self-describing).
+// TestReqRepTracedFrames pins the trace-ID frame extension: a traced Call
+// delivers the trace ID to the handler, an untraced one (trace 0) delivers
+// zero, and both coexist on one endpoint pair (the frames are
+// self-describing).
 func TestReqRepTracedFrames(t *testing.T) {
 	for _, fabric := range []string{"inproc", "tcp"} {
 		t.Run(fabric, func(t *testing.T) {
@@ -38,26 +39,26 @@ func TestReqRepTracedFrames(t *testing.T) {
 				mu.Unlock()
 				return req, nil
 			}
-			r0, err := NewReqRepTraced(trs[0], echo)
+			r0, err := NewReqRep(trs[0], echo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r0.Close()
-			r1, err := NewReqRepTraced(trs[1], echo)
+			r1, err := NewReqRep(trs[1], echo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer r1.Close()
 
 			const trace = uint64(0xdeadbeefcafe0123)
-			rep, err := r1.CallTraced(0, trace, []float32{1, 2, 3})
+			rep, err := r1.Call(0, trace, []float32{1, 2, 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(rep) != 3 || rep[0] != 1 {
 				t.Fatalf("traced echo reply = %v", rep)
 			}
-			if _, err := r1.Call(0, []float32{4}); err != nil {
+			if _, err := r1.Call(0, 0, []float32{4}); err != nil {
 				t.Fatal(err)
 			}
 			mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"syscall"
+	"time"
 )
 
 // spawn.go is the TCP fleet bring-up shared by the CLIs: one call builds
@@ -21,9 +22,10 @@ import (
 // establishes it. With spawn, this process is rank 0 of a local fleet: it
 // first forks ranks 1..N-1, appending childArgs(rank, registry) to each
 // child's copy of this process's flags — registry is this endpoint's
-// rendezvous address — and kills them on SIGINT/SIGTERM so an interrupted
-// parent orphans no rank. Returns the established endpoint and the
-// spawned children.
+// rendezvous address. Returns the established endpoint and the spawned
+// children. What a signal does to them is the caller's choice
+// (KillRanksOnSignal or StopRanks); a caller subscribes with NotifyStop
+// before joining, so a signal during bring-up waits for it.
 func JoinTCPFleet(cfg TCPConfig, spawn bool, childArgs func(rank int, registry string) []string) (*TCPTransport, []*exec.Cmd, error) {
 	if spawn && cfg.Rank != 0 {
 		return nil, nil, fmt.Errorf("-spawn-local is the rank-0 parent; it cannot run as rank %d", cfg.Rank)
@@ -39,7 +41,6 @@ func JoinTCPFleet(cfg TCPConfig, spawn bool, childArgs func(rank int, registry s
 			tr.Close()
 			return nil, nil, err
 		}
-		KillRanksOnSignal(children)
 	}
 	if err := tr.Establish(); err != nil {
 		tr.Close()
@@ -97,18 +98,41 @@ func WaitRanks(children []*exec.Cmd) error {
 	return errors.Join(errs...)
 }
 
-// KillRanksOnSignal installs a SIGINT/SIGTERM handler that kills the
-// spawned ranks before exiting — a parent (a serving fleet, a training
-// run) must not orphan its children when the operator kills it.
-func KillRanksOnSignal(children []*exec.Cmd) {
-	if len(children) == 0 {
-		return
-	}
+// NotifyStop subscribes to SIGINT and SIGTERM. A parent calls it before it
+// spawns ranks, so that a signal is held for its handler instead of
+// killing the parent and orphaning the children.
+func NotifyStop() <-chan os.Signal {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	return sig
+}
+
+// KillRanksOnSignal kills the spawned ranks and exits 1 once sig fires —
+// a training run is one job, and an interrupted one has failed.
+func KillRanksOnSignal(sig <-chan os.Signal, children []*exec.Cmd) {
 	go func() {
 		<-sig
 		KillRanks(children)
 		os.Exit(1)
 	}()
+}
+
+// StopRanks asks spawned ranks to drain with SIGTERM and reaps them; a rank
+// still running after timeout is killed. Exit statuses are not reported: a
+// rank that died earlier (a crashed replica) is reaped like the others.
+func StopRanks(children []*exec.Cmd, timeout time.Duration) {
+	for _, c := range children {
+		if c.Process.Signal(syscall.SIGTERM) != nil {
+			c.Process.Kill()
+		}
+	}
+	late := time.AfterFunc(timeout, func() {
+		for _, c := range children {
+			c.Process.Kill()
+		}
+	})
+	defer late.Stop()
+	for _, c := range children {
+		c.Wait()
+	}
 }

@@ -494,10 +494,9 @@ func (t *TCPTransport) Close() error {
 
 // NewLoopbackTCP builds an established n-rank TCP fabric over loopback
 // inside one process — each endpoint driven from its own goroutine exactly
-// as n separate OS processes would drive theirs. Tests, the abl-transport
-// benchmark, and the tcploopback example use it (often through
-// train.DistributedFleet); real deployments construct one NewTCPTransport
-// per process instead.
+// as n separate OS processes would drive theirs. Tests and the
+// abl-transport benchmark use it (often through train.DistributedFleet);
+// real deployments construct one NewTCPTransport per process instead.
 func NewLoopbackTCP(n int, timeout time.Duration) ([]Transport, error) {
 	eps := make([]*TCPTransport, n)
 	t0, err := NewTCPTransport(TCPConfig{Rank: 0, N: n, Timeout: timeout})

@@ -239,16 +239,16 @@ func TestWorldCollectivesMatchAcrossTransports(t *testing.T) {
 	runRank := func(w *World, rank int) outputs {
 		var o outputs
 		o.allreduce = append([]float32(nil), inputs[rank]...)
-		w.AllReduceSum(rank, o.allreduce)
-		o.gathered = w.AllGather(rank, inputs[rank][:rank+1])
-		o.scattered = w.ReduceScatterSum(rank, append([]float32(nil), inputs[rank]...))
+		w.AllReduceSum(o.allreduce)
+		o.gathered = w.AllGather(inputs[rank][:rank+1])
+		o.scattered = w.ReduceScatterSum(append([]float32(nil), inputs[rank]...))
 		o.broadcast = append([]float32(nil), inputs[rank]...)
-		w.Broadcast(rank, 2, o.broadcast)
+		w.Broadcast(2, o.broadcast)
 		send := make([][]float32, n)
 		for peer := 0; peer < n; peer++ {
 			send[peer] = inputs[rank][:peer]
 		}
-		o.alltoall = w.AlltoAllV(rank, send)
+		o.alltoall = w.AlltoAllV(send)
 		return o
 	}
 
@@ -306,21 +306,21 @@ func TestRequestsOverTCP(t *testing.T) {
 	var g parallel.Group
 	g.Go(func() {
 		w := NewWorldTransport(eps[0])
-		w.Isend(0, 1, 1, src)
-		w.IsendPacked(0, 1, 2, src, quant.BF16)
-		w.IsendPacked(0, 1, 3, src, quant.FP16)
+		w.Isend(1, 1, src)
+		w.IsendPacked(1, 2, src, quant.BF16)
+		w.IsendPacked(1, 3, src, quant.FP16)
 	})
 	var fp32, bf16, fp16 []float32
 	g.Go(func() {
 		w := NewWorldTransport(eps[1])
 		var err error
-		if fp32, err = w.Irecv(1, 0, 1).Wait(); err != nil {
+		if fp32, err = w.Irecv(0, 1).Wait(); err != nil {
 			panic(err)
 		}
-		if bf16, err = w.Irecv(1, 0, 2).Wait(); err != nil {
+		if bf16, err = w.Irecv(0, 2).Wait(); err != nil {
 			panic(err)
 		}
-		if fp16, err = w.Irecv(1, 0, 3).Wait(); err != nil {
+		if fp16, err = w.Irecv(0, 3).Wait(); err != nil {
 			panic(err)
 		}
 	})

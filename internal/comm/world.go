@@ -12,7 +12,6 @@
 package comm
 
 import (
-	"fmt"
 	"sync"
 
 	"distgnn/internal/parallel"
@@ -46,13 +45,6 @@ func (w *World) Transport() Transport { return w.tr }
 
 // Self returns the rank this endpoint hosts.
 func (w *World) Self() int { return w.self }
-
-// checkSelf panics if the world is driven as a rank it does not host.
-func (w *World) checkSelf(op string, rank int) {
-	if rank != w.self {
-		panic(fmt.Sprintf("comm: %s as rank %d on an endpoint hosting rank %d", op, rank, w.self))
-	}
-}
 
 // Barrier blocks until all N ranks have called it.
 func (w *World) Barrier() {

@@ -41,7 +41,7 @@ func TestAllReduceSum(t *testing.T) {
 	RunInProcess(5, func(w *World) {
 		rank := w.Self()
 		data := []float32{float32(rank), 1, float32(rank * rank)}
-		w.AllReduceSum(rank, data)
+		w.AllReduceSum(data)
 		results[rank] = data
 	})
 	// Σrank = 0+1+2+3+4 = 10; Σ1 = 5; Σrank² = 30.
@@ -71,7 +71,7 @@ func TestAllReduceSumDeterministicOrder(t *testing.T) {
 		RunInProcess(7, func(w *World) {
 			rank := w.Self()
 			data := append([]float32(nil), inputs[rank]...)
-			w.AllReduceSum(rank, data)
+			w.AllReduceSum(data)
 			out[rank] = data
 		})
 		return out
@@ -103,7 +103,7 @@ func TestAlltoAllV(t *testing.T) {
 			}
 			send[dst] = buf
 		}
-		recvAll[rank] = w.AlltoAllV(rank, send)
+		recvAll[rank] = w.AlltoAllV(send)
 	})
 	for rank := 0; rank < n; rank++ {
 		for src := 0; src < n; src++ {
@@ -128,7 +128,7 @@ func TestAlltoAllVEmptyBuffers(t *testing.T) {
 		if rank == 0 {
 			send[1] = []float32{7}
 		}
-		recv := w.AlltoAllV(rank, send)
+		recv := w.AlltoAllV(send)
 		if rank == 1 {
 			if len(recv[0]) != 1 || recv[0][0] != 7 {
 				t.Errorf("rank 1 expected [7] from rank 0, got %v", recv[0])
@@ -152,7 +152,7 @@ func TestAlltoAllVReturnsCopies(t *testing.T) {
 		if rank == 0 {
 			send[1] = src
 		}
-		recv := w.AlltoAllV(rank, send)
+		recv := w.AlltoAllV(send)
 		if rank == 1 {
 			recv[0][0] = 99
 		}
@@ -167,7 +167,7 @@ func TestRepeatedCollectivesInterleaved(t *testing.T) {
 		rank := w.Self()
 		for iter := 0; iter < 20; iter++ {
 			data := []float32{float32(rank + iter)}
-			w.AllReduceSum(rank, data)
+			w.AllReduceSum(data)
 			want := float32(0+1+2) + 3*float32(iter)
 			if data[0] != want {
 				t.Errorf("iter %d rank %d: got %v want %v", iter, rank, data[0], want)
@@ -176,7 +176,7 @@ func TestRepeatedCollectivesInterleaved(t *testing.T) {
 			for d := 0; d < 3; d++ {
 				send[d] = []float32{float32(rank)}
 			}
-			recv := w.AlltoAllV(rank, send)
+			recv := w.AlltoAllV(send)
 			for srcRank, buf := range recv {
 				if buf[0] != float32(srcRank) {
 					t.Errorf("iter %d: rank %d got %v from %d", iter, rank, buf[0], srcRank)

@@ -39,7 +39,7 @@ type Sharded struct {
 	// endpoint (the transport allows one ReqRep responder per rank, so the
 	// update plane shares it via the opcode word). Nil until the serving
 	// layer registers one with SetUpdateHandler.
-	updateHandler atomic.Pointer[comm.ReqRepTracedHandler]
+	updateHandler atomic.Pointer[comm.ReqRepHandler]
 
 	haloHits     atomic.Int64
 	haloMisses   atomic.Int64
@@ -156,7 +156,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	}
 
 	var err error
-	st.rr, err = comm.NewReqRepTraced(cfg.Transport, st.handleFetch)
+	st.rr, err = comm.NewReqRep(cfg.Transport, st.handleFetch)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +222,7 @@ const updateOpcode int32 = -2
 // CallUpdate. The serving layer installs its update-apply hook here after
 // construction; frames arriving before registration are rejected with an
 // error (the sender retries or fails loudly — never silently dropped).
-func (st *Sharded) SetUpdateHandler(fn comm.ReqRepTracedHandler) {
+func (st *Sharded) SetUpdateHandler(fn comm.ReqRepHandler) {
 	st.updateHandler.Store(&fn)
 }
 
@@ -232,7 +232,7 @@ func (st *Sharded) CallUpdate(peer int, trace uint64, payload []int32) ([]float3
 	frame := make([]int32, 0, len(payload)+1)
 	frame = append(frame, updateOpcode)
 	frame = append(frame, payload...)
-	return st.rr.CallTraced(peer, trace, comm.Int32sToF32(frame))
+	return st.rr.Call(peer, trace, comm.Int32sToF32(frame))
 }
 
 // handleFetch answers a peer's halo feature fetch: the request is vertex
@@ -342,32 +342,25 @@ func (st *Sharded) GatherSplitTraced(frontier []int32, split [][]int32, tc *obs.
 	if len(peers) == 0 {
 		return x, nil
 	}
-	var replies [][]float32
-	if tc == nil {
-		var err error
-		replies, err = st.rr.CallAll(peers, reqs)
+	// One concurrent call per owner rank; a traced request adds a per-peer
+	// RTT span and carries its trace ID on the wire.
+	replies := make([][]float32, len(peers))
+	errs := make([]error, len(peers))
+	var g parallel.Group
+	for k := range peers {
+		g.Go(func() {
+			done := func() {}
+			if tc != nil {
+				done = tc.StartSpan(fmt.Sprintf("halo_rtt_rank%d", peers[k]))
+			}
+			replies[k], errs[k] = st.rr.Call(peers[k], tc.ID(), reqs[k])
+			done()
+		})
+	}
+	g.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("featstore: halo fetch: %w", err)
-		}
-	} else {
-		// Traced fan-out: same concurrency shape as CallAll, plus a per-peer
-		// RTT span and the trace ID on the wire.
-		replies = make([][]float32, len(peers))
-		errs := make([]error, len(peers))
-		var g parallel.Group
-		for k := range peers {
-			k := k
-			g.Go(func() {
-				done := tc.StartSpan(fmt.Sprintf("halo_rtt_rank%d", peers[k]))
-				replies[k], errs[k] = st.rr.CallTraced(peers[k], tc.ID(), reqs[k])
-				done()
-			})
-		}
-		g.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("featstore: halo fetch: %w", err)
-			}
 		}
 	}
 	for k, rep := range replies {

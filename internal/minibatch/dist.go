@@ -229,7 +229,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 		local := comm.AppendF64(nil, localLoss)
 		local = comm.AppendF64(local, math.Float64frombits(uint64(localWork)))
 		local = comm.AppendF64(local, math.Float64frombits(uint64(arTime)))
-		parts := world.AllGather(rank, local)
+		parts := world.AllGather(local)
 		st := DistEpochStat{Time: time.Since(start), Steps: maxBatches}
 		var lsum float64
 		for r := 0; r < cfg.NumRanks; r++ {
@@ -254,7 +254,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 		}
 	}
 	accBits := comm.AppendF64(nil, acc)
-	world.Broadcast(rank, 0, accBits)
+	world.Broadcast(0, accBits)
 	res.TestAcc = comm.F64(accBits)
 	return res, nil
 }
@@ -298,7 +298,7 @@ func (st *rankStepper) step(bw sampledBatch, global int) (float64, time.Duration
 	}
 	gbuf := nn.FlattenParams(st.params, true)
 	arStart := time.Now()
-	st.world.AllReduceSum(st.world.Self(), gbuf)
+	st.world.AllReduceSum(gbuf)
 	arTime := time.Since(arStart)
 	nn.UnflattenParams(st.params, gbuf, true)
 	st.opt.Step(st.params)

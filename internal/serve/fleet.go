@@ -278,10 +278,12 @@ func (fl *Fleet) Close() {
 	for _, f := range fl.frontends {
 		f.Close()
 	}
-	// Servers and frontends proxy through http.DefaultTransport. Shutdown
-	// counts a connection that never carried a request as active for 5 s,
-	// so the transport's idle connections are closed first.
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	// Shutdown counts a connection that never carried a request as active
+	// for 5 s, and an owner proxy can leave one behind after concurrent
+	// dials, so the proxies' idle connections are closed first.
+	for _, s := range fl.Servers {
+		s.proxy.CloseIdleConnections()
+	}
 	shutdown(fl.https)
 	for _, s := range fl.Servers {
 		s.Close()

@@ -230,7 +230,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	f := &Frontend{
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
-		client: http.Client{Timeout: cfg.ProxyTimeout},
+		client: newClient(cfg.ProxyTimeout),
 		start:  time.Now(),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		quit:   make(chan struct{}),
@@ -315,10 +315,12 @@ func normalizeAddr(addr string) string {
 // Handler returns the frontend's HTTP handler.
 func (f *Frontend) Handler() http.Handler { return f.mux }
 
-// Close stops the health prober.
+// Close stops the health prober and closes the backend client's idle
+// connections.
 func (f *Frontend) Close() {
 	close(f.quit)
 	f.proberW.Wait()
+	f.client.CloseIdleConnections()
 }
 
 // GroupFor returns the shard group index the consistent hash assigns to

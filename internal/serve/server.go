@@ -161,7 +161,7 @@ func newServer(eng *Engine, cfg Config) *Server {
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
-		proxy:  http.Client{Timeout: 30 * time.Second},
+		proxy:  newClient(30 * time.Second),
 		tracer: cfg.Tracer,
 	}
 	s.engine.Store(eng)
@@ -216,12 +216,20 @@ func (s *Server) Engine() *Engine { return s.engine.Load() }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops the request coalescer and, in shard mode, the halo-fetch
-// endpoint. The comm transport stays owned by the caller.
+// endpoint, and closes the owner proxy's idle connections. The comm
+// transport stays owned by the caller.
 func (s *Server) Close() {
 	s.co.Close()
+	s.proxy.CloseIdleConnections()
 	if s.shard != nil {
 		s.shard.fs.Close()
 	}
+}
+
+// newClient returns an HTTP client over its own connection pool, so that
+// closing one server's or frontend's idle connections touches no other's.
+func newClient(timeout time.Duration) http.Client {
+	return http.Client{Timeout: timeout, Transport: &http.Transport{IdleConnTimeout: 90 * time.Second}}
 }
 
 // inferAndCache is the coalescer's batch function: one engine pass, then

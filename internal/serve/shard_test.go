@@ -261,6 +261,9 @@ func TestShardRaceConcurrentCrossShardFanOut(t *testing.T) {
 		MaxBatch: 8, MaxWait: time.Millisecond, EmbedCacheBytes: 1 << 18}
 	fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: 2, RemoteCacheBytes: 1 << 15})
 	defer fleet.Close()
+	// The concurrent gets below can leave a dialed, never-used connection
+	// in this client's pool, which the fleet's Shutdown would wait 5 s on.
+	defer http.DefaultClient.CloseIdleConnections()
 	full := m.Forward(ds.Features, false)
 
 	var wg sync.WaitGroup

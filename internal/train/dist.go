@@ -391,7 +391,7 @@ func (su *distSetup) run(r *rankCtx) *DistResult {
 // all the fabric needs to match them up.
 func (r *rankCtx) runEpoch(epoch int) DistEpochStat {
 	rep := r.report(r.trainEpoch(epoch))
-	all := r.world.AllGather(r.id, rep.appendWords(make([]float32, 0, rankEpochWords)))
+	all := r.world.AllGather(rep.appendWords(make([]float32, 0, rankEpochWords)))
 	reps := make([]rankEpoch, r.world.N)
 	for rk := range reps {
 		reps[rk] = rankEpochFrom(all[rk*rankEpochWords:])
@@ -435,7 +435,7 @@ func (r *rankCtx) trainEpoch(epoch int) float64 {
 	// flattened buffer is recycled across epochs and ranks.
 	gbuf := gradScratch.Get(nn.TotalElements(params))
 	nn.FlattenParamsInto(gbuf, params, true)
-	r.world.AllReduceSum(r.id, gbuf)
+	r.world.AllReduceSum(gbuf)
 	nn.UnflattenParams(params, gbuf, true)
 	gradScratch.Put(gbuf)
 	r.optStep()
@@ -460,7 +460,7 @@ func (r *rankCtx) evaluate() (trainAcc, testAcc float64) {
 			testC++
 		}
 	}
-	all := r.world.AllGather(r.id, []float32{trainC, testC})
+	all := r.world.AllGather([]float32{trainC, testC})
 	var trainTot, testTot float64
 	for rk := 0; rk < r.world.N; rk++ {
 		trainTot += float64(all[2*rk])
@@ -498,8 +498,8 @@ func Distributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
 
 // DistributedFleet drives one rank per transport endpoint concurrently in
 // this process — the one-process harness for a TCP fleet used by loopback
-// tests, the abl-transport benchmark, and the tcploopback example (real
-// deployments run one process per rank instead); Distributed runs its
+// tests and the abl-transport benchmark (real deployments run one process
+// per rank instead); Distributed runs its
 // in-process fabric the same way. The ranks share one partitioning.
 // Endpoints must belong to a single established fabric whose size matches
 // cfg.NumPartitions; they are closed only if a rank panics, so its peers

@@ -51,7 +51,7 @@ func (r *rankCtx) exchangeSumBroadcast(mat *tensor.Matrix, bin int) {
 		send[peer] = r.cfg.CommPrecision.RoundSlice(packRows(mat, rows))
 		r.countSend(len(rows), d)
 	}
-	recv := r.world.AlltoAllV(r.id, send)
+	recv := r.world.AlltoAllV(send)
 	for peer := 0; peer < k; peer++ {
 		rows := r.plan.rootRecv[bin][peer]
 		if len(rows) > 0 {
@@ -67,7 +67,7 @@ func (r *rankCtx) exchangeSumBroadcast(mat *tensor.Matrix, bin int) {
 		send[peer] = r.cfg.CommPrecision.RoundSlice(packRows(mat, rows))
 		r.countSend(len(rows), d)
 	}
-	recv = r.world.AlltoAllV(r.id, send)
+	recv = r.world.AlltoAllV(send)
 	for peer := 0; peer < k; peer++ {
 		rows := r.plan.leafRecv[bin][peer]
 		if len(rows) > 0 {

@@ -69,13 +69,13 @@ func (r *rankCtx) postLayer(layer int, agg *tensor.Matrix, bin, epoch int) {
 	for peer := 0; peer < r.world.N; peer++ {
 		if rows := r.plan.leafSend[bin][peer]; len(rows) > 0 {
 			payload := packRows(r.captures[layer], rows)
-			r.waitSend(r.world.IsendPacked(r.id, peer, tag, payload, r.cfg.CommPrecision))
+			r.waitSend(r.world.IsendPacked(peer, tag, payload, r.cfg.CommPrecision))
 			r.countSend(len(rows), r.aggDims[layer])
 		}
 		if len(r.plan.rootRecv[bin][peer]) > 0 {
 			r.pendingAReqs = append(r.pendingAReqs, pendReq{
 				peer: peer, bin: bin, layer: layer,
-				req: r.world.Irecv(r.id, peer, tag),
+				req: r.world.Irecv(peer, tag),
 			})
 		}
 	}
@@ -198,7 +198,7 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 				buf = append(buf, chunk...)
 			}
 			r.countConcatSend(len(rows))
-			r.waitSend(r.world.IsendPacked(r.id, peer, tagTotal(epoch), buf, r.cfg.CommPrecision))
+			r.waitSend(r.world.IsendPacked(peer, tagTotal(epoch), buf, r.cfg.CommPrecision))
 		}
 	}
 
@@ -211,7 +211,7 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 				continue
 			}
 			r.pendingTotReqs[epoch+r.cfg.Delay] = append(r.pendingTotReqs[epoch+r.cfg.Delay],
-				totReq{peer: peer, bin: bin, req: r.world.Irecv(r.id, peer, tagTotal(epoch))})
+				totReq{peer: peer, bin: bin, req: r.world.Irecv(peer, tagTotal(epoch))})
 		}
 	}
 
