@@ -65,7 +65,7 @@ func BenchmarkFig2OptimizedAPReddit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := plan.Run(args); err != nil {
+		if err := plan.Run(args.FV, args.FO); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkFig2OptimizedAPProducts(b *testing.B) {
 	plan := spmm.NewPlan(ds.G, spmm.DefaultOptions(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := plan.Run(args); err != nil {
+		if err := plan.Run(args.FV, args.FO); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func BenchmarkFig3BlockedKernelSweep(b *testing.B) {
 		args := aggArgs(ds)
 		b.Run(map[int]string{1: "nB=1", 4: "nB=4", 16: "nB=16", 64: "nB=64"}[nB], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := plan.Run(args); err != nil {
+				if err := plan.Run(args.FV, args.FO); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,6 +128,8 @@ func BenchmarkFig3BlockedKernelSweep(b *testing.B) {
 
 // --- Fig. 4: optimization ladder -------------------------------------------
 
+// BenchmarkFig4OptimizationLadder times the optimized rungs; the static
+// Alg. 1 baseline they are measured against is BenchmarkFig2Baseline*.
 func BenchmarkFig4OptimizationLadder(b *testing.B) {
 	ds := benchDataset(b, "reddit-sim")
 	args := aggArgs(ds)
@@ -135,16 +137,15 @@ func BenchmarkFig4OptimizationLadder(b *testing.B) {
 		name string
 		opt  spmm.Options
 	}{
-		{"static", spmm.Options{NumBlocks: 1, Schedule: spmm.ScheduleStatic}},
-		{"DS", spmm.Options{NumBlocks: 1, Schedule: spmm.ScheduleDynamic}},
-		{"DS_Block", spmm.Options{NumBlocks: 8, Schedule: spmm.ScheduleDynamic}},
-		{"DS_Block_LR", spmm.Options{NumBlocks: 8, Schedule: spmm.ScheduleDynamic, Reordered: true}},
+		{"DS", spmm.Options{NumBlocks: 1}},
+		{"DS_Block", spmm.Options{NumBlocks: 8}},
+		{"DS_Block_LR", spmm.Options{NumBlocks: 8, Reordered: true}},
 	}
 	for _, arm := range arms {
 		plan := spmm.NewPlan(ds.G, arm.opt)
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := plan.Run(args); err != nil {
+				if err := plan.Run(args.FV, args.FO); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -329,7 +330,7 @@ func BenchmarkRuntimeSpMM(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := plan.Run(args); err != nil {
+					if err := plan.Run(args.FV, args.FO); err != nil {
 						b.Fatal(err)
 					}
 				}

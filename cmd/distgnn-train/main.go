@@ -32,6 +32,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"math"
@@ -281,6 +284,7 @@ func main() {
 				*sockets, wall.Seconds(), wall.Seconds()/float64(*epochs))
 		}
 		fmt.Printf("accuracy: train %.2f%%  test %.2f%%\n", 100*res.TrainAcc, 100*res.TestAcc)
+		fmt.Printf("params digest %s\n", paramsDigest(res.Params))
 	}
 	for e, st := range res.Epochs {
 		tel.epoch(e, st.Loss, map[string]any{
@@ -387,6 +391,7 @@ func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
 		}
 		fmt.Printf("accuracy: test %.2f%%  (wall %.2fs, %.3fs/epoch)\n",
 			100*res.TestAcc, wall.Seconds(), wall.Seconds()/float64(len(res.Epochs)))
+		fmt.Printf("params digest %s\n", paramsDigest(res.Params))
 	}
 	for e, st := range res.Epochs {
 		tel.epoch(e, st.Loss, map[string]any{
@@ -420,6 +425,19 @@ func waitChildren(children []*exec.Cmd) {
 		fmt.Fprintln(os.Stderr, "distgnn-train:", err)
 		os.Exit(1)
 	}
+}
+
+// paramsDigest is the SHA-256 of the final parameters' float32 bit
+// patterns, little-endian, cut to 16 hex digits: two runs print the same
+// digest only if they trained the same bits.
+func paramsDigest(params []float32) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, x := range params {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
 // checkFiniteLoss turns a numerically diverged run into a nonzero exit —

@@ -105,14 +105,16 @@ func TestSmoke(t *testing.T) {
 // testTraining: 4-rank cd-0 and cd-rs runs in-process and as real OS
 // processes over loopback TCP both exit 0 (the trainer exits nonzero on a
 // non-finite loss), and their epoch lines (loss and the simulated
-// epoch/LAT/RAT) and accuracy are byte-identical — one rank loop and one
-// collective path on both fabrics.
+// epoch/LAT/RAT), accuracy and final-parameter digest are byte-identical —
+// one rank loop and one collective path on both fabrics, down to the last
+// bit of every weight.
 func testTraining(t *testing.T) {
 	for _, algo := range []string{"cd-0", "cd-rs"} {
 		args := []string{"-sockets", "4", "-algo", algo, "-delay", "2",
 			"-dataset", "reddit-sim", "-scale", "0.05", "-epochs", "8"}
 		inproc := train(t, args...)
 		tcp := train(t, append([]string{"-transport", "tcp", "-spawn-local"}, args...)...)
+		requireDigest(t, inproc)
 		if got, want := epochLines(tcp, nil), epochLines(inproc, nil); got != want {
 			t.Errorf("%s: tcp epoch/accuracy lines differ from in-process:\n%s\nvs\n%s", algo, got, want)
 		}
@@ -121,13 +123,15 @@ func testTraining(t *testing.T) {
 
 // testMinibatch: sampled mini-batch training with sharded features,
 // in-process and as 2 OS processes over loopback TCP, gives byte-identical
-// loss traces and accuracy once the wall times are stripped.
+// loss traces, accuracy and final-parameter digest once the wall times are
+// stripped.
 func testMinibatch(t *testing.T) {
 	args := []string{"-minibatch", "-fanouts", "10,5", "-batch", "256", "-shards", "2",
 		"-dataset", "reddit-sim", "-scale", "0.05", "-epochs", "4"}
 	wall := regexp.MustCompile(`time [^ ]*| \(wall.*`)
 	inproc := train(t, args...)
 	tcp := train(t, append(args, "-transport", "tcp", "-spawn-local")...)
+	requireDigest(t, inproc)
 	if got, want := epochLines(tcp, wall), epochLines(inproc, wall); got != want {
 		t.Errorf("tcp epoch/accuracy lines differ from in-process:\n%s\nvs\n%s", got, want)
 	}
@@ -457,12 +461,13 @@ func train(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// epochLines keeps the epoch and accuracy lines of a training log, with
-// strip's matches deleted from each.
+// epochLines keeps the epoch, accuracy and final-parameter digest lines
+// of a training log, with strip's matches deleted from each.
 func epochLines(out string, strip *regexp.Regexp) string {
 	var keep []string
 	for _, ln := range strings.Split(out, "\n") {
-		if strings.HasPrefix(ln, "epoch") || strings.HasPrefix(ln, "accuracy") {
+		if strings.HasPrefix(ln, "epoch") || strings.HasPrefix(ln, "accuracy") ||
+			strings.HasPrefix(ln, "params digest") {
 			if strip != nil {
 				ln = strip.ReplaceAllString(ln, "")
 			}
@@ -470,6 +475,15 @@ func epochLines(out string, strip *regexp.Regexp) string {
 		}
 	}
 	return strings.Join(keep, "\n")
+}
+
+// requireDigest fails t unless the training log prints its final
+// parameters' digest, so epochLines comparisons cover the weights.
+func requireDigest(t *testing.T, out string) {
+	t.Helper()
+	if !strings.Contains(out, "\nparams digest ") {
+		t.Fatalf("training log has no params digest line:\n%s", out)
+	}
 }
 
 // freePorts returns the first of n consecutive loopback ports that are

@@ -175,14 +175,12 @@ func nBHeaders() []string {
 func timeAggKernel(ds *datasets.Dataset, opt spmm.Options, iters int) (time.Duration, error) {
 	plan := spmm.NewPlan(ds.G, opt)
 	out := tensor.New(ds.G.NumVertices, ds.Features.Cols)
-	args := &spmm.Args{G: ds.G, FV: ds.Features, FO: out,
-		Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
-	if err := plan.Run(args); err != nil { // warm up
+	if err := plan.Run(ds.Features, out); err != nil { // warm up
 		return 0, err
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if err := plan.Run(args); err != nil {
+		if err := plan.Run(ds.Features, out); err != nil {
 			return 0, err
 		}
 	}
@@ -278,9 +276,9 @@ func Fig4(opt Options) error {
 			io   float64
 		}{
 			{"baseline", spmm.Options{}, simIO(1, false)},
-			{"+DS", spmm.Options{NumBlocks: 1, Schedule: spmm.ScheduleDynamic}, simIO(1, false)},
-			{"+DS+Block", spmm.Options{NumBlocks: bestNB, Schedule: spmm.ScheduleDynamic}, simIO(bestNB, false)},
-			{"+DS+Block+LR", spmm.Options{NumBlocks: bestNB, Schedule: spmm.ScheduleDynamic, Reordered: true}, simIO(bestNB, true)},
+			{"+DS", spmm.Options{NumBlocks: 1}, simIO(1, false)},
+			{"+DS+Block", spmm.Options{NumBlocks: bestNB}, simIO(bestNB, false)},
+			{"+DS+Block+LR", spmm.Options{NumBlocks: bestNB, Reordered: true}, simIO(bestNB, true)},
 		}
 		t.add(name, arms[0].name, baseTime.String(), f2(arms[0].io), "1.00")
 		for _, arm := range arms[1:] {

@@ -66,14 +66,13 @@ func CalibrateComputeModel() ComputeModel {
 	}
 	out := tensor.New(n, d)
 	plan := spmm.NewPlan(g, spmm.DefaultOptions(2))
-	args := &spmm.Args{G: g, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
-	if err := plan.Run(args); err != nil { // warm up
+	if err := plan.Run(x, out); err != nil { // warm up
 		panic(err)
 	}
 	const aggIters = 5
 	start := time.Now()
 	for i := 0; i < aggIters; i++ {
-		if err := plan.Run(args); err != nil {
+		if err := plan.Run(x, out); err != nil {
 			panic(err)
 		}
 	}

@@ -162,7 +162,7 @@ func TestShardedGatherRejectsWrongOwner(t *testing.T) {
 	// Lie about ownership: claim rank 1 owns vertex 0 (it owns odd IDs).
 	badOwners := append([]int32(nil), owners...)
 	badOwners[0] = 1
-	if _, err := stores[0].GatherSplit([]int32{0}, SplitByOwner([]int32{0}, badOwners, shards)); err == nil {
+	if _, err := stores[0].GatherSplit([]int32{0}, SplitByOwner([]int32{0}, badOwners, shards), nil); err == nil {
 		t.Fatal("gather with a wrong owner table succeeded")
 	}
 }

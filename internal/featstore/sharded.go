@@ -286,24 +286,19 @@ func (st *Sharded) handleFetch(from int, trace uint64, req []float32) ([]float32
 // Gather materializes the frontier's feature rows: local positions from the
 // slab, halo positions from the cache or the fabric.
 func (st *Sharded) Gather(frontier []int32) (*tensor.Matrix, error) {
-	return st.GatherSplit(frontier, SplitByOwner(frontier, st.owners, st.shards))
+	return st.GatherSplit(frontier, SplitByOwner(frontier, st.owners, st.shards), nil)
 }
 
 // GatherSplit is Gather with the owner split precomputed (split[p] lists
 // the frontier positions owned by rank p, as minibatch.SplitByOwner
 // returns) — for callers that resolve ownership once per request and reuse
 // it. Halo positions are served from the remote cache or batched into one
-// fetch per owner rank, fanned out concurrently.
-func (st *Sharded) GatherSplit(frontier []int32, split [][]int32) (*tensor.Matrix, error) {
-	return st.GatherSplitTraced(frontier, split, nil)
-}
-
-// GatherSplitTraced is GatherSplit with request tracing: a non-nil tc gets
-// one halo_rtt_rank<p> span per peer fetch, and tc's trace ID rides the
-// fetch frames so owner ranks attribute the served work to the same
-// request. The gathered bits are identical either way — tracing only
-// observes.
-func (st *Sharded) GatherSplitTraced(frontier []int32, split [][]int32, tc *obs.TraceCtx) (*tensor.Matrix, error) {
+// fetch per owner rank, fanned out concurrently. A non-nil tc gets one
+// halo_rtt_rank<p> span per peer fetch, and tc's trace ID rides the fetch
+// frames so owner ranks attribute the served work to the same request;
+// pass nil when untraced. The gathered bits are identical either way —
+// tracing only observes.
+func (st *Sharded) GatherSplit(frontier []int32, split [][]int32, tc *obs.TraceCtx) (*tensor.Matrix, error) {
 	x := tensor.New(len(frontier), st.featDim)
 
 	for _, i := range split[st.rank] {

@@ -43,7 +43,7 @@ func TestGatherSplitTraced(t *testing.T) {
 	id := obs.NewTraceID()
 	tc := obs.NewTraceCtx(id)
 	split := SplitByOwner(frontier, owners, shards)
-	x, err := stores[0].GatherSplitTraced(frontier, split, tc)
+	x, err := stores[0].GatherSplit(frontier, split, tc)
 	if err != nil {
 		t.Fatal(err)
 	}

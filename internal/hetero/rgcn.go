@@ -108,12 +108,11 @@ func (m *RGCN) aggregateRel(r int, x *tensor.Matrix) *tensor.Matrix {
 	start := time.Now()
 	sub := m.T.Relation(r)
 	out := tensor.New(x.Rows, x.Cols)
-	args := &spmm.Args{G: sub, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
 	var err error
 	if m.Cfg.UseBaselineAgg {
-		err = spmm.Baseline(args)
+		err = spmm.Baseline(&spmm.Args{G: sub, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum})
 	} else {
-		err = m.fwdPlans[r].Run(args)
+		err = m.fwdPlans[r].Run(x, out)
 	}
 	if err != nil {
 		panic(err)
@@ -127,8 +126,7 @@ func (m *RGCN) aggregateRel(r int, x *tensor.Matrix) *tensor.Matrix {
 func (m *RGCN) aggregateRelReverse(r int, g *tensor.Matrix) *tensor.Matrix {
 	start := time.Now()
 	out := tensor.New(g.Rows, g.Cols)
-	args := &spmm.Args{G: m.bwdPlans[r].G, FV: g, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
-	if err := m.bwdPlans[r].Run(args); err != nil {
+	if err := m.bwdPlans[r].Run(g, out); err != nil {
 		panic(err)
 	}
 	m.AggTime += time.Since(start)

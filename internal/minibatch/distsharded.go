@@ -78,7 +78,7 @@ func TrainSharded(ds *datasets.Dataset, cfg ShardedTrainConfig) (*DistResult, er
 		defer store.Close()
 		res, err := trainRank(ds, cfg.DistConfig, world, func(s *Sample) (spmm.FeatRows, []int32, error) {
 			frontier := s.InputFrontier()
-			x, err := store.GatherSplit(frontier, featstore.SplitByOwner(frontier, owners, cfg.NumRanks))
+			x, err := store.GatherSplit(frontier, featstore.SplitByOwner(frontier, owners, cfg.NumRanks), nil)
 			return spmm.RowsOf(x), nil, err
 		})
 		if err != nil {

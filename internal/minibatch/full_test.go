@@ -69,7 +69,7 @@ func TestAggregateGCNFullBlockMatchesKernelBitwise(t *testing.T) {
 	// Reference: the model's forward path (plan kernel, self add, norm).
 	ref := tensor.New(g.NumVertices, x.Cols)
 	plan := spmm.NewPlan(g, spmm.DefaultOptions(1))
-	if err := plan.Run(&spmm.Args{G: g, FV: x, FO: ref, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}); err != nil {
+	if err := plan.Run(x, ref); err != nil {
 		t.Fatal(err)
 	}
 	ref.Add(x)

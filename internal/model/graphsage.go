@@ -69,10 +69,6 @@ type Config struct {
 	Aggregator Aggregator
 	// GINEps is ε of the GIN combine (used when Aggregator == AggGIN).
 	GINEps float64
-	// AggOpt configures the aggregation-primitive kernel; the zero value
-	// (defaulted in New) is the fully optimized configuration with the
-	// block count pickNumBlocks chooses.
-	AggOpt spmm.Options
 	// UseBaselineAgg forces the Alg. 1 baseline kernel — the "DGL 0.5.3
 	// baseline" arm of Fig. 2.
 	UseBaselineAgg bool
@@ -144,13 +140,11 @@ func New(g *graph.CSR, cfg Config, norm []float32) (*GraphSAGE, error) {
 		if len(norm) != g.NumVertices {
 			return nil, fmt.Errorf("model: norm length %d != vertices %d", len(norm), g.NumVertices)
 		}
-		if cfg.AggOpt == (spmm.Options{}) {
-			m.Cfg.AggOpt = spmm.DefaultOptions(pickNumBlocks(g))
-		}
 		m.Norm = norm
 		if !cfg.UseBaselineAgg {
-			m.fwdPlan = spmm.NewPlan(g, m.Cfg.AggOpt)
-			m.bwdPlan = spmm.NewPlan(g.Reverse(), m.Cfg.AggOpt)
+			opt := spmm.DefaultOptions(pickNumBlocks(g))
+			m.fwdPlan = spmm.NewPlan(g, opt)
+			m.bwdPlan = spmm.NewPlan(g.Reverse(), opt)
 		} else {
 			// Baseline still needs the reverse graph for backward.
 			m.bwdPlan = spmm.NewPlan(g.Reverse(), spmm.Options{NumBlocks: 1})
@@ -209,12 +203,11 @@ func pickNumBlocks(g *graph.CSR) int {
 func (m *GraphSAGE) aggregate(x *tensor.Matrix) *tensor.Matrix {
 	start := time.Now()
 	out := tensor.New(x.Rows, x.Cols)
-	args := &spmm.Args{G: m.G, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
 	var err error
 	if m.Cfg.UseBaselineAgg {
-		err = spmm.Baseline(args)
+		err = spmm.Baseline(&spmm.Args{G: m.G, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum})
 	} else {
-		err = m.fwdPlan.Run(args)
+		err = m.fwdPlan.Run(x, out)
 	}
 	if err != nil {
 		panic(err) // shapes are constructed internally; cannot fail
@@ -227,8 +220,7 @@ func (m *GraphSAGE) aggregate(x *tensor.Matrix) *tensor.Matrix {
 func (m *GraphSAGE) aggregateReverse(g *tensor.Matrix) *tensor.Matrix {
 	start := time.Now()
 	out := tensor.New(g.Rows, g.Cols)
-	args := &spmm.Args{G: m.bwdPlan.G, FV: g, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
-	if err := m.bwdPlan.Run(args); err != nil {
+	if err := m.bwdPlan.Run(g, out); err != nil {
 		panic(err)
 	}
 	m.AggTime += time.Since(start)

@@ -7,7 +7,6 @@ import (
 
 	"distgnn/internal/graph"
 	"distgnn/internal/nn"
-	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
 )
 
@@ -280,18 +279,5 @@ func TestNumParams(t *testing.T) {
 	// layer0: 4×8 + 8 bias; layer1: 8×3 + 3 bias = 32+8+24+3 = 67.
 	if got := m.NumParams(); got != 67 {
 		t.Fatalf("NumParams = %d, want 67", got)
-	}
-}
-
-func TestAggOptRespected(t *testing.T) {
-	g := smallGraph()
-	cfg := smallConfig(2)
-	cfg.AggOpt = spmm.Options{NumBlocks: 2, Schedule: spmm.ScheduleStatic}
-	m, err := New(g, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cfg.AggOpt.NumBlocks != 2 {
-		t.Fatal("AggOpt overridden")
 	}
 }

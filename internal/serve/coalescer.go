@@ -128,14 +128,10 @@ func NewCoalescer(infer func([]int32, *obs.TraceCtx) (*tensor.Matrix, error), ma
 // Submit enqueues one vertex query and blocks until its result row (a
 // private copy) is ready, the context is canceled, the admission bound
 // rejects it (ErrSaturated), or the coalescer closes (ErrCoalescerClosed).
-func (c *Coalescer) Submit(ctx context.Context, vertex int32) ([]float32, error) {
-	return c.SubmitTraced(ctx, vertex, nil)
-}
-
-// SubmitTraced is Submit with request tracing: a non-nil tc receives a
-// queue_wait span (admission → batch start) plus the batch's inference-stage
-// spans, re-based onto the request's clock. The result bits are identical.
-func (c *Coalescer) SubmitTraced(ctx context.Context, vertex int32, tc *obs.TraceCtx) ([]float32, error) {
+// A non-nil tc receives a queue_wait span (admission → batch start) plus
+// the batch's inference-stage spans, re-based onto the request's clock;
+// pass nil when untraced. The result bits are identical either way.
+func (c *Coalescer) Submit(ctx context.Context, vertex int32, tc *obs.TraceCtx) ([]float32, error) {
 	if n := c.pending.Add(1); c.maxPending > 0 && n > c.maxPending {
 		c.pending.Add(-1)
 		c.shed.Add(1)

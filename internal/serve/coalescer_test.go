@@ -45,7 +45,7 @@ func TestCoalescerMergesConcurrentRequests(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			v := int32(i % 8) // heavy duplication across requests
-			row, err := c.Submit(context.Background(), v)
+			row, err := c.Submit(context.Background(), v, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -80,7 +80,7 @@ func TestCoalescerBatchOfOneMode(t *testing.T) {
 	c := NewCoalescer(echoInfer(&calls, &seen), 1, time.Millisecond, 0)
 	defer c.Close()
 	for i := 0; i < 5; i++ {
-		row, err := c.Submit(context.Background(), int32(i))
+		row, err := c.Submit(context.Background(), int32(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestCoalescerIdleStartsAtOnce(t *testing.T) {
 	defer c.Close()
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		row, err := c.Submit(context.Background(), 42)
+		row, err := c.Submit(context.Background(), 42, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func awaitEntered(t *testing.T, entered <-chan struct{}) {
 func submitAsync(c *Coalescer, v int32) <-chan error {
 	res := make(chan error, 1)
 	go func() {
-		row, err := c.Submit(context.Background(), v)
+		row, err := c.Submit(context.Background(), v, nil)
 		if err == nil && int32(row[0]) != v {
 			err = fmt.Errorf("vertex %d got row %v", v, row[0])
 		}
@@ -267,7 +267,7 @@ func TestCoalescerPropagatesInferenceError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	c := NewCoalescer(func([]int32, *obs.TraceCtx) (*tensor.Matrix, error) { return nil, boom }, 4, time.Millisecond, 0)
 	defer c.Close()
-	if _, err := c.Submit(context.Background(), 1); err == nil {
+	if _, err := c.Submit(context.Background(), 1, nil); err == nil {
 		t.Fatal("error swallowed")
 	}
 }
@@ -282,7 +282,7 @@ func TestCoalescerContextCancel(t *testing.T) {
 	defer close(block)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, err := c.Submit(ctx, 1); err == nil {
+	if _, err := c.Submit(ctx, 1, nil); err == nil {
 		t.Fatal("canceled submit returned no error")
 	}
 }
@@ -291,7 +291,7 @@ func TestCoalescerClosedSubmitFails(t *testing.T) {
 	var calls, seen atomic.Int64
 	c := NewCoalescer(echoInfer(&calls, &seen), 4, time.Millisecond, 0)
 	c.Close()
-	if _, err := c.Submit(context.Background(), 1); err == nil {
+	if _, err := c.Submit(context.Background(), 1, nil); err == nil {
 		t.Fatal("submit after close succeeded")
 	}
 }
@@ -315,7 +315,7 @@ func TestCoalescerCloseNeverStrandsSubmit(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				// Cancel-free context: pre-fix, this Submit could hang.
-				row, err := c.Submit(context.Background(), int32(i))
+				row, err := c.Submit(context.Background(), int32(i), nil)
 				switch {
 				case err == nil:
 					if int32(row[0]) != int32(i) {
@@ -362,7 +362,7 @@ func TestCoalescerAdmissionControlSheds(t *testing.T) {
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			_, err := c.Submit(context.Background(), int32(i))
+			_, err := c.Submit(context.Background(), int32(i), nil)
 			results <- err
 		}(i)
 	}
@@ -373,7 +373,7 @@ func TestCoalescerAdmissionControlSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := c.Submit(context.Background(), 99); err != ErrSaturated {
+	if _, err := c.Submit(context.Background(), 99, nil); err != ErrSaturated {
 		t.Fatalf("over-budget Submit: got %v, want ErrSaturated", err)
 	}
 	if st := c.Stats(); st.Shed != 1 || st.MaxPending != 2 {
@@ -398,7 +398,7 @@ func TestCoalescerCloseWaitsForDrain(t *testing.T) {
 	c := NewCoalescer(echoInfer(&calls, &seen), 4, time.Millisecond, 0)
 	c.Close()
 	start := time.Now()
-	if _, err := c.Submit(context.Background(), 1); err != ErrCoalescerClosed {
+	if _, err := c.Submit(context.Background(), 1, nil); err != ErrCoalescerClosed {
 		t.Fatalf("post-close Submit: got %v", err)
 	}
 	if d := time.Since(start); d > time.Second {

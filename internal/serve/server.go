@@ -352,7 +352,7 @@ func (s *Server) lookup(r *http.Request, vertex int32, tc *obs.TraceCtx) ([]floa
 	if row, ok := s.emb.Get(vertex); ok {
 		return row, nil
 	}
-	return s.co.SubmitTraced(r.Context(), vertex, tc)
+	return s.co.Submit(r.Context(), vertex, tc)
 }
 
 // traceCtx opens the per-request trace context: nil when the whole obs

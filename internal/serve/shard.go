@@ -257,7 +257,7 @@ func (sf *shardFeatures) sampleExact(topo graph.Topology, seeds []int32, hops in
 	s, split := minibatch.FullSampleOwned(topo, seeds, hops, fs.Owners(), fs.Shards())
 	stop()
 	stop = tc.StartSpan("gather")
-	x, err := fs.GatherSplitTraced(s.InputFrontier(), split, tc)
+	x, err := fs.GatherSplit(s.InputFrontier(), split, tc)
 	stop()
 	return s, x, err
 }

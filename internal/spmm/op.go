@@ -9,18 +9,19 @@
 //
 //   - Baseline — Alg. 1: per-destination parallel loop with per-edge
 //     interpreted operator dispatch, static scheduling (the DGL baseline).
+//     It alone runs every (⊗, ⊕) pair.
 //   - +Dynamic scheduling — chunked work queue over destination vertices.
 //   - +Cache blocking — Alg. 2: source-range blocks processed outermost.
-//   - +Loop reordering — Alg. 3: feature-dimension tiles held in registers
-//     across a vertex's neighbors, with monomorphic specialized kernels.
-//     LIBXSMM JITs the SIMD body; here the copylhs/sum hot path runs the
-//     AVX assembly of tensor.GatherSum (pure Go off amd64 or under -tags
-//     purego) and the other reordered kernels a Go stack tile.
+//   - +Loop reordering — Alg. 3: each output row held in registers across
+//     a vertex's neighbors. LIBXSMM JITs the SIMD body; here it is the AVX
+//     assembly of tensor.GatherSum (pure Go off amd64 or under -tags
+//     purego).
 //
-// Training runs the full stack, DefaultOptions, with a block count chosen
-// from the vertex count (model.Config.AggOpt overrides it); the lower rungs
-// remain as Fig. 4 ablation arms. GatherAggGCNSum fuses the mini-batch and
-// serving frontier gather into the copylhs/sum aggregate.
+// The optimized kernels (Plan) run copylhs/sum only, f_O[v] = Σ_u f_V[u],
+// the one pair every caller aggregates with. Training runs the full stack,
+// DefaultOptions, with a block count chosen from the vertex count; the
+// lower rungs remain as Fig. 4 ablation arms. GatherAggGCNSum fuses the
+// mini-batch and serving frontier gather into the copylhs/sum aggregate.
 package spmm
 
 import "fmt"
@@ -55,9 +56,6 @@ func (o Op) String() string {
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
-
-// IsUnary reports whether the operator uses only one operand.
-func (o Op) IsUnary() bool { return o == OpCopyLHS || o == OpCopyRHS }
 
 // Reduce is the elementwise ⊕ reducer that folds per-edge results into f_O.
 type Reduce uint8

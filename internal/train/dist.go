@@ -109,6 +109,9 @@ type DistResult struct {
 	SplitFrac   []float64 // per-rank split-vertex fraction
 	EdgeBalance float64
 	NumParams   int
+	// Params is the final flattened parameter vector (rank 0's replica;
+	// all replicas are identical).
+	Params []float32
 }
 
 // AvgEpochSeconds averages simulated epoch time over epochs [lo, hi),
@@ -381,6 +384,7 @@ func (su *distSetup) run(r *rankCtx) *DistResult {
 		res.Epochs[epoch] = r.runEpoch(epoch)
 	}
 	res.TrainAcc, res.TestAcc = r.evaluate()
+	res.Params = nn.FlattenParams(r.model.Params(), false)
 	return res
 }
 
