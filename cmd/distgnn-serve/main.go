@@ -21,8 +21,8 @@
 // DGL-style sampled neighborhoods for latency at scale.
 //
 // Sharded serving (-shards N) splits the engine across N ranks: each rank
-// owns one vertex partition and its feature slice, any rank routes requests
-// to the owner, and halo features cross the comm fabric (see README
+// owns one vertex partition and its feature slice, the rank a request
+// reaches serves it, and halo features cross the comm fabric (see README
 // "Sharded serving"). Exact-mode logits stay bit-identical to a
 // single-process server:
 //
@@ -85,7 +85,7 @@ func main() {
 		"checkpoint output width when it differs from the dataset's class count (e.g. gat trained with classes padded to a -heads multiple); 0 = class count")
 	fanouts := flag.String("fanouts", "",
 		"comma-separated per-layer neighbor fanouts for sampled inference (e.g. 15,10,5); empty = exact full neighborhoods")
-	addr := flag.String("addr", "127.0.0.1:8399", "HTTP listen address (shard mode: rank r defaults to port+r)")
+	addr := flag.String("addr", "127.0.0.1:8399", "HTTP listen address (shard mode: rank r listens on port+r)")
 	maxBatch := flag.Int("max-batch", 16, "request coalescer: max queries per micro-batch (1 disables coalescing)")
 	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "request coalescer: max time a query waits for batch mates while a batch is in flight (an idle server starts a batch at once)")
 	featCacheMB := flag.Float64("feature-cache-mb", 64, "gathered-feature cache budget in MB (0 disables; shard mode: the halo feature cache)")
@@ -96,8 +96,6 @@ func main() {
 	rank := flag.Int("rank", 0, "shard mode, tcp: this process's rank")
 	transport := flag.String("transport", "inproc",
 		"shard fabric: inproc (all shards in this process) or tcp (this process is one rank of a fleet)")
-	peers := flag.String("peers", "",
-		"shard mode: comma-separated rank→HTTP addresses; empty derives rank r as -addr's port+r")
 	commPeers := flag.String("comm-peers", "",
 		"shard mode, tcp: comma-separated rank→comm listen addresses; only the rank-0 entry (rendezvous registry) is required")
 	commListen := flag.String("comm-listen", "",
@@ -189,7 +187,7 @@ func main() {
 		top.Frontend = *addr
 		httpAddrs, err = serve.BackendAddrs(*addr, *shards**replicas)
 	} else {
-		httpAddrs, err = shardHTTPAddrs(*peers, *addr, *shards)
+		httpAddrs, err = shardHTTPAddrs(*addr, *shards)
 	}
 	if err != nil {
 		fatal(err)
@@ -227,7 +225,7 @@ func main() {
 	}
 
 	if tcpMode {
-		srv, err := top.NewRank(ds, ckpt, cfg, tr, httpAddrs)
+		srv, err := top.NewRank(ds, ckpt, cfg, tr, httpAddrs[*rank])
 		if err != nil {
 			fatal(err)
 		}
@@ -414,43 +412,33 @@ func spawnReplicas(top serve.Topology, addr string, sig <-chan os.Signal) {
 }
 
 // rankArgs are the flags that make a spawned child backend b: rank
-// b%shards of replica b/shards, listening on backends[b] and, for a
-// multi-shard replica, meeting its peers at the replica's comm registry
-// (hosted by its rank 0). They override the parent's flags the child
-// inherits, -comm-listen included.
+// b%shards of replica b/shards, listening on backends[b] (the replica's
+// rank-0 address as -addr, plus the rank; BackendAddrs lays a replica's
+// ranks out on consecutive ports) and, for a multi-shard replica, meeting
+// its peers at the replica's comm registry (hosted by its rank 0). They
+// override the parent's flags the child inherits, -comm-listen included.
 func rankArgs(backends, registries []string, shards, b int) []string {
 	rep, r := b/shards, b%shards
 	args := []string{
 		"-replicas=1", "-spawn-local=false",
 		fmt.Sprintf("-shards=%d", shards), fmt.Sprintf("-rank=%d", r),
-		"-addr=" + backends[b],
+		"-addr=" + backends[rep*shards],
 	}
 	if shards == 1 {
 		return append(args, "-transport=inproc")
 	}
-	fleet := backends[rep*shards : rep*shards+shards]
-	args = append(args, "-transport=tcp", "-peers="+strings.Join(fleet, ","))
+	args = append(args, "-transport=tcp")
 	if r == 0 {
 		return append(args, "-comm-listen="+registries[rep], "-comm-peers=")
 	}
 	return append(args, "-comm-listen=", "-comm-peers="+registries[rep])
 }
 
-// shardHTTPAddrs resolves a shard fleet's HTTP addresses: an explicit -peers
-// list, or rank 0 on base and rank r on base's port + r.
-func shardHTTPAddrs(peers, base string, shards int) ([]string, error) {
-	if peers == "" {
-		rest, err := serve.BackendAddrs(base, shards-1)
-		return append([]string{base}, rest...), err
-	}
-	list := strings.Split(peers, ",")
-	if len(list) != shards {
-		return nil, fmt.Errorf("-peers lists %d addresses for %d shards", len(list), shards)
-	}
-	for i := range list {
-		list[i] = strings.TrimSpace(list[i])
-	}
-	return list, nil
+// shardHTTPAddrs lays a shard fleet's HTTP addresses out from base: rank 0
+// on base and rank r on base's port + r.
+func shardHTTPAddrs(base string, shards int) ([]string, error) {
+	rest, err := serve.BackendAddrs(base, shards-1)
+	return append([]string{base}, rest...), err
 }
 
 func fatal(err error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"distgnn/internal/serve"
@@ -14,7 +13,8 @@ import (
 // TestSmoke/replica-kill relies on: with the frontend on -addr
 // 127.0.0.1:8450, -shards 2 and -replicas 2, backend b = rep·2 + rank
 // listens on 8451 + b, so replica 0 (whose processes the smoke finds by
-// their -addr and SIGKILLs) is exactly 8451 and 8452.
+// their -addr and -rank and SIGKILLs) is exactly 8451 and 8452: each child
+// gets its replica's rank-0 address as -addr and listens on its port + rank.
 func TestReplicatedLayout(t *testing.T) {
 	const shards = 2
 	backends, err := serve.BackendAddrs("127.0.0.1:8450", shards*2)
@@ -33,11 +33,13 @@ func TestReplicatedLayout(t *testing.T) {
 			registry = "-comm-listen=" + registries[rep]
 		}
 		args := rankArgs(backends, registries, shards, b)
-		for _, arg := range []string{"-addr=" + addr, fmt.Sprintf("-rank=%d", r), "-shards=2", "-transport=tcp",
-			"-peers=" + strings.Join(want[rep*shards:rep*shards+shards], ","), registry} {
+		for _, arg := range []string{"-addr=" + want[rep*shards], fmt.Sprintf("-rank=%d", r), "-shards=2", "-transport=tcp", registry} {
 			if !slices.Contains(args, arg) {
 				t.Fatalf("backend %d args %v lack %s", b, args, arg)
 			}
+		}
+		if got, err := shardHTTPAddrs(want[rep*shards], shards); err != nil || got[r] != addr {
+			t.Fatalf("backend %d listens on %v[%d] (%v), want %s", b, got, r, err, addr)
 		}
 	}
 	if args := rankArgs(backends, registries, 1, 3); !slices.Contains(args, "-transport=inproc") ||
@@ -47,19 +49,11 @@ func TestReplicatedLayout(t *testing.T) {
 }
 
 func TestShardHTTPAddrs(t *testing.T) {
-	got, err := shardHTTPAddrs("", "127.0.0.1:8441", 3)
+	got, err := shardHTTPAddrs("127.0.0.1:8441", 3)
 	if want := []string{"127.0.0.1:8441", "127.0.0.1:8442", "127.0.0.1:8443"}; err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("derived addrs %v (%v), want %v", got, err, want)
 	}
-	got, err = shardHTTPAddrs("h0:1, h1:2", "127.0.0.1:8441", 2)
-	if want := []string{"h0:1", "h1:2"}; err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("-peers addrs %v (%v), want %v", got, err, want)
-	}
-	if _, err := shardHTTPAddrs("h0:1,h1:2", "127.0.0.1:8441", 3); err == nil ||
-		!strings.Contains(err.Error(), "lists 2 addresses for 3 shards") {
-		t.Fatalf("length mismatch: err %v", err)
-	}
-	if _, err := shardHTTPAddrs("", "no-port", 2); err == nil {
+	if _, err := shardHTTPAddrs("no-port", 2); err == nil {
 		t.Fatal("an -addr without a port must be rejected")
 	}
 }

@@ -157,8 +157,8 @@ func testServe(t *testing.T) {
 }
 
 // testSharded: a 2-shard fleet (rank 0 forks rank 1, comm over loopback
-// TCP) answers the same vertex on both ranks with the same bytes, and one
-// of the two requests was routed to the owner.
+// TCP) answers the same vertex on both ranks with the same bytes, and each
+// entry rank served its own request.
 func testSharded(t *testing.T) {
 	port := freePorts(t, 2)
 	f := startFleet(t, "-checkpoint", ckpt, "-shards", "2", "-transport", "tcp", "-spawn-local",
@@ -184,9 +184,9 @@ func testSharded(t *testing.T) {
 	if s0.Shard.OwnedVertices+s1.Shard.OwnedVertices <= 0 {
 		t.Errorf("no owned vertices: %+v, %+v", *s0.Shard, *s1.Shard)
 	}
-	// One entry rank was not the owner, so one request was proxied.
-	if s0.Shard.RoutedOut+s1.Shard.RoutedOut < 1 {
-		t.Errorf("nothing routed: %+v, %+v", *s0.Shard, *s1.Shard)
+	// Whichever rank owns vertex 5, the rank a request reached served it.
+	if s0.Predicts != 1 || s1.Predicts != 1 {
+		t.Errorf("predicts %d, %d, want 1 on each entry rank", s0.Predicts, s1.Predicts)
 	}
 }
 
@@ -306,8 +306,10 @@ func testReplicaKill(t *testing.T) {
 	f.waitHealthy(t, port, port+1, port+2, port+3, port+4)
 	before := f.get(t, port, "/predict?vertex=5")
 
-	for _, p := range []int{port + 1, port + 2} {
-		kill(childWithArg(t, f.cmd.Process.Pid, "-addr="+addr(p)))
+	// Replica 0's ranks both take its rank-0 address as -addr and listen
+	// on its port + rank.
+	for r, p := range []int{port + 1, port + 2} {
+		kill(childWithArgs(t, f.cmd.Process.Pid, "-addr="+addr(port+1), fmt.Sprintf("-rank=%d", r)))
 		waitDown(t, p)
 	}
 	for v := 1; v <= 30; v++ {
@@ -756,15 +758,17 @@ func isServeProcess(pid int) bool {
 	return len(args) > 0 && args[0] == serveBin
 }
 
-// childWithArg returns the child of parent whose arguments include arg.
-func childWithArg(t *testing.T, parent int, arg string) int {
+// childWithArgs returns the child of parent whose arguments include every
+// one of args.
+func childWithArgs(t *testing.T, parent int, args ...string) int {
 	t.Helper()
 	for _, pid := range childPIDs(parent) {
-		if slices.Contains(cmdline(pid), arg) {
+		cmd := cmdline(pid)
+		if !slices.ContainsFunc(args, func(a string) bool { return !slices.Contains(cmd, a) }) {
 			return pid
 		}
 	}
-	t.Fatalf("no child of %d runs with %s", parent, arg)
+	t.Fatalf("no child of %d runs with %v", parent, args)
 	return 0
 }
 

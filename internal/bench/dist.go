@@ -6,7 +6,6 @@ import (
 	"distgnn/internal/model"
 	"distgnn/internal/partition"
 	"distgnn/internal/train"
-	"distgnn/internal/workmodel"
 )
 
 // table4Sweeps mirrors Table 4's partition counts per dataset (scaled: the
@@ -234,7 +233,7 @@ func Table6(opt Options) error {
 				splitCounts[c.Part]++
 			}
 		}
-		p := workmodel.MemoryParams{
+		p := memoryParams{
 			N: pt.Parts[maxPart].NumLocal(),
 			F: ds.Features.Cols, H1: 64, H2: 64, L: ds.NumClasses,
 			Edges:         pt.Parts[maxPart].G.NumEdges,
@@ -242,7 +241,7 @@ func Table6(opt Options) error {
 			Delay:         fig5Delay,
 		}
 		mem := func(algo string) string {
-			b, err := workmodel.Memory(p, algo)
+			b, err := memoryModel(p, algo)
 			if err != nil {
 				return "?"
 			}
@@ -254,8 +253,7 @@ func Table6(opt Options) error {
 			avg += f
 		}
 		avg /= float64(len(fracs))
-		t.add(fmt.Sprint(k), mem(workmodel.AlgoCD0), mem(workmodel.AlgoCDR),
-			mem(workmodel.Algo0C), pct(avg))
+		t.add(fmt.Sprint(k), mem(algoCD0), mem(algoCDR), mem(algo0C), pct(avg))
 	}
 	t.write(opt.Out)
 	return nil

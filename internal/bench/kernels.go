@@ -33,7 +33,7 @@ const (
 	kernelBenchHidden  = 64
 	kernelBenchBatch   = 512
 	kernelBenchFanout  = 10
-	kernelBenchMinTime = 0.05 // seconds of work per timing sample
+	kernelBenchMinTime = 50 * time.Millisecond // work per timing sample
 )
 
 // KernelBenchRow is one (d, arm) measurement over the shared block.
@@ -103,9 +103,9 @@ func AblationKernels(opt Options) error {
 		arms := []struct {
 			name  string
 			bytes float64
-			run   func()
+			run   func() error
 		}{
-			{"gathered-fp32", gatherRT + rowReads*4, func() {
+			{"gathered-fp32", gatherRT + rowReads*4, func() error {
 				// The pre-fusion pipeline exactly: a fresh |frontier|×d
 				// gathered matrix per pass, filled row by row through
 				// FeatRows.CopyRow (what gatherFeatures did per sample),
@@ -117,15 +117,21 @@ func AblationKernels(opt Options) error {
 				}
 				out := model.AggregateGCN(blk.Indptr, blk.Indices, blk.SelfIdx, spmm.RowsOf(gathered), nil)
 				kernelSink += out.Data[0]
+				return nil
 			}},
-			{"fused-fp32", rowReads * 4, func() {
+			{"fused-fp32", rowReads * 4, func() error {
 				out := model.AggregateGCN(blk.Indptr, blk.Indices, blk.SelfIdx, spmm.RowsOf(x), frontier)
 				kernelSink += out.Data[0]
+				return nil
 			}},
 		}
 		var gatheredSec float64
 		for i, arm := range arms {
-			sec := timePass(arm.run)
+			pass, err := timePass(arm.run)
+			if err != nil {
+				return err
+			}
+			sec := pass.Seconds()
 			if i == 0 {
 				gatheredSec = sec
 			}
@@ -201,12 +207,16 @@ func syntheticFeatures(n, d int) *tensor.Matrix {
 }
 
 // timePass returns the min-of-5 per-pass wall time, with the rep count
-// sized so each timing sample covers at least kernelBenchMinTime seconds.
-func timePass(f func()) float64 {
-	f() // warm caches and the allocator
+// sized so each timing sample covers at least kernelBenchMinTime. The
+// untimed warm-up pass also checks f's operands: its error is returned;
+// the timed passes run the same operands and skip the check.
+func timePass(f func() error) (time.Duration, error) {
+	if err := f(); err != nil { // also warms caches and the allocator
+		return 0, err
+	}
 	t0 := time.Now()
 	f()
-	once := time.Since(t0).Seconds()
+	once := time.Since(t0)
 	reps := 1
 	if once > 0 && once < kernelBenchMinTime {
 		reps = int(kernelBenchMinTime/once) + 1
@@ -214,15 +224,15 @@ func timePass(f func()) float64 {
 	if reps > 200 {
 		reps = 200
 	}
-	best := math.Inf(1)
+	best := time.Duration(math.MaxInt64)
 	for r := 0; r < 5; r++ {
 		t0 := time.Now()
 		for k := 0; k < reps; k++ {
 			f()
 		}
-		if sec := time.Since(t0).Seconds() / float64(reps); sec < best {
-			best = sec
+		if d := time.Since(t0) / time.Duration(reps); d < best {
+			best = d
 		}
 	}
-	return best
+	return best, nil
 }

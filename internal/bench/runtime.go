@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"distgnn/internal/parallel"
 	"distgnn/internal/spmm"
@@ -18,7 +17,6 @@ func AblationWorkers(opt Options) error {
 	if err != nil {
 		return err
 	}
-	iters := opt.epochs(5)
 	maxW := runtime.GOMAXPROCS(0)
 	sweep := []int{1}
 	for w := 2; w < maxW; w *= 2 {
@@ -38,15 +36,14 @@ func AblationWorkers(opt Options) error {
 	defer parallel.Configure(parallel.Config{Workers: prev}) // restore the caller's pool
 	for _, w := range sweep {
 		parallel.Configure(parallel.Config{Workers: w})
-		ap, err := timeAggKernel(ds, spmm.DefaultOptions(8), iters)
+		ap, err := timeAggKernel(ds, spmm.DefaultOptions(8))
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		for i := 0; i < 4*iters; i++ {
-			tensor.MatMul(c, a, bm)
+		mm, err := timePass(func() error { tensor.MatMul(c, a, bm); return nil })
+		if err != nil {
+			return err
 		}
-		mm := time.Since(start) / time.Duration(4*iters)
 		t.add(fmt.Sprint(w), ap.String(), mm.String())
 	}
 	t.write(opt.Out)

@@ -172,19 +172,10 @@ func nBHeaders() []string {
 
 // timeAggKernel measures the optimized AP kernel (copylhs/sum over the
 // dataset's features) for one configuration.
-func timeAggKernel(ds *datasets.Dataset, opt spmm.Options, iters int) (time.Duration, error) {
+func timeAggKernel(ds *datasets.Dataset, opt spmm.Options) (time.Duration, error) {
 	plan := spmm.NewPlan(ds.G, opt)
 	out := tensor.New(ds.G.NumVertices, ds.Features.Cols)
-	if err := plan.Run(ds.Features, out); err != nil { // warm up
-		return 0, err
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := plan.Run(ds.Features, out); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / time.Duration(iters), nil
+	return timePass(func() error { return plan.Run(ds.Features, out) })
 }
 
 // Fig3 sweeps the block count and reports measured AP kernel time next to
@@ -192,7 +183,6 @@ func timeAggKernel(ds *datasets.Dataset, opt spmm.Options, iters int) (time.Dura
 func Fig3(opt Options) error {
 	t := &table{header: []string{"dataset", "nB", "AP time",
 		"read MB", "written MB", "total MB", "reuse"}}
-	iters := opt.epochs(5)
 	for _, name := range []string{"reddit-sim", "ogbn-products-sim"} {
 		ds, err := loadDataset(name, opt.scale())
 		if err != nil {
@@ -205,7 +195,7 @@ func Fig3(opt Options) error {
 			ReorderedOutput: true,
 		}
 		for _, nB := range blockSweep {
-			elapsed, err := timeAggKernel(ds, spmm.DefaultOptions(nB), iters)
+			elapsed, err := timeAggKernel(ds, spmm.DefaultOptions(nB))
 			if err != nil {
 				return err
 			}
@@ -226,7 +216,6 @@ func Fig3(opt Options) error {
 // specialized kernels (LR) — on AP time and simulated memory IO.
 func Fig4(opt Options) error {
 	t := &table{header: []string{"dataset", "arm", "AP time", "memory IO MB", "speedup"}}
-	iters := opt.epochs(5)
 	for _, name := range []string{"reddit-sim", "ogbn-products-sim"} {
 		ds, err := loadDataset(name, opt.scale())
 		if err != nil {
@@ -259,16 +248,10 @@ func Fig4(opt Options) error {
 		out := tensor.New(ds.G.NumVertices, ds.Features.Cols)
 		args := &spmm.Args{G: ds.G, FV: ds.Features, FO: out,
 			Op: spmm.OpCopyLHS, Red: spmm.ReduceSum}
-		if err := spmm.Baseline(args); err != nil {
+		baseTime, err := timePass(func() error { return spmm.Baseline(args) })
+		if err != nil {
 			return err
 		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := spmm.Baseline(args); err != nil {
-				return err
-			}
-		}
-		baseTime := time.Since(start) / time.Duration(iters)
 
 		arms := []struct {
 			name string
@@ -282,7 +265,7 @@ func Fig4(opt Options) error {
 		}
 		t.add(name, arms[0].name, baseTime.String(), f2(arms[0].io), "1.00")
 		for _, arm := range arms[1:] {
-			elapsed, err := timeAggKernel(ds, arm.opt, iters)
+			elapsed, err := timeAggKernel(ds, arm.opt)
 			if err != nil {
 				return err
 			}

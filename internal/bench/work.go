@@ -8,7 +8,6 @@ import (
 	"distgnn/internal/minibatch"
 	"distgnn/internal/partition"
 	"distgnn/internal/train"
-	"distgnn/internal/workmodel"
 )
 
 // table7Fanouts are Dist-DGL's per-hop neighbor budgets in Table 7
@@ -72,7 +71,7 @@ func Table7(opt Options) error {
 		blk := s.Blocks[h]
 		deg := float64(blk.NumSampledEdges()) / float64(blk.NumDst)
 		feat := feats[len(s.Blocks)-1-h]
-		hop := workmodel.HopWork{Vertices: blk.NumDst, Degree: deg, Feat: feat}
+		hop := hopWork{Vertices: blk.NumDst, Degree: deg, Feat: feat}
 		perBatch += hop.Ops()
 		t.add(fmt.Sprintf("hop-%d", h), fmt.Sprint(blk.NumDst), f2(deg),
 			fmt.Sprint(feat), f2(hop.Ops()/1e6))
@@ -112,7 +111,7 @@ func Table8(opt Options) error {
 				}
 			}
 		}
-		hops := workmodel.FullBatchHops(vertices, ds.G.AvgDegree(), feats)
+		hops := fullBatchHops(vertices, ds.G.AvgDegree(), feats)
 		var total float64
 		for i, h := range hops {
 			total += h.Ops()
@@ -177,6 +176,6 @@ func Table9(opt Options) error {
 
 func fullBatchOps(vertices int, avgDeg float64, featDim int) float64 {
 	hidden := fig5ModelFor("ogbn-products-sim").Hidden
-	return workmodel.TotalOps(workmodel.FullBatchHops(vertices, avgDeg,
+	return totalOps(fullBatchHops(vertices, avgDeg,
 		[]int{featDim, hidden, hidden}))
 }

@@ -1,15 +1,16 @@
-// Package workmodel provides the analytic accounting the paper uses in its
-// memory and work analyses: the GraphSAGE memory model of §6.3/Table 6 and
-// the per-hop aggregation work model of Tables 7–8 (ops = vertices × degree
-// × feature width).
-package workmodel
+package bench
 
 import "fmt"
 
-// HopWork describes the aggregation work of one hop: the number of
+// workmodel.go is the analytic accounting the paper uses in its memory and
+// work analyses: the GraphSAGE memory model of §6.3/Table 6 and the per-hop
+// aggregation work model of Tables 7–8 (ops = vertices × degree × feature
+// width).
+
+// hopWork describes the aggregation work of one hop: the number of
 // destination vertices, the (average or sampled) degree feeding each, and
 // the feature width at that hop.
-type HopWork struct {
+type hopWork struct {
 	Vertices int
 	Degree   float64
 	Feat     int
@@ -17,13 +18,13 @@ type HopWork struct {
 
 // Ops returns the hop's aggregation work in element operations —
 // the paper's "#vertices × avg. deg. × #feats" product.
-func (h HopWork) Ops() float64 {
+func (h hopWork) Ops() float64 {
 	return float64(h.Vertices) * h.Degree * float64(h.Feat)
 }
 
-// TotalOps sums hop work — one mini-batch (Table 7) or one full-batch
+// totalOps sums hop work — one mini-batch (Table 7) or one full-batch
 // partition epoch (Table 8).
-func TotalOps(hops []HopWork) float64 {
+func totalOps(hops []hopWork) float64 {
 	var total float64
 	for _, h := range hops {
 		total += h.Ops()
@@ -31,24 +32,21 @@ func TotalOps(hops []HopWork) float64 {
 	return total
 }
 
-// BOps converts element operations to the paper's "B Ops" unit.
-func BOps(ops float64) float64 { return ops / 1e9 }
-
-// FullBatchHops builds Table 8's rows: every hop touches all partition
+// fullBatchHops builds Table 8's rows: every hop touches all partition
 // vertices at the graph's average degree; feature widths per hop are
 // (input, hidden, hidden, ...) from the outermost hop inward.
-func FullBatchHops(partitionVertices int, avgDegree float64, feats []int) []HopWork {
-	hops := make([]HopWork, len(feats))
+func fullBatchHops(partitionVertices int, avgDegree float64, feats []int) []hopWork {
+	hops := make([]hopWork, len(feats))
 	for i, f := range feats {
-		hops[i] = HopWork{Vertices: partitionVertices, Degree: avgDegree, Feat: f}
+		hops[i] = hopWork{Vertices: partitionVertices, Degree: avgDegree, Feat: f}
 	}
 	return hops
 }
 
-// MemoryParams feeds the GraphSAGE memory model of §6.3: a 3-layer model
+// memoryParams feeds the GraphSAGE memory model of §6.3: a 3-layer model
 // with hidden sizes H1, H2 over a partition of N vertices with F input
 // features and L label classes.
-type MemoryParams struct {
+type memoryParams struct {
 	N             int // partition vertices (split + non-split)
 	F, H1, H2, L  int
 	Edges         int // partition edges (CSR structure memory)
@@ -56,19 +54,19 @@ type MemoryParams struct {
 	Delay         int // r of cd-r (in-flight buffering multiplier)
 }
 
-// Algorithm names accepted by Memory.
+// Algorithm names accepted by memoryModel.
 const (
-	Algo0C  = "0c"
-	AlgoCD0 = "cd-0"
-	AlgoCDR = "cd-r"
+	algo0C  = "0c"
+	algoCD0 = "cd-0"
+	algoCDR = "cd-r"
 )
 
-// Memory returns the per-partition peak memory estimate in bytes for one
+// memoryModel returns the per-partition peak memory estimate in bytes for one
 // of the three distributed algorithms, following the paper's inventory:
 // (1) weight matrices, (2) input features, (3) aggregation outputs per
 // layer, (4) MLP outputs per layer (all retained for backprop), plus graph
 // structure and algorithm-specific communication buffers.
-func Memory(p MemoryParams, algo string) (int64, error) {
+func memoryModel(p memoryParams, algo string) (int64, error) {
 	const bytesPerFloat = 4
 	n := int64(p.N)
 	f, h1, h2, l := int64(p.F), int64(p.H1), int64(p.H2), int64(p.L)
@@ -87,12 +85,12 @@ func Memory(p MemoryParams, algo string) (int64, error) {
 	commWidth := (f + h1 + h2) * bytesPerFloat
 	split := int64(p.SplitVertices)
 	switch algo {
-	case Algo0C:
+	case algo0C:
 		return base, nil
-	case AlgoCD0:
+	case algoCD0:
 		// Send + receive staging for one synchronous exchange.
 		return base + 2*split*commWidth, nil
-	case AlgoCDR:
+	case algoCDR:
 		// Capture + stale-remote + stale-total buffers sized to the full
 		// partition, plus up to Delay in-flight bundles of the bin volume.
 		delay := int64(p.Delay)
@@ -103,9 +101,6 @@ func Memory(p MemoryParams, algo string) (int64, error) {
 		inflight := 2 * split * commWidth // partials out + totals back
 		return base + buffers + inflight, nil
 	default:
-		return 0, fmt.Errorf("workmodel: unknown algorithm %q", algo)
+		return 0, fmt.Errorf("bench: unknown algorithm %q", algo)
 	}
 }
-
-// GiB converts bytes to gibibytes for Table 6 style reporting.
-func GiB(bytes int64) float64 { return float64(bytes) / (1 << 30) }

@@ -1,4 +1,4 @@
-package workmodel
+package bench
 
 import (
 	"math"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestHopWorkOps(t *testing.T) {
-	h := HopWork{Vertices: 2000, Degree: 15, Feat: 256}
+	h := hopWork{Vertices: 2000, Degree: 15, Feat: 256}
 	if got := h.Ops(); got != 2000*15*256 {
 		t.Fatalf("Ops = %v", got)
 	}
@@ -15,12 +15,12 @@ func TestHopWorkOps(t *testing.T) {
 // Table 7 of the paper: the per-mini-batch work of Dist-DGL on
 // OGBN-Products sums to ≈0.202 B ops with batch 2000 and fan-outs 5/10/15.
 func TestTable7MiniBatchWork(t *testing.T) {
-	hops := []HopWork{
+	hops := []hopWork{
 		{Vertices: 233692, Degree: 5, Feat: 100}, // hop-2
 		{Vertices: 30214, Degree: 10, Feat: 256}, // hop-1
 		{Vertices: 2000, Degree: 15, Feat: 256},  // hop-0
 	}
-	got := BOps(TotalOps(hops))
+	got := totalOps(hops) / 1e9
 	if math.Abs(got-0.202) > 0.005 {
 		t.Fatalf("mini-batch work %.3f B ops, paper reports 0.202", got)
 	}
@@ -29,14 +29,14 @@ func TestTable7MiniBatchWork(t *testing.T) {
 // Table 8 of the paper: full-batch work on OGBN-Products (single socket)
 // sums to ≈77.19 B ops.
 func TestTable8FullBatchWork(t *testing.T) {
-	hops := FullBatchHops(2449029, 51.5, []int{100, 256, 256})
-	got := BOps(TotalOps(hops))
+	hops := fullBatchHops(2449029, 51.5, []int{100, 256, 256})
+	got := totalOps(hops) / 1e9
 	if math.Abs(got-77.19) > 0.3 {
 		t.Fatalf("full-batch work %.2f B ops, paper reports 77.19", got)
 	}
 	// And the 16-socket partition row: ≈18.80 B ops.
-	hops16 := FullBatchHops(596499, 51.5, []int{100, 256, 256})
-	got16 := BOps(TotalOps(hops16))
+	hops16 := fullBatchHops(596499, 51.5, []int{100, 256, 256})
+	got16 := totalOps(hops16) / 1e9
 	if math.Abs(got16-18.80) > 0.1 {
 		t.Fatalf("16-socket work %.2f B ops, paper reports 18.80", got16)
 	}
@@ -44,19 +44,19 @@ func TestTable8FullBatchWork(t *testing.T) {
 
 func TestMemoryOrdering(t *testing.T) {
 	// Table 6's shape: 0c < cd-0 < cd-5 at every partition count.
-	p := MemoryParams{
+	p := memoryParams{
 		N: 5_000_000, F: 128, H1: 256, H2: 256, L: 172,
 		Edges: 50_000_000, SplitVertices: 4_500_000, Delay: 5,
 	}
-	m0c, err := Memory(p, Algo0C)
+	m0c, err := memoryModel(p, algo0C)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcd0, err := Memory(p, AlgoCD0)
+	mcd0, err := memoryModel(p, algoCD0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcdr, err := Memory(p, AlgoCDR)
+	mcdr, err := memoryModel(p, algoCDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,10 @@ func TestMemoryOrdering(t *testing.T) {
 func TestMemoryDecreasesWithPartitionSize(t *testing.T) {
 	// Table 6: memory per partition shrinks as partitions multiply.
 	mk := func(n int) int64 {
-		m, err := Memory(MemoryParams{
+		m, err := memoryModel(memoryParams{
 			N: n, F: 128, H1: 256, H2: 256, L: 172,
 			Edges: n * 14, SplitVertices: int(float64(n) * 0.9), Delay: 5,
-		}, AlgoCDR)
+		}, algoCDR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,19 +83,13 @@ func TestMemoryDecreasesWithPartitionSize(t *testing.T) {
 }
 
 func TestMemoryUnknownAlgo(t *testing.T) {
-	if _, err := Memory(MemoryParams{N: 1}, "bogus"); err == nil {
+	if _, err := memoryModel(memoryParams{N: 1}, "bogus"); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-func TestGiB(t *testing.T) {
-	if GiB(1<<30) != 1 {
-		t.Fatal("GiB conversion wrong")
-	}
-}
-
 func TestFullBatchHopsShape(t *testing.T) {
-	hops := FullBatchHops(100, 7.5, []int{10, 20})
+	hops := fullBatchHops(100, 7.5, []int{10, 20})
 	if len(hops) != 2 {
 		t.Fatalf("hops %v", hops)
 	}

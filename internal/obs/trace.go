@@ -14,7 +14,7 @@ import (
 
 // trace.go is the request-tracing leg: a 64-bit trace ID minted at the
 // fleet entry point (the frontend, or a directly-hit server), carried via
-// the TraceHeader HTTP header across the router → owner hop and via the
+// the TraceHeader HTTP header across the frontend → shard hop and via the
 // ReqRep frame extension across halo fetches, so one tail request is
 // attributable end to end across ranks. Per-stage spans accumulate in a
 // TraceCtx; a Tracer keeps finished traces in a fixed ring (served by
@@ -22,7 +22,7 @@ import (
 // records.
 
 // TraceHeader carries the hex trace ID between HTTP hops (frontend →
-// router → owner shard) and back to the client on responses.
+// shard) and back to the client on responses.
 const TraceHeader = "X-Distgnn-Trace"
 
 // traceState seeds NewTraceID: a per-process random base (splitmix64 of
@@ -58,6 +58,25 @@ func FormatTraceID(id uint64) string { return fmt.Sprintf("%016x", id) }
 func ParseTraceID(s string) (uint64, bool) {
 	id, err := strconv.ParseUint(s, 16, 64)
 	return id, err == nil && id != 0
+}
+
+// OpenRequest opens an HTTP request's trace context: nil when the whole obs
+// plane is off (disabled = free), ID-less when only metrics are on (stage
+// timing without cross-rank attribution), and carrying r's TraceHeader ID —
+// or a freshly minted one — when tr is enabled.
+func OpenRequest(r *http.Request, tr *Tracer, metricsOn bool) *TraceCtx {
+	if !metricsOn && !tr.Enabled() {
+		return nil
+	}
+	var id uint64
+	if tr.Enabled() {
+		if hid, ok := ParseTraceID(r.Header.Get(TraceHeader)); ok {
+			id = hid
+		} else {
+			id = NewTraceID()
+		}
+	}
+	return NewTraceCtx(id)
 }
 
 // Span is one timed stage of a request, relative to its trace start.

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"distgnn/internal/featstore"
 )
 
 func TestCacheDisabledIsNil(t *testing.T) {
-	c := NewCache[int32, []float32](0, 0)
+	c := featstore.NewCache[int32, []float32](0, 0)
 	if c != nil {
 		t.Fatal("zero budget must return the disabled (nil) cache")
 	}
@@ -16,13 +18,13 @@ func TestCacheDisabledIsNil(t *testing.T) {
 		t.Fatal("disabled cache cannot hit")
 	}
 	c.Put(1, []float32{1}, 4)
-	if st := c.Stats(); st != (CacheStats{}) {
+	if st := c.Stats(); st != (featstore.CacheStats{}) {
 		t.Fatalf("disabled stats %+v", st)
 	}
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
-	c := NewCache[int32, string](1<<16, 4)
+	c := featstore.NewCache[int32, string](1<<16, 4)
 	if _, ok := c.Get(1); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -34,7 +36,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.UsedBytes != 100+cacheEntryOverhead {
+	if st.UsedBytes != 100+featstore.CacheEntryOverhead {
 		t.Fatalf("used %d", st.UsedBytes)
 	}
 	if st.HitRate() != 0.5 {
@@ -43,7 +45,7 @@ func TestCacheHitMissCounters(t *testing.T) {
 }
 
 func TestCacheBudgetRespectedUnderEviction(t *testing.T) {
-	c := NewCache[int, int](4096, 4)
+	c := featstore.NewCache[int, int](4096, 4)
 	for k := 0; k < 1000; k++ {
 		c.Put(k, k, 100)
 	}
@@ -70,7 +72,7 @@ func TestCacheBudgetRespectedUnderEviction(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache[int, []float32](1<<20, 0)
+	c := featstore.NewCache[int, []float32](1<<20, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -102,7 +104,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 // up to shards−1 remainder bytes silently.
 func TestCacheBudgetSplitExact(t *testing.T) {
 	for _, budget := range []int64{1, 7, 1023, 1<<20 + 13, 3<<20 + 5, 64<<20 + 63} {
-		c := NewCache[int32, []float32](budget, 0)
+		c := featstore.NewCache[int32, []float32](budget, 0)
 		if c == nil {
 			t.Fatalf("budget %d: cache disabled", budget)
 		}
@@ -114,7 +116,7 @@ func TestCacheBudgetSplitExact(t *testing.T) {
 	// up internally.
 	for _, shards := range []int{1, 3, 16} {
 		const budget = 1<<20 + 7
-		c := NewCache[int32, []float32](budget, shards)
+		c := featstore.NewCache[int32, []float32](budget, shards)
 		if got := c.Stats().CapBytes; got != budget {
 			t.Fatalf("shards %d: shard capacities sum to %d, want %d", shards, got, budget)
 		}
@@ -124,7 +126,7 @@ func TestCacheBudgetSplitExact(t *testing.T) {
 // TestCacheResetKeepsCapacityDropsEntries pins Reset (the post-/reload
 // invalidation): entries vanish, capacity and cumulative counters survive.
 func TestCacheResetKeepsCapacityDropsEntries(t *testing.T) {
-	c := NewCache[int32, []float32](1<<20, 4)
+	c := featstore.NewCache[int32, []float32](1<<20, 4)
 	for i := int32(0); i < 64; i++ {
 		c.Put(i, []float32{float32(i)}, 4)
 	}
@@ -146,6 +148,6 @@ func TestCacheResetKeepsCapacityDropsEntries(t *testing.T) {
 	if _, ok := c.Get(7); ok {
 		t.Fatal("entry survived Reset")
 	}
-	var nilCache *Cache[int32, []float32]
+	var nilCache *featstore.Cache[int32, []float32]
 	nilCache.Reset() // disabled cache: must not panic
 }

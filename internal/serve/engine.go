@@ -108,7 +108,7 @@ type Engine struct {
 	// run forward-only through its ApplyLayer.
 	sage *model.GraphSAGE
 	gat  *model.GAT
-	feat *Cache[int32, []float32]
+	feat *featstore.Cache[int32, []float32]
 	src  featureSource
 	// feats is the resident feature store. The exact-mode GraphSAGE path
 	// aggregates straight from it through the fused gather kernel when the
@@ -146,7 +146,7 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 	e := &Engine{
 		ds:    ds,
 		spec:  spec,
-		feat:  NewCache[int32, []float32](featureCacheBytes, 0),
+		feat:  featstore.NewCache[int32, []float32](featureCacheBytes, 0),
 		feats: spmm.RowsOf(ds.Features),
 	}
 	e.src = featstore.NewLocal(e.feats, e.feat)
@@ -210,7 +210,7 @@ func (e *Engine) Mode() string {
 }
 
 // FeatureCacheStats snapshots the gathered-feature cache counters.
-func (e *Engine) FeatureCacheStats() CacheStats { return e.feat.Stats() }
+func (e *Engine) FeatureCacheStats() featstore.CacheStats { return e.feat.Stats() }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() EngineStats {

@@ -19,8 +19,8 @@ import (
 // bit-identical copies, each replica over its own comm fabric, every
 // backend on an HTTP listener, and optionally the consistent-hash frontend
 // over the replicas' shard groups. It is the one place that chooses between
-// a single-process server and a shard rank, builds peer tables and frontend
-// groups, and lays backend addresses out after a frontend port.
+// a single-process server and a shard rank, builds frontend groups, and
+// lays backend addresses out after a frontend port.
 
 const (
 	// ReadHeaderTimeout bounds every fleet listener's wait for a request
@@ -109,8 +109,8 @@ func StartFleet(ds *datasets.Dataset, ckpt []byte, cfg Config, top Topology) (_ 
 			fl.Close()
 		}
 	}()
-	// Bind every listener first: a rank's peer table names its replica's
-	// bound addresses.
+	// Bind every listener first, so a taken address fails the fleet before
+	// any checkpoint is loaded.
 	for _, addr := range top.Addrs {
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
@@ -130,7 +130,7 @@ func StartFleet(ds *datasets.Dataset, ckpt []byte, cfg Config, top Topology) (_ 
 			if eps != nil {
 				ep = eps[r]
 			}
-			srv, err := top.NewRank(ds, ckpt, cfg, ep, fl.Addrs[rep*S:rep*S+S])
+			srv, err := top.NewRank(ds, ckpt, cfg, ep, fl.Addrs[rep*S+r])
 			if err != nil {
 				return nil, err
 			}
@@ -162,28 +162,22 @@ func (top Topology) newFabric() ([]comm.Transport, error) {
 	return nil, fmt.Errorf("serve: unknown fabric %q (inproc or tcp)", top.Fabric)
 }
 
-// NewRank builds one backend of a replica whose ranks listen on addrs
-// (rank-indexed): a single-process server when fabric is nil, otherwise
-// rank fabric.Self() of a shard fleet over it. The fabric stays the
-// caller's to close.
-func (top Topology) NewRank(ds *datasets.Dataset, ckpt []byte, cfg Config, fabric comm.Transport, addrs []string) (*Server, error) {
+// NewRank builds the backend that listens on addr: a single-process server
+// when fabric is nil, otherwise rank fabric.Self() of a shard fleet over
+// it. The fabric stays the caller's to close.
+func (top Topology) NewRank(ds *datasets.Dataset, ckpt []byte, cfg Config, fabric comm.Transport, addr string) (*Server, error) {
 	rank := -1
 	if fabric != nil {
 		rank = fabric.Self()
 	}
 	if top.Obs != nil {
-		cfg.Metrics, cfg.Tracer = top.Obs("server", rank, addrs[max(rank, 0)])
+		cfg.Metrics, cfg.Tracer = top.Obs("server", rank, addr)
 	}
 	if fabric == nil {
 		return New(ds, bytes.NewReader(ckpt), cfg)
 	}
-	peers := make([]PeerAddr, len(addrs))
-	for r, addr := range addrs {
-		peers[r] = PeerAddr{Rank: r, Addr: addr}
-	}
 	return NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{
-		Transport: fabric, HTTPPeers: peers,
-		PartitionSeed: top.PartitionSeed, RemoteCacheBytes: top.RemoteCacheBytes,
+		Transport: fabric, PartitionSeed: top.PartitionSeed, RemoteCacheBytes: top.RemoteCacheBytes,
 	})
 }
 
@@ -277,12 +271,6 @@ func (fl *Fleet) Close() {
 	shutdown(fl.frontHTTP)
 	for _, f := range fl.frontends {
 		f.Close()
-	}
-	// Shutdown counts a connection that never carried a request as active
-	// for 5 s, and an owner proxy can leave one behind after concurrent
-	// dials, so the proxies' idle connections are closed first.
-	for _, s := range fl.Servers {
-		s.proxy.CloseIdleConnections()
 	}
 	shutdown(fl.https)
 	for _, s := range fl.Servers {

@@ -198,7 +198,7 @@ type Frontend struct {
 	ring   *hashRing
 	groups []*replicaGroup
 	mux    *http.ServeMux
-	client http.Client
+	client http.Client // over its own pool, so Close touches no other client's
 	start  time.Time
 
 	rngMu sync.Mutex
@@ -228,12 +228,15 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	keys := make([]string, len(cfg.Groups))
 	seen := map[string]bool{}
 	f := &Frontend{
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		client: newClient(cfg.ProxyTimeout),
-		start:  time.Now(),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		quit:   make(chan struct{}),
+		cfg: cfg,
+		mux: http.NewServeMux(),
+		client: http.Client{
+			Timeout:   cfg.ProxyTimeout,
+			Transport: &http.Transport{IdleConnTimeout: 90 * time.Second},
+		},
+		start: time.Now(),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		quit:  make(chan struct{}),
 	}
 	for g, spec := range cfg.Groups {
 		if spec.Key == "" {
@@ -412,9 +415,9 @@ func (f *Frontend) handleProxy(w http.ResponseWriter, r *http.Request) {
 	g := f.groups[f.ring.lookup(int32(v64))]
 
 	// The frontend is the fleet entry point: mint the trace ID here (or
-	// adopt one the client sent) so every hop downstream — replica, owner
-	// rank, halo peers — attributes its spans to the same request.
-	tc := f.traceCtx(r)
+	// adopt one the client sent) so every hop downstream — the shard rank
+	// and its halo peers — attributes its spans to the same request.
+	tc := obs.OpenRequest(r, f.tracer, f.reqDur != nil)
 
 	var lastErr error
 	sawShed := false
@@ -470,23 +473,6 @@ func (f *Frontend) handleProxy(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusBadGateway,
 		fmt.Errorf("no replica of group %s could serve the request: %v", g.key, lastErr))
 	f.finishRequest(tc, r, int32(v64), http.StatusBadGateway)
-}
-
-// traceCtx opens the frontend's per-request trace context (nil when the
-// obs plane is fully off).
-func (f *Frontend) traceCtx(r *http.Request) *obs.TraceCtx {
-	if f.reqDur == nil && !f.tracer.Enabled() {
-		return nil
-	}
-	var id uint64
-	if f.tracer.Enabled() {
-		if hid, ok := obs.ParseTraceID(r.Header.Get(obs.TraceHeader)); ok {
-			id = hid
-		} else {
-			id = obs.NewTraceID()
-		}
-	}
-	return obs.NewTraceCtx(id)
 }
 
 // finishRequest closes out one proxied request's observability.

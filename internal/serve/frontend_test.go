@@ -722,7 +722,8 @@ func TestServerReloadHotSwap(t *testing.T) {
 // over the frontend path: for 1/2/4 shards × 1/2 replicas, exact-mode
 // /predict logits through the frontend are bit-identical to the full-graph
 // forward pass — including after a whole replica fleet is killed, and
-// across a fleet-wide /reload to a new checkpoint.
+// across a fleet-wide /reload to a new checkpoint — and each request is
+// served by one backend of the shard group the frontend hashed it to.
 func TestReplicatedServingConformance(t *testing.T) {
 	ds, m, ckpt := trainedSageCheckpoint(t, 16, 2)
 	full := m.Forward(ds.Features, false)
@@ -773,6 +774,28 @@ func TestReplicatedServingConformance(t *testing.T) {
 					}
 				}
 				check(base, full.Row, "frontend path")
+
+				// The frontend's consistent hash is the one placement
+				// decision: vertex v is served by a rank GroupFor(v) of
+				// some replica, and by no other backend.
+				for _, v := range probe {
+					want := predictCounts(fleet.Servers)
+					getPredict(t, fleet.FrontendAddr, v)
+					served := -1
+					for b, got := range predictCounts(fleet.Servers) {
+						if got == want[b] {
+							continue
+						}
+						if got != want[b]+1 || served >= 0 || b%shards != fleet.Frontend.GroupFor(v) {
+							t.Fatalf("vertex %d (group %d): backend %d (rank %d) predicts %d → %d; served by %d",
+								v, fleet.Frontend.GroupFor(v), b, b%shards, want[b], got, served)
+						}
+						served = b
+					}
+					if served < 0 {
+						t.Fatalf("vertex %d: no backend counted the request", v)
+					}
+				}
 
 				// R=1 rolls over through the primary frontend.
 				reloadVia := base

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"distgnn/internal/comm"
+	"distgnn/internal/featstore"
 	"distgnn/internal/obs"
 )
 
@@ -60,7 +61,7 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 		reqDur: map[string]*obs.Histogram{},
 		stage:  map[string]*obs.Histogram{},
 	}
-	for _, ep := range []string{"predict", "embed", "routed"} {
+	for _, ep := range []string{"predict", "embed"} {
 		m.reqDur[ep] = reg.Histogram(
 			obs.Label("distgnn_serve_request_duration_seconds", "endpoint", ep),
 			"End-to-end request latency by endpoint.")
@@ -105,7 +106,7 @@ func gaugeFn(reg *obs.Registry, name, help string, fn func() int64) {
 
 // registerCacheMetrics exposes one cache's counters under a shared metric
 // family, distinguished by the cache label.
-func registerCacheMetrics(reg *obs.Registry, cache string, stats func() CacheStats) {
+func registerCacheMetrics(reg *obs.Registry, cache string, stats func() featstore.CacheStats) {
 	counterFn(reg, obs.Label("distgnn_cache_hits_total", "cache", cache),
 		"Cache hits by cache.", func() int64 { return stats().Hits })
 	counterFn(reg, obs.Label("distgnn_cache_misses_total", "cache", cache),
@@ -151,7 +152,7 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		func() int64 { return s.engine.Load().Stats().InputFrontierVertices })
 
 	registerCacheMetrics(reg, "embedding", s.emb.Stats)
-	registerCacheMetrics(reg, "feature", func() CacheStats { return s.engine.Load().FeatureCacheStats() })
+	registerCacheMetrics(reg, "feature", func() featstore.CacheStats { return s.engine.Load().FeatureCacheStats() })
 }
 
 // registerShardMetrics adds the shard-mode counters: routing traffic, the
@@ -159,10 +160,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 // exposes them.
 func (s *Server) registerShardMetrics(reg *obs.Registry) {
 	st := s.shard
-	counterFn(reg, "distgnn_shard_routed_out_total",
-		"Requests proxied to their owner rank.", st.routedOut.Load)
-	counterFn(reg, "distgnn_shard_routed_in_total",
-		"Proxied requests that arrived here.", st.routedIn.Load)
 	counterFn(reg, "distgnn_halo_hits_total",
 		"Halo lookups served from the remote cache.", func() int64 { return st.fs.Stats().HaloHits })
 	counterFn(reg, "distgnn_halo_misses_total",
@@ -179,7 +176,7 @@ func (s *Server) registerShardMetrics(reg *obs.Registry) {
 		"Vertex rows served to peers.", func() int64 { return st.fs.Stats().PeerServedVertices })
 	counterFn(reg, "distgnn_halo_served_bytes_total",
 		"Feature bytes served to peers.", func() int64 { return st.fs.Stats().PeerServedBytes })
-	registerCacheMetrics(reg, "remote", func() CacheStats { return st.fs.Stats().RemoteCache })
+	registerCacheMetrics(reg, "remote", func() featstore.CacheStats { return st.fs.Stats().RemoteCache })
 	if st.net != nil {
 		registerNetMetrics(reg, st.net)
 	}

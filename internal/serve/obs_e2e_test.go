@@ -318,8 +318,8 @@ func TestCrossRankTraceAttribution(t *testing.T) {
 			t.Fatalf("vertex %d: frontend trace lacks attempt span: %+v", v, frec)
 		}
 
-		// Exactly one rank served the inference under that ID; any entry
-		// rank that proxied recorded a routed hop under it too.
+		// Exactly one rank served the inference under that ID: the rank
+		// the frontend hashed the vertex to.
 		var served *obs.Trace
 		servedRank := -1
 		for r, tracer := range of.tracers {
@@ -332,6 +332,9 @@ func TestCrossRankTraceAttribution(t *testing.T) {
 		}
 		if served == nil {
 			t.Fatalf("vertex %d: no rank recorded predict trace %s", v, id)
+		}
+		if g := of.Frontend.GroupFor(v); servedRank != g {
+			t.Fatalf("vertex %d: served on rank %d, frontend hashed it to rank %d", v, servedRank, g)
 		}
 		spans := map[string]bool{}
 		for _, sp := range served.Spans {

@@ -5,18 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"net/http"
-	"net/url"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"distgnn/internal/datasets"
+	"distgnn/internal/featstore"
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
 	"distgnn/internal/tensor"
@@ -95,21 +93,20 @@ func (cfg *Config) applyDefaults() {
 }
 
 // Server is the HTTP inference front end: /predict, /embed, /stats,
-// /healthz. In shard mode (NewShard) it additionally routes requests for
-// vertices owned by another rank to that rank's server.
+// /healthz. In shard mode (NewShard) it answers any vertex, fetching the
+// halo features it does not own from the other ranks.
 type Server struct {
 	// engine is behind an atomic pointer so /reload can hot-swap it while
 	// requests are in flight: readers load once per operation and finish on
 	// whichever engine they loaded.
 	engine atomic.Pointer[Engine]
 	co     *Coalescer
-	emb    *Cache[int32, []float32]
+	emb    *featstore.Cache[int32, []float32]
 	cfg    Config
 	mux    *http.ServeMux
 	start  time.Time
-	shard  *shardState  // nil in single-process mode
-	upd    *updateState // nil when updates are disabled
-	proxy  http.Client
+	shard  *shardState   // nil in single-process mode
+	upd    *updateState  // nil when updates are disabled
 	obsm   *serveMetrics // nil when metrics are off
 	tracer *obs.Tracer   // nil-safe: nil disables tracing
 
@@ -157,11 +154,10 @@ func loadEngine(ds *datasets.Dataset, checkpoint io.Reader, cfg Config, fanouts 
 // newServer assembles the HTTP pipeline around a ready engine.
 func newServer(eng *Engine, cfg Config) *Server {
 	s := &Server{
-		emb:    NewCache[int32, []float32](cfg.EmbedCacheBytes, 0),
+		emb:    featstore.NewCache[int32, []float32](cfg.EmbedCacheBytes, 0),
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
-		proxy:  newClient(30 * time.Second),
 		tracer: cfg.Tracer,
 	}
 	s.engine.Store(eng)
@@ -216,20 +212,12 @@ func (s *Server) Engine() *Engine { return s.engine.Load() }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops the request coalescer and, in shard mode, the halo-fetch
-// endpoint, and closes the owner proxy's idle connections. The comm
-// transport stays owned by the caller.
+// endpoint. The comm transport stays owned by the caller.
 func (s *Server) Close() {
 	s.co.Close()
-	s.proxy.CloseIdleConnections()
 	if s.shard != nil {
 		s.shard.fs.Close()
 	}
-}
-
-// newClient returns an HTTP client over its own connection pool, so that
-// closing one server's or frontend's idle connections touches no other's.
-func newClient(timeout time.Duration) http.Client {
-	return http.Client{Timeout: timeout, Transport: &http.Transport{IdleConnTimeout: 90 * time.Second}}
 }
 
 // inferAndCache is the coalescer's batch function: one engine pass, then
@@ -355,25 +343,6 @@ func (s *Server) lookup(r *http.Request, vertex int32, tc *obs.TraceCtx) ([]floa
 	return s.co.Submit(r.Context(), vertex, tc)
 }
 
-// traceCtx opens the per-request trace context: nil when the whole obs
-// plane is off (disabled = free), ID-less when only metrics are on (stage
-// timing without cross-rank attribution), and carrying the inbound
-// header's ID — or a freshly minted one — when tracing is enabled.
-func (s *Server) traceCtx(r *http.Request) *obs.TraceCtx {
-	if s.obsm == nil && !s.tracer.Enabled() {
-		return nil
-	}
-	var id uint64
-	if s.tracer.Enabled() {
-		if hid, ok := obs.ParseTraceID(r.Header.Get(obs.TraceHeader)); ok {
-			id = hid
-		} else {
-			id = obs.NewTraceID()
-		}
-	}
-	return obs.NewTraceCtx(id)
-}
-
 // finishRequest closes out one request's observability: stage histograms
 // and the trace record. No-op for untraced requests.
 func (s *Server) finishRequest(tc *obs.TraceCtx, endpoint string, vertex int32, status int) {
@@ -399,19 +368,19 @@ type EmbedResponse struct {
 
 // Stats is the /stats payload. Shard is present only in shard mode.
 type Stats struct {
-	UptimeSeconds  float64        `json:"uptime_seconds"`
-	Arch           Arch           `json:"arch"`
-	Mode           string         `json:"mode"`
-	Model          string         `json:"model"`
-	Predicts       int64          `json:"predicts"`
-	Embeds         int64          `json:"embeds"`
-	Reloads        int64          `json:"reloads"`
-	Coalescer      CoalescerStats `json:"coalescer"`
-	Engine         EngineStats    `json:"engine"`
-	FeatureCache   CacheStats     `json:"feature_cache"`
-	EmbeddingCache CacheStats     `json:"embedding_cache"`
-	Shard          *ShardStats    `json:"shard,omitempty"`
-	Stream         *StreamStats   `json:"stream,omitempty"`
+	UptimeSeconds  float64              `json:"uptime_seconds"`
+	Arch           Arch                 `json:"arch"`
+	Mode           string               `json:"mode"`
+	Model          string               `json:"model"`
+	Predicts       int64                `json:"predicts"`
+	Embeds         int64                `json:"embeds"`
+	Reloads        int64                `json:"reloads"`
+	Coalescer      CoalescerStats       `json:"coalescer"`
+	Engine         EngineStats          `json:"engine"`
+	FeatureCache   featstore.CacheStats `json:"feature_cache"`
+	EmbeddingCache featstore.CacheStats `json:"embedding_cache"`
+	Shard          *ShardStats          `json:"shard,omitempty"`
+	Stream         *StreamStats         `json:"stream,omitempty"`
 }
 
 // StatsSnapshot returns the same snapshot /stats serves.
@@ -441,83 +410,6 @@ func (s *Server) StatsSnapshot() Stats {
 	return st
 }
 
-// routeIfRemote proxies the request one hop to the vertex's owner rank when
-// this rank is not the owner and the owner's address is known. It reports
-// whether the request was handled (proxied). A request that already carries
-// the routed marker is always served locally — the sharded engine can
-// answer any vertex via halo fetches, so routing is a locality optimization
-// that must terminate, never a correctness requirement.
-func (s *Server) routeIfRemote(w http.ResponseWriter, r *http.Request, vertex int32, tc *obs.TraceCtx) bool {
-	if s.shard == nil {
-		return false
-	}
-	if r.Header.Get(routedHeader) != "" {
-		s.shard.routedIn.Add(1)
-		return false
-	}
-	owner := s.shard.router.Owner(vertex)
-	if owner == s.shard.fs.Rank() {
-		return false
-	}
-	addr := s.shard.router.Addr(owner)
-	if addr == "" {
-		return false
-	}
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	base, err := url.Parse(addr)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError,
-			fmt.Errorf("bad owner address %q for rank %d: %v", addr, owner, err))
-		return true
-	}
-	target := url.URL{
-		Scheme:   base.Scheme,
-		Host:     base.Host,
-		Path:     r.URL.Path,
-		RawQuery: r.URL.RawQuery, // empty query stays empty — no dangling "?"
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target.String(), nil)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return true
-	}
-	req.Header.Set(routedHeader, "1")
-	// Forward the trace ID so the owner's spans land under the same trace
-	// the entry point minted (or the one the client/frontend sent).
-	if id := tc.ID(); id != 0 {
-		req.Header.Set(obs.TraceHeader, obs.FormatTraceID(id))
-	} else if tid := r.Header.Get(obs.TraceHeader); tid != "" {
-		req.Header.Set(obs.TraceHeader, tid)
-	}
-	stop := tc.StartSpan("proxy_owner")
-	resp, err := s.proxy.Do(req)
-	stop()
-	if err != nil {
-		httpError(w, http.StatusBadGateway,
-			fmt.Errorf("routing vertex %d to owner rank %d at %s: %v", vertex, owner, addr, err))
-		s.finishRequest(tc, "routed", vertex, http.StatusBadGateway)
-		return true
-	}
-	defer resp.Body.Close()
-	s.shard.routedOut.Add(1)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if id := tc.ID(); id != 0 {
-		w.Header().Set(obs.TraceHeader, obs.FormatTraceID(id))
-	}
-	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
-		// The status line is already gone, so the response cannot be
-		// repaired — log instead of silently truncating.
-		log.Printf("serve: proxying vertex %d to rank %d: response copy: %v", vertex, owner, err)
-	}
-	s.finishRequest(tc, "routed", vertex, resp.StatusCode)
-	return true
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
@@ -526,10 +418,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tc := s.traceCtx(r)
-	if s.routeIfRemote(w, r, vertex, tc) {
-		return
-	}
+	tc := obs.OpenRequest(r, s.tracer, s.obsm != nil)
 	s.predicts.Add(1)
 	row, err := s.lookup(r, vertex, tc)
 	if err != nil {
@@ -553,10 +442,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tc := s.traceCtx(r)
-	if s.routeIfRemote(w, r, vertex, tc) {
-		return
-	}
+	tc := obs.OpenRequest(r, s.tracer, s.obsm != nil)
 	s.embeds.Add(1)
 	row, err := s.lookup(r, vertex, tc)
 	if err != nil {

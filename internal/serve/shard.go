@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
@@ -35,70 +34,6 @@ import (
 // partially load), so per-process memory still includes the generator's
 // full matrix; a deployment with a real feature store would materialize
 // only the owned slice and the engine would not notice the difference.
-//
-// Routing is stateless: every rank derives the same owner table from the
-// same deterministic partitioning, so any rank can answer any request —
-// requests for vertices owned elsewhere are proxied one hop to the owner,
-// whose embedding cache then accumulates that vertex's traffic.
-
-// routedHeader marks a proxied request so routing terminates after one hop
-// even if two ranks ever disagreed about ownership.
-const routedHeader = "X-Distgnn-Routed"
-
-// PeerAddr names one shard's HTTP endpoint.
-type PeerAddr struct {
-	Rank int
-	Addr string
-}
-
-// Router maps vertices to their owner shard and the owner's HTTP address.
-// Routing depends only on the owner table — peer lists are keyed by rank,
-// so the order peers are supplied in never changes a routing decision.
-type Router struct {
-	owners []int32
-	shards int
-	addrs  []string // rank-indexed; empty string = no HTTP endpoint known
-}
-
-// NewRouter builds a router over an owner table (one owner in [0, shards)
-// per vertex) and an HTTP peer list in any order. Peers are optional: a
-// router with no addresses still answers Owner lookups (engine-only use).
-func NewRouter(owners []int32, shards int, peers []PeerAddr) (*Router, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("serve: router needs ≥1 shard, got %d", shards)
-	}
-	for v, o := range owners {
-		if o < 0 || int(o) >= shards {
-			return nil, fmt.Errorf("serve: vertex %d owned by shard %d outside [0,%d)", v, o, shards)
-		}
-	}
-	r := &Router{owners: owners, shards: shards, addrs: make([]string, shards)}
-	for _, p := range peers {
-		if p.Rank < 0 || p.Rank >= shards {
-			return nil, fmt.Errorf("serve: peer address for rank %d outside [0,%d)", p.Rank, shards)
-		}
-		if r.addrs[p.Rank] != "" && r.addrs[p.Rank] != p.Addr {
-			return nil, fmt.Errorf("serve: conflicting addresses for rank %d: %q and %q",
-				p.Rank, r.addrs[p.Rank], p.Addr)
-		}
-		r.addrs[p.Rank] = p.Addr
-	}
-	return r, nil
-}
-
-// Shards returns the shard count.
-func (r *Router) Shards() int { return r.shards }
-
-// Owner returns the shard that owns vertex v.
-func (r *Router) Owner(v int32) int { return int(r.owners[v]) }
-
-// Addr returns rank's HTTP address, or "" when none was supplied.
-func (r *Router) Addr(rank int) string {
-	if rank < 0 || rank >= len(r.addrs) {
-		return ""
-	}
-	return r.addrs[rank]
-}
 
 // ShardConfig configures one rank of a sharded serving fleet.
 type ShardConfig struct {
@@ -107,10 +42,6 @@ type ShardConfig struct {
 	// Self() and Size(). It stays owned by the caller; Server.Close does
 	// not close it.
 	Transport comm.Transport
-	// HTTPPeers lists the fleet's HTTP addresses (any order, keyed by
-	// rank) so non-owner ranks can proxy requests to the owner. Optional:
-	// without it every rank answers every vertex locally.
-	HTTPPeers []PeerAddr
 	// PartitionSeed seeds the deterministic partitioning every rank must
 	// derive identically (default 1): Libra, the paper's vertex-cut.
 	PartitionSeed int64
@@ -120,8 +51,8 @@ type ShardConfig struct {
 	RemoteCacheBytes int64
 }
 
-// ShardStats is the per-shard block of /stats: ownership shape, routing
-// traffic, and the halo-fetch hit/miss counters.
+// ShardStats is the per-shard block of /stats: ownership shape and the
+// halo-fetch hit/miss counters.
 type ShardStats struct {
 	Rank        int    `json:"rank"`
 	Shards      int    `json:"shards"`
@@ -131,10 +62,6 @@ type ShardStats struct {
 	// holds that are owned elsewhere.
 	OwnedVertices      int `json:"owned_vertices"`
 	HaloVerticesStatic int `json:"halo_vertices_static"`
-	// RoutedOut counts requests proxied to their owner rank; RoutedIn
-	// counts proxied requests that arrived here.
-	RoutedOut int64 `json:"routed_out"`
-	RoutedIn  int64 `json:"routed_in"`
 	// HaloHits/HaloMisses count gather-time halo feature lookups served
 	// from the remote cache vs fetched over the fabric. HaloFetches is the
 	// RPC count (one per owner rank per gather); HaloFetchedVertices the
@@ -146,26 +73,22 @@ type ShardStats struct {
 	HaloFetchedBytes    int64 `json:"halo_fetched_bytes"`
 	// PeerServedFetches/PeerServedVertices count the fetch RPCs this rank
 	// answered for its peers; PeerServedBytes the reply payload volume out.
-	PeerServedFetches  int64      `json:"peer_served_fetches"`
-	PeerServedVertices int64      `json:"peer_served_vertices"`
-	PeerServedBytes    int64      `json:"peer_served_bytes"`
-	RemoteCache        CacheStats `json:"remote_cache"`
+	PeerServedFetches  int64                `json:"peer_served_fetches"`
+	PeerServedVertices int64                `json:"peer_served_vertices"`
+	PeerServedBytes    int64                `json:"peer_served_bytes"`
+	RemoteCache        featstore.CacheStats `json:"remote_cache"`
 }
 
 // shardState is one rank's slice of the sharded engine: the shared
 // feature-sourcing plane (featstore.Sharded: owned slab, halo fetch
-// endpoint, remote LRU) plus the serving-only pieces — the HTTP router, the
-// partition's static halo size, and the proxy-traffic counters.
+// endpoint, remote LRU) plus the serving-only pieces — the partitioner's
+// name and the partition's static halo size.
 type shardState struct {
 	partitioner string
-	router      *Router
 	g           *graph.CSR // replicated topology, for owned block extraction
 	fs          *featstore.Sharded
 	haloStatic  int
 	net         comm.NetStatsSource // nil when the fabric keeps no counters
-
-	routedOut atomic.Int64
-	routedIn  atomic.Int64
 }
 
 func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardState, error) {
@@ -182,10 +105,6 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 		return nil, fmt.Errorf("serve: shard partitioning: %w", err)
 	}
 	owners := pt.Owners()
-	router, err := NewRouter(owners, shards, sc.HTTPPeers)
-	if err != nil {
-		return nil, err
-	}
 	cacheBytes := sc.RemoteCacheBytes
 	if cacheBytes == 0 {
 		cacheBytes = cfg.FeatureCacheBytes
@@ -202,7 +121,6 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 	}
 	st := &shardState{
 		partitioner: part.Name(),
-		router:      router,
 		g:           ds.G,
 		fs:          fs,
 		haloStatic:  len(pt.Halo(rank)),
@@ -214,16 +132,13 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 }
 
 // stats snapshots the shard counters: the featstore plane's gather/fetch
-// counters plus serve's routing traffic, composed into the pinned /stats
-// shape.
+// counters composed into the pinned /stats shape.
 func (st *shardState) stats() ShardStats {
 	fss := st.fs.Stats()
 	return ShardStats{
 		Rank: st.fs.Rank(), Shards: st.fs.Shards(), Partitioner: st.partitioner,
 		OwnedVertices:       fss.OwnedVertices,
 		HaloVerticesStatic:  st.haloStatic,
-		RoutedOut:           st.routedOut.Load(),
-		RoutedIn:            st.routedIn.Load(),
 		HaloHits:            fss.HaloHits,
 		HaloMisses:          fss.HaloMisses,
 		HaloFetches:         fss.HaloFetches,

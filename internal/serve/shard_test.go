@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -18,7 +18,6 @@ import (
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/obs"
-	"distgnn/internal/partition"
 	"distgnn/internal/tensor"
 )
 
@@ -125,6 +124,23 @@ func TestCrossShardServingConformance(t *testing.T) {
 						t.Fatalf("%s: single shard fetched remotely: %+v", name, st)
 					}
 				}
+				// Over HTTP, the rank a request reaches serves it: its own
+				// predict counter moves and no other rank's does.
+				for r := range fleet.Servers {
+					for _, v := range probe {
+						want := predictCounts(fleet.Servers)
+						want[r]++
+						pr, _ := getPredict(t, fleet.Addrs[r], v)
+						bitsEqual(t, pr.Logits, full.Row(int(v)),
+							fmt.Sprintf("%s rank %d HTTP /predict vertex %d vs full Forward", name, r, v))
+						for q, got := range predictCounts(fleet.Servers) {
+							if got != want[q] {
+								t.Fatalf("%s: vertex %d sent to rank %d: rank %d predicts %d, want %d",
+									name, v, r, q, got, want[q])
+							}
+						}
+					}
+				}
 				fleet.Close()
 			}
 		}
@@ -158,96 +174,53 @@ func TestEndToEndTwoShardTCPServe(t *testing.T) {
 				bitsEqual(t, ref.Row(0), full.Row(int(v)), "single-process reference")
 				var bodies [][]byte
 				for r := range fleet.Servers {
-					resp, err := http.Get(fmt.Sprintf("http://%s/predict?vertex=%d", fleet.Addrs[r], v))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var body bytes.Buffer
-					body.ReadFrom(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("rank %d vertex %d: status %d: %s", r, v, resp.StatusCode, body.Bytes())
-					}
-					var pr PredictResponse
-					if err := json.Unmarshal(body.Bytes(), &pr); err != nil {
-						t.Fatal(err)
-					}
+					before := fleet.Servers[r].StatsSnapshot().Predicts
+					pr, body := getPredict(t, fleet.Addrs[r], v)
 					bitsEqual(t, pr.Logits, ref.Row(0),
 						fmt.Sprintf("rank %d HTTP /predict vertex %d vs single-process", r, v))
-					bodies = append(bodies, body.Bytes())
+					if got := fleet.Servers[r].StatsSnapshot().Predicts; got != before+1 {
+						t.Fatalf("rank %d did not serve vertex %d itself: predicts %d → %d", r, v, before, got)
+					}
+					bodies = append(bodies, body)
 				}
 				if !bytes.Equal(bodies[0], bodies[1]) {
 					t.Fatalf("vertex %d: rank responses differ:\n%s\n%s", v, bodies[0], bodies[1])
 				}
 			}
-			// The probe hit both ranks; whichever rank was not the owner
-			// must have proxied.
-			var routed int64
-			for _, srv := range fleet.Servers {
-				routed += srv.StatsSnapshot().Shard.RoutedOut
-			}
-			if routed == 0 {
-				t.Fatal("no request was routed to its owner rank")
-			}
 		})
 	}
 }
 
-// TestRouterRoutesToPartitionOwner is the router property test: every
-// vertex routes to exactly its partition owner, and the routing decision is
-// invariant under any permutation of the peer list.
-func TestRouterRoutesToPartitionOwner(t *testing.T) {
-	ds, err := datasets.Load("reddit-sim", 0.04)
+// getPredict GETs /predict?vertex=v from the server at addr, failing the
+// test on anything but a 200, and returns the decoded and the raw body.
+func getPredict(t *testing.T, addr string, v int32) (PredictResponse, []byte) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("http://%s/predict?vertex=%d", addr, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards = 4
-	pt, err := partition.Partition(ds.G, partition.Libra{Seed: 1}, shards, 1)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners := pt.Owners()
-	peers := make([]PeerAddr, shards)
-	for r := range peers {
-		peers[r] = PeerAddr{Rank: r, Addr: fmt.Sprintf("10.0.0.%d:84%02d", r, r)}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s vertex %d: status %d: %s", addr, v, resp.StatusCode, body)
 	}
-	ref, err := NewRouter(owners, shards, peers)
-	if err != nil {
+	var pr PredictResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 8; trial++ {
-		shuffled := append([]PeerAddr(nil), peers...)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		router, err := NewRouter(owners, shards, shuffled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < ds.G.NumVertices; v++ {
-			o := router.Owner(int32(v))
-			if o != int(owners[v]) {
-				t.Fatalf("trial %d: vertex %d routed to %d, partition owner is %d", trial, v, o, owners[v])
-			}
-			if pt.LocalOf[o][v] < 0 {
-				t.Fatalf("trial %d: vertex %d routed to shard %d holding no clone", trial, v, o)
-			}
-			if router.Addr(o) != ref.Addr(o) {
-				t.Fatalf("trial %d: rank %d address moved under permutation", trial, o)
-			}
-		}
+	return pr, body
+}
+
+// predictCounts snapshots every server's /predict counter.
+func predictCounts(servers []*Server) []int64 {
+	out := make([]int64, len(servers))
+	for i, srv := range servers {
+		out[i] = srv.StatsSnapshot().Predicts
 	}
-	// Defined misuse: owner out of range, conflicting peer addresses.
-	if _, err := NewRouter([]int32{0, 5}, 2, nil); err == nil {
-		t.Fatal("out-of-range owner must be rejected")
-	}
-	if _, err := NewRouter(owners, shards, []PeerAddr{
-		{Rank: 0, Addr: "a:1"}, {Rank: 0, Addr: "b:2"},
-	}); err == nil {
-		t.Fatal("conflicting addresses for one rank must be rejected")
-	}
-	if _, err := NewRouter(owners, shards, []PeerAddr{{Rank: shards, Addr: "a:1"}}); err == nil {
-		t.Fatal("peer rank outside the fleet must be rejected")
-	}
+	return out
 }
 
 // TestShardRaceConcurrentCrossShardFanOut drives the coalescer, the remote

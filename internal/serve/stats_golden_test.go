@@ -60,8 +60,6 @@ var statsGoldenShardKeys = []string{
 	"shard.peer_served_vertices",
 	"shard.rank",
 	"shard.remote_cache",
-	"shard.routed_in",
-	"shard.routed_out",
 	"shard.shards",
 }
 

@@ -286,7 +286,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		edges[i] = graph.Edge{Src: e[0], Dst: e[1]}
 	}
-	tc := s.traceCtx(r)
+	tc := obs.OpenRequest(r, s.tracer, s.obsm != nil)
 	local, err := s.applyUpdate(edges)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
