@@ -92,13 +92,15 @@ func memoryModel(p memoryParams, algo string) (int64, error) {
 		return base + 2*split*commWidth, nil
 	case algoCDR:
 		// Capture + stale-remote + stale-total buffers sized to the full
-		// partition, plus up to Delay in-flight bundles of the bin volume.
-		delay := int64(p.Delay)
-		if delay < 1 {
-			delay = 1
-		}
+		// partition, plus the payloads DRPA's delay queues hold. Each epoch
+		// exchanges one of Delay bins of the split vertices; its partials
+		// (at the root) and its totals (at the leaf) wait Delay epochs,
+		// keyed epoch+Delay, so at an epoch's end each queue holds Delay+1
+		// bins' bundles, the one falling due included.
+		delay := max(int64(p.Delay), 1)
+		bin := (split + delay - 1) / delay
 		buffers := 3 * n * commWidth
-		inflight := 2 * split * commWidth // partials out + totals back
+		inflight := 2 * (delay + 1) * bin * commWidth // partials in + totals back
 		return base + buffers + inflight, nil
 	default:
 		return 0, fmt.Errorf("bench: unknown algorithm %q", algo)

@@ -65,6 +65,35 @@ func TestMemoryOrdering(t *testing.T) {
 	}
 }
 
+// TestMemoryCDRInFlightFollowsDelay pins cd-r's in-flight term to what
+// DRPA's delay queues hold: Delay+1 bundles of one bin (a Delay-th of the
+// split vertices, rounded up) for the partials and as many for the totals,
+// each bundle one row per vertex at every layer's width.
+func TestMemoryCDRInFlightFollowsDelay(t *testing.T) {
+	const commWidth = (10 + 20 + 30) * 4 // F + H1 + H2 floats per row
+	for _, tc := range []struct{ delay, want int64 }{
+		{0, 2 * 2 * 60 * commWidth}, // clamped to 1
+		{1, 2 * 2 * 60 * commWidth},
+		{2, 2 * 3 * 30 * commWidth},
+		{5, 2 * 6 * 12 * commWidth},
+		{7, 2 * 8 * 9 * commWidth},
+	} {
+		mem := func(split int) int64 {
+			m, err := memoryModel(memoryParams{
+				N: 100, F: 10, H1: 20, H2: 30, L: 5, Edges: 400,
+				SplitVertices: split, Delay: int(tc.delay),
+			}, algoCDR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		if got := mem(60) - mem(0); got != tc.want {
+			t.Errorf("delay %d: in-flight %d bytes, want %d", tc.delay, got, tc.want)
+		}
+	}
+}
+
 func TestMemoryDecreasesWithPartitionSize(t *testing.T) {
 	// Table 6: memory per partition shrinks as partitions multiply.
 	mk := func(n int) int64 {

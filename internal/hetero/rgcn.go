@@ -146,11 +146,7 @@ func (m *RGCN) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 			tensor.MatMulAcc(y, agg, layer.relW[r].W)
 		}
 		if !layer.last {
-			for i, v := range y.Data {
-				if v < 0 {
-					y.Data[i] = 0
-				}
-			}
+			tensor.ReLU(y.Data, y.Data)
 		}
 		layer.h = y
 		h = y
@@ -165,11 +161,7 @@ func (m *RGCN) Backward(dlogits *tensor.Matrix) {
 		layer := m.layers[l]
 		if !layer.last {
 			masked := tensor.New(dy.Rows, dy.Cols)
-			for i, v := range dy.Data {
-				if layer.h.Data[i] > 0 {
-					masked.Data[i] = v
-				}
-			}
+			tensor.ReLUGrad(masked.Data, dy.Data, layer.h.Data)
 			dy = masked
 		}
 		// Self path (Linear caches its own input).

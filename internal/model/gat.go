@@ -269,11 +269,7 @@ func (m *GAT) backwardLayer(gl *gatLayer, dy *tensor.Matrix) *tensor.Matrix {
 	g := m.G
 	if !gl.last {
 		masked := tensor.New(dy.Rows, dy.Cols)
-		for i, v := range dy.Data {
-			if gl.h.Data[i] > 0 {
-				masked.Data[i] = v
-			}
-		}
+		tensor.ReLUGrad(masked.Data, dy.Data, gl.h.Data)
 		dy = masked
 	}
 

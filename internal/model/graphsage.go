@@ -113,6 +113,10 @@ type sageLayer struct {
 	dropout *nn.Dropout
 
 	argmax []int32 // max-pool winners, cached for backward routing
+	// agg and revAgg are Forward's aggregate and Backward's reverse
+	// aggregate of this layer, reused by every full-graph pass while the
+	// shape holds: each pass rewrites every element.
+	agg, revAgg *tensor.Matrix
 	// indptr, indices and selfIdx are ForwardBlock's block, cached for
 	// BackwardBlocks.
 	indptr, indices, selfIdx []int32
@@ -199,10 +203,10 @@ func pickNumBlocks(g *graph.CSR) int {
 	return nB
 }
 
-// aggregate runs the forward aggregation primitive into a fresh matrix.
-func (m *GraphSAGE) aggregate(x *tensor.Matrix) *tensor.Matrix {
+// aggregate runs the forward aggregation primitive into out, overwriting
+// it.
+func (m *GraphSAGE) aggregate(x, out *tensor.Matrix) {
 	start := time.Now()
-	out := tensor.New(x.Rows, x.Cols)
 	var err error
 	if m.Cfg.UseBaselineAgg {
 		err = spmm.Baseline(&spmm.Args{G: m.G, FV: x, FO: out, Op: spmm.OpCopyLHS, Red: spmm.ReduceSum})
@@ -213,35 +217,38 @@ func (m *GraphSAGE) aggregate(x *tensor.Matrix) *tensor.Matrix {
 		panic(err) // shapes are constructed internally; cannot fail
 	}
 	m.AggTime += time.Since(start)
-	return out
 }
 
-// aggregateReverse propagates gradients along reverse edges: out = Aᵀ·g.
-func (m *GraphSAGE) aggregateReverse(g *tensor.Matrix) *tensor.Matrix {
+// aggregateReverse propagates gradients along reverse edges into sl's
+// reverse-aggregate buffer and returns it: Aᵀ·g.
+func (m *GraphSAGE) aggregateReverse(sl *sageLayer, g *tensor.Matrix) *tensor.Matrix {
 	start := time.Now()
-	out := tensor.New(g.Rows, g.Cols)
-	if err := m.bwdPlan.Run(g, out); err != nil {
+	sl.revAgg = tensor.Reuse(sl.revAgg, g.Rows, g.Cols)
+	if err := m.bwdPlan.Run(g, sl.revAgg); err != nil {
 		panic(err)
 	}
 	m.AggTime += time.Since(start)
-	return out
+	return sl.revAgg
 }
 
-// Forward runs the full model and returns per-vertex class logits.
+// Forward runs the full model and returns per-vertex class logits, a fresh
+// matrix the caller owns: no later pass writes it.
 func (m *GraphSAGE) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	h := x
 	for l, sl := range m.layers {
-		var agg *tensor.Matrix
+		sl.agg = tensor.Reuse(sl.agg, h.Rows, h.Cols)
+		agg := sl.agg
 		if m.Cfg.Aggregator == AggMaxPool {
-			agg = tensor.New(h.Rows, h.Cols)
-			sl.argmax = make([]int32, len(agg.Data))
+			if len(sl.argmax) != len(agg.Data) {
+				sl.argmax = make([]int32, len(agg.Data))
+			}
 			start := time.Now()
 			if err := spmm.AggregateMaxArg(m.G, h, agg, sl.argmax); err != nil {
 				panic(err)
 			}
 			m.AggTime += time.Since(start)
 		} else {
-			agg = m.aggregate(h)
+			m.aggregate(h, agg)
 			if m.FwdHook != nil {
 				m.FwdHook(l, agg)
 			}
@@ -262,26 +269,29 @@ func (m *GraphSAGE) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 }
 
 // Backward propagates ∂L/∂logits through the model, accumulating parameter
-// gradients. It stops at layer 0's dense half: the gradient of the input
-// features is never needed, so layer 0's reverse aggregation is skipped.
+// gradients. It stops at layer 0's weight gradients: the gradient of the
+// input features is never needed, so layer 0's dx GEMM and reverse
+// aggregation are skipped.
 func (m *GraphSAGE) Backward(dlogits *tensor.Matrix) {
 	dy := dlogits
 	for l := len(m.layers) - 1; ; l-- {
-		ds := m.layers[l].denseBackward(dy)
+		sl := m.layers[l]
 		if l == 0 {
+			sl.denseBackward(dy, false)
 			return
 		}
+		ds := sl.denseBackward(dy, true)
 		switch m.Cfg.Aggregator {
 		case AggMaxPool:
 			dx := tensor.New(ds.Rows, ds.Cols)
-			if err := spmm.ScatterMaxGrad(ds, m.layers[l].argmax, dx); err != nil {
+			if err := spmm.ScatterMaxGrad(ds, sl.argmax, dx); err != nil {
 				panic(err)
 			}
 			dy = dx
 		case AggGIN:
 			// s = (1+ε)x + agg: neighbor path gets ds, self path (1+ε)·ds.
 			self := m.hookGrad(l, ds)
-			dx := m.aggregateReverse(ds)
+			dx := m.aggregateReverse(sl, ds)
 			dx.AddScaled(self, float32(1+m.Cfg.GINEps))
 			dy = dx
 		default:
@@ -289,7 +299,7 @@ func (m *GraphSAGE) Backward(dlogits *tensor.Matrix) {
 			// into the self path and the neighbor path.
 			ds.ScaleRows(m.Norm)
 			self := m.hookGrad(l, ds)
-			dx := m.aggregateReverse(ds)
+			dx := m.aggregateReverse(sl, ds)
 			dx.Add(self)
 			dy = dx
 		}
@@ -309,18 +319,26 @@ func (m *GraphSAGE) hookGrad(l int, ds *tensor.Matrix) *tensor.Matrix {
 }
 
 // dense is the dense half of a layer on every input: y = agg·W + b, then
-// ReLU and dropout between layers. With keep it runs through nn layers
-// that keep denseBackward's caches; otherwise through Linear.Apply with
-// nn.ReLU's bits in place (v when v > 0, else +0), writing nothing shared.
+// ReLU and dropout between layers.
+//
+// With keep it runs through nn layers that keep denseBackward's caches,
+// and buffers are reused from pass to pass while the shape holds: Forward
+// hands it the layer's aggregate buffer (agg), the ReLU output it returns
+// between layers is the nn.ReLU's own, and denseBackward's masked
+// gradient and ∂L/∂agg are the nn.ReLU's and the nn.Linear's (Backward
+// aggregates the latter into revAgg). Fresh on every pass and the
+// caller's: the Linear output, so the last layer's, the logits Forward
+// returns; and a dropout output.
+//
+// Without keep (the serving path, run concurrently on a shared model) it
+// goes through Linear.Apply and rectifies that fresh y in place with
+// tensor.ReLU, nn.ReLU's bits, writing nothing shared: everything it
+// returns is fresh and the caller's.
 func (sl *sageLayer) dense(agg *tensor.Matrix, keep, training bool) *tensor.Matrix {
 	if !keep {
 		y := sl.linear.Apply(agg)
 		if sl.relu != nil {
-			for i, v := range y.Data {
-				if !(v > 0) {
-					y.Data[i] = 0
-				}
-			}
+			tensor.ReLU(y.Data, y.Data)
 		}
 		return y
 	}
@@ -334,14 +352,20 @@ func (sl *sageLayer) dense(agg *tensor.Matrix, keep, training bool) *tensor.Matr
 	return h
 }
 
-// denseBackward is dense's backward after a keep pass: it returns ∂L/∂agg
-// and accumulates the Linear gradients.
-func (sl *sageLayer) denseBackward(dy *tensor.Matrix) *tensor.Matrix {
+// denseBackward is dense's backward after a keep pass: it accumulates the
+// Linear gradients and, with input, returns ∂L/∂agg. Without input (layer
+// 0, whose aggregate is of input features) it skips that GEMM and returns
+// nil.
+func (sl *sageLayer) denseBackward(dy *tensor.Matrix, input bool) *tensor.Matrix {
 	if sl.relu != nil {
 		if sl.dropout != nil {
 			dy = sl.dropout.Backward(dy)
 		}
 		dy = sl.relu.Backward(dy)
+	}
+	if !input {
+		sl.linear.AccumulateGrads(dy)
+		return nil
 	}
 	return sl.linear.Backward(dy)
 }
@@ -387,8 +411,9 @@ func (m *GraphSAGE) ForwardBlock(l int, indptr, indices, selfIdx []int32, rows s
 // index order, then self. Layer 0's sources are input features, which
 // need no gradient.
 func (m *GraphSAGE) BackwardBlocks(dlogits *tensor.Matrix) {
-	dAgg := m.layers[len(m.layers)-1].denseBackward(dlogits)
-	for l := len(m.layers) - 1; l > 0; l-- {
+	last := len(m.layers) - 1
+	dAgg := m.layers[last].denseBackward(dlogits, last > 0)
+	for l := last; l > 0; l-- {
 		sl := m.layers[l]
 		dx := tensor.New(len(m.layers[l-1].indptr)-1, dAgg.Cols)
 		for i := 0; i < len(sl.indptr)-1; i++ {
@@ -406,7 +431,7 @@ func (m *GraphSAGE) BackwardBlocks(dlogits *tensor.Matrix) {
 				self[j] += g[j] * norm
 			}
 		}
-		dAgg = m.layers[l-1].denseBackward(dx)
+		dAgg = m.layers[l-1].denseBackward(dx, l > 1)
 	}
 }
 

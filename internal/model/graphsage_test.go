@@ -196,6 +196,91 @@ func TestNoOpBwdHookKeepsGradientBits(t *testing.T) {
 	}
 }
 
+// TestForwardReturnsCallerOwnedLogits is the ownership pin of Forward's
+// buffer reuse: the aggregate and ReLU buffers are recycled from pass to
+// pass, the logits are not. Two successive passes over different inputs
+// must return distinct matrices, and the first pass's logits must keep
+// their bits through the second, in training and evaluation mode, for
+// every aggregator and depth. Without this, a test comparing two forward
+// passes could pass because both results were one buffer.
+func TestForwardReturnsCallerOwnedLogits(t *testing.T) {
+	g := smallGraph()
+	rng := rand.New(rand.NewSource(7))
+	x1, x2 := tensor.New(5, 4), tensor.New(5, 4)
+	tensor.RandomNormal(x1, rng, 1)
+	tensor.RandomNormal(x2, rng, 1)
+	for _, agg := range []Aggregator{AggGCN, AggGIN, AggMaxPool} {
+		for _, layers := range []int{1, 2, 3} {
+			for _, training := range []bool{true, false} {
+				cfg := smallConfig(layers)
+				cfg.Aggregator = agg
+				m, err := New(g, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := m.Forward(x1, training)
+				want := a.Clone()
+				b := m.Forward(x2, training)
+				if a == b || &a.Data[0] == &b.Data[0] {
+					t.Fatalf("%v/%d layers/training=%v: two passes returned one logits buffer", agg, layers, training)
+				}
+				if b.MaxAbsDiff(want) == 0 {
+					t.Fatalf("%v/%d layers/training=%v: passes over different inputs gave equal logits", agg, layers, training)
+				}
+				for i, v := range want.Data {
+					if math.Float32bits(a.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("%v/%d layers/training=%v: logit %d changed from %v to %v by the next pass",
+							agg, layers, training, i, v, a.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReusedBuffersKeepEpochBits: a model whose buffers were already used
+// by a pass over other input must produce the same logits and gradients,
+// bit for bit, as a fresh model with the same weights.
+func TestReusedBuffersKeepEpochBits(t *testing.T) {
+	g := smallGraph()
+	rng := rand.New(rand.NewSource(8))
+	x, other := tensor.New(5, 4), tensor.New(5, 4)
+	tensor.RandomNormal(x, rng, 1)
+	tensor.RandomNormal(other, rng, 1)
+	labels, mask := []int32{0, 1, 2, 0, 1}, []int32{0, 1, 2, 3, 4}
+	for _, agg := range []Aggregator{AggGCN, AggGIN, AggMaxPool} {
+		pass := func(m *GraphSAGE) []float32 {
+			logits := m.Forward(x, true)
+			_, dlogits := nn.MaskedCrossEntropy(logits, labels, mask)
+			nn.ZeroGrads(m.Params())
+			m.Backward(dlogits)
+			out := append([]float32(nil), logits.Data...)
+			for _, p := range m.Params() {
+				out = append(out, p.Grad.Data...)
+			}
+			return out
+		}
+		cfg := smallConfig(3)
+		cfg.Aggregator = agg
+		fresh, err := New(g, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used, err := New(g, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dl := nn.MaskedCrossEntropy(used.Forward(other, true), labels, mask)
+		used.Backward(dl)
+		want, got := pass(fresh), pass(used)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%v: value %d is %v after a previous pass, %v on a fresh model", agg, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestFwdHookInjectionChangesOutput(t *testing.T) {
 	// Injecting remote partial aggregates through the hook must influence
 	// logits — this is the mechanism the distributed trainer relies on.

@@ -7,11 +7,15 @@ import (
 )
 
 // Linear is a fully connected layer: y = x·W + b, with W of shape in×out.
+// Forward and Apply return a fresh y the caller owns. Backward's dx is a
+// buffer the layer owns and reuses while the shape holds: it stays valid
+// until the layer's next Backward.
 type Linear struct {
 	Weight *Param
 	Bias   *Param // 1×out; nil when bias is disabled
 
-	x *tensor.Matrix // cached input for backward
+	x      *tensor.Matrix // cached input for backward
+	dW, dx *tensor.Matrix // Backward's weight-gradient scratch and result
 }
 
 // NewLinear creates a Glorot-initialized Linear layer.
@@ -31,10 +35,11 @@ func (l *Linear) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 }
 
 // Apply computes y = x·W (+ b) without keeping x: the forward-only form of
-// Forward, safe to call concurrently on a shared layer.
+// Forward, safe to call concurrently on a shared layer. y is fresh and the
+// caller's; being zeroed already, it takes the product through MatMulAcc.
 func (l *Linear) Apply(x *tensor.Matrix) *tensor.Matrix {
 	y := tensor.New(x.Rows, l.Weight.W.Cols)
-	tensor.MatMul(y, x, l.Weight.W)
+	tensor.MatMulAcc(y, x, l.Weight.W)
 	if l.Bias != nil {
 		y.AddRowVector(l.Bias.W.Data)
 	}
@@ -43,9 +48,19 @@ func (l *Linear) Apply(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward accumulates dW += xᵀ·dy, db += Σrows(dy) and returns dx = dy·Wᵀ.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dW := tensor.New(l.Weight.W.Rows, l.Weight.W.Cols)
-	tensor.MatMulTransA(dW, l.x, dy)
-	l.Weight.Grad.Add(dW)
+	l.AccumulateGrads(dy)
+	l.dx = tensor.Reuse(l.dx, l.x.Rows, l.x.Cols)
+	tensor.MatMulTransB(l.dx, dy, l.Weight.W)
+	return l.dx
+}
+
+// AccumulateGrads is Backward for a layer whose input needs no gradient
+// (a model's first layer over input features): it accumulates dW and db
+// and skips the dx GEMM.
+func (l *Linear) AccumulateGrads(dy *tensor.Matrix) {
+	l.dW = tensor.Reuse(l.dW, l.Weight.W.Rows, l.Weight.W.Cols)
+	tensor.MatMulTransA(l.dW, l.x, dy)
+	l.Weight.Grad.Add(l.dW)
 	if l.Bias != nil {
 		db := make([]float32, dy.Cols)
 		dy.ColSums(db)
@@ -53,9 +68,6 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 			l.Bias.Grad.Data[j] += v
 		}
 	}
-	dx := tensor.New(l.x.Rows, l.x.Cols)
-	tensor.MatMulTransB(dx, dy, l.Weight.W)
-	return dx
 }
 
 // Params returns the trainable parameters.
@@ -66,32 +78,27 @@ func (l *Linear) Params() []*Param {
 	return []*Param{l.Weight, l.Bias}
 }
 
-// ReLU is the elementwise rectifier.
+// ReLU is the elementwise rectifier, through tensor.ReLU and
+// tensor.ReLUGrad. Forward's and Backward's results are buffers the layer
+// owns and reuses while the shape holds: each stays valid until the next
+// call of the same method.
 type ReLU struct {
-	y *tensor.Matrix // cached output: mask = (y > 0)
+	y  *tensor.Matrix // cached output: mask = (y > 0)
+	dx *tensor.Matrix
 }
 
-// Forward computes max(x, 0).
+// Forward computes x where x > 0, else +0.
 func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	y := tensor.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		}
-	}
-	r.y = y
-	return y
+	r.y = tensor.Reuse(r.y, x.Rows, x.Cols)
+	tensor.ReLU(r.y.Data, x.Data)
+	return r.y
 }
 
 // Backward masks dy by the activation pattern.
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.New(dy.Rows, dy.Cols)
-	for i, v := range dy.Data {
-		if r.y.Data[i] > 0 {
-			dx.Data[i] = v
-		}
-	}
-	return dx
+	r.dx = tensor.Reuse(r.dx, dy.Rows, dy.Cols)
+	tensor.ReLUGrad(r.dx.Data, dy.Data, r.y.Data)
+	return r.dx
 }
 
 // Params returns nil: ReLU has no parameters.

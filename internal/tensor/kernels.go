@@ -5,17 +5,22 @@ import (
 	"math"
 )
 
-// kernels.go holds the three fp32 loops that dominate training and serving
-// — the gather row-sum of aggregation, the row axpy of MatMul/MatMulTransA
-// and the dot of MatMulTransB — as bounds-checked entry points over a
-// per-architecture kernel. On amd64 with AVX the kernel is Go assembly
-// (kernels_amd64.s) that holds an output strip in ymm/xmm registers, the
-// SIMD body LIBXSMM JITs in the paper (Alg. 3); elsewhere, or built with
-// -tags purego, it is the pure-Go reference below. Both paths perform the
-// same float ops in the same order for every output element (mul then add,
-// never fused), so they agree bit for bit; the references are the test
-// oracle. The checks run on both paths: the assembly does no bounds
-// checking of its own, so they are what keeps it memory safe.
+// kernels.go holds the fp32 loops that dominate training and serving —
+// the gather row-sum of aggregation, the row axpy of MatMul/MatMulTransA,
+// the dot of MatMulTransB and the rectifier (ReLU forward and its backward
+// mask) — as bounds-checked entry points over a per-architecture kernel.
+// On amd64 with AVX the kernel is Go assembly (kernels_amd64.s) that holds
+// an output strip in ymm/xmm registers, the SIMD body LIBXSMM JITs in the
+// paper (Alg. 3); elsewhere, or built with -tags purego, it is the pure-Go
+// reference below. The assembly covers every width itself: the gather
+// row-sum, the row axpy and the rectifier take their last len(dst) mod 8
+// columns through masked loads and stores in the same pass, so a width
+// such as 41 or 47 never falls back to the reference.
+// Both paths perform the same float ops in the same order for every output
+// element (mul then add, never fused), so they agree bit for bit; the
+// references are the test oracle. The checks run on both paths: the
+// assembly does no bounds checking of its own, so they are what keeps it
+// memory safe.
 
 // GatherSum adds the rows of src selected by idx into dst, in idx order:
 //
@@ -75,6 +80,33 @@ func dotRows(out, a, b []float32, stride int) {
 	dotRowsKernel(out, a, b, stride)
 }
 
+// ReLU writes the rectifier of x into dst: dst[i] = x[i] where x[i] > 0,
+// else +0, so −0 and NaN both become +0. dst may be x itself (in place)
+// but must not otherwise overlap it. It panics if the lengths differ.
+func ReLU(dst, x []float32) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("tensor: ReLU of %d floats into %d", len(x), len(dst)))
+	}
+	if len(x) == 0 {
+		return
+	}
+	reluKernel(dst, x)
+}
+
+// ReLUGrad writes the rectifier's backward into dst: dst[i] = dy[i] where
+// y[i] > 0, else +0, for y a ReLU output (or any pre-activation whose sign
+// selects the gradient). dst may be dy or y itself but must not otherwise
+// overlap either. It panics if the lengths differ.
+func ReLUGrad(dst, dy, y []float32) {
+	if len(dst) != len(dy) || len(dy) != len(y) {
+		panic(fmt.Sprintf("tensor: ReLUGrad over %d, %d and %d floats", len(dst), len(dy), len(y)))
+	}
+	if len(dy) == 0 {
+		return
+	}
+	reluGradKernel(dst, dy, y)
+}
+
 // gatherSumRef is the reference GatherSum body: one source row at a time.
 func gatherSumRef(dst, src []float32, idx []int32, stride int) {
 	for _, u := range idx {
@@ -105,6 +137,30 @@ func axpyRowsRef(dst, coef, b []float32, stride int) {
 func dotRowsRef(out, a, b []float32, stride int) {
 	for j := range out {
 		out[j] = dot(a, b[j*stride:][:len(a)])
+	}
+}
+
+// reluRef is the reference ReLU body.
+func reluRef(dst, x []float32) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// reluGradRef is the reference ReLUGrad body.
+func reluGradRef(dst, dy, y []float32) {
+	dst, y = dst[:len(dy)], y[:len(dy)]
+	for i, g := range dy {
+		if y[i] > 0 {
+			dst[i] = g
+		} else {
+			dst[i] = 0
+		}
 	}
 }
 

@@ -24,14 +24,14 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// gatherSumAVX is the GatherSum body for the first len(dst) columns;
-// len(dst) must be a positive multiple of 8 and idx non-empty.
+// gatherSumAVX is the whole GatherSum body; len(dst) must be positive and
+// idx non-empty.
 //
 //go:noescape
 func gatherSumAVX(dst, src []float32, idx []int32, stride int)
 
-// axpyRowsAVX is the axpyRows body for the first len(dst) columns;
-// len(dst) must be a positive multiple of 8 and coef non-empty.
+// axpyRowsAVX is the whole axpyRows body; len(dst) must be positive and
+// coef non-empty.
 //
 //go:noescape
 func axpyRowsAVX(dst, coef, b []float32, stride int)
@@ -41,31 +41,30 @@ func axpyRowsAVX(dst, coef, b []float32, stride int)
 //go:noescape
 func dotRowsAVX(out, a, b []float32, stride int)
 
-// gatherSumKernel runs the 8-column multiple of the width in assembly and
-// the last len(dst) mod 8 columns through the reference.
+// reluAVX is the whole ReLU body; len(dst) must equal len(x).
+//
+//go:noescape
+func reluAVX(dst, x []float32)
+
+// reluGradAVX is the whole ReLUGrad body; all three lengths must be equal.
+//
+//go:noescape
+func reluGradAVX(dst, dy, y []float32)
+
 func gatherSumKernel(dst, src []float32, idx []int32, stride int) {
-	w8 := len(dst) &^ 7
-	if !useAVX || w8 == 0 {
+	if !useAVX {
 		gatherSumRef(dst, src, idx, stride)
 		return
 	}
-	gatherSumAVX(dst[:w8], src, idx, stride)
-	if w8 < len(dst) {
-		gatherSumRef(dst[w8:], src[w8:], idx, stride)
-	}
+	gatherSumAVX(dst, src, idx, stride)
 }
 
-// axpyRowsKernel splits the width like gatherSumKernel.
 func axpyRowsKernel(dst, coef, b []float32, stride int) {
-	w8 := len(dst) &^ 7
-	if !useAVX || w8 == 0 {
+	if !useAVX {
 		axpyRowsRef(dst, coef, b, stride)
 		return
 	}
-	axpyRowsAVX(dst[:w8], coef, b, stride)
-	if w8 < len(dst) {
-		axpyRowsRef(dst[w8:], coef, b[w8:], stride)
-	}
+	axpyRowsAVX(dst, coef, b, stride)
 }
 
 func dotRowsKernel(out, a, b []float32, stride int) {
@@ -74,4 +73,20 @@ func dotRowsKernel(out, a, b []float32, stride int) {
 		return
 	}
 	dotRowsAVX(out, a, b, stride)
+}
+
+func reluKernel(dst, x []float32) {
+	if !useAVX {
+		reluRef(dst, x)
+		return
+	}
+	reluAVX(dst, x)
+}
+
+func reluGradKernel(dst, dy, y []float32) {
+	if !useAVX {
+		reluGradRef(dst, dy, y)
+		return
+	}
+	reluGradAVX(dst, dy, y)
 }

@@ -8,6 +8,28 @@
 // place of MULSS then ADDSS, no FMA. The Go entry points check all bounds
 // before calling in; nothing here checks them again.
 
+// tailmask<>+32-4k is the VMASKMOVPS mask of the first k lanes (k = 1…7):
+// eight all-ones words, then eight zero words. A masked load reads zeros
+// into the other lanes and touches no memory for them; a masked store
+// writes only the first k, so a width's last len mod 8 columns run in the
+// same pass as its 8-column blocks.
+DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+DATA tailmask<>+56(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// TAILMASK loads the mask of the first n lanes (1 ≤ n ≤ 7) into m and
+// leaves -n in n; t is a scratch register.
+#define TAILMASK(n, t, m) \
+	LEAQ    tailmask<>+32(SB), t; \
+	NEGQ    n; \
+	VMOVUPS (t)(n*4), m
+
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -29,9 +51,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 
 // func gatherSumAVX(dst, src []float32, idx []int32, stride int)
 //
-// Column blocks of 64, 32, 16 and 8 floats: each block of dst is loaded
-// into 8, 4, 2 or 1 ymm accumulators, every indexed source row is added in
-// idx order, and the block is stored once.
+// Column blocks of 64, 32, 16 and 8 floats, then the last len(dst) mod 8
+// under a lane mask: each block of dst is loaded into 8, 4, 2 or 1 ymm
+// accumulators, every indexed source row is added in idx order, and the
+// block is stored once.
 TEXT ·gatherSumAVX(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -128,7 +151,7 @@ g16loop:
 	SUBQ $16, CX
 g8:
 	CMPQ CX, $8
-	JLT  gdone
+	JLT  gtail
 	VMOVUPS 0(DI), Y0
 	XORQ BX, BX
 g8loop:
@@ -143,13 +166,29 @@ g8loop:
 	ADDQ $32, DI
 	ADDQ $32, SI
 	SUBQ $8, CX
+gtail:
+	TESTQ CX, CX
+	JZ    gdone
+	TAILMASK(CX, AX, Y15)
+	VMASKMOVPS (DI), Y15, Y0
+	XORQ BX, BX
+gtailloop:
+	MOVLQSX    (R8)(BX*4), R11
+	IMULQ      R10, R11
+	ADDQ       SI, R11
+	VMASKMOVPS (R11), Y15, Y1
+	VADDPS     Y1, Y0, Y0
+	INCQ BX
+	CMPQ BX, R9
+	JLT  gtailloop
+	VMASKMOVPS Y0, Y15, (DI)
 gdone:
 	VZEROUPPER
 	RET
 
 // func axpyRowsAVX(dst, coef, b []float32, stride int)
 //
-// Column blocks as in gatherSumAVX. For each row p whose coef[p] is not ±0
+// Column blocks and tail as in gatherSumAVX. For each row p whose coef[p] is not ±0
 // (tested on the bits, so NaN is not skipped), coef[p] is broadcast and
 // multiplied into the row, and the products are added to the accumulators.
 TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-80
@@ -274,7 +313,7 @@ a16skip:
 	SUBQ $16, CX
 a8:
 	CMPQ CX, $8
-	JLT  adone
+	JLT  atail
 	VMOVUPS 0(DI), Y0
 	XORQ BX, BX
 	MOVQ SI, R11
@@ -294,6 +333,27 @@ a8skip:
 	ADDQ $32, DI
 	ADDQ $32, SI
 	SUBQ $8, CX
+atail:
+	TESTQ CX, CX
+	JZ    adone
+	TAILMASK(CX, AX, Y15)
+	VMASKMOVPS (DI), Y15, Y0
+	XORQ BX, BX
+	MOVQ SI, R11
+atailloop:
+	MOVL  (R8)(BX*4), AX
+	TESTL $0x7fffffff, AX
+	JZ    atailskip
+	VBROADCASTSS (R8)(BX*4), Y8
+	VMASKMOVPS   (R11), Y15, Y9
+	VMULPS       Y9, Y8, Y9
+	VADDPS       Y9, Y0, Y0
+atailskip:
+	ADDQ R10, R11
+	INCQ BX
+	CMPQ BX, R9
+	JLT  atailloop
+	VMASKMOVPS Y0, Y15, (DI)
 adone:
 	VZEROUPPER
 	RET
@@ -414,5 +474,112 @@ d1store:
 	JMP  d1
 
 ddone:
+	VZEROUPPER
+	RET
+
+// func reluAVX(dst, x []float32)
+//
+// VMAXPS with x as the first source and +0 as the second returns x where
+// x > +0 and the second source otherwise, including for −0 and NaN: the
+// reference's rule with no branch. Blocks of 32 and 8 floats, then the
+// last len mod 8 under a lane mask.
+TEXT ·reluAVX(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	VXORPS Y14, Y14, Y14
+
+r32:
+	CMPQ CX, $32
+	JLT  r8
+	VMOVUPS 0(SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS 64(SI), Y2
+	VMOVUPS 96(SI), Y3
+	VMAXPS  Y14, Y0, Y0
+	VMAXPS  Y14, Y1, Y1
+	VMAXPS  Y14, Y2, Y2
+	VMAXPS  Y14, Y3, Y3
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  r32
+r8:
+	CMPQ CX, $8
+	JLT  rtail
+	VMOVUPS (SI), Y0
+	VMAXPS  Y14, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  r8
+rtail:
+	TESTQ CX, CX
+	JZ    rdone
+	TAILMASK(CX, AX, Y15)
+	VMASKMOVPS (SI), Y15, Y0
+	VMAXPS     Y14, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)
+rdone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX(dst, dy, y []float32)
+//
+// The mask +0 < y (ordered, so false for NaN and ±0) ANDed with dy: dy's
+// bits where y > 0, +0 elsewhere. Blocks and tail as in reluAVX.
+TEXT ·reluGradAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ dy_base+24(FP), SI
+	MOVQ y_base+48(FP), R8
+	VXORPS Y14, Y14, Y14
+
+m32:
+	CMPQ CX, $32
+	JLT  m8
+	VCMPPS  $1, 0(R8), Y14, Y0
+	VCMPPS  $1, 32(R8), Y14, Y1
+	VCMPPS  $1, 64(R8), Y14, Y2
+	VCMPPS  $1, 96(R8), Y14, Y3
+	VANDPS  0(SI), Y0, Y0
+	VANDPS  32(SI), Y1, Y1
+	VANDPS  64(SI), Y2, Y2
+	VANDPS  96(SI), Y3, Y3
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, R8
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  m32
+m8:
+	CMPQ CX, $8
+	JLT  mtail
+	VCMPPS  $1, (R8), Y14, Y0
+	VANDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  m8
+mtail:
+	TESTQ CX, CX
+	JZ    mdone
+	TAILMASK(CX, AX, Y15)
+	VMASKMOVPS (R8), Y15, Y1
+	VMASKMOVPS (SI), Y15, Y2
+	VCMPPS     $1, Y1, Y14, Y0
+	VANDPS     Y2, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)
+mdone:
 	VZEROUPPER
 	RET

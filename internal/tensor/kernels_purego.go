@@ -15,3 +15,11 @@ func axpyRowsKernel(dst, coef, b []float32, stride int) {
 func dotRowsKernel(out, a, b []float32, stride int) {
 	dotRowsRef(out, a, b, stride)
 }
+
+func reluKernel(dst, x []float32) {
+	reluRef(dst, x)
+}
+
+func reluGradKernel(dst, dy, y []float32) {
+	reluGradRef(dst, dy, y)
+}

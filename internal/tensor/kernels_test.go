@@ -13,7 +13,9 @@ import (
 // and tail boundary (width 0 must be a no-op), empty and long index lists,
 // and operands that include ±0, subnormals, ±Inf and NaN.
 
-var kernelWidths = []int{0, 1, 7, 8, 9, 41, 63, 64, 65, 128, 200}
+// 41 is reddit-sim's class count, 47 and 50 ogbn-products-sim's class and
+// feature counts.
+var kernelWidths = []int{0, 1, 7, 8, 9, 41, 47, 50, 63, 64, 65, 128, 200}
 
 // defaultNaN is the NaN x86 produces for Inf−Inf and 0·Inf. Using it as the
 // only input NaN keeps every NaN in these tests the same bit pattern, so
@@ -144,6 +146,54 @@ func TestDotRowsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestReLUMatchesReference checks both rectifier kernels against their
+// references at every width, into a fresh destination and in place, with
+// operands drawn from ±0, subnormals, ±Inf and NaN. The outputs must match
+// bit for bit, NaN included: neither rule ever passes a NaN of x through,
+// and ReLUGrad copies dy's bits unchanged.
+func TestReLUMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, w := range kernelWidths {
+		for _, rate := range specialRates {
+			x := specialSlice(rng, w, rate)
+			dy := specialSlice(rng, w, rate)
+
+			want := specialSlice(rng, w, 0.5)
+			got := specialSlice(rng, w, 0.5)
+			reluRef(want, x)
+			ReLU(got, x)
+			if j := sameFloats(got, want, false); j >= 0 {
+				t.Fatalf("ReLU w=%d rate=%v: col %d of %#08x got %#08x want %#08x",
+					w, rate, j, math.Float32bits(x[j]), math.Float32bits(got[j]), math.Float32bits(want[j]))
+			}
+			for j, v := range got {
+				if v != v || math.Float32bits(v) == 0x80000000 {
+					t.Fatalf("ReLU w=%d: col %d is %#08x, want a number > 0 or +0", w, j, math.Float32bits(v))
+				}
+			}
+			inPlace := append([]float32(nil), x...)
+			ReLU(inPlace, inPlace)
+			if j := sameFloats(inPlace, want, false); j >= 0 {
+				t.Fatalf("ReLU in place w=%d rate=%v: col %d got %#08x want %#08x",
+					w, rate, j, math.Float32bits(inPlace[j]), math.Float32bits(want[j]))
+			}
+
+			reluGradRef(want, dy, x)
+			ReLUGrad(got, dy, x)
+			if j := sameFloats(got, want, false); j >= 0 {
+				t.Fatalf("ReLUGrad w=%d rate=%v: col %d (y %#08x, dy %#08x) got %#08x want %#08x",
+					w, rate, j, math.Float32bits(x[j]), math.Float32bits(dy[j]), math.Float32bits(got[j]), math.Float32bits(want[j]))
+			}
+			inPlace = append(inPlace[:0], dy...)
+			ReLUGrad(inPlace, inPlace, x)
+			if j := sameFloats(inPlace, want, false); j >= 0 {
+				t.Fatalf("ReLUGrad in place w=%d rate=%v: col %d got %#08x want %#08x",
+					w, rate, j, math.Float32bits(inPlace[j]), math.Float32bits(want[j]))
+			}
+		}
+	}
+}
+
 // TestMatMulAccKeepsNegativeZero pins the av == 0 skip end to end: C starts
 // at −0, A has zero entries against Inf/NaN in B, and every element must
 // equal the sequential scalar loop — a −0 survives where every term is
@@ -237,6 +287,8 @@ func TestKernelBoundsChecks(t *testing.T) {
 		"gather last window":  func() { GatherSum(make([]float32, 8), src, []int32{3}, 9) },
 		"axpy short b":        func() { axpyRows(make([]float32, 8), make([]float32, 5), src, 8) },
 		"dot short b":         func() { dotRows(make([]float32, 5), make([]float32, 8), src, 8) },
+		"relu short dst":      func() { ReLU(make([]float32, 7), src[:8]) },
+		"relu grad short y":   func() { ReLUGrad(make([]float32, 8), src[:8], src[:7]) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -322,6 +374,28 @@ func FuzzDotRows(f *testing.F) {
 		dotRows(got, a, b, stride)
 		if j := sameFloats(got, want, true); j >= 0 {
 			t.Fatalf("k=%d n=%d: col %d got %#08x want %#08x", k, n, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+		}
+	})
+}
+
+// FuzzReLU: ReLU ≡ reluRef and ReLUGrad ≡ reluGradRef on arbitrary operand
+// bits. Both copy or zero, never compute, so even NaN payloads match.
+func FuzzReLU(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, w, _, off uint8) {
+		x := fuzzFloats(data, int(w))
+		dy := fuzzFloats(data[min(len(data), 4*int(off%4)+4):], int(w))
+		got := make([]float32, w)
+		want := make([]float32, w)
+		reluRef(want, x)
+		ReLU(got, x)
+		if j := sameFloats(got, want, false); j >= 0 {
+			t.Fatalf("ReLU w=%d: col %d of %#08x got %#08x want %#08x", w, j, math.Float32bits(x[j]), math.Float32bits(got[j]), math.Float32bits(want[j]))
+		}
+		reluGradRef(want, dy, x)
+		ReLUGrad(got, dy, x)
+		if j := sameFloats(got, want, false); j >= 0 {
+			t.Fatalf("ReLUGrad w=%d: col %d got %#08x want %#08x", w, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
 		}
 	})
 }

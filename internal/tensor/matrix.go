@@ -29,6 +29,16 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
+// Reuse returns m when it is already rows×cols and a fresh zeroed matrix
+// otherwise (m may be nil): the buffer of a caller that rewrites every
+// element on each pass. A reused m keeps its old values.
+func Reuse(m *Matrix, rows, cols int) *Matrix {
+	if m != nil && m.Rows == rows && m.Cols == cols {
+		return m
+	}
+	return New(rows, cols)
+}
+
 // FromSlice wraps data as a rows×cols matrix without copying. The caller
 // must not alias data in ways that violate the matrix's invariants.
 func FromSlice(rows, cols int, data []float32) *Matrix {
