@@ -16,6 +16,7 @@ type Linear struct {
 
 	x      *tensor.Matrix // cached input for backward
 	dW, dx *tensor.Matrix // Backward's weight-gradient scratch and result
+	db     []float32      // Backward's bias-gradient scratch
 }
 
 // NewLinear creates a Glorot-initialized Linear layer.
@@ -62,9 +63,11 @@ func (l *Linear) AccumulateGrads(dy *tensor.Matrix) {
 	tensor.MatMulTransA(l.dW, l.x, dy)
 	l.Weight.Grad.Add(l.dW)
 	if l.Bias != nil {
-		db := make([]float32, dy.Cols)
-		dy.ColSums(db)
-		for j, v := range db {
+		if len(l.db) != dy.Cols {
+			l.db = make([]float32, dy.Cols)
+		}
+		dy.ColSums(l.db)
+		for j, v := range l.db {
 			l.Bias.Grad.Data[j] += v
 		}
 	}

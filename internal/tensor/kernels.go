@@ -7,15 +7,25 @@ import (
 
 // kernels.go holds the fp32 loops that dominate training and serving —
 // the gather row-sum of aggregation, the row axpy of MatMul/MatMulTransA,
-// the dot of MatMulTransB and the rectifier (ReLU forward and its backward
-// mask) — as bounds-checked entry points over a per-architecture kernel.
-// On amd64 with AVX the kernel is Go assembly (kernels_amd64.s) that holds
-// an output strip in ymm/xmm registers, the SIMD body LIBXSMM JITs in the
-// paper (Alg. 3); elsewhere, or built with -tags purego, it is the pure-Go
-// reference below. The assembly covers every width itself: the gather
-// row-sum, the row axpy and the rectifier take their last len(dst) mod 8
-// columns through masked loads and stores in the same pass, so a width
-// such as 41 or 47 never falls back to the reference.
+// the column dots of MatMulTransB and the rectifier (ReLU forward and its
+// backward mask) — as bounds-checked entry points over a per-architecture
+// kernel. On amd64 with AVX the kernel is Go assembly (kernels_amd64.s)
+// that holds an output strip in ymm registers, the SIMD body LIBXSMM JITs
+// in the paper (Alg. 3); elsewhere, or built with -tags purego, it is the
+// pure-Go reference below. The assembly covers every width itself: each
+// kernel takes its last len mod 8 columns through masked loads and stores
+// in the same pass, so a width such as 41 or 47 never falls back to the
+// reference.
+//
+// All three GEMMs run the same shape of kernel: an output row strip in
+// ymm accumulators, one broadcast coefficient times one row of the other
+// operand per step. The row axpy reads its coefficients with a stride, so
+// MatMul (stride 1, a row of A) and MatMulTransA (stride m, a column of A
+// read in place) share it. The column dots read Bᵀ, which MatMulTransB
+// forms once per call, and keep four accumulator sets per 16 columns, one
+// per lane class p mod 4 of the inner index, so that each output is
+// summed in dot's order.
+//
 // Both paths perform the same float ops in the same order for every output
 // element (mul then add, never fused), so they agree bit for bit; the
 // references are the test oracle. The checks run on both paths: the
@@ -52,32 +62,44 @@ func GatherSum(dst, src []float32, idx []int32, stride int) {
 
 // axpyRows accumulates coefficient-weighted rows of b into dst, in p order:
 //
-//	dst[j] += coef[p] * b[p*stride + j]   for p = 0, 1, …; j < len(dst)
+//	dst[j] += coef[p*cstride] * b[p*stride + j]   for p*cstride < len(coef); j < len(dst)
 //
-// skipping every p whose coef[p] is ±0, so a zero coefficient never turns
-// an Inf/NaN in b into NaN nor flips a −0 in dst. dst must not overlap b.
-func axpyRows(dst, coef, b []float32, stride int) {
+// skipping every p whose coefficient is ±0, so a zero coefficient never
+// turns an Inf/NaN in b into NaN nor flips a −0 in dst. The coefficients
+// are every cstride-th element of coef from the first (cstride 1: all of
+// it). dst must not overlap b.
+func axpyRows(dst, coef []float32, cstride int, b []float32, stride int) {
 	w, k := len(dst), len(coef)
 	if w == 0 || k == 0 {
 		return
 	}
+	if cstride != 1 { // MatMul's rows skip the division
+		if cstride < 1 {
+			panic(fmt.Sprintf("tensor: axpyRows coefficient stride %d", cstride))
+		}
+		k = (k-1)/cstride + 1
+	}
 	if stride < 0 || (k-1)*stride+w > len(b) {
 		panic(fmt.Sprintf("tensor: axpyRows %d rows of width %d, stride %d over %d floats", k, w, stride, len(b)))
 	}
-	axpyRowsKernel(dst, coef, b, stride)
+	axpyRowsKernel(dst, coef, cstride, b, stride)
 }
 
-// dotRows writes out[j] = dot(a, b[j*stride : j*stride+len(a)]) for every
-// j < len(out). An empty a gives zeros.
-func dotRows(out, a, b []float32, stride int) {
+// dotRows writes the dot of a with every column of bt, a k×len(out)
+// matrix laid out with row stride stride (Bᵀ for MatMulTransB):
+//
+//	out[j] = dot(a, bt[j:], stride) = Σ_p a[p] * bt[p*stride + j]   for j < len(out)
+//
+// in dot's order. An empty a gives zeros.
+func dotRows(out, a, bt []float32, stride int) {
 	n, k := len(out), len(a)
 	if n == 0 {
 		return
 	}
-	if stride < 0 || (n-1)*stride+k > len(b) {
-		panic(fmt.Sprintf("tensor: dotRows %d rows of width %d, stride %d over %d floats", n, k, stride, len(b)))
+	if k > 0 && (stride < 0 || (k-1)*stride+n > len(bt)) {
+		panic(fmt.Sprintf("tensor: dotRows %d rows of width %d, stride %d over %d floats", k, n, stride, len(bt)))
 	}
-	dotRowsKernel(out, a, b, stride)
+	dotRowsKernel(out, a, bt, stride)
 }
 
 // ReLU writes the rectifier of x into dst: dst[i] = x[i] where x[i] > 0,
@@ -121,8 +143,9 @@ func gatherSumRef(dst, src []float32, idx []int32, stride int) {
 // the product rounded on its own: it forbids the compiler from fusing the
 // multiply-add (which GOAMD64=v3 would otherwise do), so the result is the
 // assembly's VMULPS-then-VADDPS at every build setting.
-func axpyRowsRef(dst, coef, b []float32, stride int) {
-	for p, c := range coef {
+func axpyRowsRef(dst, coef []float32, cstride int, b []float32, stride int) {
+	for p, q := 0, 0; q < len(coef); p, q = p+1, q+cstride {
+		c := coef[q]
 		if c == 0 {
 			continue
 		}
@@ -133,10 +156,14 @@ func axpyRowsRef(dst, coef, b []float32, stride int) {
 	}
 }
 
-// dotRowsRef is the reference dotRows body.
-func dotRowsRef(out, a, b []float32, stride int) {
+// dotRowsRef is the reference dotRows body: one column at a time.
+func dotRowsRef(out, a, bt []float32, stride int) {
+	if len(a) == 0 {
+		clear(out)
+		return
+	}
 	for j := range out {
-		out[j] = dot(a, b[j*stride:][:len(a)])
+		out[j] = dot(a, bt[j:], stride)
 	}
 }
 
@@ -164,22 +191,22 @@ func reluGradRef(dst, dy, y []float32) {
 	}
 }
 
-// dot is the 4-lane dot product: partial sums s_l over elements ≡ l mod 4,
-// combined as ((s0+s1)+s2)+s3, then the remaining len(a) mod 4 products
-// added in order. The assembly keeps s_l in xmm lane l.
-func dot(a, b []float32) float32 {
-	b = b[:len(a)]
+// dot is the 4-lane dot product of a with b[0], b[stride], b[2·stride], …:
+// partial sums s_l over the products at p ≡ l mod 4, combined as
+// ((s0+s1)+s2)+s3, then the remaining len(a) mod 4 products added in
+// order. The assembly keeps s_l in accumulator set l.
+func dot(a, b []float32, stride int) float32 {
 	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += float32(a[i] * b[i])
-		s1 += float32(a[i+1] * b[i+1])
-		s2 += float32(a[i+2] * b[i+2])
-		s3 += float32(a[i+3] * b[i+3])
+	p, q := 0, 0
+	for ; p+4 <= len(a); p, q = p+4, q+4*stride {
+		s0 += float32(a[p] * b[q])
+		s1 += float32(a[p+1] * b[q+stride])
+		s2 += float32(a[p+2] * b[q+2*stride])
+		s3 += float32(a[p+3] * b[q+3*stride])
 	}
 	s := s0 + s1 + s2 + s3
-	for ; i < len(a); i++ {
-		s += float32(a[i] * b[i])
+	for ; p < len(a); p, q = p+1, q+stride {
+		s += float32(a[p] * b[q])
 	}
 	return s
 }

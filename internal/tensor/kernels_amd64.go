@@ -30,16 +30,16 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func gatherSumAVX(dst, src []float32, idx []int32, stride int)
 
-// axpyRowsAVX is the whole axpyRows body; len(dst) must be positive and
-// coef non-empty.
+// axpyRowsAVX is the whole axpyRows body; len(dst) must be positive, coef
+// non-empty and cstride at least 1.
 //
 //go:noescape
-func axpyRowsAVX(dst, coef, b []float32, stride int)
+func axpyRowsAVX(dst, coef []float32, cstride int, b []float32, stride int)
 
-// dotRowsAVX is the whole dotRows body.
+// dotRowsAVX is the whole dotRows body; len(out) must be positive.
 //
 //go:noescape
-func dotRowsAVX(out, a, b []float32, stride int)
+func dotRowsAVX(out, a, bt []float32, stride int)
 
 // reluAVX is the whole ReLU body; len(dst) must equal len(x).
 //
@@ -59,20 +59,20 @@ func gatherSumKernel(dst, src []float32, idx []int32, stride int) {
 	gatherSumAVX(dst, src, idx, stride)
 }
 
-func axpyRowsKernel(dst, coef, b []float32, stride int) {
+func axpyRowsKernel(dst, coef []float32, cstride int, b []float32, stride int) {
 	if !useAVX {
-		axpyRowsRef(dst, coef, b, stride)
+		axpyRowsRef(dst, coef, cstride, b, stride)
 		return
 	}
-	axpyRowsAVX(dst, coef, b, stride)
+	axpyRowsAVX(dst, coef, cstride, b, stride)
 }
 
-func dotRowsKernel(out, a, b []float32, stride int) {
+func dotRowsKernel(out, a, bt []float32, stride int) {
 	if !useAVX {
-		dotRowsRef(out, a, b, stride)
+		dotRowsRef(out, a, bt, stride)
 		return
 	}
-	dotRowsAVX(out, a, b, stride)
+	dotRowsAVX(out, a, bt, stride)
 }
 
 func reluKernel(dst, x []float32) {

@@ -4,8 +4,8 @@
 
 // AVX bodies of the tensor kernels (see kernels.go for the contracts).
 // Every output element sees the same float ops in the same order as the
-// pure-Go reference: VADDPS/VADDSS in place of ADDSS, VMULPS then VADDPS in
-// place of MULSS then ADDSS, no FMA. The Go entry points check all bounds
+// pure-Go reference: VADDPS in place of ADDSS, VMULPS then VADDPS in place
+// of MULSS then ADDSS, no FMA. The Go entry points check all bounds
 // before calling in; nothing here checks them again.
 
 // tailmask<>+32-4k is the VMASKMOVPS mask of the first k lanes (k = 1…7):
@@ -186,18 +186,23 @@ gdone:
 	VZEROUPPER
 	RET
 
-// func axpyRowsAVX(dst, coef, b []float32, stride int)
+// func axpyRowsAVX(dst, coef []float32, cstride int, b []float32, stride int)
 //
-// Column blocks and tail as in gatherSumAVX. For each row p whose coef[p] is not ±0
-// (tested on the bits, so NaN is not skipped), coef[p] is broadcast and
-// multiplied into the row, and the products are added to the accumulators.
-TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-80
+// Column blocks and tail as in gatherSumAVX. Row p's coefficient is
+// coef[p*cstride]: a pointer that steps cstride floats per row and stops
+// at the end of coef. For each row whose coefficient is not ±0 (tested on
+// the bits, so NaN is not skipped), it is broadcast and multiplied into
+// the row, and the products are added to the accumulators.
+TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ coef_base+24(FP), R8
 	MOVQ coef_len+32(FP), R9
-	MOVQ b_base+48(FP), SI
-	MOVQ stride+72(FP), R10
+	LEAQ (R8)(R9*4), R9
+	MOVQ cstride+48(FP), R13
+	SHLQ $2, R13
+	MOVQ b_base+56(FP), SI
+	MOVQ stride+80(FP), R10
 	SHLQ $2, R10
 
 a64:
@@ -211,13 +216,13 @@ a64:
 	VMOVUPS 160(DI), Y5
 	VMOVUPS 192(DI), Y6
 	VMOVUPS 224(DI), Y7
-	XORQ BX, BX
+	MOVQ R8, R12
 	MOVQ SI, R11
 a64loop:
-	MOVL  (R8)(BX*4), AX
+	MOVL  (R12), AX
 	TESTL $0x7fffffff, AX
 	JZ    a64skip
-	VBROADCASTSS (R8)(BX*4), Y8
+	VBROADCASTSS (R12), Y8
 	VMULPS 0(R11), Y8, Y9
 	VADDPS Y9, Y0, Y0
 	VMULPS 32(R11), Y8, Y10
@@ -236,8 +241,8 @@ a64loop:
 	VADDPS Y10, Y7, Y7
 a64skip:
 	ADDQ R10, R11
-	INCQ BX
-	CMPQ BX, R9
+	ADDQ R13, R12
+	CMPQ R12, R9
 	JLT  a64loop
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
@@ -258,13 +263,13 @@ a32:
 	VMOVUPS 32(DI), Y1
 	VMOVUPS 64(DI), Y2
 	VMOVUPS 96(DI), Y3
-	XORQ BX, BX
+	MOVQ R8, R12
 	MOVQ SI, R11
 a32loop:
-	MOVL  (R8)(BX*4), AX
+	MOVL  (R12), AX
 	TESTL $0x7fffffff, AX
 	JZ    a32skip
-	VBROADCASTSS (R8)(BX*4), Y8
+	VBROADCASTSS (R12), Y8
 	VMULPS 0(R11), Y8, Y9
 	VADDPS Y9, Y0, Y0
 	VMULPS 32(R11), Y8, Y10
@@ -275,8 +280,8 @@ a32loop:
 	VADDPS Y12, Y3, Y3
 a32skip:
 	ADDQ R10, R11
-	INCQ BX
-	CMPQ BX, R9
+	ADDQ R13, R12
+	CMPQ R12, R9
 	JLT  a32loop
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
@@ -290,21 +295,21 @@ a16:
 	JLT  a8
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
-	XORQ BX, BX
+	MOVQ R8, R12
 	MOVQ SI, R11
 a16loop:
-	MOVL  (R8)(BX*4), AX
+	MOVL  (R12), AX
 	TESTL $0x7fffffff, AX
 	JZ    a16skip
-	VBROADCASTSS (R8)(BX*4), Y8
+	VBROADCASTSS (R12), Y8
 	VMULPS 0(R11), Y8, Y9
 	VADDPS Y9, Y0, Y0
 	VMULPS 32(R11), Y8, Y10
 	VADDPS Y10, Y1, Y1
 a16skip:
 	ADDQ R10, R11
-	INCQ BX
-	CMPQ BX, R9
+	ADDQ R13, R12
+	CMPQ R12, R9
 	JLT  a16loop
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
@@ -315,19 +320,19 @@ a8:
 	CMPQ CX, $8
 	JLT  atail
 	VMOVUPS 0(DI), Y0
-	XORQ BX, BX
+	MOVQ R8, R12
 	MOVQ SI, R11
 a8loop:
-	MOVL  (R8)(BX*4), AX
+	MOVL  (R12), AX
 	TESTL $0x7fffffff, AX
 	JZ    a8skip
-	VBROADCASTSS (R8)(BX*4), Y8
+	VBROADCASTSS (R12), Y8
 	VMULPS 0(R11), Y8, Y9
 	VADDPS Y9, Y0, Y0
 a8skip:
 	ADDQ R10, R11
-	INCQ BX
-	CMPQ BX, R9
+	ADDQ R13, R12
+	CMPQ R12, R9
 	JLT  a8loop
 	VMOVUPS Y0, 0(DI)
 	ADDQ $32, DI
@@ -338,141 +343,219 @@ atail:
 	JZ    adone
 	TAILMASK(CX, AX, Y15)
 	VMASKMOVPS (DI), Y15, Y0
-	XORQ BX, BX
+	MOVQ R8, R12
 	MOVQ SI, R11
 atailloop:
-	MOVL  (R8)(BX*4), AX
+	MOVL  (R12), AX
 	TESTL $0x7fffffff, AX
 	JZ    atailskip
-	VBROADCASTSS (R8)(BX*4), Y8
+	VBROADCASTSS (R12), Y8
 	VMASKMOVPS   (R11), Y15, Y9
 	VMULPS       Y9, Y8, Y9
 	VADDPS       Y9, Y0, Y0
 atailskip:
 	ADDQ R10, R11
-	INCQ BX
-	CMPQ BX, R9
+	ADDQ R13, R12
+	CMPQ R12, R9
 	JLT  atailloop
 	VMASKMOVPS Y0, Y15, (DI)
 adone:
 	VZEROUPPER
 	RET
 
-// HSUM leaves ((acc[0]+acc[1])+acc[2])+acc[3] in lane 0 of s; t is scratch.
-#define HSUM(acc, t, s) \
-	VMOVSHDUP acc, t; \
-	VADDSS    t, acc, s; \
-	VMOVHLPS  acc, acc, t; \
-	VADDSS    t, s, s; \
-	VSHUFPS   $0xff, acc, acc, t; \
-	VADDSS    t, s, s
-
-// func dotRowsAVX(out, a, b []float32, stride int)
+// func dotRowsAVX(out, a, bt []float32, stride int)
 //
-// Four output columns per pass share each load of a: xmm accumulator j
-// holds the four partial sums of column j (lane l sums the products at
-// indices ≡ l mod 4). They are combined left to right, then the last
-// len(a) mod 4 products are added one by one; remaining columns run one
-// at a time.
+// Column blocks of 16 and 8 floats, then the last len(out) mod 8 under a
+// lane mask. A block keeps four accumulator sets, set l summing the
+// products at p ≡ l mod 4: a[p] is broadcast and multiplied by the
+// block's columns of row p of bt. The sets are combined as
+// ((s0+s1)+s2)+s3, then the last len(a) mod 4 products are added in
+// order, which is dot's order for every column. a is the first operand of
+// every multiply and the running sum the first of every add, so which
+// NaN's payload reaches the output is fixed (TestNaNPayloadOperandOrder).
 TEXT ·dotRowsAVX(SB), NOSPLIT, $0-80
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
 	MOVQ a_base+24(FP), SI
 	MOVQ a_len+32(FP), R9
-	MOVQ b_base+48(FP), R8
+	MOVQ bt_base+48(FP), R8
 	MOVQ stride+72(FP), R10
 	SHLQ $2, R10
 	MOVQ R9, R12
 	ANDQ $-4, R12
 
-d4:
-	CMPQ CX, $4
-	JLT  d1
-	LEAQ (R8)(R10*1), R13
-	LEAQ (R13)(R10*1), R11
-	LEAQ (R11)(R10*1), DX
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
+d16:
+	CMPQ CX, $16
+	JLT  d8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ R8, R11
 	XORQ AX, AX
 	CMPQ AX, R12
-	JGE  d4sum
-d4loop:
-	VMOVUPS (SI)(AX*4), X4
-	VMULPS  (R8)(AX*4), X4, X5
-	VADDPS  X5, X0, X0
-	VMULPS  (R13)(AX*4), X4, X6
-	VADDPS  X6, X1, X1
-	VMULPS  (R11)(AX*4), X4, X7
-	VADDPS  X7, X2, X2
-	VMULPS  (DX)(AX*4), X4, X8
-	VADDPS  X8, X3, X3
+	JGE  d16sum
+d16loop:
+	VBROADCASTSS 0(SI)(AX*4), Y8
+	VMULPS  0(R11), Y8, Y12
+	VADDPS  Y12, Y0, Y0
+	VMULPS  32(R11), Y8, Y13
+	VADDPS  Y13, Y1, Y1
+	ADDQ    R10, R11
+	VBROADCASTSS 4(SI)(AX*4), Y9
+	VMULPS  0(R11), Y9, Y14
+	VADDPS  Y14, Y2, Y2
+	VMULPS  32(R11), Y9, Y15
+	VADDPS  Y15, Y3, Y3
+	ADDQ    R10, R11
+	VBROADCASTSS 8(SI)(AX*4), Y10
+	VMULPS  0(R11), Y10, Y12
+	VADDPS  Y12, Y4, Y4
+	VMULPS  32(R11), Y10, Y13
+	VADDPS  Y13, Y5, Y5
+	ADDQ    R10, R11
+	VBROADCASTSS 12(SI)(AX*4), Y11
+	VMULPS  0(R11), Y11, Y14
+	VADDPS  Y14, Y6, Y6
+	VMULPS  32(R11), Y11, Y15
+	VADDPS  Y15, Y7, Y7
+	ADDQ    R10, R11
 	ADDQ $4, AX
 	CMPQ AX, R12
-	JLT  d4loop
-d4sum:
-	HSUM(X0, X4, X9)
-	HSUM(X1, X5, X10)
-	HSUM(X2, X6, X11)
-	HSUM(X3, X7, X12)
+	JLT  d16loop
+d16sum:
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y1, Y1
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y0, Y0
+	VADDPS Y7, Y1, Y1
 	CMPQ AX, R9
-	JGE  d4store
-d4tail:
-	VMOVSS (SI)(AX*4), X4
-	VMULSS (R8)(AX*4), X4, X5
-	VADDSS X5, X9, X9
-	VMULSS (R13)(AX*4), X4, X6
-	VADDSS X6, X10, X10
-	VMULSS (R11)(AX*4), X4, X7
-	VADDSS X7, X11, X11
-	VMULSS (DX)(AX*4), X4, X8
-	VADDSS X8, X12, X12
+	JGE  d16store
+d16tail:
+	VBROADCASTSS 0(SI)(AX*4), Y8
+	VMULPS  0(R11), Y8, Y12
+	VADDPS  Y12, Y0, Y0
+	VMULPS  32(R11), Y8, Y13
+	VADDPS  Y13, Y1, Y1
+	ADDQ    R10, R11
 	INCQ AX
 	CMPQ AX, R9
-	JLT  d4tail
-d4store:
-	VMOVSS X9, 0(DI)
-	VMOVSS X10, 4(DI)
-	VMOVSS X11, 8(DI)
-	VMOVSS X12, 12(DI)
-	ADDQ $16, DI
-	LEAQ (DX)(R10*1), R8
-	SUBQ $4, CX
-	JMP  d4
-
-d1:
+	JLT  d16tail
+d16store:
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, R8
+	SUBQ $16, CX
+	JMP  d16
+d8:
+	CMPQ CX, $8
+	JLT  dtail
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ R8, R11
+	XORQ AX, AX
+	CMPQ AX, R12
+	JGE  d8sum
+d8loop:
+	VBROADCASTSS 0(SI)(AX*4), Y8
+	VMULPS  (R11), Y8, Y12
+	VADDPS  Y12, Y0, Y0
+	ADDQ    R10, R11
+	VBROADCASTSS 4(SI)(AX*4), Y9
+	VMULPS  (R11), Y9, Y13
+	VADDPS  Y13, Y1, Y1
+	ADDQ    R10, R11
+	VBROADCASTSS 8(SI)(AX*4), Y10
+	VMULPS  (R11), Y10, Y14
+	VADDPS  Y14, Y2, Y2
+	ADDQ    R10, R11
+	VBROADCASTSS 12(SI)(AX*4), Y11
+	VMULPS  (R11), Y11, Y15
+	VADDPS  Y15, Y3, Y3
+	ADDQ    R10, R11
+	ADDQ $4, AX
+	CMPQ AX, R12
+	JLT  d8loop
+d8sum:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y0, Y0
+	CMPQ AX, R9
+	JGE  d8store
+d8tail:
+	VBROADCASTSS 0(SI)(AX*4), Y8
+	VMULPS  (R11), Y8, Y12
+	VADDPS  Y12, Y0, Y0
+	ADDQ    R10, R11
+	INCQ AX
+	CMPQ AX, R9
+	JLT  d8tail
+d8store:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, R8
+	SUBQ $8, CX
+dtail:
 	TESTQ CX, CX
 	JZ    ddone
-	VXORPS X0, X0, X0
+	TAILMASK(CX, BX, Y15)
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ R8, R11
 	XORQ AX, AX
 	CMPQ AX, R12
-	JGE  d1sum
-d1loop:
-	VMOVUPS (SI)(AX*4), X4
-	VMULPS  (R8)(AX*4), X4, X5
-	VADDPS  X5, X0, X0
+	JGE  dtsum
+dtloop:
+	VBROADCASTSS 0(SI)(AX*4), Y8
+	VMASKMOVPS   (R11), Y15, Y12
+	VMULPS       Y12, Y8, Y12
+	VADDPS       Y12, Y0, Y0
+	ADDQ         R10, R11
+	VBROADCASTSS 4(SI)(AX*4), Y9
+	VMASKMOVPS   (R11), Y15, Y13
+	VMULPS       Y13, Y9, Y13
+	VADDPS       Y13, Y1, Y1
+	ADDQ         R10, R11
+	VBROADCASTSS 8(SI)(AX*4), Y10
+	VMASKMOVPS   (R11), Y15, Y14
+	VMULPS       Y14, Y10, Y14
+	VADDPS       Y14, Y2, Y2
+	ADDQ         R10, R11
+	VBROADCASTSS 12(SI)(AX*4), Y11
+	VMASKMOVPS   (R11), Y15, Y12
+	VMULPS       Y12, Y11, Y12
+	VADDPS       Y12, Y3, Y3
+	ADDQ         R10, R11
 	ADDQ $4, AX
 	CMPQ AX, R12
-	JLT  d1loop
-d1sum:
-	HSUM(X0, X4, X9)
+	JLT  dtloop
+dtsum:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y0, Y0
 	CMPQ AX, R9
-	JGE  d1store
-d1tail:
-	VMOVSS (SI)(AX*4), X4
-	VMULSS (R8)(AX*4), X4, X5
-	VADDSS X5, X9, X9
+	JGE  dtstore
+dttail:
+	VBROADCASTSS 0(SI)(AX*4), Y8
+	VMASKMOVPS   (R11), Y15, Y12
+	VMULPS       Y12, Y8, Y12
+	VADDPS       Y12, Y0, Y0
+	ADDQ         R10, R11
 	INCQ AX
 	CMPQ AX, R9
-	JLT  d1tail
-d1store:
-	VMOVSS X9, 0(DI)
-	ADDQ $4, DI
-	ADDQ R10, R8
-	DECQ CX
-	JMP  d1
-
+	JLT  dttail
+dtstore:
+	VMASKMOVPS Y0, Y15, (DI)
 ddone:
 	VZEROUPPER
 	RET

@@ -8,12 +8,12 @@ func gatherSumKernel(dst, src []float32, idx []int32, stride int) {
 	gatherSumRef(dst, src, idx, stride)
 }
 
-func axpyRowsKernel(dst, coef, b []float32, stride int) {
-	axpyRowsRef(dst, coef, b, stride)
+func axpyRowsKernel(dst, coef []float32, cstride int, b []float32, stride int) {
+	axpyRowsRef(dst, coef, cstride, b, stride)
 }
 
-func dotRowsKernel(out, a, b []float32, stride int) {
-	dotRowsRef(out, a, b, stride)
+func dotRowsKernel(out, a, bt []float32, stride int) {
+	dotRowsRef(out, a, bt, stride)
 }
 
 func reluKernel(dst, x []float32) {

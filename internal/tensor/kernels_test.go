@@ -108,35 +108,41 @@ func TestAxpyRowsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, w := range kernelWidths {
 		for _, k := range []int{0, 1, 2, 3, 5, 17, 300} {
-			for _, rate := range specialRates {
-				stride := w + 5
-				b := specialSlice(rng, k*stride, rate)
-				coef := specialSlice(rng, k, 0.5) // zero coefficients in every case
-				dst := specialSlice(rng, w, rate)
-				want := append([]float32(nil), dst...)
-				axpyRowsRef(want, coef, b, stride)
-				axpyRows(dst, coef, b, stride)
-				if j := sameFloats(dst, want, false); j >= 0 {
-					t.Fatalf("w=%d k=%d rate=%v: col %d got %v (%#08x) want %v (%#08x)",
-						w, k, rate, j, dst[j], math.Float32bits(dst[j]), want[j], math.Float32bits(want[j]))
+			for _, cstride := range []int{1, 3} {
+				for _, rate := range specialRates {
+					stride := w + 5
+					b := specialSlice(rng, k*stride, rate)
+					coef := specialSlice(rng, max(0, (k-1)*cstride+1), 0.5) // zero coefficients in every case
+					dst := specialSlice(rng, w, rate)
+					want := append([]float32(nil), dst...)
+					axpyRowsRef(want, coef, cstride, b, stride)
+					axpyRows(dst, coef, cstride, b, stride)
+					if j := sameFloats(dst, want, false); j >= 0 {
+						t.Fatalf("w=%d k=%d cstride=%d rate=%v: col %d got %v (%#08x) want %v (%#08x)",
+							w, k, cstride, rate, j, dst[j], math.Float32bits(dst[j]), want[j], math.Float32bits(want[j]))
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestDotRowsMatchesReference runs the column dots over a transposed
+// operand at every output width (each n mod 16 class the 16-column
+// blocks, the 8-column block and the masked tail can see) and inner
+// lengths on both sides of the 4-lane classes.
 func TestDotRowsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, k := range kernelWidths {
-		for _, n := range []int{0, 1, 3, 4, 5, 9, 64} {
+	for _, n := range kernelWidths {
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 9, 64} {
 			for _, rate := range specialRates {
-				stride := k + 2
+				stride := n + 2
 				a := specialSlice(rng, k, rate)
-				b := specialSlice(rng, n*stride, rate)
+				bt := specialSlice(rng, k*stride, rate)
 				got := specialSlice(rng, n, 0.5) // overwritten, never read
 				want := make([]float32, n)
-				dotRowsRef(want, a, b, stride)
-				dotRows(got, a, b, stride)
+				dotRowsRef(want, a, bt, stride)
+				dotRows(got, a, bt, stride)
 				if j := sameFloats(got, want, false); j >= 0 {
 					t.Fatalf("k=%d n=%d rate=%v: col %d got %v (%#08x) want %v (%#08x)",
 						k, n, rate, j, got[j], math.Float32bits(got[j]), want[j], math.Float32bits(want[j]))
@@ -236,42 +242,56 @@ func TestMatMulAccKeepsNegativeZero(t *testing.T) {
 }
 
 // TestMatMulFamilyMatchesReference checks the three GEMMs against loops
-// over the reference kernels, including a k past the matmulKC strip and
-// inner dimension 0, where every GEMM must give zeros (MatMulTransB used
-// to panic there).
+// over the references, bit for bit, over ±0, subnormals, ±Inf and NaN.
+// The dims put k past the inner-dimension strip (stripRows) at n = 41, 64
+// and 200, give MatMulTransB every output width mod 16 (41, 47, 50, 64,
+// 65, 200) and inner lengths under 4, and include inner dimension 0,
+// where every GEMM must give zeros (MatMulTransB used to panic there).
 func TestMatMulFamilyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, dims := range [][3]int{{3, 0, 5}, {1, 1, 1}, {7, 9, 41}, {20, 64, 64}, {6, 300, 65}, {33, 41, 8}} {
+	for _, dims := range [][3]int{
+		{3, 0, 5}, {1, 1, 1}, {7, 9, 41}, {20, 64, 64}, {6, 300, 65}, {33, 41, 8},
+		{5, 3, 47}, {4, 2, 50}, {3, 1, 200}, {9, 200, 64}, {6, 300, 41}, {5, 100, 47},
+		{4, 90, 50}, {3, 64, 200},
+	} {
 		m, k, n := dims[0], dims[1], dims[2]
-		a := FromSlice(m, k, specialSlice(rng, m*k, 0))
-		b := FromSlice(k, n, specialSlice(rng, k*n, 0))
+		for _, rate := range specialRates {
+			a := FromSlice(m, k, specialSlice(rng, m*k, rate))
+			b := FromSlice(k, n, specialSlice(rng, k*n, rate))
 
-		want := New(m, n)
-		for i := 0; i < m; i++ {
-			axpyRowsRef(want.Row(i), a.Row(i), b.Data, n)
-		}
-		c := New(m, n)
-		c.Fill(7)
-		MatMul(c, a, b)
-		if j := sameFloats(c.Data, want.Data, false); j >= 0 {
-			t.Fatalf("MatMul %v: element %d got %v want %v", dims, j, c.Data[j], want.Data[j])
-		}
+			want := New(m, n)
+			for i := 0; i < m; i++ {
+				axpyRowsRef(want.Row(i), a.Row(i), 1, b.Data, n)
+			}
+			c := New(m, n)
+			c.Fill(7)
+			MatMul(c, a, b)
+			if j := sameFloats(c.Data, want.Data, false); j >= 0 {
+				t.Fatalf("MatMul %v rate=%v: element %d got %#08x want %#08x",
+					dims, rate, j, math.Float32bits(c.Data[j]), math.Float32bits(want.Data[j]))
+			}
 
-		at := a.Transpose() // k×m
-		MatMulTransA(c, at, b)
-		if j := sameFloats(c.Data, want.Data, false); j >= 0 {
-			t.Fatalf("MatMulTransA %v: element %d got %v want %v", dims, j, c.Data[j], want.Data[j])
-		}
+			at := a.Transpose() // k×m
+			c.Fill(7)
+			MatMulTransA(c, at, b)
+			if j := sameFloats(c.Data, want.Data, false); j >= 0 {
+				t.Fatalf("MatMulTransA %v rate=%v: element %d got %#08x want %#08x",
+					dims, rate, j, math.Float32bits(c.Data[j]), math.Float32bits(want.Data[j]))
+			}
 
-		bt := b.Transpose() // n×k
-		wantT := New(m, n)
-		for i := 0; i < m; i++ {
-			dotRowsRef(wantT.Row(i), a.Row(i), bt.Data, k)
-		}
-		c.Fill(7)
-		MatMulTransB(c, a, bt)
-		if j := sameFloats(c.Data, wantT.Data, false); j >= 0 {
-			t.Fatalf("MatMulTransB %v: element %d got %v want %v", dims, j, c.Data[j], wantT.Data[j])
+			bt := b.Transpose() // n×k, the operand MatMulTransB takes
+			wantT := New(m, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					wantT.Set(i, j, dot(a.Row(i), bt.Row(j), 1))
+				}
+			}
+			c.Fill(7)
+			MatMulTransB(c, a, bt)
+			if j := sameFloats(c.Data, wantT.Data, false); j >= 0 {
+				t.Fatalf("MatMulTransB %v rate=%v: element %d got %#08x want %#08x",
+					dims, rate, j, math.Float32bits(c.Data[j]), math.Float32bits(wantT.Data[j]))
+			}
 		}
 	}
 }
@@ -285,8 +305,11 @@ func TestKernelBoundsChecks(t *testing.T) {
 		"gather negative row": func() { GatherSum(make([]float32, 8), src, []int32{-1}, 8) },
 		"gather wide window":  func() { GatherSum(make([]float32, 33), src, []int32{0}, 0) },
 		"gather last window":  func() { GatherSum(make([]float32, 8), src, []int32{3}, 9) },
-		"axpy short b":        func() { axpyRows(make([]float32, 8), make([]float32, 5), src, 8) },
-		"dot short b":         func() { dotRows(make([]float32, 5), make([]float32, 8), src, 8) },
+		"axpy short b":        func() { axpyRows(make([]float32, 8), make([]float32, 5), 1, src, 8) },
+		"axpy coef stride 0":  func() { axpyRows(make([]float32, 8), make([]float32, 5), 0, src, 8) },
+		"axpy strided coef":   func() { axpyRows(make([]float32, 8), make([]float32, 17), 4, src, 8) },
+		"dot short bt":        func() { dotRows(make([]float32, 8), make([]float32, 5), src, 8) },
+		"dot wide out":        func() { dotRows(make([]float32, 9), make([]float32, 4), src, 8) },
 		"relu short dst":      func() { ReLU(make([]float32, 7), src[:8]) },
 		"relu grad short y":   func() { ReLUGrad(make([]float32, 8), src[:8], src[:7]) },
 	}
@@ -300,8 +323,10 @@ func TestKernelBoundsChecks(t *testing.T) {
 			fn()
 		}()
 	}
-	// The last in-range row is accepted.
+	// The last in-range rows are accepted.
 	GatherSum(make([]float32, 8), src, []int32{3}, 8)
+	axpyRows(make([]float32, 8), make([]float32, 13), 4, src, 8)
+	dotRows(make([]float32, 8), make([]float32, 4), src, 8)
 }
 
 // fuzzFloats decodes data as little-endian float32s, cycling to fill n.
@@ -344,34 +369,37 @@ func FuzzGatherSum(f *testing.F) {
 	})
 }
 
-// FuzzAxpyRows: axpyRows ≡ axpyRowsRef on arbitrary operand bits.
+// FuzzAxpyRows: axpyRows ≡ axpyRowsRef on arbitrary operand bits, with a
+// coefficient stride of 1 to 4.
 func FuzzAxpyRows(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, w, k, pad uint8) {
 		stride := int(w) + int(pad%8)
+		cstride := 1 + int(pad/8)%4
 		b := fuzzFloats(data, int(k)*stride)
-		coef := fuzzFloats(data[min(len(data), 8):], int(k))
+		coef := fuzzFloats(data[min(len(data), 8):], max(0, (int(k)-1)*cstride+1))
 		dst := fuzzFloats(data[min(len(data), 4):], int(w))
 		want := append([]float32(nil), dst...)
-		axpyRowsRef(want, coef, b, stride)
-		axpyRows(dst, coef, b, stride)
+		axpyRowsRef(want, coef, cstride, b, stride)
+		axpyRows(dst, coef, cstride, b, stride)
 		if j := sameFloats(dst, want, true); j >= 0 {
-			t.Fatalf("w=%d k=%d: col %d got %#08x want %#08x", w, k, j, math.Float32bits(dst[j]), math.Float32bits(want[j]))
+			t.Fatalf("w=%d k=%d cstride=%d: col %d got %#08x want %#08x", w, k, cstride, j, math.Float32bits(dst[j]), math.Float32bits(want[j]))
 		}
 	})
 }
 
-// FuzzDotRows: dotRows ≡ dotRowsRef on arbitrary operand bits.
+// FuzzDotRows: dotRows ≡ dotRowsRef on arbitrary operand bits, over a
+// transposed k×n operand as MatMulTransB passes it.
 func FuzzDotRows(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, k, n, pad uint8) {
-		stride := int(k) + int(pad%8)
+		stride := int(n) + int(pad%8)
 		a := fuzzFloats(data[min(len(data), 4):], int(k))
-		b := fuzzFloats(data, int(n)*stride)
+		bt := fuzzFloats(data, int(k)*stride)
 		got := make([]float32, n)
 		want := make([]float32, n)
-		dotRowsRef(want, a, b, stride)
-		dotRows(got, a, b, stride)
+		dotRowsRef(want, a, bt, stride)
+		dotRows(got, a, bt, stride)
 		if j := sameFloats(got, want, true); j >= 0 {
 			t.Fatalf("k=%d n=%d: col %d got %#08x want %#08x", k, n, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
 		}

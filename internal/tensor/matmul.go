@@ -6,12 +6,17 @@ import (
 	"distgnn/internal/parallel"
 )
 
-// kernel block sizes for the tiled matmul. kc keeps a strip of B in L1/L2;
-// mc rows of A are processed per parallel task.
-const (
-	matmulKC       = 256
-	matmulRowChunk = 16
-)
+// matmulRowChunk is the fewest rows of C per parallel task.
+const matmulRowChunk = 16
+
+// stripRows is the rule that tiles MatMul and MatMulTransA over the inner
+// dimension: each strip of B (kc rows of n floats) holds at most 16 KiB,
+// so it stays in L1 while every row of C in the task streams over it.
+// Strips run in order, so every element of C still takes its products in
+// p order, whatever the strip size.
+func stripRows(n int) int {
+	return max(8, 4096/n)
+}
 
 // MatMul computes C = A × B. A is m×k, B is k×n, C is m×n. C must not alias
 // A or B. The multiply is parallelized over row blocks of A and tiled over
@@ -23,7 +28,7 @@ func MatMul(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	c.Zero()
-	gemmAcc(c, a, b)
+	gemmAcc(c, a.Data, a.Cols, 1, b)
 }
 
 // MatMulAcc computes C += A × B without zeroing C first.
@@ -32,64 +37,44 @@ func MatMulAcc(c, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch (%dx%d)×(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	gemmAcc(c, a, b)
-}
-
-// gemmAcc adds A × B into C: each row of C takes one axpyRows per kc-strip
-// of B, which holds the row in SIMD registers across the whole strip.
-func gemmAcc(c, a, b *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	if m == 0 || k == 0 || n == 0 {
-		return
-	}
-	parallelRows(m, func(i0, i1 int) {
-		for kk := 0; kk < k; kk += matmulKC {
-			kEnd := min(kk+matmulKC, k)
-			bStrip := b.Data[kk*n : kEnd*n]
-			for i := i0; i < i1; i++ {
-				axpyRows(c.Data[i*n:(i+1)*n], a.Data[i*k+kk:i*k+kEnd], bStrip, n)
-			}
-		}
-	})
+	gemmAcc(c, a.Data, a.Cols, 1, b)
 }
 
 // MatMulTransA computes C = Aᵀ × B where A is k×m, B is k×n, C is m×n.
 // This is the shape needed for weight gradients (Xᵀ·dY) during backprop.
+// Row i of C takes column i of A in place as its coefficients, so nothing
+// is transposed.
 func MatMulTransA(c, a, b *Matrix) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ×(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	c.Zero()
-	m, n, k := c.Rows, c.Cols, a.Rows
-	if m == 0 || n == 0 || k == 0 {
+	gemmAcc(c, a.Data, 1, a.Cols, b)
+}
+
+// gemmAcc adds A × B into C, where A's element (i, p) is a[i*rs + p*cs]:
+// a row-major A has rs = k, cs = 1, and Aᵀ read in place has rs = 1,
+// cs = m. Each row of C takes one axpyRows per strip of B (stripRows),
+// which holds the row in SIMD registers across the strip; its
+// coefficients are row i of A, every cs-th float. The rows of C are
+// split over the worker pool, so no two tasks write the same row.
+func gemmAcc(c *Matrix, a []float32, rs, cs int, b *Matrix) {
+	m, k, n := c.Rows, b.Rows, c.Cols
+	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	// Parallelize over rows of C (columns of A) to avoid write conflicts.
-	// Each kc-strip of A's columns i0..i1 is transposed into scratch so row
-	// i of C is one axpyRows over a contiguous coefficient run.
+	kc := stripRows(n)
 	parallelRows(m, func(i0, i1 int) {
-		at := transAScratch.Get((i1 - i0) * matmulKC)
-		defer transAScratch.Put(at)
-		for kk := 0; kk < k; kk += matmulKC {
-			kEnd := min(kk+matmulKC, k)
-			kc := kEnd - kk
-			for p := kk; p < kEnd; p++ {
-				for ii, v := range a.Data[p*m+i0 : p*m+i1] {
-					at[ii*kc+p-kk] = v
-				}
-			}
+		for kk := 0; kk < k; kk += kc {
+			kEnd := min(kk+kc, k)
 			bStrip := b.Data[kk*n : kEnd*n]
 			for i := i0; i < i1; i++ {
-				ii := i - i0
-				axpyRows(c.Data[i*n:(i+1)*n], at[ii*kc:(ii+1)*kc], bStrip, n)
+				axpyRows(c.Data[i*n:(i+1)*n], a[i*rs+kk*cs:i*rs+(kEnd-1)*cs+1], cs, bStrip, n)
 			}
 		}
 	})
 }
-
-// transAScratch pools MatMulTransA's transposed coefficient strips.
-var transAScratch parallel.Scratch[float32]
 
 // MatMulTransB computes C = A × Bᵀ where A is m×k, B is n×k, C is m×n.
 // This is the shape needed for input gradients (dY·Wᵀ) during backprop.
@@ -99,12 +84,27 @@ func MatMulTransB(c, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	m, n, k := c.Rows, c.Cols, a.Cols
+	if m == 0 || n == 0 {
+		return
+	}
+	// B is transposed once, so that row i of C is one dotRows over the
+	// rows of Bᵀ, the layout of the row axpy.
+	bt := transBScratch.Get(k * n)
+	defer transBScratch.Put(bt)
+	for j := 0; j < n; j++ {
+		for p, v := range b.Data[j*k : (j+1)*k] {
+			bt[p*n+j] = v
+		}
+	}
 	parallelRows(m, func(i0, i1 int) {
 		for i := i0; i < i1; i++ {
-			dotRows(c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k)
+			dotRows(c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], bt, n)
 		}
 	})
 }
+
+// transBScratch pools MatMulTransB's copies of Bᵀ.
+var transBScratch parallel.Scratch[float32]
 
 // parallelRows splits [0, rows) into contiguous chunks of at least
 // matmulRowChunk rows on the shared worker pool. Chunks are contiguous so

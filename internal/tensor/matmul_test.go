@@ -1,9 +1,12 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"distgnn/internal/parallel"
 )
 
 // naiveMatMul is the reference O(mnk) triple loop used to validate the
@@ -161,5 +164,40 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(c, x, y)
+	}
+}
+
+// BenchmarkMatMulFamily times the three GEMMs of one Linear layer at
+// fb-reddit's shapes (reddit-sim at scale 0.05: 204 rows, widths 41 and
+// 64) on one kernel worker: the forward y = x·W (MatMul), the weight
+// gradient dW = xᵀ·dy (MatMulTransA) and the input gradient dx = dy·Wᵀ
+// (MatMulTransB), for a layer of in inputs and out outputs.
+func BenchmarkMatMulFamily(b *testing.B) {
+	defer parallel.Configure(parallel.Config{Workers: parallel.Workers()})
+	parallel.Configure(parallel.Config{Workers: 1})
+	const rows = 204
+	for _, in := range []int{41, 64} {
+		for _, out := range []int{41, 64} {
+			rng := rand.New(rand.NewSource(1))
+			x, w := randomMatrix(rng, rows, in), randomMatrix(rng, in, out)
+			dy := randomMatrix(rng, rows, out)
+			y, dW, dx := New(rows, out), New(in, out), New(rows, in)
+			shape := fmt.Sprintf("in=%d/out=%d", in, out)
+			for _, g := range []struct {
+				name string
+				run  func()
+			}{
+				{"MatMul", func() { MatMul(y, x, w) }},
+				{"MatMulTransA", func() { MatMulTransA(dW, x, dy) }},
+				{"MatMulTransB", func() { MatMulTransB(dx, dy, w) }},
+			} {
+				b.Run(g.name+"/"+shape, func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						g.run()
+					}
+				})
+			}
+		}
 	}
 }
