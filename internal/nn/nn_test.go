@@ -191,6 +191,67 @@ func TestMaskedCrossEntropyGradCheck(t *testing.T) {
 	numericGradCheck(t, loss, logits.Data, grad.Data, []int{0, 3, 8, 11, 16, 23}, 2e-2)
 }
 
+// maskedCrossEntropyRef is MaskedCrossEntropy as scalar loops over
+// math.Exp, the loss's definition before tensor.Exp.
+func maskedCrossEntropyRef(logits *tensor.Matrix, labels []int32, mask []int32) (loss float64, grad *tensor.Matrix) {
+	grad = tensor.New(logits.Rows, logits.Cols)
+	inv := 1.0 / float64(len(mask))
+	for _, v := range mask {
+		row := logits.Row(int(v))
+		maxV := row[0]
+		for _, x := range row[1:] {
+			maxV = max(maxV, x)
+		}
+		var sum float64
+		for _, x := range row {
+			sum += math.Exp(float64(x - maxV))
+		}
+		lse := float64(maxV) + math.Log(sum)
+		y := int(labels[v])
+		loss += (lse - float64(row[y])) * inv
+		g := grad.Row(int(v))
+		for j := range row {
+			g[j] = float32(math.Exp(float64(row[j])-lse) * inv)
+		}
+		g[y] -= float32(inv)
+	}
+	return loss, grad
+}
+
+// TestMaskedCrossEntropyMatchesReference pins the loss and every gradient
+// bit to the scalar math.Exp loops, at class counts on both sides of the
+// exp kernel's group of four and of its 64-wide buffer, with rows whose
+// spread sends some exps to subnormals and 0 (math.Exp's own path).
+func TestMaskedCrossEntropyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, cols := range []int{1, 2, 5, 41, 47, 64, 130} {
+		for _, scale := range []float64{1, 30, 400} {
+			const rows = 37
+			logits := tensor.New(rows, cols)
+			tensor.RandomNormal(logits, rng, scale)
+			labels := make([]int32, rows)
+			for i := range labels {
+				labels[i] = int32(rng.Intn(cols))
+			}
+			mask := rng.Perm(rows)[:25]
+			m := make([]int32, len(mask))
+			for i, v := range mask {
+				m[i] = int32(v)
+			}
+			loss, grad := MaskedCrossEntropy(logits, labels, m)
+			wantLoss, wantGrad := maskedCrossEntropyRef(logits, labels, m)
+			if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+				t.Fatalf("cols=%d scale=%v: loss %v want %v", cols, scale, loss, wantLoss)
+			}
+			for i, g := range grad.Data {
+				if math.Float32bits(g) != math.Float32bits(wantGrad.Data[i]) {
+					t.Fatalf("cols=%d scale=%v: grad[%d] %v want %v", cols, scale, i, g, wantGrad.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMaskedCrossEntropyEmptyMask(t *testing.T) {
 	logits := tensor.New(2, 2)
 	loss, grad := MaskedCrossEntropy(logits, []int32{0, 1}, nil)

@@ -53,11 +53,16 @@ func NewAdam(lr, weightDecay float64) *Adam {
 	}
 }
 
-// Step applies one Adam update with bias correction.
+// Step applies one Adam update with bias correction to every parameter,
+// through tensor.AdamUpdate.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	k := tensor.AdamCoef{
+		B1: float32(a.Beta1), B2: float32(a.Beta2), WD: float32(a.WeightDecay),
+		C1: c1, C2: c2, LR: a.LR, Eps: a.Eps,
+	}
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
@@ -65,16 +70,6 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p] = m
 			a.v[p] = tensor.New(p.W.Rows, p.W.Cols)
 		}
-		v := a.v[p]
-		b1, b2 := float32(a.Beta1), float32(a.Beta2)
-		wd := float32(a.WeightDecay)
-		for i := range p.W.Data {
-			g := p.Grad.Data[i] + wd*p.W.Data[i]
-			m.Data[i] = b1*m.Data[i] + (1-b1)*g
-			v.Data[i] = b2*v.Data[i] + (1-b2)*g*g
-			mHat := float64(m.Data[i]) / c1
-			vHat := float64(v.Data[i]) / c2
-			p.W.Data[i] -= float32(a.LR * mHat / (math.Sqrt(vHat) + a.Eps))
-		}
+		tensor.AdamUpdate(p.W.Data, p.Grad.Data, m.Data, a.v[p].Data, k)
 	}
 }

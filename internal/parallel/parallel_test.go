@@ -205,3 +205,15 @@ func TestScratchReuse(t *testing.T) {
 		t.Fatalf("Get(4096) length %d", len(big))
 	}
 }
+
+// TestScratchAllocFree pins Get and Put at zero allocations once warm.
+func TestScratchAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	var s Scratch[float32]
+	s.Put(s.Get(64))
+	if allocs := testing.AllocsPerRun(100, func() { s.Put(s.Get(64)) }); allocs != 0 {
+		t.Fatalf("warm Get/Put allocates %v times, want 0", allocs)
+	}
+}

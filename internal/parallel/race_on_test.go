@@ -1,0 +1,7 @@
+//go:build race
+
+package parallel
+
+// raceEnabled reports whether the race detector is compiled in; it drops
+// sync.Pool entries at random, so allocation counts do not hold under it.
+const raceEnabled = true

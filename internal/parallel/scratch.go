@@ -10,16 +10,27 @@ import "sync"
 // per-worker scratch arena of an OpenMP runtime without tying buffers to
 // worker identity.
 //
+// Get and Put allocate nothing once warm: a pooled buffer travels in a
+// *[]T box (a slice stored in an interface would be boxed afresh on
+// every Put), and Get hands the emptied box to a second pool for the
+// next Put to fill.
+//
 // The zero value is ready to use.
 type Scratch[T any] struct {
-	pool sync.Pool
+	pool  sync.Pool // *[]T, each holding a buffer
+	boxes sync.Pool // *[]T, empty
 }
 
 // Get returns a length-n slice. Contents are arbitrary — callers that need
 // zeroed memory use GetZeroed or clear it themselves.
 func (s *Scratch[T]) Get(n int) []T {
-	if v, _ := s.pool.Get().(*[]T); v != nil && cap(*v) >= n {
-		return (*v)[:n]
+	if box, _ := s.pool.Get().(*[]T); box != nil {
+		buf := *box
+		*box = nil
+		s.boxes.Put(box)
+		if cap(buf) >= n {
+			return buf[:n]
+		}
 	}
 	return make([]T, n)
 }
@@ -40,6 +51,10 @@ func (s *Scratch[T]) Put(buf []T) {
 	if cap(buf) == 0 {
 		return
 	}
-	buf = buf[:cap(buf)]
-	s.pool.Put(&buf)
+	box, _ := s.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = buf[:cap(buf)]
+	s.pool.Put(box)
 }

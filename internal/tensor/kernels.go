@@ -5,32 +5,48 @@ import (
 	"math"
 )
 
-// kernels.go holds the fp32 loops that dominate training and serving —
-// the gather row-sum of aggregation, the row axpy of MatMul/MatMulTransA,
-// the column dots of MatMulTransB and the rectifier (ReLU forward and its
-// backward mask) — as bounds-checked entry points over a per-architecture
-// kernel. On amd64 with AVX the kernel is Go assembly (kernels_amd64.s)
-// that holds an output strip in ymm registers, the SIMD body LIBXSMM JITs
-// in the paper (Alg. 3); elsewhere, or built with -tags purego, it is the
-// pure-Go reference below. The assembly covers every width itself: each
-// kernel takes its last len mod 8 columns through masked loads and stores
-// in the same pass, so a width such as 41 or 47 never falls back to the
-// reference.
+// kernels.go holds the loops that dominate training and serving — the
+// gather row-sum of aggregation, the row axpy of MatMul/MatMulTransA, the
+// column dots of MatMulTransB, the rectifier (ReLU forward and its
+// backward mask), the float64 exp of the loss and the Adam update — as
+// checked entry points over a per-architecture kernel. On amd64 with AVX
+// the kernel is Go assembly (kernels_amd64.s) that holds an output strip
+// in ymm registers, the SIMD body LIBXSMM JITs in the paper (Alg. 3);
+// elsewhere, or built with -tags purego, it is the pure-Go reference
+// below. The assembly covers every width itself: each fp32 kernel takes
+// its last len mod 8 columns through masked loads and stores in the same
+// pass, so a width such as 41 or 47 never falls back to the reference
+// (Adam alone hands its last len mod 8 elements to the reference).
 //
 // All three GEMMs run the same shape of kernel: an output row strip in
 // ymm accumulators, one broadcast coefficient times one row of the other
 // operand per step. The row axpy reads its coefficients with a stride, so
 // MatMul (stride 1, a row of A) and MatMulTransA (stride m, a column of A
-// read in place) share it. The column dots read Bᵀ, which MatMulTransB
-// forms once per call, and keep four accumulator sets per 16 columns, one
-// per lane class p mod 4 of the inner index, so that each output is
-// summed in dot's order.
+// read in place) share it, and it takes any width under 64 in one pass
+// with one accumulator per 8 columns, the last under the lane mask. The
+// column dots read Bᵀ, which MatMulTransB forms once per call, and keep
+// four accumulator sets per 16 columns, one per lane class p mod 4 of the
+// inner index, so that each output is summed in dot's order.
+//
+// Exp is math.Exp four lanes at a time: on amd64, math.Exp is archExp,
+// which on an FMA host runs a fixed sequence of fused and plain float64
+// ops, and the kernel replays it per lane (on FMA and AVX2 hosts only,
+// checked by a probe at start-up). A lane off archExp's straight path —
+// not finite, above its overflow bound, or a result that underflows or
+// overflows the scale 2^k — sends its group of four to math.Exp itself.
+// Adam's update keeps the fp32 moment updates (mul then add, never fused)
+// and widens the bias-corrected step to packed doubles: division, square
+// root, add and multiply are correctly rounded, so four lanes give the
+// scalar code's bits, rounded once to float32.
 //
 // Both paths perform the same float ops in the same order for every output
-// element (mul then add, never fused), so they agree bit for bit; the
-// references are the test oracle. The checks run on both paths: the
-// assembly does no bounds checking of its own, so they are what keeps it
-// memory safe.
+// element, so they agree bit for bit; the references are the test oracle.
+// The checks run on both paths and keep the assembly memory safe: the Go
+// entry points check every length and stride before calling in, and
+// GatherSum's index check runs inside the gather kernel's first pass over
+// idx (an unsigned compare against the highest valid row before each
+// load, the first bad position returned before anything is stored), so
+// the indices are read once, not twice.
 
 // GatherSum adds the rows of src selected by idx into dst, in idx order:
 //
@@ -52,12 +68,9 @@ func GatherSum(dst, src []float32, idx []int32, stride int) {
 	if stride > 0 {
 		maxRow = last / stride
 	}
-	for _, u := range idx {
-		if u < 0 || int(u) > maxRow {
-			panic(fmt.Sprintf("tensor: GatherSum row %d out of range [0, %d]", u, maxRow))
-		}
+	if q := gatherSumKernel(dst, src, idx, stride, maxRow); q >= 0 {
+		panic(fmt.Sprintf("tensor: GatherSum row %d out of range [0, %d]", idx[q], maxRow))
 	}
-	gatherSumKernel(dst, src, idx, stride)
 }
 
 // axpyRows accumulates coefficient-weighted rows of b into dst, in p order:
@@ -129,6 +142,63 @@ func ReLUGrad(dst, dy, y []float32) {
 	reluGradKernel(dst, dy, y)
 }
 
+// Exp writes math.Exp(x[i]) into dst[i] for every i, bit for bit. dst
+// may be x itself (in place) but must not otherwise overlap it. It panics
+// if the lengths differ.
+func Exp(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic(fmt.Sprintf("tensor: Exp of %d floats into %d", len(x), len(dst)))
+	}
+	if len(x) == 0 {
+		return
+	}
+	expKernel(dst, x)
+}
+
+// AdamCoef holds the constants of one Adam step: the moment decays β1, β2
+// and the weight decay in float32, and the bias corrections C1 = 1−β1ᵗ,
+// C2 = 1−β2ᵗ, the learning rate and ε in float64.
+type AdamCoef struct {
+	B1, B2, WD      float32
+	C1, C2, LR, Eps float64
+}
+
+// AdamUpdate applies one Adam step to the weights w from their gradient g,
+// updating the first and second moments m and v in place. Per element,
+// in float32 with each product rounded on its own,
+//
+//	g' = g + wd·w
+//	m  = β1·m + (1−β1)·g'
+//	v  = β2·v + ((1−β2)·g')·g'
+//
+// then in float64, rounded once to float32 before the subtraction,
+//
+//	w −= lr·(m/C1) / (√(v/C2) + ε)
+//
+// It panics unless all four slices have one length.
+func AdamUpdate(w, g, m, v []float32, k AdamCoef) {
+	if len(g) != len(w) || len(m) != len(w) || len(v) != len(w) {
+		panic(fmt.Sprintf("tensor: AdamUpdate over %d, %d, %d and %d floats", len(w), len(g), len(m), len(v)))
+	}
+	if len(w) == 0 {
+		return
+	}
+	adamKernel(w, g, m, v, k)
+}
+
+// gatherSumChecked is the reference GatherSum body behind its index
+// check: the position of the first index outside [0, maxRow], before any
+// write to dst, or -1 once every row is added.
+func gatherSumChecked(dst, src []float32, idx []int32, stride, maxRow int) int {
+	for q, u := range idx {
+		if u < 0 || int(u) > maxRow {
+			return q
+		}
+	}
+	gatherSumRef(dst, src, idx, stride)
+	return -1
+}
+
 // gatherSumRef is the reference GatherSum body: one source row at a time.
 func gatherSumRef(dst, src []float32, idx []int32, stride int) {
 	for _, u := range idx {
@@ -188,6 +258,30 @@ func reluGradRef(dst, dy, y []float32) {
 		} else {
 			dst[i] = 0
 		}
+	}
+}
+
+// expRef is the reference Exp body.
+func expRef(dst, x []float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = math.Exp(v)
+	}
+}
+
+// adamRef is the reference AdamUpdate body. As in axpyRowsRef, each
+// float32 conversion rounds a product on its own, so no build setting
+// fuses it into the add that follows.
+func adamRef(w, g, m, v []float32, k AdamCoef) {
+	nb1, nb2 := 1-k.B1, 1-k.B2
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	for i, wi := range w {
+		gi := g[i] + float32(k.WD*wi)
+		m[i] = float32(k.B1*m[i]) + float32(nb1*gi)
+		v[i] = float32(k.B2*v[i]) + float32(float32(nb2*gi)*gi)
+		mHat := float64(m[i]) / k.C1
+		vHat := float64(v[i]) / k.C2
+		w[i] = wi - float32(k.LR*mHat/(math.Sqrt(vHat)+k.Eps))
 	}
 }
 

@@ -5,8 +5,10 @@
 // AVX bodies of the tensor kernels (see kernels.go for the contracts).
 // Every output element sees the same float ops in the same order as the
 // pure-Go reference: VADDPS in place of ADDSS, VMULPS then VADDPS in place
-// of MULSS then ADDSS, no FMA. The Go entry points check all bounds
-// before calling in; nothing here checks them again.
+// of MULSS then ADDSS, no FMA except where the reference itself fuses
+// (expAVX replays math.Exp's FMA sequence). The Go entry points check all
+// lengths and strides before calling in; the one check made here is
+// gatherSumAVX's, of each index against the highest valid row.
 
 // tailmask<>+32-4k is the VMASKMOVPS mask of the first k lanes (k = 1…7):
 // eight all-ones words, then eight zero words. A masked load reads zeros
@@ -49,13 +51,17 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gatherSumAVX(dst, src []float32, idx []int32, stride int)
+// func gatherSumAVX(dst, src []float32, idx []int32, stride, maxRow int) int
 //
 // Column blocks of 64, 32, 16 and 8 floats, then the last len(dst) mod 8
 // under a lane mask: each block of dst is loaded into 8, 4, 2 or 1 ymm
 // accumulators, every indexed source row is added in idx order, and the
-// block is stored once.
-TEXT ·gatherSumAVX(SB), NOSPLIT, $0-80
+// block is stored once. Each index is compared, unsigned and so negative
+// ones too, against R14 before its row is read: maxRow in the first
+// block's pass, which stores nothing until it has seen every index, and
+// all ones after it, so the check costs one compare per index and no
+// pass of its own.
+TEXT ·gatherSumAVX(SB), NOSPLIT, $0-96
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ src_base+24(FP), SI
@@ -63,6 +69,7 @@ TEXT ·gatherSumAVX(SB), NOSPLIT, $0-80
 	MOVQ idx_len+56(FP), R9
 	MOVQ stride+72(FP), R10
 	SHLQ $2, R10
+	MOVQ maxRow+80(FP), R14
 
 g64:
 	CMPQ CX, $64
@@ -78,6 +85,8 @@ g64:
 	XORQ BX, BX
 g64loop:
 	MOVLQSX (R8)(BX*4), R11
+	CMPQ    R11, R14
+	JA      gbad
 	IMULQ   R10, R11
 	ADDQ    SI, R11
 	VADDPS  0(R11), Y0, Y0
@@ -91,6 +100,7 @@ g64loop:
 	INCQ BX
 	CMPQ BX, R9
 	JLT  g64loop
+	MOVQ $-1, R14
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -113,6 +123,8 @@ g32:
 	XORQ BX, BX
 g32loop:
 	MOVLQSX (R8)(BX*4), R11
+	CMPQ    R11, R14
+	JA      gbad
 	IMULQ   R10, R11
 	ADDQ    SI, R11
 	VADDPS  0(R11), Y0, Y0
@@ -122,6 +134,7 @@ g32loop:
 	INCQ BX
 	CMPQ BX, R9
 	JLT  g32loop
+	MOVQ $-1, R14
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
@@ -137,6 +150,8 @@ g16:
 	XORQ BX, BX
 g16loop:
 	MOVLQSX (R8)(BX*4), R11
+	CMPQ    R11, R14
+	JA      gbad
 	IMULQ   R10, R11
 	ADDQ    SI, R11
 	VADDPS  0(R11), Y0, Y0
@@ -144,6 +159,7 @@ g16loop:
 	INCQ BX
 	CMPQ BX, R9
 	JLT  g16loop
+	MOVQ $-1, R14
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
 	ADDQ $64, DI
@@ -156,12 +172,15 @@ g8:
 	XORQ BX, BX
 g8loop:
 	MOVLQSX (R8)(BX*4), R11
+	CMPQ    R11, R14
+	JA      gbad
 	IMULQ   R10, R11
 	ADDQ    SI, R11
 	VADDPS  0(R11), Y0, Y0
 	INCQ BX
 	CMPQ BX, R9
 	JLT  g8loop
+	MOVQ $-1, R14
 	VMOVUPS Y0, 0(DI)
 	ADDQ $32, DI
 	ADDQ $32, SI
@@ -174,6 +193,8 @@ gtail:
 	XORQ BX, BX
 gtailloop:
 	MOVLQSX    (R8)(BX*4), R11
+	CMPQ       R11, R14
+	JA         gbad
 	IMULQ      R10, R11
 	ADDQ       SI, R11
 	VMASKMOVPS (R11), Y15, Y1
@@ -181,14 +202,25 @@ gtailloop:
 	INCQ BX
 	CMPQ BX, R9
 	JLT  gtailloop
+	MOVQ $-1, R14
 	VMASKMOVPS Y0, Y15, (DI)
 gdone:
+	MOVQ $-1, ret+88(FP)
+	VZEROUPPER
+	RET
+gbad:
+	MOVQ BX, ret+88(FP)
 	VZEROUPPER
 	RET
 
 // func axpyRowsAVX(dst, coef []float32, cstride int, b []float32, stride int)
 //
-// Column blocks and tail as in gatherSumAVX. Row p's coefficient is
+// Column blocks of 64 floats in 8 ymm accumulators, as in gatherSumAVX;
+// then the last len(dst) mod 64 (w columns, 1 ≤ w ≤ 63) in one pass over
+// the coefficients with ⌈w/8⌉ accumulators (a1 … a8), the last one
+// loaded, multiplied and stored under the lane mask of its 1 to 8
+// columns, so a width such as 41 or 47 takes one pass, not three. Row p's
+// coefficient is
 // coef[p*cstride]: a pointer that steps cstride floats per row and stops
 // at the end of coef. For each row whose coefficient is not ±0 (tested on
 // the bits, so NaN is not skipped), it is broadcast and multiplied into
@@ -207,7 +239,7 @@ TEXT ·axpyRowsAVX(SB), NOSPLIT, $0-88
 
 a64:
 	CMPQ CX, $64
-	JLT  a32
+	JLT  a64done
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS 64(DI), Y2
@@ -256,19 +288,145 @@ a64skip:
 	ADDQ $256, SI
 	SUBQ $64, CX
 	JMP  a64
-a32:
-	CMPQ CX, $32
-	JLT  a16
+a64done:
+	// w = CX columns left: DX = ⌈w/8⌉ − 1 plain blocks, then CX = the
+	// last block's 1 to 8 lanes, whose mask goes to Y15; jump to a(DX+1).
+	TESTQ CX, CX
+	JZ    adone
+	MOVQ  CX, DX
+	DECQ  DX
+	SHRQ  $3, DX
+	MOVQ  DX, AX
+	SHLQ  $3, AX
+	SUBQ  AX, CX
+	TAILMASK(CX, AX, Y15)
+	CMPQ  DX, $0
+	JEQ   a1
+	CMPQ  DX, $1
+	JEQ   a2
+	CMPQ  DX, $2
+	JEQ   a3
+	CMPQ  DX, $3
+	JEQ   a4
+	CMPQ  DX, $4
+	JEQ   a5
+	CMPQ  DX, $5
+	JEQ   a6
+	CMPQ  DX, $6
+	JEQ   a7
+	JMP   a8
+a1:
+	VMASKMOVPS 0(DI), Y15, Y0
+	MOVQ R8, R12
+	MOVQ SI, R11
+a1loop:
+	MOVL  (R12), AX
+	TESTL $0x7fffffff, AX
+	JZ    a1skip
+	VBROADCASTSS (R12), Y8
+	VMASKMOVPS 0(R11), Y15, Y9
+	VMULPS     Y9, Y8, Y9
+	VADDPS     Y9, Y0, Y0
+a1skip:
+	ADDQ R10, R11
+	ADDQ R13, R12
+	CMPQ R12, R9
+	JLT  a1loop
+	VMASKMOVPS Y0, Y15, 0(DI)
+	JMP  adone
+a2:
+	VMOVUPS 0(DI), Y0
+	VMASKMOVPS 32(DI), Y15, Y1
+	MOVQ R8, R12
+	MOVQ SI, R11
+a2loop:
+	MOVL  (R12), AX
+	TESTL $0x7fffffff, AX
+	JZ    a2skip
+	VBROADCASTSS (R12), Y8
+	VMULPS 0(R11), Y8, Y9
+	VADDPS Y9, Y0, Y0
+	VMASKMOVPS 32(R11), Y15, Y10
+	VMULPS     Y10, Y8, Y10
+	VADDPS     Y10, Y1, Y1
+a2skip:
+	ADDQ R10, R11
+	ADDQ R13, R12
+	CMPQ R12, R9
+	JLT  a2loop
+	VMOVUPS Y0, 0(DI)
+	VMASKMOVPS Y1, Y15, 32(DI)
+	JMP  adone
+a3:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMASKMOVPS 64(DI), Y15, Y2
+	MOVQ R8, R12
+	MOVQ SI, R11
+a3loop:
+	MOVL  (R12), AX
+	TESTL $0x7fffffff, AX
+	JZ    a3skip
+	VBROADCASTSS (R12), Y8
+	VMULPS 0(R11), Y8, Y9
+	VADDPS Y9, Y0, Y0
+	VMULPS 32(R11), Y8, Y10
+	VADDPS Y10, Y1, Y1
+	VMASKMOVPS 64(R11), Y15, Y11
+	VMULPS     Y11, Y8, Y11
+	VADDPS     Y11, Y2, Y2
+a3skip:
+	ADDQ R10, R11
+	ADDQ R13, R12
+	CMPQ R12, R9
+	JLT  a3loop
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMASKMOVPS Y2, Y15, 64(DI)
+	JMP  adone
+a4:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMASKMOVPS 96(DI), Y15, Y3
+	MOVQ R8, R12
+	MOVQ SI, R11
+a4loop:
+	MOVL  (R12), AX
+	TESTL $0x7fffffff, AX
+	JZ    a4skip
+	VBROADCASTSS (R12), Y8
+	VMULPS 0(R11), Y8, Y9
+	VADDPS Y9, Y0, Y0
+	VMULPS 32(R11), Y8, Y10
+	VADDPS Y10, Y1, Y1
+	VMULPS 64(R11), Y8, Y11
+	VADDPS Y11, Y2, Y2
+	VMASKMOVPS 96(R11), Y15, Y12
+	VMULPS     Y12, Y8, Y12
+	VADDPS     Y12, Y3, Y3
+a4skip:
+	ADDQ R10, R11
+	ADDQ R13, R12
+	CMPQ R12, R9
+	JLT  a4loop
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMASKMOVPS Y3, Y15, 96(DI)
+	JMP  adone
+a5:
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
 	VMOVUPS 64(DI), Y2
 	VMOVUPS 96(DI), Y3
+	VMASKMOVPS 128(DI), Y15, Y4
 	MOVQ R8, R12
 	MOVQ SI, R11
-a32loop:
+a5loop:
 	MOVL  (R12), AX
 	TESTL $0x7fffffff, AX
-	JZ    a32skip
+	JZ    a5skip
 	VBROADCASTSS (R12), Y8
 	VMULPS 0(R11), Y8, Y9
 	VADDPS Y9, Y0, Y0
@@ -278,48 +436,111 @@ a32loop:
 	VADDPS Y11, Y2, Y2
 	VMULPS 96(R11), Y8, Y12
 	VADDPS Y12, Y3, Y3
-a32skip:
+	VMASKMOVPS 128(R11), Y15, Y13
+	VMULPS     Y13, Y8, Y13
+	VADDPS     Y13, Y4, Y4
+a5skip:
 	ADDQ R10, R11
 	ADDQ R13, R12
 	CMPQ R12, R9
-	JLT  a32loop
+	JLT  a5loop
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
 	VMOVUPS Y2, 64(DI)
 	VMOVUPS Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, SI
-	SUBQ $32, CX
-a16:
-	CMPQ CX, $16
-	JLT  a8
+	VMASKMOVPS Y4, Y15, 128(DI)
+	JMP  adone
+a6:
 	VMOVUPS 0(DI), Y0
 	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMASKMOVPS 160(DI), Y15, Y5
 	MOVQ R8, R12
 	MOVQ SI, R11
-a16loop:
+a6loop:
 	MOVL  (R12), AX
 	TESTL $0x7fffffff, AX
-	JZ    a16skip
+	JZ    a6skip
 	VBROADCASTSS (R12), Y8
 	VMULPS 0(R11), Y8, Y9
 	VADDPS Y9, Y0, Y0
 	VMULPS 32(R11), Y8, Y10
 	VADDPS Y10, Y1, Y1
-a16skip:
+	VMULPS 64(R11), Y8, Y11
+	VADDPS Y11, Y2, Y2
+	VMULPS 96(R11), Y8, Y12
+	VADDPS Y12, Y3, Y3
+	VMULPS 128(R11), Y8, Y13
+	VADDPS Y13, Y4, Y4
+	VMASKMOVPS 160(R11), Y15, Y14
+	VMULPS     Y14, Y8, Y14
+	VADDPS     Y14, Y5, Y5
+a6skip:
 	ADDQ R10, R11
 	ADDQ R13, R12
 	CMPQ R12, R9
-	JLT  a16loop
+	JLT  a6loop
 	VMOVUPS Y0, 0(DI)
 	VMOVUPS Y1, 32(DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	SUBQ $16, CX
-a8:
-	CMPQ CX, $8
-	JLT  atail
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMASKMOVPS Y5, Y15, 160(DI)
+	JMP  adone
+a7:
 	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMASKMOVPS 192(DI), Y15, Y6
+	MOVQ R8, R12
+	MOVQ SI, R11
+a7loop:
+	MOVL  (R12), AX
+	TESTL $0x7fffffff, AX
+	JZ    a7skip
+	VBROADCASTSS (R12), Y8
+	VMULPS 0(R11), Y8, Y9
+	VADDPS Y9, Y0, Y0
+	VMULPS 32(R11), Y8, Y10
+	VADDPS Y10, Y1, Y1
+	VMULPS 64(R11), Y8, Y11
+	VADDPS Y11, Y2, Y2
+	VMULPS 96(R11), Y8, Y12
+	VADDPS Y12, Y3, Y3
+	VMULPS 128(R11), Y8, Y13
+	VADDPS Y13, Y4, Y4
+	VMULPS 160(R11), Y8, Y14
+	VADDPS Y14, Y5, Y5
+	VMASKMOVPS 192(R11), Y15, Y9
+	VMULPS     Y9, Y8, Y9
+	VADDPS     Y9, Y6, Y6
+a7skip:
+	ADDQ R10, R11
+	ADDQ R13, R12
+	CMPQ R12, R9
+	JLT  a7loop
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMASKMOVPS Y6, Y15, 192(DI)
+	JMP  adone
+a8:
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMASKMOVPS 224(DI), Y15, Y7
 	MOVQ R8, R12
 	MOVQ SI, R11
 a8loop:
@@ -329,36 +550,34 @@ a8loop:
 	VBROADCASTSS (R12), Y8
 	VMULPS 0(R11), Y8, Y9
 	VADDPS Y9, Y0, Y0
+	VMULPS 32(R11), Y8, Y10
+	VADDPS Y10, Y1, Y1
+	VMULPS 64(R11), Y8, Y11
+	VADDPS Y11, Y2, Y2
+	VMULPS 96(R11), Y8, Y12
+	VADDPS Y12, Y3, Y3
+	VMULPS 128(R11), Y8, Y13
+	VADDPS Y13, Y4, Y4
+	VMULPS 160(R11), Y8, Y14
+	VADDPS Y14, Y5, Y5
+	VMULPS 192(R11), Y8, Y9
+	VADDPS Y9, Y6, Y6
+	VMASKMOVPS 224(R11), Y15, Y10
+	VMULPS     Y10, Y8, Y10
+	VADDPS     Y10, Y7, Y7
 a8skip:
 	ADDQ R10, R11
 	ADDQ R13, R12
 	CMPQ R12, R9
 	JLT  a8loop
 	VMOVUPS Y0, 0(DI)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	SUBQ $8, CX
-atail:
-	TESTQ CX, CX
-	JZ    adone
-	TAILMASK(CX, AX, Y15)
-	VMASKMOVPS (DI), Y15, Y0
-	MOVQ R8, R12
-	MOVQ SI, R11
-atailloop:
-	MOVL  (R12), AX
-	TESTL $0x7fffffff, AX
-	JZ    atailskip
-	VBROADCASTSS (R12), Y8
-	VMASKMOVPS   (R11), Y15, Y9
-	VMULPS       Y9, Y8, Y9
-	VADDPS       Y9, Y0, Y0
-atailskip:
-	ADDQ R10, R11
-	ADDQ R13, R12
-	CMPQ R12, R9
-	JLT  atailloop
-	VMASKMOVPS Y0, Y15, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMASKMOVPS Y7, Y15, 224(DI)
 adone:
 	VZEROUPPER
 	RET
@@ -664,5 +883,236 @@ mtail:
 	VANDPS     Y2, Y0, Y0
 	VMASKMOVPS Y0, Y15, (DI)
 mdone:
+	VZEROUPPER
+	RET
+
+// expconst<> holds math.Exp's constants (math/exp_amd64.s) four lanes
+// each: +0 log2(e); +32, +64 ln 2 split high and low; +96 1/16; +128 …
+// +352 the Taylor coefficients 1/8! … 1/2!, 1; +384 2; +416 Overflow.
+// Then four int32 lanes each of the exponent bias 0x3ff (+448), 1 (+464)
+// and 0x7fe (+480).
+DATA expconst<>+0(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+8(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+16(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+24(SB)/8, $1.4426950408889634073599246810018920
+DATA expconst<>+32(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+40(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+48(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+56(SB)/8, $0.69314718055966295651160180568695068359375
+DATA expconst<>+64(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+72(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+80(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+88(SB)/8, $0.28235290563031577122588448175013436025525412068e-12
+DATA expconst<>+96(SB)/8, $0.0625
+DATA expconst<>+104(SB)/8, $0.0625
+DATA expconst<>+112(SB)/8, $0.0625
+DATA expconst<>+120(SB)/8, $0.0625
+DATA expconst<>+128(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+136(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+144(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+152(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+160(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+168(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+176(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+184(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+192(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+200(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+208(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+216(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+224(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+232(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+240(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+248(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+256(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+264(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+272(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+280(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+288(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+296(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+304(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+312(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+320(SB)/8, $0.5
+DATA expconst<>+328(SB)/8, $0.5
+DATA expconst<>+336(SB)/8, $0.5
+DATA expconst<>+344(SB)/8, $0.5
+DATA expconst<>+352(SB)/8, $1.0
+DATA expconst<>+360(SB)/8, $1.0
+DATA expconst<>+368(SB)/8, $1.0
+DATA expconst<>+376(SB)/8, $1.0
+DATA expconst<>+384(SB)/8, $2.0
+DATA expconst<>+392(SB)/8, $2.0
+DATA expconst<>+400(SB)/8, $2.0
+DATA expconst<>+408(SB)/8, $2.0
+DATA expconst<>+416(SB)/8, $7.09782712893384e+02
+DATA expconst<>+424(SB)/8, $7.09782712893384e+02
+DATA expconst<>+432(SB)/8, $7.09782712893384e+02
+DATA expconst<>+440(SB)/8, $7.09782712893384e+02
+DATA expconst<>+448(SB)/4, $0x3ff
+DATA expconst<>+452(SB)/4, $0x3ff
+DATA expconst<>+456(SB)/4, $0x3ff
+DATA expconst<>+460(SB)/4, $0x3ff
+DATA expconst<>+464(SB)/4, $1
+DATA expconst<>+468(SB)/4, $1
+DATA expconst<>+472(SB)/4, $1
+DATA expconst<>+476(SB)/4, $1
+DATA expconst<>+480(SB)/4, $0x7fe
+DATA expconst<>+484(SB)/4, $0x7fe
+DATA expconst<>+488(SB)/4, $0x7fe
+DATA expconst<>+492(SB)/4, $0x7fe
+GLOBL expconst<>(SB), RODATA|NOPTR, $496
+
+// EXP4 replays the FMA path of math.Exp (archExp in math/exp_amd64.s) on
+// the four lanes of Y0 and leaves the results in Y0:
+//
+//	k  = int32(x·log2e), rounded to nearest (VCVTPD2DQ as CVTSD2SL)
+//	r  = ((x − k·ln2U) − k·ln2L) / 16        two fused negated mul-adds
+//	p  = Horner over 1/8! … 1/2!, 1          seven fused mul-adds
+//	e  = r·p; e = e·(e+2) three times; e = (e+2)·e + 1 fused
+//	   = exp(r)−1 squared up four times, then +1
+//	result = e · 2^k                          the bias added, shifted into place
+//
+// and sets bit l of DX for each lane l where archExp leaves that path:
+// x above Overflow or NaN, or k+0x3ff outside [1, 0x7fe] (±Inf and
+// NaN land here too, as CVTPD2DQ's 0x80000000). Uses Y1 to Y5 and AX.
+#define EXP4 \
+	VMULPD       expconst<>+0(SB), Y0, Y1; \
+	VCVTPD2DQY   Y1, X2; \
+	VCVTDQ2PD    X2, Y1; \
+	VCMPPD       $6, expconst<>+416(SB), Y0, Y3; \
+	VFNMADD231PD expconst<>+32(SB), Y1, Y0; \
+	VFNMADD231PD expconst<>+64(SB), Y1, Y0; \
+	VPADDD       expconst<>+448(SB), X2, X2; \
+	VPCMPGTD     expconst<>+480(SB), X2, X4; \
+	VMOVDQU      expconst<>+464(SB), X5; \
+	VPCMPGTD     X2, X5, X5; \
+	VPOR         X5, X4, X4; \
+	VMOVMSKPS    X4, DX; \
+	VMOVMSKPD    Y3, AX; \
+	ORL          AX, DX; \
+	VPMOVZXDQ    X2, Y4; \
+	VPSLLQ       $52, Y4, Y4; \
+	VMULPD       expconst<>+96(SB), Y0, Y0; \
+	VMOVUPD      expconst<>+128(SB), Y1; \
+	VFMADD213PD  expconst<>+160(SB), Y0, Y1; \
+	VFMADD213PD  expconst<>+192(SB), Y0, Y1; \
+	VFMADD213PD  expconst<>+224(SB), Y0, Y1; \
+	VFMADD213PD  expconst<>+256(SB), Y0, Y1; \
+	VFMADD213PD  expconst<>+288(SB), Y0, Y1; \
+	VFMADD213PD  expconst<>+320(SB), Y0, Y1; \
+	VFMADD213PD  expconst<>+352(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expconst<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expconst<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expconst<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       expconst<>+384(SB), Y0, Y1; \
+	VFMADD213PD  expconst<>+352(SB), Y1, Y0; \
+	VMULPD       Y4, Y0, Y0
+
+// func expAVX(dst, x []float64) int
+//
+// Groups of four lanes, then the last len(x) mod 4 under a lane mask
+// (the masked-off lanes read 0, which stays on the straight path). A
+// group with a lane off the straight path is not stored: the count
+// written so far is returned, and the caller takes that group through
+// math.Exp.
+TEXT ·expAVX(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ BX, BX
+e4:
+	LEAQ 4(BX), AX
+	CMPQ AX, CX
+	JGT  etail
+	VMOVUPD (SI)(BX*8), Y0
+	EXP4
+	TESTL DX, DX
+	JNZ   edone
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ $4, BX
+	JMP  e4
+etail:
+	MOVQ CX, R8
+	SUBQ BX, R8
+	JZ   edone
+	SHLQ $1, R8
+	TAILMASK(R8, AX, Y15)
+	VMASKMOVPD (SI)(BX*8), Y15, Y0
+	EXP4
+	TESTL DX, DX
+	JNZ   edone
+	VMASKMOVPD Y0, Y15, (DI)(BX*8)
+	MOVQ CX, BX
+edone:
+	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func adamAVX(w, g, m, v []float32, b1, nb1, b2, nb2, wd float32, c1, c2, lr, eps float64)
+//
+// Eight elements per step. The moments are float32 VMULPS then VADDPS in
+// adamRef's operand order; each half of m and v is widened to four
+// doubles for m/c1, √(v/c2) + eps, lr times the one over the other
+// (VDIVPD, VSQRTPD, VADDPD, VMULPD: correctly rounded, as the scalar
+// ops are), narrowed once to float32 and subtracted from w.
+TEXT ·adamAVX(SB), NOSPLIT, $0-152
+	MOVQ w_base+0(FP), DI
+	MOVQ w_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	VBROADCASTSS b1+96(FP), Y9
+	VBROADCASTSS nb1+100(FP), Y10
+	VBROADCASTSS b2+104(FP), Y11
+	VBROADCASTSS nb2+108(FP), Y12
+	VBROADCASTSS wd+112(FP), Y8
+	VBROADCASTSD c1+120(FP), Y13
+	VBROADCASTSD c2+128(FP), Y14
+	VBROADCASTSD lr+136(FP), Y15
+	VBROADCASTSD eps+144(FP), Y7
+	XORQ BX, BX
+adamloop:
+	VMOVUPS (DI)(BX*4), Y0
+	VMULPS  Y0, Y8, Y1
+	VMOVUPS (SI)(BX*4), Y2
+	VADDPS  Y1, Y2, Y2
+	VMULPS  (R8)(BX*4), Y9, Y3
+	VMULPS  Y2, Y10, Y1
+	VADDPS  Y1, Y3, Y3
+	VMOVUPS Y3, (R8)(BX*4)
+	VMULPS  (R9)(BX*4), Y11, Y4
+	VMULPS  Y2, Y12, Y1
+	VMULPS  Y2, Y1, Y1
+	VADDPS  Y1, Y4, Y4
+	VMOVUPS Y4, (R9)(BX*4)
+	VCVTPS2PD    X3, Y5
+	VCVTPS2PD    X4, Y6
+	VEXTRACTF128 $1, Y3, X3
+	VEXTRACTF128 $1, Y4, X4
+	VCVTPS2PD    X3, Y3
+	VCVTPS2PD    X4, Y4
+	VDIVPD  Y13, Y5, Y5
+	VDIVPD  Y13, Y3, Y3
+	VDIVPD  Y14, Y6, Y6
+	VDIVPD  Y14, Y4, Y4
+	VSQRTPD Y6, Y6
+	VSQRTPD Y4, Y4
+	VADDPD  Y7, Y6, Y6
+	VADDPD  Y7, Y4, Y4
+	VMULPD  Y5, Y15, Y5
+	VMULPD  Y3, Y15, Y3
+	VDIVPD  Y6, Y5, Y5
+	VDIVPD  Y4, Y3, Y3
+	VCVTPD2PSY  Y5, X5
+	VCVTPD2PSY  Y3, X3
+	VINSERTF128 $1, X3, Y5, Y5
+	VSUBPS  Y5, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*4)
+	ADDQ $8, BX
+	CMPQ BX, CX
+	JLT  adamloop
 	VZEROUPPER
 	RET

@@ -5,6 +5,8 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -98,5 +100,22 @@ func TestNaNPayloadOperandOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExpKernelInUse fails when the start-up probe has turned expAVX off
+// on a host whose math.Exp runs the FMA sequence: the probe would
+// otherwise hide a broken kernel behind math.Exp, and TestExpMatchesMath
+// would pass on the fallback. GODEBUG cpu options can send math.Exp down
+// its other path, where the probe is right to turn the kernel off.
+func TestExpKernelInUse(t *testing.T) {
+	if !useAVX || !hasFMAAVX2() {
+		t.Skip("no FMA and AVX2: Exp is math.Exp")
+	}
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("GODEBUG sets CPU options")
+	}
+	if !useExpAVX {
+		t.Fatal("expAVX disagrees with math.Exp at the probe inputs")
 	}
 }

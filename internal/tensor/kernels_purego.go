@@ -4,8 +4,8 @@ package tensor
 
 // Without the amd64 assembly every kernel is its pure-Go reference.
 
-func gatherSumKernel(dst, src []float32, idx []int32, stride int) {
-	gatherSumRef(dst, src, idx, stride)
+func gatherSumKernel(dst, src []float32, idx []int32, stride, maxRow int) int {
+	return gatherSumChecked(dst, src, idx, stride, maxRow)
 }
 
 func axpyRowsKernel(dst, coef []float32, cstride int, b []float32, stride int) {
@@ -22,4 +22,12 @@ func reluKernel(dst, x []float32) {
 
 func reluGradKernel(dst, dy, y []float32) {
 	reluGradRef(dst, dy, y)
+}
+
+func expKernel(dst, x []float64) {
+	expRef(dst, x)
+}
+
+func adamKernel(w, g, m, v []float32, k AdamCoef) {
+	adamRef(w, g, m, v, k)
 }

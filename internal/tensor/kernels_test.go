@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -311,6 +312,8 @@ func TestKernelBoundsChecks(t *testing.T) {
 		"dot short bt":        func() { dotRows(make([]float32, 8), make([]float32, 5), src, 8) },
 		"dot wide out":        func() { dotRows(make([]float32, 9), make([]float32, 4), src, 8) },
 		"relu short dst":      func() { ReLU(make([]float32, 7), src[:8]) },
+		"exp short dst":       func() { Exp(make([]float64, 3), make([]float64, 4)) },
+		"adam short v":        func() { AdamUpdate(src[:8], src[8:16], src[16:24], src[24:31], AdamCoef{}) },
 		"relu grad short y":   func() { ReLUGrad(make([]float32, 8), src[:8], src[:7]) },
 	}
 	for name, fn := range cases {
@@ -322,6 +325,25 @@ func TestKernelBoundsChecks(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+	// A bad index last in the list, past indices the first column block
+	// has already added, still panics, and dst is left as it was.
+	for _, w := range []int{8, 41, 100} {
+		rng := rand.New(rand.NewSource(int64(w)))
+		rows := specialSlice(rng, 3*w, 0)
+		dst := specialSlice(rng, w, 0)
+		before := append([]float32(nil), dst...)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("gather bad index last, w=%d: no panic", w)
+				}
+			}()
+			GatherSum(dst, rows, []int32{0, 1, 2, 1, 3}, w)
+		}()
+		if j := sameFloats(dst, before, false); j >= 0 {
+			t.Errorf("gather bad index last, w=%d: dst[%d] changed from %v to %v", w, j, before[j], dst[j])
+		}
 	}
 	// The last in-range rows are accepted.
 	GatherSum(make([]float32, 8), src, []int32{3}, 8)
@@ -425,5 +447,155 @@ func FuzzReLU(f *testing.F) {
 		if j := sameFloats(got, want, false); j >= 0 {
 			t.Fatalf("ReLUGrad w=%d: col %d got %#08x want %#08x", w, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
 		}
+	})
+}
+
+// expSpecials are math.Exp's edge inputs: ±0, ±Inf, NaNs, subnormal and
+// tiny inputs, the underflow region (subnormal results, then 0), both
+// sides of Overflow and of the point where its scale reaches 2^1024.
+var expSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000123),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-300, -1e-300,
+	-708.39, -708.4, -709, -720, -744.4, -745.13, -745.14, -746, -1000, -1e300, -math.MaxFloat64,
+	709.43, 709.44, 709.5, 7.09782712893384e+02, math.Nextafter(7.09782712893384e+02, 0),
+	math.Nextafter(7.09782712893384e+02, 1000), 710, 1e300, math.MaxFloat64,
+	1, -1, 0.5, -0.5, 1e-10, -1e-10, 88.7, -103.9,
+}
+
+// sameFloat64s reports the first index where got and want differ in
+// bits, or -1.
+func sameFloat64s(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestExpMatchesMath pins Exp to math.Exp bit for bit: a dense sweep of
+// [−746, 710], which spans subnormal results, 0 and +Inf, with the sweep
+// cut into slices of 1 to 9 so that every group and tail length is seen,
+// and every edge input in every lane of a group, next to ordinary lanes,
+// in place and not.
+func TestExpMatchesMath(t *testing.T) {
+	const lo, hi, step = -746.0, 710.0, 1.0 / 1024
+	x := make([]float64, 0, int((hi-lo)/step)+1)
+	for v := lo; v <= hi; v += step {
+		x = append(x, v)
+	}
+	x = append(x, expSpecials...)
+	got := make([]float64, len(x))
+	want := make([]float64, len(x))
+	for i, v := range x {
+		want[i] = math.Exp(v)
+	}
+	for i, n := 0, 1; i < len(x); i, n = i+n, n%9+1 {
+		e := min(i+n, len(x))
+		Exp(got[i:e], x[i:e])
+	}
+	if i := sameFloat64s(got, want); i >= 0 {
+		t.Fatalf("Exp(%v) = %v (%#016x), math.Exp %v (%#016x)", x[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	}
+	for _, s := range expSpecials {
+		for n := 1; n <= 9; n++ {
+			for lane := 0; lane < n; lane++ {
+				in := make([]float64, n)
+				for i := range in {
+					in[i] = -0.25 * float64(i+1)
+				}
+				in[lane] = s
+				want := make([]float64, n)
+				expRef(want, in)
+				Exp(in, in)
+				if i := sameFloat64s(in, want); i >= 0 {
+					t.Fatalf("n=%d, %v in lane %d: lane %d got %#016x want %#016x", n, s, lane, i, math.Float64bits(in[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// FuzzExp: Exp ≡ math.Exp on arbitrary float64 bits, NaN payloads
+// included (math.Exp returns a NaN input as it is).
+func FuzzExp(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0xef, 0x39, 0xfa, 0xfe, 0x42, 0x2e, 0x86, 0xc0})
+	f.Add([]byte{0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0xbf})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		x := make([]float64, len(data)/8)
+		for i := range x {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		got := make([]float64, len(x))
+		want := make([]float64, len(x))
+		expRef(want, x)
+		Exp(got, x)
+		if i := sameFloat64s(got, want); i >= 0 {
+			t.Fatalf("Exp(%#016x) = %#016x, math.Exp %#016x", math.Float64bits(x[i]), math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	})
+}
+
+// adamCoefAt is the AdamCoef of step t at nn.NewAdam's decays.
+func adamCoefAt(t int, lr, wd float64) AdamCoef {
+	return AdamCoef{
+		B1: 0.9, B2: 0.999, WD: float32(wd),
+		C1: 1 - math.Pow(0.9, float64(t)), C2: 1 - math.Pow(0.999, float64(t)),
+		LR: lr, Eps: 1e-8,
+	}
+}
+
+// checkAdam runs AdamUpdate and adamRef on copies of one state and
+// compares w, m and v.
+func checkAdam(t *testing.T, what string, w, g, m, v []float32, k AdamCoef, nanEq bool) {
+	t.Helper()
+	rw, rm, rv := append([]float32(nil), w...), append([]float32(nil), m...), append([]float32(nil), v...)
+	adamRef(rw, g, rm, rv, k)
+	AdamUpdate(w, g, m, v, k)
+	for _, c := range []struct {
+		name      string
+		got, want []float32
+	}{{"w", w, rw}, {"m", m, rm}, {"v", v, rv}} {
+		if j := sameFloats(c.got, c.want, nanEq); j >= 0 {
+			t.Fatalf("%s: %s[%d] got %v (%#08x) want %v (%#08x)", what, c.name, j, c.got[j], math.Float32bits(c.got[j]), c.want[j], math.Float32bits(c.want[j]))
+		}
+	}
+}
+
+// TestAdamMatchesReference runs AdamUpdate ≡ adamRef over several steps
+// at every width the tail handling can see, with weights, gradients and
+// moments drawn from ±0, subnormals, ±Inf and NaN, and with and without
+// weight decay. The only NaN either side sees is the default one, so the
+// NaNs match bit for bit too.
+func TestAdamMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 7, 8, 41, 47, 50, 64, 2624} {
+		for _, rate := range specialRates {
+			for _, wd := range []float64{0, 5e-4} {
+				w := specialSlice(rng, n, rate)
+				m := make([]float32, n)
+				v := make([]float32, n)
+				for step := 1; step <= 5; step++ {
+					g := specialSlice(rng, n, rate)
+					checkAdam(t, fmt.Sprintf("n=%d rate=%v wd=%v step %d", n, rate, wd, step), w, g, m, v, adamCoefAt(step, 0.01, wd), false)
+				}
+			}
+		}
+	}
+}
+
+// FuzzAdamUpdate: AdamUpdate ≡ adamRef on arbitrary weight, gradient and
+// moment bits, at a drawn step and width.
+func FuzzAdamUpdate(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, n, step, wd uint8) {
+		w := fuzzFloats(data, int(n))
+		g := fuzzFloats(data[min(len(data), 4):], int(n))
+		m := fuzzFloats(data[min(len(data), 8):], int(n))
+		v := fuzzFloats(data[min(len(data), 12):], int(n))
+		k := adamCoefAt(1+int(step), 0.01, float64(wd)*1e-4)
+		checkAdam(t, fmt.Sprintf("n=%d step=%d", n, 1+int(step)), w, g, m, v, k, true)
 	})
 }

@@ -167,6 +167,31 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
+// TestMatMulFamilyAllocs pins each GEMM at one allocation per call on
+// one kernel worker: the task closure handed to the pool. MatMulTransB's
+// copy of Bᵀ comes from a parallel.Scratch, which allocates nothing once
+// warm.
+func TestMatMulFamilyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	defer parallel.Configure(parallel.Config{Workers: parallel.Workers()})
+	parallel.Configure(parallel.Config{Workers: 1})
+	rng := rand.New(rand.NewSource(1))
+	x, w, dy := randomMatrix(rng, 204, 64), randomMatrix(rng, 64, 41), randomMatrix(rng, 204, 41)
+	y, dW, dx := New(204, 41), New(64, 41), New(204, 64)
+	for name, run := range map[string]func(){
+		"MatMul":       func() { MatMul(y, x, w) },
+		"MatMulTransA": func() { MatMulTransA(dW, x, dy) },
+		"MatMulTransB": func() { MatMulTransB(dx, dy, w) },
+	} {
+		run()
+		if allocs := testing.AllocsPerRun(50, run); allocs > 1 {
+			t.Errorf("%s: %v allocations per call, want 1", name, allocs)
+		}
+	}
+}
+
 // BenchmarkMatMulFamily times the three GEMMs of one Linear layer at
 // fb-reddit's shapes (reddit-sim at scale 0.05: 204 rows, widths 41 and
 // 64) on one kernel worker: the forward y = x·W (MatMul), the weight

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewZeroed(t *testing.T) {
@@ -186,65 +185,6 @@ func TestNorm2(t *testing.T) {
 	m := FromSlice(1, 2, []float32{3, 4})
 	if math.Abs(m.Norm2()-5) > 1e-9 {
 		t.Fatalf("Norm2: got %v", m.Norm2())
-	}
-}
-
-func TestSoftmaxRowsSumsToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := New(8, 11)
-	RandomNormal(m, rng, 3)
-	out := New(8, 11)
-	SoftmaxRows(out, m)
-	for i := 0; i < m.Rows; i++ {
-		var sum float64
-		for _, v := range out.Row(i) {
-			if v < 0 || v > 1 {
-				t.Fatalf("softmax out of range: %v", v)
-			}
-			sum += float64(v)
-		}
-		if math.Abs(sum-1) > 1e-5 {
-			t.Fatalf("row %d sums to %v", i, sum)
-		}
-	}
-}
-
-func TestSoftmaxRowsStableWithLargeValues(t *testing.T) {
-	m := FromSlice(1, 3, []float32{1000, 1001, 1002})
-	out := New(1, 3)
-	SoftmaxRows(out, m)
-	for _, v := range out.Data {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			t.Fatalf("softmax unstable: %v", out.Data)
-		}
-	}
-	if out.At(0, 2) <= out.At(0, 1) {
-		t.Fatal("softmax must be monotone in logits")
-	}
-}
-
-func TestSoftmaxPreservesArgmax(t *testing.T) {
-	f := func(a, b, c float32) bool {
-		// Bound inputs so float32 exp stays finite.
-		clamp := func(x float32) float32 {
-			if x > 50 {
-				return 50
-			}
-			if x < -50 {
-				return -50
-			}
-			return x
-		}
-		m := FromSlice(1, 3, []float32{clamp(a), clamp(b), clamp(c)})
-		out := New(1, 3)
-		SoftmaxRows(out, m)
-		in, sm := make([]int, 1), make([]int, 1)
-		m.ArgmaxRows(in)
-		out.ArgmaxRows(sm)
-		return in[0] == sm[0]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
