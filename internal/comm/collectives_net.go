@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"distgnn/internal/tensor"
+)
 
 // collectives_net.go implements every collective over the rank's Transport
 // endpoint — the in-process fabric and TCP alike, rounding out the OneCCL
@@ -44,10 +48,11 @@ func (w *World) recvPeer(src, tag int) []float32 {
 // holds the total on return. All ranks must pass equal-length buffers.
 //
 // It is a gather-to-root + broadcast: rank 0 reduces every contribution in
-// rank order, so every rank's result is bit-identical, and fans the sum
-// back out. 2(N-1) buffer transfers total, versus N(N-1) for the flat
-// all-to-all form; for the per-epoch gradient AllReduce (the dominant TCP
-// volume) that is the difference between 4× line rate and 28× at 8 ranks.
+// rank order onto +0, ((0 + d0) + d1) + …, so every rank's result is
+// bit-identical, and fans the sum back out. 2(N-1) buffer transfers
+// total, versus N(N-1) for the flat all-to-all form; for the per-epoch
+// gradient AllReduce (the dominant TCP volume) that is the difference
+// between 4× line rate and 28× at 8 ranks.
 func (w *World) AllReduceSum(data []float32) {
 	rank := w.self
 	tag := w.nextCollTag()
@@ -73,9 +78,7 @@ func (w *World) AllReduceSum(data []float32) {
 					rank, len(data), r, len(src)))
 			}
 		}
-		for i, v := range src {
-			out[i] += v
-		}
+		tensor.Accumulate(out, src)
 	}
 	w.sendPeers(tag, out)
 	copy(data, out)
@@ -185,9 +188,7 @@ func (w *World) ReduceScatterSum(data []float32) []float32 {
 					rank, chunk, r, len(src)))
 			}
 		}
-		for i, v := range src {
-			out[i] += v
-		}
+		tensor.Accumulate(out, src)
 	}
 	return out
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"slices"
+	"unsafe"
 
 	"distgnn/internal/quant"
 )
@@ -13,7 +16,11 @@ import (
 // length-prefixed header followed by the payload. Everything is
 // little-endian. The 16-bit quant formats are the literal wire encoding —
 // a BF16/FP16 payload crosses the network as the packed words quant.Pack
-// produced, half the bytes of fp32.
+// produced, half the bytes of fp32. On a little-endian host a payload's
+// words are already its wire bytes, so encoding one is a single copy into
+// the frame and decoding one reads the socket straight into the
+// envelope's words; elsewhere (nativeLE false) each word is converted on
+// its own.
 //
 //	offset  size  field
 //	0       4     magic "DGW2"
@@ -117,32 +124,75 @@ func parseFrameHeader(b []byte) (frameHeader, error) {
 	return h, nil
 }
 
-// appendDataFrame encodes one Envelope from src to dst as a complete data
-// frame appended to buf — header plus payload, ready for a single Write.
-func appendDataFrame(buf []byte, src, dst int, env *Envelope) []byte {
-	var plen int
+// nativeLE reports whether this host stores a float32 or uint16
+// little-endian, so that a payload's words in memory are already its wire
+// bytes: encode is one copy and decode reads straight into the
+// envelope's words. On any architecture not listed the per-element codec
+// (putPayloadWords, getPayloadWords) runs instead; being a constant, the
+// choice costs no branch at run time.
+const nativeLE = runtime.GOARCH == "386" || runtime.GOARCH == "amd64" ||
+	runtime.GOARCH == "arm" || runtime.GOARCH == "arm64" ||
+	runtime.GOARCH == "loong64" || runtime.GOARCH == "mips64le" ||
+	runtime.GOARCH == "mipsle" || runtime.GOARCH == "ppc64le" ||
+	runtime.GOARCH == "riscv64" || runtime.GOARCH == "wasm"
+
+// payloadWords views env's payload words — F32 for fp32, U16 otherwise —
+// as their bytes in memory. Its length is the payload's wire length on any
+// host; its contents are the wire bytes only where nativeLE holds.
+func payloadWords(env *Envelope) []byte {
 	if env.Prec == quant.FP32 {
-		plen = 4 * len(env.F32)
-	} else {
-		plen = 2 * len(env.U16)
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(env.F32))), 4*len(env.F32))
 	}
-	h := frameHeader{
-		Kind: kindData, Prec: env.Prec,
-		Src: uint32(src), Dst: uint32(dst), Tag: int64(env.Tag),
-		ReadyNs: env.ReadyNs, PayloadLen: uint32(plen),
-	}
-	off := len(buf)
-	buf = append(buf, make([]byte, frameHeaderSize+plen)...)
-	putFrameHeader(buf[off:], h)
-	p := buf[off+frameHeaderSize:]
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(env.U16))), 2*len(env.U16))
+}
+
+// putPayloadWords writes env's payload words into p (len(p) bytes, the
+// payload's wire length) one little-endian word at a time.
+func putPayloadWords(p []byte, env *Envelope) {
 	if env.Prec == quant.FP32 {
 		for i, v := range env.F32 {
 			binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v))
 		}
-	} else {
-		for i, v := range env.U16 {
-			binary.LittleEndian.PutUint16(p[2*i:], v)
+		return
+	}
+	for i, v := range env.U16 {
+		binary.LittleEndian.PutUint16(p[2*i:], v)
+	}
+}
+
+// getPayloadWords is putPayloadWords' inverse: it fills env's payload
+// words, already sized to p, from the little-endian bytes of p.
+func getPayloadWords(env *Envelope, p []byte) {
+	if env.Prec == quant.FP32 {
+		for i := range env.F32 {
+			env.F32[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
 		}
+		return
+	}
+	for i := range env.U16 {
+		env.U16[i] = binary.LittleEndian.Uint16(p[2*i:])
+	}
+}
+
+// appendDataFrame encodes one Envelope from src to dst as a complete data
+// frame appended to buf — header plus payload, ready for a single Write.
+// Every byte of the frame is written, so the bytes it extends buf over
+// need no zeroing first, and a buf with the capacity allocates nothing.
+func appendDataFrame(buf []byte, src, dst int, env *Envelope) []byte {
+	words := payloadWords(env)
+	h := frameHeader{
+		Kind: kindData, Prec: env.Prec,
+		Src: uint32(src), Dst: uint32(dst), Tag: int64(env.Tag),
+		ReadyNs: env.ReadyNs, PayloadLen: uint32(len(words)),
+	}
+	off := len(buf)
+	n := frameHeaderSize + len(words)
+	buf = slices.Grow(buf, n)[:off+n]
+	putFrameHeader(buf[off:], h)
+	if nativeLE {
+		copy(buf[off+frameHeaderSize:], words)
+	} else {
+		putPayloadWords(buf[off+frameHeaderSize:], env)
 	}
 	return buf
 }
@@ -161,42 +211,47 @@ func appendControlFrame(buf []byte, kind byte, src, dst int, tag int64, payload 
 	return append(buf, payload...)
 }
 
-// envelopeFromFrame decodes a data frame's payload into an Envelope. The
-// header has already been validated by parseFrameHeader.
-func envelopeFromFrame(h frameHeader, payload []byte) *Envelope {
-	env := &Envelope{Tag: int(h.Tag), Prec: h.Prec, ReadyNs: h.ReadyNs}
-	if h.Prec == quant.FP32 {
-		if len(payload) > 0 {
-			env.F32 = make([]float32, len(payload)/4)
-			for i := range env.F32 {
-				env.F32[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-			}
-		}
-	} else if len(payload) > 0 {
-		env.U16 = make([]uint16, len(payload)/2)
-		for i := range env.U16 {
-			env.U16[i] = binary.LittleEndian.Uint16(payload[2*i:])
-		}
+// readFrame reads one complete frame from r, its fixed header through
+// hdr (the caller's, reused across frames, so reading one costs no
+// allocation). A data frame decodes into a fresh Envelope whose payload
+// words are allocated once, at the validated length, and read into
+// directly; any other kind's payload comes back as raw bytes.
+func readFrame(r io.Reader, hdr *[frameHeaderSize]byte) (frameHeader, *Envelope, []byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return frameHeader{}, nil, nil, err
 	}
-	return env
-}
-
-// readFrame reads one complete frame — header then payload — from r.
-func readFrame(r io.Reader) (frameHeader, []byte, error) {
-	var hb [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return frameHeader{}, nil, err
-	}
-	h, err := parseFrameHeader(hb[:])
+	h, err := parseFrameHeader(hdr[:])
 	if err != nil {
-		return h, nil, err
+		return h, nil, nil, err
 	}
+	if h.Kind != kindData {
+		if h.PayloadLen == 0 {
+			return h, nil, nil, nil
+		}
+		payload := make([]byte, h.PayloadLen)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return h, nil, nil, fmt.Errorf("comm: frame payload truncated: %w", err)
+		}
+		return h, nil, payload, nil
+	}
+	env := &Envelope{Tag: int(h.Tag), Prec: h.Prec, ReadyNs: h.ReadyNs}
 	if h.PayloadLen == 0 {
-		return h, nil, nil
+		return h, env, nil, nil
 	}
-	payload := make([]byte, h.PayloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return h, nil, fmt.Errorf("comm: frame payload truncated: %w", err)
+	if h.Prec == quant.FP32 {
+		env.F32 = make([]float32, h.PayloadLen/4)
+	} else {
+		env.U16 = make([]uint16, h.PayloadLen/2)
 	}
-	return h, payload, nil
+	p := payloadWords(env)
+	if !nativeLE {
+		p = make([]byte, len(p))
+	}
+	if _, err := io.ReadFull(r, p); err != nil {
+		return h, nil, nil, fmt.Errorf("comm: frame payload truncated: %w", err)
+	}
+	if !nativeLE {
+		getPayloadWords(env, p)
+	}
+	return h, env, nil, nil
 }

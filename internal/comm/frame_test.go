@@ -68,14 +68,13 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	check := func(env *Envelope, src, dst int) {
 		t.Helper()
 		buf := appendDataFrame(nil, src, dst, env)
-		h, payload, err := readFrame(bytes.NewReader(buf))
+		h, got, _, err := readFrame(bytes.NewReader(buf), new([frameHeaderSize]byte))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if int(h.Src) != src || int(h.Dst) != dst || h.Kind != kindData {
 			t.Fatalf("routing fields: src %d dst %d kind %d", h.Src, h.Dst, h.Kind)
 		}
-		got := envelopeFromFrame(h, payload)
 		if got.Tag != env.Tag || got.Prec != env.Prec ||
 			got.ReadyNs != env.ReadyNs {
 			t.Fatalf("metadata: got %+v want %+v", got, env)
@@ -149,7 +148,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	// One element over the limit must be rejected at the header.
 	over := appendDataFrame(nil, 0, 1, &Envelope{Tag: 1, Prec: quant.FP32,
 		F32: make([]float32, maxFramePayload/4+1)})
-	if _, _, err := readFrame(bytes.NewReader(over)); err == nil {
+	if _, _, _, err := readFrame(bytes.NewReader(over), new([frameHeaderSize]byte)); err == nil {
 		t.Fatal("oversized frame must fail to decode")
 	}
 }
@@ -161,11 +160,10 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendDataFrame(nil, 1, 0, &Envelope{Tag: -9, Prec: quant.FP16, U16: []uint16{77}}))
 	f.Add(appendControlFrame(nil, kindHello, 2, 0, 0, []byte("127.0.0.1:999")))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		h, payload, err := readFrame(bytes.NewReader(b))
+		h, env, _, err := readFrame(bytes.NewReader(b), new([frameHeaderSize]byte))
 		if err != nil || h.Kind != kindData {
 			return
 		}
-		env := envelopeFromFrame(h, payload)
 		re := appendDataFrame(nil, int(h.Src), int(h.Dst), env)
 		if !bytes.Equal(re, b[:len(re)]) {
 			t.Fatalf("accepted frame does not re-encode identically")

@@ -310,7 +310,7 @@ func (t *TCPTransport) readHandshake(c net.Conn) (frameHeader, []byte, error) {
 		c.SetReadDeadline(time.Now().Add(t.timeout))
 		defer c.SetReadDeadline(time.Time{})
 	}
-	h, payload, err := readFrame(c)
+	h, _, payload, err := readFrame(c, new([frameHeaderSize]byte))
 	if err != nil {
 		return h, payload, fmt.Errorf("comm: tcp rank %d handshake: %w", t.rank, err)
 	}
@@ -322,8 +322,9 @@ func (t *TCPTransport) readHandshake(c net.Conn) (frameHeader, []byte, error) {
 // outside Close marks the whole fabric failed, waking every blocked Recv.
 func (t *TCPTransport) readLoop(src int, p *tcpPeer) {
 	br := bufio.NewReaderSize(p.c, 1<<16)
+	hdr := new([frameHeaderSize]byte)
 	for {
-		h, payload, err := readFrame(br)
+		h, env, _, err := readFrame(br, hdr)
 		if err != nil {
 			if !t.closed.Load() {
 				t.box.failSrc(src, fmt.Errorf("comm: tcp rank %d: connection to rank %d failed: %w (%v)",
@@ -333,7 +334,6 @@ func (t *TCPTransport) readLoop(src int, p *tcpPeer) {
 		}
 		switch h.Kind {
 		case kindData:
-			env := envelopeFromFrame(h, payload)
 			t.net.countRecv(envelopePayloadBytes(env))
 			t.box.push(msgKey{src: int(h.Src), dst: t.rank, tag: int(h.Tag)}, env)
 		case kindBarrier:

@@ -41,12 +41,12 @@ func TestTrainStepAllocBudget(t *testing.T) {
 		allocs = testing.AllocsPerRun(20, func() { st.step(bw, len(seeds)) })
 	})
 	t.Logf("mini-batch step: %.0f allocs/op", allocs)
-	// Measured 43 (go1.24, default and purego builds): the per-layer
+	// Measured 24 (go1.24, default and purego builds): the per-layer
 	// activation, gradient and aggregate matrices, the label and mask
-	// slices, and the flattened gradient buffer. The margin of 5 absorbs a
+	// slices, and the flattened gradient buffer. The margin of 6 absorbs a
 	// toolchain's runtime internals shifting by a few; a new per-row or
 	// per-edge allocation overshoots it by hundreds.
-	const budget = 50
+	const budget = 30
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}

@@ -73,6 +73,21 @@ func GatherSum(dst, src []float32, idx []int32, stride int) {
 	}
 }
 
+// Accumulate adds src into dst elementwise, dst[j] += src[j] with dst the
+// first operand of every add: GatherSum of the one row src. Matrix.Add,
+// the bias broadcast and column sums, the collectives' reductions and the
+// split-vertex exchange's folds run on it. It panics if the lengths
+// differ.
+func Accumulate(dst, src []float32) {
+	if len(src) != len(dst) {
+		panic(fmt.Sprintf("tensor: Accumulate of %d floats into %d", len(src), len(dst)))
+	}
+	GatherSum(dst, src, firstRow, 0)
+}
+
+// firstRow is the index list of Accumulate's one source row.
+var firstRow = []int32{0}
+
 // axpyRows accumulates coefficient-weighted rows of b into dst, in p order:
 //
 //	dst[j] += coef[p*cstride] * b[p*stride + j]   for p*cstride < len(coef); j < len(dst)

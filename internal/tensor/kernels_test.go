@@ -315,6 +315,7 @@ func TestKernelBoundsChecks(t *testing.T) {
 		"exp short dst":       func() { Exp(make([]float64, 3), make([]float64, 4)) },
 		"adam short v":        func() { AdamUpdate(src[:8], src[8:16], src[16:24], src[24:31], AdamCoef{}) },
 		"relu grad short y":   func() { ReLUGrad(make([]float32, 8), src[:8], src[:7]) },
+		"accumulate short":    func() { Accumulate(make([]float32, 8), src[:7]) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -349,6 +350,60 @@ func TestKernelBoundsChecks(t *testing.T) {
 	GatherSum(make([]float32, 8), src, []int32{3}, 8)
 	axpyRows(make([]float32, 8), make([]float32, 13), 4, src, 8)
 	dotRows(make([]float32, 8), make([]float32, 4), src, 8)
+}
+
+// TestMatrixSumsMatchScalarLoops pins Matrix.Add, AddRowVector and
+// ColSums, which run on Accumulate, to the scalar loops they replaced:
+// the same adds in the same order, so the same bits, at every kernel
+// width and row count, with ±0, subnormals, ±Inf and NaN in every operand.
+// ColSums' out starts as garbage to check that it restarts from +0.
+func TestMatrixSumsMatchScalarLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, w := range kernelWidths {
+		for _, rows := range []int{0, 1, 3, 17} {
+			for _, rate := range specialRates {
+				what := fmt.Sprintf("w=%d rows=%d rate=%v", w, rows, rate)
+				m := FromSlice(rows, w, specialSlice(rng, rows*w, rate))
+				other := FromSlice(rows, w, specialSlice(rng, rows*w, rate))
+				vec := specialSlice(rng, w, rate)
+
+				want := append([]float32(nil), m.Data...)
+				for i, v := range other.Data {
+					want[i] += v
+				}
+				got := m.Clone()
+				got.Add(other)
+				if j := sameFloats(got.Data, want, false); j >= 0 {
+					t.Fatalf("Add %s: [%d] got %#08x want %#08x", what, j, math.Float32bits(got.Data[j]), math.Float32bits(want[j]))
+				}
+
+				want = append(want[:0], m.Data...)
+				for i := 0; i < rows; i++ {
+					row := want[i*w : (i+1)*w]
+					for j, v := range vec {
+						row[j] += v
+					}
+				}
+				got = m.Clone()
+				got.AddRowVector(vec)
+				if j := sameFloats(got.Data, want, false); j >= 0 {
+					t.Fatalf("AddRowVector %s: [%d] got %#08x want %#08x", what, j, math.Float32bits(got.Data[j]), math.Float32bits(want[j]))
+				}
+
+				wantSums := make([]float32, w)
+				for i := 0; i < rows; i++ {
+					for j, v := range m.Row(i) {
+						wantSums[j] += v
+					}
+				}
+				sums := specialSlice(rng, w, 0.5)
+				m.ColSums(sums)
+				if j := sameFloats(sums, wantSums, false); j >= 0 {
+					t.Fatalf("ColSums %s: [%d] got %#08x want %#08x", what, j, math.Float32bits(sums[j]), math.Float32bits(wantSums[j]))
+				}
+			}
+		}
+	}
 }
 
 // fuzzFloats decodes data as little-endian float32s, cycling to fill n.

@@ -101,7 +101,7 @@ func (m *Matrix) mustSameShape(other *Matrix) {
 // Add computes m += other elementwise.
 func (m *Matrix) Add(other *Matrix) {
 	m.mustSameShape(other)
-	axpy(m.Data, other.Data, 1)
+	Accumulate(m.Data, other.Data)
 }
 
 // Sub computes m -= other elementwise.
@@ -159,27 +159,19 @@ func (m *Matrix) AddRowVector(vec []float32) {
 		panic(fmt.Sprintf("tensor: vector length %d != cols %d", len(vec), m.Cols))
 	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range vec {
-			row[j] += v
-		}
+		Accumulate(m.Row(i), vec)
 	}
 }
 
-// ColSums accumulates the sum of every column into out (len == Cols).
-// Used for bias gradients.
+// ColSums writes the sum of every column into out (len == Cols), adding
+// the rows in order to +0. Used for bias gradients.
 func (m *Matrix) ColSums(out []float32) {
 	if len(out) != m.Cols {
 		panic(fmt.Sprintf("tensor: out length %d != cols %d", len(out), m.Cols))
 	}
-	for j := range out {
-		out[j] = 0
-	}
+	clear(out)
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
+		Accumulate(out, m.Row(i))
 	}
 }
 

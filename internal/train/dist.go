@@ -180,6 +180,9 @@ type rankCtx struct {
 	remoteAdd []*tensor.Matrix // stale leaf-partial sums (root rows)
 	staleTot  []*tensor.Matrix // stale totals from roots (leaf rows)
 	staleMask []bool           // rows of staleTot that are valid
+	// packBuf stages every outgoing partial and total; both fabrics copy
+	// a payload on Send, so one buffer serves every message.
+	packBuf []float32
 	// phase-A partials waiting out their delay, keyed by due epoch.
 	pendingPartials map[int][]delivery
 

@@ -48,7 +48,7 @@ func (r *rankCtx) exchangeSumBroadcast(mat *tensor.Matrix, bin int) {
 	send := make([][]float32, k)
 	for peer := 0; peer < k; peer++ {
 		rows := r.plan.leafSend[bin][peer]
-		send[peer] = r.cfg.CommPrecision.RoundSlice(packRows(mat, rows))
+		send[peer] = r.cfg.CommPrecision.RoundSlice(packRows(nil, mat, rows))
 		r.countSend(len(rows), d)
 	}
 	recv := r.world.AlltoAllV(send)
@@ -64,7 +64,7 @@ func (r *rankCtx) exchangeSumBroadcast(mat *tensor.Matrix, bin int) {
 	send = make([][]float32, k)
 	for peer := 0; peer < k; peer++ {
 		rows := r.plan.rootSend[bin][peer]
-		send[peer] = r.cfg.CommPrecision.RoundSlice(packRows(mat, rows))
+		send[peer] = r.cfg.CommPrecision.RoundSlice(packRows(nil, mat, rows))
 		r.countSend(len(rows), d)
 	}
 	recv = r.world.AlltoAllV(send)

@@ -1,6 +1,8 @@
 package train
 
 import (
+	"slices"
+
 	"distgnn/internal/partition"
 	"distgnn/internal/tensor"
 )
@@ -21,6 +23,10 @@ type xplan struct {
 	rootSend [][][]int32
 	// leafRecv[bin][peer]: rows this rank overwrites when root=peer's totals arrive.
 	leafRecv [][][]int32
+	// rootRows is the sorted union of every rootRecv list: the only rows
+	// of the stale leaf-partial sums (rankCtx.remoteAdd) that are ever
+	// written, so the only rows applyStale has to fold.
+	rootRows []int32
 }
 
 // buildXPlans constructs per-rank exchange plans with the split-vertex set
@@ -54,6 +60,15 @@ func buildXPlans(pt *partition.Partitioning, bins int) []*xplan {
 			plans[leaf.Part].leafRecv[bin][root.Part] = append(plans[leaf.Part].leafRecv[bin][root.Part], leaf.Local)
 		}
 	}
+	for _, p := range plans {
+		for _, byPeer := range p.rootRecv {
+			for _, rows := range byPeer {
+				p.rootRows = append(p.rootRows, rows...)
+			}
+		}
+		slices.Sort(p.rootRows)
+		p.rootRows = slices.Compact(p.rootRows)
+	}
 	return plans
 }
 
@@ -66,28 +81,24 @@ func makeBinPeer(bins, k int) [][][]int32 {
 }
 
 // packRows gathers the listed rows of mat into one contiguous buffer —
-// the pre-processing gather of Alg. 4 (lines 10, 15).
-func packRows(mat *tensor.Matrix, rows []int32) []float32 {
+// the pre-processing gather of Alg. 4 (lines 10, 15) — reusing dst's
+// storage when it has the room.
+func packRows(dst []float32, mat *tensor.Matrix, rows []int32) []float32 {
 	if len(rows) == 0 {
 		return nil
 	}
-	d := mat.Cols
-	out := make([]float32, len(rows)*d)
-	for i, r := range rows {
-		copy(out[i*d:(i+1)*d], mat.Row(int(r)))
+	dst = slices.Grow(dst[:0], len(rows)*mat.Cols)
+	for _, r := range rows {
+		dst = append(dst, mat.Row(int(r))...)
 	}
-	return out
+	return dst
 }
 
 // addRows scatter-reduces buf into the listed rows (Alg. 4 line 14).
 func addRows(mat *tensor.Matrix, rows []int32, buf []float32) {
 	d := mat.Cols
 	for i, r := range rows {
-		dst := mat.Row(int(r))
-		src := buf[i*d : (i+1)*d]
-		for j := range dst {
-			dst[j] += src[j]
-		}
+		tensor.Accumulate(mat.Row(int(r)), buf[i*d:(i+1)*d])
 	}
 }
 

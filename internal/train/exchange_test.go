@@ -2,9 +2,11 @@ package train
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
 	"distgnn/internal/partition"
 )
@@ -163,6 +165,100 @@ func TestXPlanBinsPartitionSplits(t *testing.T) {
 				t.Fatalf("bins=%d: %d vertices with traffic, %d splits covered, want %d",
 					bins, len(binsOf), covered, len(pt.Splits))
 			}
+		}
+	}
+}
+
+// TestXPlanRootRowsIsRootRecvUnion: rootRows is exactly the sorted,
+// duplicate-free union of a plan's rootRecv lists over bins and peers.
+func TestXPlanRootRowsIsRootRecvUnion(t *testing.T) {
+	for _, pt := range randomPartitionings(t) {
+		for _, bins := range []int{1, 3} {
+			for p, plan := range buildXPlans(pt, bins) {
+				checkRootRows(t, fmt.Sprintf("k=%d bins=%d rank %d", pt.K, bins, p), plan)
+			}
+		}
+	}
+}
+
+func checkRootRows(t *testing.T, what string, plan *xplan) {
+	t.Helper()
+	union := map[int32]bool{}
+	for _, byPeer := range plan.rootRecv {
+		for _, rows := range byPeer {
+			for _, row := range rows {
+				union[row] = true
+			}
+		}
+	}
+	if len(plan.rootRows) != len(union) {
+		t.Fatalf("%s: %d root rows, rootRecv's union has %d", what, len(plan.rootRows), len(union))
+	}
+	for i, row := range plan.rootRows {
+		if !union[row] || (i > 0 && row <= plan.rootRows[i-1]) {
+			t.Fatalf("%s: rootRows[%d] = %d is not the next row of rootRecv's sorted union", what, i, row)
+		}
+	}
+}
+
+// TestStaleFoldRootRowsOnly pins what makes applyStale's root-rows-only
+// fold exact: over a cd-r run at k = 2 and 4, every row of every layer's
+// remoteAdd outside the plan's rootRows stays +0 (bits 0) after every
+// epoch, so adding it — to sums from +0, which are never −0 — changed
+// nothing. Some root row must be nonzero by the end, or the run folded
+// nothing and the check would be empty.
+func TestStaleFoldRootRowsOnly(t *testing.T) {
+	ds := testDataset(t)
+	for _, k := range []int{2, 4} {
+		cfg := DistConfig{
+			Model: smallModel(), NumPartitions: k, Algo: AlgoCDR,
+			Delay: 2, Epochs: 5, LR: 0.05, UseAdam: true, Seed: 9,
+		}
+		su, err := newDistSetup(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps := comm.NewProcFabric(k)
+		worlds, ranks, err := su.newRanks(eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := make([]string, k)
+		folded := make([]bool, k)
+		comm.RunRanks(worlds, func(w *comm.World) {
+			r := ranks[w.Self()]
+			isRoot := make([]bool, r.part.G.NumVertices)
+			for _, row := range r.plan.rootRows {
+				isRoot[row] = true
+			}
+			for e := 0; e < cfg.Epochs && bad[r.id] == ""; e++ {
+				r.runEpoch(e)
+				for l, add := range r.remoteAdd {
+					for v := 0; v < add.Rows; v++ {
+						for j, x := range add.Row(v) {
+							switch {
+							case !isRoot[v] && math.Float32bits(x) != 0:
+								bad[r.id] = fmt.Sprintf("epoch %d layer %d: non-root row %d col %d holds %#08x",
+									e, l, v, j, math.Float32bits(x))
+							case isRoot[v] && x != 0:
+								folded[r.id] = true
+							}
+						}
+					}
+				}
+			}
+		})
+		comm.CloseAll(eps)
+		anyFolded := false
+		for rank, plan := range su.plans {
+			checkRootRows(t, fmt.Sprintf("k=%d rank %d", k, rank), plan)
+			if bad[rank] != "" {
+				t.Errorf("k=%d rank %d: %s", k, rank, bad[rank])
+			}
+			anyFolded = anyFolded || folded[rank]
+		}
+		if !anyFolded {
+			t.Errorf("k=%d: no rank folded a nonzero stale partial", k)
 		}
 	}
 }

@@ -68,8 +68,8 @@ func (r *rankCtx) postLayer(layer int, agg *tensor.Matrix, bin, epoch int) {
 	tag := tagPartial(epoch, numLayers, layer)
 	for peer := 0; peer < r.world.N; peer++ {
 		if rows := r.plan.leafSend[bin][peer]; len(rows) > 0 {
-			payload := packRows(r.captures[layer], rows)
-			r.waitSend(r.world.IsendPacked(peer, tag, payload, r.cfg.CommPrecision))
+			r.packBuf = packRows(r.packBuf, r.captures[layer], rows)
+			r.waitSend(r.world.IsendPacked(peer, tag, r.packBuf, r.cfg.CommPrecision))
 			r.countSend(len(rows), r.aggDims[layer])
 		}
 		if len(r.plan.rootRecv[bin][peer]) > 0 {
@@ -101,9 +101,14 @@ func (r *rankCtx) captureBin(layer int, agg *tensor.Matrix, bin int) {
 
 // applyStale folds in the remote contributions received in earlier epochs:
 // roots add the stale sums of leaf partials, leaves overwrite with the
-// stale totals where one has arrived.
+// stale totals where one has arrived. Only root rows of remoteAdd are ever
+// written, so only they are added: every other row is +0, and agg — the
+// aggregation's sums from +0 — holds no −0 for a +0 to change.
 func (r *rankCtx) applyStale(layer int, agg *tensor.Matrix) {
-	agg.Add(r.remoteAdd[layer])
+	remote := r.remoteAdd[layer]
+	for _, row := range r.plan.rootRows {
+		tensor.Accumulate(agg.Row(int(row)), remote.Row(int(row)))
+	}
 	stale := r.staleTot[layer]
 	for v := 0; v < agg.Rows; v++ {
 		if r.staleMask[v] {
@@ -184,19 +189,15 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 			if len(rows) == 0 {
 				continue
 			}
-			var buf []float32
-			for l, d := range r.aggDims {
-				chunk := make([]float32, len(rows)*d)
-				for i, row := range rows {
-					dst := chunk[i*d : (i+1)*d]
-					copy(dst, r.captures[l].Row(int(row)))
-					remote := r.remoteAdd[l].Row(int(row))
-					for j := range dst {
-						dst[j] += remote[j]
-					}
+			buf := r.packBuf[:0]
+			for l := range r.aggDims {
+				for _, row := range rows {
+					off := len(buf)
+					buf = append(buf, r.captures[l].Row(int(row))...)
+					tensor.Accumulate(buf[off:], r.remoteAdd[l].Row(int(row)))
 				}
-				buf = append(buf, chunk...)
 			}
+			r.packBuf = buf
 			r.countConcatSend(len(rows))
 			r.waitSend(r.world.IsendPacked(peer, tagTotal(epoch), buf, r.cfg.CommPrecision))
 		}
