@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 	"testing"
 
+	"distgnn/internal/comm"
 	"distgnn/internal/quant"
 )
 
@@ -63,6 +65,92 @@ func TestCDRGolden(t *testing.T) {
 		})
 		if got := cdrDigest(tr); got != tc.digest {
 			t.Errorf("k=%d %v: cd-r digest %s, want %s", tc.sockets, tc.prec, got, tc.digest)
+		}
+	}
+}
+
+// timingDigest hashes every field of rank 0's DistEpochStat at every
+// epoch of res.
+func timingDigest(h hash.Hash, res *DistResult) {
+	var b [8]byte
+	for _, st := range res.Epochs {
+		for _, v := range [...]float64{st.Loss, st.LAT, st.RAT, st.BwdAgg, st.MLP,
+			st.ParamSync, st.Epoch, st.ExposedNet} {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+}
+
+// timingModels are the compute models the timing golden runs under: the
+// paper's socket, one slow enough to hide every transfer, one fast enough
+// to hide none, and two that hide part of the traffic.
+var timingModels = []comm.ComputeModel{
+	comm.DefaultComputeModel(),
+	{AggElemsPerSec: 1e3, MACsPerSec: 1e3},
+	{AggElemsPerSec: 1e30, MACsPerSec: 1e30},
+	{AggElemsPerSec: 1e11, MACsPerSec: 1e12},
+	{AggElemsPerSec: 1e12, MACsPerSec: 1e13},
+}
+
+// TestDistTimingGolden pins every DistEpochStat field of cd-r and cd-rs,
+// at Delay 1, 2 and 3 under each of timingModels, to digests recorded
+// while cd-rs's overlap was still accounted by a simulated clock inside
+// the fabric. It also checks that the two partial models really do hide
+// part of the traffic at k=2 fp32 Delay 1, so the golden covers a wait
+// that is neither free nor fully exposed.
+func TestDistTimingGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("180 distributed runs")
+	}
+	ds := testDataset(t)
+	for _, tc := range []struct {
+		algo    Algorithm
+		sockets int
+		prec    quant.Precision
+		digest  string
+	}{
+		{AlgoCDR, 2, quant.FP32, "a3df54fa061867cd"},
+		{AlgoCDR, 4, quant.FP32, "916b1252f277ad1b"},
+		{AlgoCDR, 8, quant.FP32, "d6f68235c15e1b4c"},
+		{AlgoCDR, 2, quant.BF16, "0d6c4399a7ea4be9"},
+		{AlgoCDR, 4, quant.BF16, "6df7c829c991d7d9"},
+		{AlgoCDR, 8, quant.BF16, "676541984a9ed360"},
+		{AlgoCDRS, 2, quant.FP32, "2addcc436096d14b"},
+		{AlgoCDRS, 4, quant.FP32, "fbbdf5af00f8b4ee"},
+		{AlgoCDRS, 8, quant.FP32, "42e4ecc12bfe9f23"},
+		{AlgoCDRS, 2, quant.BF16, "95d0b28cc8105c15"},
+		{AlgoCDRS, 4, quant.BF16, "707f34ab70920ec4"},
+		{AlgoCDRS, 8, quant.BF16, "ac3cbe92014b4005"},
+	} {
+		h := sha256.New()
+		for delay := 1; delay <= 3; delay++ {
+			exposed := make([]float64, len(timingModels))
+			for m, cm := range timingModels {
+				res, err := Distributed(ds, DistConfig{
+					Model: smallModel(), NumPartitions: tc.sockets, Algo: tc.algo,
+					Delay: delay, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 9,
+					CommPrecision: tc.prec, Compute: cm,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				timingDigest(h, res)
+				for _, st := range res.Epochs {
+					exposed[m] += st.ExposedNet
+				}
+			}
+			if tc.algo == AlgoCDRS && tc.sockets == 2 && tc.prec == quant.FP32 && delay == 1 {
+				none := exposed[2]
+				for _, m := range []int{3, 4} {
+					if !(exposed[1] == 0 && exposed[m] > 0 && exposed[m] < none) {
+						t.Errorf("model %d exposed %v, want strictly inside (0, %v)", m, exposed[m], none)
+					}
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != tc.digest {
+			t.Errorf("%s k=%d %v: timing digest %s, want %s", tc.algo, tc.sockets, tc.prec, got, tc.digest)
 		}
 	}
 }
