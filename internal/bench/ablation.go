@@ -122,7 +122,6 @@ func AblationDelay(opt Options) error {
 			Model:         fig5ModelFor("reddit-sim"),
 			NumPartitions: 8, Algo: algo, Delay: delay,
 			Epochs: epochs, LR: 0.02, UseAdam: true, Seed: 1,
-			Compute: calibrated(),
 		}
 		return train.Distributed(ds, cfg)
 	}
@@ -178,7 +177,6 @@ func AblationOverlap(opt Options) error {
 			Model:         fig5ModelFor("reddit-sim"),
 			NumPartitions: 8, Algo: algo, Delay: fig5Delay,
 			Epochs: epochs, LR: 0.02, UseAdam: true, Seed: 1,
-			Compute: calibrated(),
 		})
 		if err != nil {
 			return err
@@ -219,7 +217,7 @@ func AblationPrecision(opt Options) error {
 				Model:         fig5ModelFor("ogbn-products-sim"),
 				NumPartitions: 8, Algo: algo,
 				Epochs: epochs, LR: 0.02, UseAdam: true, Seed: 1,
-				Compute: calibrated(), CommPrecision: p,
+				CommPrecision: p,
 			}
 			label := string(algo)
 			if algo == train.AlgoCDR {
@@ -257,7 +255,7 @@ func AblationPartitioner(opt Options) error {
 			Model:         fig5ModelFor("ogbn-products-sim"),
 			NumPartitions: 8, Algo: train.AlgoCD0,
 			Epochs: epochs, LR: 0.02, Seed: 1,
-			Partitioner: p, Compute: calibrated(),
+			Partitioner: p,
 		})
 		if err != nil {
 			return err

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 
-	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
 )
 
@@ -156,9 +155,6 @@ func loadDataset(name string, scale float64) (*datasets.Dataset, error) {
 	dsCache[key] = d
 	return d, nil
 }
-
-// calibrated returns the machine-calibrated compute model, measured once.
-var calibrated = sync.OnceValue(comm.CalibrateComputeModel)
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }

@@ -74,7 +74,6 @@ func distRun(opt Options, name string, k int, algo train.Algorithm, epochs int) 
 		Epochs:        epochs,
 		LR:            0.01,
 		Seed:          1,
-		Compute:       calibrated(),
 	}
 	if algo == train.AlgoCDR {
 		cfg.Delay = fig5Delay
@@ -188,7 +187,6 @@ func Table5(opt Options) error {
 					LR:            0.01,
 					UseAdam:       true,
 					Seed:          1,
-					Compute:       calibrated(),
 				}
 				if algo == train.AlgoCDR {
 					cfg.Delay = fig5Delay

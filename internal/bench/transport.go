@@ -48,14 +48,12 @@ func AblationTransport(opt Options) error {
 	}
 	epochs := opt.epochs(6)
 	report := TransportBenchReport{Experiment: "abl-transport", Scale: opt.scale()}
-	calibrated() // one-time compute-model calibration must not pollute the first wall measurement
 
 	baseCfg := func(algo train.Algorithm) train.DistConfig {
 		return train.DistConfig{
 			Model:         fig5ModelFor("reddit-sim"),
 			NumPartitions: transportBenchRanks, Algo: algo, Delay: 2,
 			Epochs: epochs, LR: 0.02, UseAdam: true, Seed: 1,
-			Compute: calibrated(),
 		}
 	}
 

@@ -24,21 +24,3 @@ func TestComputeModelLinear(t *testing.T) {
 		t.Fatalf("MLPSeconds(1e10) = %v, want 1", got)
 	}
 }
-
-func TestCalibrateComputeModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration takes a few hundred milliseconds")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation slows kernels past the plausibility bounds")
-	}
-	cm := CalibrateComputeModel()
-	// Any functioning machine aggregates between 10M and 1T element
-	// updates per second and computes between 100M and 100T MAC/s.
-	if cm.AggElemsPerSec < 1e7 || cm.AggElemsPerSec > 1e12 {
-		t.Fatalf("implausible aggregation throughput %v", cm.AggElemsPerSec)
-	}
-	if cm.MACsPerSec < 1e8 || cm.MACsPerSec > 1e14 {
-		t.Fatalf("implausible MAC throughput %v", cm.MACsPerSec)
-	}
-}

@@ -12,7 +12,7 @@ import (
 	"distgnn/internal/quant"
 )
 
-// frame.go is the TCP transport's wire format: a fixed 36-byte
+// frame.go is the TCP transport's wire format: a fixed 28-byte
 // length-prefixed header followed by the payload. Everything is
 // little-endian. The 16-bit quant formats are the literal wire encoding —
 // a BF16/FP16 payload crosses the network as the packed words quant.Pack
@@ -23,23 +23,24 @@ import (
 // its own.
 //
 //	offset  size  field
-//	0       4     magic "DGW2"
+//	0       4     magic "DGW3"
 //	4       1     kind (data, hello, table, barrier, release)
 //	5       1     precision (quant.FP32 / BF16 / FP16)
 //	6       2     reserved (zero)
 //	8       4     src rank
 //	12      4     dst rank
 //	16      8     tag (two's complement int64)
-//	24      8     readyNs — simulated fabric-completion time
-//	32      4     payload length in bytes
-//	36      …     payload
+//	24      4     payload length in bytes
+//	28      …     payload
 //
-// The magic names the layout: "DGW1" carried a second 8-byte cost word at
-// offset 32, so a peer on that layout fails the magic check instead of
-// misparsing the length.
+// The magic names the layout: "DGW2" carried an 8-byte simulated
+// completion time at offset 24 and "DGW1" a second cost word after it, so
+// a peer on either layout fails the magic check instead of misparsing the
+// length. No simulated time crosses the wire: cd-rs's overlap accounting
+// is a replay computed from the exchange plans (train/timing.go).
 const (
-	frameMagic      = "DGW2"
-	frameHeaderSize = 36
+	frameMagic      = "DGW3"
+	frameHeaderSize = 28
 )
 
 // maxFramePayload bounds one frame's payload (1 GiB — a 268M-parameter
@@ -66,7 +67,6 @@ type frameHeader struct {
 	Prec       quant.Precision
 	Src, Dst   uint32
 	Tag        int64
-	ReadyNs    int64
 	PayloadLen uint32
 }
 
@@ -79,8 +79,7 @@ func putFrameHeader(b []byte, h frameHeader) {
 	binary.LittleEndian.PutUint32(b[8:12], h.Src)
 	binary.LittleEndian.PutUint32(b[12:16], h.Dst)
 	binary.LittleEndian.PutUint64(b[16:24], uint64(h.Tag))
-	binary.LittleEndian.PutUint64(b[24:32], uint64(h.ReadyNs))
-	binary.LittleEndian.PutUint32(b[32:36], h.PayloadLen)
+	binary.LittleEndian.PutUint32(b[24:28], h.PayloadLen)
 }
 
 // parseFrameHeader decodes and validates the fixed header.
@@ -108,8 +107,7 @@ func parseFrameHeader(b []byte) (frameHeader, error) {
 	h.Src = binary.LittleEndian.Uint32(b[8:12])
 	h.Dst = binary.LittleEndian.Uint32(b[12:16])
 	h.Tag = int64(binary.LittleEndian.Uint64(b[16:24]))
-	h.ReadyNs = int64(binary.LittleEndian.Uint64(b[24:32]))
-	h.PayloadLen = binary.LittleEndian.Uint32(b[32:36])
+	h.PayloadLen = binary.LittleEndian.Uint32(b[24:28])
 	if h.PayloadLen > maxFramePayload {
 		return h, fmt.Errorf("comm: frame payload %d exceeds limit %d", h.PayloadLen, maxFramePayload)
 	}
@@ -183,7 +181,7 @@ func appendDataFrame(buf []byte, src, dst int, env *Envelope) []byte {
 	h := frameHeader{
 		Kind: kindData, Prec: env.Prec,
 		Src: uint32(src), Dst: uint32(dst), Tag: int64(env.Tag),
-		ReadyNs: env.ReadyNs, PayloadLen: uint32(len(words)),
+		PayloadLen: uint32(len(words)),
 	}
 	off := len(buf)
 	n := frameHeaderSize + len(words)
@@ -234,7 +232,7 @@ func readFrame(r io.Reader, hdr *[frameHeaderSize]byte) (frameHeader, *Envelope,
 		}
 		return h, nil, payload, nil
 	}
-	env := &Envelope{Tag: int(h.Tag), Prec: h.Prec, ReadyNs: h.ReadyNs}
+	env := &Envelope{Tag: int(h.Tag), Prec: h.Prec}
 	if h.PayloadLen == 0 {
 		return h, env, nil, nil
 	}

@@ -11,23 +11,22 @@ import (
 
 // TestFrameHeaderGolden pins the exact wire bytes of the frame header: a
 // change here is a wire-format break that strands every peer on the old
-// layout, so it must be deliberate (and bump the magic).
+// layout, so it must be deliberate (and bump the magic). "DGW3" dropped
+// DGW2's simulated completion time at offset 24: the header is 28 bytes.
 func TestFrameHeaderGolden(t *testing.T) {
 	env := &Envelope{
 		Tag: 0x0102030405, Prec: quant.BF16,
-		U16:     []uint16{0xBEEF, 0x1234},
-		ReadyNs: 0x1122334455667788,
+		U16: []uint16{0xBEEF, 0x1234},
 	}
 	buf := appendDataFrame(nil, 3, 7, env)
 	want := []byte{
-		'D', 'G', 'W', '2', // magic
+		'D', 'G', 'W', '3', // magic
 		1,    // kind = data
 		1,    // precision = bf16
 		0, 0, // reserved
 		3, 0, 0, 0, // src rank, LE
 		7, 0, 0, 0, // dst rank, LE
 		0x05, 0x04, 0x03, 0x02, 0x01, 0, 0, 0, // tag, LE int64
-		0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // readyNs
 		4, 0, 0, 0, // payload length: 2 × uint16
 		0xEF, 0xBE, // payload word 0, LE
 		0x34, 0x12, // payload word 1, LE
@@ -41,13 +40,13 @@ func TestFrameHeaderRejectsCorruption(t *testing.T) {
 	good := appendDataFrame(nil, 0, 1, &Envelope{Tag: 1, Prec: quant.FP32, F32: []float32{1}})
 	for name, mutate := range map[string]func([]byte){
 		"magic":     func(b []byte) { b[0] = 'X' },
-		"version":   func(b []byte) { b[3] = '1' }, // the 44-byte layout
+		"version":   func(b []byte) { b[3] = '2' }, // the 36-byte layout
 		"kind":      func(b []byte) { b[4] = 99 },
 		"precision": func(b []byte) { b[5] = 77 },
 		"reserved":  func(b []byte) { b[6] = '0' }, // v1 reserves these as zero
 
-		"length":      func(b []byte) { b[32], b[33], b[34], b[35] = 0xFF, 0xFF, 0xFF, 0x7F },
-		"granularity": func(b []byte) { b[32] = 3 }, // fp32 payload not a multiple of 4
+		"length":      func(b []byte) { b[24], b[25], b[26], b[27] = 0xFF, 0xFF, 0xFF, 0x7F },
+		"granularity": func(b []byte) { b[24] = 3 }, // fp32 payload not a multiple of 4
 	} {
 		b := append([]byte(nil), good...)
 		mutate(b)
@@ -75,8 +74,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if int(h.Src) != src || int(h.Dst) != dst || h.Kind != kindData {
 			t.Fatalf("routing fields: src %d dst %d kind %d", h.Src, h.Dst, h.Kind)
 		}
-		if got.Tag != env.Tag || got.Prec != env.Prec ||
-			got.ReadyNs != env.ReadyNs {
+		if got.Tag != env.Tag || got.Prec != env.Prec {
 			t.Fatalf("metadata: got %+v want %+v", got, env)
 		}
 		if len(got.F32) != len(env.F32) || len(got.U16) != len(env.U16) {
@@ -96,10 +94,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 
 	for iter := 0; iter < 200; iter++ {
-		env := &Envelope{
-			Tag:     int(int32(rng.Uint32())), // mixed-sign tags
-			ReadyNs: rng.Int63() - rng.Int63(),
-		}
+		env := &Envelope{Tag: int(int32(rng.Uint32()))} // mixed-sign tags
 		n := rng.Intn(300)
 		switch rng.Intn(3) {
 		case 0:

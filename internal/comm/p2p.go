@@ -12,11 +12,9 @@ import (
 // world's Transport — the in-process fabric or TCP, identical behavior on
 // both. Payloads are copied (and, for 16-bit wire formats, packed) by the
 // time Isend returns, so a sender's buffer is immediately reusable and
-// the transfer proceeds "in the background"; the α–β cost of the transfer
-// accrues on the simulated clock concurrently with whatever compute the
-// poster charges, and only the un-hidden remainder is charged when the
-// receiver Waits — the accounting that lets cd-rs hide network time behind
-// compute (§6.3).
+// the transfer proceeds "in the background". The layer keeps no simulated
+// time: how much of a transfer cd-rs's compute hides (§6.3) is replayed by
+// the trainer (train/timing.go) from the sizes it posts.
 
 // Defined misuse errors: the Request lifecycle is post → (Test)* → Wait,
 // exactly once each side.
@@ -32,19 +30,13 @@ var (
 // Request is a handle on one nonblocking operation. The zero value is not
 // posted; only Isend/Irecv produce live requests.
 type Request struct {
-	w       *World
-	recv    bool
-	rank    int // the rank charged for exposed wait time (receiver side)
-	key     msgKey
-	done    bool
-	data    []float32 // completed receive payload
-	exposed float64   // un-hidden network seconds charged at Wait
-	err     error     // send side: transport failure, surfaced at Wait
+	w    *World
+	recv bool
+	key  msgKey
+	done bool
+	data []float32 // completed receive payload
+	err  error     // send side: transport failure, surfaced at Wait
 }
-
-// ConfigureAsync attaches the α–β cost model used to account nonblocking
-// transfers (nil disables accounting).
-func (w *World) ConfigureAsync(cm *CostModel) { w.asyncCost = cm }
 
 func (w *World) checkRank(name string, r int) {
 	if r < 0 || r >= w.N {
@@ -88,19 +80,15 @@ func (w *World) post(to, tag int, data []float32, p quant.Precision) *Request {
 	} else {
 		env.U16 = p.Pack(make([]uint16, 0, len(data)), data)
 	}
-	if w.asyncCost != nil {
-		env.ReadyNs = w.asyncCost.PostXfer(from, len(data)*p.Bytes())
-	}
 	err := w.tr.Send(from, to, env)
-	return &Request{w: w, rank: from, key: msgKey{src: from, dst: to, tag: tag}, err: err}
+	return &Request{w: w, key: msgKey{src: from, dst: to, tag: tag}, err: err}
 }
 
 // Irecv posts a nonblocking receive for the next message rank `from` sends
 // this rank with this tag. The payload is delivered by Wait.
 func (w *World) Irecv(from, tag int) *Request {
 	w.checkRank("Irecv source", from)
-	return &Request{w: w, recv: true, rank: w.self,
-		key: msgKey{src: from, dst: w.self, tag: tag}}
+	return &Request{w: w, recv: true, key: msgKey{src: from, dst: w.self, tag: tag}}
 }
 
 // Test reports whether Wait would complete without blocking. Sends are
@@ -121,40 +109,10 @@ func (r *Request) Test() (bool, error) {
 	return ok, err
 }
 
-// TestHidden reports whether Wait would complete immediately AND charge
-// zero exposed network time at this rank's current simulated clock — i.e.
-// the transfer is both physically delivered and fully hidden behind the
-// compute charged so far. Layer-boundary drains use it so the set of
-// messages reeled in early is a function of simulated time only, keeping
-// runs deterministic regardless of goroutine scheduling.
-func (r *Request) TestHidden() (bool, error) {
-	if r.w == nil {
-		return false, ErrNotPosted
-	}
-	if r.done {
-		return false, ErrAlreadyWaited
-	}
-	if !r.recv {
-		return true, nil
-	}
-	env, ok, err := r.w.tr.Poll(r.key.dst, r.key.src, r.key.tag)
-	if err != nil || !ok {
-		return false, err
-	}
-	cm := r.w.asyncCost
-	if cm == nil {
-		return true, nil
-	}
-	return cm.clockNs(r.rank) >= env.ReadyNs, nil
-}
-
 // Wait blocks until the operation completes and returns the received
-// payload (nil for sends). For receives with a cost model attached, Wait
-// charges this rank only the part of the α+bytes/β transfer that the
-// rank's compute since the post did not hide. A request may be waited
-// exactly once. On a transport with
-// deadlines (TCP), a receive nothing arrives for fails with an error
-// wrapping ErrTimeout instead of blocking forever.
+// payload (nil for sends). A request may be waited exactly once. On a
+// transport with deadlines (TCP), a receive nothing arrives for fails
+// with an error wrapping ErrTimeout instead of blocking forever.
 func (r *Request) Wait() ([]float32, error) {
 	if r.w == nil {
 		return nil, ErrNotPosted
@@ -176,15 +134,8 @@ func (r *Request) Wait() ([]float32, error) {
 	} else {
 		r.data = env.Prec.Unpack(make([]float32, 0, len(env.U16)), env.U16)
 	}
-	if cm := r.w.asyncCost; cm != nil {
-		r.exposed = cm.WaitXfer(r.rank, env.ReadyNs)
-	}
 	return r.data, nil
 }
-
-// Exposed returns the un-hidden network seconds charged when this request
-// was waited (0 before Wait, for sends, or without a cost model).
-func (r *Request) Exposed() float64 { return r.exposed }
 
 // WaitAll waits every request in order and returns the first error
 // encountered; it still drains the remaining requests so no message is

@@ -60,9 +60,6 @@ func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 	if _, err := zero.Test(); !errors.Is(err, ErrNotPosted) {
 		t.Fatalf("Test on unposted request: %v, want ErrNotPosted", err)
 	}
-	if _, err := zero.TestHidden(); !errors.Is(err, ErrNotPosted) {
-		t.Fatalf("TestHidden on unposted request: %v, want ErrNotPosted", err)
-	}
 
 	// Double Wait on both sides of a completed exchange.
 	w := procWorlds(2)
@@ -171,71 +168,5 @@ func TestConcurrentIsendIrecvWaitAll(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestPostXferOverlapAccounting(t *testing.T) {
-	cm := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	// 1000 bytes: 1 µs latency + 1 µs serialization = 2 µs.
-	ready := cm.PostXfer(0, 1000)
-	if ready != 2000 {
-		t.Fatalf("transfer: ready %d, want 2000", ready)
-	}
-	// Back-to-back posts serialize on the injection port.
-	ready2 := cm.PostXfer(0, 1000)
-	if ready2 != 4000 {
-		t.Fatalf("second post must queue behind the first: ready %d, want 4000", ready2)
-	}
-
-	// No compute: the full remainder is exposed at Wait.
-	if got := cm.WaitXfer(0, ready); got != 2e-6 {
-		t.Fatalf("exposed %v, want 2µs", got)
-	}
-	// The wait advanced the clock to the completion time, so the second
-	// transfer has 2 µs left.
-	if got := cm.WaitXfer(0, ready2); got != 2e-6 {
-		t.Fatalf("second exposed %v, want 2µs", got)
-	}
-
-	// Compute past the completion time hides a transfer entirely.
-	ready3 := cm.PostXfer(0, 1000)
-	cm.ChargeCompute(0, 1e-3)
-	if got := cm.WaitXfer(0, ready3); got != 0 {
-		t.Fatalf("hidden transfer exposed %v, want 0", got)
-	}
-
-	// Partial overlap: compute covers half, the rest is exposed.
-	cm2 := &CostModel{NetLatency: 0, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	ready4 := cm2.PostXfer(0, 2000) // 2 µs
-	cm2.ChargeCompute(0, 1e-6)
-	if got := cm2.WaitXfer(0, ready4); got != 1e-6 {
-		t.Fatalf("partial overlap exposed %v, want 1µs", got)
-	}
-}
-
-func TestTestHiddenFollowsSimulatedClock(t *testing.T) {
-	w := procWorlds(2)
-	cm := &CostModel{NetLatency: 1e-6, NetBandwidth: 1e9, MemBandwidth: 1e9}
-	w[0].ConfigureAsync(cm)
-	w[1].ConfigureAsync(cm)
-
-	w[0].Isend(1, 1, make([]float32, 250)) // 1000 bytes → 2 µs
-	recv := w[1].Irecv(0, 1)
-	// Physically present but simulated-in-flight: Test true, TestHidden false.
-	if ok, _ := recv.Test(); !ok {
-		t.Fatal("message must be physically present")
-	}
-	if ok, _ := recv.TestHidden(); ok {
-		t.Fatal("transfer cannot be hidden with no compute charged")
-	}
-	cm.ChargeCompute(1, 1e-5)
-	if ok, _ := recv.TestHidden(); !ok {
-		t.Fatal("transfer must be hidden after 10µs of compute")
-	}
-	if _, err := recv.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if recv.Exposed() != 0 {
-		t.Fatalf("hidden transfer exposed %v", recv.Exposed())
 	}
 }

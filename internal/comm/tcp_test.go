@@ -66,15 +66,15 @@ func TestTCPRendezvousAndP2P(t *testing.T) {
 	g.Wait()
 }
 
-// TestTCPPackedAndMetadata: packed 16-bit payloads and the simulated-fabric
-// metadata ride the wire untouched; Poll peeks without consuming.
+// TestTCPPackedAndMetadata: packed 16-bit payloads and their tag and
+// precision ride the wire untouched; Poll peeks without consuming.
 func TestTCPPackedAndMetadata(t *testing.T) {
 	eps := loopback(t, 2)
 	words := []uint16{0, 1, 0x7FFF, 0xFFFF, 0xBEEF}
 	var g parallel.Group
 	g.Go(func() {
 		err := eps[0].Send(0, 1, &Envelope{
-			Tag: 3, Prec: quant.FP16, U16: words, ReadyNs: 123456789,
+			Tag: 3, Prec: quant.FP16, U16: words,
 		})
 		if err != nil {
 			panic(err)
@@ -88,8 +88,8 @@ func TestTCPPackedAndMetadata(t *testing.T) {
 				panic(err)
 			}
 			if ok {
-				if env.ReadyNs != 123456789 {
-					panic("cost metadata lost in transit")
+				if env.Tag != 3 || env.Prec != quant.FP16 {
+					panic("metadata lost in transit")
 				}
 				break
 			}

@@ -34,10 +34,9 @@ var (
 	ErrClosed = errors.New("comm: transport closed")
 )
 
-// Envelope is one framed message: the payload of an Isend (fp32, or
-// quant-packed 16-bit words — the packed words are the literal wire format
-// on TCP) plus the simulated α–β fabric metadata that rides along so the
-// receiver's overlap accounting sees the sender's completion time.
+// Envelope is one framed message: the payload of an Isend, fp32 or
+// quant-packed 16-bit words (the packed words are the literal wire format
+// on TCP).
 type Envelope struct {
 	Tag  int
 	Prec quant.Precision
@@ -45,9 +44,6 @@ type Envelope struct {
 	// payload otherwise. Exactly one is non-nil for non-empty payloads.
 	F32 []float32
 	U16 []uint16
-	// ReadyNs is the sender's simulated fabric-completion time
-	// (costmodel.go); zero without a cost model.
-	ReadyNs int64
 }
 
 // Transport is a pluggable point-to-point comm fabric over a fixed world

@@ -4,11 +4,11 @@
 // AllReduce collectives, and async send queues — over a pluggable
 // Transport. Every rank drives its own endpoint. In-process mode runs each
 // rank as a goroutine over a mailbox fabric that copies real data between
-// ranks, with a separate α–β cost model (costmodel.go) accounting the
-// wall-clock such traffic would cost on a cluster fabric; TCP mode
-// (tcp.go) runs each rank as its own OS process over a real network. One
-// collective implementation (collectives_net.go) serves both, so results
-// are bit-identical across fabrics.
+// ranks; TCP mode (tcp.go) runs each rank as its own OS process over a
+// real network. One collective implementation (collectives_net.go) serves
+// both, so results are bit-identical across fabrics. The package moves
+// data and keeps no simulated time: the α–β cost model (costmodel.go) is
+// a set of pure formulas the trainer applies to the traffic it counts.
 package comm
 
 import (
@@ -30,9 +30,6 @@ type World struct {
 	// (collectives_net.go). User p2p tags are non-negative, so the spaces
 	// never collide.
 	collSeq int
-
-	// nonblocking point-to-point cost accounting (p2p.go).
-	asyncCost *CostModel
 }
 
 // NewWorldTransport wraps one rank's Transport endpoint in a World.

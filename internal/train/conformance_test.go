@@ -18,11 +18,12 @@ func snapshotParams(r *rankCtx) []float32 {
 	return buf
 }
 
-// fleetTrace records a fleet run epoch by epoch: every rank's epoch stats
-// and parameter snapshots, and the final accuracies.
+// fleetTrace records a fleet run epoch by epoch: every rank's epoch stats,
+// parameter snapshots and counted wire traffic, and the final accuracies.
 type fleetTrace struct {
 	stats             [][]DistEpochStat // [rank][epoch]
 	params            [][][]float32     // [rank][epoch]
+	wire              [][]wireEpoch     // [rank][epoch]: netMsgs, netBytes
 	trainAcc, testAcc float64
 }
 
@@ -39,13 +40,15 @@ func traceFleet(t *testing.T, ds *datasets.Dataset, cfg DistConfig, eps []comm.T
 		t.Fatal(err)
 	}
 	n := len(ranks)
-	tr := &fleetTrace{stats: make([][]DistEpochStat, n), params: make([][][]float32, n)}
+	tr := &fleetTrace{stats: make([][]DistEpochStat, n), params: make([][][]float32, n),
+		wire: make([][]wireEpoch, n)}
 	comm.RunRanks(worlds, func(w *comm.World) {
 		rank := w.Self()
 		r := ranks[rank]
 		for e := 0; e < cfg.Epochs; e++ {
 			tr.stats[rank] = append(tr.stats[rank], r.runEpoch(e))
 			tr.params[rank] = append(tr.params[rank], snapshotParams(r))
+			tr.wire[rank] = append(tr.wire[rank], wireEpoch{netMsgs: r.netMsgs, netBytes: r.netBytes})
 		}
 		trainAcc, testAcc := r.evaluate()
 		if rank == 0 {
@@ -92,12 +95,10 @@ func sameRun(t *testing.T, what string, a, b *fleetTrace) {
 // arithmetic one. Checked across 2/4/8 simulated sockets in fp32 and
 // through the packed 16-bit wire path.
 //
-// Its second half pins drain-schedule invariance: which phase-A transfers
-// a layer boundary drains depends on how much compute has hidden them, and
-// the parameters must not. cd-rs runs once under a compute model that
-// hides every transfer and once under one that hides none; both must
-// train cd-r's bits, and their exposed network time shows the schedules
-// really differed.
+// Its second half pins that the compute model moves timing only: cd-rs
+// runs once under a compute model that hides every transfer and once
+// under one that hides none; both must train cd-r's bits, and the replay
+// must expose no network time under the first and some under the second.
 func TestCDRSConformsToCDR(t *testing.T) {
 	ds := testDataset(t)
 	const epochs, delay = 7, 2

@@ -56,7 +56,7 @@ type DistConfig struct {
 	// Compute and Net translate the executed work and traffic into
 	// simulated per-socket wall clock (Fig. 5/6); zero values get defaults.
 	Compute comm.ComputeModel
-	Net     *comm.CostModel
+	Net     comm.CostModel
 	// CommPrecision selects the wire format for partial-aggregate
 	// exchanges (the §7 future-work extension): FP32 (default), BF16 or
 	// FP16. Low-precision formats halve the network volume; values are
@@ -195,6 +195,9 @@ type rankCtx struct {
 	netBytes    int64
 	netMsgs     int64
 	exposedNet  float64 // un-hidden network seconds this epoch (charged by cd-rs)
+	// overlap is this rank's replayed cd-rs epochs (timing.go); nil for
+	// the other algorithms.
+	overlap []wireEpoch
 
 	opt nn.Optimizer
 }
@@ -218,6 +221,8 @@ type distSetup struct {
 	owner   []int32   // owning rank of each global vertex
 	norm    []float32 // GCN normalization by global in-degree
 	aggDims []int
+	// overlap is cd-rs's replayed exchange, [rank][epoch] (timing.go).
+	overlap [][]wireEpoch
 }
 
 // newDistSetup validates and defaults cfg and partitions the graph.
@@ -251,8 +256,8 @@ func newDistSetup(ds *datasets.Dataset, cfg DistConfig) (*distSetup, error) {
 	if cfg.Compute == (comm.ComputeModel{}) {
 		cfg.Compute = comm.DefaultComputeModel()
 	}
-	if cfg.Net == nil {
-		cfg.Net = comm.DefaultCostModel(cfg.NumPartitions)
+	if cfg.Net == (comm.CostModel{}) {
+		cfg.Net = comm.DefaultCostModel()
 	}
 	mc := cfg.Model
 	if mc.InDim == 0 {
@@ -291,10 +296,14 @@ func newDistSetup(ds *datasets.Dataset, cfg DistConfig) (*distSetup, error) {
 			aggDims[l] = mc.Hidden
 		}
 	}
-	return &distSetup{
+	su := &distSetup{
 		ds: ds, cfg: cfg, pt: pt, plans: buildXPlans(pt, bins), owner: pt.Owners(),
 		norm: model.NormFromDegrees(ds.G.InDegrees()), aggDims: aggDims,
-	}, nil
+	}
+	if cfg.Algo == AlgoCDRS {
+		su.overlap = su.replayOverlap()
+	}
+	return su, nil
 }
 
 // newRank builds the rank w hosts: its local dataset slice, model replica,
@@ -361,6 +370,9 @@ func (su *distSetup) newRank(w *comm.World) (*rankCtx, error) {
 		r.pendingPartials = make(map[int][]delivery)
 		r.pendingTotReqs = make(map[int][]totReq)
 	}
+	if su.overlap != nil {
+		r.overlap = su.overlap[p]
+	}
 
 	// Identical hyperparameters and, after the AllReduce, identical
 	// gradients ⇒ identical weight trajectories on every rank.
@@ -369,7 +381,6 @@ func (su *distSetup) newRank(w *comm.World) (*rankCtx, error) {
 	} else {
 		r.opt = &nn.SGD{LR: cfg.LR, WeightDecay: cfg.WeightDecay}
 	}
-	w.ConfigureAsync(cfg.Net)
 	return r, nil
 }
 
@@ -403,12 +414,7 @@ func (r *rankCtx) runEpoch(epoch int) DistEpochStat {
 	for rk := range reps {
 		reps[rk] = rankEpochFrom(all[rk*rankEpochWords:])
 	}
-	st, clock := foldEpoch(r.cfg, r.model.NumParams(), r.globalTrain, reps)
-	// The gradient AllReduce is a barrier: resume from the slowest rank's
-	// simulated clock so the next epoch's overlap windows measure
-	// within-epoch hiding, not accumulated inter-rank drift.
-	r.cfg.Net.AdvanceClock(r.id, clock)
-	return st
+	return foldEpoch(r.cfg, r.model.NumParams(), r.globalTrain, reps)
 }
 
 // trainEpoch executes one rank's epoch body: forward, loss scaling,
@@ -416,7 +422,7 @@ func (r *rankCtx) runEpoch(epoch int) DistEpochStat {
 // optimizer step. Returns the rank's share of the global loss sum.
 func (r *rankCtx) trainEpoch(epoch int) float64 {
 	cfg := r.cfg
-	r.resetCounters()
+	r.resetCounters(epoch)
 	r.installHooks(epoch)
 
 	logits := r.model.Forward(r.x, true)

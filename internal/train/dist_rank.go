@@ -4,9 +4,14 @@ import "distgnn/internal/tensor"
 
 func (r *rankCtx) optStep() { r.opt.Step(r.model.Params()) }
 
-func (r *rankCtx) resetCounters() {
+// resetCounters starts epoch's counters. cd-rs's un-hidden network time
+// is not counted but read from the set-up's replay (timing.go).
+func (r *rankCtx) resetCounters(epoch int) {
 	r.gatherBytes, r.netBytes, r.netMsgs = 0, 0, 0
 	r.exposedNet = 0
+	if r.overlap != nil {
+		r.exposedNet = r.overlap[epoch].exposedNet
+	}
 }
 
 // installHooks wires the model's hooks for the configured algorithm at the

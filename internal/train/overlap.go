@@ -4,13 +4,14 @@ package train
 // (§5.3, Alg. 4) on nonblocking Isend/Irecv, the one code path of both
 // cd-r and cd-rs. Each bin's leaf partials are posted to their roots as
 // soon as a layer's aggregation produces them — one message per (peer,
-// layer), before the forward pass of the remaining layers — completions
-// are drained at layer boundaries, and at the epoch end roots reduce the
-// partials whose delay elapsed and post totals back to the leaves. The two
-// algorithms differ only in how timing.go charges the traffic: cd-r pays
-// the full α+bytes/β term of every message as if the exchange blocked,
-// cd-rs only the remainder its compute failed to hide (§6.3). Their
-// losses and parameters are therefore the same bits at every epoch.
+// layer), before the forward pass of the remaining layers — and at the
+// epoch end each rank waits them out, roots reduce the partials whose
+// delay elapsed and post totals back to the leaves. The two algorithms
+// differ only in how timing.go charges the traffic: cd-r pays the full
+// α+bytes/β term of every message as if the exchange blocked, cd-rs only
+// the remainder its compute failed to hide (§6.3), which timing.go's
+// replay decides. Their losses and parameters are therefore the same bits
+// at every epoch.
 
 import (
 	"sort"
@@ -53,15 +54,9 @@ func (r *rankCtx) waitSend(req *comm.Request) {
 }
 
 // postLayer is the first half of DRPA's forward hook: capture the bin's
-// fresh partials, ship this layer's rows immediately so the transfer rides
-// under the remaining layers' compute, and reel in already hidden
-// arrivals.
+// fresh partials and ship this layer's rows immediately, so the transfer
+// rides under the remaining layers' compute.
 func (r *rankCtx) postLayer(layer int, agg *tensor.Matrix, bin, epoch int) {
-	// This layer's aggregation is compute the in-flight transfers hide
-	// behind; advance the simulated clock before posting.
-	r.cfg.Net.ChargeCompute(r.id,
-		r.cfg.Compute.AggSeconds(int64(r.part.G.NumEdges)*int64(r.aggDims[layer])))
-
 	r.captureBin(layer, agg, bin)
 
 	numLayers := len(r.aggDims)
@@ -79,10 +74,6 @@ func (r *rankCtx) postLayer(layer int, agg *tensor.Matrix, bin, epoch int) {
 			})
 		}
 	}
-
-	// Layer boundary: drain transfers that completed under the compute
-	// charged so far.
-	r.drainPartials(epoch, false)
 }
 
 // captureBin snapshots fresh local partials of rows this rank will send (as
@@ -117,52 +108,27 @@ func (r *rankCtx) applyStale(layer int, agg *tensor.Matrix) {
 	}
 }
 
-// drainPartials moves completed phase-A receives into the delay queue. At
-// layer boundaries (final=false) it takes only transfers that are already
-// hidden — present and simulated-complete, so the set drained is a function
-// of simulated time, not goroutine scheduling. At the epoch end
-// (final=true) it waits out the rest, accumulating the exposed remainder.
-func (r *rankCtx) drainPartials(epoch int, final bool) {
-	kept := r.pendingAReqs[:0]
-	for _, pr := range r.pendingAReqs {
-		if !final {
-			hidden, err := pr.req.TestHidden()
-			if err != nil {
-				panic(err)
-			}
-			if !hidden {
-				kept = append(kept, pr)
-				continue
-			}
-		}
-		data, err := pr.req.Wait()
-		if err != nil {
-			panic(err)
-		}
-		r.exposedNet += pr.req.Exposed()
-		r.pendingPartials[epoch+r.cfg.Delay] = append(r.pendingPartials[epoch+r.cfg.Delay],
-			delivery{peer: pr.peer, bin: pr.bin, layer: pr.layer, data: data})
-	}
-	r.pendingAReqs = kept
-}
-
-// overlappedExchange is DRPA's epoch-end step: finish draining this epoch's
+// overlappedExchange is DRPA's epoch-end step: wait out this epoch's
 // posts, reduce the partials whose delay elapsed, ship totals back to
 // leaves nonblocking, and harvest totals that have ridden out their own
 // delay.
 func (r *rankCtx) overlappedExchange(epoch int) {
-	// Backward aggregation and the dense layers extend the overlap window
-	// before the final drain.
-	r.cfg.Net.ChargeCompute(r.id,
-		r.cfg.Compute.AggSeconds(r.aggWorkElems())+r.cfg.Compute.MLPSeconds(r.mlpWorkMACs()))
-	r.drainPartials(epoch, true)
+	// This epoch's partials join the delay queue.
+	for _, pr := range r.pendingAReqs {
+		data, err := pr.req.Wait()
+		if err != nil {
+			panic(err)
+		}
+		r.pendingPartials[epoch+r.cfg.Delay] = append(r.pendingPartials[epoch+r.cfg.Delay],
+			delivery{peer: pr.peer, bin: pr.bin, layer: pr.layer, data: data})
+	}
+	r.pendingAReqs = r.pendingAReqs[:0]
 
 	k := r.world.N
 	bin := epoch % r.plan.bins
 
-	// Root side: reduce due partials. Arrival order is whatever the drains
-	// produced; sorting by (peer, layer) fixes the reduction order, so the
-	// float sums do not depend on how much compute hid the transfers.
+	// Root side: reduce due partials. They arrive layer-major; sorting by
+	// (peer, layer) fixes the reduction order.
 	due := r.pendingPartials[epoch]
 	delete(r.pendingPartials, epoch)
 	sort.Slice(due, func(i, j int) bool {
@@ -216,8 +182,7 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 		}
 	}
 
-	// Harvest totals whose delay elapsed: Delay epochs of compute have
-	// advanced the clock far past their completion, so the wait is free.
+	// Harvest totals whose delay elapsed.
 	dueT := r.pendingTotReqs[epoch]
 	delete(r.pendingTotReqs, epoch)
 	sort.Slice(dueT, func(i, j int) bool { return dueT[i].peer < dueT[j].peer })
@@ -226,7 +191,6 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 		if err != nil {
 			panic(err)
 		}
-		r.exposedNet += tr.req.Exposed()
 		off := 0
 		for l, d := range r.aggDims {
 			rows := r.plan.leafRecv[tr.bin][tr.peer]

@@ -5,6 +5,7 @@ import (
 
 	"distgnn/internal/comm"
 	"distgnn/internal/partition"
+	"distgnn/internal/quant"
 )
 
 // buildRanksForTiming constructs rank contexts without training.
@@ -14,7 +15,6 @@ func buildRanksForTiming(t *testing.T, k int, algo Algorithm) (*DistConfig, []*r
 		Model: smallModel(), NumPartitions: k, Algo: algo,
 		Epochs: 1, LR: 0.1, Seed: 3,
 		Compute:     comm.ComputeModel{AggElemsPerSec: 1e9, MACsPerSec: 1e10},
-		Net:         comm.DefaultCostModel(k),
 		Partitioner: partition.Libra{Seed: 3},
 	}
 	if algo == AlgoCDR || algo == AlgoCDRS {
@@ -30,30 +30,26 @@ func foldRanks(cfg *DistConfig, ranks []*rankCtx) DistEpochStat {
 	for i, r := range ranks {
 		reps[i] = r.report(0)
 	}
-	st, _ := foldEpoch(cfg, ranks[0].model.NumParams(), 0, reps)
-	return st
+	return foldEpoch(cfg, ranks[0].model.NumParams(), 0, reps)
 }
 
 // TestFoldEpochMaxesPhasesAndSumsLoss pins the cross-rank reduction on
 // hand-built reports: each phase is the slowest rank's, the loss is the
-// rank-order sum over the global train count, and the returned clock is
-// the slowest rank's.
+// rank-order sum over the global train count, and ParamSync is a ring
+// AllReduce of the parameters.
 func TestFoldEpochMaxesPhasesAndSumsLoss(t *testing.T) {
-	cfg := &DistConfig{NumPartitions: 3, Net: comm.DefaultCostModel(3)}
+	cfg := &DistConfig{NumPartitions: 3, Net: comm.DefaultCostModel()}
 	reps := []rankEpoch{
-		{lat: 1, bwd: 6, mlp: 2, rat: 0, exposed: 0.5, lossPart: 3, clock: 40},
-		{lat: 4, bwd: 1, mlp: 2, rat: 7, exposed: 0, lossPart: 5, clock: 90},
-		{lat: 2, bwd: 3, mlp: 8, rat: 1, exposed: 0.25, lossPart: 4, clock: 10},
+		{lat: 1, bwd: 6, mlp: 2, rat: 0, exposed: 0.5, lossPart: 3},
+		{lat: 4, bwd: 1, mlp: 2, rat: 7, exposed: 0, lossPart: 5},
+		{lat: 2, bwd: 3, mlp: 8, rat: 1, exposed: 0.25, lossPart: 4},
 	}
-	st, clock := foldEpoch(cfg, 100, 6, reps)
-	ps := paramSyncSeconds(cfg, 100)
+	st := foldEpoch(cfg, 100, 6, reps)
+	ps := cfg.Net.AllReduceSeconds(400, 3)
 	want := DistEpochStat{Loss: 12.0 / 6, LAT: 4, BwdAgg: 6, MLP: 8, RAT: 7,
 		ExposedNet: 0.5, ParamSync: ps, Epoch: 4 + 6 + 8 + 7 + ps}
 	if st != want {
 		t.Fatalf("fold = %+v, want %+v", st, want)
-	}
-	if clock != 90 {
-		t.Fatalf("clock %v, want the slowest rank's 90", clock)
 	}
 	// The wire form round-trips every field bit for bit.
 	for _, e := range reps {
@@ -67,7 +63,7 @@ func TestAggWorkCountsEdgesTimesWidths(t *testing.T) {
 	cfg, ranks := buildRanksForTiming(t, 2, Algo0C)
 	for _, r := range ranks {
 		want := int64(r.part.G.NumEdges) * int64(cfg.Model.InDim+cfg.Model.Hidden)
-		if got := r.aggWorkElems(); got != want {
+		if got := aggWorkElems(r.part.G.NumEdges, r.aggDims); got != want {
 			t.Fatalf("rank %d agg work %d, want %d", r.id, got, want)
 		}
 	}
@@ -79,7 +75,7 @@ func TestMLPWorkCountsMACs(t *testing.T) {
 		n := int64(r.part.NumLocal())
 		fwd := n*int64(cfg.Model.InDim)*int64(cfg.Model.Hidden) +
 			n*int64(cfg.Model.Hidden)*int64(cfg.Model.OutDim)
-		if got := r.mlpWorkMACs(); got != 3*fwd {
+		if got := mlpWorkMACs(r.part.NumLocal(), cfg.Model); got != 3*fwd {
 			t.Fatalf("rank %d MLP work %d, want %d", r.id, got, 3*fwd)
 		}
 	}
@@ -90,7 +86,7 @@ func TestTimeEpochUsesSlowestRank(t *testing.T) {
 	st := foldRanks(cfg, ranks)
 	var maxLat float64
 	for _, r := range ranks {
-		lat := cfg.Compute.AggSeconds(r.aggWorkElems())
+		lat := cfg.Compute.AggSeconds(aggWorkElems(r.part.G.NumEdges, r.aggDims))
 		if lat > maxLat {
 			maxLat = lat
 		}
@@ -156,5 +152,82 @@ func TestBlockingNetworkExposedInRAT(t *testing.T) {
 	}
 	if stS.ExposedNet != 1e-3 {
 		t.Fatalf("cd-rs ExposedNet %v must surface the remainder", stS.ExposedNet)
+	}
+}
+
+// TestReplayClocksByHand runs the replay on a 2-rank exchange worked out
+// by hand: one split vertex, root on rank 0 and leaf on rank 1, two layers
+// of 250 and 125 fp32 words, Delay 1, α = 1 µs and β = 1 GB/s. So rank
+// 1's partials take 2000 and 1500 ns on the wire and rank 0's total (375
+// words) 2500 ns. Rank 1 charges 100 ns, then 500 ns per layer and 1000 ns
+// after the forward; rank 0 100 ns per layer and 2900 ns after.
+//
+//	epoch 0: rank 1 posts at 100 (ready 2100) and 600; the second queues
+//	         behind the first on the port (ready 3600, not 2100). Rank 0
+//	         reaches 3100: the first partial is hidden, the second exposes
+//	         500. Barrier at 3600.
+//	epoch 1: partials ready 5700 and 7200; rank 0 reaches 6700, exposes
+//	         500, then posts its total at 7200 (ready 9700). Barrier 7200.
+//	epoch 2: partials ready 9300 and 10800, rank 0 exposes 500 again.
+//	         Rank 1 reaches 8800 and waits for epoch 1's total: 900 late.
+func TestReplayClocksByHand(t *testing.T) {
+	cfg := &DistConfig{
+		Epochs: 3, Delay: 1, CommPrecision: quant.FP32,
+		Net: comm.CostModel{NetLatency: 1e-6, NetBandwidth: 1e9},
+	}
+	plans := []*xplan{{bins: 1}, {bins: 1}}
+	for _, p := range plans {
+		p.leafSend, p.rootRecv = makeBinPeer(1, 2), makeBinPeer(1, 2)
+		p.rootSend, p.leafRecv = makeBinPeer(1, 2), makeBinPeer(1, 2)
+	}
+	plans[0].rootRecv[0][1] = []int32{0}
+	plans[0].rootSend[0][1] = []int32{0}
+	plans[1].leafSend[0][0] = []int32{0}
+	plans[1].leafRecv[0][0] = []int32{0}
+
+	got := replayClocks(cfg, plans, []int{250, 125},
+		[][]int64{{100, 100}, {100, 500}}, []int64{2900, 1000})
+	want := [][]wireEpoch{
+		{{0, 0, 5e-7}, {1, 1500, 5e-7}, {1, 1500, 5e-7}},
+		{{2, 1500, 0}, {2, 1500, 0}, {2, 1500, 9e-7}},
+	}
+	for p := range want {
+		for e := range want[p] {
+			if got[p][e] != want[p][e] {
+				t.Errorf("rank %d epoch %d: %+v, want %+v", p, e, got[p][e], want[p][e])
+			}
+		}
+	}
+}
+
+// TestReplayCountsTheExchange pins the replay to the traffic the exchange
+// really sends: in every epoch, each rank's replayed message count and
+// wire bytes equal the netMsgs and netBytes its posts counted.
+func TestReplayCountsTheExchange(t *testing.T) {
+	ds := testDataset(t)
+	for _, k := range []int{2, 4, 8} {
+		for _, prec := range []quant.Precision{quant.FP32, quant.BF16} {
+			for delay := 1; delay <= 3; delay++ {
+				cfg := DistConfig{
+					Model: smallModel(), NumPartitions: k, Algo: AlgoCDR,
+					Delay: delay, Epochs: 7, LR: 0.05, Seed: 9, CommPrecision: prec,
+				}
+				su, err := newDistSetup(ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replay := su.replayOverlap()
+				tr := traceInProcess(t, ds, cfg)
+				for rank, epochs := range tr.wire {
+					for e, counted := range epochs {
+						r := replay[rank][e]
+						if r.netMsgs != counted.netMsgs || r.netBytes != counted.netBytes {
+							t.Fatalf("k=%d %v d=%d rank %d epoch %d: replay %d msgs %d B, counted %d msgs %d B",
+								k, prec, delay, rank, e, r.netMsgs, r.netBytes, counted.netMsgs, counted.netBytes)
+						}
+					}
+				}
+			}
+		}
 	}
 }
