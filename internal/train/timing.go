@@ -32,26 +32,32 @@ func aggWorkElems(edges int, dims []int) int64 {
 
 // mlpWorkMACs returns the dense-layer work of a rank with n local
 // vertices per epoch in multiply-accumulates: forward N·in·out per layer,
-// ×3 for backward (dW = xᵀ·dy and dx = dy·Wᵀ).
+// and backward dW = xᵀ·dy per layer and dx = dy·Wᵀ per layer but the
+// first, whose input gradient Backward does not compute.
 func mlpWorkMACs(n int, mc model.Config) int64 {
-	var fwd int64
+	var fwd, first int64
 	in := int64(mc.InDim)
 	for l := 0; l < mc.NumLayers; l++ {
 		out := int64(mc.Hidden)
 		if l == mc.NumLayers-1 {
 			out = int64(mc.OutDim)
 		}
+		if l == 0 {
+			first = int64(n) * in * out
+		}
 		fwd += int64(n) * in * out
 		in = out
 	}
-	return 3 * fwd
+	return 3*fwd - first
 }
 
 // rankPhaseSeconds converts one rank's epoch counters into its simulated
 // phase times.
 func rankPhaseSeconds(cfg *DistConfig, r *rankCtx) (lat, bwd, mlp, rat, exposed float64) {
 	lat = cfg.Compute.AggSeconds(aggWorkElems(r.part.G.NumEdges, r.aggDims))
-	bwd = lat // backward propagates gradients over the same edges
+	// Backward propagates gradients over the same edges, except into
+	// layer 0's input, which needs none.
+	bwd = cfg.Compute.AggSeconds(aggWorkElems(r.part.G.NumEdges, r.aggDims[1:]))
 	mlp = cfg.Compute.MLPSeconds(mlpWorkMACs(r.part.NumLocal(), cfg.Model))
 
 	rat = cfg.Net.GatherSeconds(r.gatherBytes)
@@ -81,7 +87,8 @@ type wireEpoch struct {
 
 // replayOverlap replays cd-rs's delayed exchange on a simulated clock per
 // rank (replayClocks), charging each rank its own partition's work: each
-// layer's forward aggregation, then the backward and dense work. Nothing
+// layer's forward aggregation, then the backward aggregation and the
+// dense work, as rankPhaseSeconds charges them. Nothing
 // here reads a message: each charge follows from a partition's edge and
 // vertex counts and the config, each post size from the exchange plans,
 // and every rank derives those identically.
@@ -94,7 +101,7 @@ func (su *distSetup) replayOverlap() [][]wireEpoch {
 		for l, d := range su.aggDims {
 			layerNs[p][l] = toNs(cfg.Compute.AggSeconds(int64(part.G.NumEdges) * int64(d)))
 		}
-		tailNs[p] = toNs(cfg.Compute.AggSeconds(aggWorkElems(part.G.NumEdges, su.aggDims)) +
+		tailNs[p] = toNs(cfg.Compute.AggSeconds(aggWorkElems(part.G.NumEdges, su.aggDims[1:])) +
 			cfg.Compute.MLPSeconds(mlpWorkMACs(part.NumLocal(), cfg.Model)))
 	}
 	return replayClocks(cfg, su.plans, su.aggDims, layerNs, tailNs)

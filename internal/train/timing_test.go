@@ -73,10 +73,11 @@ func TestMLPWorkCountsMACs(t *testing.T) {
 	cfg, ranks := buildRanksForTiming(t, 2, Algo0C)
 	for _, r := range ranks {
 		n := int64(r.part.NumLocal())
-		fwd := n*int64(cfg.Model.InDim)*int64(cfg.Model.Hidden) +
-			n*int64(cfg.Model.Hidden)*int64(cfg.Model.OutDim)
-		if got := mlpWorkMACs(r.part.NumLocal(), cfg.Model); got != 3*fwd {
-			t.Fatalf("rank %d MLP work %d, want %d", r.id, got, 3*fwd)
+		first := n * int64(cfg.Model.InDim) * int64(cfg.Model.Hidden)
+		fwd := first + n*int64(cfg.Model.Hidden)*int64(cfg.Model.OutDim)
+		// Forward, dW for both layers, dx for the second only.
+		if got, want := mlpWorkMACs(r.part.NumLocal(), cfg.Model), 3*fwd-first; got != want {
+			t.Fatalf("rank %d MLP work %d, want %d", r.id, got, want)
 		}
 	}
 }
@@ -84,15 +85,17 @@ func TestMLPWorkCountsMACs(t *testing.T) {
 func TestTimeEpochUsesSlowestRank(t *testing.T) {
 	cfg, ranks := buildRanksForTiming(t, 4, Algo0C)
 	st := foldRanks(cfg, ranks)
-	var maxLat float64
+	var maxLat, maxBwd float64
 	for _, r := range ranks {
-		lat := cfg.Compute.AggSeconds(aggWorkElems(r.part.G.NumEdges, r.aggDims))
-		if lat > maxLat {
-			maxLat = lat
-		}
+		maxLat = max(maxLat, cfg.Compute.AggSeconds(aggWorkElems(r.part.G.NumEdges, r.aggDims)))
+		// Backward aggregates into every layer's input but layer 0's.
+		maxBwd = max(maxBwd, cfg.Compute.AggSeconds(int64(r.part.G.NumEdges)*int64(cfg.Model.Hidden)))
 	}
 	if st.LAT != maxLat {
 		t.Fatalf("LAT %v != slowest rank %v", st.LAT, maxLat)
+	}
+	if st.BwdAgg != maxBwd {
+		t.Fatalf("BwdAgg %v != slowest rank's layer-1 reverse aggregation %v", st.BwdAgg, maxBwd)
 	}
 	if st.RAT != 0 {
 		t.Fatalf("0c RAT must be 0, got %v", st.RAT)
