@@ -5,12 +5,39 @@ import (
 	"encoding/json"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // tinyOptions keeps smoke runs fast: smallest datasets, minimal epochs.
 func tinyOptions(buf io.Writer) Options {
 	return Options{Scale: 0.1, Epochs: 2, Out: buf}
+}
+
+// tinyRuns memoizes tinyRun, so an experiment both the smoke test and the
+// golden run at the same options trains once per test binary.
+var (
+	tinyMu   sync.Mutex
+	tinyRuns = map[string]tinyResult{}
+)
+
+type tinyResult struct {
+	out string
+	err error
+}
+
+// tinyRun returns e's output at tinyOptions, running it on first use.
+func tinyRun(e Experiment) (string, error) {
+	tinyMu.Lock()
+	defer tinyMu.Unlock()
+	r, ok := tinyRuns[e.ID]
+	if !ok {
+		var buf bytes.Buffer
+		r.err = e.Run(tinyOptions(&buf))
+		r.out = buf.String()
+		tinyRuns[e.ID] = r
+	}
+	return r.out, r.err
 }
 
 func TestRegistryCompleteAndOrdered(t *testing.T) {
@@ -45,13 +72,12 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(tinyOptions(&buf)); err != nil {
+			out, err := tinyRun(e)
+			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-			if len(lines) < 3 {
-				t.Fatalf("%s: output too short:\n%s", e.ID, buf.String())
+			if lines := strings.Split(strings.TrimSpace(out), "\n"); len(lines) < 3 {
+				t.Fatalf("%s: output too short:\n%s", e.ID, out)
 			}
 		})
 	}

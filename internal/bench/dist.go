@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"distgnn/internal/model"
 	"distgnn/internal/partition"
@@ -61,8 +62,23 @@ func fig5ModelFor(name string) model.Config {
 	return model.Config{Hidden: 64, NumLayers: 3, Seed: 1}
 }
 
-// distRun executes one distributed configuration and returns its result.
+// distCache holds every distRun result of this process, keyed like
+// dsCache plus the run's parameters: a run's figures are a function of
+// them alone, so Fig. 6 reads Fig. 5's sweep instead of training it again.
+var (
+	distMu    sync.Mutex
+	distCache = map[string]*train.DistResult{}
+)
+
+// distRun executes one distributed configuration, or returns the result
+// this process already has for it.
 func distRun(opt Options, name string, k int, algo train.Algorithm, epochs int) (*train.DistResult, error) {
+	key := fmt.Sprintf("%s@%g/%d/%s/%d", name, opt.scale(), k, algo, epochs)
+	distMu.Lock()
+	defer distMu.Unlock()
+	if res, ok := distCache[key]; ok {
+		return res, nil
+	}
 	ds, err := loadDataset(name, opt.scale())
 	if err != nil {
 		return nil, err
@@ -78,7 +94,11 @@ func distRun(opt Options, name string, k int, algo train.Algorithm, epochs int) 
 	if algo == train.AlgoCDR {
 		cfg.Delay = fig5Delay
 	}
-	return train.Distributed(ds, cfg)
+	res, err := train.Distributed(ds, cfg)
+	if err == nil {
+		distCache[key] = res
+	}
+	return res, err
 }
 
 // epochWindow returns the averaging window the paper uses: epochs 1–10 for

@@ -4,10 +4,10 @@ package comm
 // compute time. The scaling experiments (Fig. 5/6) model each partition as
 // its own full CPU socket; running 64–128 ranks as goroutines on one
 // machine would serialize them and destroy the scaling shape, so compute
-// time is accounted from work counters at calibrated single-socket rates
-// instead, while the data flow itself is executed for real. The rates are
-// fixed, not timed on the host, so every simulated figure is a function
-// of the seed alone.
+// time is accounted from work counters at single-socket rates instead,
+// while the data flow itself is executed for real. The rates are fixed,
+// not timed on the host, so every simulated figure is a function of the
+// seed alone.
 type ComputeModel struct {
 	// AggElemsPerSec: aggregation-primitive throughput in
 	// (edges × feature-width) element-updates per second.
