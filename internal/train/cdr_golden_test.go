@@ -42,11 +42,9 @@ func cdrDigest(tr *fleetTrace) string {
 
 // TestCDRGolden pins cd-r's losses, compute phases, parameters and
 // accuracies, in the configurations TestCDRSConformsToCDR runs. Any change
-// to cd-r's float order or to what its captures carry moves a digest; a
-// change to how its network time is charged does not. The digests were
-// recorded before cd-r was routed through cd-rs's per-layer exchange, and
-// moved once since, when BwdAgg and MLP stopped charging layer 0's input
-// gradient, which Backward does not compute.
+// to cd-r's float order, to what its captures carry or to its compute
+// charges moves a digest; a change to how its network time is charged
+// does not.
 func TestCDRGolden(t *testing.T) {
 	ds := testDataset(t)
 	for _, tc := range []struct {
@@ -96,11 +94,7 @@ var timingModels = []comm.ComputeModel{
 }
 
 // TestDistTimingGolden pins every DistEpochStat field of cd-r and cd-rs,
-// at Delay 1, 2 and 3 under each of timingModels. The replay (timing.go)
-// reproduced every digest recorded while cd-rs's overlap was accounted by
-// a simulated clock inside the fabric; they moved once since, when the
-// backward and dense charges stopped counting layer 0's input gradient.
-// It also checks that the two partial models really do hide
+// at Delay 1, 2 and 3 under each of timingModels. It also checks that the two partial models really do hide
 // part of the traffic at k=2 fp32 Delay 1, so the golden covers a wait
 // that is neither free nor fully exposed.
 func TestDistTimingGolden(t *testing.T) {

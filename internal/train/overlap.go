@@ -14,8 +14,6 @@ package train
 // at every epoch.
 
 import (
-	"sort"
-
 	"distgnn/internal/comm"
 	"distgnn/internal/tensor"
 )
@@ -127,16 +125,11 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 	k := r.world.N
 	bin := epoch % r.plan.bins
 
-	// Root side: reduce due partials. They arrive layer-major; sorting by
-	// (peer, layer) fixes the reduction order.
+	// Root side: reduce due partials. They were queued in post order,
+	// layer-major then peer-ascending, so each layer's sums run in peer
+	// order.
 	due := r.pendingPartials[epoch]
 	delete(r.pendingPartials, epoch)
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].peer != due[j].peer {
-			return due[i].peer < due[j].peer
-		}
-		return due[i].layer < due[j].layer
-	})
 	for _, dl := range due {
 		zeroRows(r.remoteAdd[dl.layer], r.plan.rootRecv[dl.bin][dl.peer])
 	}
@@ -182,10 +175,9 @@ func (r *rankCtx) overlappedExchange(epoch int) {
 		}
 	}
 
-	// Harvest totals whose delay elapsed.
+	// Harvest totals whose delay elapsed, in peer order.
 	dueT := r.pendingTotReqs[epoch]
 	delete(r.pendingTotReqs, epoch)
-	sort.Slice(dueT, func(i, j int) bool { return dueT[i].peer < dueT[j].peer })
 	for _, tr := range dueT {
 		data, err := tr.req.Wait()
 		if err != nil {
