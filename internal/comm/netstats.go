@@ -9,7 +9,7 @@ import "sync/atomic"
 // tags), or the serving request/reply range (≥ ServeTagBase). Payload
 // bytes (4·len(F32) + 2·len(U16)) are counted rather than wire bytes so
 // the two fabrics report comparable numbers; TCP framing overhead is a
-// fixed ~32 bytes per message on top.
+// fixed 28-byte header per message on top (frame.go).
 
 // TransportStats is a snapshot of one endpoint's traffic counters.
 type TransportStats struct {

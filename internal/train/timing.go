@@ -88,10 +88,10 @@ type wireEpoch struct {
 // replayOverlap replays cd-rs's delayed exchange on a simulated clock per
 // rank (replayClocks), charging each rank its own partition's work: each
 // layer's forward aggregation, then the backward aggregation and the
-// dense work, as rankPhaseSeconds charges them. Nothing
-// here reads a message: each charge follows from a partition's edge and
-// vertex counts and the config, each post size from the exchange plans,
-// and every rank derives those identically.
+// dense work, as rankPhaseSeconds charges them. Nothing here reads a
+// message: each charge follows from a partition's edge and vertex counts
+// and the config, each post size from the exchange plans, and every rank
+// derives those identically.
 func (su *distSetup) replayOverlap() [][]wireEpoch {
 	cfg := &su.cfg
 	layerNs := make([][]int64, len(su.pt.Parts))

@@ -118,7 +118,7 @@ func TestTimeEpochSingleRankNoParamSync(t *testing.T) {
 
 func TestBlockingNetworkExposedInRAT(t *testing.T) {
 	// The blocking algorithms (cd-0, cd-r) expose their full network term;
-	// cd-rs pays only what its Waits recorded as un-hidden.
+	// cd-rs pays only what the replay found un-hidden.
 	for _, algo := range []Algorithm{AlgoCD0, AlgoCDR} {
 		cfg, ranks := buildRanksForTiming(t, 2, algo)
 		// Simulate counters as if an exchange happened.
