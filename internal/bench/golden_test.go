@@ -9,16 +9,16 @@ import (
 
 // countedFigures print only counted quantities — modelled cache reuse and
 // IO, Libra replication and balance, partition memory, sampled and
-// full-batch work per hop, and Fig. 5/6's simulated cluster times under
-// the fixed compute and network models — never a wall time, so a seed
-// fixes every byte.
-var countedFigures = []string{"table3", "table4", "fig5", "fig6", "table6", "table7", "table8", "abl-reorder"}
+// full-batch work per hop, Fig. 5/6's simulated cluster times under the
+// fixed compute and network models, and distributed mini-batch steps, work
+// and accuracy — never a wall time, so a seed fixes every byte.
+var countedFigures = []string{"table3", "table4", "fig5", "fig6", "table6", "table7", "table8", "abl-reorder", "abl-mb-dist"}
 
 // TestCountedFiguresGolden pins the counted paper figures byte for byte.
 // The golden file is the CLI's stdout; after a deliberate change to one of
 // these figures, regenerate it from the repository root with
 //
-//	go run ./cmd/distgnn-bench -scale 0.1 -epochs 2 table3 table4 fig5 fig6 table6 table7 table8 abl-reorder > internal/bench/testdata/figures.golden
+//	go run ./cmd/distgnn-bench -scale 0.1 -epochs 2 table3 table4 fig5 fig6 table6 table7 table8 abl-reorder abl-mb-dist > internal/bench/testdata/figures.golden
 //
 // and review the diff like any other change.
 func TestCountedFiguresGolden(t *testing.T) {

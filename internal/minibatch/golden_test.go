@@ -35,6 +35,7 @@ func TestSampledTrainingGolden(t *testing.T) {
 		{1, "4a1f8adb9acee836"},
 		{2, "e9c7418c1b47fbf7"},
 		{4, "3a55b83910090166"},
+		{8, "db9322e271488361"},
 	} {
 		res, err := TrainDistributed(ds, DistConfig{
 			Config: Config{
