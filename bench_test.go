@@ -248,7 +248,7 @@ func BenchmarkTable9MiniBatchEpoch(b *testing.B) {
 	ds := benchDataset(b, "ogbn-products-sim")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
+		res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
 			Config: minibatch.Config{
 				Hidden: 32, Fanouts: []int{10, 5},
 				BatchSize: 256, Epochs: 1, LR: 0.01, Seed: 1,

@@ -2,24 +2,24 @@
 // dataset: full-batch on a single socket, full-batch distributed across
 // in-process simulated sockets or a true multi-process TCP fleet, or
 // neighbor-sampled mini-batch (-minibatch) with training vertices and
-// features sharded across ranks (-shards) over the shared featstore
-// plane — halo feature rows fetched from owning peers with an LRU cache
-// and one-batch prefetch overlapping compute.
+// features sharded across -sockets ranks over the shared featstore plane —
+// halo feature rows fetched from owning peers with an LRU cache and
+// one-batch prefetch overlapping compute.
 //
 // Examples:
 //
 //	distgnn-train -dataset reddit-sim -epochs 50 -lr 0.01
 //	distgnn-train -dataset ogbn-products-sim -sockets 8 -algo cd-r -delay 5
 //	distgnn-train -dataset ogbn-products-sim -sockets 8 -algo cd-rs -delay 5
-//	distgnn-train -minibatch -fanouts 10,5 -batch 512 -shards 4
-//	distgnn-train -minibatch -shards 2 -transport tcp -spawn-local
+//	distgnn-train -minibatch -fanouts 10,5 -batch 512 -sockets 4
+//	distgnn-train -minibatch -sockets 2 -transport tcp -spawn-local
 //
 // Mini-batch runs are seed-reproducible: given the same -seed and rank
-// count, the final model parameters are bit-identical whether features
-// are sharded or replicated and whether the fleet is in-process or TCP
-// (each rank's sampler is seeded seed+rank; gradients are AllReduced in
-// rank order). Changing the rank count changes the sampler-seed set and
-// the global batch composition, so it legitimately changes the trajectory.
+// count, the final model parameters are bit-identical whatever the halo
+// cache and whether the fleet is in-process or TCP (each rank's sampler is
+// seeded seed+rank; gradients are AllReduced in rank order). Changing the
+// rank count changes the sampler-seed set and the global batch
+// composition, so it legitimately changes the trajectory.
 //
 // True multi-process training over TCP (see README "Running true
 // multi-process training"): every process runs this same binary with its
@@ -58,7 +58,8 @@ func main() {
 		"dataset name: "+strings.Join(datasets.Names(), ", "))
 	scale := flag.Float64("scale", 0.5, "dataset scale factor")
 	file := flag.String("file", "", "load a dataset file written by distgnn-datagen instead of generating")
-	sockets := flag.Int("sockets", 1, "number of CPU sockets (partitions / ranks)")
+	sockets := flag.Int("sockets", 1,
+		"number of CPU sockets (partitions / ranks); with -minibatch, the ranks that share the training vertices and features")
 	algo := flag.String("algo", "cd-0", "distributed algorithm: 0c, cd-0, cd-r, cd-rs (cd-r with network time overlapped)")
 	delay := flag.Int("delay", 5, "delay r for cd-r/cd-rs")
 	epochs := flag.Int("epochs", 30, "training epochs")
@@ -89,10 +90,8 @@ func main() {
 	fanouts := flag.String("fanouts", "10,5",
 		"minibatch: per-hop neighbor fan-outs, seed hop first; one GraphSAGE layer per entry")
 	batch := flag.Int("batch", 512, "minibatch: seed vertices per rank per step")
-	shards := flag.Int("shards", 0,
-		"minibatch: shard training vertices AND features across this many ranks (halo rows fetched over the comm fabric); 0 keeps features replicated over -sockets ranks")
 	haloCache := flag.Int64("halo-cache", 32<<20,
-		"minibatch -shards: per-rank LRU budget in bytes for fetched halo feature rows (≤0 disables)")
+		"minibatch: per-rank LRU budget in bytes for halo feature rows fetched from their owner ranks (≤0 disables)")
 	telemetryPath := flag.String("telemetry", "",
 		"write per-epoch training telemetry as JSONL here (speaking rank only); losses carry exact float64 bit patterns")
 	metricsJSON := flag.String("metrics-json", "",
@@ -103,24 +102,17 @@ func main() {
 		"profile output path (default distgnn-train.<mode>.pprof)")
 	flag.Parse()
 
-	if err := checkFlags(*mb, *transport, *shards, *sockets, *save); err != nil {
+	if err := checkFlags(*mb, *transport, *sockets, *save); err != nil {
 		fatal(err)
 	}
 
 	// TCP fabric setup happens before the (identical, deterministic)
 	// dataset generation so spawned ranks start rendezvousing while the
-	// parent builds its graph. Sharded mini-batch fleets are sized by
-	// -shards; full-batch fleets by -sockets.
-	fleet := *sockets
-	if *mb && *shards > 1 {
-		fleet = *shards
-	}
+	// parent builds its graph.
 	var tr comm.Transport
 	var children []*exec.Cmd
-	tcpMode := *transport == "tcp" && fleet > 1
+	tcpMode := *transport == "tcp" && *sockets > 1
 	switch {
-	case *transport != "inproc" && *transport != "tcp":
-		fatal(fmt.Errorf("unknown -transport %q (inproc or tcp)", *transport))
 	case tcpMode:
 		var peerList []string
 		if *peers != "" {
@@ -129,7 +121,7 @@ func main() {
 		sig := comm.NotifyStop()
 		var err error
 		tr, children, err = comm.JoinTCPFleet(comm.TCPConfig{
-			Rank: *rank, N: fleet, Peers: peerList,
+			Rank: *rank, N: *sockets, Peers: peerList,
 			Listen: *listen, Advertise: *advertise, Timeout: *netTimeout,
 		}, *spawnLocal, func(r int, registry string) []string {
 			// The parent's -listen/-advertise are its own addresses —
@@ -200,7 +192,7 @@ func main() {
 			BatchSize: *batch, Epochs: *epochs, LR: *lr, UseAdam: *adam,
 			Seed: *seed, Workers: *workers,
 		}
-		runMinibatch(ds, cfg, tr, children, *shards, *sockets, *haloCache, *seed, verbose, tel, stopProf)
+		runMinibatch(ds, cfg, tr, children, *sockets, *haloCache, *seed, verbose, tel, stopProf)
 		return
 	}
 	mc := model.Config{Hidden: *hidden, NumLayers: *layers, Seed: *seed}
@@ -310,10 +302,10 @@ func main() {
 
 // checkFlags rejects, before any work starts, flag combinations the
 // trainer cannot run as asked.
-func checkFlags(minibatch bool, transport string, shards, sockets int, save string) error {
+func checkFlags(minibatch bool, transport string, sockets int, save string) error {
 	switch {
-	case minibatch && transport == "tcp" && shards <= 1:
-		return fmt.Errorf("-minibatch over tcp requires -shards >1 (replicated mini-batch runs are in-process)")
+	case transport != "inproc" && transport != "tcp":
+		return fmt.Errorf("unknown -transport %q (inproc or tcp)", transport)
 	case save != "" && minibatch:
 		return fmt.Errorf("-save writes single-socket full-batch checkpoints only; it cannot be combined with -minibatch")
 	case save != "" && sockets > 1:
@@ -322,46 +314,29 @@ func checkFlags(minibatch bool, transport string, shards, sockets int, save stri
 	return nil
 }
 
-// runMinibatch drives neighbor-sampled mini-batch training: sharded
-// features over the featstore plane when -shards >0 (inproc or one TCP
-// rank of a fleet), replicated features over -sockets in-process ranks
-// otherwise. Final parameters are bit-identical across rank counts and
-// transports given the same -seed (the distributed-minibatch conformance
-// pin), so the printed loss trace and accuracy are too.
+// runMinibatch drives neighbor-sampled mini-batch training with features
+// sharded across the ranks over the featstore plane: all -sockets ranks in
+// process, or this process's one rank of a TCP fleet. Final parameters
+// are bit-identical across transports given the same -seed and rank count
+// (the distributed-minibatch conformance pin), so the printed loss trace
+// and accuracy are too.
 func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
-	children []*exec.Cmd, shards, sockets int, haloCache, seed int64, verbose bool,
+	children []*exec.Cmd, sockets int, haloCache, seed int64, verbose bool,
 	tel *telemetry, stopProf func()) {
-	var res *minibatch.DistResult
-	var err error
-	start := time.Now()
-	if shards > 0 {
-		if verbose {
-			fabric := "inproc"
-			if tr != nil {
-				fabric = "tcp"
-			}
-			fmt.Printf("minibatch: fanouts %v, batch %d/rank, %d shards (%s), halo cache %d MiB/rank\n",
-				cfg.Fanouts, cfg.BatchSize, shards, fabric, haloCache>>20)
-		}
-		res, err = minibatch.TrainSharded(ds, minibatch.ShardedTrainConfig{
-			DistConfig: minibatch.DistConfig{Config: cfg, NumRanks: shards},
-			Transport:  tr, PartitionSeed: seed, CacheBytes: haloCache,
-		})
-	} else {
+	ranks := max(sockets, 1)
+	if verbose {
+		fabric := "inproc"
 		if tr != nil {
-			comm.KillRanks(children)
-			fatal(fmt.Errorf("replicated -minibatch needs -shards to run over tcp"))
+			fabric = "tcp"
 		}
-		ranks := sockets
-		if ranks < 1 {
-			ranks = 1
-		}
-		if verbose {
-			fmt.Printf("minibatch: fanouts %v, batch %d/rank, %d ranks (replicated features)\n",
-				cfg.Fanouts, cfg.BatchSize, ranks)
-		}
-		res, err = minibatch.TrainDistributed(ds, minibatch.DistConfig{Config: cfg, NumRanks: ranks})
+		fmt.Printf("minibatch: fanouts %v, batch %d/rank, %d ranks (%s), halo cache %d MiB/rank\n",
+			cfg.Fanouts, cfg.BatchSize, ranks, fabric, haloCache>>20)
 	}
+	start := time.Now()
+	res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
+		Config: cfg, NumRanks: ranks,
+		Transport: tr, PartitionSeed: seed, CacheBytes: haloCache,
+	})
 	if err != nil {
 		comm.KillRanks(children)
 		fatal(err)
@@ -399,12 +374,8 @@ func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
 			"sampled_work": st.SampledWork, "allreduce_s": st.AllReduce.Seconds(),
 		})
 	}
-	mode := "minibatch-replicated"
-	if shards > 0 {
-		mode = "minibatch-sharded"
-	}
 	tel.run(map[string]any{
-		"mode": mode, "shards": shards, "wall_s": wall.Seconds(),
+		"mode": "minibatch-sharded", "shards": ranks, "wall_s": wall.Seconds(),
 		"test_acc": res.TestAcc, "test_acc_bits": obs.F64Bits(res.TestAcc),
 		"halo_hit_rate": rate, "halo_fetched_vertices": fetchedVerts,
 		"halo_fetched_bytes": fetchedBytes,

@@ -121,12 +121,12 @@ func testTraining(t *testing.T) {
 	}
 }
 
-// testMinibatch: sampled mini-batch training with sharded features,
+// testMinibatch: 2-rank sampled mini-batch training with sharded features,
 // in-process and as 2 OS processes over loopback TCP, gives byte-identical
 // loss traces, accuracy and final-parameter digest once the wall times are
 // stripped.
 func testMinibatch(t *testing.T) {
-	args := []string{"-minibatch", "-fanouts", "10,5", "-batch", "256", "-shards", "2",
+	args := []string{"-minibatch", "-fanouts", "10,5", "-batch", "256", "-sockets", "2",
 		"-dataset", "reddit-sim", "-scale", "0.05", "-epochs", "4"}
 	wall := regexp.MustCompile(`time [^ ]*| \(wall.*`)
 	inproc := train(t, args...)

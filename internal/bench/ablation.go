@@ -88,7 +88,7 @@ func AblationMiniBatchDist(opt Options) error {
 	t := &table{header: []string{"#ranks", "steps/epoch", "sampled work/rank (M ops)",
 		"test acc"}}
 	for _, ranks := range []int{1, 2, 4, 8} {
-		res, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
+		res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
 			Config: minibatch.Config{
 				Hidden:  fig5ModelFor("ogbn-products-sim").Hidden,
 				Fanouts: table7Fanouts, BatchSize: table7Batch,

@@ -9,13 +9,12 @@ import (
 )
 
 // distmb.go is the abl-distmb ablation: wall-clock epoch time and halo
-// behaviour of the featstore-backed sharded mini-batch trainer
-// (minibatch.TrainSharded) across rank counts on the in-process fabric.
-// Every arm trains the same model to the same bits as the replicated
-// reference at its rank count (the conformance harness in
-// internal/minibatch pins that); what this ablation measures is the cost
-// of sourcing features remotely — halo fetch volume, cache hit rate, and
-// the wall-epoch trajectory as ranks are added. The wall times are
+// behaviour of the sampled mini-batch trainer (minibatch.TrainSharded)
+// across rank counts on the in-process fabric. A rank's halo cache changes
+// no trained bit (the conformance pin in internal/minibatch holds that);
+// what this ablation measures is the cost of sourcing features remotely —
+// halo fetch volume, cache hit rate, and the wall-epoch trajectory as
+// ranks are added. The wall times are
 // reported, not gated; the mini-batch step's allocation budget
 // (internal/minibatch) pins the rank loop every arm runs. With
 // Options.JSON set the rows land in one machine-readable report.
@@ -60,16 +59,14 @@ func AblationDistMB(opt Options) error {
 	report := DistMBBenchReport{Experiment: "abl-distmb", Scale: opt.scale(), Epochs: epochs}
 	t := &table{header: []string{"#ranks", "epoch (wall)", "steps", "halo hit", "rows fetched", "test acc"}}
 	for _, ranks := range []int{1, 2, 4} {
-		res, err := minibatch.TrainSharded(ds, minibatch.ShardedTrainConfig{
-			DistConfig: minibatch.DistConfig{
-				Config: minibatch.Config{
-					Hidden:    distMBHidden,
-					Fanouts:   []int{distMBFanout, distMBFanout},
-					BatchSize: distMBBatch, Epochs: epochs,
-					LR: 0.02, UseAdam: true, Seed: 1,
-				},
-				NumRanks: ranks,
+		res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
+			Config: minibatch.Config{
+				Hidden:    distMBHidden,
+				Fanouts:   []int{distMBFanout, distMBFanout},
+				BatchSize: distMBBatch, Epochs: epochs,
+				LR: 0.02, UseAdam: true, Seed: 1,
 			},
+			NumRanks:   ranks,
 			CacheBytes: distMBCacheBytes,
 		})
 		if err != nil {

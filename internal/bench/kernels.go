@@ -17,13 +17,14 @@ import (
 // block at d=64 and d=128:
 //
 //   - gathered-fp32: materialize the |frontier|×d gathered matrix, then
-//     model.AggregateGCN over it — the path serving takes when its feature
-//     cache is on, and the traffic ceiling.
+//     model.AggregateGCN over it — the path sampled training takes, and
+//     serving when its feature cache is on; the traffic ceiling.
 //   - fused-fp32: GatherAggGCNSum streams rows straight out of the fp32
 //     store (bit-identical math, no gathered matrix).
 //
 // Plus the end-to-end figure the kernels exist to move: mini-batch wall
-// time per epoch. The wall times are reported, not gated: perfbench gates
+// time per epoch, one rank of minibatch.TrainSharded, which gathers each
+// batch's layer-0 rows and so runs the gathered arm. The wall times are reported, not gated: perfbench gates
 // wall time, and the mini-batch step's allocation budget
 // (internal/minibatch) pins its garbage. With Options.JSON set the rows
 // land in one machine-readable report.
@@ -149,7 +150,7 @@ func AblationKernels(opt Options) error {
 
 	// End to end: the mini-batch epoch these kernels sit inside. Min over
 	// epochs — the steady-state epoch, insulated from first-epoch warmup.
-	res, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
+	res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
 		Config: minibatch.Config{
 			Hidden:    kernelBenchHidden,
 			Fanouts:   []int{kernelBenchFanout, kernelBenchFanout},

@@ -135,7 +135,7 @@ func Table9(opt Options) error {
 	}
 	epochs := opt.epochs(3)
 
-	mb, err := minibatch.TrainDistributed(ds, minibatch.DistConfig{
+	mb, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
 		Config: minibatch.Config{
 			Hidden:  fig5ModelFor("ogbn-products-sim").Hidden,
 			Fanouts: table7Fanouts, BatchSize: table7Batch,

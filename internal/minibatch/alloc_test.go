@@ -8,12 +8,13 @@ import (
 	"distgnn/internal/nn"
 	"distgnn/internal/parallel"
 	"distgnn/internal/spmm"
+	"distgnn/internal/tensor"
 )
 
 // TestTrainStepAllocBudget is the allocation budget of one mini-batch
 // optimizer step — forward, loss, backward, gradient AllReduce and Adam
-// step on a fixed Sample — the step every rank of TrainDistributed and
-// TrainSharded runs. Allocation counts carry no timing noise, so a change
+// step on a fixed Sample and its gathered layer-0 rows — the step every
+// rank of TrainSharded runs. Allocation counts carry no timing noise, so a change
 // that adds garbage to the training hot path fails here even where a wall
 // epoch could not resolve it. The kernel pool is pinned to one worker so
 // the count does not depend on the host's core count.
@@ -28,7 +29,12 @@ func TestTrainStepAllocBudget(t *testing.T) {
 	}
 	seeds := ds.TrainIdx[:64]
 	s := sampler.Sample(seeds)
-	bw := sampledBatch{seeds: seeds, s: s, rows: spmm.RowsOf(ds.Features), frontier: s.InputFrontier()}
+	frontier := s.InputFrontier()
+	x := tensor.New(len(frontier), ds.Features.Cols)
+	for i, v := range frontier {
+		copy(x.Row(i), ds.Features.Row(int(v)))
+	}
+	bw := sampledBatch{seeds: seeds, s: s, rows: spmm.RowsOf(x)}
 	m, err := model.New(nil, model.Config{InDim: ds.Features.Cols, Hidden: 32, OutDim: ds.NumClasses, NumLayers: 2, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)

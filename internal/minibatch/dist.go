@@ -12,6 +12,7 @@ import (
 	"distgnn/internal/model"
 	"distgnn/internal/nn"
 	"distgnn/internal/parallel"
+	"distgnn/internal/partition"
 	"distgnn/internal/spmm"
 )
 
@@ -24,6 +25,17 @@ import (
 type DistConfig struct {
 	Config
 	NumRanks int
+	// Transport selects the fabric. Nil runs all NumRanks ranks in this
+	// process over a fresh in-process fabric. A single-rank endpoint (TCP)
+	// runs rank Transport.Self() in this process; the caller launches one
+	// process per rank. The transport stays owned by the caller.
+	Transport comm.Transport
+	// PartitionSeed seeds the deterministic partitioning every rank derives
+	// identically (default 1, matching serve's shard mode).
+	PartitionSeed int64
+	// CacheBytes budgets the per-rank LRU of fetched halo feature rows;
+	// ≤ 0 disables caching.
+	CacheBytes int64
 }
 
 // DistEpochStat is one distributed mini-batch epoch.
@@ -44,13 +56,11 @@ type DistResult struct {
 	Epochs  []DistEpochStat
 	TestAcc float64
 	// Params is the final flattened parameter vector (rank 0's replica; all
-	// replicas are identical). The distributed-minibatch conformance harness
-	// compares it bit for bit across rank counts, transports, and against
-	// the replicated reference.
+	// replicas are identical). The golden and conformance tests compare it
+	// bit for bit across rank counts and transports.
 	Params []float32
-	// HaloStats is the per-rank featstore fetch/cache snapshot, populated by
-	// TrainSharded only (rank-indexed; a TCP endpoint fills only its own
-	// rank's entry).
+	// HaloStats is the per-rank featstore fetch/cache snapshot
+	// (rank-indexed; a TCP endpoint fills only its own rank's entry).
 	HaloStats []featstore.ShardedStats
 }
 
@@ -73,78 +83,95 @@ func (cfg *DistConfig) validate() error {
 	if cfg.BatchSize < 1 || cfg.Epochs < 1 {
 		return fmt.Errorf("minibatch: BatchSize and Epochs must be positive")
 	}
+	if cfg.Transport != nil && cfg.Transport.Size() != cfg.NumRanks {
+		return fmt.Errorf("minibatch: transport spans %d ranks, NumRanks is %d",
+			cfg.Transport.Size(), cfg.NumRanks)
+	}
 	return nil
 }
 
-// featureSource yields a sampled batch's layer-0 input in
-// model.AggregateGCN's form: feature rows, and the frontier that indexes
-// them (nil when the rows are already block-local). It is one rank's only
-// view of the features.
-type featureSource func(s *Sample) (spmm.FeatRows, []int32, error)
-
-// TrainDistributed runs data-parallel mini-batch training over NumRanks
-// in-process ranks, every rank reading one shared resident feature matrix
-// through the fused gather→aggregate kernel.
-func TrainDistributed(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
+// TrainSharded runs data-parallel sampled mini-batch training with
+// owner-sharded features. Every rank materializes only the feature rows of
+// the vertices it owns (internal/partition's deterministic vertex-cut
+// reduced to unique owners, exactly as the sharded serving engine does)
+// and reads everything else through featstore.Sharded: one batched halo
+// fetch per owner rank over the comm.ReqRep plane, absorbed by a per-rank
+// LRU, issued for batch t+1 while batch t computes. A sharded gather
+// returns the exact fp32 bits of the resident matrix (featstore's
+// contract), so the final parameters depend on the rank count and seed
+// only, not on the transport, the partitioning or the cache.
+//
+// It sizes the kernel pool from cfg.Workers, then runs every rank this
+// process hosts: all NumRanks of a fresh in-process fabric when
+// cfg.Transport is nil, else the endpoint's single rank. It returns rank
+// 0's result (or the endpoint's own), with every in-process rank's
+// HaloStats entry folded in.
+func TrainSharded(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	feats := spmm.RowsOf(ds.Features)
-	resident := func(s *Sample) (spmm.FeatRows, []int32, error) { return feats, s.InputFrontier(), nil }
-	return runRanks(cfg, nil, func(world *comm.World) (*DistResult, error) {
-		return trainRank(ds, cfg, world, resident)
-	})
-}
-
-// runRanks sizes the kernel pool from cfg.Workers, then runs rank on every
-// rank this process hosts: all NumRanks of a fresh in-process fabric when
-// tr is nil, else the single rank of the endpoint tr. It returns rank 0's
-// result (or the endpoint's own), with every in-process rank's HaloStats
-// entry folded in.
-func runRanks(cfg DistConfig, tr comm.Transport, rank func(world *comm.World) (*DistResult, error)) (*DistResult, error) {
+	if cfg.PartitionSeed == 0 {
+		cfg.PartitionSeed = 1
+	}
+	// Every rank derives the identical owner table: a pure function of the
+	// dataset and seed.
+	pt, err := partition.Partition(ds.G, partition.Libra{Seed: cfg.PartitionSeed}, cfg.NumRanks, cfg.PartitionSeed)
+	if err != nil {
+		return nil, fmt.Errorf("minibatch: shard partitioning: %w", err)
+	}
+	owners := pt.Owners()
 	if cfg.Workers > 0 {
 		parallel.Configure(parallel.Config{Workers: cfg.Workers})
 	}
-	if tr != nil {
-		return rank(comm.NewWorldTransport(tr))
+
+	run := func(world *comm.World) (*DistResult, error) {
+		store, err := featstore.NewSharded(featstore.ShardedConfig{
+			Transport:  world.Transport(),
+			Owners:     owners,
+			Features:   ds.Features,
+			CacheBytes: cfg.CacheBytes,
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer store.Close()
+		return trainRank(ds, cfg, world, store)
+	}
+	if cfg.Transport != nil {
+		return run(comm.NewWorldTransport(cfg.Transport))
 	}
 	results := make([]*DistResult, cfg.NumRanks)
 	errs := make([]error, cfg.NumRanks)
-	comm.RunInProcess(cfg.NumRanks, func(w *comm.World) { results[w.Self()], errs[w.Self()] = rank(w) })
+	comm.RunInProcess(cfg.NumRanks, func(w *comm.World) { results[w.Self()], errs[w.Self()] = run(w) })
 	for r, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("minibatch: rank %d: %w", r, err)
 		}
 	}
 	res := results[0]
-	if res.HaloStats != nil {
-		for r := 1; r < cfg.NumRanks; r++ {
-			res.HaloStats[r] = results[r].HaloStats[r]
-		}
+	for r := 1; r < cfg.NumRanks; r++ {
+		res.HaloStats[r] = results[r].HaloStats[r]
 	}
 	return res, nil
 }
 
 // sampledBatch is one step's prefetched work: the sampled blocks and their
-// layer-0 input (nil Sample for an idle step on a rank that ran out of
-// local batches).
+// gathered layer-0 input, one row per input-frontier vertex (nil Sample for
+// an idle step on a rank that ran out of local batches).
 type sampledBatch struct {
-	seeds    []int32
-	s        *Sample
-	rows     spmm.FeatRows
-	frontier []int32
-	err      error
+	seeds []int32
+	s     *Sample
+	rows  spmm.FeatRows
+	err   error
 }
 
-// trainRank runs one rank of data-parallel sampled training. Every rank
-// derives the same training-vertex shards and builds the same model (seed
-// cfg.Seed+100), samples with its own sampler (cfg.Seed+rank) and epoch
-// shuffle (cfg.Seed+1000+rank), and AllReduces gradients in rank order
-// every step, so the replicas stay identical and the result does not depend
-// on where src reads features from: a sharded gather returns the resident
-// matrix's exact bits, and model.AggregateGCN gives the same bits over a
-// gathered matrix as over the store through the frontier.
-func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src featureSource) (*DistResult, error) {
+// trainRank runs one rank of data-parallel sampled training, reading
+// layer-0 features through the rank's store. Every rank derives the same
+// training-vertex shards and builds the same model (seed cfg.Seed+100),
+// samples with its own sampler (cfg.Seed+rank) and epoch shuffle
+// (cfg.Seed+1000+rank), and AllReduces gradients in rank order every step,
+// so the replicas stay identical.
+func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, store *featstore.Sharded) (*DistResult, error) {
 	rank := world.Self()
 	shards := shardTrainIdx(ds.TrainIdx, cfg.Seed, cfg.NumRanks)
 	// All ranks must execute the same number of synchronized steps per
@@ -197,7 +224,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 				if off := step * cfg.BatchSize; off < len(shard) {
 					bw.seeds = shard[off:min(off+cfg.BatchSize, len(shard))]
 					bw.s = sampler.Sample(bw.seeds)
-					bw.rows, bw.frontier, bw.err = src(bw.s)
+					bw.rows, bw.err = gatherInput(store, bw.s)
 				}
 				batches <- bw
 				if bw.err != nil {
@@ -245,18 +272,28 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, src feat
 	}
 	res.Params = nn.FlattenParams(params, false)
 
-	// Rank 0 evaluates (in a sharded run its peers keep serving halo fetches
-	// while blocked in the broadcast) and shares the accuracy.
+	// Rank 0 evaluates (its peers keep serving halo fetches while blocked
+	// in the broadcast) and shares the accuracy.
 	var acc float64
 	if rank == 0 {
-		if acc, err = evaluate(ds, sampler, m, cfg.BatchSize, src); err != nil {
+		if acc, err = evaluate(ds, sampler, m, cfg.BatchSize, store); err != nil {
 			return nil, err
 		}
 	}
 	accBits := comm.AppendF64(nil, acc)
 	world.Broadcast(0, accBits)
 	res.TestAcc = comm.F64(accBits)
+	res.HaloStats = make([]featstore.ShardedStats, cfg.NumRanks)
+	res.HaloStats[rank] = store.Stats()
 	return res, nil
+}
+
+// gatherInput materializes the sample's layer-0 input: the input
+// frontier's feature rows, local ones from the rank's slab and the rest
+// fetched from their owners.
+func gatherInput(store *featstore.Sharded, s *Sample) (spmm.FeatRows, error) {
+	x, err := store.Gather(s.InputFrontier())
+	return spmm.RowsOf(x), err
 }
 
 // rankStepper is one rank's optimizer-step state: the model replica, its
@@ -278,7 +315,7 @@ func (st *rankStepper) step(bw sampledBatch, global int) (float64, time.Duration
 	nn.ZeroGrads(st.params)
 	var loss float64
 	if bw.s != nil {
-		logits := SageForward(st.m, bw.s, bw.rows, bw.frontier, true)
+		logits := SageForward(st.m, bw.s, bw.rows, nil, true)
 		localLabels := make([]int32, len(bw.seeds))
 		mask := make([]int32, len(bw.seeds))
 		for i, g := range bw.seeds {

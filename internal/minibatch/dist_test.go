@@ -1,41 +1,136 @@
 package minibatch
 
 import (
+	"math"
+	"sync"
 	"testing"
+	"time"
 
+	"distgnn/internal/comm"
 	"distgnn/internal/parallel"
 )
 
-func TestTrainDistributedLearns(t *testing.T) {
-	ds := testDS(t)
-	res, err := TrainDistributed(ds, DistConfig{
-		Config: Config{
-			Hidden: 16, Fanouts: []int{10, 5},
-			BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
-		},
-		NumRanks: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+func paramsBitEqual(t *testing.T, label string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: param vector length %d != %d", label, len(got), len(want))
 	}
-	first, last := res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss
-	if last >= first*0.8 {
-		t.Fatalf("distributed mini-batch loss %v → %v did not improve", first, last)
-	}
-	if res.TestAcc < 0.5 {
-		t.Fatalf("test accuracy %v < 0.5", res.TestAcc)
-	}
-	for _, e := range res.Epochs {
-		if e.Steps <= 0 || e.SampledWork <= 0 {
-			t.Fatalf("bad epoch stat %+v", e)
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: param %d differs: %v (bits %#x) != %v (bits %#x)",
+				label, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }
 
-// TestTrainDistributedAppliesWorkers pins the worker-pool knob on the
-// distributed trainers: Config.Workers sizes the process-wide kernel pool
-// for the run, as `distgnn-train -minibatch -workers N` promises.
-func TestTrainDistributedAppliesWorkers(t *testing.T) {
+// TestTrainShardedConformance is the in-process distributed-minibatch pin:
+// with a halo cache and another partition seed, the trainer's final
+// parameters still carry the golden digests at 1, 2 and 4 ranks, and its
+// loss trace, sampled work and test accuracy match the plain golden run
+// exactly. Where features live and whether a halo row was cached changes
+// no bit.
+func TestTrainShardedConformance(t *testing.T) {
+	ds := testDS(t)
+	for _, c := range sampledGolden[:3] {
+		ref, err := TrainSharded(ds, goldenCfg(c.ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := goldenCfg(c.ranks)
+		cfg.CacheBytes, cfg.PartitionSeed = 1<<20, 7
+		got, err := TrainSharded(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := "ranks=" + string(rune('0'+c.ranks))
+		if d := bitsDigest(got.Params); d != c.params {
+			t.Fatalf("%s: final params digest %s, want %s", label, d, c.params)
+		}
+		paramsBitEqual(t, label, got.Params, ref.Params)
+		if got.TestAcc != ref.TestAcc {
+			t.Fatalf("%s: test accuracy %v != reference %v", label, got.TestAcc, ref.TestAcc)
+		}
+		for e := range ref.Epochs {
+			if got.Epochs[e].Loss != ref.Epochs[e].Loss {
+				t.Fatalf("%s: epoch %d loss %v != reference %v", label, e, got.Epochs[e].Loss, ref.Epochs[e].Loss)
+			}
+			if got.Epochs[e].SampledWork != ref.Epochs[e].SampledWork {
+				t.Fatalf("%s: epoch %d work %d != reference %d", label, e, got.Epochs[e].SampledWork, ref.Epochs[e].SampledWork)
+			}
+		}
+		if c.ranks > 1 {
+			var fetched int64
+			for _, hs := range got.HaloStats {
+				fetched += hs.HaloFetchedVertices
+			}
+			if fetched == 0 {
+				t.Fatalf("%s: sharded run fetched no halo vertices — features were not actually sharded", label)
+			}
+		}
+	}
+}
+
+// TestTrainShardedTCPConformance reruns the pin over real loopback TCP:
+// each rank driven from its own goroutine on its own single-rank endpoint,
+// final params and test accuracy bit-identical to the in-process run.
+func TestTrainShardedTCPConformance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP conformance run in full mode only")
+	}
+	ds := testDS(t)
+	for _, ranks := range []int{2, 4} {
+		cfg := goldenCfg(ranks)
+		cfg.CacheBytes = 1 << 20
+		ref, err := TrainSharded(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs, err := comm.NewLoopbackTCP(ranks, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make([]*DistResult, ranks)
+		errs := make([]error, ranks)
+		var wg sync.WaitGroup
+		for r := 0; r < ranks; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rcfg := cfg
+				rcfg.Transport = trs[r]
+				results[r], errs[r] = TrainSharded(ds, rcfg)
+			}()
+		}
+		wg.Wait()
+		for r := 0; r < ranks; r++ {
+			if errs[r] != nil {
+				t.Fatalf("ranks=%d rank %d: %v", ranks, r, errs[r])
+			}
+		}
+		for r := 0; r < ranks; r++ {
+			label := "tcp ranks=" + string(rune('0'+ranks)) + " rank=" + string(rune('0'+r))
+			paramsBitEqual(t, label, results[r].Params, ref.Params)
+			if results[r].TestAcc != ref.TestAcc {
+				t.Fatalf("%s: test accuracy %v != reference %v", label, results[r].TestAcc, ref.TestAcc)
+			}
+			// AllReduce is the fleet-wide max, so every rank reports the
+			// same figure for every epoch.
+			for e, st := range results[r].Epochs {
+				if want := results[0].Epochs[e].AllReduce; st.AllReduce != want {
+					t.Fatalf("%s: epoch %d AllReduce %v, rank 0 reports %v", label, e, st.AllReduce, want)
+				}
+			}
+		}
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}
+}
+
+// TestTrainShardedAppliesWorkers pins the worker-pool knob: Config.Workers
+// sizes the process-wide kernel pool for the run, as
+// `distgnn-train -minibatch -workers N` promises.
+func TestTrainShardedAppliesWorkers(t *testing.T) {
 	prev := parallel.Workers()
 	defer parallel.Configure(parallel.Config{Workers: prev})
 	want := 3
@@ -43,7 +138,7 @@ func TestTrainDistributedAppliesWorkers(t *testing.T) {
 		want = 2
 	}
 	ds := testDS(t)
-	if _, err := TrainDistributed(ds, DistConfig{
+	if _, err := TrainSharded(ds, DistConfig{
 		Config: Config{
 			Hidden: 8, Fanouts: []int{5},
 			BatchSize: 200, Epochs: 1, LR: 0.05, Seed: 1, Workers: want,
@@ -57,10 +152,10 @@ func TestTrainDistributedAppliesWorkers(t *testing.T) {
 	}
 }
 
-func TestTrainDistributedDeterministic(t *testing.T) {
+func TestTrainShardedDeterministic(t *testing.T) {
 	ds := testDS(t)
 	run := func() *DistResult {
-		res, err := TrainDistributed(ds, DistConfig{
+		res, err := TrainSharded(ds, DistConfig{
 			Config: Config{
 				Hidden: 8, Fanouts: []int{5, 5},
 				BatchSize: 64, Epochs: 3, LR: 0.05, Seed: 9,
@@ -83,16 +178,22 @@ func TestTrainDistributedDeterministic(t *testing.T) {
 	}
 }
 
-func TestTrainDistributedUnevenShards(t *testing.T) {
-	// Train-set size not divisible by ranks×batch: idle ranks must still
-	// participate in collectives (no deadlock) and training must finish.
+// TestTrainShardedUnevenShards sizes the batch so that at 7 ranks the
+// larger training shards need a second step and the smaller ones do not:
+// an idle rank must still join every collective and keep answering its
+// peers' halo fetches, or the run deadlocks.
+func TestTrainShardedUnevenShards(t *testing.T) {
 	ds := testDS(t)
-	res, err := TrainDistributed(ds, DistConfig{
+	const ranks = 7
+	if len(ds.TrainIdx)%ranks == 0 {
+		t.Fatalf("%d training vertices split evenly over %d ranks", len(ds.TrainIdx), ranks)
+	}
+	res, err := TrainSharded(ds, DistConfig{
 		Config: Config{
 			Hidden: 8, Fanouts: []int{5},
-			BatchSize: 200, Epochs: 2, LR: 0.05, Seed: 1,
+			BatchSize: len(ds.TrainIdx) / ranks, Epochs: 2, LR: 0.05, Seed: 1,
 		},
-		NumRanks: 7,
+		NumRanks: ranks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,17 +201,24 @@ func TestTrainDistributedUnevenShards(t *testing.T) {
 	if len(res.Epochs) != 2 {
 		t.Fatal("missing epochs")
 	}
+	for _, e := range res.Epochs {
+		if e.Steps != 2 {
+			t.Fatalf("%d steps per epoch, want 2 (one idle step on the smaller shards)", e.Steps)
+		}
+	}
 }
 
-func TestTrainDistributedRejectsBadConfig(t *testing.T) {
+func TestTrainShardedRejectsBadConfig(t *testing.T) {
 	ds := testDS(t)
 	bad := []DistConfig{
 		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1}, NumRanks: 0},
 		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, LR: 0.1}, NumRanks: 2},
+		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1}, NumRanks: 3,
+			Transport: comm.NewProcFabric(2)[0]},
 	}
 	for i, cfg := range bad {
-		if _, err := TrainDistributed(ds, cfg); err == nil {
-			t.Errorf("config %d: expected error", i)
+		if _, err := TrainSharded(ds, cfg); err == nil {
+			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package minibatch
 
 import (
 	"distgnn/internal/datasets"
+	"distgnn/internal/featstore"
 	"distgnn/internal/model"
 	"distgnn/internal/spmm"
 	"distgnn/internal/tensor"
@@ -58,8 +59,8 @@ func sampledWork(s *Sample, inDim, hidden int) int64 {
 }
 
 // evaluate scores test vertices with sampled inference (same fan-outs),
-// reading layer-0 features through src.
-func evaluate(ds *datasets.Dataset, sampler *Sampler, m *model.GraphSAGE, batch int, src featureSource) (float64, error) {
+// reading layer-0 features through store.
+func evaluate(ds *datasets.Dataset, sampler *Sampler, m *model.GraphSAGE, batch int, store *featstore.Sharded) (float64, error) {
 	if len(ds.TestIdx) == 0 {
 		return 0, nil
 	}
@@ -67,11 +68,11 @@ func evaluate(ds *datasets.Dataset, sampler *Sampler, m *model.GraphSAGE, batch 
 	for off := 0; off < len(ds.TestIdx); off += batch {
 		seeds := ds.TestIdx[off:min(off+batch, len(ds.TestIdx))]
 		s := sampler.Sample(seeds)
-		rows, frontier, err := src(s)
+		rows, err := gatherInput(store, s)
 		if err != nil {
 			return 0, err
 		}
-		logits := SageForward(m, s, rows, frontier, false)
+		logits := SageForward(m, s, rows, nil, false)
 		pred := make([]int, logits.Rows)
 		logits.ArgmaxRows(pred)
 		for i, g := range seeds {
