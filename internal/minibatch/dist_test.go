@@ -127,6 +127,35 @@ func TestTrainShardedTCPConformance(t *testing.T) {
 	}
 }
 
+// TestTrainDistributedLearns is TestTrainLearns with the training
+// distributed over 4 ranks, each owning a shard of the features and
+// fetching halo rows from the others.
+func TestTrainDistributedLearns(t *testing.T) {
+	ds := testDS(t)
+	res, err := TrainSharded(ds, DistConfig{
+		Config: Config{
+			Hidden: 16, Fanouts: []int{10, 5},
+			BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
+		},
+		NumRanks: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss
+	if last >= first*0.8 {
+		t.Fatalf("distributed mini-batch loss %v → %v did not improve", first, last)
+	}
+	if res.TestAcc < 0.5 {
+		t.Fatalf("test accuracy %v < 0.5", res.TestAcc)
+	}
+	for _, e := range res.Epochs {
+		if e.Steps <= 0 || e.SampledWork <= 0 || e.Time <= 0 {
+			t.Fatalf("bad epoch stat %+v", e)
+		}
+	}
+}
+
 // TestTrainShardedAppliesWorkers pins the worker-pool knob: Config.Workers
 // sizes the process-wide kernel pool for the run, as
 // `distgnn-train -minibatch -workers N` promises.
@@ -208,11 +237,27 @@ func TestTrainShardedUnevenShards(t *testing.T) {
 	}
 }
 
-func TestTrainShardedRejectsBadConfig(t *testing.T) {
+// TestTrainDistributedRejectsBadConfig: no ranks, or no batch on 2 ranks.
+func TestTrainDistributedRejectsBadConfig(t *testing.T) {
 	ds := testDS(t)
 	bad := []DistConfig{
 		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1}, NumRanks: 0},
 		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 0, Epochs: 1, LR: 0.1}, NumRanks: 2},
+	}
+	for i, cfg := range bad {
+		if _, err := TrainSharded(ds, cfg); err == nil {
+			t.Errorf("config %d: expected error", i)
+		}
+	}
+}
+
+// TestTrainShardedRejectsBadConfig: the same with default hidden width and
+// learning rate, and a transport whose world size is not NumRanks.
+func TestTrainShardedRejectsBadConfig(t *testing.T) {
+	ds := testDS(t)
+	bad := []DistConfig{
+		{Config: Config{Fanouts: []int{5, 5}, BatchSize: 32, Epochs: 1, Seed: 1}, NumRanks: 0},
+		{Config: Config{Fanouts: []int{5}, BatchSize: 0, Epochs: 1, Seed: 1}, NumRanks: 2},
 		{Config: Config{Hidden: 8, Fanouts: []int{5}, BatchSize: 10, Epochs: 1, LR: 0.1}, NumRanks: 3,
 			Transport: comm.NewProcFabric(2)[0]},
 	}

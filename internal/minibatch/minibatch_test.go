@@ -148,32 +148,30 @@ func TestSamplePickProperties(t *testing.T) {
 
 func TestTrainLearns(t *testing.T) {
 	ds := testDS(t)
-	for _, ranks := range []int{1, 4} {
-		res, err := TrainSharded(ds, DistConfig{
-			Config: Config{
-				Hidden: 16, Fanouts: []int{10, 5},
-				BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
-			},
-			NumRanks: ranks,
-		})
-		if err != nil {
-			t.Fatal(err)
+	res, err := TrainSharded(ds, DistConfig{
+		Config: Config{
+			Hidden: 16, Fanouts: []int{10, 5},
+			BatchSize: 64, Epochs: 8, LR: 0.05, UseAdam: true, Seed: 5,
+		},
+		NumRanks: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss
+	if last >= first*0.8 {
+		t.Fatalf("mini-batch loss %v → %v did not improve", first, last)
+	}
+	if res.TestAcc < 0.5 {
+		t.Fatalf("mini-batch test accuracy %v < 0.5", res.TestAcc)
+	}
+	for _, e := range res.Epochs {
+		if e.SampledWork <= 0 || e.Steps <= 0 || e.Time <= 0 {
+			t.Fatalf("bad epoch stat %+v", e)
 		}
-		first, last := res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss
-		if last >= first*0.8 {
-			t.Fatalf("%d ranks: mini-batch loss %v → %v did not improve", ranks, first, last)
-		}
-		if res.TestAcc < 0.5 {
-			t.Fatalf("%d ranks: mini-batch test accuracy %v < 0.5", ranks, res.TestAcc)
-		}
-		for _, e := range res.Epochs {
-			if e.SampledWork <= 0 || e.Steps <= 0 || e.Time <= 0 {
-				t.Fatalf("%d ranks: bad epoch stat %+v", ranks, e)
-			}
-		}
-		if res.AvgEpochTime() <= 0 {
-			t.Fatal("AvgEpochTime must be positive")
-		}
+	}
+	if res.AvgEpochTime() <= 0 {
+		t.Fatal("AvgEpochTime must be positive")
 	}
 }
 
