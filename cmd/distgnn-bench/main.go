@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	distgnn-bench [-scale 0.5] [-epochs N] [-workers N] [-json FILE] <experiment>...
+//	distgnn-bench [-scale 0.5] [-epochs N] [-workers N] <experiment>...
 //	distgnn-bench -list
 //	distgnn-bench all
 //	distgnn-bench ablations
@@ -31,8 +31,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "override per-experiment epoch/iteration counts")
 	workers := flag.Int("workers", 0,
 		"kernel worker-pool size, the OMP_NUM_THREADS analogue (0 = GOMAXPROCS)")
-	jsonPath := flag.String("json", "",
-		"write machine-readable results to this file (experiments that emit them, e.g. abl-transport)")
 	list := flag.Bool("list", false, "list available experiments")
 	flag.Parse()
 
@@ -65,15 +63,6 @@ func main() {
 		}
 	}
 	opt := bench.Options{Scale: *scale, Epochs: *epochs, Out: os.Stdout}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distgnn-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		opt.JSON = f
-	}
 	for _, id := range args {
 		e, ok := bench.Lookup(id)
 		if !ok {

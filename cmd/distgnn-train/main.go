@@ -3,8 +3,7 @@
 // in-process simulated sockets or a true multi-process TCP fleet, or
 // neighbor-sampled mini-batch (-minibatch) with training vertices and
 // features sharded across -sockets ranks over the shared featstore plane —
-// halo feature rows fetched from owning peers with an LRU cache and
-// one-batch prefetch overlapping compute.
+// halo feature rows fetched from owning peers, one batch ahead of compute.
 //
 // Examples:
 //
@@ -15,11 +14,11 @@
 //	distgnn-train -minibatch -sockets 2 -transport tcp -spawn-local
 //
 // Mini-batch runs are seed-reproducible: given the same -seed and rank
-// count, the final model parameters are bit-identical whatever the halo
-// cache and whether the fleet is in-process or TCP (each rank's sampler is
-// seeded seed+rank; gradients are AllReduced in rank order). Changing the
-// rank count changes the sampler-seed set and the global batch
-// composition, so it legitimately changes the trajectory.
+// count, the final model parameters are bit-identical whether the fleet is
+// in-process or TCP (each rank's sampler is seeded seed+rank; gradients are
+// AllReduced in rank order). Changing the rank count changes the
+// sampler-seed set and the global batch composition, so it legitimately
+// changes the trajectory.
 //
 // True multi-process training over TCP (see README "Running true
 // multi-process training"): every process runs this same binary with its
@@ -90,8 +89,6 @@ func main() {
 	fanouts := flag.String("fanouts", "10,5",
 		"minibatch: per-hop neighbor fan-outs, seed hop first; one GraphSAGE layer per entry")
 	batch := flag.Int("batch", 512, "minibatch: seed vertices per rank per step")
-	haloCache := flag.Int64("halo-cache", 32<<20,
-		"minibatch: per-rank LRU budget in bytes for halo feature rows fetched from their owner ranks (≤0 disables)")
 	telemetryPath := flag.String("telemetry", "",
 		"write per-epoch training telemetry as JSONL here (speaking rank only); losses carry exact float64 bit patterns")
 	metricsJSON := flag.String("metrics-json", "",
@@ -192,7 +189,7 @@ func main() {
 			BatchSize: *batch, Epochs: *epochs, LR: *lr, UseAdam: *adam,
 			Seed: *seed, Workers: *workers,
 		}
-		runMinibatch(ds, cfg, tr, children, *sockets, *haloCache, *seed, verbose, tel, stopProf)
+		runMinibatch(ds, cfg, tr, children, *sockets, *seed, verbose, tel, stopProf)
 		return
 	}
 	mc := model.Config{Hidden: *hidden, NumLayers: *layers, Seed: *seed}
@@ -321,7 +318,7 @@ func checkFlags(minibatch bool, transport string, sockets int, save string) erro
 // (the distributed-minibatch conformance pin), so the printed loss trace
 // and accuracy are too.
 func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
-	children []*exec.Cmd, sockets int, haloCache, seed int64, verbose bool,
+	children []*exec.Cmd, sockets int, seed int64, verbose bool,
 	tel *telemetry, stopProf func()) {
 	ranks := max(sockets, 1)
 	if verbose {
@@ -329,29 +326,23 @@ func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
 		if tr != nil {
 			fabric = "tcp"
 		}
-		fmt.Printf("minibatch: fanouts %v, batch %d/rank, %d ranks (%s), halo cache %d MiB/rank\n",
-			cfg.Fanouts, cfg.BatchSize, ranks, fabric, haloCache>>20)
+		fmt.Printf("minibatch: fanouts %v, batch %d/rank, %d ranks (%s)\n",
+			cfg.Fanouts, cfg.BatchSize, ranks, fabric)
 	}
 	start := time.Now()
 	res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
 		Config: cfg, NumRanks: ranks,
-		Transport: tr, PartitionSeed: seed, CacheBytes: haloCache,
+		Transport: tr, PartitionSeed: seed,
 	})
 	if err != nil {
 		comm.KillRanks(children)
 		fatal(err)
 	}
 	wall := time.Since(start)
-	var hits, misses, fetchedVerts, fetchedBytes int64
+	var fetchedVerts, fetchedBytes int64
 	for _, hs := range res.HaloStats {
-		hits += hs.HaloHits
-		misses += hs.HaloMisses
 		fetchedVerts += hs.HaloFetchedVertices
 		fetchedBytes += hs.HaloFetchedBytes
-	}
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
 	}
 	if verbose {
 		for e, st := range res.Epochs {
@@ -360,9 +351,8 @@ func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
 					e, st.Loss, st.Time.Round(time.Millisecond), st.Steps, st.SampledWork)
 			}
 		}
-		if hits+misses > 0 || fetchedVerts > 0 {
-			fmt.Printf("halo: cache hit rate %.1f%% (%d rows fetched from peers)\n",
-				100*rate, fetchedVerts)
+		if fetchedVerts > 0 {
+			fmt.Printf("halo: %d rows fetched from peers\n", fetchedVerts)
 		}
 		fmt.Printf("accuracy: test %.2f%%  (wall %.2fs, %.3fs/epoch)\n",
 			100*res.TestAcc, wall.Seconds(), wall.Seconds()/float64(len(res.Epochs)))
@@ -377,8 +367,7 @@ func runMinibatch(ds *datasets.Dataset, cfg minibatch.Config, tr comm.Transport,
 	tel.run(map[string]any{
 		"mode": "minibatch-sharded", "shards": ranks, "wall_s": wall.Seconds(),
 		"test_acc": res.TestAcc, "test_acc_bits": obs.F64Bits(res.TestAcc),
-		"halo_hit_rate": rate, "halo_fetched_vertices": fetchedVerts,
-		"halo_fetched_bytes": fetchedBytes,
+		"halo_fetched_vertices": fetchedVerts, "halo_fetched_bytes": fetchedBytes,
 	}, tr)
 	tel.close()
 	stopProf()

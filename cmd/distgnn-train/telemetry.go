@@ -4,7 +4,7 @@ package main
 // rank-0 JSONL event stream: one "epoch" event per epoch carrying the loss
 // both as a decimal and as its exact float64 bit pattern (so two runs can
 // be diffed bit for bit), and one final "run" event with accuracy, wall
-// time, halo cache behaviour, and — when the comm fabric keeps counters —
+// time, halo fetch volume, and — when the comm fabric keeps counters —
 // payload bytes by traffic plane. -metrics-json dumps the run's metric
 // registry as JSON at exit, and -profile captures a CPU or heap profile
 // over the whole run.

@@ -26,10 +26,6 @@ type Options struct {
 	Epochs int
 	// Out receives the experiment's table; defaults to os.Stdout upstream.
 	Out io.Writer
-	// JSON, when set, receives a machine-readable report from experiments
-	// that emit one (abl-transport, abl-kernels, abl-distmb). Experiments
-	// without a JSON form ignore it.
-	JSON io.Writer
 }
 
 func (o *Options) scale() float64 {

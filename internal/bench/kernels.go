@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -24,10 +23,9 @@ import (
 //
 // Plus the end-to-end figure the kernels exist to move: mini-batch wall
 // time per epoch, one rank of minibatch.TrainSharded, which gathers each
-// batch's layer-0 rows and so runs the gathered arm. The wall times are reported, not gated: perfbench gates
-// wall time, and the mini-batch step's allocation budget
-// (internal/minibatch) pins its garbage. With Options.JSON set the rows
-// land in one machine-readable report.
+// batch's layer-0 rows and so runs the gathered arm. The wall times are
+// reported, not gated: perfbench gates wall time, and the mini-batch step's
+// allocation budget (internal/minibatch) pins its garbage.
 
 const (
 	kernelBenchSeeds   = 4096
@@ -36,34 +34,6 @@ const (
 	kernelBenchFanout  = 10
 	kernelBenchMinTime = 50 * time.Millisecond // work per timing sample
 )
-
-// KernelBenchRow is one (d, arm) measurement over the shared block.
-type KernelBenchRow struct {
-	D   int    `json:"d"`
-	Arm string `json:"arm"`
-	// PassMS is the min-of-N wall time of one full aggregation pass.
-	PassMS float64 `json:"pass_ms"`
-	// TrafficMB models the feature bytes moved per pass (store reads, plus
-	// the gathered matrix's write+read for the gathered arm).
-	TrafficMB float64 `json:"traffic_mb"`
-	MBPerSec  float64 `json:"mb_per_sec"`
-	// SpeedupVsGathered is gathered-fp32 pass time / this arm's pass time
-	// at the same d.
-	SpeedupVsGathered float64 `json:"speedup_vs_gathered"`
-}
-
-// KernelsBenchReport is abl-kernels' JSON report.
-type KernelsBenchReport struct {
-	Experiment string           `json:"experiment"`
-	Scale      float64          `json:"scale"`
-	Epochs     int              `json:"epochs"`
-	NumDst     int              `json:"num_dst"`
-	NumSrc     int              `json:"num_src"`
-	Edges      int              `json:"edges"`
-	Rows       []KernelBenchRow `json:"rows"`
-	// TrainEpochS is the min-over-epochs mini-batch wall epoch.
-	TrainEpochS float64 `json:"train_epoch_s"`
-}
 
 // kernelSink defeats dead-code elimination of the timed passes.
 var kernelSink float32
@@ -88,10 +58,6 @@ func AblationKernels(opt Options) error {
 	frontier := s.InputFrontier()
 	nnz := len(blk.Indices)
 
-	report := KernelsBenchReport{
-		Experiment: "abl-kernels", Scale: opt.scale(), Epochs: opt.epochs(2),
-		NumDst: blk.NumDst, NumSrc: blk.NumSrc, Edges: nnz,
-	}
 	t := &table{header: []string{"d", "arm", "pass", "traffic MB", "MB/s", "vs gathered"}}
 	for _, d := range []int{64, 128} {
 		x := syntheticFeatures(ds.G.NumVertices, d)
@@ -136,14 +102,9 @@ func AblationKernels(opt Options) error {
 			if i == 0 {
 				gatheredSec = sec
 			}
-			row := KernelBenchRow{
-				D: d, Arm: arm.name, PassMS: sec * 1e3,
-				TrafficMB: arm.bytes / 1e6, MBPerSec: arm.bytes / 1e6 / sec,
-				SpeedupVsGathered: gatheredSec / sec,
-			}
-			report.Rows = append(report.Rows, row)
-			t.add(fmt.Sprint(d), arm.name, ms(sec), f2(row.TrafficMB),
-				fmt.Sprintf("%.0f", row.MBPerSec), f2(row.SpeedupVsGathered)+"x")
+			mb := arm.bytes / 1e6
+			t.add(fmt.Sprint(d), arm.name, ms(sec), f2(mb),
+				fmt.Sprintf("%.0f", mb/sec), f2(gatheredSec/sec)+"x")
 		}
 	}
 	t.write(opt.Out)
@@ -168,14 +129,7 @@ func AblationKernels(opt Options) error {
 			best = sec
 		}
 	}
-	report.TrainEpochS = best
 	fmt.Fprintf(opt.Out, "wall-epoch (fp32 features): %s   test acc %s\n", ms(best), pct(res.TestAcc))
-
-	if opt.JSON != nil {
-		enc := json.NewEncoder(opt.JSON)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
-	}
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"time"
 
 	"distgnn/internal/comm"
@@ -14,31 +13,9 @@ import (
 // comparing real wall-clock epoch time. The delta is the transport tax —
 // serialization, syscalls, kernel round-trips — that multi-process
 // deployment pays for process isolation; the training math is bit-identical
-// on both (pinned in internal/train's conformance harness). With
-// Options.JSON set, the rows are also emitted as one machine-readable
-// report — CI uploads it as BENCH_transport.json so future PRs can diff
-// the perf trajectory.
+// on both (pinned in internal/train's conformance harness).
 
 const transportBenchRanks = 2
-
-// TransportBenchRow is one (algorithm, transport) measurement.
-type TransportBenchRow struct {
-	Algo             string  `json:"algo"`
-	Transport        string  `json:"transport"`
-	Ranks            int     `json:"ranks"`
-	Epochs           int     `json:"epochs"`
-	WallEpochSeconds float64 `json:"wall_epoch_seconds"`
-	SimEpochSeconds  float64 `json:"sim_epoch_seconds"`
-	FinalLoss        float64 `json:"final_loss"`
-	TestAcc          float64 `json:"test_acc"`
-}
-
-// TransportBenchReport is the BENCH_transport.json schema.
-type TransportBenchReport struct {
-	Experiment string              `json:"experiment"`
-	Scale      float64             `json:"scale"`
-	Results    []TransportBenchRow `json:"results"`
-}
 
 // AblationTransport times cd-r and cd-rs epochs on both comm substrates.
 func AblationTransport(opt Options) error {
@@ -47,7 +24,6 @@ func AblationTransport(opt Options) error {
 		return err
 	}
 	epochs := opt.epochs(6)
-	report := TransportBenchReport{Experiment: "abl-transport", Scale: opt.scale()}
 
 	baseCfg := func(algo train.Algorithm) train.DistConfig {
 		return train.DistConfig{
@@ -65,7 +41,7 @@ func AblationTransport(opt Options) error {
 		if err != nil {
 			return err
 		}
-		addTransportRow(t, &report, string(algo), "inproc", epochs, time.Since(start), res)
+		addTransportRow(t, string(algo), "inproc", epochs, time.Since(start), res)
 
 		// Loopback TCP: every rank its own endpoint, frames on real sockets.
 		eps, err := comm.NewLoopbackTCP(transportBenchRanks, time.Minute)
@@ -81,29 +57,12 @@ func AblationTransport(opt Options) error {
 		if err != nil {
 			return err
 		}
-		addTransportRow(t, &report, string(algo), "tcp", epochs, wall, tcpRes)
+		addTransportRow(t, string(algo), "tcp", epochs, wall, tcpRes)
 	}
 	t.write(opt.Out)
-
-	if opt.JSON != nil {
-		enc := json.NewEncoder(opt.JSON)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-func addTransportRow(t *table, report *TransportBenchReport, algo, transport string,
-	epochs int, wall time.Duration, res *train.DistResult) {
-	row := TransportBenchRow{
-		Algo: algo, Transport: transport, Ranks: transportBenchRanks, Epochs: epochs,
-		WallEpochSeconds: wall.Seconds() / float64(epochs),
-		SimEpochSeconds:  res.AvgEpochSeconds(1, epochs),
-		FinalLoss:        res.Epochs[epochs-1].Loss,
-		TestAcc:          res.TestAcc,
-	}
-	report.Results = append(report.Results, row)
-	t.add(algo, transport, ms(row.WallEpochSeconds), ms(row.SimEpochSeconds), pct(row.TestAcc))
+func addTransportRow(t *table, algo, transport string, epochs int, wall time.Duration, res *train.DistResult) {
+	t.add(algo, transport, ms(wall.Seconds()/float64(epochs)), ms(res.AvgEpochSeconds(1, epochs)), pct(res.TestAcc))
 }

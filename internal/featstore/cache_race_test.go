@@ -113,7 +113,7 @@ func TestShardedGatherCountersReconcileUnderRace(t *testing.T) {
 			go func(slot int, st *Sharded) {
 				defer wg.Done()
 				for i := 0; i < gathersPerG; i++ {
-					if _, err := st.Gather(frontier); err != nil {
+					if _, err := st.Gather(frontier, nil); err != nil {
 						errs[slot] = err
 						return
 					}

@@ -9,8 +9,9 @@
 //   - an owner-split sharded store (Sharded): each rank materializes only
 //     the feature rows of the vertices it owns, frontier positions owned by
 //     peers become one batched halo fetch per owner rank over the
-//     comm.ReqRep request/reply plane, and fetched rows land in a per-rank
-//     sharded LRU (Cache) so repeat frontier traffic is absorbed locally;
+//     comm.ReqRep request/reply plane, and fetched rows may land in a
+//     per-rank LRU (Cache) — sharded serving budgets one, sampled training
+//     runs without, since over the in-process fabric a fetch is a copy;
 //   - the Cache itself, the concurrency-safe byte-budgeted LRU promoted
 //     from internal/cachesim, shared by both sources and reused by serve
 //     for its embedding cache.
@@ -19,24 +20,10 @@
 // the same code path (the ROADMAP's "billion-edge-scale training and
 // serving" refactor): the sharded serving engine and the sharded sampled
 // trainer differ only in what they do with the gathered rows. The contract
-// every Source honors is exactness — a gather returns the same fp32 bits
-// the resident matrix holds, regardless of which rank the row lives on,
+// every gather honors is exactness — it returns the same fp32 bits the
+// resident matrix holds, regardless of which rank the row lives on,
 // whether it was cached, or how the frontier was batched. That contract is
 // what lets the cross-shard serving conformance harness and the
 // distributed-minibatch conformance harness pin bit-identical results
 // across 1/2/4 ranks and both comm fabrics.
 package featstore
-
-import "distgnn/internal/tensor"
-
-// Source materializes the raw input-feature rows for a frontier of global
-// vertex IDs: row i of the result is the feature vector of frontier[i].
-// Implementations must be exact (fp32 bits identical to the backing store)
-// and safe for concurrent use.
-type Source interface {
-	// Gather returns a freshly allocated |frontier|×Cols matrix whose row i
-	// is the feature vector of global vertex frontier[i].
-	Gather(frontier []int32) (*tensor.Matrix, error)
-	// Cols returns the feature width.
-	Cols() int
-}

@@ -5,9 +5,9 @@ import (
 	"distgnn/internal/tensor"
 )
 
-// Local is the single-process Source: every feature row is resident in this
-// process (an fp32 matrix behind spmm.FeatRows), optionally fronted by a
-// byte-budgeted LRU. With the whole store resident the cache cannot beat a
+// Local is the single-process feature store: every feature row is resident
+// in this process (an fp32 matrix behind spmm.FeatRows), optionally fronted
+// by a byte-budgeted LRU. With the whole store resident the cache cannot beat a
 // direct row copy — it is the stand-in for the remote/out-of-core feature
 // fetch a deployment at real scale pays per miss (the paper's
 // feature-locality cost; Sharded pays it for real over the comm fabric),
@@ -23,12 +23,6 @@ type Local struct {
 func NewLocal(feats spmm.FeatRows, cache *Cache[int32, []float32]) *Local {
 	return &Local{feats: feats, cache: cache}
 }
-
-// Cols returns the feature width.
-func (lf *Local) Cols() int { return lf.feats.Cols() }
-
-// CacheStats snapshots the front cache's counters (zero when disabled).
-func (lf *Local) CacheStats() CacheStats { return lf.cache.Stats() }
 
 // Gather materializes the frontier's feature rows, serving rows from the
 // cache when resident; the gathered bits equal the store's regardless of

@@ -11,16 +11,17 @@ import (
 	"distgnn/internal/tensor"
 )
 
-// Sharded is the distributed Source: each rank materializes a compact slab
-// of exactly the feature rows it owns (one owner per vertex, derived from
-// the deterministic partitioning by every rank independently), and serves
-// everything else over the comm fabric. A gather splits the frontier by
-// owner: local positions copy straight out of the slab, halo positions are
-// served from the per-rank LRU or batched into one comm.ReqRep fetch per
-// owner rank, fanned out concurrently. Only feature *sourcing* is
-// distributed — the gathered fp32 bits are identical to a single-process
-// gather, which is the contract both the sharded serving engine and the
-// sharded sampled trainer build their bit-identity pins on.
+// Sharded is the distributed feature store: each rank materializes a
+// compact slab of exactly the feature rows it owns (one owner per vertex,
+// derived from the deterministic partitioning by every rank independently),
+// and serves everything else over the comm fabric. A gather splits the
+// frontier by owner: local positions copy straight out of the slab, halo
+// positions are served from the per-rank LRU (when one is budgeted) or
+// batched into one comm.ReqRep fetch per owner rank, fanned out
+// concurrently. Only feature *sourcing* is distributed — the gathered fp32
+// bits are identical to a single-process gather, which is the contract both
+// the sharded serving engine and the sharded sampled trainer build their
+// bit-identity pins on.
 //
 // Construction registers this rank as a responder on the transport's
 // reserved serve tag range (comm.ServeTagBase), so peers' fetches are
@@ -100,14 +101,6 @@ type ShardedStats struct {
 	RemoteCache CacheStats
 }
 
-// HaloHitRate returns HaloHits/(HaloHits+HaloMisses), 0 when idle.
-func (s ShardedStats) HaloHitRate() float64 {
-	if s.HaloHits+s.HaloMisses == 0 {
-		return 0
-	}
-	return float64(s.HaloHits) / float64(s.HaloHits+s.HaloMisses)
-}
-
 // NewSharded materializes this rank's owned feature slice and starts
 // answering peers' halo fetches on the transport's reserved tag range.
 func NewSharded(cfg ShardedConfig) (*Sharded, error) {
@@ -168,16 +161,6 @@ func (st *Sharded) Rank() int { return st.rank }
 
 // Shards returns the fleet size.
 func (st *Sharded) Shards() int { return st.shards }
-
-// Cols returns the feature width.
-func (st *Sharded) Cols() int { return st.featDim }
-
-// OwnedVertices returns how many feature rows this rank holds resident.
-func (st *Sharded) OwnedVertices() int { return st.slab.Rows }
-
-// Owners returns the shared owner table (global vertex ID → owner rank).
-// Callers must treat it as read-only.
-func (st *Sharded) Owners() []int32 { return st.owners }
 
 // Close stops issuing new halo fetches and reaps the request/reply
 // endpoint. The transport stays owned by the caller. Idempotent.
@@ -283,22 +266,27 @@ func (st *Sharded) handleFetch(from int, trace uint64, req []float32) ([]float32
 	return out, nil
 }
 
-// Gather materializes the frontier's feature rows: local positions from the
-// slab, halo positions from the cache or the fabric.
-func (st *Sharded) Gather(frontier []int32) (*tensor.Matrix, error) {
-	return st.GatherSplit(frontier, SplitByOwner(frontier, st.owners, st.shards), nil)
+// splitByOwner partitions frontier positions by owning shard: the result's
+// entry p lists every index i with owners[frontier[i]] == p, in frontier
+// order. k is the shard count; owners must cover every frontier vertex
+// with values in [0, k).
+func splitByOwner(frontier []int32, owners []int32, k int) [][]int32 {
+	out := make([][]int32, k)
+	for i, v := range frontier {
+		out[owners[v]] = append(out[owners[v]], int32(i))
+	}
+	return out
 }
 
-// GatherSplit is Gather with the owner split precomputed (split[p] lists
-// the frontier positions owned by rank p, as minibatch.SplitByOwner
-// returns) — for callers that resolve ownership once per request and reuse
-// it. Halo positions are served from the remote cache or batched into one
-// fetch per owner rank, fanned out concurrently. A non-nil tc gets one
+// Gather materializes the frontier's feature rows: local positions from the
+// slab, halo positions from the remote cache or batched into one fetch per
+// owner rank, fanned out concurrently. A non-nil tc gets one
 // halo_rtt_rank<p> span per peer fetch, and tc's trace ID rides the fetch
 // frames so owner ranks attribute the served work to the same request;
 // pass nil when untraced. The gathered bits are identical either way —
 // tracing only observes.
-func (st *Sharded) GatherSplit(frontier []int32, split [][]int32, tc *obs.TraceCtx) (*tensor.Matrix, error) {
+func (st *Sharded) Gather(frontier []int32, tc *obs.TraceCtx) (*tensor.Matrix, error) {
+	split := splitByOwner(frontier, st.owners, st.shards)
 	x := tensor.New(len(frontier), st.featDim)
 
 	for _, i := range split[st.rank] {
@@ -312,17 +300,19 @@ func (st *Sharded) GatherSplit(frontier []int32, split [][]int32, tc *obs.TraceC
 		if p == st.rank || len(split[p]) == 0 {
 			continue
 		}
-		var miss []int32
-		for _, i := range split[p] {
-			v := frontier[i]
-			if row, ok := st.remote.Get(v); ok {
-				st.haloHits.Add(1)
-				copy(x.Row(int(i)), row)
-			} else {
-				st.haloMisses.Add(1)
-				miss = append(miss, i)
+		miss := split[p]
+		if st.remote != nil {
+			miss = miss[:0:0]
+			for _, i := range split[p] {
+				if row, ok := st.remote.Get(frontier[i]); ok {
+					copy(x.Row(int(i)), row)
+				} else {
+					miss = append(miss, i)
+				}
 			}
+			st.haloHits.Add(int64(len(split[p]) - len(miss)))
 		}
+		st.haloMisses.Add(int64(len(miss)))
 		if len(miss) == 0 {
 			continue
 		}
@@ -367,7 +357,9 @@ func (st *Sharded) GatherSplit(frontier []int32, split [][]int32, tc *obs.TraceC
 		for j, i := range pos {
 			row := rep[j*st.featDim : (j+1)*st.featDim]
 			copy(x.Row(int(i)), row)
-			st.remote.Put(frontier[i], append([]float32(nil), row...), 4*st.featDim)
+			if st.remote != nil {
+				st.remote.Put(frontier[i], append([]float32(nil), row...), 4*st.featDim)
+			}
 		}
 		st.haloFetches.Add(1)
 		st.haloVertices.Add(int64(len(pos)))

@@ -9,11 +9,11 @@ import (
 	"distgnn/internal/obs"
 )
 
-// TestGatherSplitTraced pins the cross-rank attribution contract: a traced
+// TestGatherTraced pins the cross-rank attribution contract: a traced
 // gather records one halo_rtt span per peer fetched, the owner ranks record
 // "halo" trace entries under the caller's trace ID, and the gathered bits
 // match the untraced path exactly.
-func TestGatherSplitTraced(t *testing.T) {
+func TestGatherTraced(t *testing.T) {
 	const n, dim, shards = 40, 4, 2
 	feats := testMatrix(n, dim, 3)
 	owners := ownersRoundRobin(n, shards)
@@ -42,8 +42,7 @@ func TestGatherSplitTraced(t *testing.T) {
 	frontier := []int32{0, 1, 2, 3, 4, 5}
 	id := obs.NewTraceID()
 	tc := obs.NewTraceCtx(id)
-	split := SplitByOwner(frontier, owners, shards)
-	x, err := stores[0].GatherSplit(frontier, split, tc)
+	x, err := stores[0].Gather(frontier, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestGatherSplitTraced(t *testing.T) {
 
 	// Untraced gathers through the same stores must not mint records.
 	before := len(tracers[1].Recent(1 << 10))
-	if _, err := stores[0].Gather(frontier); err != nil {
+	if _, err := stores[0].Gather(frontier, nil); err != nil {
 		t.Fatal(err)
 	}
 	if after := len(tracers[1].Recent(1 << 10)); after != before {

@@ -1,4 +1,4 @@
-package minibatch
+package featstore
 
 import (
 	"math/rand"
@@ -19,7 +19,7 @@ func TestSplitByOwnerPartitionsEveryPosition(t *testing.T) {
 	for i := range frontier {
 		frontier[i] = int32(rng.Intn(n))
 	}
-	split := SplitByOwner(frontier, owners, k)
+	split := splitByOwner(frontier, owners, k)
 	if len(split) != k {
 		t.Fatalf("split has %d shards, want %d", len(split), k)
 	}
@@ -78,7 +78,7 @@ func TestSplitByOwnerRecoversPermutation(t *testing.T) {
 		for i := range frontier {
 			frontier[i] = int32(rng.Intn(tc.n)) // duplicates allowed
 		}
-		split := SplitByOwner(frontier, owners, tc.k)
+		split := splitByOwner(frontier, owners, tc.k)
 		if len(split) != tc.k {
 			t.Fatalf("%s: %d shards, want %d", tc.name, len(split), tc.k)
 		}
@@ -100,60 +100,5 @@ func TestSplitByOwnerRecoversPermutation(t *testing.T) {
 			}
 			seen[i] = true
 		}
-	}
-}
-
-// TestFullSampleOwnedMatchesFullSample: the partition-aware form builds the
-// identical Sample (the bit-identity contract rides on this) and its split
-// covers the input frontier.
-func TestFullSampleOwnedMatchesFullSample(t *testing.T) {
-	g := fullTestGraph(t)
-	rng := rand.New(rand.NewSource(22))
-	const k = 3
-	owners := make([]int32, g.NumVertices)
-	for v := range owners {
-		owners[v] = int32(rng.Intn(k))
-	}
-	seeds := []int32{3, 17, 42}
-	want := FullSample(g, seeds, 2)
-	got, split := FullSampleOwned(g, seeds, 2, owners, k)
-
-	if len(got.Blocks) != len(want.Blocks) || len(got.Frontiers) != len(want.Frontiers) {
-		t.Fatalf("shape mismatch: %d/%d blocks, %d/%d frontiers",
-			len(got.Blocks), len(want.Blocks), len(got.Frontiers), len(want.Frontiers))
-	}
-	for h := range want.Frontiers {
-		if len(got.Frontiers[h]) != len(want.Frontiers[h]) {
-			t.Fatalf("frontier %d: %d vs %d vertices", h, len(got.Frontiers[h]), len(want.Frontiers[h]))
-		}
-		for i := range want.Frontiers[h] {
-			if got.Frontiers[h][i] != want.Frontiers[h][i] {
-				t.Fatalf("frontier %d pos %d: %d vs %d", h, i, got.Frontiers[h][i], want.Frontiers[h][i])
-			}
-		}
-	}
-	for h := range want.Blocks {
-		gb, wb := got.Blocks[h], want.Blocks[h]
-		if gb.NumDst != wb.NumDst || gb.NumSrc != wb.NumSrc || len(gb.Indices) != len(wb.Indices) {
-			t.Fatalf("block %d shape differs", h)
-		}
-		for i := range wb.Indices {
-			if gb.Indices[i] != wb.Indices[i] {
-				t.Fatalf("block %d index %d differs", h, i)
-			}
-		}
-	}
-	total := 0
-	for p, pos := range split {
-		for _, i := range pos {
-			if owners[got.InputFrontier()[i]] != int32(p) {
-				t.Fatalf("split shard %d holds position %d owned by %d",
-					p, i, owners[got.InputFrontier()[i]])
-			}
-		}
-		total += len(pos)
-	}
-	if total != len(got.InputFrontier()) {
-		t.Fatalf("split covers %d of %d frontier positions", total, len(got.InputFrontier()))
 	}
 }

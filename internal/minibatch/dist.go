@@ -33,9 +33,6 @@ type DistConfig struct {
 	// PartitionSeed seeds the deterministic partitioning every rank derives
 	// identically (default 1, matching serve's shard mode).
 	PartitionSeed int64
-	// CacheBytes budgets the per-rank LRU of fetched halo feature rows;
-	// ≤ 0 disables caching.
-	CacheBytes int64
 }
 
 // DistEpochStat is one distributed mini-batch epoch.
@@ -59,7 +56,7 @@ type DistResult struct {
 	// replicas are identical). The golden and conformance tests compare it
 	// bit for bit across rank counts and transports.
 	Params []float32
-	// HaloStats is the per-rank featstore fetch/cache snapshot
+	// HaloStats is the per-rank featstore fetch snapshot
 	// (rank-indexed; a TCP endpoint fills only its own rank's entry).
 	HaloStats []featstore.ShardedStats
 }
@@ -95,11 +92,12 @@ func (cfg *DistConfig) validate() error {
 // the vertices it owns (internal/partition's deterministic vertex-cut
 // reduced to unique owners, exactly as the sharded serving engine does)
 // and reads everything else through featstore.Sharded: one batched halo
-// fetch per owner rank over the comm.ReqRep plane, absorbed by a per-rank
-// LRU, issued for batch t+1 while batch t computes. A sharded gather
-// returns the exact fp32 bits of the resident matrix (featstore's
+// fetch per owner rank over the comm.ReqRep plane, issued for batch t+1
+// while batch t computes. The ranks keep no halo cache: one changed no
+// bit and made epochs slower, in process and over loopback TCP. A sharded
+// gather returns the exact fp32 bits of the resident matrix (featstore's
 // contract), so the final parameters depend on the rank count and seed
-// only, not on the transport, the partitioning or the cache.
+// only, not on the transport or the partitioning.
 //
 // It sizes the kernel pool from cfg.Workers, then runs every rank this
 // process hosts: all NumRanks of a fresh in-process fabric when
@@ -126,10 +124,9 @@ func TrainSharded(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
 
 	run := func(world *comm.World) (*DistResult, error) {
 		store, err := featstore.NewSharded(featstore.ShardedConfig{
-			Transport:  world.Transport(),
-			Owners:     owners,
-			Features:   ds.Features,
-			CacheBytes: cfg.CacheBytes,
+			Transport: world.Transport(),
+			Owners:    owners,
+			Features:  ds.Features,
 		})
 		if err != nil {
 			return nil, err
@@ -292,7 +289,7 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, store *f
 // frontier's feature rows, local ones from the rank's slab and the rest
 // fetched from their owners.
 func gatherInput(store *featstore.Sharded, s *Sample) (spmm.FeatRows, error) {
-	x, err := store.Gather(s.InputFrontier())
+	x, err := store.Gather(s.InputFrontier(), nil)
 	return spmm.RowsOf(x), err
 }
 

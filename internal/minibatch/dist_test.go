@@ -24,11 +24,10 @@ func paramsBitEqual(t *testing.T, label string, got, want []float32) {
 }
 
 // TestTrainShardedConformance is the in-process distributed-minibatch pin:
-// with a halo cache and another partition seed, the trainer's final
-// parameters still carry the golden digests at 1, 2 and 4 ranks, and its
-// loss trace, sampled work and test accuracy match the plain golden run
-// exactly. Where features live and whether a halo row was cached changes
-// no bit.
+// with another partition seed, the trainer's final parameters still carry
+// the golden digests at 1, 2 and 4 ranks, and its loss trace, sampled work
+// and test accuracy match the plain golden run exactly. Where features
+// live changes no bit.
 func TestTrainShardedConformance(t *testing.T) {
 	ds := testDS(t)
 	for _, c := range sampledGolden[:3] {
@@ -37,7 +36,7 @@ func TestTrainShardedConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := goldenCfg(c.ranks)
-		cfg.CacheBytes, cfg.PartitionSeed = 1<<20, 7
+		cfg.PartitionSeed = 7
 		got, err := TrainSharded(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +79,6 @@ func TestTrainShardedTCPConformance(t *testing.T) {
 	ds := testDS(t)
 	for _, ranks := range []int{2, 4} {
 		cfg := goldenCfg(ranks)
-		cfg.CacheBytes = 1 << 20
 		ref, err := TrainSharded(ds, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -75,27 +75,6 @@ type EngineStats struct {
 	InputFrontierVertices int64 `json:"input_frontier_vertices"`
 }
 
-// featureSource materializes the raw input features for a block's
-// outermost frontier — the one stage of exact inference whose data may not
-// be resident in this process. The single-process engine reads the full
-// feature matrix (featstore.Local); the sharded engine reads its owned
-// slice and fetches halo rows from their owner ranks (featstore.Sharded via
-// shardFeatures, shard.go). Everything downstream of the gather is
-// identical either way, which is what keeps sharded exact-mode logits
-// bit-identical to single-process ones. featstore.Source satisfies it.
-type featureSource interface {
-	Gather(frontier []int32) (*tensor.Matrix, error)
-}
-
-// exactSampler lets a featureSource own exact-mode block extraction when it
-// can exploit partition structure: shardFeatures uses the partition-aware
-// minibatch.FullSampleOwned, so the input frontier arrives already split by
-// owner and the split is computed exactly once per request. tc (nil when
-// untraced) receives the stage spans the source can attribute.
-type exactSampler interface {
-	sampleExact(topo graph.Topology, seeds []int32, hops int, tc *obs.TraceCtx) (*minibatch.Sample, *tensor.Matrix, error)
-}
-
 // Engine runs forward-only inference over k-hop blocks. It is safe for
 // concurrent use: the dense and aggregation passes touch only request-local
 // state, and the sampled-mode RNG is guarded by a mutex.
@@ -109,10 +88,17 @@ type Engine struct {
 	sage *model.GraphSAGE
 	gat  *model.GAT
 	feat *featstore.Cache[int32, []float32]
-	src  featureSource
-	// feats is the resident feature store. The exact-mode GraphSAGE path
-	// aggregates straight from it through the fused gather kernel when the
-	// feature cache is disabled.
+	// gather materializes the raw input features of a block's outermost
+	// frontier, the one stage of inference whose data may not be resident
+	// in this process: featstore.Local's Gather over the whole matrix, or
+	// in shard mode featstore.Sharded's, which reads the owned slab and
+	// fetches halo rows from their owner ranks (tc gets the per-peer RTT
+	// spans). Everything downstream is identical either way, which keeps
+	// sharded exact-mode logits bit-identical to single-process ones.
+	gather func(frontier []int32, tc *obs.TraceCtx) (*tensor.Matrix, error)
+	// feats is the resident feature store, empty in shard mode. The
+	// exact-mode GraphSAGE path aggregates straight from it through the
+	// fused gather kernel when the feature cache is disabled.
 	feats spmm.FeatRows
 	// mut, when non-nil, is the graph mutation layer (Config.EnableUpdates):
 	// each request loads one epoch-versioned Snapshot and extracts its
@@ -149,7 +135,10 @@ func NewEngine(ds *datasets.Dataset, spec ModelSpec, fanouts []int, featureCache
 		feat:  featstore.NewCache[int32, []float32](featureCacheBytes, 0),
 		feats: spmm.RowsOf(ds.Features),
 	}
-	e.src = featstore.NewLocal(e.feats, e.feat)
+	local := featstore.NewLocal(e.feats, e.feat)
+	e.gather = func(frontier []int32, _ *obs.TraceCtx) (*tensor.Matrix, error) {
+		return local.Gather(frontier)
+	}
 	// model's constructors validate the config and name the parameters
 	// exactly as training does, so nn.ReadParams accepts exactly the
 	// checkpoints the trainers write.
@@ -267,37 +256,26 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 		}
 	}
 	var s *minibatch.Sample
-	var x *tensor.Matrix
-	var err error
-	switch {
-	case e.sampler != nil:
-		stop := tc.StartSpan("sample")
+	stop := tc.StartSpan("sample")
+	if e.sampler != nil {
 		e.samplerMu.Lock()
 		s = e.sampler.Sample(seeds)
 		e.samplerMu.Unlock()
-		stop()
-		stop = tc.StartSpan("gather")
-		x, err = e.src.Gather(s.InputFrontier())
-		stop()
-	case e.fusedExact():
-		// No gather: layer 0 reads frontier rows straight from e.feats.
-		stop := tc.StartSpan("sample")
+	} else {
 		s = minibatch.FullSample(topo, seeds, e.spec.NumLayers)
-		stop()
-	default:
-		if es, ok := e.src.(exactSampler); ok {
-			s, x, err = es.sampleExact(topo, seeds, e.spec.NumLayers, tc)
-			break
-		}
-		stop := tc.StartSpan("sample")
-		s = minibatch.FullSample(topo, seeds, e.spec.NumLayers)
-		stop()
-		stop = tc.StartSpan("gather")
-		x, err = e.src.Gather(s.InputFrontier())
-		stop()
 	}
-	if err != nil {
-		return nil, err
+	stop()
+	// The fused path skips the gather: layer 0 reads frontier rows straight
+	// from e.feats.
+	var x *tensor.Matrix
+	if !e.fusedExact() {
+		var err error
+		stop = tc.StartSpan("gather")
+		x, err = e.gather(s.InputFrontier(), tc)
+		stop()
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Layer 0 reads the gathered matrix, or on the fused path the resident
@@ -310,7 +288,7 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 	e.seedVertices.Add(int64(len(seeds)))
 	e.frontierIn.Add(int64(len(s.InputFrontier())))
 
-	stop := tc.StartSpan("forward")
+	stop = tc.StartSpan("forward")
 	var out *tensor.Matrix
 	if e.gat != nil {
 		// x is set: GAT never takes the fused path.
@@ -333,9 +311,5 @@ func (e *Engine) InferTraced(seeds []int32, tc *obs.TraceCtx) (*tensor.Matrix, e
 // path only engages when there is no cache to consult). The fused path
 // gives the gathered path's bits.
 func (e *Engine) fusedExact() bool {
-	if e.spec.Arch != ArchGraphSAGE || e.feat != nil {
-		return false
-	}
-	_, sharded := e.src.(exactSampler)
-	return !sharded
+	return e.sampler == nil && e.spec.Arch == ArchGraphSAGE && e.feat == nil && e.feats.Valid()
 }

@@ -56,10 +56,8 @@ type Topology struct {
 	// under Obs).
 	Frontend       string
 	FrontendConfig FrontendConfig
-	// PartitionSeed and RemoteCacheBytes go to every shard rank's
-	// ShardConfig.
-	PartitionSeed    int64
-	RemoteCacheBytes int64
+	// PartitionSeed goes to every shard rank's ShardConfig.
+	PartitionSeed int64
 	// Obs, when set, gives each instance its own registry and tracer: role
 	// "server" or "frontend", rank the shard rank (-1 for a single-process
 	// server and the frontend), addr its listen address. Nil leaves cfg's
@@ -177,7 +175,7 @@ func (top Topology) NewRank(ds *datasets.Dataset, ckpt []byte, cfg Config, fabri
 		return New(ds, bytes.NewReader(ckpt), cfg)
 	}
 	return NewShard(ds, bytes.NewReader(ckpt), cfg, ShardConfig{
-		Transport: fabric, PartitionSeed: top.PartitionSeed, RemoteCacheBytes: top.RemoteCacheBytes,
+		Transport: fabric, PartitionSeed: top.PartitionSeed,
 	})
 }
 

@@ -727,7 +727,7 @@ func TestServerReloadHotSwap(t *testing.T) {
 func TestReplicatedServingConformance(t *testing.T) {
 	ds, m, ckpt := trainedSageCheckpoint(t, 16, 2)
 	full := m.Forward(ds.Features, false)
-	cfg := Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2, EnableReload: true}
+	cfg := Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2, EnableReload: true, FeatureCacheBytes: 1 << 20}
 
 	// The rollover fixture: same shapes, different weights.
 	res, err := train.SingleSocket(ds, train.SingleConfig{
@@ -749,7 +749,7 @@ func TestReplicatedServingConformance(t *testing.T) {
 		for _, replicas := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%d-shard/%d-replica", shards, replicas), func(t *testing.T) {
 				fleet := startFleet(t, ds, ckpt, cfg, Topology{
-					Shards: shards, Replicas: replicas, Fabric: FabricInproc, RemoteCacheBytes: 1 << 20,
+					Shards: shards, Replicas: replicas, Fabric: FabricInproc,
 					Frontend: "127.0.0.1:0", FrontendConfig: FrontendConfig{MaxFails: 2, ProbeInterval: time.Hour},
 				})
 				defer fleet.Close()

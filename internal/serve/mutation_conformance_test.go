@@ -136,11 +136,12 @@ func TestMutationConformance(t *testing.T) {
 		mcfg.EnableUpdates = true
 		mcfg.CompactThreshold = -1 // explicit compaction below, so pre/post is deterministic
 		mcfg.EmbedCacheBytes = 1 << 20
+		mcfg.FeatureCacheBytes = 1 << 20 // each rank's halo LRU
 
 		for _, transport := range []string{"inproc", "tcp"} {
 			for _, shards := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/%s/%d-shard", arch, transport, shards)
-				fleet := startFleet(t, ds, ckpt, mcfg, Topology{Shards: shards, Fabric: Fabric(transport), RemoteCacheBytes: 1 << 20})
+				fleet := startFleet(t, ds, ckpt, mcfg, Topology{Shards: shards, Fabric: Fabric(transport)})
 
 				checkAll := func(stage string, want [][]float32) {
 					for r, srv := range fleet.Servers {
@@ -208,7 +209,9 @@ func TestMutationConformance(t *testing.T) {
 		// mutated fleets (the "cold fleet" form of the acceptance pin),
 		// even partitioned from another seed: bits never depend on owners.
 		finalDS := mutatedDataset(t, ds, prefix)
-		cold := startFleet(t, finalDS, ckpt, cfg, Topology{Shards: 2, RemoteCacheBytes: 1 << 20, PartitionSeed: 2})
+		ccfg := cfg
+		ccfg.FeatureCacheBytes = 1 << 20 // each rank's halo LRU
+		cold := startFleet(t, finalDS, ckpt, ccfg, Topology{Shards: 2, PartitionSeed: 2})
 		for r, srv := range cold.Servers {
 			out, err := srv.Engine().Infer(probe)
 			if err != nil {

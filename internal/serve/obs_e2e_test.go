@@ -259,8 +259,8 @@ func newObsFleet(t *testing.T) *obsFleet {
 	t.Helper()
 	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
 	of := &obsFleet{tracers: make([]*obs.Tracer, 2)}
-	of.Fleet = startFleet(t, ds, ckpt, Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}, Topology{
-		Shards: 2, Fabric: FabricTCP, RemoteCacheBytes: 1 << 20,
+	of.Fleet = startFleet(t, ds, ckpt, Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2, FeatureCacheBytes: 1 << 20}, Topology{
+		Shards: 2, Fabric: FabricTCP,
 		Frontend: "127.0.0.1:0", FrontendConfig: FrontendConfig{ProbeInterval: time.Hour},
 		Obs: func(role string, rank int, _ string) (*obs.Registry, *obs.Tracer) {
 			tracer := obs.NewTracer(obs.TracerConfig{Role: role, Rank: rank})

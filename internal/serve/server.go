@@ -281,7 +281,7 @@ func (s *Server) Reload(checkpoint io.Reader) error {
 	}
 	eng.feats = old.feats
 	eng.feat = old.feat
-	eng.src = old.src
+	eng.gather = old.gather
 	eng.mut = old.mut
 	if err := nn.ReadParams(checkpoint, eng.Params()); err != nil {
 		return fmt.Errorf("serve: reload checkpoint does not match serving model %s: %w", spec, err)

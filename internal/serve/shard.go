@@ -7,11 +7,8 @@ import (
 	"distgnn/internal/comm"
 	"distgnn/internal/datasets"
 	"distgnn/internal/featstore"
-	"distgnn/internal/graph"
-	"distgnn/internal/minibatch"
-	"distgnn/internal/obs"
 	"distgnn/internal/partition"
-	"distgnn/internal/tensor"
+	"distgnn/internal/spmm"
 )
 
 // shard.go is partition-parallel serving: the engine split across ranks so
@@ -25,7 +22,8 @@ import (
 // architectures. The one stage that differs is the input-frontier feature
 // gather: positions owned locally read the resident slab, halo positions
 // are batched into one tagged fetch per owner rank over the comm.Transport
-// (serverpc.go's reserved serve tag range) and cached in a per-rank LRU.
+// (serverpc.go's reserved serve tag range) and cached in a per-rank LRU
+// budgeted by Config.FeatureCacheBytes.
 //
 // Sharding here is of the serving *data path*: after construction the
 // engine reads owned features from the slab and everything else over the
@@ -45,10 +43,6 @@ type ShardConfig struct {
 	// PartitionSeed seeds the deterministic partitioning every rank must
 	// derive identically (default 1): Libra, the paper's vertex-cut.
 	PartitionSeed int64
-	// RemoteCacheBytes budgets the per-rank LRU of halo features fetched
-	// from peers; 0 defaults to Config.FeatureCacheBytes, negative
-	// disables.
-	RemoteCacheBytes int64
 }
 
 // ShardStats is the per-shard block of /stats: ownership shape and the
@@ -85,7 +79,6 @@ type ShardStats struct {
 // name and the partition's static halo size.
 type shardState struct {
 	partitioner string
-	g           *graph.CSR // replicated topology, for owned block extraction
 	fs          *featstore.Sharded
 	haloStatic  int
 	net         comm.NetStatsSource // nil when the fabric keeps no counters
@@ -104,16 +97,11 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard partitioning: %w", err)
 	}
-	owners := pt.Owners()
-	cacheBytes := sc.RemoteCacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = cfg.FeatureCacheBytes
-	}
 	fs, err := featstore.NewSharded(featstore.ShardedConfig{
 		Transport:  sc.Transport,
-		Owners:     owners,
+		Owners:     pt.Owners(),
 		Features:   ds.Features,
-		CacheBytes: cacheBytes,
+		CacheBytes: cfg.FeatureCacheBytes,
 		Tracer:     cfg.Tracer,
 	})
 	if err != nil {
@@ -121,7 +109,6 @@ func newShardState(ds *datasets.Dataset, cfg Config, sc ShardConfig) (*shardStat
 	}
 	st := &shardState{
 		partitioner: part.Name(),
-		g:           ds.G,
 		fs:          fs,
 		haloStatic:  len(pt.Halo(rank)),
 	}
@@ -151,37 +138,6 @@ func (st *shardState) stats() ShardStats {
 	}
 }
 
-// shardFeatures is the sharded featureSource: it reads through the shared
-// featstore.Sharded plane (local positions from the owned slab, halo
-// positions from the remote cache or one batched fetch per owner rank) and
-// adds the serving engine's exact-mode block extraction on top.
-type shardFeatures struct {
-	st *shardState
-}
-
-// sampleExact is the shard engine's exact-mode block extraction: the
-// partition-aware FullSampleOwned builds the identical Sample FullSample
-// would (the bit-identity contract) and hands the input frontier over
-// pre-split by owner, so ownership is resolved once per request. topo is
-// the engine's per-request topology view (the frozen CSR, or the mutation
-// snapshot the request loaded). A non-nil tc gets sample/gather spans plus
-// the per-peer halo RTT spans the traced gather records.
-func (sf *shardFeatures) sampleExact(topo graph.Topology, seeds []int32, hops int, tc *obs.TraceCtx) (*minibatch.Sample, *tensor.Matrix, error) {
-	fs := sf.st.fs
-	stop := tc.StartSpan("sample")
-	s, split := minibatch.FullSampleOwned(topo, seeds, hops, fs.Owners(), fs.Shards())
-	stop()
-	stop = tc.StartSpan("gather")
-	x, err := fs.GatherSplit(s.InputFrontier(), split, tc)
-	stop()
-	return s, x, err
-}
-
-// Gather satisfies featureSource for the engine's non-exact paths.
-func (sf *shardFeatures) Gather(frontier []int32) (*tensor.Matrix, error) {
-	return sf.st.fs.Gather(frontier)
-}
-
 // NewShard builds one rank of a sharded serving fleet: the same
 // checkpoint-loading, coalescing, caching HTTP server New builds, but with
 // the engine's feature gather split across the fleet. Shard mode is
@@ -197,13 +153,14 @@ func NewShard(ds *datasets.Dataset, checkpoint io.Reader, cfg Config, sc ShardCo
 		return nil, err
 	}
 	// Shard mode has no local gathered-feature cache — local rows come
-	// straight from the resident slab; the remote cache covers the fetch
-	// path — so the engine's cache budget is zero.
+	// straight from the resident slab, and cfg.FeatureCacheBytes budgets
+	// the store's halo LRU instead — so the engine's cache budget is zero.
+	// Every gather goes through the sharded store, never ds.Features.
 	eng, err := loadEngine(ds, checkpoint, cfg, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	eng.src = &shardFeatures{st: st}
+	eng.gather, eng.feats = st.fs.Gather, spmm.FeatRows{}
 	s := newServer(eng, cfg)
 	s.shard = st
 	if s.upd != nil {

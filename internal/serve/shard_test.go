@@ -85,11 +85,12 @@ func startFleet(t *testing.T, ds *datasets.Dataset, ckpt []byte, cfg Config, top
 func TestCrossShardServingConformance(t *testing.T) {
 	for _, arch := range []Arch{ArchGraphSAGE, ArchGAT} {
 		ds, full, ckpt, cfg := shardFixture(t, arch)
+		cfg.FeatureCacheBytes = 1 << 20 // each rank's halo LRU
 		probe := []int32{0, 1, 5, 17, int32(ds.G.NumVertices / 2), int32(ds.G.NumVertices - 1)}
 		for _, transport := range []string{"inproc", "tcp"} {
 			for _, shards := range []int{1, 2, 4} {
 				name := fmt.Sprintf("%s/%s/%d-shard", arch, transport, shards)
-				fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: shards, Fabric: Fabric(transport), RemoteCacheBytes: 1 << 20})
+				fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: shards, Fabric: Fabric(transport)})
 				for r, srv := range fleet.Servers {
 					// Cold pass: every halo feature crosses the fabric.
 					out, err := srv.Engine().Infer(probe)
@@ -162,7 +163,9 @@ func TestEndToEndTwoShardTCPServe(t *testing.T) {
 			}
 			defer single.Close()
 
-			fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: 2, Fabric: FabricTCP, RemoteCacheBytes: 1 << 20})
+			scfg := cfg
+			scfg.FeatureCacheBytes = 1 << 20 // each rank's halo LRU
+			fleet := startFleet(t, ds, ckpt, scfg, Topology{Shards: 2, Fabric: FabricTCP})
 			defer fleet.Close()
 
 			probe := []int32{2, 9, 33, int32(ds.G.NumVertices - 2)}
@@ -231,8 +234,8 @@ func predictCounts(servers []*Server) []int64 {
 func TestShardRaceConcurrentCrossShardFanOut(t *testing.T) {
 	ds, m, ckpt := trainedSageCheckpoint(t, 16, 2)
 	cfg := Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2,
-		MaxBatch: 8, MaxWait: time.Millisecond, EmbedCacheBytes: 1 << 18}
-	fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: 2, RemoteCacheBytes: 1 << 15})
+		MaxBatch: 8, MaxWait: time.Millisecond, EmbedCacheBytes: 1 << 18, FeatureCacheBytes: 1 << 15}
+	fleet := startFleet(t, ds, ckpt, cfg, Topology{Shards: 2})
 	defer fleet.Close()
 	// The concurrent gets below can leave a dialed, never-used connection
 	// in this client's pool, which the fleet's Shutdown would wait 5 s on.
@@ -319,7 +322,7 @@ func TestShardNetStatsPerRank(t *testing.T) {
 	ds, _, ckpt := trainedSageCheckpoint(t, 16, 2)
 	regs := make([]*obs.Registry, 2)
 	fleet := startFleet(t, ds, ckpt, Config{Arch: ArchGraphSAGE, Hidden: 16, NumLayers: 2}, Topology{
-		Shards: 2, RemoteCacheBytes: -1,
+		Shards: 2,
 		Obs: func(_ string, rank int, _ string) (*obs.Registry, *obs.Tracer) {
 			regs[rank] = obs.NewRegistry()
 			return regs[rank], nil
