@@ -91,8 +91,6 @@ func main() {
 	batch := flag.Int("batch", 512, "minibatch: seed vertices per rank per step")
 	telemetryPath := flag.String("telemetry", "",
 		"write per-epoch training telemetry as JSONL here (speaking rank only); losses carry exact float64 bit patterns")
-	metricsJSON := flag.String("metrics-json", "",
-		"dump a JSON metrics snapshot here at exit (speaking rank only)")
 	profileMode := flag.String("profile", "",
 		"capture a pprof profile over the whole run: cpu or mem")
 	profileOut := flag.String("profile-out", "",
@@ -143,7 +141,7 @@ func main() {
 	// Telemetry and profiling follow the speaking rank: spawned ranks
 	// inherit the parent's flags, so gating on verbose keeps them from
 	// clobbering the same output files.
-	tel := newTelemetry(*telemetryPath, *metricsJSON, verbose)
+	tel := newTelemetry(*telemetryPath, verbose)
 	stopProf := func() {}
 	if verbose && *profileMode != "" {
 		out := *profileOut

@@ -123,8 +123,8 @@ func testTraining(t *testing.T) {
 
 // testMinibatch: 2-rank sampled mini-batch training with sharded features,
 // in-process and as 2 OS processes over loopback TCP, gives byte-identical
-// loss traces, accuracy and final-parameter digest once the wall times are
-// stripped.
+// loss traces, halo row counts (every rank's fetches), accuracy and
+// final-parameter digest once the wall times are stripped.
 func testMinibatch(t *testing.T) {
 	args := []string{"-minibatch", "-fanouts", "10,5", "-batch", "256", "-sockets", "2",
 		"-dataset", "reddit-sim", "-scale", "0.05", "-epochs", "4"}
@@ -132,8 +132,11 @@ func testMinibatch(t *testing.T) {
 	inproc := train(t, args...)
 	tcp := train(t, append(args, "-transport", "tcp", "-spawn-local")...)
 	requireDigest(t, inproc)
+	if !strings.Contains(inproc, "\nhalo: ") {
+		t.Fatalf("sharded training log has no halo line:\n%s", inproc)
+	}
 	if got, want := epochLines(tcp, wall), epochLines(inproc, wall); got != want {
-		t.Errorf("tcp epoch/accuracy lines differ from in-process:\n%s\nvs\n%s", got, want)
+		t.Errorf("tcp epoch/halo/accuracy lines differ from in-process:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -463,13 +466,13 @@ func train(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// epochLines keeps the epoch, accuracy and final-parameter digest lines
-// of a training log, with strip's matches deleted from each.
+// epochLines keeps the epoch, halo, accuracy and final-parameter digest
+// lines of a training log, with strip's matches deleted from each.
 func epochLines(out string, strip *regexp.Regexp) string {
 	var keep []string
 	for _, ln := range strings.Split(out, "\n") {
-		if strings.HasPrefix(ln, "epoch") || strings.HasPrefix(ln, "accuracy") ||
-			strings.HasPrefix(ln, "params digest") {
+		if strings.HasPrefix(ln, "epoch") || strings.HasPrefix(ln, "halo:") ||
+			strings.HasPrefix(ln, "accuracy") || strings.HasPrefix(ln, "params digest") {
 			if strip != nil {
 				ln = strip.ReplaceAllString(ln, "")
 			}

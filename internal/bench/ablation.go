@@ -26,11 +26,10 @@ func Ablations() []Experiment {
 		{"abl-partitioner", "Ablation: partitioner choice vs replication and epoch time", AblationPartitioner},
 		{"abl-model", "Ablation: GCN vs GIN vs GAT accuracy", AblationModel},
 		{"abl-mb-dist", "Ablation: distributed mini-batch scaling (§7 future work)", AblationMiniBatchDist},
-		{"abl-distmb", "Ablation: sharded-feature mini-batch — wall epoch and halo hit rate vs rank count", AblationDistMB},
 		{"abl-reorder", "Ablation: vertex reordering vs AP cache reuse", AblationReorder},
 		{"abl-workers", "Ablation: worker-pool size vs AP/matmul time (OMP_NUM_THREADS)", AblationWorkers},
 		{"abl-transport", "Ablation: in-process vs TCP-loopback comm transport epoch time", AblationTransport},
-		{"abl-kernels", "Ablation: aggregation kernel arms (gathered/fused) and wall-epoch trajectory", AblationKernels},
+		{"abl-kernels", "Ablation: aggregation kernel arms (gathered/fused) and mini-batch wall epoch vs rank count", AblationKernels},
 	}
 }
 

@@ -22,8 +22,9 @@ import (
 //     store (bit-identical math, no gathered matrix).
 //
 // Plus the end-to-end figure the kernels exist to move: mini-batch wall
-// time per epoch, one rank of minibatch.TrainSharded, which gathers each
-// batch's layer-0 rows and so runs the gathered arm. The wall times are
+// time per epoch of minibatch.TrainSharded at 1, 2 and 4 ranks, which
+// gathers each batch's layer-0 rows and so runs the gathered arm, with the
+// halo rows the ranks fetched from their peers. The wall times are
 // reported, not gated: perfbench gates wall time, and the mini-batch step's
 // allocation budget (internal/minibatch) pins its garbage.
 
@@ -109,27 +110,37 @@ func AblationKernels(opt Options) error {
 	}
 	t.write(opt.Out)
 
-	// End to end: the mini-batch epoch these kernels sit inside. Min over
-	// epochs — the steady-state epoch, insulated from first-epoch warmup.
-	res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
-		Config: minibatch.Config{
-			Hidden:    kernelBenchHidden,
-			Fanouts:   []int{kernelBenchFanout, kernelBenchFanout},
-			BatchSize: kernelBenchBatch, Epochs: opt.epochs(2),
-			LR: 0.02, UseAdam: true, Seed: 1,
-		},
-		NumRanks: 1,
-	})
-	if err != nil {
-		return err
-	}
-	best := math.Inf(1)
-	for _, e := range res.Epochs {
-		if sec := e.Time.Seconds(); sec < best {
-			best = sec
+	// End to end: the mini-batch epoch these kernels sit inside, across
+	// rank counts. Ranks above one source non-owned rows from their peers,
+	// so the sweep also shows the cost of remote features.
+	e2e := &table{header: []string{"#ranks", "epoch (wall)", "steps", "rows fetched", "test acc"}}
+	for _, ranks := range []int{1, 2, 4} {
+		res, err := minibatch.TrainSharded(ds, minibatch.DistConfig{
+			Config: minibatch.Config{
+				Hidden:    kernelBenchHidden,
+				Fanouts:   []int{kernelBenchFanout, kernelBenchFanout},
+				BatchSize: kernelBenchBatch, Epochs: opt.epochs(2),
+				LR: 0.02, UseAdam: true, Seed: 1,
+			},
+			NumRanks: ranks,
+		})
+		if err != nil {
+			return err
 		}
+		// Min over epochs: the steady-state epoch, insulated from
+		// first-epoch warmup.
+		best := math.Inf(1)
+		for _, e := range res.Epochs {
+			best = min(best, e.Time.Seconds())
+		}
+		var fetched int64
+		for _, hs := range res.HaloStats {
+			fetched += hs.HaloFetchedVertices
+		}
+		e2e.add(fmt.Sprint(ranks), ms(best), fmt.Sprint(res.Epochs[len(res.Epochs)-1].Steps),
+			fmt.Sprint(fetched), pct(res.TestAcc))
 	}
-	fmt.Fprintf(opt.Out, "wall-epoch (fp32 features): %s   test acc %s\n", ms(best), pct(res.TestAcc))
+	e2e.write(opt.Out)
 	return nil
 }
 

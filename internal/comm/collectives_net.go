@@ -157,38 +157,3 @@ func (w *World) AllGather(data []float32) []float32 {
 	}
 	return out
 }
-
-// ReduceScatterSum splits each rank's buffer into N equal chunks, sums
-// chunk i across ranks, and returns this rank's chunk of the sum — the
-// first half of a ring AllReduce. Buffer length must be a multiple of N and
-// equal on all ranks.
-func (w *World) ReduceScatterSum(data []float32) []float32 {
-	rank := w.self
-	if len(data)%w.N != 0 {
-		panic(fmt.Sprintf("comm: reduce-scatter length %d not divisible by world size %d",
-			len(data), w.N))
-	}
-	chunk := len(data) / w.N
-	tag := w.nextCollTag()
-	for peer := 0; peer < w.N; peer++ {
-		if peer == rank {
-			continue
-		}
-		if err := w.tr.Send(rank, peer, &Envelope{Tag: tag, F32: data[peer*chunk : (peer+1)*chunk]}); err != nil {
-			panic(err)
-		}
-	}
-	out := make([]float32, chunk)
-	for r := 0; r < w.N; r++ {
-		src := data[rank*chunk : (rank+1)*chunk]
-		if r != rank {
-			src = w.recvPeer(r, tag)
-			if len(src) != chunk {
-				panic(fmt.Sprintf("comm: reduce-scatter chunk mismatch: rank %d expected %d, rank %d sent %d",
-					rank, chunk, r, len(src)))
-			}
-		}
-		tensor.Accumulate(out, src)
-	}
-	return out
-}

@@ -60,58 +60,3 @@ func TestAllGatherOrderAndContent(t *testing.T) {
 		}
 	}
 }
-
-func TestReduceScatterSum(t *testing.T) {
-	const n = 4
-	results := make([][]float32, n)
-	RunInProcess(n, func(w *World) {
-		rank := w.Self()
-		// Every rank contributes [rank, rank, ..., rank] of length 2n;
-		// chunk sums are Σranks = 6 per element.
-		data := make([]float32, 2*n)
-		for i := range data {
-			data[i] = float32(rank)
-		}
-		results[rank] = w.ReduceScatterSum(data)
-	})
-	for rank, got := range results {
-		if len(got) != 2 {
-			t.Fatalf("rank %d: chunk length %d", rank, len(got))
-		}
-		for _, v := range got {
-			if v != 6 {
-				t.Fatalf("rank %d: got %v want 6", rank, got)
-			}
-		}
-	}
-}
-
-func TestReduceScatterThenAllGatherEqualsAllReduce(t *testing.T) {
-	// The classic identity: reduce-scatter + all-gather == all-reduce.
-	const n = 3
-	inputs := [][]float32{
-		{1, 2, 3, 4, 5, 6},
-		{10, 20, 30, 40, 50, 60},
-		{100, 200, 300, 400, 500, 600},
-	}
-	viaAR := make([][]float32, n)
-	viaRS := make([][]float32, n)
-	RunInProcess(n, func(w *World) {
-		rank := w.Self()
-		a := append([]float32(nil), inputs[rank]...)
-		w.AllReduceSum(a)
-		viaAR[rank] = a
-
-		b := append([]float32(nil), inputs[rank]...)
-		chunk := w.ReduceScatterSum(b)
-		viaRS[rank] = w.AllGather(chunk)
-	})
-	for rank := 0; rank < n; rank++ {
-		for i := range viaAR[rank] {
-			if viaAR[rank][i] != viaRS[rank][i] {
-				t.Fatalf("rank %d elem %d: AR %v vs RS+AG %v",
-					rank, i, viaAR[rank][i], viaRS[rank][i])
-			}
-		}
-	}
-}

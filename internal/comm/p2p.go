@@ -7,11 +7,11 @@ import (
 	"distgnn/internal/quant"
 )
 
-// p2p.go is the nonblocking point-to-point layer: MPI-style Isend/Irecv
-// returning Request handles with Test/Wait/WaitAll semantics over the
+// p2p.go is the nonblocking point-to-point layer: MPI-style IsendPacked/
+// Irecv returning Request handles with Test/Wait semantics over the
 // world's Transport — the in-process fabric or TCP, identical behavior on
 // both. Payloads are copied (and, for 16-bit wire formats, packed) by the
-// time Isend returns, so a sender's buffer is immediately reusable and
+// time IsendPacked returns, so a sender's buffer is immediately reusable and
 // the transfer proceeds "in the background". The layer keeps no simulated
 // time: how much of a transfer cd-rs's compute hides (§6.3) is replayed by
 // the trainer (train/timing.go) from the sizes it posts.
@@ -20,7 +20,7 @@ import (
 // exactly once each side.
 var (
 	// ErrNotPosted is returned by Test/Wait on a zero-value Request that was
-	// never produced by Isend/Irecv.
+	// never produced by IsendPacked/Irecv.
 	ErrNotPosted = errors.New("comm: request was never posted")
 	// ErrAlreadyWaited is returned by a second Wait (or a Test after Wait) on
 	// a completed request.
@@ -28,7 +28,7 @@ var (
 )
 
 // Request is a handle on one nonblocking operation. The zero value is not
-// posted; only Isend/Irecv produce live requests.
+// posted; only IsendPacked/Irecv produce live requests.
 type Request struct {
 	w    *World
 	recv bool
@@ -44,26 +44,18 @@ func (w *World) checkRank(name string, r int) {
 	}
 }
 
-// Isend posts a nonblocking send of data from this rank to rank `to`.
-// The payload is copied at post time, so the caller's buffer is immediately
-// reusable; the matching Irecv observes the values as posted. The returned
-// request completes trivially (buffered-send semantics) — Wait it to keep
-// the post/wait pairing uniform.
-func (w *World) Isend(to, tag int, data []float32) *Request {
-	return w.post(to, tag, data, quant.FP32)
-}
-
-// IsendPacked is Isend with the payload packed into the 16-bit wire format
-// at post time — compression rides the request path, off the critical path
-// of the compute the transfer overlaps, and on the TCP fabric the packed
-// words are the literal bytes on the wire. The receiver's Wait unpacks, so
-// it observes exactly RoundSlice(data). FP32 falls back to Isend.
+// IsendPacked posts a nonblocking send of data from this rank to rank
+// `to`, in wire precision p. The payload is copied at post time, so the
+// caller's buffer is immediately reusable. A 16-bit p packs the payload
+// into its wire format at post time — compression rides the request path,
+// off the critical path of the compute the transfer overlaps, and on the
+// TCP fabric the packed words are the literal bytes on the wire. The
+// matching Irecv's Wait unpacks, so it observes exactly RoundSlice(data);
+// at FP32 it observes the values as posted. The returned request completes
+// trivially (buffered-send semantics) — Wait it to keep the post/wait
+// pairing uniform.
 func (w *World) IsendPacked(to, tag int, data []float32, p quant.Precision) *Request {
-	return w.post(to, tag, data, p)
-}
-
-func (w *World) post(to, tag int, data []float32, p quant.Precision) *Request {
-	w.checkRank("Isend destination", to)
+	w.checkRank("IsendPacked destination", to)
 	from := w.self
 	env := &Envelope{Tag: tag, Prec: p}
 	if p == quant.FP32 {
@@ -135,17 +127,4 @@ func (r *Request) Wait() ([]float32, error) {
 		r.data = env.Prec.Unpack(make([]float32, 0, len(env.U16)), env.U16)
 	}
 	return r.data, nil
-}
-
-// WaitAll waits every request in order and returns the first error
-// encountered; it still drains the remaining requests so no message is
-// left stranded in the mailbox.
-func (w *World) WaitAll(reqs ...*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -12,7 +12,7 @@ import (
 func TestIsendIrecvDeliversPayload(t *testing.T) {
 	w := procWorlds(2)
 	payload := []float32{1, 2, 3.5, -4}
-	send := w[0].Isend(1, 7, payload)
+	send := w[0].IsendPacked(1, 7, payload, quant.FP32)
 	// Buffered-send semantics: the caller's slice is reusable immediately.
 	payload[0] = 99
 
@@ -41,7 +41,7 @@ func TestIrecvTestReportsPending(t *testing.T) {
 	if ok, err := recv.Test(); err != nil || ok {
 		t.Fatalf("no message posted: Test = %v, %v", ok, err)
 	}
-	w[0].Isend(1, 3, []float32{1})
+	w[0].IsendPacked(1, 3, []float32{1}, quant.FP32)
 	if ok, err := recv.Test(); err != nil || !ok {
 		t.Fatalf("message posted: Test = %v, %v", ok, err)
 	}
@@ -52,7 +52,7 @@ func TestIrecvTestReportsPending(t *testing.T) {
 
 func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 	// Wait before post: the zero-value Request was never produced by
-	// Isend/Irecv.
+	// IsendPacked/Irecv.
 	var zero Request
 	if _, err := zero.Wait(); !errors.Is(err, ErrNotPosted) {
 		t.Fatalf("Wait on unposted request: %v, want ErrNotPosted", err)
@@ -63,7 +63,7 @@ func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 
 	// Double Wait on both sides of a completed exchange.
 	w := procWorlds(2)
-	send := w[0].Isend(1, 1, []float32{1})
+	send := w[0].IsendPacked(1, 1, []float32{1}, quant.FP32)
 	recv := w[1].Irecv(0, 1)
 	for _, r := range []*Request{send, recv} {
 		if _, err := r.Wait(); err != nil {
@@ -78,29 +78,11 @@ func TestRequestMisuseHasDefinedErrors(t *testing.T) {
 	}
 }
 
-func TestWaitAllReturnsFirstErrorButDrains(t *testing.T) {
-	w := procWorlds(2)
-	w[0].Isend(1, 1, []float32{1})
-	w[0].Isend(1, 2, []float32{2})
-	good1 := w[1].Irecv(0, 1)
-	good2 := w[1].Irecv(0, 2)
-	var bad Request
-	if err := w[1].WaitAll(good1, &bad, good2); !errors.Is(err, ErrNotPosted) {
-		t.Fatalf("WaitAll: %v, want ErrNotPosted", err)
-	}
-	// Both good requests must have been drained despite the error.
-	for _, r := range []*Request{good1, good2} {
-		if _, err := r.Wait(); !errors.Is(err, ErrAlreadyWaited) {
-			t.Fatalf("request not drained by WaitAll: %v", err)
-		}
-	}
-}
-
 func TestSameKeyMessagesDeliverFIFO(t *testing.T) {
 	w := procWorlds(2)
 	const n = 16
 	for i := 0; i < n; i++ {
-		w[0].Isend(1, 5, []float32{float32(i)})
+		w[0].IsendPacked(1, 5, []float32{float32(i)}, quant.FP32)
 	}
 	for i := 0; i < n; i++ {
 		got, err := w[1].Irecv(0, 5).Wait()
@@ -135,10 +117,10 @@ func TestIsendPackedMatchesRoundSlice(t *testing.T) {
 	}
 }
 
-// TestConcurrentIsendIrecvWaitAll hammers the mailbox from every rank at
+// TestConcurrentIsendIrecvWait hammers the mailbox from every rank at
 // once — the workload the race detector checks (race_on/race_off pattern:
 // rounds shrink under instrumentation).
-func TestConcurrentIsendIrecvWaitAll(t *testing.T) {
+func TestConcurrentIsendIrecvWait(t *testing.T) {
 	rounds := 40
 	if raceEnabled {
 		rounds = 10
@@ -147,20 +129,20 @@ func TestConcurrentIsendIrecvWaitAll(t *testing.T) {
 		RunInProcess(n, func(w *World) {
 			rank := w.Self()
 			for round := 0; round < rounds; round++ {
-				// Post all sends first, then all receives, then WaitAll —
-				// no rank ever blocks another's posts.
+				// Post all sends first, then all receives, then wait each
+				// receive in turn — no rank ever blocks another's posts.
 				for peer := 0; peer < n; peer++ {
-					w.Isend(peer, round, []float32{float32(rank), float32(round)})
+					w.IsendPacked(peer, round, []float32{float32(rank), float32(round)}, quant.FP32)
 				}
 				reqs := make([]*Request, n)
 				for peer := 0; peer < n; peer++ {
 					reqs[peer] = w.Irecv(peer, round)
 				}
-				if err := w.WaitAll(reqs...); err != nil {
-					panic(err)
-				}
 				for peer, r := range reqs {
-					data := r.data
+					data, err := r.Wait()
+					if err != nil {
+						panic(err)
+					}
 					if len(data) != 2 || data[0] != float32(peer) || data[1] != float32(round) {
 						panic(fmt.Sprintf("rank %d round %d: bad payload from %d: %v",
 							rank, round, peer, data))

@@ -234,7 +234,7 @@ func (t *TCPTransport) Establish() error {
 	}
 	// No rank proceeds until every rank's mesh is complete, so the first
 	// data frame can never race an unfinished Establish.
-	return t.Barrier(t.rank)
+	return t.barrier()
 }
 
 // dial connects to a peer, retrying refused connections until the deadline
@@ -426,12 +426,9 @@ func (t *TCPTransport) Poll(to, from, tag int) (*Envelope, bool, error) {
 	return t.box.poll(msgKey{src: from, dst: to, tag: tag})
 }
 
-// Barrier blocks until all N ranks enter the same barrier generation,
+// barrier blocks until all N ranks enter the same barrier generation,
 // coordinated through rank 0.
-func (t *TCPTransport) Barrier(rank int) error {
-	if rank != t.rank {
-		return fmt.Errorf("comm: tcp endpoint hosts rank %d, cannot barrier as rank %d", t.rank, rank)
-	}
+func (t *TCPTransport) barrier() error {
 	if t.n == 1 {
 		return nil
 	}

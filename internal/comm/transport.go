@@ -12,14 +12,14 @@ import (
 )
 
 // transport.go defines the pluggable comm fabric under World: framed
-// point-to-point send/recv of optionally quant-packed messages plus rank
-// bootstrap and barrier. Every Transport is one rank's endpoint. Two
-// implementations exist: the in-process fabric (procEndpoint, below —
-// every rank a goroutine in one process, delivering into per-rank
-// mailboxes) and the TCP transport (tcp.go — every rank its own OS
-// process, loopback or LAN). The Request machinery and the collectives run
-// identically on both, which is what lets the conformance harness pin
-// bit-identical training across substrates.
+// point-to-point send/recv of optionally quant-packed messages. Every
+// Transport is one rank's endpoint. Two implementations exist: the
+// in-process fabric (procEndpoint, below — every rank a goroutine in one
+// process, delivering into per-rank mailboxes) and the TCP transport
+// (tcp.go — every rank its own OS process, loopback or LAN). The Request
+// machinery and the collectives run identically on both, which is what
+// lets the conformance harness pin bit-identical training across
+// substrates.
 
 // Fabric failure errors. Transport operations that cannot complete return
 // errors wrapping one of these, so callers can distinguish a peer that is
@@ -27,7 +27,7 @@ import (
 var (
 	// ErrTimeout marks an operation that exceeded the transport's configured
 	// deadline: a peer that never dialed in, a receive nothing arrived for,
-	// a barrier a rank never reached.
+	// a rendezvous a rank never finished.
 	ErrTimeout = errors.New("comm: deadline exceeded")
 	// ErrClosed marks operations on a transport after Close, or after a
 	// connection failure tore the fabric down.
@@ -60,7 +60,6 @@ type Envelope struct {
 //   - Recv blocks until a matching envelope arrives, the transport's
 //     deadline expires (ErrTimeout), or the fabric fails (ErrClosed).
 //   - Poll never consumes: it reports the head matching envelope, if any.
-//   - Barrier blocks the calling rank until all N ranks enter it.
 type Transport interface {
 	// Size is the world size N.
 	Size() int
@@ -69,7 +68,6 @@ type Transport interface {
 	Send(from, to int, env *Envelope) error
 	Recv(to, from, tag int) (*Envelope, error)
 	Poll(to, from, tag int) (*Envelope, bool, error)
-	Barrier(rank int) error
 	Close() error
 }
 
@@ -189,17 +187,10 @@ func (mb *mailbox) waitErr(key msgKey) error {
 
 // procFabric is the in-process fabric: n rank endpoints in one process.
 // A send copies the payload into the receiver's mailbox — the same
-// buffer-ownership contract TCP's serialization gives — and the barrier is
-// one shared sense-reversing counter. In-process delivery cannot stall on
-// a peer, so there are no deadlines.
+// buffer-ownership contract TCP's serialization gives. In-process
+// delivery cannot stall on a peer, so there are no deadlines.
 type procFabric struct {
 	eps []*procEndpoint
-
-	barMu   sync.Mutex
-	barCond *sync.Cond
-	arrived int
-	phase   int64
-	broken  bool // an endpoint closed: no barrier can complete again
 }
 
 // procEndpoint is one rank's view of a procFabric.
@@ -219,7 +210,6 @@ func NewProcFabric(n int) []Transport {
 		panic(fmt.Sprintf("comm: world size must be ≥1, got %d", n))
 	}
 	f := &procFabric{eps: make([]*procEndpoint, n)}
-	f.barCond = sync.NewCond(&f.barMu)
 	out := make([]Transport, n)
 	for r := range f.eps {
 		ep := &procEndpoint{f: f, rank: r}
@@ -277,39 +267,9 @@ func (t *procEndpoint) Poll(to, from, tag int) (*Envelope, bool, error) {
 // NetStats snapshots this rank's traffic counters.
 func (t *procEndpoint) NetStats() TransportStats { return t.net.stats() }
 
-// Barrier is a reusable sense-reversing barrier across all n ranks. It
-// fails with ErrClosed once any endpoint has closed.
-func (t *procEndpoint) Barrier(rank int) error {
-	if rank != t.rank {
-		return fmt.Errorf("comm: endpoint hosts rank %d, cannot barrier as rank %d", t.rank, rank)
-	}
-	f := t.f
-	f.barMu.Lock()
-	defer f.barMu.Unlock()
-	if f.broken {
-		return fmt.Errorf("comm: rank %d barrier: %w", t.rank, ErrClosed)
-	}
-	phase := f.phase
-	f.arrived++
-	if f.arrived == len(f.eps) {
-		f.arrived = 0
-		f.phase++
-		f.barCond.Broadcast()
-		return nil
-	}
-	for f.phase == phase && !f.broken {
-		f.barCond.Wait()
-	}
-	if f.phase == phase {
-		return fmt.Errorf("comm: rank %d barrier: %w", t.rank, ErrClosed)
-	}
-	return nil
-}
-
 // Close shuts this rank's endpoint: its own operations fail with
 // ErrClosed, peers' receives from it fail once their queues drain (as a
-// dropped TCP connection does), and pending barriers are released with
-// ErrClosed. Idempotent.
+// dropped TCP connection does). Idempotent.
 func (t *procEndpoint) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -320,10 +280,5 @@ func (t *procEndpoint) Close() error {
 			ep.box.failSrc(t.rank, fmt.Errorf("comm: rank %d closed: %w", t.rank, ErrClosed))
 		}
 	}
-	f := t.f
-	f.barMu.Lock()
-	f.broken = true
-	f.barMu.Unlock()
-	f.barCond.Broadcast()
 	return nil
 }

@@ -2,8 +2,6 @@ package comm
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +11,8 @@ import (
 // TestTransportContract runs the Transport contract over both fabrics: a
 // buffer mutated after Send to a peer does not change what the peer
 // receives (netAllReduceSum sends its reduce buffer and then recycles it),
-// delivery is FIFO per (from, to, tag), Poll never consumes, Barrier is
-// reusable, and a closed endpoint fails with ErrClosed.
+// delivery is FIFO per (from, to, tag), Poll never consumes, and a closed
+// endpoint fails with ErrClosed.
 func TestTransportContract(t *testing.T) {
 	const n = 3
 	fabrics := map[string]func(t *testing.T) []Transport{
@@ -105,35 +103,6 @@ func TestTransportContract(t *testing.T) {
 			}
 			if got, err := eps[1].Recv(1, 2, 9); err != nil || got.F32[0] != 7 {
 				t.Fatalf("recv after polls: %v %v", got, err)
-			}
-		}},
-		{"barrier reusable", func(t *testing.T, eps []Transport) {
-			const rounds = 5
-			var arrived [rounds]atomic.Int32
-			var wg sync.WaitGroup
-			errs := make([]error, n)
-			for _, ep := range eps {
-				wg.Add(1)
-				go func(ep Transport) {
-					defer wg.Done()
-					for r := 0; r < rounds; r++ {
-						arrived[r].Add(1)
-						if err := ep.Barrier(ep.Self()); err != nil {
-							errs[ep.Self()] = err
-							return
-						}
-						if got := arrived[r].Load(); got != n {
-							errs[ep.Self()] = errors.New("passed a barrier before every rank arrived")
-							return
-						}
-					}
-				}(ep)
-			}
-			wg.Wait()
-			for r, err := range errs {
-				if err != nil {
-					t.Fatalf("rank %d: %v", r, err)
-				}
 			}
 		}},
 		{"closed endpoint", func(t *testing.T, eps []Transport) {

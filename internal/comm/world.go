@@ -43,13 +43,6 @@ func (w *World) Transport() Transport { return w.tr }
 // Self returns the rank this endpoint hosts.
 func (w *World) Self() int { return w.self }
 
-// Barrier blocks until all N ranks have called it.
-func (w *World) Barrier() {
-	if err := w.tr.Barrier(w.self); err != nil {
-		panic(err)
-	}
-}
-
 // RunInProcess builds an n-rank in-process fabric, runs fn once per rank
 // with that rank's World, waits for every rank, and closes the fabric.
 func RunInProcess(n int, fn func(w *World)) {

@@ -2,39 +2,8 @@ package comm
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
-
-func TestBarrierSynchronizes(t *testing.T) {
-	var before, after atomic.Int32
-	RunInProcess(8, func(w *World) {
-		rank := w.Self()
-		before.Add(1)
-		w.Barrier()
-		if got := before.Load(); got != 8 {
-			t.Errorf("rank %d passed barrier with only %d arrivals", rank, got)
-		}
-		after.Add(1)
-	})
-	if after.Load() != 8 {
-		t.Fatalf("only %d ranks finished", after.Load())
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	counter := make([]int32, 10)
-	RunInProcess(4, func(w *World) {
-		for round := 0; round < 10; round++ {
-			atomic.AddInt32(&counter[round], 1)
-			w.Barrier()
-			if got := atomic.LoadInt32(&counter[round]); got != 4 {
-				t.Errorf("round %d: %d arrivals", round, got)
-			}
-			w.Barrier()
-		}
-	})
-}
 
 func TestAllReduceSum(t *testing.T) {
 	results := make([][]float32, 5)

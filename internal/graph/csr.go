@@ -195,23 +195,3 @@ func Symmetrize(edges []Edge) []Edge {
 	}
 	return out
 }
-
-// DedupEdges removes duplicate directed edges, preserving first occurrence
-// order of the deduplicated set (sorted by (dst, src)).
-func DedupEdges(edges []Edge) []Edge {
-	sorted := make([]Edge, len(edges))
-	copy(sorted, edges)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Dst != sorted[j].Dst {
-			return sorted[i].Dst < sorted[j].Dst
-		}
-		return sorted[i].Src < sorted[j].Src
-	})
-	out := sorted[:0]
-	for i, e := range sorted {
-		if i == 0 || e != sorted[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -13,6 +13,10 @@ import (
 // cache-reuse results depend on vertex locality. Validated against the
 // cachesim replay in the tests.
 
+// degreeGrain bounds how finely per-vertex degree sweeps are chunked — the
+// per-vertex work is two indptr loads, so chunks must be large.
+const degreeGrain = 4096
+
 // Permutation maps old vertex IDs to new ones: newID = p[oldID].
 type Permutation []int32
 
@@ -115,30 +119,4 @@ func ApplyPermutation(g *CSR, p Permutation) *CSR {
 		panic(err) // permutation validated by construction
 	}
 	return ng
-}
-
-// PermuteRows reorders the rows of a row-major matrix in place-equivalent
-// fashion: returned slice r satisfies r[p[v]] = rows[v]. rowLen is the
-// stride. Utility for permuting feature matrices and label arrays together
-// with the graph.
-func PermuteRows(data []float32, rowLen int, p Permutation) []float32 {
-	out := make([]float32, len(data))
-	// p is a bijection, so writes are disjoint across chunks of old IDs.
-	parallel.For(len(p), 1024, func(lo, hi int) {
-		for old := lo; old < hi; old++ {
-			newID := p[old]
-			copy(out[int(newID)*rowLen:(int(newID)+1)*rowLen],
-				data[old*rowLen:(old+1)*rowLen])
-		}
-	})
-	return out
-}
-
-// PermuteInt32 reorders labels (or any per-vertex int32 array) by p.
-func PermuteInt32(vals []int32, p Permutation) []int32 {
-	out := make([]int32, len(vals))
-	for old, newID := range p {
-		out[newID] = vals[old]
-	}
-	return out
 }

@@ -109,22 +109,3 @@ func TestBFSOrderImprovesNeighborLocality(t *testing.T) {
 		t.Fatalf("BFS ordering left mean edge gap %v (was %v)", after, before)
 	}
 }
-
-func TestPermuteRowsAndLabels(t *testing.T) {
-	p := Permutation{2, 0, 1}
-	rows := []float32{1, 1, 2, 2, 3, 3} // rows of width 2
-	got := PermuteRows(rows, 2, p)
-	want := []float32{2, 2, 3, 3, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PermuteRows: got %v want %v", got, want)
-		}
-	}
-	labels := PermuteInt32([]int32{10, 20, 30}, p)
-	wantL := []int32{20, 30, 10}
-	for i := range wantL {
-		if labels[i] != wantL[i] {
-			t.Fatalf("PermuteInt32: got %v want %v", labels, wantL)
-		}
-	}
-}

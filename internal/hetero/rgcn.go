@@ -197,19 +197,3 @@ func (m *RGCN) Params() []*nn.Param {
 
 // ResetAggTime clears the AP time accumulator.
 func (m *RGCN) ResetAggTime() { m.AggTime = 0 }
-
-// RelationWork returns aggregation work (edges × width summed over layers)
-// — the per-epoch AP workload of the model, for work accounting.
-func (m *RGCN) RelationWork() int64 {
-	var perLayerEdges int64
-	for r := 0; r < m.T.NumRelations; r++ {
-		perLayerEdges += int64(m.T.Relation(r).NumEdges)
-	}
-	var total int64
-	in := int64(m.Cfg.InDim)
-	for l := 0; l < m.Cfg.NumLayers; l++ {
-		total += perLayerEdges * in
-		in = int64(m.Cfg.Hidden)
-	}
-	return total
-}

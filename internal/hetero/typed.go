@@ -70,15 +70,6 @@ func (t *TypedGraph) GlobalEdgeID(r int, local int32) int32 {
 	return t.globalEdgeID[r][local]
 }
 
-// RelationEdgeCounts returns the number of edges per relation.
-func (t *TypedGraph) RelationEdgeCounts() []int {
-	out := make([]int, t.NumRelations)
-	for r, sub := range t.perRel {
-		out[r] = sub.NumEdges
-	}
-	return out
-}
-
 // SyntheticAM builds the heterograph stand-in for the AM dataset: the
 // am-sim graph with relation labels derived from the endpoint communities
 // (artifacts in AM link through typed properties — material, production,

@@ -56,8 +56,10 @@ type DistResult struct {
 	// replicas are identical). The golden and conformance tests compare it
 	// bit for bit across rank counts and transports.
 	Params []float32
-	// HaloStats is the per-rank featstore fetch snapshot
-	// (rank-indexed; a TCP endpoint fills only its own rank's entry).
+	// HaloStats is indexed by rank. Every rank's entry carries that rank's
+	// fetch-side counters (HaloFetches, HaloFetchedVertices,
+	// HaloFetchedBytes), gathered from all ranks on every fabric; the
+	// reporting rank's own entry is its full featstore snapshot.
 	HaloStats []featstore.ShardedStats
 }
 
@@ -102,8 +104,7 @@ func (cfg *DistConfig) validate() error {
 // It sizes the kernel pool from cfg.Workers, then runs every rank this
 // process hosts: all NumRanks of a fresh in-process fabric when
 // cfg.Transport is nil, else the endpoint's single rank. It returns rank
-// 0's result (or the endpoint's own), with every in-process rank's
-// HaloStats entry folded in.
+// 0's result (or the endpoint's own).
 func TrainSharded(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -145,11 +146,7 @@ func TrainSharded(ds *datasets.Dataset, cfg DistConfig) (*DistResult, error) {
 			return nil, fmt.Errorf("minibatch: rank %d: %w", r, err)
 		}
 	}
-	res := results[0]
-	for r := 1; r < cfg.NumRanks; r++ {
-		res.HaloStats[r] = results[r].HaloStats[r]
-	}
-	return res, nil
+	return results[0], nil
 }
 
 // sampledBatch is one step's prefetched work: the sampled blocks and their
@@ -280,8 +277,26 @@ func trainRank(ds *datasets.Dataset, cfg DistConfig, world *comm.World, store *f
 	accBits := comm.AppendF64(nil, acc)
 	world.Broadcast(0, accBits)
 	res.TestAcc = comm.F64(accBits)
+
+	// Every rank reports every rank's fetches: the fetch-side counters
+	// travel as exact bit patterns, as the epoch stats do.
+	own := store.Stats()
+	var local []float32
+	for _, c := range []int64{own.HaloFetches, own.HaloFetchedVertices, own.HaloFetchedBytes} {
+		local = comm.AppendF64(local, math.Float64frombits(uint64(c)))
+	}
+	parts := world.AllGather(local)
+	counter := func(w []float32) int64 { return int64(math.Float64bits(comm.F64(w))) }
 	res.HaloStats = make([]featstore.ShardedStats, cfg.NumRanks)
-	res.HaloStats[rank] = store.Stats()
+	for r := range res.HaloStats {
+		w := parts[6*r : 6*r+6]
+		res.HaloStats[r] = featstore.ShardedStats{
+			HaloFetches:         counter(w),
+			HaloFetchedVertices: counter(w[2:]),
+			HaloFetchedBytes:    counter(w[4:]),
+		}
+	}
+	res.HaloStats[rank] = own
 	return res, nil
 }
 

@@ -118,6 +118,15 @@ func TestTrainShardedTCPConformance(t *testing.T) {
 					t.Fatalf("%s: epoch %d AllReduce %v, rank 0 reports %v", label, e, st.AllReduce, want)
 				}
 			}
+			// Every rank reports every rank's fetches, as the in-process
+			// run does.
+			for src, hs := range results[r].HaloStats {
+				want := ref.HaloStats[src]
+				if hs.HaloFetches != want.HaloFetches || hs.HaloFetchedVertices != want.HaloFetchedVertices ||
+					hs.HaloFetchedBytes != want.HaloFetchedBytes {
+					t.Fatalf("%s: rank %d's fetches %+v, in process %+v", label, src, hs, want)
+				}
+			}
 		}
 		for _, tr := range trs {
 			tr.Close()

@@ -13,7 +13,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/bits"
@@ -115,37 +114,8 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Quantile returns an upper bound on the q-quantile in seconds from the
-// log buckets (0 when empty). Bucket resolution is 2×, so the bound is
-// within a factor of two of the true quantile.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q*float64(total) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i <= histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return bucketBoundSeconds(i)
-		}
-	}
-	return bucketBoundSeconds(histBuckets)
-}
-
-// bucketBoundSeconds returns bucket i's upper bound in seconds (the last
-// bucket reports its lower neighbour's bound — +Inf is not a number).
+// bucketBoundSeconds returns finite bucket i's upper bound in seconds.
 func bucketBoundSeconds(i int) float64 {
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
 	return float64(uint64(1)<<uint(i)) / 1e6
 }
 
@@ -347,36 +317,6 @@ func writeHistogram(b *strings.Builder, base, labels string, h *Histogram) {
 
 func formatLe(sec float64) string {
 	return fmt.Sprintf("%g", sec)
-}
-
-// DumpJSON writes every metric as one flat JSON object keyed by rendered
-// name — histograms nest {count, sum_seconds, p50_s, p95_s, p99_s}. This
-// is the exit-time dump distgnn-train emits.
-func (r *Registry) DumpJSON(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	out := map[string]any{}
-	for _, m := range r.snapshot() {
-		switch m.kind {
-		case kindCounter:
-			out[m.name] = m.c.Value()
-		case kindGauge:
-			out[m.name] = m.g.Value()
-		case kindCounterFunc, kindGaugeFunc:
-			out[m.name] = m.fn()
-		case kindHistogram:
-			out[m.name] = map[string]any{
-				"count":       m.h.count.Load(),
-				"sum_seconds": float64(m.h.sumNs.Load()) / 1e9,
-				"p50_s":       m.h.Quantile(0.50),
-				"p95_s":       m.h.Quantile(0.95),
-				"p99_s":       m.h.Quantile(0.99),
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
 }
 
 // Handler serves the Prometheus exposition over GET. A nil registry

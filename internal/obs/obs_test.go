@@ -95,12 +95,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("histogram count = %d, want 5", h.Count())
 	}
-	if q := h.Quantile(0.5); q <= 0 || q > 0.01 {
-		t.Fatalf("p50 = %g, want in (0, 0.01]", q)
-	}
-	if q := h.Quantile(0.99); q < 1.0 {
-		t.Fatalf("p99 = %g, want ≥ 1s bucket bound", q)
-	}
 }
 
 // TestPrometheusExposition pins the text format shape: HELP/TYPE headers
@@ -140,28 +134,6 @@ func TestPrometheusExposition(t *testing.T) {
 	// Buckets must be cumulative: the +Inf bucket equals the count.
 	if !strings.Contains(text, `stage_seconds_bucket{stage="gather",le="+Inf"} 2`) {
 		t.Fatalf("+Inf bucket must equal count:\n%s", text)
-	}
-}
-
-// TestDumpJSON pins the exit-time JSON dump shape.
-func TestDumpJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("epochs_total", "").Add(3)
-	r.Histogram("step_seconds", "").Observe(5 * time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.DumpJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out["epochs_total"].(float64) != 3 {
-		t.Fatalf("epochs_total = %v", out["epochs_total"])
-	}
-	hist := out["step_seconds"].(map[string]any)
-	if hist["count"].(float64) != 1 {
-		t.Fatalf("histogram dump = %v", hist)
 	}
 }
 

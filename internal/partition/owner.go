@@ -1,7 +1,5 @@
 package partition
 
-import "fmt"
-
 // owner.go is the vertex-ownership view of a Partitioning that the serving
 // layer shards on. Vertex-cut partitioning replicates a vertex into every
 // partition holding one of its edges; for state that must live in exactly
@@ -37,24 +35,6 @@ func (pt *Partitioning) Owners() []int32 {
 	return owners
 }
 
-// Owner returns the owner partition of global vertex g.
-func (pt *Partitioning) Owner(g int32) (int32, error) {
-	if g < 0 || int(g) >= pt.NumSourceVertices {
-		return -1, fmt.Errorf("partition: vertex %d outside [0,%d)", g, pt.NumSourceVertices)
-	}
-	for _, sv := range pt.Splits {
-		if sv.Global == g {
-			return sv.Clones[0].Part, nil
-		}
-	}
-	for p := range pt.Parts {
-		if pt.LocalOf[p][g] >= 0 {
-			return int32(p), nil
-		}
-	}
-	return -1, fmt.Errorf("partition: vertex %d in no partition", g)
-}
-
 // Halo returns, in ascending global-ID order, the vertices partition p holds
 // a clone of but does not own — the replicas whose authoritative state lives
 // on another partition and must be fetched over the fabric when p needs it.
@@ -70,13 +50,4 @@ func (pt *Partitioning) Halo(p int) []int32 {
 		}
 	}
 	return halo
-}
-
-// OwnedCount returns how many vertices each partition owns.
-func (pt *Partitioning) OwnedCount() []int {
-	counts := make([]int, pt.K)
-	for _, o := range pt.Owners() {
-		counts[o]++
-	}
-	return counts
 }

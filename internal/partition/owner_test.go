@@ -71,19 +71,6 @@ func TestOwnerIsRootCloneForSplitVertices(t *testing.T) {
 			t.Fatalf("non-split vertex %d has %d clones", v, count)
 		}
 	}
-	// Owner agrees with the single-vertex lookup.
-	for _, v := range []int32{0, 5, int32(g.NumVertices - 1)} {
-		o, err := pt.Owner(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o != owners[v] {
-			t.Fatalf("Owner(%d)=%d, Owners()[%d]=%d", v, o, v, owners[v])
-		}
-	}
-	if _, err := pt.Owner(int32(g.NumVertices)); err == nil {
-		t.Fatal("out-of-range Owner lookup must error")
-	}
 }
 
 // TestOwnersDeterministic: two identical partitionings derive identical
@@ -118,7 +105,10 @@ func TestHaloIsPresentMinusOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	owners := pt.Owners()
-	counts := pt.OwnedCount()
+	counts := make([]int, pt.K)
+	for _, o := range owners {
+		counts[o]++
+	}
 	totalOwned := 0
 	for p := 0; p < pt.K; p++ {
 		halo := pt.Halo(p)

@@ -77,12 +77,18 @@ type GroupSpec struct {
 	Replicas []string
 }
 
+const (
+	// vnodesPerGroup is the virtual-node count per group on the hash ring:
+	// assignment balance within a few percent.
+	vnodesPerGroup = 64
+	// pickSeed seeds the power-of-two-choices randomness, so runs are
+	// reproducible.
+	pickSeed = 1
+)
+
 // FrontendConfig configures the replicated-serving frontend.
 type FrontendConfig struct {
 	Groups []GroupSpec
-	// VNodes is the virtual-node count per group on the hash ring
-	// (default 64 — assignment balance within a few percent).
-	VNodes int
 	// MaxFails is the consecutive-failure threshold that marks a replica
 	// unhealthy (default 3).
 	MaxFails int
@@ -93,9 +99,6 @@ type FrontendConfig struct {
 	ProbeInterval time.Duration
 	// ProxyTimeout bounds each backend attempt (default 15s).
 	ProxyTimeout time.Duration
-	// Seed seeds the power-of-two-choices randomness (default 1);
-	// deterministic so test runs are reproducible.
-	Seed int64
 	// Metrics, when set, registers the frontend metrics on the registry and
 	// enables GET /metrics. Nil runs metrics-free.
 	Metrics *obs.Registry
@@ -106,9 +109,6 @@ type FrontendConfig struct {
 }
 
 func (cfg *FrontendConfig) applyDefaults() {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
 	if cfg.MaxFails <= 0 {
 		cfg.MaxFails = 3
 	}
@@ -117,9 +117,6 @@ func (cfg *FrontendConfig) applyDefaults() {
 	}
 	if cfg.ProxyTimeout <= 0 {
 		cfg.ProxyTimeout = 15 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
 	}
 }
 
@@ -149,7 +146,7 @@ type ringPoint struct {
 }
 
 // hashRing maps vertices to groups via consistent hashing: each group owns
-// VNodes points derived from its key alone, so the mapping is invariant
+// vnodes points derived from its key alone, so the mapping is invariant
 // under group-list permutation and removing a group reassigns exactly the
 // arcs that group owned.
 type hashRing struct {
@@ -235,7 +232,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 			Transport: &http.Transport{IdleConnTimeout: 90 * time.Second},
 		},
 		start: time.Now(),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rand.New(rand.NewSource(pickSeed)),
 		quit:  make(chan struct{}),
 	}
 	for g, spec := range cfg.Groups {
@@ -258,7 +255,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		}
 		f.groups = append(f.groups, rg)
 	}
-	f.ring = newHashRing(keys, cfg.VNodes)
+	f.ring = newHashRing(keys, vnodesPerGroup)
 	f.tracer = cfg.Tracer
 	f.mux.HandleFunc("/predict", f.handleProxy)
 	f.mux.HandleFunc("/embed", f.handleProxy)

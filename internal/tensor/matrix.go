@@ -80,12 +80,6 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// CopyFrom copies src into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	m.mustSameShape(src)
-	copy(m.Data, src.Data)
-}
-
 // SameShape reports whether m and other have identical dimensions.
 func (m *Matrix) SameShape(other *Matrix) bool {
 	return m.Rows == other.Rows && m.Cols == other.Cols
@@ -120,14 +114,6 @@ func axpy(dst, src []float32, alpha float32) {
 	_ = dst[len(src)-1]
 	for i, v := range src {
 		dst[i] += alpha * v
-	}
-}
-
-// MulElem computes m *= other elementwise (Hadamard product).
-func (m *Matrix) MulElem(other *Matrix) {
-	m.mustSameShape(other)
-	for i, v := range other.Data {
-		m.Data[i] *= v
 	}
 }
 

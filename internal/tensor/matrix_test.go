@@ -88,18 +88,6 @@ func TestAddScaled(t *testing.T) {
 	}
 }
 
-func TestMulElem(t *testing.T) {
-	a := FromSlice(1, 3, []float32{1, 2, 3})
-	b := FromSlice(1, 3, []float32{4, 5, 6})
-	a.MulElem(b)
-	want := []float32{4, 10, 18}
-	for i, w := range want {
-		if a.Data[i] != w {
-			t.Fatalf("MulElem: got %v want %v", a.Data, want)
-		}
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
