@@ -16,9 +16,6 @@ func TestLRUBasicHitMiss(t *testing.T) {
 	if !c.Access(1, 40) {
 		t.Fatal("second access must hit")
 	}
-	if c.Used() != 40 || c.Len() != 1 {
-		t.Fatalf("used=%d len=%d", c.Used(), c.Len())
-	}
 }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
@@ -27,7 +24,8 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	c.Access(2, 40)
 	c.Access(1, 40) // 1 now most recent
 	c.Access(3, 40) // must evict 2
-	if !c.Contains(1) || c.Contains(2) || !c.Contains(3) {
+	// Probe 2 last: a miss re-inserts it.
+	if !c.Access(1, 40) || !c.Access(3, 40) || c.Access(2, 40) {
 		t.Fatal("wrong eviction victim")
 	}
 }
@@ -36,9 +34,6 @@ func TestLRUOversizedEntryNeverCached(t *testing.T) {
 	c := NewLRU(10)
 	if c.Access(1, 100) {
 		t.Fatal("oversized access cannot hit")
-	}
-	if c.Len() != 0 {
-		t.Fatal("oversized entry must not be inserted")
 	}
 	if c.Access(1, 100) {
 		t.Fatal("oversized access must keep missing")
@@ -49,18 +44,11 @@ func TestLRUCapacityRespected(t *testing.T) {
 	c := NewLRU(100)
 	for k := uint64(0); k < 50; k++ {
 		c.Access(k, 30)
-		if c.Used() > 100 {
-			t.Fatalf("capacity exceeded: %d", c.Used())
-		}
 	}
-}
-
-func TestLRUReset(t *testing.T) {
-	c := NewLRU(100)
-	c.Access(1, 40)
-	c.Reset()
-	if c.Len() != 0 || c.Used() != 0 || c.Contains(1) {
-		t.Fatal("reset incomplete")
+	// 100 bytes hold three 30-byte entries: the last three hit, and the
+	// fourth-last was evicted. Probe it last: a miss re-inserts it.
+	if !c.Access(49, 30) || !c.Access(48, 30) || !c.Access(47, 30) || c.Access(46, 30) {
+		t.Fatal("cache must hold exactly the three most recent entries")
 	}
 }
 

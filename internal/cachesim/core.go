@@ -40,15 +40,6 @@ func (c *Core[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Peek returns the value stored under key without touching recency.
-func (c *Core[K, V]) Peek(key K) (V, bool) {
-	if el, ok := c.index[key]; ok {
-		return el.Value.(*coreEntry[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Put inserts or updates key with the given value and size, evicting
 // least-recently-used entries to fit, and reports how many entries were
 // evicted and whether the entry is now resident. Entries larger than the
@@ -117,10 +108,3 @@ func (c *Core[K, V]) Cap() int { return c.capacity }
 
 // Len returns the number of resident entries.
 func (c *Core[K, V]) Len() int { return c.order.Len() }
-
-// Reset evicts everything.
-func (c *Core[K, V]) Reset() {
-	c.order.Init()
-	c.index = make(map[K]*list.Element)
-	c.used = 0
-}

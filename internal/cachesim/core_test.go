@@ -44,10 +44,10 @@ func TestCoreEvictsLRUOnPut(t *testing.T) {
 	if ev != 1 || !stored {
 		t.Fatalf("evicted=%d stored=%v", ev, stored)
 	}
-	if _, ok := c.Peek(2); ok {
+	if _, ok := c.Get(2); ok {
 		t.Fatal("2 must have been the victim")
 	}
-	if _, ok := c.Peek(1); !ok {
+	if _, ok := c.Get(1); !ok {
 		t.Fatal("1 must survive")
 	}
 }
@@ -58,24 +58,10 @@ func TestCoreOversizedPutRemovesStaleEntry(t *testing.T) {
 	if ev, stored := c.Put(1, 2, 60); ev != 0 || stored {
 		t.Fatalf("oversized update: evicted=%d stored=%v", ev, stored)
 	}
-	if _, ok := c.Peek(1); ok {
+	if _, ok := c.Get(1); ok {
 		t.Fatal("oversized update must drop the stale entry")
 	}
 	if c.Used() != 0 || c.Len() != 0 {
 		t.Fatalf("used=%d len=%d", c.Used(), c.Len())
-	}
-}
-
-func TestCorePeekDoesNotPromote(t *testing.T) {
-	c := NewCore[int, struct{}](80)
-	c.Put(1, struct{}{}, 40)
-	c.Put(2, struct{}{}, 40)
-	c.Peek(1)                // must NOT promote 1
-	c.Put(3, struct{}{}, 40) // evicts the true LRU
-	if _, ok := c.Peek(1); ok {
-		t.Fatal("1 was promoted by Peek")
-	}
-	if _, ok := c.Peek(2); !ok {
-		t.Fatal("2 must survive")
 	}
 }

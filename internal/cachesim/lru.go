@@ -33,18 +33,3 @@ func (c *LRU) Access(key uint64, size int) bool {
 	c.core.Put(key, struct{}{}, size)
 	return false
 }
-
-// Contains reports residency without touching recency.
-func (c *LRU) Contains(key uint64) bool {
-	_, ok := c.core.Peek(key)
-	return ok
-}
-
-// Used returns the bytes currently resident.
-func (c *LRU) Used() int { return c.core.Used() }
-
-// Len returns the number of resident entries.
-func (c *LRU) Len() int { return c.core.Len() }
-
-// Reset evicts everything.
-func (c *LRU) Reset() { c.core.Reset() }

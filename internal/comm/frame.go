@@ -57,8 +57,8 @@ const (
 	kindData    byte = 1
 	kindHello   byte = 2 // registration: src = rank, payload = listen address
 	kindTable   byte = 3 // rendezvous reply: payload = newline-joined rank addresses
-	kindBarrier byte = 4 // barrier arrival at rank 0: tag = generation
-	kindRelease byte = 5 // barrier release from rank 0: tag = generation
+	kindBarrier byte = 4 // barrier arrival at rank 0
+	kindRelease byte = 5 // barrier release from rank 0
 )
 
 // frameHeader is the decoded fixed header.
@@ -196,11 +196,11 @@ func appendDataFrame(buf []byte, src, dst int, env *Envelope) []byte {
 }
 
 // appendControlFrame encodes a control frame (hello/table/barrier/release)
-// with a raw byte payload.
-func appendControlFrame(buf []byte, kind byte, src, dst int, tag int64, payload []byte) []byte {
+// with a raw byte payload and tag 0.
+func appendControlFrame(buf []byte, kind byte, src, dst int, payload []byte) []byte {
 	h := frameHeader{
 		Kind: kind, Prec: quant.FP32,
-		Src: uint32(src), Dst: uint32(dst), Tag: tag,
+		Src: uint32(src), Dst: uint32(dst),
 		PayloadLen: uint32(len(payload)),
 	}
 	off := len(buf)

@@ -153,7 +153,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendDataFrame(nil, 0, 1, &Envelope{Tag: 3, Prec: quant.FP32, F32: []float32{1, -2}}))
 	f.Add(appendDataFrame(nil, 1, 0, &Envelope{Tag: -9, Prec: quant.FP16, U16: []uint16{77}}))
-	f.Add(appendControlFrame(nil, kindHello, 2, 0, 0, []byte("127.0.0.1:999")))
+	f.Add(appendControlFrame(nil, kindHello, 2, 0, []byte("127.0.0.1:999")))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, env, _, err := readFrame(bytes.NewReader(b), new([frameHeaderSize]byte))
 		if err != nil || h.Kind != kindData {

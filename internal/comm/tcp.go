@@ -72,12 +72,11 @@ type TCPTransport struct {
 	peers     []*tcpPeer
 	box       mailbox
 
-	// Central-coordinator barrier state: nonzero ranks send kindBarrier to
-	// rank 0 and wait for kindRelease; rank 0 collects N-1 arrivals per
-	// generation. barGen is local — all ranks pass barriers in lockstep.
-	barGen  int64
-	arrive  chan int64
-	release chan int64
+	// Establish's closing barrier, coordinated by rank 0: nonzero ranks
+	// send kindBarrier and wait for kindRelease; rank 0 collects N-1
+	// arrivals, then releases every rank.
+	arrive  chan struct{}
+	release chan struct{}
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -117,8 +116,8 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	t := &TCPTransport{
 		rank: cfg.Rank, n: cfg.N, timeout: timeout, ln: ln,
 		peers:   make([]*tcpPeer, cfg.N),
-		arrive:  make(chan int64, 4*cfg.N),
-		release: make(chan int64, 4),
+		arrive:  make(chan struct{}, cfg.N-1),
+		release: make(chan struct{}, 1),
 	}
 	t.box.init()
 	t.registry = append([]string(nil), cfg.Peers...)
@@ -168,7 +167,7 @@ func (t *TCPTransport) Establish() error {
 		}
 		blob := []byte(strings.Join(table, "\n"))
 		for r := 1; r < t.n; r++ {
-			if err := t.writeControl(r, kindTable, 0, blob); err != nil {
+			if err := t.writeControl(r, kindTable, blob); err != nil {
 				return err
 			}
 		}
@@ -295,7 +294,7 @@ func (t *TCPTransport) writeHello(c net.Conn) error {
 		c.SetWriteDeadline(time.Now().Add(t.timeout))
 		defer c.SetWriteDeadline(time.Time{})
 	}
-	buf := appendControlFrame(nil, kindHello, t.rank, 0, 0, []byte(t.advertised()))
+	buf := appendControlFrame(nil, kindHello, t.rank, 0, []byte(t.advertised()))
 	_, err := c.Write(buf)
 	if err != nil {
 		return fmt.Errorf("comm: tcp rank %d hello: %w", t.rank, err)
@@ -337,9 +336,9 @@ func (t *TCPTransport) readLoop(src int, p *tcpPeer) {
 			t.net.countRecv(envelopePayloadBytes(env))
 			t.box.push(msgKey{src: int(h.Src), dst: t.rank, tag: int(h.Tag)}, env)
 		case kindBarrier:
-			t.arrive <- h.Tag
+			t.arrive <- struct{}{}
 		case kindRelease:
-			t.release <- h.Tag
+			t.release <- struct{}{}
 		default:
 			t.box.failSrc(src, fmt.Errorf("comm: tcp rank %d: unexpected frame kind %d from rank %d: %w",
 				t.rank, h.Kind, src, ErrClosed))
@@ -348,14 +347,14 @@ func (t *TCPTransport) readLoop(src int, p *tcpPeer) {
 	}
 }
 
-func (t *TCPTransport) writeControl(to int, kind byte, tag int64, payload []byte) error {
+func (t *TCPTransport) writeControl(to int, kind byte, payload []byte) error {
 	p := t.peers[to]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t.timeout > 0 {
 		p.c.SetWriteDeadline(time.Now().Add(t.timeout))
 	}
-	p.scratch = appendControlFrame(p.scratch[:0], kind, t.rank, to, tag, payload)
+	p.scratch = appendControlFrame(p.scratch[:0], kind, t.rank, to, payload)
 	_, err := p.c.Write(p.scratch)
 	if err != nil {
 		return fmt.Errorf("comm: tcp rank %d send to rank %d: %w", t.rank, to, err)
@@ -426,34 +425,32 @@ func (t *TCPTransport) Poll(to, from, tag int) (*Envelope, bool, error) {
 	return t.box.poll(msgKey{src: from, dst: to, tag: tag})
 }
 
-// barrier blocks until all N ranks enter the same barrier generation,
-// coordinated through rank 0.
+// barrier blocks until all N ranks have reached it, coordinated through
+// rank 0. It runs once, as the last step of Establish.
 func (t *TCPTransport) barrier() error {
 	if t.n == 1 {
 		return nil
 	}
-	t.barGen++
-	gen := t.barGen
 	if t.rank == 0 {
 		for need := t.n - 1; need > 0; need-- {
-			if err := t.awaitBarrier(t.arrive, gen); err != nil {
+			if err := t.awaitBarrier(t.arrive); err != nil {
 				return err
 			}
 		}
 		for r := 1; r < t.n; r++ {
-			if err := t.writeControl(r, kindRelease, gen, nil); err != nil {
+			if err := t.writeControl(r, kindRelease, nil); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := t.writeControl(0, kindBarrier, gen, nil); err != nil {
+	if err := t.writeControl(0, kindBarrier, nil); err != nil {
 		return err
 	}
-	return t.awaitBarrier(t.release, gen)
+	return t.awaitBarrier(t.release)
 }
 
-func (t *TCPTransport) awaitBarrier(ch chan int64, gen int64) error {
+func (t *TCPTransport) awaitBarrier(ch chan struct{}) error {
 	var timeoutCh <-chan time.Time
 	if t.timeout > 0 {
 		timer := time.NewTimer(t.timeout)
@@ -461,15 +458,11 @@ func (t *TCPTransport) awaitBarrier(ch chan int64, gen int64) error {
 		timeoutCh = timer.C
 	}
 	select {
-	case g := <-ch:
-		if g != gen {
-			return fmt.Errorf("comm: tcp rank %d barrier: generation %d, expected %d: %w",
-				t.rank, g, gen, ErrClosed)
-		}
+	case <-ch:
 		return nil
 	case <-timeoutCh:
-		return fmt.Errorf("comm: tcp rank %d barrier generation %d timed out after %v: %w",
-			t.rank, gen, t.timeout, ErrTimeout)
+		return fmt.Errorf("comm: tcp rank %d barrier timed out after %v: %w",
+			t.rank, t.timeout, ErrTimeout)
 	}
 }
 

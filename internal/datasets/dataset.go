@@ -38,7 +38,6 @@ type Spec struct {
 // Dataset is a fully materialized benchmark instance: graph, features,
 // labels, and train/val/test vertex sets.
 type Dataset struct {
-	Spec       Spec
 	G          *graph.CSR
 	Features   *tensor.Matrix // |V|×FeatDim
 	Labels     []int32        // |V|
@@ -104,7 +103,6 @@ func Generate(spec Spec) (*Dataset, error) {
 
 	train, val, test := split(rng, n, spec.TrainFrac, spec.ValFrac)
 	return &Dataset{
-		Spec:       spec,
 		G:          g,
 		Features:   feats,
 		Labels:     labels,

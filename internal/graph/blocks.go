@@ -1,15 +1,13 @@
 package graph
 
 // Blocked is the cache-blocking decomposition of Alg. 2 in the paper: the
-// source-vertex range [0, |V|) is split into nB contiguous blocks of size B,
-// and a CSR matrix is built per block containing only the edges whose source
-// falls in that block. Iterating blocks outermost keeps each block of the
-// source feature matrix f_V cache resident while all destination vertices
-// stream through it.
+// source-vertex range [0, |V|) is split into nB contiguous blocks of size
+// B = ⌈|V|/nB⌉, and a CSR matrix is built per block containing only the
+// edges whose source falls in that block. Iterating blocks outermost keeps
+// each block of the source feature matrix f_V cache resident while all
+// destination vertices stream through it.
 type Blocked struct {
-	NumBlocks int
-	BlockSize int
-	Blocks    []*CSR // Blocks[i] holds edges with source in [i*B, (i+1)*B)
+	Blocks []*CSR // Blocks[i] holds edges with source in [i*B, (i+1)*B)
 }
 
 // NewBlocked partitions g's edges into numBlocks source-range blocks.
@@ -69,7 +67,7 @@ func NewBlocked(g *CSR, numBlocks int) *Blocked {
 			cursors[b][v]++
 		}
 	}
-	return &Blocked{NumBlocks: numBlocks, BlockSize: blockSize, Blocks: blocks}
+	return &Blocked{Blocks: blocks}
 }
 
 // TotalEdges returns the edge count summed over blocks; always equals the

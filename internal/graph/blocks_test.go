@@ -14,8 +14,9 @@ func TestBlockedPartitionsEdgesBySourceRange(t *testing.T) {
 		if b.TotalEdges() != g.NumEdges {
 			t.Fatalf("nB=%d: edges lost, %d vs %d", nB, b.TotalEdges(), g.NumEdges)
 		}
+		bs := (g.NumVertices + len(b.Blocks) - 1) / len(b.Blocks)
 		for bi, blk := range b.Blocks {
-			lo, hi := bi*b.BlockSize, (bi+1)*b.BlockSize
+			lo, hi := bi*bs, (bi+1)*bs
 			for v := 0; v < blk.NumVertices; v++ {
 				for _, u := range blk.InNeighbors(v) {
 					if int(u) < lo || int(u) >= hi {
@@ -72,12 +73,12 @@ func TestBlockedEdgeIDsPreserved(t *testing.T) {
 func TestBlockedClampsBlockCount(t *testing.T) {
 	g := MustCSR(4, []Edge{{0, 1}})
 	b := NewBlocked(g, 100)
-	if b.NumBlocks != 4 {
-		t.Fatalf("NumBlocks = %d, want clamp to 4", b.NumBlocks)
+	if len(b.Blocks) != 4 {
+		t.Fatalf("%d blocks, want clamp to 4", len(b.Blocks))
 	}
 	b1 := NewBlocked(g, 0)
-	if b1.NumBlocks != 1 {
-		t.Fatalf("NumBlocks = %d, want clamp to 1", b1.NumBlocks)
+	if len(b1.Blocks) != 1 {
+		t.Fatalf("%d blocks, want clamp to 1", len(b1.Blocks))
 	}
 }
 

@@ -98,9 +98,6 @@ func (s *nbrSorter) Swap(i, j int) {
 // NumV returns the vertex count (Topology).
 func (g *CSR) NumV() int { return g.NumVertices }
 
-// NumE returns the directed edge count (Topology).
-func (g *CSR) NumE() int { return g.NumEdges }
-
 // InNeighbors returns the sources of in-edges of v (shared storage).
 func (g *CSR) InNeighbors(v int) []int32 {
 	return g.Indices[g.Indptr[v]:g.Indptr[v+1]]

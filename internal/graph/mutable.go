@@ -23,13 +23,9 @@ import (
 type Topology interface {
 	// NumV returns the vertex count.
 	NumV() int
-	// NumE returns the directed edge count.
-	NumE() int
 	// InNeighbors returns the sources of in-edges of v, sorted by source
 	// vertex ID (shared storage — callers must not mutate).
 	InNeighbors(v int) []int32
-	// InDegree returns the in-degree of v.
-	InDegree(v int) int
 }
 
 // Snapshot is one consistent, immutable view of a Mutable graph: the base
@@ -79,9 +75,6 @@ func (s *Snapshot) InNeighbors(v int) []int32 {
 	}
 	return nil // added vertex with no in-edges yet
 }
-
-// InDegree returns the in-degree of v.
-func (s *Snapshot) InDegree(v int) int { return len(s.InNeighbors(v)) }
 
 // Edges materializes the snapshot's full edge list, grouped by
 // destination with sources in sorted order — the input Compact rebuilds

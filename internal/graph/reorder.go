@@ -20,18 +20,6 @@ const degreeGrain = 4096
 // Permutation maps old vertex IDs to new ones: newID = p[oldID].
 type Permutation []int32
 
-// Valid reports whether p is a bijection on [0, len(p)).
-func (p Permutation) Valid() bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || int(v) >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
 // Inverse returns q with q[p[i]] = i.
 func (p Permutation) Inverse() Permutation {
 	q := make(Permutation, len(p))

@@ -49,7 +49,6 @@ type rgcnLayer struct {
 	selfW *nn.Linear  // self-loop path with bias
 	last  bool
 
-	x       *tensor.Matrix   // layer input
 	relAggs []*tensor.Matrix // normalized per-relation aggregates
 	h       *tensor.Matrix   // output (ReLU mask)
 }
@@ -137,7 +136,6 @@ func (m *RGCN) aggregateRelReverse(r int, g *tensor.Matrix) *tensor.Matrix {
 func (m *RGCN) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	h := x
 	for _, layer := range m.layers {
-		layer.x = h
 		layer.relAggs = layer.relAggs[:0]
 		y := layer.selfW.Forward(h, training)
 		for r := 0; r < m.T.NumRelations; r++ {

@@ -17,15 +17,9 @@ import (
 
 // TypedGraph is a directed multigraph whose edges carry relation types.
 type TypedGraph struct {
-	G            *graph.CSR
-	EdgeType     []int32 // relation per edge ID
 	NumRelations int
 
-	// perRel[r] holds only relation r's edges with local edge IDs;
-	// globalEdgeID[r][localID] maps back to the full graph's edge IDs so
-	// per-edge data can still be addressed.
-	perRel       []*graph.CSR
-	globalEdgeID [][]int32
+	perRel []*graph.CSR // perRel[r] holds only relation r's edges
 }
 
 // NewTypedGraph validates edge types and builds the per-relation CSRs.
@@ -41,14 +35,11 @@ func NewTypedGraph(g *graph.CSR, edgeType []int32, numRelations int) (*TypedGrap
 			return nil, fmt.Errorf("hetero: edge %d has relation %d outside [0,%d)", i, r, numRelations)
 		}
 	}
-	t := &TypedGraph{G: g, EdgeType: edgeType, NumRelations: numRelations}
-	edges := g.Edges()
+	t := &TypedGraph{NumRelations: numRelations}
 	perRelEdges := make([][]graph.Edge, numRelations)
-	perRelIDs := make([][]int32, numRelations)
-	for eid, e := range edges {
+	for eid, e := range g.Edges() {
 		r := edgeType[eid]
 		perRelEdges[r] = append(perRelEdges[r], e)
-		perRelIDs[r] = append(perRelIDs[r], int32(eid))
 	}
 	for r := 0; r < numRelations; r++ {
 		sub, err := graph.NewCSR(g.NumVertices, perRelEdges[r])
@@ -56,19 +47,13 @@ func NewTypedGraph(g *graph.CSR, edgeType []int32, numRelations int) (*TypedGrap
 			return nil, err
 		}
 		t.perRel = append(t.perRel, sub)
-		t.globalEdgeID = append(t.globalEdgeID, perRelIDs[r])
 	}
 	return t, nil
 }
 
 // Relation returns relation r's subgraph (full vertex ID space, local
-// edge IDs — translate with GlobalEdgeID).
+// edge IDs).
 func (t *TypedGraph) Relation(r int) *graph.CSR { return t.perRel[r] }
-
-// GlobalEdgeID maps relation r's local edge ID to the full graph's edge ID.
-func (t *TypedGraph) GlobalEdgeID(r int, local int32) int32 {
-	return t.globalEdgeID[r][local]
-}
 
 // SyntheticAM builds the heterograph stand-in for the AM dataset: the
 // am-sim graph with relation labels derived from the endpoint communities

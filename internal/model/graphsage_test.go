@@ -320,9 +320,9 @@ func TestTrainingReducesLossOnSyntheticTask(t *testing.T) {
 		// aggregation reinforces (rather than averages away) the signal.
 		labels[v] = int32(v / 10)
 		for j := 0; j < 6; j++ {
-			x.Set(v, j, float32(rng.NormFloat64())*0.3)
+			x.Row(v)[j] = float32(rng.NormFloat64()) * 0.3
 		}
-		x.Set(v, int(labels[v]), x.At(v, int(labels[v]))+2)
+		x.Row(v)[int(labels[v])] += 2
 	}
 	mask := make([]int32, 30)
 	for i := range mask {

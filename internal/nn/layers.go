@@ -104,9 +104,6 @@ func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return r.dx
 }
 
-// Params returns nil: ReLU has no parameters.
-func (r *ReLU) Params() []*Param { return nil }
-
 // Dropout zeroes activations with probability P during training and scales
 // survivors by 1/(1-P) (inverted dropout), identity at evaluation time.
 type Dropout struct {
@@ -148,6 +145,3 @@ func (d *Dropout) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	}
 	return dx
 }
-
-// Params returns nil: Dropout has no parameters.
-func (d *Dropout) Params() []*Param { return nil }

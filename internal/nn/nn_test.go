@@ -63,12 +63,12 @@ func TestLinearGradCheck(t *testing.T) {
 	loss := func() float64 {
 		y := l.Forward(x, true)
 		diff := y.Clone()
-		diff.Sub(target)
+		diff.AddScaled(target, -1)
 		return 0.5 * diff.Norm2() * diff.Norm2()
 	}
 	y := l.Forward(x, true)
 	dy := y.Clone()
-	dy.Sub(target)
+	dy.AddScaled(target, -1)
 	ZeroGrads(l.Params())
 	dx := l.Backward(dy)
 
@@ -162,7 +162,7 @@ func TestMaskedCrossEntropyUniformLogits(t *testing.T) {
 
 func TestMaskedCrossEntropyMasksRows(t *testing.T) {
 	logits := tensor.New(3, 2)
-	logits.Set(2, 0, 5)
+	logits.Row(2)[0] = 5
 	labels := []int32{0, 0, 1}
 	_, grad := MaskedCrossEntropy(logits, labels, []int32{0})
 	for _, v := range grad.Row(1) {

@@ -27,16 +27,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // NumElements returns the parameter element count.
 func (p *Param) NumElements() int { return len(p.W.Data) }
 
-// Layer is a differentiable module. Forward consumes the layer input and
-// returns its output; Backward consumes ∂L/∂output and returns ∂L/∂input,
-// accumulating parameter gradients as a side effect. Layers cache
-// activations between Forward and Backward, so calls must pair up.
-type Layer interface {
-	Forward(x *tensor.Matrix, training bool) *tensor.Matrix
-	Backward(dy *tensor.Matrix) *tensor.Matrix
-	Params() []*Param
-}
-
 // ZeroGrads clears gradients of all parameters in params.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {

@@ -1,15 +1,16 @@
 // Package obs is the observability plane: a dependency-free metrics
-// registry (counters, gauges, fixed-log-bucket histograms) with Prometheus
-// text exposition, plus per-request tracing (trace IDs, spans, a recent-
-// trace ring, a threshold-gated slow-request log) and the JSONL telemetry
-// writer distgnn-train emits epoch events through.
+// registry (fixed-log-bucket histograms, and counters and gauges read from
+// a function at exposition time) with Prometheus text exposition, plus
+// per-request tracing (trace IDs, spans, a recent-trace ring, a
+// threshold-gated slow-request log) and the JSONL telemetry writer
+// distgnn-train emits epoch events through.
 //
-// The design contract is "disabled = free": every handle type (*Counter,
-// *Gauge, *Histogram, *TraceCtx, *Tracer) is nil-safe — a nil receiver
-// makes every method a no-op — and a nil *Registry hands out nil handles,
-// so code instruments unconditionally and pays exactly one nil check when
-// observability is off. When on, the hot path is atomic adds only: metrics
-// are pre-registered once and never allocate per observation.
+// The design contract is "disabled = free": every handle type (*Histogram,
+// *TraceCtx, *Tracer) is nil-safe — a nil receiver makes every method a
+// no-op — and a nil *Registry hands out nil handles, so code instruments
+// unconditionally and pays exactly one nil check when observability is
+// off. When on, the hot path is atomic adds only: metrics are
+// pre-registered once and never allocate per observation.
 package obs
 
 import (
@@ -23,57 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing metric. Nil-safe: a nil counter
-// ignores Add/Inc, so disabled observability costs one branch.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n (n must be ≥ 0 for Prometheus semantics; not enforced).
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count (0 when nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a settable instantaneous value. Nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (0 when nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // histBuckets is the fixed log-bucket count: bucket i covers observations
 // ≤ 2^i microseconds (1µs … ~2.1s), the last bucket is +Inf. Fixed and
@@ -123,9 +73,7 @@ func bucketBoundSeconds(i int) float64 {
 type metricKind int
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindHistogram metricKind = iota
 	kindCounterFunc
 	kindGaugeFunc
 )
@@ -136,8 +84,6 @@ type metric struct {
 	name string
 	help string
 	kind metricKind
-	c    *Counter
-	g    *Gauge
 	h    *Histogram
 	fn   func() float64
 }
@@ -189,22 +135,6 @@ func (r *Registry) register(m *metric) *metric {
 	r.byName[m.name] = m
 	r.metrics = append(r.metrics, m)
 	return m
-}
-
-// Counter registers (or retrieves) a counter by rendered name.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.register(&metric{name: name, help: help, kind: kindCounter, c: &Counter{}}).c
-}
-
-// Gauge registers (or retrieves) a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(&metric{name: name, help: help, kind: kindGauge, g: &Gauge{}}).g
 }
 
 // Histogram registers (or retrieves) a fixed-log-bucket histogram.
@@ -267,10 +197,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# TYPE %s %s\n", base, typeString(m.kind))
 		}
 		switch m.kind {
-		case kindCounter:
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.c.Value())
-		case kindGauge:
-			fmt.Fprintf(&b, "%s %d\n", m.name, m.g.Value())
 		case kindCounterFunc, kindGaugeFunc:
 			fmt.Fprintf(&b, "%s %g\n", m.name, m.fn())
 		case kindHistogram:
@@ -283,7 +209,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func typeString(k metricKind) string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "histogram"

@@ -16,17 +16,11 @@ import (
 // every call without effect (and without panicking).
 func TestNilPlaneIsFree(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x_total", "")
-	g := r.Gauge("x", "")
 	h := r.Histogram("x_seconds", "")
 	r.CounterFunc("f_total", "", func() float64 { return 1 })
 	r.GaugeFunc("f", "", func() float64 { return 1 })
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(-1)
 	h.Observe(time.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if h.Count() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	var buf bytes.Buffer
@@ -57,8 +51,6 @@ func TestNilPlaneIsFree(t *testing.T) {
 	// Free also means no allocation: with obs off, the serving hot path
 	// makes these calls on every request.
 	if n := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		g.Set(3)
 		h.Observe(time.Millisecond)
 		tc.StartSpan("s")()
 		tc.AddSpanAt("s", time.Time{}, time.Millisecond)
@@ -68,26 +60,29 @@ func TestNilPlaneIsFree(t *testing.T) {
 	}
 }
 
-// TestCounterGaugeHistogram exercises the live hot paths, including
-// idempotent re-registration returning the same handle.
+// TestCounterGaugeHistogram exercises the live paths: counter and gauge
+// funcs read at exposition, where re-registration keeps the first, and
+// the histogram's hot path, where it returns the same handle.
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reqs_total", "requests")
-	if again := r.Counter("reqs_total", "requests"); again != c {
-		t.Fatal("re-registration must return the same counter")
+	var reqs, depth float64
+	r.CounterFunc("reqs_total", "requests", func() float64 { return reqs })
+	r.CounterFunc("reqs_total", "requests", func() float64 { return -1 })
+	r.GaugeFunc("depth", "queue depth", func() float64 { return depth })
+	reqs, depth = 3, 5
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
-	}
-	g := r.Gauge("depth", "queue depth")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
+	for _, want := range []string{"reqs_total 3\n", "depth 5\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+		}
 	}
 	h := r.Histogram("lat_seconds", "latency")
+	if again := r.Histogram("lat_seconds", "latency"); again != h {
+		t.Fatal("re-registration must return the same histogram")
+	}
 	for _, d := range []time.Duration{time.Microsecond, 3 * time.Microsecond,
 		time.Millisecond, 10 * time.Millisecond, time.Second} {
 		h.Observe(d)
@@ -101,8 +96,8 @@ func TestCounterGaugeHistogram(t *testing.T) {
 // shared across label variants, cumulative histogram buckets, _sum/_count.
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Label("hits_total", "cache", "feature"), "cache hits").Add(4)
-	r.Counter(Label("hits_total", "cache", "embed"), "cache hits").Inc()
+	r.CounterFunc(Label("hits_total", "cache", "feature"), "cache hits", func() float64 { return 4 })
+	r.CounterFunc(Label("hits_total", "cache", "embed"), "cache hits", func() float64 { return 1 })
 	h := r.Histogram(Label("stage_seconds", "stage", "gather"), "stage latency")
 	h.Observe(2 * time.Microsecond)
 	h.Observe(100 * time.Millisecond)
@@ -269,7 +264,7 @@ func TestTraceHandler(t *testing.T) {
 // otherwise, 404 when disabled.
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "help").Inc()
+	r.CounterFunc("x_total", "help", func() float64 { return 1 })
 	rec := httptest.NewRecorder()
 	r.Handler()(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "x_total 1") {
@@ -300,13 +295,11 @@ func TestRegistryConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := r.Counter("shared_total", "")
 			h := r.Histogram("shared_seconds", "")
 			for i := 0; i < 500; i++ {
-				c.Inc()
 				h.Observe(time.Duration(i) * time.Microsecond)
 				if i%100 == 0 {
-					r.Counter(fmt.Sprintf("per_worker_%d_total", w), "").Inc()
+					r.GaugeFunc(fmt.Sprintf("per_worker_%d", w), "", func() float64 { return float64(w) })
 					var buf bytes.Buffer
 					r.WritePrometheus(&buf)
 				}
@@ -314,9 +307,6 @@ func TestRegistryConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Counter("shared_total", "").Value(); got != 4000 {
-		t.Fatalf("shared counter = %d, want 4000", got)
-	}
 	if got := r.Histogram("shared_seconds", "").Count(); got != 4000 {
 		t.Fatalf("shared histogram count = %d, want 4000", got)
 	}

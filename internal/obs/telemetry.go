@@ -18,7 +18,6 @@ import (
 // event, so emission sites need no guards.
 type EventLog struct {
 	mu  sync.Mutex
-	w   io.Writer
 	enc *json.Encoder
 }
 
@@ -27,7 +26,7 @@ func NewEventLog(w io.Writer) *EventLog {
 	if w == nil {
 		return nil
 	}
-	return &EventLog{w: w, enc: json.NewEncoder(w)}
+	return &EventLog{enc: json.NewEncoder(w)}
 }
 
 // Emit writes one event line: {"event": name, "ts_unix_ns": ..., fields}.

@@ -207,10 +207,9 @@ type TracerConfig struct {
 type Tracer struct {
 	cfg TracerConfig
 
-	mu    sync.Mutex
-	ring  []Trace
-	next  int
-	total int64
+	mu   sync.Mutex
+	ring []Trace
+	next int
 
 	logMu   sync.Mutex
 	slowSeq int64
@@ -263,7 +262,6 @@ func (tr *Tracer) Record(rec Trace) {
 		tr.ring[tr.next] = rec
 	}
 	tr.next = (tr.next + 1) % tr.cfg.RingSize
-	tr.total++
 	tr.mu.Unlock()
 
 	if tr.cfg.SlowLog != nil && time.Duration(rec.DurUs)*time.Microsecond >= tr.cfg.SlowThreshold {

@@ -22,7 +22,7 @@ func echoInfer(calls *atomic.Int64, seen *atomic.Int64) func([]int32, *obs.Trace
 		seen.Add(int64(len(vs)))
 		out := tensor.New(len(vs), 1)
 		for i, v := range vs {
-			out.Set(i, 0, float32(v))
+			out.Row(i)[0] = float32(v)
 		}
 		return out, nil
 	}
@@ -353,7 +353,7 @@ func TestCoalescerAdmissionControlSheds(t *testing.T) {
 		<-release
 		out := tensor.New(len(vs), 1)
 		for i, v := range vs {
-			out.Set(i, 0, float32(v))
+			out.Row(i)[0] = float32(v)
 		}
 		return out, nil
 	}, 1, time.Millisecond, 2)

@@ -366,8 +366,8 @@ func TestScatterMaxGradRoutesToWinners(t *testing.T) {
 		t.Fatal(err)
 	}
 	dy := tensor.New(3, 2)
-	dy.Set(2, 0, 10)
-	dy.Set(2, 1, 20)
+	dy.Row(2)[0] = 10
+	dy.Row(2)[1] = 20
 	dx := tensor.New(3, 2)
 	if err := ScatterMaxGrad(dy, argmax, dx); err != nil {
 		t.Fatal(err)

@@ -212,7 +212,7 @@ func TestMatMulAccKeepsNegativeZero(t *testing.T) {
 		const m, k = 5, 9
 		a := FromSlice(m, k, specialSlice(rng, m*k, 0.5))
 		for p := 0; p < k; p++ {
-			a.Set(0, p, 0) // row 0 skips every term
+			a.Row(0)[p] = 0 // row 0 skips every term
 		}
 		b := FromSlice(k, n, specialSlice(rng, k*n, 0.5))
 		c := New(m, n)
@@ -226,7 +226,7 @@ func TestMatMulAccKeepsNegativeZero(t *testing.T) {
 						s += float32(av * b.At(p, j))
 					}
 				}
-				want.Set(i, j, s)
+				want.Row(i)[j] = s
 			}
 		}
 		MatMulAcc(c, a, b)
@@ -284,7 +284,7 @@ func TestMatMulFamilyMatchesReference(t *testing.T) {
 			wantT := New(m, n)
 			for i := 0; i < m; i++ {
 				for j := 0; j < n; j++ {
-					wantT.Set(i, j, dot(a.Row(i), bt.Row(j), 1))
+					wantT.Row(i)[j] = dot(a.Row(i), bt.Row(j), 1)
 				}
 			}
 			c.Fill(7)

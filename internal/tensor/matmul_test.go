@@ -19,7 +19,7 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 			for p := 0; p < a.Cols; p++ {
 				s += float64(a.At(i, p)) * float64(b.At(p, j))
 			}
-			c.Set(i, j, float32(s))
+			c.Row(i)[j] = float32(s)
 		}
 	}
 	return c
@@ -49,7 +49,7 @@ func TestMatMulIdentity(t *testing.T) {
 	a := randomMatrix(rng, 17, 17)
 	eye := New(17, 17)
 	for i := 0; i < 17; i++ {
-		eye.Set(i, i, 1)
+		eye.Row(i)[i] = 1
 	}
 	c := New(17, 17)
 	MatMul(c, a, eye)

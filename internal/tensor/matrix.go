@@ -63,9 +63,6 @@ func (m *Matrix) Row(i int) []float32 {
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Zero resets every element to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {
@@ -96,12 +93,6 @@ func (m *Matrix) mustSameShape(other *Matrix) {
 func (m *Matrix) Add(other *Matrix) {
 	m.mustSameShape(other)
 	Accumulate(m.Data, other.Data)
-}
-
-// Sub computes m -= other elementwise.
-func (m *Matrix) Sub(other *Matrix) {
-	m.mustSameShape(other)
-	axpy(m.Data, other.Data, -1)
 }
 
 // AddScaled computes m += alpha*other elementwise.

@@ -46,9 +46,9 @@ func TestRowAliasesStorage(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	m := New(2, 2)
-	m.Set(0, 0, 5)
+	m.Row(0)[0] = 5
 	c := m.Clone()
-	c.Set(0, 0, 9)
+	c.Row(0)[0] = 9
 	if m.At(0, 0) != 5 {
 		t.Fatal("Clone must not share storage")
 	}
@@ -64,10 +64,10 @@ func TestAddSubScale(t *testing.T) {
 			t.Fatalf("Add: got %v want %v", a.Data, want)
 		}
 	}
-	a.Sub(b)
+	a.AddScaled(b, -1)
 	for i, w := range []float32{1, 2, 3, 4} {
 		if a.Data[i] != w {
-			t.Fatalf("Sub: element %d = %v want %v", i, a.Data[i], w)
+			t.Fatalf("AddScaled(-1): element %d = %v want %v", i, a.Data[i], w)
 		}
 	}
 	a.Scale(2)

@@ -106,9 +106,7 @@ type DistResult struct {
 	TrainAcc    float64
 	TestAcc     float64
 	Replication float64
-	SplitFrac   []float64 // per-rank split-vertex fraction
 	EdgeBalance float64
-	NumParams   int
 	// Params is the final flattened parameter vector (rank 0's replica;
 	// all replicas are identical).
 	Params []float32
@@ -389,9 +387,7 @@ func (su *distSetup) newRank(w *comm.World) (*rankCtx, error) {
 func (su *distSetup) run(r *rankCtx) *DistResult {
 	res := &DistResult{
 		Replication: su.pt.ReplicationFactor(),
-		SplitFrac:   su.pt.SplitVertexFraction(),
 		EdgeBalance: su.pt.EdgeBalance(),
-		NumParams:   r.model.NumParams(),
 		Epochs:      make([]DistEpochStat, su.cfg.Epochs),
 	}
 	for epoch := range res.Epochs {

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -133,8 +134,8 @@ func TestDistributedOverTCPEndpoint(t *testing.T) {
 			t.Fatalf("rank %d: acc %v/%v vs in-process %v/%v",
 				r, res.TrainAcc, res.TestAcc, ref.TrainAcc, ref.TestAcc)
 		}
-		if res.NumParams != ref.NumParams {
-			t.Fatalf("rank %d: NumParams %d vs %d", r, res.NumParams, ref.NumParams)
+		if !slices.Equal(res.Params, ref.Params) {
+			t.Fatalf("rank %d: final params differ from in-process", r)
 		}
 	}
 }
