@@ -392,8 +392,13 @@ func (g *gate) markReads(f *ast.File, info *types.Info) {
 
 // TestNoTestOnlyExports fails on any declaration under internal/ (exported
 // or not) that no non-test file of internal/, cmd/, examples/ or perfbench/
-// reads: such a declaration is reached only by its own tests.
+// reads: such a declaration is reached only by its own tests. The gate is
+// a static check that race instrumentation only slows (tenfold), so it
+// skips under -short, which the race pass runs with.
 func TestNoTestOnlyExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("static type-check; skipped under -short")
+	}
 	dead, err := deadCode(".", "distgnn", "internal", "cmd", "examples", "perfbench")
 	if err != nil {
 		t.Fatal(err)
@@ -418,8 +423,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 // TestDeadCodeGateFixture runs the gate on testdata/exportgate, which holds
 // a method only its test calls, named like the http.Header.Set that the
 // fixture's program calls, and a field the program writes and never reads.
-// A gate keyed on names passes both.
+// A gate keyed on names passes both. Skipped under -short, as the gate is.
 func TestDeadCodeGateFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("static type-check; skipped under -short")
+	}
 	dead, err := deadCode(filepath.Join("testdata", "exportgate"), "exportgate", "internal", "cmd")
 	if err != nil {
 		t.Fatal(err)

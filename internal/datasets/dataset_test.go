@@ -243,3 +243,42 @@ func TestRMATNonPowerOfTwo(t *testing.T) {
 		}
 	}
 }
+
+// switchQuadrant is the branchy quadrant pick RMAT.quadrant replaced, kept
+// as its oracle.
+func switchQuadrant(r RMAT, p float64) (ub, vb int) {
+	switch {
+	case p < r.A:
+		// top-left: no bits set
+	case p < r.A+r.B:
+		vb = 1
+	case p < r.A+r.B+r.C:
+		ub = 1
+	default:
+		ub, vb = 1, 1
+	}
+	return ub, vb
+}
+
+func TestRMATQuadrantMatchesSwitch(t *testing.T) {
+	r := DefaultRMAT
+	ab, abc := r.A+r.B, r.A+r.B+r.C
+	check := func(p float64) {
+		t.Helper()
+		gu, gv := r.quadrant(p, ab, abc)
+		wu, wv := switchQuadrant(r, p)
+		if gu != wu || gv != wv {
+			t.Fatalf("p=%v: quadrant bits (%d,%d), switch (%d,%d)", p, gu, gv, wu, wv)
+		}
+	}
+	for _, p := range []float64{0, r.A, ab, abc} {
+		check(p)
+		check(math.Nextafter(p, -1))
+		check(math.Nextafter(p, 2))
+	}
+	check(math.Nextafter(1, 0))
+	rng := rand.New(rand.NewSource(7))
+	for range 100000 {
+		check(rng.Float64())
+	}
+}

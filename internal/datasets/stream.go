@@ -34,7 +34,6 @@ type StreamConfig struct {
 	// SojournEvents is the mean number of events between MMPP state flips
 	// (geometric sojourn, default 20).
 	SojournEvents int
-	Shape         RMAT  // edge shape; zero value means DefaultRMAT
 	Seed          int64 // RNG seed; streams are deterministic in it
 }
 
@@ -62,11 +61,6 @@ func EdgeStream(cfg StreamConfig) ([]EdgeEvent, error) {
 	if cfg.SojournEvents == 0 {
 		cfg.SojournEvents = 20
 	}
-	shape := cfg.Shape
-	if shape == (RMAT{}) {
-		shape = DefaultRMAT
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	flip := 1.0 / float64(cfg.SojournEvents)
 	burst := false
@@ -85,7 +79,7 @@ func EdgeStream(cfg StreamConfig) ([]EdgeEvent, error) {
 			gap = time.Nanosecond // keep timestamps strictly increasing
 		}
 		at += gap
-		src, dst := shape.Edge(rng, cfg.NumVertices)
+		src, dst := DefaultRMAT.Edge(rng, cfg.NumVertices)
 		events[i] = EdgeEvent{At: at, Edge: graph.Edge{Src: src, Dst: dst}, Burst: burst}
 	}
 	return events, nil

@@ -5,10 +5,7 @@
 // blocked aggregation kernel (Alg. 2).
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Edge is a directed edge u→v. In the aggregation primitive the feature of
 // the source Src is pulled and reduced into the destination Dst.
@@ -30,38 +27,38 @@ type CSR struct {
 }
 
 // NewCSR builds a destination-indexed CSR from an edge list over
-// numVertices vertices. Edge IDs are the positions in edges. Neighbor lists
-// are sorted by source vertex for deterministic iteration.
+// numVertices vertices. Edge IDs are the positions in edges. Each neighbor
+// list is ordered by source vertex, and parallel edges (same source, same
+// destination) by edge ID, that is in input order. The build is a stable
+// two-pass counting sort: the first pass buckets the edges by source, in
+// input order (the transpose, indexed by source), and the second is
+// Reverse, which scatters them into destination buckets source by source.
 func NewCSR(numVertices int, edges []Edge) (*CSR, error) {
-	indptr := make([]int32, numVertices+1)
+	bySrc := &CSR{
+		NumVertices: numVertices,
+		NumEdges:    len(edges),
+		Indptr:      make([]int32, numVertices+1),
+		Indices:     make([]int32, len(edges)),
+		EdgeIDs:     make([]int32, len(edges)),
+	}
 	for i, e := range edges {
 		if e.Src < 0 || int(e.Src) >= numVertices || e.Dst < 0 || int(e.Dst) >= numVertices {
 			return nil, fmt.Errorf("graph: edge %d (%d→%d) out of range [0,%d)", i, e.Src, e.Dst, numVertices)
 		}
-		indptr[e.Dst+1]++
+		bySrc.Indptr[e.Src+1]++
 	}
 	for v := 0; v < numVertices; v++ {
-		indptr[v+1] += indptr[v]
+		bySrc.Indptr[v+1] += bySrc.Indptr[v]
 	}
-	indices := make([]int32, len(edges))
-	edgeIDs := make([]int32, len(edges))
 	cursor := make([]int32, numVertices)
-	copy(cursor, indptr[:numVertices])
+	copy(cursor, bySrc.Indptr)
 	for i, e := range edges {
-		p := cursor[e.Dst]
-		indices[p] = e.Src
-		edgeIDs[p] = int32(i)
-		cursor[e.Dst]++
+		q := cursor[e.Src]
+		bySrc.Indices[q] = e.Dst
+		bySrc.EdgeIDs[q] = int32(i)
+		cursor[e.Src]++
 	}
-	g := &CSR{
-		NumVertices: numVertices,
-		NumEdges:    len(edges),
-		Indptr:      indptr,
-		Indices:     indices,
-		EdgeIDs:     edgeIDs,
-	}
-	g.sortNeighborLists()
-	return g, nil
+	return bySrc.Reverse(), nil
 }
 
 // MustCSR is NewCSR that panics on invalid input; for tests and generators
@@ -72,27 +69,6 @@ func MustCSR(numVertices int, edges []Edge) *CSR {
 		panic(err)
 	}
 	return g
-}
-
-func (g *CSR) sortNeighborLists() {
-	for v := 0; v < g.NumVertices; v++ {
-		lo, hi := g.Indptr[v], g.Indptr[v+1]
-		nbr := g.Indices[lo:hi]
-		ids := g.EdgeIDs[lo:hi]
-		sort.Sort(&nbrSorter{nbr: nbr, ids: ids})
-	}
-}
-
-type nbrSorter struct {
-	nbr []int32
-	ids []int32
-}
-
-func (s *nbrSorter) Len() int           { return len(s.nbr) }
-func (s *nbrSorter) Less(i, j int) bool { return s.nbr[i] < s.nbr[j] }
-func (s *nbrSorter) Swap(i, j int) {
-	s.nbr[i], s.nbr[j] = s.nbr[j], s.nbr[i]
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
 }
 
 // NumV returns the vertex count (Topology).
@@ -135,18 +111,40 @@ func (g *CSR) Edges() []Edge {
 
 // Reverse returns the transpose graph: every edge u→v becomes v→u, keeping
 // the same edge IDs. The aggregation backward pass uses the transpose (the
-// gradient of A×X flows along Aᵀ).
+// gradient of A×X flows along Aᵀ). It is a counting transpose: walking the
+// destinations in order and scattering each in-edge into its source's
+// bucket leaves every list ordered by neighbor, and parallel edges in their
+// order in g. For a g built by NewCSR that is edge-ID order, so Reverse
+// equals NewCSR over the reversed Edges(), EdgeIDs included.
 func (g *CSR) Reverse() *CSR {
-	edges := g.Edges()
-	rev := make([]Edge, len(edges))
-	for i, e := range edges {
-		rev[i] = Edge{Src: e.Dst, Dst: e.Src}
+	n := g.NumVertices
+	indptr := make([]int32, n+1)
+	for _, u := range g.Indices {
+		indptr[u+1]++
 	}
-	out, err := NewCSR(g.NumVertices, rev)
-	if err != nil {
-		panic(err) // cannot happen: vertices are in range by construction
+	for v := 0; v < n; v++ {
+		indptr[v+1] += indptr[v]
 	}
-	return out
+	cursor := make([]int32, n)
+	copy(cursor, indptr)
+	indices := make([]int32, g.NumEdges)
+	edgeIDs := make([]int32, g.NumEdges)
+	for v := 0; v < n; v++ {
+		for p := g.Indptr[v]; p < g.Indptr[v+1]; p++ {
+			u := g.Indices[p]
+			q := cursor[u]
+			indices[q] = int32(v)
+			edgeIDs[q] = g.EdgeIDs[p]
+			cursor[u]++
+		}
+	}
+	return &CSR{
+		NumVertices: n,
+		NumEdges:    g.NumEdges,
+		Indptr:      indptr,
+		Indices:     indices,
+		EdgeIDs:     edgeIDs,
+	}
 }
 
 // AvgDegree returns the mean in-degree.

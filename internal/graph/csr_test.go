@@ -3,6 +3,7 @@ package graph
 import (
 	"cmp"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -42,11 +43,20 @@ func TestNewCSREdgeIDsTrackSources(t *testing.T) {
 }
 
 func TestNewCSRRejectsOutOfRange(t *testing.T) {
-	if _, err := NewCSR(2, []Edge{{0, 5}}); err == nil {
-		t.Fatal("expected error for out-of-range destination")
-	}
-	if _, err := NewCSR(2, []Edge{{-1, 0}}); err == nil {
-		t.Fatal("expected error for negative source")
+	for _, c := range []struct {
+		n     int
+		edges []Edge
+		want  string
+	}{
+		{2, []Edge{{0, 5}}, "graph: edge 0 (0→5) out of range [0,2)"},
+		{2, []Edge{{0, 1}, {0, 5}}, "graph: edge 1 (0→5) out of range [0,2)"},
+		{2, []Edge{{-1, 0}}, "graph: edge 0 (-1→0) out of range [0,2)"},
+		{3, []Edge{{1, 1}, {3, 0}, {0, -2}}, "graph: edge 1 (3→0) out of range [0,3)"},
+		{0, []Edge{{0, 0}}, "graph: edge 0 (0→0) out of range [0,0)"},
+	} {
+		if _, err := NewCSR(c.n, c.edges); err == nil || err.Error() != c.want {
+			t.Errorf("NewCSR(%d, %v) error %v, want %q", c.n, c.edges, err, c.want)
+		}
 	}
 }
 
@@ -192,4 +202,103 @@ func TestCSRNeighborListsSorted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sortedReferenceCSR is the comparison-sort build NewCSR replaces: every
+// edge keyed by (destination, source), stable-sorted so parallel edges
+// keep input order, then laid out destination by destination.
+func sortedReferenceCSR(n int, edges []Edge) *CSR {
+	ids := make([]int32, len(edges))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	slices.SortStableFunc(ids, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(edges[a].Dst, edges[b].Dst), cmp.Compare(edges[a].Src, edges[b].Src))
+	})
+	g := &CSR{
+		NumVertices: n,
+		NumEdges:    len(edges),
+		Indptr:      make([]int32, n+1),
+		Indices:     make([]int32, len(edges)),
+		EdgeIDs:     ids,
+	}
+	for p, id := range ids {
+		g.Indices[p] = edges[id].Src
+		g.Indptr[edges[id].Dst+1]++
+	}
+	for v := 0; v < n; v++ {
+		g.Indptr[v+1] += g.Indptr[v]
+	}
+	return g
+}
+
+// checkAgainstReference fails unless NewCSR(n, edges) equals the sorted
+// reference in every field, and spells out the order contract: each
+// neighbor list ascends by source, an equal-source run ascends by edge ID,
+// and every position's ID names an edge with that source and destination.
+func checkAgainstReference(t *testing.T, n int, edges []Edge) {
+	t.Helper()
+	g, err := NewCSR(n, edges)
+	if err != nil {
+		t.Fatalf("n=%d: %v", n, err)
+	}
+	if want := sortedReferenceCSR(n, edges); !reflect.DeepEqual(g, want) {
+		t.Fatalf("n=%d m=%d: NewCSR\n%+v\nwant sorted reference\n%+v", n, len(edges), g, want)
+	}
+	for v := 0; v < n; v++ {
+		nbr, ids := g.InNeighbors(v), g.InEdgeIDs(v)
+		for i := range nbr {
+			if e := edges[ids[i]]; e.Src != nbr[i] || int(e.Dst) != v {
+				t.Fatalf("vertex %d position %d: id %d is %v", v, i, ids[i], e)
+			}
+			if i > 0 && (nbr[i] < nbr[i-1] || nbr[i] == nbr[i-1] && ids[i] <= ids[i-1]) {
+				t.Fatalf("vertex %d: (src, id) not ascending at %d: %v / %v", v, i, nbr, ids)
+			}
+		}
+	}
+}
+
+// randomMultigraphs yields edge lists with parallel edges (endpoints drawn
+// from a few vertices), self-loops, isolated vertices (edges confined to a
+// prefix of the vertex range), n = 1 and zero edges.
+func randomMultigraphs(yield func(n int, edges []Edge)) {
+	rng := rand.New(rand.NewSource(42))
+	yield(0, nil)
+	yield(1, nil)
+	yield(1, []Edge{{0, 0}, {0, 0}, {0, 0}})
+	yield(7, nil)
+	for range 300 {
+		n := 1 + rng.Intn(40)
+		span := 1 + rng.Intn(n)
+		yield(n, randomEdges(rng, span, rng.Intn(4*n+1)))
+	}
+}
+
+func TestNewCSRMatchesSortedReference(t *testing.T) {
+	randomMultigraphs(func(n int, edges []Edge) { checkAgainstReference(t, n, edges) })
+}
+
+func reversed(edges []Edge) []Edge {
+	rev := make([]Edge, len(edges))
+	for i, e := range edges {
+		rev[i] = Edge{Src: e.Dst, Dst: e.Src}
+	}
+	return rev
+}
+
+func TestReverseMatchesRebuild(t *testing.T) {
+	randomMultigraphs(func(n int, edges []Edge) {
+		g := MustCSR(n, edges)
+		r := g.Reverse()
+		if want := MustCSR(n, reversed(g.Edges())); !reflect.DeepEqual(r, want) {
+			t.Fatalf("n=%d m=%d: Reverse\n%+v\nwant rebuild of reversed edges\n%+v", n, len(edges), r, want)
+		}
+		// NewCSR ends in Reverse, so check against the sort-based build too.
+		if want := sortedReferenceCSR(n, reversed(g.Edges())); !reflect.DeepEqual(r, want) {
+			t.Fatalf("n=%d m=%d: Reverse\n%+v\nwant sorted reference\n%+v", n, len(edges), r, want)
+		}
+		if rr := r.Reverse(); !reflect.DeepEqual(rr, g) {
+			t.Fatalf("n=%d m=%d: double reverse\n%+v\nwant\n%+v", n, len(edges), rr, g)
+		}
+	})
 }

@@ -76,10 +76,10 @@ func (s *Snapshot) InNeighbors(v int) []int32 {
 	return nil // added vertex with no in-edges yet
 }
 
-// Edges materializes the snapshot's full edge list, grouped by
-// destination with sources in sorted order — the input Compact rebuilds
-// from, and the reference a from-scratch NewCSR over the same graph
-// sorts into the identical Indices layout.
+// Edges materializes the snapshot's full edge list in the order NewCSR
+// lays edges out: by destination, then by source. It is the input Compact
+// rebuilds from, so the rebuilt Indices equal the snapshot's InNeighbors
+// lists, as a from-scratch NewCSR over the same edge multiset would.
 func (s *Snapshot) Edges() []Edge {
 	edges := make([]Edge, 0, s.NumE())
 	for v := 0; v < s.numV; v++ {
@@ -93,8 +93,9 @@ func (s *Snapshot) Edges() []Edge {
 // Rebuild constructs a fresh CSR over the snapshot's exact edge set —
 // what a cold process loading the post-mutation graph would build. Its
 // Indices arrays match the snapshot's InNeighbors enumeration vertex for
-// vertex (the conformance property the mutation tests pin); only EdgeIDs
-// may differ, and nothing on the serving path reads those.
+// vertex (the conformance property the mutation tests pin). Its EdgeIDs
+// number the edges in Edges() order, so EdgeIDs[p] = p, not the IDs of
+// the base graph's edge list; nothing on the serving path reads those.
 func (s *Snapshot) Rebuild() *CSR {
 	return MustCSR(s.numV, s.Edges())
 }
